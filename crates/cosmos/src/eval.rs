@@ -22,18 +22,24 @@ use crate::memory::MemoryFootprint;
 use crate::predictor::CosmosPredictor;
 use crate::tuple::PredTuple;
 use crate::{CoreStats, MessagePredictor};
+use stache::msg::ALL_MSG_TYPES;
 use stache::{BlockAddr, MsgType, NodeId, Role};
 use std::collections::{BTreeMap, HashMap};
 use trace::{ArcKey, TraceBundle};
 
+/// Dense index of a role: caches 0, directories 1.
+#[inline]
+fn role_index(role: Role) -> usize {
+    match role {
+        Role::Cache => 0,
+        Role::Directory => 1,
+    }
+}
+
 /// Flat fleet index for a `(node, role)` agent: two slots per node.
 #[inline]
 pub(crate) fn agent_index(node: NodeId, role: Role) -> usize {
-    node.index() * 2
-        + match role {
-            Role::Cache => 0,
-            Role::Directory => 1,
-        }
+    node.index() * 2 + role_index(role)
 }
 
 /// Hit/total counters.
@@ -307,6 +313,54 @@ struct AgentSlot {
     counts: Counts,
 }
 
+/// Message types, the side of the dense arc array.
+const TYPES: usize = ALL_MSG_TYPES.len();
+
+/// The scored counters of the iteration the stream is currently in. A
+/// trace stays in one iteration for thousands of records, so the hot
+/// loop bumps a `Counts` and one cell of a dense `[role][prev][next]`
+/// array; [`StreamEval::fold_open`] moves them into the report's maps
+/// when the stream enters another iteration and at the end. Merging is
+/// additive, so the maps come out the same for any record order.
+struct OpenIteration {
+    /// `None` until a record is scored.
+    iteration: Option<u32>,
+    counts: Counts,
+    arcs: Box<[Counts; 2 * TYPES * TYPES]>,
+    /// Cells of `arcs` that are non-zero, in first-touch order.
+    touched: Vec<u16>,
+}
+
+impl OpenIteration {
+    fn new() -> Self {
+        OpenIteration {
+            iteration: None,
+            counts: Counts::default(),
+            arcs: Box::new([Counts::default(); 2 * TYPES * TYPES]),
+            touched: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn add_arc(&mut self, key: ArcKey, hit: bool) {
+        let cell = (role_index(key.role) * TYPES + usize::from(key.prev.code())) * TYPES
+            + usize::from(key.next.code());
+        if self.arcs[cell].total == 0 {
+            self.touched.push(cell as u16);
+        }
+        self.arcs[cell].add(hit);
+    }
+
+    /// The arc a cell of `arcs` counts.
+    fn arc_of(cell: usize) -> ArcKey {
+        ArcKey {
+            role: [Role::Cache, Role::Directory][cell / (TYPES * TYPES)],
+            prev: ALL_MSG_TYPES[cell / TYPES % TYPES],
+            next: ALL_MSG_TYPES[cell % TYPES],
+        }
+    }
+}
+
 /// A push-based evaluation in progress: feed records one at a time (or a
 /// chunk at a time) and [`finish`](StreamEval::finish) into the same
 /// [`AccuracyReport`] the one-shot [`evaluate`] produces. This is the
@@ -329,6 +383,7 @@ where
     directory: Counts,
     coverage: Counts,
     per_iteration: BTreeMap<u32, Counts>,
+    open: OpenIteration,
 }
 
 impl<F> StreamEval<F>
@@ -349,6 +404,32 @@ where
             directory: Counts::default(),
             coverage: Counts::default(),
             per_iteration: BTreeMap::new(),
+            open: OpenIteration::new(),
+        }
+    }
+
+    /// Moves the open iteration's counters into the per-iteration and
+    /// per-arc maps and leaves them zeroed.
+    fn fold_open(&mut self) {
+        let Some(iteration) = self.open.iteration.take() else {
+            return;
+        };
+        let counts = std::mem::take(&mut self.open.counts);
+        self.per_iteration
+            .entry(iteration)
+            .or_default()
+            .merge(counts);
+        for cell in self.open.touched.drain(..) {
+            let cell = usize::from(cell);
+            let counts = std::mem::take(&mut self.open.arcs[cell]);
+            let key = OpenIteration::arc_of(cell);
+            self.per_arc.entry(key).or_default().merge(counts);
+            self.per_arc_by_iteration
+                .entry(key)
+                .or_default()
+                .entry(iteration)
+                .or_default()
+                .merge(counts);
         }
     }
 
@@ -369,7 +450,8 @@ where
             self.predictor = slot.predictor.name().to_string();
         }
         let observed = PredTuple::new(r.sender, r.mtype);
-        let predicted = slot.predictor.predict(r.block);
+        let predicted = slot.predictor.predict_then_observe(r.block, observed);
+        let prev = slot.prev_type.insert(r.block, r.mtype);
 
         if score && r.iteration >= self.opts.score_from_iteration {
             let hit = if self.opts.type_only {
@@ -384,24 +466,22 @@ where
             }
             self.coverage.add(predicted.is_some());
             slot.counts.add(hit);
-            self.per_iteration.entry(r.iteration).or_default().add(hit);
-            if let Some(prev) = slot.prev_type.get(&r.block) {
-                let key = ArcKey {
-                    role: r.role,
-                    prev: *prev,
-                    next: r.mtype,
-                };
-                self.per_arc.entry(key).or_default().add(hit);
-                self.per_arc_by_iteration
-                    .entry(key)
-                    .or_default()
-                    .entry(r.iteration)
-                    .or_default()
-                    .add(hit);
+            if self.open.iteration != Some(r.iteration) {
+                self.fold_open();
+                self.open.iteration = Some(r.iteration);
+            }
+            self.open.counts.add(hit);
+            if let Some(prev) = prev {
+                self.open.add_arc(
+                    ArcKey {
+                        role: r.role,
+                        prev,
+                        next: r.mtype,
+                    },
+                    hit,
+                );
             }
         }
-        slot.prev_type.insert(r.block, r.mtype);
-        slot.predictor.observe(r.block, observed);
     }
 
     /// Feeds and scores one record (subject to the warmup option).
@@ -438,7 +518,8 @@ where
     }
 
     /// Closes the evaluation and builds the report.
-    pub fn finish(self) -> AccuracyReport {
+    pub fn finish(mut self) -> AccuracyReport {
+        self.fold_open();
         let mut report = AccuracyReport {
             predictor: self.predictor,
             overall: self.overall,

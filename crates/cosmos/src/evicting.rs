@@ -15,37 +15,48 @@
 
 use crate::fasthash::FastMap;
 use crate::memory::MemoryFootprint;
-use crate::mhr::Mhr;
 use crate::pht::Pht;
+use crate::predictor::BlockState;
 use crate::tuple::PredTuple;
-use crate::MessagePredictor;
+use crate::{CoreStats, MessagePredictor};
 use stache::BlockAddr;
+use std::cell::Cell;
 
+/// "No slot": the end of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One tracked block: its predictor state and its recency-list links.
 #[derive(Debug, Clone)]
-struct BlockState {
-    mhr: Mhr,
-    pht: Option<Pht>,
-    /// Neighbour toward the MRU end of the intrusive recency list.
-    prev: Option<BlockAddr>,
-    /// Neighbour toward the LRU end of the intrusive recency list.
-    next: Option<BlockAddr>,
+struct Slot {
+    block: BlockAddr,
+    state: BlockState,
+    /// Slot toward the MRU end of the recency list, or [`NIL`].
+    prev: u32,
+    /// Slot toward the LRU end of the recency list, or [`NIL`].
+    next: u32,
 }
 
 /// A Cosmos predictor whose MHT holds at most `capacity` blocks (LRU).
 ///
-/// Recency is an intrusive doubly-linked list threaded through the
-/// block states (`head` = most recent, `tail` = victim), so a full
-/// table evicts in O(1) — a min-scan over `capacity` entries per insert
-/// melts down exactly in the regime this type exists for, a streaming
-/// trace that touches far more blocks than the table holds.
+/// The table is an index from block address to slot number plus a slab
+/// of slots. Recency is a doubly-linked list of slot numbers (`head` =
+/// most recent, `tail` = victim), so a hit costs one hash probe, a full
+/// table evicts in O(1) and reuses the victim's slot in place, and the
+/// hash buckets hold 16 bytes instead of the whole block state. The slab
+/// grows with the blocks actually seen, never to `capacity` up front: a
+/// wide run builds thousands of agents that each see a few hundred.
 #[derive(Debug, Clone)]
 pub struct EvictingCosmos {
     depth: usize,
     filter_max: u8,
     capacity: usize,
-    blocks: FastMap<BlockAddr, BlockState>,
-    head: Option<BlockAddr>,
-    tail: Option<BlockAddr>,
+    index: FastMap<BlockAddr, u32>,
+    slots: Vec<Slot>,
+    head: u32,
+    tail: u32,
+    /// PHT probes, counted by [`CosmosPredictor`](crate::CosmosPredictor)'s
+    /// rule: one per lookup that reached a PHT, one per update.
+    probes: Cell<u64>,
     /// Blocks whose history was discarded under capacity pressure.
     pub evictions: u64,
 }
@@ -63,9 +74,11 @@ impl EvictingCosmos {
             depth,
             filter_max,
             capacity,
-            blocks: FastMap::default(),
-            head: None,
-            tail: None,
+            index: FastMap::default(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            probes: Cell::new(0),
             evictions: 0,
         }
     }
@@ -75,44 +88,72 @@ impl EvictingCosmos {
         self.capacity
     }
 
-    fn unlink(&mut self, block: BlockAddr) {
-        let (prev, next) = {
-            let s = &self.blocks[&block];
-            (s.prev, s.next)
-        };
+    fn unlink(&mut self, i: u32) {
+        let Slot { prev, next, .. } = self.slots[i as usize];
         match prev {
-            Some(p) => self.blocks.get_mut(&p).expect("list link").next = next,
-            None => self.head = next,
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
         }
         match next {
-            Some(n) => self.blocks.get_mut(&n).expect("list link").prev = prev,
-            None => self.tail = prev,
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
         }
     }
 
-    fn push_front(&mut self, block: BlockAddr) {
+    fn push_front(&mut self, i: u32) {
         let old = self.head;
-        {
-            let s = self.blocks.get_mut(&block).expect("pushed block exists");
-            s.prev = None;
-            s.next = old;
-        }
+        let slot = &mut self.slots[i as usize];
+        slot.prev = NIL;
+        slot.next = old;
         match old {
-            Some(o) => self.blocks.get_mut(&o).expect("list link").prev = Some(block),
-            None => self.tail = Some(block),
+            NIL => self.tail = i,
+            o => self.slots[o as usize].prev = i,
         }
-        self.head = Some(block);
+        self.head = i;
     }
 
-    fn evict_lru(&mut self) {
-        // The tail is the least recently *observed* block (predictions
-        // don't touch recency), matching the timestamp-scan this
-        // replaced: deterministic regardless of table iteration order.
-        if let Some(victim) = self.tail {
-            self.unlink(victim);
-            self.blocks.remove(&victim);
-            self.evictions += 1;
+    /// Finds `block`'s slot, or gives it a fresh one — a new slab entry
+    /// while the table has room, else the LRU victim's, whose whole
+    /// state is discarded — and makes it the most recent. The tail is the
+    /// least recently *observed* block (predictions don't touch recency).
+    fn touch(&mut self, block: BlockAddr) -> usize {
+        if let Some(&i) = self.index.get(&block) {
+            if self.head != i {
+                self.unlink(i);
+                self.push_front(i);
+            }
+            return i as usize;
         }
+        let fresh = Slot {
+            block,
+            state: BlockState::new(self.depth),
+            prev: NIL,
+            next: NIL,
+        };
+        let i = if self.slots.len() < self.capacity {
+            assert!(self.slots.len() < NIL as usize, "slot numbers exhausted");
+            self.slots.push(fresh);
+            (self.slots.len() - 1) as u32
+        } else {
+            let victim = self.tail;
+            self.unlink(victim);
+            let slot = &mut self.slots[victim as usize];
+            self.index.remove(&slot.block);
+            *slot = fresh;
+            self.evictions += 1;
+            victim
+        };
+        self.index.insert(block, i);
+        self.push_front(i);
+        i as usize
+    }
+
+    /// Both halves of a scoring step on one [`touch`](Self::touch).
+    fn step(&mut self, block: BlockAddr, tuple: PredTuple, lookup: bool) -> Option<PredTuple> {
+        let i = self.touch(block);
+        self.slots[i]
+            .state
+            .step(tuple, self.filter_max, lookup, &self.probes)
     }
 }
 
@@ -122,48 +163,38 @@ impl MessagePredictor for EvictingCosmos {
     }
 
     fn predict(&self, block: BlockAddr) -> Option<PredTuple> {
-        let state = self.blocks.get(&block)?;
-        let key = state.mhr.key()?;
-        state.pht.as_ref()?.predict(key)
+        let slot = &self.slots[*self.index.get(&block)? as usize];
+        slot.state.predict(&self.probes)
     }
 
     fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
-        if self.blocks.contains_key(&block) {
-            self.unlink(block);
-        } else {
-            if self.blocks.len() >= self.capacity {
-                self.evict_lru();
-            }
-            self.blocks.insert(
-                block,
-                BlockState {
-                    mhr: Mhr::new(self.depth),
-                    pht: None,
-                    prev: None,
-                    next: None,
-                },
-            );
-        }
-        self.push_front(block);
-        let state = self.blocks.get_mut(&block).expect("just inserted");
-        if let Some(key) = state.mhr.key() {
-            state
-                .pht
-                .get_or_insert_with(Pht::new)
-                .update(key, tuple, self.filter_max);
-        }
-        state.mhr.shift(tuple);
+        self.step(block, tuple, false);
+    }
+
+    fn predict_then_observe(&mut self, block: BlockAddr, tuple: PredTuple) -> Option<PredTuple> {
+        self.step(block, tuple, true)
     }
 
     fn memory(&self) -> MemoryFootprint {
         MemoryFootprint {
-            mhr_entries: self.blocks.len(),
+            mhr_entries: self.slots.len(),
             pht_entries: self
-                .blocks
-                .values()
-                .filter_map(|s| s.pht.as_ref())
+                .slots
+                .iter()
+                .filter_map(|s| s.state.pht.as_ref())
                 .map(Pht::len)
                 .sum(),
+        }
+    }
+
+    fn core_stats(&self) -> CoreStats {
+        let index = self.index.capacity() * std::mem::size_of::<(BlockAddr, u32)>();
+        let slab = self.slots.capacity() * std::mem::size_of::<Slot>();
+        let phts = self.slots.iter().filter_map(|s| s.state.pht.as_ref());
+        CoreStats {
+            pht_probes: self.probes.get(),
+            table_capacity_bytes: (index + slab + phts.map(Pht::capacity_bytes).sum::<usize>())
+                as u64,
         }
     }
 }
@@ -195,6 +226,15 @@ mod tests {
         }
         assert_eq!(ev.memory(), plain.memory());
         assert_eq!(ev.evictions, 0);
+        // Same probe-counting rule; reserved bytes follow the blocks
+        // seen, not the configured capacity.
+        assert_eq!(ev.core_stats().pht_probes, plain.core_stats().pht_probes);
+        assert!(ev.core_stats().pht_probes > 0);
+        let reserved = ev.core_stats().table_capacity_bytes;
+        assert!(reserved > 0);
+        assert!(reserved < 1000 * std::mem::size_of::<Slot>() as u64);
+        let fresh = EvictingCosmos::new(1, 0, 1 << 20).core_stats();
+        assert_eq!(fresh.table_capacity_bytes, 0, "nothing pre-sized");
     }
 
     #[test]

@@ -10,6 +10,16 @@
 //! 8-byte word, `hash = (hash.rotate_left(5) ^ word) * K` with Fx's odd
 //! 64-bit constant.
 //!
+//! A multiply only carries information *upward*: the low `n` bits of
+//! `word * K` depend on nothing but the low `n` bits of `word`. `std`'s
+//! table takes its bucket from the hash's *low* bits, and this repo's
+//! block addresses are constant there (Stache homes pages round-robin, so
+//! every block one agent of a 64-node run sees agrees in its low 12 bits).
+//! [`FxHasher::finish`] therefore rotates the well-mixed high bits down
+//! ([`FINISH_ROTATE`], the rustc-hash 2.x finaliser). [`fx_words`] is the
+//! raw fold without that step, for callers whose *modelled* hardware hash
+//! is pinned by a golden.
+//!
 //! Unlike `RandomState`, [`FastHash`] is deterministic across processes —
 //! table *iteration order* is therefore reproducible, which the eval
 //! harness never relies on but which makes perf runs comparable.
@@ -21,6 +31,14 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// chosen (by the Firefox/rustc lineage of this hash) for good bit
 /// dispersion under wrapping multiplication.
 const K: u64 = 0x517c_c1b7_2722_0a95;
+
+/// How far [`FxHasher::finish`] rotates the folded word left: the
+/// product's top 26 bits become the result's low 26 (the bucket index of
+/// any table up to 2^26 buckets), and the result's top bits, which
+/// `std`'s table uses as a per-slot tag, still come from above bit 30.
+/// 20, 26 and 32 all pass `page_strided_keys_disperse` (7500+ of 8192
+/// distinct at both strides); 26 is rustc-hash 2.x's choice.
+const FINISH_ROTATE: u32 = 26;
 
 /// The FxHash word-at-a-time hasher.
 #[derive(Debug, Clone, Copy, Default)]
@@ -38,7 +56,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(FINISH_ROTATE)
     }
 
     #[inline]
@@ -81,6 +99,20 @@ impl Hasher for FxHasher {
     }
 }
 
+/// The raw Fx fold of `words`, with no finaliser: what `hash_one` of a
+/// `u64` (tuple) returned before [`FxHasher::finish`] rotated. TAGE-MP
+/// derives its *modelled* table indices and tags from this word, and the
+/// tournament golden pins them, so the model keeps the raw fold while the
+/// host-side tables get the finalised hash.
+#[inline]
+pub fn fx_words(words: &[u64]) -> u64 {
+    let mut h = FxHasher::default();
+    for &w in words {
+        h.add_to_hash(w);
+    }
+    h.hash
+}
+
 /// The deterministic `BuildHasher` for [`FastMap`]/[`FastSet`].
 pub type FastHash = BuildHasherDefault<FxHasher>;
 
@@ -121,6 +153,46 @@ mod tests {
             low_bits.insert(hash_of(|h| h.write_u64(k)) & 0xFFFF);
         }
         assert!(low_bits.len() > 1000, "only {} distinct", low_bits.len());
+    }
+
+    /// Distinct values of the low 14 bits (the bucket index of a
+    /// 16 384-bucket table, what an 8192-entry map gets) over 8192 keys
+    /// `slot * stride + offset`.
+    fn distinct_low14(stride: u64, offset: u64) -> usize {
+        (0u64..8192)
+            .map(|slot| FastHash::default().hash_one(slot * stride + offset) & 0x3FFF)
+            .collect::<FastSet<u64>>()
+            .len()
+    }
+
+    #[test]
+    fn page_strided_keys_disperse() {
+        // `placement::block_homed_at`: the blocks one agent of a 64-node
+        // run sees are (slot * 64 + home) * 64 + offset, constant in their
+        // low 12 bits. Without the finaliser these give 4 distinct values.
+        let homed = distinct_low14(4096, 17 * 64 + 1);
+        assert!(homed >= 4096, "only {homed} distinct at stride 4096");
+        // `private_block`'s offset-0 pages: stride 64.
+        let private = distinct_low14(64, 0);
+        assert!(private >= 4096, "only {private} distinct at stride 64");
+    }
+
+    #[test]
+    fn fx_words_is_the_pre_finaliser_hash() {
+        // The values `FastHash::default().hash_one(..)` returned for a
+        // `u64` and a `(u64, u64, u64)` before `finish()` rotated: TAGE-MP's
+        // model index/tag hash must stay exactly this.
+        assert_eq!(fx_words(&[42]), 0x5e77_c80c_6b95_bc72);
+        assert_eq!(
+            fx_words(&[0x1234_5678_9abc_def0, 0x0007_0011, 3]),
+            0x7234_53fe_d179_25b9
+        );
+        assert_eq!(fx_words(&[(7 * 64 + 5) * 64 + 1]), 0xc22f_07c6_f650_74d5);
+        // And the map hash is that fold plus the rotation, nothing else.
+        assert_eq!(
+            FastHash::default().hash_one(42u64),
+            fx_words(&[42]).rotate_left(FINISH_ROTATE)
+        );
     }
 
     #[test]

@@ -125,6 +125,16 @@ pub trait MessagePredictor {
     /// Feeds the actually-received tuple for `block` into the predictor.
     fn observe(&mut self, block: BlockAddr, tuple: PredTuple);
 
+    /// One scoring step: what [`predict`](MessagePredictor::predict) would
+    /// return for `block`, then [`observe`](MessagePredictor::observe) of
+    /// `tuple`. Table-backed predictors override it to find the block's
+    /// state once; the result and every counter must equal the two calls.
+    fn predict_then_observe(&mut self, block: BlockAddr, tuple: PredTuple) -> Option<PredTuple> {
+        let predicted = self.predict(block);
+        self.observe(block, tuple);
+        predicted
+    }
+
     /// The predictor's table sizes, for memory accounting (Table 7).
     /// Predictors without per-block tables report an empty footprint.
     fn memory(&self) -> MemoryFootprint {

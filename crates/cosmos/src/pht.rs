@@ -51,16 +51,31 @@ impl Pht {
     /// unfiltered configuration of Table 6's column 0).
     #[inline]
     pub fn update(&mut self, key: u64, observed: PredTuple, filter_max: u8) {
+        self.predict_then_update(key, observed, filter_max);
+    }
+
+    /// [`predict`](Self::predict) then [`update`](Self::update) on one
+    /// table slot: returns what the table predicted for `key` *before*
+    /// learning `observed`.
+    #[inline]
+    pub fn predict_then_update(
+        &mut self,
+        key: u64,
+        observed: PredTuple,
+        filter_max: u8,
+    ) -> Option<PredTuple> {
         match self.entries.entry(key) {
             Entry::Vacant(slot) => {
                 slot.insert(PhtEntry {
                     prediction: observed,
                     misses: 0,
                 });
+                None
             }
             Entry::Occupied(mut slot) => {
                 let entry = slot.get_mut();
-                if entry.prediction == observed {
+                let predicted = entry.prediction;
+                if predicted == observed {
                     entry.misses = 0;
                 } else if entry.misses < filter_max {
                     entry.misses += 1;
@@ -70,6 +85,7 @@ impl Pht {
                         misses: 0,
                     };
                 }
+                Some(predicted)
             }
         }
     }
@@ -90,10 +106,10 @@ impl Pht {
         self.entries.is_empty()
     }
 
-    /// Buckets the table has reserved (capacity, not occupancy) — feeds
-    /// the `cosmos.core.fastmap_capacity_bytes` gauge.
-    pub fn capacity(&self) -> usize {
-        self.entries.capacity()
+    /// Bytes of buckets the table has reserved (capacity, not occupancy)
+    /// — feeds the `cosmos.core.fastmap_capacity_bytes` gauge.
+    pub fn capacity_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(u64, PhtEntry)>()
     }
 
     /// Iterates `(packed history, entry)` pairs in arbitrary order.
@@ -123,6 +139,23 @@ mod tests {
         pht.update(key1(), t(2, MsgType::InvalRoResponse), 0);
         assert_eq!(pht.predict(key1()), Some(t(2, MsgType::InvalRoResponse)));
         assert_eq!(pht.len(), 1);
+    }
+
+    #[test]
+    fn predict_then_update_returns_the_prior_prediction() {
+        let (mut fused, mut split) = (Pht::new(), Pht::new());
+        let stream = [
+            t(2, MsgType::InvalRoResponse),
+            t(3, MsgType::UpgradeRequest),
+            t(3, MsgType::UpgradeRequest),
+            t(2, MsgType::InvalRoResponse),
+        ];
+        for observed in stream {
+            let expected = split.predict(key1());
+            split.update(key1(), observed, 1);
+            assert_eq!(fused.predict_then_update(key1(), observed, 1), expected);
+            assert_eq!(fused, split);
+        }
     }
 
     #[test]

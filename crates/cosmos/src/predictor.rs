@@ -4,21 +4,70 @@ use crate::fasthash::FastMap;
 use crate::memory::MemoryFootprint;
 use crate::mhr::Mhr;
 use crate::packed;
-use crate::pht::{Pht, PhtEntry};
+use crate::pht::Pht;
 use crate::tuple::PredTuple;
 use crate::{CoreStats, MessagePredictor};
 use stache::BlockAddr;
 use std::cell::Cell;
 use std::collections::HashMap;
 
-/// Per-block predictor state: the MHR and its private PHT.
+/// Per-block predictor state: the MHR and its private PHT. Shared with
+/// [`EvictingCosmos`](crate::EvictingCosmos), which stores the same state
+/// in a bounded table.
+///
+/// Both methods take the owner's PHT probe counter and keep it the
+/// *logical* count — one per lookup that reached a PHT, one per update —
+/// however the step was made.
 #[derive(Debug, Clone)]
-struct BlockState {
-    mhr: Mhr,
+pub(crate) struct BlockState {
+    pub(crate) mhr: Mhr,
     /// Allocated lazily: a block gets a PHT only once its reference count
     /// exceeds the MHR depth (Table 7's accounting rule — blocks with at
     /// most `depth` references never allocate one).
-    pht: Option<Pht>,
+    pub(crate) pht: Option<Pht>,
+}
+
+impl BlockState {
+    pub(crate) fn new(depth: usize) -> Self {
+        BlockState {
+            mhr: Mhr::new(depth),
+            pht: None,
+        }
+    }
+
+    /// §3.3: the MHR is the PHT key; the PHT's entry, if any, is the
+    /// prediction.
+    #[inline]
+    pub(crate) fn predict(&self, probes: &Cell<u64>) -> Option<PredTuple> {
+        let key = self.mhr.key()?;
+        let pht = self.pht.as_ref()?;
+        probes.set(probes.get() + 1);
+        pht.predict(key)
+    }
+
+    /// §3.4: write the observed tuple as the new prediction for the
+    /// current history (subject to the filter), then left-shift it into
+    /// the MHR. Returns what [`predict`](Self::predict) would have said
+    /// first, found on the same PHT slot; `lookup` says whether the
+    /// caller asked for it (and so whether it counts as a probe).
+    #[inline]
+    pub(crate) fn step(
+        &mut self,
+        tuple: PredTuple,
+        filter_max: u8,
+        lookup: bool,
+        probes: &Cell<u64>,
+    ) -> Option<PredTuple> {
+        let mut predicted = None;
+        if let Some(key) = self.mhr.key() {
+            let reached = lookup && self.pht.is_some();
+            probes.set(probes.get() + 1 + u64::from(reached));
+            let pht = self.pht.get_or_insert_with(Pht::new);
+            predicted = pht.predict_then_update(key, tuple, filter_max);
+        }
+        self.mhr.shift(tuple);
+        predicted
+    }
 }
 
 /// A Cosmos predictor instance, one per cache or directory module
@@ -160,6 +209,16 @@ impl CosmosPredictor {
         hist
     }
 
+    /// One MHT probe for both halves of a scoring step.
+    #[inline]
+    fn step(&mut self, block: BlockAddr, tuple: PredTuple, lookup: bool) -> Option<PredTuple> {
+        let depth = self.depth;
+        self.blocks
+            .entry(block)
+            .or_insert_with(|| BlockState::new(depth))
+            .step(tuple, self.filter_max, lookup, &self.probes)
+    }
+
     /// PHT probes (lookups plus updates) performed so far.
     pub fn pht_probes(&self) -> u64 {
         self.probes.get()
@@ -169,14 +228,8 @@ impl CosmosPredictor {
     /// not occupancy) — the `cosmos.core.fastmap_capacity_bytes` gauge.
     pub fn table_capacity_bytes(&self) -> u64 {
         let block_slot = std::mem::size_of::<(BlockAddr, BlockState)>();
-        let pht_slot = std::mem::size_of::<(u64, PhtEntry)>();
-        let mut bytes = self.blocks.capacity() * block_slot;
-        for b in self.blocks.values() {
-            if let Some(pht) = &b.pht {
-                bytes += pht.capacity() * pht_slot;
-            }
-        }
-        bytes as u64
+        let phts = self.blocks.values().filter_map(|b| b.pht.as_ref());
+        (self.blocks.capacity() * block_slot + phts.map(Pht::capacity_bytes).sum::<usize>()) as u64
     }
 }
 
@@ -189,31 +242,18 @@ impl MessagePredictor for CosmosPredictor {
     /// the PHT's prediction if one exists.
     #[inline]
     fn predict(&self, block: BlockAddr) -> Option<PredTuple> {
-        let state = self.blocks.get(&block)?;
-        let key = state.mhr.key()?;
-        let pht = state.pht.as_ref()?;
-        self.probes.set(self.probes.get() + 1);
-        pht.predict(key)
+        self.blocks.get(&block)?.predict(&self.probes)
     }
 
-    /// §3.4: write the observed tuple as the new prediction for the
-    /// current history (subject to the filter), then left-shift it into
-    /// the MHR.
+    /// §3.4: learn the observed tuple, then shift it into the MHR.
     #[inline]
     fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
-        let depth = self.depth;
-        let state = self.blocks.entry(block).or_insert_with(|| BlockState {
-            mhr: Mhr::new(depth),
-            pht: None,
-        });
-        if let Some(key) = state.mhr.key() {
-            self.probes.set(self.probes.get() + 1);
-            state
-                .pht
-                .get_or_insert_with(Pht::new)
-                .update(key, tuple, self.filter_max);
-        }
-        state.mhr.shift(tuple);
+        self.step(block, tuple, false);
+    }
+
+    #[inline]
+    fn predict_then_observe(&mut self, block: BlockAddr, tuple: PredTuple) -> Option<PredTuple> {
+        self.step(block, tuple, true)
     }
 
     fn memory(&self) -> MemoryFootprint {

@@ -14,7 +14,9 @@
 //!
 //! The format is self-describing enough to validate on restore; a
 //! restored predictor is bit-for-bit equivalent to the original (same
-//! predictions, same memory accounting, same future evolution).
+//! predictions, same memory accounting, same future evolution). The bytes
+//! are canonical — blocks in address order, PHT entries in packed-key
+//! order — so equal predictors save equal snapshots.
 
 use crate::mhr::Mhr;
 use crate::pht::Pht;
@@ -71,7 +73,11 @@ pub fn save(predictor: &CosmosPredictor) -> Vec<u8> {
             None => out.extend_from_slice(&0u32.to_be_bytes()),
             Some(pht) => {
                 out.extend_from_slice(&(pht.len() as u32).to_be_bytes());
-                for (key, entry) in pht.iter() {
+                // In packed-key order, not table order: the bytes must not
+                // depend on the hasher or on insertion history.
+                let mut entries: Vec<_> = pht.iter().collect();
+                entries.sort_unstable_by_key(|(key, _)| *key);
+                for (key, entry) in entries {
                     // The packed key's lanes serialise oldest-first as
                     // depth 16-bit tuples — the same wire layout the
                     // `Vec<PredTuple>`-keyed table produced.
@@ -206,7 +212,10 @@ mod tests {
     fn roundtrip_preserves_predictions_and_memory() {
         for depth in [1usize, 2, 3] {
             let original = trained(depth, 1, 200);
-            let restored = restore(&save(&original)).unwrap();
+            let bytes = save(&original);
+            let restored = restore(&bytes).unwrap();
+            // Canonical: tables refilled in snapshot order save the same.
+            assert_eq!(save(&restored), bytes, "depth {depth}");
             assert_eq!(original.memory(), restored.memory());
             for b in 0..7u64 {
                 assert_eq!(

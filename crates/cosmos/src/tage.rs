@@ -33,14 +33,13 @@
 //! history registers actually allocated, mirroring how Table 7 counts
 //! Cosmos MHR entries.
 
-use crate::fasthash::{FastHash, FastMap};
+use crate::fasthash::{fx_words, FastMap};
 use crate::memory::MemoryFootprint;
 use crate::packed::{self, PackedHistory};
 use crate::predictor::CosmosPredictor;
 use crate::tuple::PredTuple;
 use crate::{CoreStats, MessagePredictor};
 use stache::BlockAddr;
-use std::hash::BuildHasher;
 
 /// Saturation of a tagged entry's 3-bit confidence counter.
 const CTR_MAX: u8 = 7;
@@ -245,7 +244,7 @@ impl TagePredictor {
     fn table_hash(&self, table: usize, block: BlockAddr, hist_bits: u64) -> u64 {
         let len = self.config.hist_lens[table];
         let masked = hist_bits & packed::key_mask(len);
-        FastHash::default().hash_one((block.number(), masked, table as u64))
+        fx_words(&[block.number(), masked, table as u64])
     }
 
     #[inline]
@@ -262,7 +261,7 @@ impl TagePredictor {
 
     #[inline]
     fn base_index(&self, block: BlockAddr) -> usize {
-        let h = FastHash::default().hash_one(block.number());
+        let h = fx_words(&[block.number()]);
         self.index_of(h, self.config.base_bits)
     }
 

@@ -8,13 +8,12 @@
 //! benchmark trace is replayed through both at each budget point,
 //! asserting the predictions agree tuple-for-tuple at every message.
 
-use cosmos::fasthash::FastHash;
+use cosmos::fasthash::fx_words;
 use cosmos::packed::{self, pack_key};
 use cosmos::{MessagePredictor, PredTuple, TageConfig, TagePredictor};
 use simx::SystemConfig;
 use stache::{BlockAddr, NodeId, ProtocolConfig, Role};
 use std::collections::HashMap;
-use std::hash::BuildHasher;
 use trace::TraceBundle;
 use workloads::{run_to_trace, small_suite};
 
@@ -66,7 +65,7 @@ impl RefTage {
     fn table_hash(&self, table: usize, block: BlockAddr, hist: &[PredTuple]) -> u64 {
         let len = self.config.hist_lens[table];
         let masked = pack_key(&hist[hist.len() - len..]);
-        FastHash::default().hash_one((block.number(), masked, table as u64))
+        fx_words(&[block.number(), masked, table as u64])
     }
 
     fn index_of(&self, hash: u64, bits: u32) -> usize {
@@ -78,7 +77,7 @@ impl RefTage {
     }
 
     fn base_index(&self, block: BlockAddr) -> usize {
-        let h = FastHash::default().hash_one(block.number());
+        let h = fx_words(&[block.number()]);
         self.index_of(h, self.config.base_bits)
     }
 

@@ -144,6 +144,25 @@ grep -q '"bench.tracepack.sample.worst_error_pp"' "$SMOKE_DIR/BENCH_trace.json"
 test -s BENCH_trace.json
 echo "    tracepack CSV matches golden; trace bench JSON emitted"
 
+# Benchmark smoke: benchmark/ is a workspace of its own that tier-1 never
+# compiles, so a layer-crate API change can break the pipeline's build
+# unseen. Build and unit-test it, then run one pass of the hot-table and
+# the cold-stream scoring workloads and require every output check
+# (coherence, digests, scored totals, evaluate_cosmos cross-check) to
+# pass. Read-only use: nothing under benchmark/ is edited.
+echo "==> benchmark smoke (package tests + one pass of suite16, stream64)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+for workload in suite16 stream64; do
+  benchmark/run.sh --workload "$workload" --seed 0 --seconds 1 --trace 0 \
+    | tail -n 1 > "$SMOKE_DIR/bench_$workload.json"
+  grep -q '"failed": 0[,}]' "$SMOKE_DIR/bench_$workload.json" || {
+    echo "    $workload: output checks failed:" >&2
+    cat "$SMOKE_DIR/bench_$workload.json" >&2
+    exit 1
+  }
+  echo "    $workload: failed 0"
+done
+
 # Proptest seed promotion: every saved counterexample hash in a
 # *.proptest-regressions file must have a matching `promoted: <hash>`
 # marker in a checked-in test, so the seeds keep running even in builds

@@ -68,13 +68,14 @@ fn snapshots_are_deterministic_bytes() {
         a.observe(r.block, t);
         b.observe(r.block, t);
     }
-    // Identical training produces byte-identical snapshots (blocks are
-    // serialised in address order; PHT iteration order is the only
-    // HashMap-order dependence left).
+    // Identical training produces byte-identical snapshots: blocks are
+    // serialised in address order and PHT entries in packed-key order, so
+    // nothing depends on hash-table iteration order.
     let (sa, sb) = (save(&a), save(&b));
-    assert_eq!(sa.len(), sb.len());
-    // Round-tripping either gives equivalent predictors even if the PHT
-    // entry order differed.
+    assert_eq!(sa, sb);
+    // A restored predictor filled its tables in snapshot order, not
+    // training order, and still saves the same bytes.
     let ra = restore(&sa).unwrap();
     assert_eq!(ra.memory(), a.memory());
+    assert_eq!(save(&ra), sa);
 }
