@@ -29,8 +29,8 @@
 //! | Measured speculation speedup vs Figure 5 | [`speedup::speedup_report`] |
 //! | Packed-trace codec + SimPoint sampling | [`tracepack::tracepack`] |
 //!
-//! The `repro` binary drives them from the command line; the [`Harness`]
-//! benches under `benches/` time the underlying machinery. The
+//! The `repro` binary drives them from the command line (wall-clock
+//! measurement is the pipeline benchmark's job, under `benchmark/`). The
 //! [`report::obs_report`] pipeline condenses one full run — machine,
 //! protocol, predictor, and speculation metrics — into a single
 //! machine-readable [`obs::Snapshot`] (`repro --obs-json`).
@@ -39,7 +39,6 @@ pub mod bench_report;
 pub mod extras;
 pub mod faults;
 pub mod figures;
-pub mod harness;
 pub mod integration;
 pub mod modelcheck;
 pub mod par;
@@ -53,6 +52,5 @@ pub mod tracepack;
 pub mod traces;
 
 pub use bench_report::BenchTimer;
-pub use harness::Harness;
 pub use report::obs_report;
 pub use traces::{Scale, TraceSet};

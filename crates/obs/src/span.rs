@@ -187,6 +187,7 @@ impl SpanLog {
 
     /// Opens a root span for a new transaction and returns its trace id
     /// ([`TraceId::NONE`] when disabled).
+    #[inline]
     pub fn begin_trace(
         &mut self,
         name: &'static str,
@@ -217,6 +218,7 @@ impl SpanLog {
     }
 
     /// Closes a trace's root span.
+    #[inline]
     pub fn end_trace(&mut self, trace: TraceId, end_ns: u64) {
         if !self.enabled || !trace.is_some() {
             return;
@@ -231,6 +233,7 @@ impl SpanLog {
     /// Records a complete child span, attached to the trace's root.
     /// No-op when disabled or when `trace` is [`TraceId::NONE`], so call
     /// sites need no guards.
+    #[inline]
     pub fn child(
         &mut self,
         trace: TraceId,
@@ -271,6 +274,7 @@ impl SpanLog {
 
     /// Associates the trace with index `record_idx` of the run's
     /// `MsgRecord` stream (how prediction verdicts find their spans).
+    #[inline]
     pub fn link_record(&mut self, trace: TraceId, record_idx: u64) {
         if !self.enabled || !trace.is_some() {
             return;

@@ -20,9 +20,19 @@
 //!   processor's read and write of the same block (the behaviour dsmc's
 //!   pre-stabilisation scramble models explicitly at plan level).
 //!
-//! Reads are validated against a value oracle at fill time; the full-map
-//! and SWMR invariants are audited at every barrier, where the machine is
-//! quiescent.
+//! Coherence is checked structurally: the full-map and SWMR invariants
+//! are audited at every barrier, where the machine is quiescent, and
+//! [`simcheck`](crate::simcheck) re-checks them after every forced step.
+//! (This engine keeps no data values; the read-sees-latest-write oracle
+//! is [`Machine::check_read`](crate::Machine).)
+//!
+//! Handlers never touch the event queue: everything they schedule goes
+//! onto an outbox that the stepping loop moves into the queue once the
+//! handler returns. Nothing pops in between, so the order — and every
+//! sequence number — is what a direct push would give; the point is that
+//! a different scheduler can take the outbox instead
+//! ([`shard`](crate::shard) runs these same handlers under conservative
+//! time windows).
 
 use crate::config::SystemConfig;
 use crate::driver::{AccessOp, IterationPlan, Phase};
@@ -46,8 +56,8 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use trace::{MsgRecord, TraceBundle, TraceMeta};
 
 /// A queued event.
-#[derive(Debug, Clone)]
-enum Event {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Event {
     /// A processor attempts its next script operation.
     Issue(NodeId),
     /// A message is delivered to its receiver, carrying its transmission
@@ -242,7 +252,7 @@ struct DirTxn {
     holders: Vec<(NodeId, MsgType)>,
     /// Holders whose acknowledgment has been counted (fault mode):
     /// makes ack processing idempotent under re-sends and races.
-    acked: HashSet<NodeId>,
+    acked: NodeSet,
     /// Monotone transaction id; a popped [`Event::AckCheck`] with a
     /// different epoch belongs to an earlier transaction and is ignored.
     epoch: u64,
@@ -279,26 +289,27 @@ pub struct ConcurrentMachine {
     proto: ProtocolConfig,
     sys: SystemConfig,
     queue: EventQueue<Event>,
+    /// What the running handler has scheduled, in push order. The
+    /// stepping loop moves it into `queue` after every dispatch; a shard
+    /// takes it instead.
+    pub(crate) outbox: Vec<(u64, Event)>,
     caches: Vec<HashMap<BlockAddr, CacheState>>,
-    dirs: HashMap<BlockAddr, DirState>,
+    pub(crate) dirs: HashMap<BlockAddr, DirState>,
     txns: HashMap<BlockAddr, DirTxn>,
     pending: HashMap<BlockAddr, VecDeque<PendingReq>>,
     dir_busy: Vec<u64>,
     /// Per-node time at which the cache-side protocol handler frees up
     /// (invalidations and grants are software-handled too).
     cache_busy: Vec<u64>,
-    clocks: Vec<u64>,
+    pub(crate) clocks: Vec<u64>,
     /// Remaining operations of the current phase, per node.
     scripts: Vec<VecDeque<(BlockAddr, ProcOp)>>,
     /// The (block, op, issue time) each processor is blocked on, if any.
     waiting: Vec<Option<(BlockAddr, ProcOp, u64)>>,
-    trace: TraceBundle,
+    pub(crate) trace: TraceBundle,
     stats: MachineStats,
     overflowed: HashSet<BlockAddr>,
-    cache_values: Vec<HashMap<BlockAddr, u64>>,
-    mem_values: HashMap<BlockAddr, u64>,
-    next_stamp: u64,
-    iteration: u32,
+    pub(crate) iteration: u32,
     /// The §4 speculation hook, if any.
     policy: Option<Box<dyn SpeculationPolicy>>,
     /// Per-transition and invariant-check tallies, exported by
@@ -306,7 +317,7 @@ pub struct ConcurrentMachine {
     tally: ProtocolTally,
     /// Bounded flight recorder (`RefCell` so the `&self` audit path can
     /// log violations).
-    ring: RefCell<EventRing>,
+    pub(crate) ring: RefCell<EventRing>,
     /// Network fault injection, if installed. `None` (the default) means
     /// a perfect fabric and the original code paths.
     fault: Option<FaultInjector>,
@@ -349,6 +360,7 @@ impl ConcurrentMachine {
             proto,
             sys,
             queue: EventQueue::new(),
+            outbox: Vec::new(),
             caches: vec![HashMap::new(); nodes],
             dirs: HashMap::new(),
             txns: HashMap::new(),
@@ -361,9 +373,6 @@ impl ConcurrentMachine {
             trace: TraceBundle::new(TraceMeta::new("unnamed", nodes, 0)),
             stats: MachineStats::default(),
             overflowed: HashSet::new(),
-            cache_values: vec![HashMap::new(); nodes],
-            mem_values: HashMap::new(),
-            next_stamp: 0,
             iteration: 0,
             policy: None,
             tally: ProtocolTally::new(),
@@ -638,7 +647,7 @@ impl ConcurrentMachine {
                 at + hop,
                 msg.sender.raw(),
             );
-            self.queue.push(at + hop, Event::Deliver(msg, 0));
+            self.outbox.push((at + hop, Event::Deliver(msg, 0)));
             return;
         }
         let seq = self.next_seq_to[msg.receiver.index()];
@@ -664,14 +673,14 @@ impl ConcurrentMachine {
             at + hop + d.extra_ns,
             msg.sender.raw(),
         );
-        self.queue
-            .push(at + hop + d.extra_ns, Event::Deliver(msg, seq));
+        self.outbox
+            .push((at + hop + d.extra_ns, Event::Deliver(msg, seq)));
         if d.duplicated {
             // The copy traverses the wire too, carrying the same
             // sequence number; the receiver's filter absorbs it.
             self.stats.net_latency_ns.record(hop);
-            self.queue
-                .push(at + hop + d.extra_ns, Event::Deliver(msg, seq));
+            self.outbox
+                .push((at + hop + d.extra_ns, Event::Deliver(msg, seq)));
         }
     }
 
@@ -696,7 +705,7 @@ impl ConcurrentMachine {
             at + hop,
             msg.sender.raw(),
         );
-        self.queue.push(at + hop, Event::Deliver(msg, seq));
+        self.outbox.push((at + hop, Event::Deliver(msg, seq)));
     }
 
     /// Arms a requester-side retransmission timer for the node's current
@@ -704,14 +713,14 @@ impl ConcurrentMachine {
     fn arm_retry(&mut self, node: NodeId, now: u64, attempt: u32) {
         let Some(inj) = &self.fault else { return };
         let timeout = inj.retry().timeout_for(attempt);
-        self.queue.push(
+        self.outbox.push((
             now + timeout,
             Event::RetryCheck {
                 node,
                 epoch: self.miss_epoch[node.index()],
                 attempt,
             },
-        );
+        ));
     }
 
     /// Retransmits the request for the node's in-flight miss, deriving
@@ -751,9 +760,24 @@ impl ConcurrentMachine {
     fn run_phase(&mut self, phase: &Phase) -> Result<(), SimError> {
         self.begin_phase(phase);
         while let Some((t, ev)) = self.queue.pop() {
-            self.dispatch(t, ev)?;
+            self.step(t, ev)?;
         }
         Ok(())
+    }
+
+    /// Runs one event's handler, then moves what it scheduled into the
+    /// queue — also when the handler fails, so a caller inspecting the
+    /// machine after an error sees every event the failed step emitted.
+    fn step(&mut self, t: u64, ev: Event) -> Result<(), SimError> {
+        let result = self.dispatch(t, ev);
+        self.flush_outbox();
+        result
+    }
+
+    fn flush_outbox(&mut self) {
+        for (at, ev) in self.outbox.drain(..) {
+            self.queue.push(at, ev);
+        }
     }
 
     /// Loads a phase's scripts and seeds each node's first issue event,
@@ -761,31 +785,38 @@ impl ConcurrentMachine {
     /// [`simcheck`](crate::simcheck), which then delivers events one at a
     /// time via [`step_rank`](Self::step_rank).
     pub fn begin_phase(&mut self, phase: &Phase) {
-        // Load scripts, expanding read-modify-writes (non-atomic here).
-        for (node, accesses) in phase.per_node.iter().enumerate() {
-            let script = &mut self.scripts[node];
-            debug_assert!(script.is_empty(), "previous phase drained");
-            for a in accesses {
-                debug_assert_eq!(a.node.index(), node);
-                match a.op {
-                    AccessOp::Read => script.push_back((a.block, ProcOp::Read)),
-                    AccessOp::Write => script.push_back((a.block, ProcOp::Write)),
-                    AccessOp::ReadModifyWrite => {
-                        script.push_back((a.block, ProcOp::Read));
-                        script.push_back((a.block, ProcOp::Write));
-                    }
+        for node in 0..phase.per_node.len() {
+            self.load_node(phase, node);
+        }
+        self.flush_outbox();
+    }
+
+    /// Loads one node's script for `phase`, expanding read-modify-writes
+    /// (non-atomic here), and schedules its first issue event if it has
+    /// anything to do.
+    pub(crate) fn load_node(&mut self, phase: &Phase, node: usize) {
+        let script = &mut self.scripts[node];
+        debug_assert!(script.is_empty(), "previous phase drained");
+        for a in &phase.per_node[node] {
+            debug_assert_eq!(a.node.index(), node);
+            match a.op {
+                AccessOp::Read => script.push_back((a.block, ProcOp::Read)),
+                AccessOp::Write => script.push_back((a.block, ProcOp::Write)),
+                AccessOp::ReadModifyWrite => {
+                    script.push_back((a.block, ProcOp::Read));
+                    script.push_back((a.block, ProcOp::Write));
                 }
             }
-            if !script.is_empty() {
-                let n = NodeId::new(node);
-                let start = self.clocks[node] + phase.delay(n);
-                self.clocks[node] = start;
-                self.queue.push(start, Event::Issue(n));
-            }
+        }
+        if !script.is_empty() {
+            let n = NodeId::new(node);
+            let start = self.clocks[node] + phase.delay(n);
+            self.clocks[node] = start;
+            self.outbox.push((start, Event::Issue(n)));
         }
     }
 
-    fn dispatch(&mut self, t: u64, ev: Event) -> Result<(), SimError> {
+    pub(crate) fn dispatch(&mut self, t: u64, ev: Event) -> Result<(), SimError> {
         match ev {
             Event::Issue(node) => self.on_issue(node, t)?,
             Event::Deliver(msg, seq) => {
@@ -874,7 +905,7 @@ impl ConcurrentMachine {
     pub fn step_rank(&mut self, rank: usize) -> Result<bool, SimError> {
         match self.queue.remove_rank(rank) {
             Some((t, ev)) => {
-                self.dispatch(t, ev)?;
+                self.step(t, ev)?;
                 Ok(true)
             }
             None => Ok(false),
@@ -929,24 +960,8 @@ impl ConcurrentMachine {
     /// directory entry itself, so they are derived from it here, the same
     /// picture [`verify_coherence`](Self::verify_coherence) audits.
     pub fn cache_states_for(&self, block: BlockAddr) -> Vec<CacheState> {
-        let home = home_of_block(block, &self.proto);
         let dir = self.dirs.get(&block).cloned().unwrap_or_default();
-        (0..self.proto.nodes)
-            .map(|i| {
-                let n = NodeId::new(i);
-                if n == home {
-                    if dir.node_writable(n) {
-                        CacheState::Exclusive
-                    } else if dir.node_readable(n) {
-                        CacheState::Shared
-                    } else {
-                        CacheState::Invalid
-                    }
-                } else {
-                    self.cache_state(n, block)
-                }
-            })
-            .collect()
+        effective_cache_states(&self.proto, block, &dir, |n| self.cache_state(n, block))
     }
 
     /// Each node's duplicate-filter low-water mark (all zero on a perfect
@@ -961,7 +976,7 @@ impl ConcurrentMachine {
     /// blocked processors, and the multiset of in-flight events.
     ///
     /// Deliberately timing-abstracted: node clocks, event timestamps,
-    /// handler-occupancy horizons, the value oracle's stamps, and
+    /// handler-occupancy horizons, and
     /// monotone bookkeeping counters (miss/transaction epochs) are all
     /// excluded, so two delivery schedules that produce the same protocol
     /// picture hash equally. That is the equivalence [`crate::simcheck`]
@@ -1008,9 +1023,7 @@ impl ConcurrentMachine {
                 fp.absorb(n);
                 fp.absorb(m);
             }
-            let mut acked: Vec<NodeId> = txn.acked.iter().copied().collect();
-            acked.sort_by_key(|n| n.raw());
-            for n in acked {
+            for n in &txn.acked {
                 fp.absorb(&n);
             }
         }
@@ -1164,7 +1177,7 @@ impl ConcurrentMachine {
         let unacked: Vec<(NodeId, MsgType)> = txn
             .holders
             .iter()
-            .filter(|(n, _)| !txn.acked.contains(n))
+            .filter(|(n, _)| !txn.acked.contains(*n))
             .copied()
             .collect();
         if !retry.can_retry(attempt) {
@@ -1187,14 +1200,14 @@ impl ConcurrentMachine {
             self.recovery.retries += 1;
             self.send(t, Msg::new(home, target, block, imsg).with_trace(tr));
         }
-        self.queue.push(
+        self.outbox.push((
             t + retry.timeout_for(attempt + 1),
             Event::AckCheck {
                 block,
                 epoch,
                 attempt: attempt + 1,
             },
-        );
+        ));
         Ok(())
     }
 
@@ -1233,9 +1246,6 @@ impl ConcurrentMachine {
                 if sufficient {
                     self.scripts[node.index()].pop_front();
                     self.stats.count_access(op, true, self.sys.cache_hit_ns);
-                    if op == ProcOp::Write {
-                        self.commit_write(node, block, true);
-                    }
                     now += self.sys.cache_hit_ns;
                     continue;
                 }
@@ -1268,14 +1278,12 @@ impl ConcurrentMachine {
                 CacheAction::Hit => {
                     self.scripts[node.index()].pop_front();
                     self.stats.count_access(op, true, self.sys.cache_hit_ns);
-                    if op == ProcOp::Write {
-                        self.commit_write(node, block, false);
-                        now += self.sys.cache_hit_ns;
-                        self.maybe_self_invalidate(node, block, now);
-                        continue;
-                    }
                     now += self.sys.cache_hit_ns;
-                    self.maybe_early_ack(node, block, now);
+                    if op == ProcOp::Write {
+                        self.maybe_self_invalidate(node, block, now);
+                    } else {
+                        self.maybe_early_ack(node, block, now);
+                    }
                 }
                 CacheAction::Send(req) => {
                     self.scripts[node.index()].pop_front();
@@ -1331,20 +1339,6 @@ impl ConcurrentMachine {
             // An acknowledgment — for the in-flight transaction if one
             // exists, else a *voluntary* writeback (self-invalidation).
             self.record(t, msg);
-            if matches!(
-                msg.mtype,
-                MsgType::InvalRwResponse | MsgType::DowngradeResponse
-            ) {
-                if let Some(v) = self.cache_values[msg.sender.index()]
-                    .get(&msg.block)
-                    .copied()
-                {
-                    self.mem_values.insert(msg.block, v);
-                }
-            }
-            if self.cache_state(msg.sender, msg.block) == CacheState::Invalid {
-                self.cache_values[msg.sender.index()].remove(&msg.block);
-            }
             match self.txns.get_mut(&msg.block) {
                 Some(txn) => {
                     // In the replacement race the voluntary writeback
@@ -1375,16 +1369,22 @@ impl ConcurrentMachine {
                     // unless the sender still holds a copy, in which
                     // case the ack is a stale fault-mode re-ack and is
                     // absorbed below like any other unexpected one.
+                    // Reads `caches` directly because `txn` keeps
+                    // `txns` borrowed; only the speculation and fault
+                    // guards below ever look.
+                    let sender_state = || {
+                        self.caches[msg.sender.index()]
+                            .get(&msg.block)
+                            .copied()
+                            .unwrap_or(CacheState::Invalid)
+                    };
                     let from_push_target = txn.speculative && msg.sender == txn.requester;
                     if from_push_target
                         && matches!(
                             msg.mtype,
                             MsgType::InvalRoResponse | MsgType::InvalRwResponse
                         )
-                        && !matches!(
-                            self.cache_state(msg.sender, msg.block),
-                            CacheState::Shared | CacheState::Exclusive
-                        )
+                        && !matches!(sender_state(), CacheState::Shared | CacheState::Exclusive)
                     {
                         if self.mutation == ProtocolMutation::SpeculateWithoutRollback {
                             // Seeded bug: drop the crossing ack too —
@@ -1392,12 +1392,10 @@ impl ConcurrentMachine {
                             // rollback healing at all (see its doc).
                             return Ok(());
                         }
-                        let txn = self.txns.get_mut(&msg.block).expect("checked above");
                         txn.next = DirState::Idle;
                         self.rollback.rolled_back += 1;
                         return Ok(());
                     }
-                    let txn = self.txns.get_mut(&msg.block).expect("checked above");
                     if self.fault.is_some() || self.policy.is_some() {
                         let expected = txn.holders.iter().any(|&(h, req)| {
                             h == msg.sender
@@ -1410,28 +1408,18 @@ impl ConcurrentMachine {
                         });
                         let complied = match msg.mtype {
                             MsgType::InvalRoResponse | MsgType::InvalRwResponse => !matches!(
-                                self.cache_state(msg.sender, msg.block),
+                                sender_state(),
                                 CacheState::Shared | CacheState::Exclusive
                             ),
-                            MsgType::DowngradeResponse => {
-                                self.cache_state(msg.sender, msg.block) != CacheState::Exclusive
-                            }
+                            MsgType::DowngradeResponse => sender_state() != CacheState::Exclusive,
                             _ => true,
                         };
-                        if !expected || !complied {
+                        if !expected || !complied || !txn.acked.insert(msg.sender) {
                             if self.fault.is_some() {
                                 self.recovery.dups_absorbed += 1;
                             }
                             return Ok(());
                         }
-                    }
-                    let policing = self.fault.is_some() || self.policy.is_some();
-                    let txn = self.txns.get_mut(&msg.block).expect("checked above");
-                    if policing && !txn.acked.insert(msg.sender) {
-                        if self.fault.is_some() {
-                            self.recovery.dups_absorbed += 1;
-                        }
-                        return Ok(());
                     }
                     txn.outstanding -= 1;
                     if txn.outstanding == 0 {
@@ -1555,13 +1543,13 @@ impl ConcurrentMachine {
                 t + self.sys.handler_ns + hop,
                 msg.receiver.raw(),
             );
-            self.queue.push(
+            self.outbox.push((
                 t + self.sys.handler_ns + hop,
                 Event::Nak {
                     node: msg.sender,
                     block: msg.block,
                 },
-            );
+            ));
             return true;
         }
         let dir = self.dirs.entry(msg.block).or_default().clone();
@@ -1732,34 +1720,35 @@ impl ConcurrentMachine {
             next: outcome.next,
             outstanding: holder_requests.len(),
             local,
-            holders: holder_requests.clone(),
-            acked: HashSet::new(),
+            holders: holder_requests,
+            acked: NodeSet::new(),
             epoch: self.txn_epoch,
             speculative: false,
             trace: msg.trace,
         };
         let epoch = txn.epoch;
-        for (target, imsg) in &holder_requests {
+        let quiet = txn.holders.is_empty();
+        for &(target, imsg) in &txn.holders {
             self.send(
                 dispatch,
-                Msg::new(home, *target, block, *imsg).with_trace(msg.trace),
+                Msg::new(home, target, block, imsg).with_trace(msg.trace),
             );
         }
         self.txns.insert(block, txn);
-        if holder_requests.is_empty() {
+        if quiet {
             self.finish_txn(block, dispatch)?;
         } else if let Some(inj) = &self.fault {
             // The directory waits for acknowledgments that a faulty
             // fabric may eat: arm its re-send timer.
             let timeout = inj.retry().timeout_for(0);
-            self.queue.push(
+            self.outbox.push((
                 dispatch + timeout,
                 Event::AckCheck {
                     block,
                     epoch,
                     attempt: 0,
                 },
-            );
+            ));
         }
         Ok(())
     }
@@ -1807,15 +1796,12 @@ impl ConcurrentMachine {
         self.clocks[home.index()] = self.clocks[home.index()].max(done);
         self.stats
             .count_access(op, false, done.saturating_sub(issued));
-        if op == ProcOp::Write {
-            self.commit_write(home, block, true);
-        }
         let tr = self.miss_trace[home.index()];
         self.spans
             .child(tr, "mem.access", SpanKind::Directory, t, done, home.raw());
         self.spans.end_trace(tr, done);
         self.miss_trace[home.index()] = TraceId::NONE;
-        self.queue.push(done, Event::Issue(home));
+        self.outbox.push((done, Event::Issue(home)));
         Ok(())
     }
 
@@ -1881,7 +1867,6 @@ impl ConcurrentMachine {
                 // exclusivity, and the stale upgrade grant, arriving at
                 // I-to-E, is absorbed above.
                 MsgType::InvalRwRequest if state == CacheState::SToE => {
-                    self.cache_values[node.index()].remove(&block);
                     self.set_cache_state(node, block, CacheState::IToE);
                     self.poison_older_grants(node, block, seq);
                     self.send(
@@ -2016,16 +2001,6 @@ impl ConcurrentMachine {
                         .recovery_latency_ns
                         .record(handled.saturating_sub(issued));
                 }
-                match msg.mtype {
-                    MsgType::GetRoResponse => {
-                        let v = self.mem_values.get(&block).copied().unwrap_or(0);
-                        self.cache_values[node.index()].insert(block, v);
-                    }
-                    MsgType::GetRwResponse | MsgType::UpgradeResponse => {
-                        self.commit_write(node, block, false);
-                    }
-                    other => unreachable!("grant {other}"),
-                }
                 let done = handled;
                 self.clocks[node.index()] = self.clocks[node.index()].max(done);
                 self.stats
@@ -2038,7 +2013,7 @@ impl ConcurrentMachine {
                 } else {
                     self.maybe_early_ack(node, block, done);
                 }
-                self.queue.push(done, Event::Issue(node));
+                self.outbox.push((done, Event::Issue(node)));
             }
         }
         Ok(())
@@ -2050,6 +2025,10 @@ impl ConcurrentMachine {
     /// the race with a concurrent recall is resolved by the writeback
     /// doubling as the acknowledgment (see `on_directory_receive`).
     fn maybe_self_invalidate(&mut self, node: NodeId, block: BlockAddr, now: u64) {
+        // Policy first: without one this is every store's fast exit.
+        if self.policy.is_none() {
+            return;
+        }
         let home = home_of_block(block, &self.proto);
         if node == home || self.cache_state(node, block) != CacheState::Exclusive {
             return;
@@ -2060,13 +2039,6 @@ impl ConcurrentMachine {
             .is_some_and(|p| p.self_invalidate(node, block));
         if !fire {
             return;
-        }
-        // The data is committed to memory at send time: any fill granted
-        // after this writeback's arrival must see it, and the directory
-        // cannot grant before then (the entry still shows this owner, so
-        // any transaction waits for this message).
-        if let Some(v) = self.cache_values[node.index()].remove(&block) {
-            self.mem_values.insert(block, v);
         }
         self.set_cache_state(node, block, CacheState::Invalid);
         self.ring.get_mut().push(
@@ -2096,6 +2068,9 @@ impl ConcurrentMachine {
     /// prediction removes the sharer from the next writer's critical
     /// path; a wrong one costs this reader a re-fetch — never coherence.
     fn maybe_early_ack(&mut self, node: NodeId, block: BlockAddr, now: u64) {
+        if self.policy.is_none() {
+            return;
+        }
         let home = home_of_block(block, &self.proto);
         // Overflowed blocks keep their (imprecise, broadcast-serviced)
         // sharer sets intact.
@@ -2112,7 +2087,6 @@ impl ConcurrentMachine {
         if !fire {
             return;
         }
-        self.cache_values[node.index()].remove(&block);
         self.set_cache_state(node, block, CacheState::Invalid);
         self.ring.get_mut().push(
             ObsEvent::new(now, Severity::Info, "policy.early_inval_ack")
@@ -2182,7 +2156,7 @@ impl ConcurrentMachine {
                 outstanding: 1,
                 local: false,
                 holders: Vec::new(),
-                acked: HashSet::new(),
+                acked: NodeSet::new(),
                 epoch: self.txn_epoch,
                 speculative: true,
                 trace: tr,
@@ -2219,7 +2193,7 @@ impl ConcurrentMachine {
             at + hop,
             msg.sender.raw(),
         );
-        self.queue.push(at + hop, Event::SpecPush(msg, seq));
+        self.outbox.push((at + hop, Event::SpecPush(msg, seq)));
     }
 
     /// Sends the target's verdict back to the home, reliably.
@@ -2241,8 +2215,8 @@ impl ConcurrentMachine {
             at + hop,
             msg.sender.raw(),
         );
-        self.queue
-            .push(at + hop, Event::SpecPushResp { msg, accepted, seq });
+        self.outbox
+            .push((at + hop, Event::SpecPushResp { msg, accepted, seq }));
     }
 
     /// A pushed copy arrived at its target. Accept only into an `Invalid`
@@ -2265,11 +2239,6 @@ impl ConcurrentMachine {
                 MsgType::GetRwResponse => CacheState::Exclusive,
                 other => unreachable!("push grant {other}"),
             };
-            // The speculative transaction holds the block at the home,
-            // so memory cannot change while the push is in flight: the
-            // value read at send time is still the value now.
-            let v = self.mem_values.get(&block).copied().unwrap_or(0);
-            self.cache_values[node.index()].insert(block, v);
             self.set_cache_state(node, block, state);
             self.spans.child(
                 msg.trace,
@@ -2327,15 +2296,6 @@ impl ConcurrentMachine {
         Ok(())
     }
 
-    fn commit_write(&mut self, node: NodeId, block: BlockAddr, local: bool) {
-        self.next_stamp += 1;
-        if local {
-            self.mem_values.insert(block, self.next_stamp);
-        } else {
-            self.cache_values[node.index()].insert(block, self.next_stamp);
-        }
-    }
-
     /// Audits the full-map/SWMR invariants for every touched block
     /// (callable at quiescence — between phases).
     ///
@@ -2343,28 +2303,72 @@ impl ConcurrentMachine {
     ///
     /// Returns the first violation found.
     pub fn verify_coherence(&self) -> Result<(), SimError> {
+        let now = self.execution_time_ns();
         for block in self.touched_blocks() {
             let dir = self.dirs.get(&block).cloned().unwrap_or_default();
             let states = self.cache_states_for(block);
-            self.tally.count_invariant_check();
-            if let Err(v) = check_block(block, &dir, &states) {
-                self.tally.count_invariant_failure();
-                let mut ev = ObsEvent::new(
-                    self.execution_time_ns(),
-                    Severity::Error,
-                    "invariant.failure",
-                )
-                .block(block.number())
-                .msg(v.kind_name());
-                if let Some(n) = v.node() {
-                    ev = ev.node(n.raw());
-                }
-                self.ring.borrow_mut().push(ev);
-                return Err(SimError::from(v));
-            }
+            audit_block(
+                block,
+                &dir,
+                &states,
+                &self.tally,
+                &mut self.ring.borrow_mut(),
+                now,
+            )?;
         }
         Ok(())
     }
+}
+
+/// Every node's effective cache state for `block`, indexed by node:
+/// `cache_state` for ordinary nodes, and for the home — which holds no
+/// cache entry of its own — the rights its directory entry `dir` implies.
+pub(crate) fn effective_cache_states(
+    proto: &ProtocolConfig,
+    block: BlockAddr,
+    dir: &DirState,
+    cache_state: impl Fn(NodeId) -> CacheState,
+) -> Vec<CacheState> {
+    let home = home_of_block(block, proto);
+    (0..proto.nodes)
+        .map(|i| {
+            let n = NodeId::new(i);
+            if n != home {
+                cache_state(n)
+            } else if dir.node_writable(n) {
+                CacheState::Exclusive
+            } else if dir.node_readable(n) {
+                CacheState::Shared
+            } else {
+                CacheState::Invalid
+            }
+        })
+        .collect()
+}
+
+/// Audits one block's full-map/SWMR invariants, counting the check in
+/// `tally` and logging a violation (stamped `now`) to `ring`.
+pub(crate) fn audit_block(
+    block: BlockAddr,
+    dir: &DirState,
+    states: &[CacheState],
+    tally: &ProtocolTally,
+    ring: &mut EventRing,
+    now: u64,
+) -> Result<(), SimError> {
+    tally.count_invariant_check();
+    if let Err(v) = check_block(block, dir, states) {
+        tally.count_invariant_failure();
+        let mut ev = ObsEvent::new(now, Severity::Error, "invariant.failure")
+            .block(block.number())
+            .msg(v.kind_name());
+        if let Some(n) = v.node() {
+            ev = ev.node(n.raw());
+        }
+        ring.push(ev);
+        return Err(SimError::from(v));
+    }
+    Ok(())
 }
 
 /// Runs a workload-style plan stream through a fresh concurrent machine.
@@ -2499,6 +2503,96 @@ mod tests {
         let types: Vec<MsgType> = m.trace().records().iter().map(|r| r.mtype).collect();
         assert!(types.contains(&MsgType::UpgradeRequest));
         assert!(types.contains(&MsgType::GetRwResponse));
+    }
+
+    /// Three sharers race to upgrade, stepped by hand. The first upgrade
+    /// to reach the home invalidates the other two from one handler, at
+    /// one time: the two deliveries must reach the queue exactly once
+    /// each, in the order the handler sent them.
+    #[test]
+    fn outbox_flush_keeps_a_handlers_push_order() {
+        let mut m = machine();
+        let b = BlockAddr::new(0);
+        let sharers = [1, 2, 3];
+        m.run_plan(
+            &plan_of(vec![sharers
+                .iter()
+                .map(|&i| Access::read(n(i), b))
+                .collect()]),
+            0,
+        )
+        .unwrap();
+        let mut phase = Phase::new(16);
+        for i in sharers {
+            phase.push(Access::write(n(i), b));
+        }
+        m.begin_phase(&phase);
+        assert!(m.outbox.is_empty(), "begin_phase flushes");
+        assert_eq!(m.pending_labels(), ["issue P1", "issue P2", "issue P3"]);
+        loop {
+            let next = m.pending_labels()[0].clone();
+            let pushed_before = m.queue.depth_histogram().count();
+            assert!(m.step_rank(0).unwrap());
+            assert!(m.outbox.is_empty(), "every step flushes");
+            if next.starts_with("deliver upgrade_request") {
+                let labels = m.pending_labels();
+                let invals: Vec<&str> = labels
+                    .iter()
+                    .map(String::as_str)
+                    .filter(|l| l.contains("inval_ro_request"))
+                    .collect();
+                assert_eq!(
+                    invals,
+                    [
+                        "deliver inval_ro_request P0->P2 B0",
+                        "deliver inval_ro_request P0->P3 B0"
+                    ]
+                );
+                assert_eq!(m.queue.depth_histogram().count(), pushed_before + 2);
+                break;
+            }
+        }
+        while m.step_rank(0).unwrap() {}
+        m.run_barrier().unwrap();
+        let owners = sharers
+            .iter()
+            .filter(|&&i| m.cache_state(n(i), b) == CacheState::Exclusive)
+            .count();
+        assert_eq!(owners, 1);
+    }
+
+    /// A handler that sends and *then* fails still has its sends moved
+    /// to the queue: simcheck inspects the machine after an erring step.
+    #[test]
+    fn step_rank_flushes_the_outbox_when_the_handler_errs() {
+        let mut m = machine();
+        let b = BlockAddr::new(0);
+        m.run_plan(&plan_of(vec![vec![Access::write(n(2), b)]]), 0)
+            .unwrap();
+        let mut phase = Phase::new(16);
+        phase.push(Access::read(n(1), b));
+        m.begin_phase(&phase);
+        // Step until the home has recalled the owner's copy and waits.
+        while m.open_transactions() == 0 {
+            assert!(m.step_rank(0).unwrap());
+        }
+        // Corrupt the waiting room: a second read from node 1, which
+        // contradicts the entry the open transaction is about to write.
+        m.pending.entry(b).or_default().push_back(PendingReq {
+            msg: Msg::new(n(1), n(0), b, MsgType::GetRoRequest),
+            arrived: 0,
+        });
+        let err = loop {
+            match m.step_rank(0) {
+                Ok(true) => {}
+                Ok(false) => panic!("drained without tripping the corrupt request"),
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, SimError::Protocol(_)), "{err}");
+        // finish_txn sent node 1's grant before it started the bad request.
+        assert!(m.outbox.is_empty());
+        assert_eq!(m.pending_labels(), ["deliver get_ro_response P0->P1 B0"]);
     }
 
     #[test]

@@ -165,7 +165,7 @@ pub enum ForwardKind {
 ///
 /// All methods have no-op defaults, so a policy can implement only the
 /// speculation it is directed at.
-pub trait SpeculationPolicy: std::fmt::Debug {
+pub trait SpeculationPolicy: std::fmt::Debug + Send {
     /// Directory-side read-modify-write speculation: on a
     /// `get_ro_request` for `block` from `requester`, return `true` to
     /// answer with an **exclusive** grant instead of a shared one

@@ -35,58 +35,50 @@
 //! sequential engine's global push counter would impose. The result:
 //! traces, statistics, tallies, and obs snapshots are byte-identical
 //! for every shard count, including the `shards = 1` sequential
-//! fallback (see `crates/simx/tests/shard_identity.rs`).
+//! fallback (see `crates/workloads/tests/shard_identity.rs`).
 //!
 //! ## What this engine deliberately omits
 //!
-//! Fault injection, speculation policies, span tracing, the simcheck
-//! stepping surface, and the value oracle stay on the serialized
-//! engines — they are debugging/evaluation features of small
-//! configurations, and the first three mutate cross-shard state in
-//! ways that would serialise the windows anyway. (The value oracle is
-//! omitted because it is free of observable effects: it feeds no
-//! stat, trace, or fingerprint.) In particular the prediction-actioned
-//! speculation layer (early invalidation-acks, speculative pushes with
-//! rollback — see `crates/simx/src/concurrent.rs`) is serialized-only:
-//! there is no `set_policy` here, and the directory's no-transaction
-//! arm guards against its voluntary messages rather than handling
-//! them. Clean-fabric runs use only [`Issue`](SEvent::Issue) and
-//! [`Deliver`](SEvent::Deliver) events, which is all this engine
-//! implements.
+//! A shard holds no protocol code. Each one wraps a
+//! [`ConcurrentMachine`] — the *core* — and only schedules it: pop an
+//! event, call the core's `dispatch`, and collect that event's side
+//! effects from the three buffers the core fills (its outbox of
+//! scheduled events, its trace, its flight recorder). So the handlers
+//! that run here are the concurrent engine's own, fault, speculation and
+//! span arms included. Those three are absent from this engine because
+//! the window scheduler never *installs* a fault plan, a policy or a
+//! span log on a core. A fault plan and a policy make the receiver's
+//! handler peek at another node's live state (the sender's cache at the
+//! home, the requester's wait slot), and a span log is one machine-wide
+//! structure; a shard owns neither. Giving the sharded engine faults or
+//! speculation means carrying that state in the message instead; there
+//! is no `set_policy` or `set_fault_plan` here until then. A core with none installed
+//! schedules only `Issue` and `Deliver` events and touches only the
+//! receiving node's state — the whole of what windows rely on.
+//!
+//! [`Machine`](crate::Machine), which serialises whole transactions, is
+//! the one remaining engine with a private copy of the protocol steps.
 
 use crate::arena::{Arena, ArenaId};
+use crate::concurrent::{audit_block, effective_cache_states, ConcurrentMachine, Event};
 use crate::config::SystemConfig;
-use crate::driver::{AccessOp, IterationPlan, Phase};
+use crate::driver::{IterationPlan, Phase};
 use crate::machine::SimError;
 use crate::stats::MachineStats;
 use obs::{Event as ObsEvent, EventRing, Severity};
-use stache::cache::{self, CacheAction};
-use stache::directory;
-use stache::invariants::check_block;
 use stache::placement::home_of_block;
-use stache::{
-    BlockAddr, CacheState, DirState, Msg, MsgType, NodeId, ProcOp, ProtocolConfig, ProtocolTally,
-};
+use stache::{BlockAddr, CacheState, DirState, NodeId, ProtocolConfig, ProtocolTally};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::BinaryHeap;
+use std::ops::Range;
 use trace::{MsgRecord, TraceBundle, TraceMeta};
 
-/// A simulation event on the clean fabric.
-#[derive(Debug, Clone, Copy)]
-enum SEvent {
-    /// A processor attempts its next script operation.
-    Issue(NodeId),
-    /// A message is delivered to its receiver.
-    Deliver(Msg),
-}
-
-impl SEvent {
-    /// The node whose shard must execute this event.
-    fn owner(&self) -> NodeId {
-        match self {
-            SEvent::Issue(n) => *n,
-            SEvent::Deliver(m) => m.receiver,
-        }
+/// The node whose shard must execute `ev`.
+fn owner(ev: &Event) -> NodeId {
+    match ev {
+        Event::Issue(n) => *n,
+        Event::Deliver(m, _) => m.receiver,
+        other => unreachable!("a clean-fabric core scheduled {other:?}"),
     }
 }
 
@@ -117,7 +109,7 @@ fn child_tie(parent_time: u64, parent: &Tie, index: u64) -> Tie {
 #[derive(Debug, Clone, Copy)]
 struct PushRec {
     time: u64,
-    ev: SEvent,
+    ev: Event,
     /// Executed within the same window (an intra-node follow-up), so the
     /// replay assigns it a sequence number but does not enqueue it.
     consumed: bool,
@@ -153,31 +145,17 @@ impl WindowLog {
     }
 }
 
-/// An in-flight directory transaction (clean-fabric subset of the
-/// concurrent engine's).
-#[derive(Debug, Clone)]
-struct STxn {
-    requester: NodeId,
-    reply: Option<MsgType>,
-    next: DirState,
-    outstanding: usize,
-    local: bool,
-}
-
-/// A request waiting for a busy block at its home directory.
-#[derive(Debug, Clone, Copy)]
-struct PendingReq {
-    msg: Msg,
-    arrived: u64,
-}
-
-/// One node-range partition of the machine.
+/// One node-range partition of the machine: a protocol core plus the
+/// window scheduler that drives it.
 #[derive(Debug)]
 struct Shard {
-    proto: ProtocolConfig,
-    sys: SystemConfig,
-    /// First owned node index; the shard owns `lo .. lo + clocks.len()`.
-    lo: usize,
+    /// Executes every event. Full-width (sized for all `proto.nodes`),
+    /// but only the state of the owned `nodes`, and of blocks homed on
+    /// them, is ever touched. Its own event queue stays empty; its trace
+    /// and flight recorder are per-event scratch.
+    core: ConcurrentMachine,
+    /// The owned node indices.
+    nodes: Range<usize>,
     /// Cross-window pending events, compact `(time, seq)` ranks only.
     queue: BinaryHeap<Reverse<(u64, u64, ArenaId)>>,
     /// The current window's working set, ranked by `(time, tie)`.
@@ -185,69 +163,30 @@ struct Shard {
     /// Backing storage for queued and in-window events: slots recycle
     /// through the free list, so steady-state execution allocates
     /// nothing per message.
-    events: Arena<SEvent>,
-    /// Waiting-room storage for requests queued behind a busy block.
-    preqs: Arena<PendingReq>,
-    // -- owned protocol state --
-    caches: Vec<HashMap<BlockAddr, CacheState>>,
-    dirs: HashMap<BlockAddr, DirState>,
-    txns: HashMap<BlockAddr, STxn>,
-    pending: HashMap<BlockAddr, VecDeque<ArenaId>>,
-    overflowed: HashSet<BlockAddr>,
-    dir_busy: Vec<u64>,
-    cache_busy: Vec<u64>,
-    clocks: Vec<u64>,
-    scripts: Vec<VecDeque<(BlockAddr, ProcOp)>>,
-    waiting: Vec<Option<(BlockAddr, ProcOp, u64)>>,
-    stats: MachineStats,
-    tally: ProtocolTally,
+    events: Arena<Event>,
     log: WindowLog,
-    ring_enabled: bool,
     capture_trace: bool,
-    iteration: u32,
-    // -- current-event context while a window runs --
-    horizon: u64,
-    cur_time: u64,
-    cur_tie: Tie,
-    cur_children: u64,
 }
 
 impl Shard {
-    fn new(proto: ProtocolConfig, sys: SystemConfig, lo: usize, count: usize) -> Self {
+    fn new(proto: ProtocolConfig, sys: SystemConfig, nodes: Range<usize>) -> Self {
+        let mut core = ConcurrentMachine::new(proto, sys);
+        // Keep everything the handlers offer: severity filtering is the
+        // coordinator ring's job, exactly once, at replay.
+        core.set_ring_min_severity(Severity::Debug);
         Shard {
-            proto,
-            sys,
-            lo,
+            core,
+            nodes,
             queue: BinaryHeap::new(),
             wheap: BinaryHeap::new(),
             events: Arena::new(),
-            preqs: Arena::new(),
-            caches: vec![HashMap::new(); count],
-            dirs: HashMap::new(),
-            txns: HashMap::new(),
-            pending: HashMap::new(),
-            overflowed: HashSet::new(),
-            dir_busy: vec![0; count],
-            cache_busy: vec![0; count],
-            clocks: vec![0; count],
-            scripts: vec![VecDeque::new(); count],
-            waiting: vec![None; count],
-            stats: MachineStats::default(),
-            tally: ProtocolTally::new(),
             log: WindowLog::default(),
-            ring_enabled: true,
             capture_trace: true,
-            iteration: 0,
-            horizon: 0,
-            cur_time: 0,
-            cur_tie: (0, Vec::new()),
-            cur_children: 0,
         }
     }
 
-    #[inline]
-    fn li(&self, node: NodeId) -> usize {
-        node.index() - self.lo
+    fn owns(&self, ev: &Event) -> bool {
+        self.nodes.contains(&owner(ev).index())
     }
 
     /// Earliest pending cross-window event time.
@@ -256,15 +195,15 @@ impl Shard {
     }
 
     /// Enqueues an event with its replay-assigned compact rank.
-    fn enqueue(&mut self, time: u64, seq: u64, ev: SEvent) {
+    fn enqueue(&mut self, time: u64, seq: u64, ev: Event) {
+        debug_assert!(self.owns(&ev), "events are routed to the owning shard");
         let id = self.events.alloc(ev);
         self.queue.push(Reverse((time, seq, id)));
     }
 
-    /// Executes every owned event with `time < horizon`, appending all
-    /// side effects to the window log.
+    /// Executes every owned event with `time < horizon` on the core,
+    /// moving each event's side effects into the window log.
     fn run_window(&mut self, horizon: u64) -> Result<(), SimError> {
-        self.horizon = horizon;
         while let Some(&Reverse((t, _, _))) = self.queue.peek() {
             if t >= horizon {
                 break;
@@ -274,14 +213,40 @@ impl Shard {
         }
         while let Some(Reverse((t, tie, id))) = self.wheap.pop() {
             let ev = self.events.free(id).expect("live window event");
-            self.cur_time = t;
-            self.cur_tie = tie;
-            self.cur_children = 0;
-            match ev {
-                SEvent::Issue(n) => self.on_issue(n, t)?,
-                SEvent::Deliver(msg) => self.on_deliver(&msg, t)?,
+            self.core.dispatch(t, ev)?;
+            // Pushes landing inside the window are intra-node follow-ups:
+            // they join the window heap with a composite tie derived from
+            // this event's rank.
+            let mut children = 0;
+            for (at, ev) in self.core.outbox.drain(..) {
+                let consumed = at < horizon;
+                self.log.pushes.push(PushRec {
+                    time: at,
+                    ev,
+                    consumed,
+                });
+                if consumed {
+                    debug_assert!(
+                        self.nodes.contains(&owner(&ev).index()),
+                        "intra-window pushes stay on the owning shard"
+                    );
+                    let id = self.events.alloc(ev);
+                    self.wheap
+                        .push(Reverse((at, child_tie(t, &tie, children), id)));
+                    children += 1;
+                }
             }
-            let tie = std::mem::take(&mut self.cur_tie);
+            if self.capture_trace {
+                self.log.recs.extend_from_slice(self.core.trace.records());
+            }
+            self.core.trace.clear_records();
+            let ring = self.core.ring.get_mut();
+            debug_assert!(
+                ring.len() < ring.capacity(),
+                "one event's offers fit the scratch ring"
+            );
+            ring.events_into(&mut self.log.rings);
+            ring.clear();
             self.log.entries.push(LogEntry {
                 time: t,
                 tie,
@@ -289,368 +254,6 @@ impl Shard {
                 rec_end: self.log.recs.len() as u32,
                 ring_end: self.log.rings.len() as u32,
             });
-        }
-        Ok(())
-    }
-
-    /// Logs a push made by the current event. Pushes landing inside the
-    /// window are intra-node follow-ups: they join the window heap with
-    /// a composite tie derived from the current event's rank.
-    fn push_event(&mut self, at: u64, ev: SEvent) {
-        let consumed = at < self.horizon;
-        self.log.pushes.push(PushRec {
-            time: at,
-            ev,
-            consumed,
-        });
-        if consumed {
-            debug_assert!(
-                self.li(ev.owner()) < self.clocks.len(),
-                "intra-window pushes stay on the owning shard"
-            );
-            let tie = child_tie(self.cur_time, &self.cur_tie, self.cur_children);
-            self.cur_children += 1;
-            let id = self.events.alloc(ev);
-            self.wheap.push(Reverse((at, tie, id)));
-        }
-    }
-
-    fn one_way(&self, from: NodeId, to: NodeId) -> u64 {
-        self.sys.one_way_between_ns(from, to, self.proto.nodes)
-    }
-
-    fn send(&mut self, at: u64, msg: Msg) {
-        let hop = self.one_way(msg.sender, msg.receiver);
-        self.stats.net_latency_ns.record(hop);
-        self.push_event(at + hop, SEvent::Deliver(msg));
-    }
-
-    fn record(&mut self, time: u64, msg: &Msg) {
-        self.stats.count_message(msg.mtype);
-        if self.ring_enabled {
-            self.log.rings.push(
-                ObsEvent::new(time, Severity::Info, "msg.recv")
-                    .node(msg.receiver.raw())
-                    .block(msg.block.number())
-                    .msg(msg.mtype.paper_name())
-                    .value(msg.sender.raw() as u64),
-            );
-        }
-        if self.capture_trace {
-            self.log
-                .recs
-                .push(MsgRecord::from_msg(msg, time, self.iteration));
-        }
-    }
-
-    fn cache_state(&self, node: NodeId, block: BlockAddr) -> CacheState {
-        self.caches[self.li(node)]
-            .get(&block)
-            .copied()
-            .unwrap_or(CacheState::Invalid)
-    }
-
-    fn set_cache_state(&mut self, node: NodeId, block: BlockAddr, s: CacheState) {
-        let prev = self.cache_state(node, block);
-        self.tally.cache_transition(prev, s);
-        let li = self.li(node);
-        if s == CacheState::Invalid {
-            self.caches[li].remove(&block);
-        } else {
-            self.caches[li].insert(block, s);
-        }
-        if self.ring_enabled {
-            self.log.rings.push(
-                ObsEvent::new(self.clocks[li], Severity::Debug, "cache.transition")
-                    .node(node.raw())
-                    .block(block.number())
-                    .msg(s.short_name()),
-            );
-        }
-    }
-
-    fn set_dir(&mut self, block: BlockAddr, next: DirState) {
-        match (&next, self.proto.limited_pointers) {
-            (DirState::Shared(s), Some(budget)) if s.len() > budget => {
-                if self.overflowed.insert(block) {
-                    self.stats.directory_overflows += 1;
-                }
-            }
-            (DirState::Shared(_), _) => {}
-            _ => {
-                self.overflowed.remove(&block);
-            }
-        }
-        self.tally
-            .dir_transition(self.dirs.get(&block).unwrap_or(&DirState::Idle), &next);
-        self.dirs.insert(block, next);
-    }
-
-    fn on_issue(&mut self, node: NodeId, t: u64) -> Result<(), SimError> {
-        let li = self.li(node);
-        let mut now = self.clocks[li].max(t);
-        while let Some(&(block, op)) = self.scripts[li].front() {
-            let home = home_of_block(block, &self.proto);
-            if node == home {
-                let dir = self.dirs.entry(block).or_default().clone();
-                let sufficient = match op {
-                    ProcOp::Read => dir.node_readable(node),
-                    ProcOp::Write => dir.node_writable(node),
-                } && !self.txns.contains_key(&block);
-                if sufficient {
-                    self.scripts[li].pop_front();
-                    self.stats.count_access(op, true, self.sys.cache_hit_ns);
-                    now += self.sys.cache_hit_ns;
-                    continue;
-                }
-                self.scripts[li].pop_front();
-                self.waiting[li] = Some((block, op, now));
-                self.clocks[li] = now;
-                let req = match op {
-                    ProcOp::Read => MsgType::GetRoRequest,
-                    ProcOp::Write => MsgType::GetRwRequest,
-                };
-                let marker = Msg::new(node, node, block, req);
-                self.enqueue_or_start(marker, now)?;
-                return Ok(());
-            }
-            let state = self.cache_state(node, block);
-            let (transient, action) = cache::on_processor_op(state, op)?;
-            match action {
-                CacheAction::Hit => {
-                    self.scripts[li].pop_front();
-                    self.stats.count_access(op, true, self.sys.cache_hit_ns);
-                    now += self.sys.cache_hit_ns;
-                }
-                CacheAction::Send(req) => {
-                    self.scripts[li].pop_front();
-                    self.set_cache_state(node, block, transient);
-                    let li = self.li(node);
-                    self.waiting[li] = Some((block, op, now));
-                    self.clocks[li] = now;
-                    self.send(now, Msg::new(node, home, block, req));
-                    return Ok(());
-                }
-            }
-        }
-        self.clocks[li] = now;
-        Ok(())
-    }
-
-    fn on_deliver(&mut self, msg: &Msg, t: u64) -> Result<(), SimError> {
-        if msg.receiver_role() == stache::Role::Directory {
-            self.on_directory_receive(msg, t)
-        } else {
-            self.on_cache_receive(msg, t)
-        }
-    }
-
-    fn on_directory_receive(&mut self, msg: &Msg, t: u64) -> Result<(), SimError> {
-        if msg.mtype.is_request() {
-            // Local markers (sender == receiver) are not real messages.
-            if msg.sender != msg.receiver {
-                self.record(t, msg);
-            }
-            self.enqueue_or_start(*msg, t)
-        } else {
-            self.record(t, msg);
-            match self.txns.get_mut(&msg.block) {
-                Some(txn) => {
-                    txn.outstanding -= 1;
-                    if txn.outstanding == 0 {
-                        let service = t + self.sys.handler_ns;
-                        self.finish_txn(msg.block, service)?;
-                    }
-                }
-                None => {
-                    // Voluntary messages (writebacks, early acks) are
-                    // produced only by speculation policies, which this
-                    // engine has no way to install — the speculation
-                    // layer is serialized-engine-only. Guard the clean
-                    // path anyway: a writeback clears a matching owner,
-                    // an early ack is absorbed, so a future wiring
-                    // mistake degrades to a missed optimisation instead
-                    // of a corrupted directory.
-                    if msg.mtype == MsgType::InvalRoResponse {
-                        return Ok(());
-                    }
-                    debug_assert_eq!(msg.mtype, MsgType::InvalRwResponse, "voluntary writeback");
-                    let dir = self.dirs.entry(msg.block).or_default().clone();
-                    if dir.owner() == Some(msg.sender) {
-                        self.set_dir(msg.block, DirState::Idle);
-                    }
-                }
-            }
-            Ok(())
-        }
-    }
-
-    fn enqueue_or_start(&mut self, msg: Msg, t: u64) -> Result<(), SimError> {
-        if self.txns.contains_key(&msg.block) {
-            let id = self.preqs.alloc(PendingReq { msg, arrived: t });
-            self.pending.entry(msg.block).or_default().push_back(id);
-            Ok(())
-        } else {
-            self.start_txn(msg, t)
-        }
-    }
-
-    fn start_txn(&mut self, msg: Msg, t: u64) -> Result<(), SimError> {
-        let home = msg.receiver;
-        let block = msg.block;
-        let local = msg.sender == msg.receiver;
-        let hli = self.li(home);
-        let service = t.max(self.dir_busy[hli]);
-        let dispatch = service + self.sys.handler_ns;
-        self.dir_busy[hli] = dispatch;
-
-        let dir = self.dirs.entry(block).or_default().clone();
-        // The upgrade race: the requester lost its copy to a concurrent
-        // writer while this request was queued; convert to a write miss.
-        let mut effective = msg.mtype;
-        let mut reply_override = None;
-        if effective == MsgType::UpgradeRequest && !dir.holders().contains(msg.sender) {
-            effective = MsgType::GetRwRequest;
-            reply_override = Some(MsgType::GetRwResponse);
-        }
-        let outcome = if local {
-            let op = match effective {
-                MsgType::GetRoRequest => ProcOp::Read,
-                MsgType::GetRwRequest | MsgType::UpgradeRequest => ProcOp::Write,
-                other => unreachable!("local marker {other}"),
-            };
-            match directory::handle_local(&dir, home, op, &self.proto) {
-                Some(o) => o,
-                None => {
-                    // Rights appeared while the request was queued.
-                    self.dir_busy[hli] = service; // handler unused
-                    return self.complete_local(home, block, dispatch);
-                }
-            }
-        } else {
-            directory::handle_request(&dir, home, msg.sender, effective, &self.proto)
-                .map_err(SimError::Protocol)?
-        };
-        let mut holder_requests = outcome.holder_requests;
-        if self.overflowed.contains(&block) && matches!(outcome.next, DirState::Exclusive(_)) {
-            holder_requests = (0..self.proto.nodes)
-                .map(NodeId::new)
-                .filter(|&n| n != msg.sender && n != home)
-                .map(|n| (n, MsgType::InvalRoRequest))
-                .collect();
-        }
-        let reply = if local {
-            None
-        } else {
-            Some(reply_override.unwrap_or_else(|| outcome.reply.expect("remote grants reply")))
-        };
-        let txn = STxn {
-            requester: msg.sender,
-            reply,
-            next: outcome.next,
-            outstanding: holder_requests.len(),
-            local,
-        };
-        for (target, imsg) in &holder_requests {
-            self.send(dispatch, Msg::new(home, *target, block, *imsg));
-        }
-        self.txns.insert(block, txn);
-        if holder_requests.is_empty() {
-            self.finish_txn(block, dispatch)?;
-        }
-        Ok(())
-    }
-
-    fn finish_txn(&mut self, block: BlockAddr, t: u64) -> Result<(), SimError> {
-        let txn = self.txns.remove(&block).expect("transaction in flight");
-        let home = home_of_block(block, &self.proto);
-        self.set_dir(block, txn.next);
-        if txn.local {
-            self.complete_local(home, block, t)?;
-        } else {
-            let reply = txn.reply.expect("remote transactions reply");
-            self.send(t, Msg::new(home, txn.requester, block, reply));
-        }
-        // The block is free: service the next queued request, if any.
-        if let Some(id) = self.pending.get_mut(&block).and_then(VecDeque::pop_front) {
-            let next = self.preqs.free(id).expect("queued request live");
-            let resume = next.arrived.max(t);
-            self.start_txn(next.msg, resume)?;
-        }
-        Ok(())
-    }
-
-    /// Completes the home node's own (message-free) access.
-    fn complete_local(&mut self, home: NodeId, block: BlockAddr, t: u64) -> Result<(), SimError> {
-        let li = self.li(home);
-        let (wblock, op, issued) = self.waiting[li].take().expect("home was waiting");
-        debug_assert_eq!(wblock, block);
-        let done = t + self.sys.mem_access_ns;
-        self.clocks[li] = self.clocks[li].max(done);
-        self.stats
-            .count_access(op, false, done.saturating_sub(issued));
-        self.push_event(done, SEvent::Issue(home));
-        Ok(())
-    }
-
-    fn on_cache_receive(&mut self, msg: &Msg, t: u64) -> Result<(), SimError> {
-        self.record(t, msg);
-        let node = msg.receiver;
-        let li = self.li(node);
-        let block = msg.block;
-        let state = self.cache_state(node, block);
-        // The cache's software handler serialises incoming messages.
-        let service = t.max(self.cache_busy[li]);
-        let handled = service + self.sys.handler_ns;
-        self.cache_busy[li] = handled;
-
-        // The replacement race: an owner-recall crossing a voluntary
-        // writeback finds the cache already empty; the writeback serves
-        // as the acknowledgment, so stay silent.
-        if msg.mtype == MsgType::InvalRwRequest
-            && matches!(
-                state,
-                CacheState::Invalid | CacheState::IToS | CacheState::IToE
-            )
-        {
-            return Ok(());
-        }
-
-        // A broadcast invalidation reaching a node without a shared copy:
-        // acknowledge without touching the line.
-        if msg.mtype == MsgType::InvalRoRequest
-            && matches!(
-                state,
-                CacheState::Invalid | CacheState::IToS | CacheState::IToE
-            )
-        {
-            let home = msg.sender;
-            self.send(
-                handled,
-                Msg::new(node, home, block, MsgType::InvalRoResponse),
-            );
-            return Ok(());
-        }
-
-        let (next, reply) = cache::on_message(state, msg.mtype)?;
-        self.set_cache_state(node, block, next);
-        match reply {
-            Some(resp) => {
-                // An invalidation or downgrade: acknowledge to the home.
-                let home = msg.sender;
-                self.send(handled, Msg::new(node, home, block, resp));
-            }
-            None => {
-                // A grant: the processor's miss completes.
-                let li = self.li(node);
-                let (wblock, op, issued) = self.waiting[li].take().expect("node was waiting");
-                debug_assert_eq!(wblock, block);
-                let done = handled;
-                self.clocks[li] = self.clocks[li].max(done);
-                self.stats
-                    .count_access(op, false, done.saturating_sub(issued));
-                self.push_event(done, SEvent::Issue(node));
-            }
         }
         Ok(())
     }
@@ -681,7 +284,6 @@ pub struct ShardedMachine {
     coord_tally: ProtocolTally,
     capture_trace: bool,
     audit_barriers: bool,
-    iteration: u32,
     windows: u64,
 }
 
@@ -696,9 +298,9 @@ impl ShardedMachine {
         let mut parts = Vec::new();
         let mut lo = 0;
         while lo < nodes {
-            let count = chunk.min(nodes - lo);
-            parts.push(Shard::new(proto.clone(), sys.clone(), lo, count));
-            lo += count;
+            let hi = nodes.min(lo + chunk);
+            parts.push(Shard::new(proto.clone(), sys.clone(), lo..hi));
+            lo = hi;
         }
         let mut lookahead = u64::MAX;
         for a in 0..nodes {
@@ -730,7 +332,6 @@ impl ShardedMachine {
             coord_tally: ProtocolTally::new(),
             capture_trace: true,
             audit_barriers: true,
-            iteration: 0,
             windows: 0,
         }
     }
@@ -771,7 +372,7 @@ impl ShardedMachine {
     pub fn set_ring_enabled(&mut self, enabled: bool) {
         self.ring.set_enabled(enabled);
         for s in &mut self.shards {
-            s.ring_enabled = enabled;
+            s.core.set_ring_enabled(enabled);
         }
     }
 
@@ -815,7 +416,7 @@ impl ShardedMachine {
     pub fn stats(&self) -> MachineStats {
         let mut s = self.coord_stats.clone();
         for sh in &self.shards {
-            s.merge(&sh.stats);
+            s.merge(sh.core.stats());
         }
         s
     }
@@ -824,7 +425,7 @@ impl ShardedMachine {
     pub fn tally(&self) -> ProtocolTally {
         let mut t = self.coord_tally.clone();
         for sh in &self.shards {
-            t.merge(&sh.tally);
+            t.merge(sh.core.tally());
         }
         t
     }
@@ -844,43 +445,31 @@ impl ShardedMachine {
     pub fn execution_time_ns(&self) -> u64 {
         self.shards
             .iter()
-            .flat_map(|s| s.clocks.iter().copied())
+            .map(|s| s.core.execution_time_ns())
             .max()
             .unwrap_or(0)
     }
 
     /// One node's recorded cache state for a block.
     pub fn cache_state(&self, node: NodeId, block: BlockAddr) -> CacheState {
-        self.shards[self.shard_of(node)].cache_state(node, block)
+        self.shards[self.shard_of(node)]
+            .core
+            .cache_state(node, block)
     }
 
     /// Every node's effective cache state for `block` (home rights are
     /// derived from the directory entry, as in the audits).
     pub fn cache_states_for(&self, block: BlockAddr) -> Vec<CacheState> {
-        let home = home_of_block(block, &self.proto);
-        let dir = self.dir_state(block);
-        (0..self.proto.nodes)
-            .map(|i| {
-                let n = NodeId::new(i);
-                if n == home {
-                    if dir.node_writable(n) {
-                        CacheState::Exclusive
-                    } else if dir.node_readable(n) {
-                        CacheState::Shared
-                    } else {
-                        CacheState::Invalid
-                    }
-                } else {
-                    self.cache_state(n, block)
-                }
-            })
-            .collect()
+        effective_cache_states(&self.proto, block, &self.dir_state(block), |n| {
+            self.cache_state(n, block)
+        })
     }
 
     /// The directory entry for `block` (`Idle` if never touched).
     pub fn dir_state(&self, block: BlockAddr) -> DirState {
         let home = home_of_block(block, &self.proto);
         self.shards[self.shard_of(home)]
+            .core
             .dirs
             .get(&block)
             .cloned()
@@ -901,7 +490,18 @@ impl ShardedMachine {
             stats.messages_total()
         };
         snap.counter("simx.trace.records", records);
-        snap.counter("simx.ring.events_total", self.ring.total_pushed());
+        // Events *offered*, recorder on or off, as the concurrent engine
+        // counts them: each core counts its handlers' offers, and the
+        // coordinator's own are the audit failures.
+        let offered: u64 = self
+            .shards
+            .iter()
+            .map(|s| s.core.ring.borrow().total_pushed())
+            .sum();
+        snap.counter(
+            "simx.ring.events_total",
+            offered + self.coord_tally.invariant_failures(),
+        );
         snap.histogram("simx.queue.depth", &self.depth);
         snap.counter("simx.shard.windows", self.windows);
         snap.gauge("simx.shard.lookahead_ns", self.lookahead as f64);
@@ -920,9 +520,8 @@ impl ShardedMachine {
     ///
     /// Propagates protocol errors and invariant violations.
     pub fn run_plan(&mut self, plan: &IterationPlan, iteration: u32) -> Result<(), SimError> {
-        self.iteration = iteration;
         for s in &mut self.shards {
-            s.iteration = iteration;
+            s.core.iteration = iteration;
         }
         for phase in &plan.phases {
             self.run_phase(phase)?;
@@ -950,31 +549,16 @@ impl ShardedMachine {
     /// sequentially, so the seeds carry the same compact ranks the
     /// sequential engine assigns.
     fn begin_phase(&mut self, phase: &Phase) {
-        for (node, accesses) in phase.per_node.iter().enumerate() {
+        for node in 0..phase.per_node.len() {
             let si = self.shard_of(NodeId::new(node));
-            let li = node - self.shards[si].lo;
-            let script = &mut self.shards[si].scripts[li];
-            debug_assert!(script.is_empty(), "previous phase drained");
-            for a in accesses {
-                debug_assert_eq!(a.node.index(), node);
-                match a.op {
-                    AccessOp::Read => script.push_back((a.block, ProcOp::Read)),
-                    AccessOp::Write => script.push_back((a.block, ProcOp::Write)),
-                    AccessOp::ReadModifyWrite => {
-                        script.push_back((a.block, ProcOp::Read));
-                        script.push_back((a.block, ProcOp::Write));
-                    }
-                }
-            }
-            if !script.is_empty() {
-                let n = NodeId::new(node);
-                let start = self.shards[si].clocks[li] + phase.delay(n);
-                self.shards[si].clocks[li] = start;
+            let shard = &mut self.shards[si];
+            shard.core.load_node(phase, node);
+            if let Some((start, ev)) = shard.core.outbox.pop() {
                 let seq = self.seq;
                 self.seq += 1;
                 self.vlen += 1;
                 self.depth.record(self.vlen);
-                self.shards[si].enqueue(start, seq, SEvent::Issue(n));
+                shard.enqueue(start, seq, ev);
             }
         }
     }
@@ -1046,8 +630,6 @@ impl ShardedMachine {
             }
             ri[s] = e.rec_end as usize;
             let push_end = e.push_end as usize;
-            let time_tie_done = ei[s];
-            let _ = time_tie_done;
             for p in pi[s]..push_end {
                 let push = logs[s].pushes[p];
                 let seq = self.seq;
@@ -1055,7 +637,7 @@ impl ShardedMachine {
                 self.vlen += 1;
                 self.depth.record(self.vlen);
                 if !push.consumed {
-                    let si = self.shard_of(push.ev.owner());
+                    let si = self.shard_of(owner(&push.ev));
                     self.shards[si].enqueue(push.time, seq, push.ev);
                 }
             }
@@ -1072,7 +654,7 @@ impl ShardedMachine {
     /// synchronises clocks.
     fn barrier(&mut self) -> Result<(), SimError> {
         debug_assert!(
-            self.shards.iter().all(|s| s.txns.is_empty()),
+            self.shards.iter().all(|s| s.core.open_transactions() == 0),
             "transactions drained at barrier"
         );
         if self.audit_barriers {
@@ -1080,9 +662,7 @@ impl ShardedMachine {
         }
         let max = self.execution_time_ns();
         for s in &mut self.shards {
-            for c in &mut s.clocks {
-                *c = max + self.sys.barrier_ns;
-            }
+            s.core.clocks.fill(max + self.sys.barrier_ns);
         }
         self.coord_stats.barriers += 1;
         Ok(())
@@ -1095,19 +675,14 @@ impl ShardedMachine {
     ///
     /// Returns the first violation found.
     pub fn verify_coherence(&mut self) -> Result<(), SimError> {
-        let mut blocks: HashSet<BlockAddr> = HashSet::new();
-        for s in &self.shards {
-            blocks.extend(s.dirs.keys().copied());
-            for c in &s.caches {
-                blocks.extend(c.keys().copied());
-            }
-        }
-        let mut blocks: Vec<BlockAddr> = blocks.into_iter().collect();
+        let mut blocks: Vec<BlockAddr> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.core.touched_blocks())
+            .collect();
         blocks.sort_by_key(|b| b.number());
-        for block in blocks {
-            self.check_one_block(block)?;
-        }
-        Ok(())
+        blocks.dedup();
+        self.audit_blocks(blocks)
     }
 
     /// Audits the coherence invariants for at most `max_blocks` touched
@@ -1125,35 +700,24 @@ impl ShardedMachine {
         }
         let mut blocks: Vec<BlockAddr> = Vec::new();
         for s in &self.shards {
-            blocks.extend(s.dirs.keys().copied());
+            blocks.extend(s.core.dirs.keys().copied());
         }
         blocks.sort_by_key(|b| b.number());
         blocks.dedup();
         let stride = blocks.len().div_ceil(max_blocks).max(1);
-        for block in blocks.into_iter().step_by(stride) {
-            self.check_one_block(block)?;
-        }
-        Ok(())
+        self.audit_blocks(blocks.into_iter().step_by(stride))
     }
 
-    fn check_one_block(&mut self, block: BlockAddr) -> Result<(), SimError> {
-        let dir = self.dir_state(block);
-        let states = self.cache_states_for(block);
-        self.coord_tally.count_invariant_check();
-        if let Err(v) = check_block(block, &dir, &states) {
-            self.coord_tally.count_invariant_failure();
-            let mut ev = ObsEvent::new(
-                self.execution_time_ns(),
-                Severity::Error,
-                "invariant.failure",
-            )
-            .block(block.number())
-            .msg(v.kind_name());
-            if let Some(n) = v.node() {
-                ev = ev.node(n.raw());
-            }
-            self.ring.push(ev);
-            return Err(SimError::from(v));
+    fn audit_blocks(
+        &mut self,
+        blocks: impl IntoIterator<Item = BlockAddr>,
+    ) -> Result<(), SimError> {
+        let now = self.execution_time_ns();
+        for block in blocks {
+            let dir = self.dir_state(block);
+            let states =
+                effective_cache_states(&self.proto, block, &dir, |n| self.cache_state(n, block));
+            audit_block(block, &dir, &states, &self.coord_tally, &mut self.ring, now)?;
         }
         Ok(())
     }
@@ -1189,6 +753,7 @@ where
 mod tests {
     use super::*;
     use crate::driver::Access;
+    use stache::MsgType;
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -1242,5 +807,49 @@ mod tests {
             Some(&obs::MetricValue::Counter(2)),
             "the two coherence messages are still counted"
         );
+    }
+    /// The seam windows rest on: whatever a core schedules is handed
+    /// over in full (its own queue and outbox stay empty) and every
+    /// event a shard holds — before and after the coordinator routes the
+    /// window's cross-shard pushes — belongs to a node the shard owns.
+    #[test]
+    fn shards_hold_only_events_for_their_own_nodes() {
+        fn check(m: &ShardedMachine, when: &str) {
+            for s in &m.shards {
+                assert_eq!(s.core.pending_events(), 0, "{when}: core queue in use");
+                assert!(s.core.outbox.is_empty(), "{when}: outbox not taken");
+                assert!(s.wheap.is_empty(), "{when}: window heap not drained");
+                for (_, ev) in s.events.iter() {
+                    assert!(s.owns(ev), "{when}: shard {:?} holds {ev:?}", s.nodes);
+                }
+            }
+        }
+        // Nodes 1..=12 write, then read-modify-write their neighbour's block, on
+        // homes spread over every shard: invalidations, recalls and local
+        // accesses all cross shard boundaries.
+        let block = |i: usize| BlockAddr::new(64 * ((i + 5) % 16) as u64);
+        let phases = vec![
+            (1..=12).map(|i| Access::write(n(i), block(i))).collect(),
+            (1..=12).map(|i| Access::rmw(n(i), block(i + 1))).collect(),
+        ];
+        let plan = plan_of(phases);
+        for shards in [2, 5] {
+            let mut m = ShardedMachine::new(ProtocolConfig::paper(), SystemConfig::paper(), shards);
+            let mut windows = 0;
+            for phase in &plan.phases {
+                m.begin_phase(phase);
+                check(&m, "after begin_phase");
+                while let Some(floor) = m.min_pending() {
+                    m.run_windows(floor + m.lookahead).unwrap();
+                    check(&m, "after run_window");
+                    m.replay_windows();
+                    check(&m, "after replay");
+                    windows += 1;
+                }
+                m.barrier().unwrap();
+            }
+            assert!(windows > 10, "the plan spans many windows ({windows})");
+            assert_eq!(m.trace().len() as u64, m.stats().messages_total());
+        }
     }
 }

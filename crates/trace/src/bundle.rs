@@ -87,6 +87,12 @@ impl TraceBundle {
         std::mem::take(&mut self.records)
     }
 
+    /// Discards every record but keeps the allocation, for callers that
+    /// copy a small batch out after each step and refill the same buffer.
+    pub fn clear_records(&mut self) {
+        self.records.clear();
+    }
+
     /// Records received by a particular agent.
     pub fn for_receiver(&self, node: NodeId, role: Role) -> impl Iterator<Item = &MsgRecord> {
         self.records

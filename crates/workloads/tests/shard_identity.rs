@@ -13,10 +13,16 @@
 //!    same statistics, same flight-recorder stream, same final
 //!    cache/directory states, and an obs snapshot that agrees on every
 //!    metric the concurrent engine exports (the sharded snapshot adds
-//!    only its own `simx.shard.*` keys).
+//!    only its own `simx.shard.*` keys). Checked on the paper's
+//!    configuration and on every variant both engines advertise: the
+//!    limited-pointer directory (overflow broadcast), the DASH-style
+//!    downgrade, the mesh and ring fabrics (unequal hop latencies, so
+//!    sends land a varying number of windows out), and the flight
+//!    recorder switched off.
 
 use simx::concurrent::{self, ConcurrentMachine};
-use simx::{ShardedMachine, SystemConfig};
+use simx::IterationPlan;
+use simx::{ShardedMachine, SystemConfig, Topology};
 use stache::ProtocolConfig;
 use workloads::{run_sharded, small_suite, Workload};
 
@@ -71,6 +77,48 @@ fn shard_count_never_changes_output() {
     }
 }
 
+/// Everything both engines expose, compared.
+fn assert_same_run(name: &str, conc: &ConcurrentMachine, shar: &ShardedMachine) {
+    assert_eq!(
+        conc.trace().records(),
+        shar.trace().records(),
+        "{name}: trace records differ"
+    );
+    assert_eq!(conc.stats(), &shar.stats(), "{name}: stats differ");
+    assert_eq!(
+        conc.flight_events(),
+        shar.flight_events(),
+        "{name}: flight recorder differs"
+    );
+    assert_eq!(
+        conc.execution_time_ns(),
+        shar.execution_time_ns(),
+        "{name}: execution time differs"
+    );
+
+    // The sharded snapshot is a superset: every metric the
+    // concurrent engine exports appears with an identical value.
+    let csnap = conc.obs_snapshot();
+    let ssnap = shar.obs_snapshot();
+    for key in csnap.names() {
+        assert_eq!(
+            csnap.get(&key),
+            ssnap.get(&key),
+            "{name}: snapshot metric {key} differs"
+        );
+    }
+
+    // Final protocol state: identical per-block cache and directory
+    // pictures for every block the run touched.
+    for block in conc.touched_blocks() {
+        assert_eq!(
+            conc.cache_states_for(block),
+            shar.cache_states_for(block),
+            "{name}: cache states differ for {block:?}"
+        );
+    }
+}
+
 /// The sharded engine reproduces the concurrent engine's observable
 /// output exactly on every small-suite workload.
 #[test]
@@ -79,44 +127,58 @@ fn sharded_matches_concurrent_engine() {
         let name = cw.name();
         let conc = concurrent_run(cw.as_mut());
         let shar = sharded_run(sw.as_mut(), 4);
+        assert_same_run(name, &conc, &shar);
+    }
+}
 
-        assert_eq!(
-            conc.trace().records(),
-            shar.trace().records(),
-            "{name}: trace records differ"
-        );
-        assert_eq!(conc.stats(), &shar.stats(), "{name}: stats differ");
-        assert_eq!(
-            conc.flight_events(),
-            shar.flight_events(),
-            "{name}: flight recorder differs"
-        );
-        assert_eq!(
-            conc.execution_time_ns(),
-            shar.execution_time_ns(),
-            "{name}: execution time differs"
-        );
-
-        // The sharded snapshot is a superset: every metric the
-        // concurrent engine exports appears with an identical value.
-        let csnap = conc.obs_snapshot();
-        let ssnap = shar.obs_snapshot();
-        for key in csnap.names() {
-            assert_eq!(
-                csnap.get(&key),
-                ssnap.get(&key),
-                "{name}: snapshot metric {key} differs"
-            );
+/// The same identity on every protocol and fabric variant the engines
+/// accept, and with the flight recorder off on both (`recorder`), at
+/// shards 1 and 3.
+#[test]
+fn variants_match_across_engines() {
+    let paper = ProtocolConfig::paper;
+    let crossbar = SystemConfig::paper;
+    let limited = ProtocolConfig {
+        limited_pointers: Some(2),
+        ..paper()
+    };
+    let dash = ProtocolConfig {
+        half_migratory: false,
+        ..paper()
+    };
+    let mesh = crossbar().with_topology(Topology::Mesh2D { cols: 4 });
+    let ring = crossbar().with_topology(Topology::Ring);
+    let variants = [
+        ("limited_pointers", limited, crossbar(), true),
+        ("dash_downgrade", dash, crossbar(), true),
+        ("mesh", paper(), mesh, true),
+        ("ring", paper(), ring, true),
+        ("recorder_off", paper(), crossbar(), false),
+    ];
+    /// Feeds every iteration plan of `w` to `run_plan`.
+    fn drive(w: &mut dyn Workload, mut run_plan: impl FnMut(&IterationPlan, u32)) {
+        for it in 0..w.iterations() {
+            run_plan(&w.plan(it), it);
         }
-
-        // Final protocol state: identical per-block cache and directory
-        // pictures for every block the run touched.
-        for block in conc.touched_blocks() {
-            assert_eq!(
-                conc.cache_states_for(block),
-                shar.cache_states_for(block),
-                "{name}: cache states differ for {block:?}"
-            );
+    }
+    for (variant, proto, sys, recorder) in variants {
+        let suites = small_suite()
+            .into_iter()
+            .zip(small_suite())
+            .zip(small_suite());
+        for ((mut cw, w1), w3) in suites {
+            let name = format!("{variant}/{}", cw.name());
+            let mut conc = ConcurrentMachine::new(proto.clone(), sys.clone());
+            conc.set_ring_enabled(recorder);
+            drive(cw.as_mut(), |plan, it| conc.run_plan(plan, it).unwrap());
+            conc.verify_coherence().unwrap();
+            for (shards, mut w) in [(1, w1), (3, w3)] {
+                let mut shar = ShardedMachine::new(proto.clone(), sys.clone(), shards);
+                shar.set_ring_enabled(recorder);
+                drive(w.as_mut(), |plan, it| shar.run_plan(plan, it).unwrap());
+                shar.verify_coherence().unwrap();
+                assert_same_run(&format!("{name}@{shards}"), &conc, &shar);
+            }
         }
     }
 }

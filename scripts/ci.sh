@@ -146,13 +146,14 @@ echo "    tracepack CSV matches golden; trace bench JSON emitted"
 
 # Benchmark smoke: benchmark/ is a workspace of its own that tier-1 never
 # compiles, so a layer-crate API change can break the pipeline's build
-# unseen. Build and unit-test it, then run one pass of the hot-table and
-# the cold-stream scoring workloads and require every output check
+# unseen. Build and unit-test it, then run one pass of the hot-table, the
+# cold-stream and the 1024-node workloads and require every output check
 # (coherence, digests, scored totals, evaluate_cosmos cross-check) to
-# pass. Read-only use: nothing under benchmark/ is edited.
-echo "==> benchmark smoke (package tests + one pass of suite16, stream64)"
+# pass. scale1024 is the only place a 1024-node sharded core runs under
+# this gate. Read-only use: nothing under benchmark/ is edited.
+echo "==> benchmark smoke (package tests + one pass of suite16, stream64, scale1024)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for workload in suite16 stream64; do
+for workload in suite16 stream64 scale1024; do
   benchmark/run.sh --workload "$workload" --seed 0 --seconds 1 --trace 0 \
     | tail -n 1 > "$SMOKE_DIR/bench_$workload.json"
   grep -q '"failed": 0[,}]' "$SMOKE_DIR/bench_$workload.json" || {
