@@ -17,7 +17,6 @@
 use cosmos::{ConfidenceCosmos, MessagePredictor, PredTuple};
 use simx::{ForwardKind, SpeculationPolicy};
 use stache::{BlockAddr, MsgType, NodeId, Role};
-use std::collections::HashMap;
 use trace::MsgRecord;
 
 /// A speculation policy that arms all four protocol actions from one
@@ -28,8 +27,23 @@ pub struct SpeculatePolicy {
     depth: usize,
     /// Confidence required to act; `None` never acts (observe-only).
     threshold: Option<u8>,
-    directories: HashMap<NodeId, ConfidenceCosmos>,
-    caches: HashMap<NodeId, ConfidenceCosmos>,
+    /// Indexed by [`NodeId::index`]; an agent's predictor is created on
+    /// its first message.
+    directories: Vec<Option<ConfidenceCosmos>>,
+    caches: Vec<Option<ConfidenceCosmos>>,
+}
+
+/// The predictor at `node`'s slot of `fleet`, created on first use.
+fn agent(
+    fleet: &mut Vec<Option<ConfidenceCosmos>>,
+    node: NodeId,
+    depth: usize,
+) -> &mut ConfidenceCosmos {
+    let idx = node.index();
+    if idx >= fleet.len() {
+        fleet.resize_with(idx + 1, || None);
+    }
+    fleet[idx].get_or_insert_with(|| ConfidenceCosmos::new(depth, 0))
 }
 
 impl SpeculatePolicy {
@@ -40,8 +54,8 @@ impl SpeculatePolicy {
         SpeculatePolicy {
             depth,
             threshold,
-            directories: HashMap::new(),
-            caches: HashMap::new(),
+            directories: Vec::new(),
+            caches: Vec::new(),
         }
     }
 
@@ -51,17 +65,11 @@ impl SpeculatePolicy {
     }
 
     fn directory(&mut self, home: NodeId) -> &mut ConfidenceCosmos {
-        let depth = self.depth;
-        self.directories
-            .entry(home)
-            .or_insert_with(|| ConfidenceCosmos::new(depth, 0))
+        agent(&mut self.directories, home, self.depth)
     }
 
     fn cache(&mut self, node: NodeId) -> &mut ConfidenceCosmos {
-        let depth = self.depth;
-        self.caches
-            .entry(node)
-            .or_insert_with(|| ConfidenceCosmos::new(depth, 0))
+        agent(&mut self.caches, node, self.depth)
     }
 
     /// The confident prediction at `agent`, if any. The gate lives here —

@@ -52,7 +52,6 @@ pub mod confidence;
 pub mod directed;
 pub mod eval;
 pub mod evicting;
-pub mod fasthash;
 pub mod hybrid;
 pub mod lookahead;
 pub mod macroblock;
@@ -71,7 +70,6 @@ pub mod tuple;
 pub use confidence::ConfidenceCosmos;
 pub use eval::{AccuracyReport, Counts, EvalOptions, StreamEval, Verdict};
 pub use evicting::EvictingCosmos;
-pub use fasthash::{FastMap, FastSet, FxHasher};
 pub use hybrid::HybridCosmos;
 pub use lookahead::{evaluate_lookahead, LookaheadReport};
 pub use macroblock::MacroblockCosmos;
@@ -84,6 +82,12 @@ pub use predictor::{CosmosPredictor, TypeOnlyCosmos};
 pub use shared_pht::SharedPhtCosmos;
 pub use tage::{CosmosTageHybrid, TageConfig, TagePredictor};
 pub use tuple::PredTuple;
+
+// The table hasher lives in `stache`, beside the `BlockAddr` page stride it
+// was tuned for, so the engines key their tables with it too; this path is
+// kept for the predictor core and its callers.
+pub use stache::fasthash;
+pub use stache::fasthash::{FastMap, FastSet, FxHasher};
 
 use stache::BlockAddr;
 
@@ -177,5 +181,16 @@ mod tests {
         p.observe(block, t2);
         p.observe(block, t1);
         assert_eq!(p.predict(block), Some(t2));
+    }
+
+    /// `cosmos::fasthash` is `stache`'s module, not a copy: a map built
+    /// under one path is the other path's type.
+    #[test]
+    fn fasthash_is_the_stache_module_re_exported() {
+        let mut m: FastMap<BlockAddr, u8> = stache::fasthash::FastMap::default();
+        m.insert(BlockAddr::new(7), 1);
+        let same: &stache::fasthash::FastMap<BlockAddr, u8> = &m;
+        assert_eq!(same.get(&BlockAddr::new(7)), Some(&1));
+        let _: stache::fasthash::FxHasher = fasthash::FxHasher::default();
     }
 }

@@ -44,15 +44,16 @@ use obs::span::{SpanKind, SpanLog, TraceId};
 use obs::{Event as ObsEvent, EventRing, Severity};
 use stache::cache::{self, CacheAction};
 use stache::directory::{self};
+use stache::fasthash::{FastMap, FastSet};
 use stache::fingerprint::Fp;
-use stache::invariants::check_block;
+use stache::invariants::{check_block, InvariantViolation};
 use stache::placement::home_of_block;
 use stache::{
     BlockAddr, CacheState, DedupFilter, DirState, Msg, MsgType, NodeId, NodeSet, ProcOp,
     ProtocolConfig, ProtocolTally, RecoveryTally, RollbackTally,
 };
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use trace::{MsgRecord, TraceBundle, TraceMeta};
 
 /// A queued event.
@@ -293,10 +294,15 @@ pub struct ConcurrentMachine {
     /// stepping loop moves it into `queue` after every dispatch; a shard
     /// takes it instead.
     pub(crate) outbox: Vec<(u64, Event)>,
-    caches: Vec<HashMap<BlockAddr, CacheState>>,
-    pub(crate) dirs: HashMap<BlockAddr, DirState>,
-    txns: HashMap<BlockAddr, DirTxn>,
-    pending: HashMap<BlockAddr, VecDeque<PendingReq>>,
+    caches: Vec<FastMap<BlockAddr, CacheState>>,
+    pub(crate) dirs: FastMap<BlockAddr, DirState>,
+    /// Every block whose directory entry or a cache state was written
+    /// since the last barrier (repeats allowed) — all that can have
+    /// *become* incoherent, and what the next barrier audits. Fed by
+    /// `set_dir` and `set_cache_state`, the only writers.
+    pub(crate) dirty: Vec<BlockAddr>,
+    txns: FastMap<BlockAddr, DirTxn>,
+    pending: FastMap<BlockAddr, VecDeque<PendingReq>>,
     dir_busy: Vec<u64>,
     /// Per-node time at which the cache-side protocol handler frees up
     /// (invalidations and grants are software-handled too).
@@ -308,7 +314,7 @@ pub struct ConcurrentMachine {
     waiting: Vec<Option<(BlockAddr, ProcOp, u64)>>,
     pub(crate) trace: TraceBundle,
     stats: MachineStats,
-    overflowed: HashSet<BlockAddr>,
+    overflowed: FastSet<BlockAddr>,
     pub(crate) iteration: u32,
     /// The §4 speculation hook, if any.
     policy: Option<Box<dyn SpeculationPolicy>>,
@@ -361,10 +367,11 @@ impl ConcurrentMachine {
             sys,
             queue: EventQueue::new(),
             outbox: Vec::new(),
-            caches: vec![HashMap::new(); nodes],
-            dirs: HashMap::new(),
-            txns: HashMap::new(),
-            pending: HashMap::new(),
+            caches: vec![FastMap::default(); nodes],
+            dirs: FastMap::default(),
+            dirty: Vec::new(),
+            txns: FastMap::default(),
+            pending: FastMap::default(),
             dir_busy: vec![0; nodes],
             cache_busy: vec![0; nodes],
             clocks: vec![0; nodes],
@@ -372,7 +379,7 @@ impl ConcurrentMachine {
             waiting: vec![None; nodes],
             trace: TraceBundle::new(TraceMeta::new("unnamed", nodes, 0)),
             stats: MachineStats::default(),
-            overflowed: HashSet::new(),
+            overflowed: FastSet::default(),
             iteration: 0,
             policy: None,
             tally: ProtocolTally::new(),
@@ -589,6 +596,7 @@ impl ConcurrentMachine {
         } else {
             self.caches[node.index()].insert(block, s);
         }
+        self.dirty.push(block);
         self.ring.get_mut().push(
             ObsEvent::new(
                 self.clocks[node.index()],
@@ -616,6 +624,7 @@ impl ConcurrentMachine {
         self.tally
             .dir_transition(self.dirs.get(&block).unwrap_or(&DirState::Idle), &next);
         self.dirs.insert(block, next);
+        self.dirty.push(block);
     }
 
     fn record(&mut self, time: u64, msg: &Msg) {
@@ -752,7 +761,7 @@ impl ConcurrentMachine {
         self.iteration = iteration;
         for phase in &plan.phases {
             self.run_phase(phase)?;
-            self.barrier()?;
+            self.run_barrier()?;
         }
         Ok(())
     }
@@ -912,17 +921,6 @@ impl ConcurrentMachine {
         }
     }
 
-    /// Runs the inter-phase barrier explicitly (controlled-stepping
-    /// counterpart of the one [`run_plan`](Self::run_plan) inserts).
-    /// Call only when the queue is drained and no transaction is open.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invariant violations from the quiescent audit.
-    pub fn run_barrier(&mut self) -> Result<(), SimError> {
-        self.barrier()
-    }
-
     /// Directory transactions currently in flight.
     pub fn open_transactions(&self) -> usize {
         self.txns.len()
@@ -946,12 +944,12 @@ impl ConcurrentMachine {
 
     /// Every block any cache or directory entry has touched, ascending.
     pub fn touched_blocks(&self) -> Vec<BlockAddr> {
-        let mut blocks: HashSet<BlockAddr> = self.dirs.keys().copied().collect();
+        let mut blocks: Vec<BlockAddr> = self.dirs.keys().copied().collect();
         for c in &self.caches {
             blocks.extend(c.keys().copied());
         }
-        let mut blocks: Vec<BlockAddr> = blocks.into_iter().collect();
-        blocks.sort_by_key(|b| b.number());
+        blocks.sort_unstable();
+        blocks.dedup();
         blocks
     }
 
@@ -960,8 +958,8 @@ impl ConcurrentMachine {
     /// directory entry itself, so they are derived from it here, the same
     /// picture [`verify_coherence`](Self::verify_coherence) audits.
     pub fn cache_states_for(&self, block: BlockAddr) -> Vec<CacheState> {
-        let dir = self.dirs.get(&block).cloned().unwrap_or_default();
-        effective_cache_states(&self.proto, block, &dir, |n| self.cache_state(n, block))
+        let dir = self.dirs.get(&block).unwrap_or(&DirState::Idle);
+        effective_cache_states(&self.proto, block, dir, |n| self.cache_state(n, block)).collect()
     }
 
     /// Each node's duplicate-filter low-water mark (all zero on a perfect
@@ -1211,11 +1209,31 @@ impl ConcurrentMachine {
         Ok(())
     }
 
-    /// Barrier: quiescent by construction (the queue drained); audits the
-    /// invariants and synchronises clocks.
-    fn barrier(&mut self) -> Result<(), SimError> {
-        debug_assert!(self.txns.is_empty(), "transactions drained at barrier");
-        self.verify_coherence()?;
+    /// The inter-phase barrier [`run_plan`](Self::run_plan) inserts (and
+    /// controlled stepping calls itself, once the queue has drained):
+    /// audits the invariants and synchronises clocks.
+    ///
+    /// The audit covers the blocks written since the previous barrier,
+    /// ascending. A block's verdict depends only on its directory entry
+    /// and cache states, so every other block stands as the last barrier
+    /// left it: the first violation is the one the exhaustive
+    /// [`verify_coherence`](Self::verify_coherence) would report here.
+    ///
+    /// # Errors
+    ///
+    /// `StuckMessage` if a processor is still blocked or a transaction
+    /// still open; otherwise the audit's first violation.
+    pub fn run_barrier(&mut self) -> Result<(), SimError> {
+        check_drained(
+            &self.proto,
+            self.waiting_nodes().first().copied(),
+            self.open_transaction_blocks().first().copied(),
+        )?;
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        let audited = self.audit(self.dirty.iter().copied());
+        self.dirty.clear();
+        audited?;
         // Quiescent: every transaction's root span must have closed. A
         // leftover open span is a bug — flag it rather than losing it.
         if self.spans.is_enabled() {
@@ -2118,7 +2136,7 @@ impl ConcurrentMachine {
         if self.policy.is_none()
             || self.txns.contains_key(&block)
             || self.pending.get(&block).is_some_and(|q| !q.is_empty())
-            || self.dirs.get(&block).cloned().unwrap_or_default() != DirState::Idle
+            || self.dirs.get(&block).is_some_and(|d| *d != DirState::Idle)
         {
             return;
         }
@@ -2303,47 +2321,64 @@ impl ConcurrentMachine {
     ///
     /// Returns the first violation found.
     pub fn verify_coherence(&self) -> Result<(), SimError> {
+        self.audit(self.touched_blocks())
+    }
+
+    /// Audits `blocks` in the order given, stopping at the first
+    /// violation.
+    fn audit(&self, blocks: impl IntoIterator<Item = BlockAddr>) -> Result<(), SimError> {
         let now = self.execution_time_ns();
-        for block in self.touched_blocks() {
-            let dir = self.dirs.get(&block).cloned().unwrap_or_default();
-            let states = self.cache_states_for(block);
-            audit_block(
-                block,
-                &dir,
-                &states,
-                &self.tally,
-                &mut self.ring.borrow_mut(),
-                now,
-            )?;
+        let mut ring = self.ring.borrow_mut();
+        let mut states = Vec::with_capacity(self.proto.nodes);
+        for block in blocks {
+            let dir = self.dirs.get(&block).unwrap_or(&DirState::Idle);
+            states.clear();
+            states.extend(effective_cache_states(&self.proto, block, dir, |n| {
+                self.cache_state(n, block)
+            }));
+            audit_block(block, dir, &states, &self.tally, &mut ring, now)?;
         }
         Ok(())
     }
 }
 
-/// Every node's effective cache state for `block`, indexed by node:
+/// The quiescence half of a barrier: with the event queue drained, a
+/// processor still blocked on a miss (`waiting`, lowest node) or a
+/// transaction still open (`open`, lowest block) will never complete —
+/// the phase was cut short, and no build profile may return `Ok` on it.
+pub(crate) fn check_drained(
+    proto: &ProtocolConfig,
+    waiting: Option<(NodeId, BlockAddr)>,
+    open: Option<BlockAddr>,
+) -> Result<(), SimError> {
+    match waiting.or_else(|| open.map(|b| (home_of_block(b, proto), b))) {
+        Some((node, block)) => Err(InvariantViolation::StuckMessage { block, node }.into()),
+        None => Ok(()),
+    }
+}
+
+/// Every node's effective cache state for `block`, in node order:
 /// `cache_state` for ordinary nodes, and for the home — which holds no
 /// cache entry of its own — the rights its directory entry `dir` implies.
-pub(crate) fn effective_cache_states(
+pub(crate) fn effective_cache_states<'a>(
     proto: &ProtocolConfig,
     block: BlockAddr,
-    dir: &DirState,
-    cache_state: impl Fn(NodeId) -> CacheState,
-) -> Vec<CacheState> {
+    dir: &'a DirState,
+    cache_state: impl Fn(NodeId) -> CacheState + 'a,
+) -> impl Iterator<Item = CacheState> + 'a {
     let home = home_of_block(block, proto);
-    (0..proto.nodes)
-        .map(|i| {
-            let n = NodeId::new(i);
-            if n != home {
-                cache_state(n)
-            } else if dir.node_writable(n) {
-                CacheState::Exclusive
-            } else if dir.node_readable(n) {
-                CacheState::Shared
-            } else {
-                CacheState::Invalid
-            }
-        })
-        .collect()
+    (0..proto.nodes).map(move |i| {
+        let n = NodeId::new(i);
+        if n != home {
+            cache_state(n)
+        } else if dir.node_writable(n) {
+            CacheState::Exclusive
+        } else if dir.node_readable(n) {
+            CacheState::Shared
+        } else {
+            CacheState::Invalid
+        }
+    })
 }
 
 /// Audits one block's full-map/SWMR invariants, counting the check in
@@ -2593,6 +2628,117 @@ mod tests {
         // finish_txn sent node 1's grant before it started the bad request.
         assert!(m.outbox.is_empty());
         assert_eq!(m.pending_labels(), ["deliver get_ro_response P0->P1 B0"]);
+    }
+
+    /// Invariant checks performed so far.
+    fn checks(m: &ConcurrentMachine) -> u64 {
+        m.tally().invariant_checks()
+    }
+
+    #[test]
+    fn a_barrier_audits_exactly_the_blocks_written_since_the_last_one() {
+        let (b0, b1, b2) = (BlockAddr::new(0), BlockAddr::new(64), BlockAddr::new(128));
+        let plan = plan_of(vec![
+            // Two blocks written (b1 by its own home: a directory write only).
+            vec![Access::read(n(1), b0), Access::write(n(1), b1)],
+            // b0 again, twice, and a third block: two distinct blocks.
+            vec![
+                Access::read(n(2), b0),
+                Access::write(n(3), b0),
+                Access::read(n(4), b2),
+            ],
+            // Hits only: nothing is written.
+            vec![Access::read(n(3), b0), Access::read(n(4), b2)],
+        ]);
+        let mut m = machine();
+        let mut per_barrier = Vec::new();
+        for phase in &plan.phases {
+            m.begin_phase(phase);
+            while m.step_rank(0).unwrap() {}
+            let before = checks(&m);
+            m.run_barrier().unwrap();
+            per_barrier.push(checks(&m) - before);
+            assert!(m.dirty.is_empty(), "the barrier consumed the list");
+        }
+        assert_eq!(per_barrier, [2, 2, 0]);
+        // Nothing happened since: a second barrier has nothing to prove.
+        let before = checks(&m);
+        m.run_barrier().unwrap();
+        assert_eq!(checks(&m), before);
+        // The exhaustive audit still walks all three blocks.
+        m.verify_coherence().unwrap();
+        assert_eq!(checks(&m), before + 3);
+        // And `run_plan`'s barriers are these: same total on a fresh run.
+        let mut whole = machine();
+        whole.run_plan(&plan, 0).unwrap();
+        assert_eq!(checks(&whole), 4);
+    }
+
+    /// The audit's work list is fed by the two state writers and nothing
+    /// else, so each must feed it on its own: a write with no transaction
+    /// around it — what a buggy handler would do — is caught by the next
+    /// barrier exactly as the exhaustive audit catches it.
+    #[test]
+    fn a_lone_cache_or_directory_write_is_audited_at_the_next_barrier() {
+        let b = BlockAddr::new(0);
+        let corruptions: [fn(&mut ConcurrentMachine, BlockAddr); 2] = [
+            |m, b| m.set_cache_state(n(3), b, CacheState::Exclusive),
+            |m, b| m.set_dir(b, DirState::Idle),
+        ];
+        for corrupt in corruptions {
+            let mut m = machine();
+            m.run_plan(&plan_of(vec![vec![Access::read(n(1), b)]]), 0)
+                .unwrap();
+            assert!(m.dirty.is_empty());
+            corrupt(&mut m, b);
+            let exhaustive = m.verify_coherence();
+            assert!(matches!(exhaustive, Err(SimError::Invariant(_))));
+            assert_eq!(m.run_barrier(), exhaustive);
+        }
+    }
+
+    /// A phase that goes quiet with a processor still blocked was cut
+    /// short; the barrier must say so in every build profile. Here the
+    /// grant is dropped and the retransmission timer never fires.
+    #[test]
+    fn a_barrier_refuses_a_stuck_waiter_instead_of_truncating_the_phase() {
+        use crate::fault::{FaultInjector, FaultPlan, ForcedFault};
+        let b = BlockAddr::new(0);
+        let mut m = machine();
+        let mut inj = FaultInjector::new(FaultPlan::default());
+        // Delivery 0 is the request, delivery 1 the grant.
+        inj.force(1, ForcedFault::Drop);
+        m.set_fault_injector(inj);
+        let mut phase = Phase::new(16);
+        phase.push(Access::read(n(1), b));
+        phase.push(Access::read(n(1), BlockAddr::new(64)));
+        m.begin_phase(&phase);
+        while let Some((t, ev)) = m.queue.pop() {
+            if !matches!(ev, Event::RetryCheck { .. }) {
+                m.step(t, ev).unwrap();
+            }
+        }
+        assert_eq!(m.open_transactions(), 0, "the home did its part");
+        assert_eq!(
+            m.scripts[1].len(),
+            1,
+            "node 1 never reached its second read"
+        );
+        let stuck = SimError::from(InvariantViolation::StuckMessage {
+            block: b,
+            node: n(1),
+        });
+        assert_eq!(m.run_barrier(), Err(stuck));
+        // An open transaction with no waiter is reported at its home.
+        let proto = ProtocolConfig::paper();
+        assert_eq!(
+            check_drained(&proto, None, Some(BlockAddr::new(64))),
+            Err(SimError::from(InvariantViolation::StuckMessage {
+                block: BlockAddr::new(64),
+                node: n(1),
+            }))
+        );
+        assert_eq!(check_drained(&proto, None, None), Ok(()));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The simulated machine: caches + directories + network + trace capture.
 
+use crate::concurrent::{audit_block, effective_cache_states};
 use crate::config::SystemConfig;
 use crate::fault::{FaultInjector, FaultPlan, FaultTally};
 use crate::stats::MachineStats;
@@ -7,14 +8,14 @@ use obs::span::{SpanKind, SpanLog, TraceId};
 use obs::{Event, EventRing, Severity};
 use stache::cache::{self, CacheAction};
 use stache::directory::{self, DirOutcome};
-use stache::invariants::{check_block, InvariantViolation};
+use stache::fasthash::{FastMap, FastSet};
+use stache::invariants::InvariantViolation;
 use stache::placement::home_of_block;
 use stache::{
     BlockAddr, CacheState, DedupFilter, DirState, MsgType, NodeId, NodeSet, ProcOp, ProtocolConfig,
     ProtocolError, ProtocolTally, RecoveryTally, RollbackTally,
 };
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use trace::{MsgRecord, TraceBundle, TraceMeta};
@@ -228,19 +229,19 @@ pub struct Machine {
     proto: ProtocolConfig,
     sys: SystemConfig,
     /// Per node: cache state of remotely-homed blocks it has touched.
-    caches: Vec<HashMap<BlockAddr, CacheState>>,
+    caches: Vec<FastMap<BlockAddr, CacheState>>,
     /// Directory entries (at each block's home), created on first touch.
-    dirs: HashMap<BlockAddr, DirState>,
+    dirs: FastMap<BlockAddr, DirState>,
     /// Per-node local clocks (ns).
     clocks: Vec<u64>,
     trace: TraceBundle,
     stats: MachineStats,
     /// Value each remote cache holds (write stamps).
-    cache_values: Vec<HashMap<BlockAddr, u64>>,
+    cache_values: Vec<FastMap<BlockAddr, u64>>,
     /// Memory's current value per block.
-    mem_values: HashMap<BlockAddr, u64>,
+    mem_values: FastMap<BlockAddr, u64>,
     /// Globally most recent write per block — the oracle for stale-read checks.
-    last_written: HashMap<BlockAddr, u64>,
+    last_written: FastMap<BlockAddr, u64>,
     next_stamp: u64,
     /// When true, the full-map/SWMR invariants are audited after every
     /// transaction (slow; used by tests).
@@ -250,7 +251,7 @@ pub struct Machine {
     /// Blocks whose limited-pointer directory entry has lost precision
     /// (sharer count exceeded the pointer budget). Only populated when
     /// [`ProtocolConfig::limited_pointers`] is `Some`.
-    overflowed: HashSet<BlockAddr>,
+    overflowed: FastSet<BlockAddr>,
     /// Per-node time at which the (software) directory handler is next
     /// free. Stache runs protocol handlers in software (§2.1), so a busy
     /// home serialises incoming requests — requests arriving early wait.
@@ -287,18 +288,18 @@ impl Machine {
         Machine {
             proto,
             sys,
-            caches: vec![HashMap::new(); nodes],
-            dirs: HashMap::new(),
+            caches: vec![FastMap::default(); nodes],
+            dirs: FastMap::default(),
             clocks: vec![0; nodes],
             trace: TraceBundle::new(TraceMeta::new("unnamed", nodes, 0)),
             stats: MachineStats::default(),
-            cache_values: vec![HashMap::new(); nodes],
-            mem_values: HashMap::new(),
-            last_written: HashMap::new(),
+            cache_values: vec![FastMap::default(); nodes],
+            mem_values: FastMap::default(),
+            last_written: FastMap::default(),
             next_stamp: 0,
             paranoid: false,
             policy: None,
-            overflowed: HashSet::new(),
+            overflowed: FastSet::default(),
             dir_busy: vec![0; nodes],
             tally: ProtocolTally::new(),
             ring: RefCell::new(EventRing::default()),
@@ -1388,41 +1389,18 @@ impl Machine {
     ///
     /// Returns the violation, if any.
     pub fn verify_block(&self, block: BlockAddr) -> Result<(), SimError> {
-        self.tally.count_invariant_check();
-        let home = home_of_block(block, &self.proto);
-        let dir = self.dirs.get(&block).cloned().unwrap_or_default();
-        let states: Vec<CacheState> = (0..self.proto.nodes)
-            .map(|i| {
-                let n = NodeId::new(i);
-                if n == home {
-                    // The home's effective state is derived from the entry.
-                    if dir.node_writable(n) {
-                        CacheState::Exclusive
-                    } else if dir.node_readable(n) {
-                        CacheState::Shared
-                    } else {
-                        CacheState::Invalid
-                    }
-                } else {
-                    self.cache_state(n, block)
-                }
-            })
-            .collect();
-        check_block(block, &dir, &states).map_err(|v| {
-            self.tally.count_invariant_failure();
-            let mut ev = Event::new(
-                self.execution_time_ns(),
-                Severity::Error,
-                "invariant.failure",
-            )
-            .block(block.number())
-            .msg(v.kind_name());
-            if let Some(n) = v.node() {
-                ev = ev.node(n.raw());
-            }
-            self.ring.borrow_mut().push(ev);
-            SimError::from(v)
-        })
+        let dir = self.dirs.get(&block).unwrap_or(&DirState::Idle);
+        let states: Vec<CacheState> =
+            effective_cache_states(&self.proto, block, dir, |n| self.cache_state(n, block))
+                .collect();
+        audit_block(
+            block,
+            dir,
+            &states,
+            &self.tally,
+            &mut self.ring.borrow_mut(),
+            self.execution_time_ns(),
+        )
     }
 
     /// Audits every block ever touched.
@@ -1431,10 +1409,12 @@ impl Machine {
     ///
     /// Returns the first violation found.
     pub fn verify_coherence(&self) -> Result<(), SimError> {
-        let mut blocks: HashSet<BlockAddr> = self.dirs.keys().copied().collect();
+        let mut blocks: Vec<BlockAddr> = self.dirs.keys().copied().collect();
         for c in &self.caches {
             blocks.extend(c.keys().copied());
         }
+        blocks.sort_unstable();
+        blocks.dedup();
         for b in blocks {
             self.verify_block(b)?;
         }

@@ -60,7 +60,9 @@
 //! the one remaining engine with a private copy of the protocol steps.
 
 use crate::arena::{Arena, ArenaId};
-use crate::concurrent::{audit_block, effective_cache_states, ConcurrentMachine, Event};
+use crate::concurrent::{
+    audit_block, check_drained, effective_cache_states, ConcurrentMachine, Event,
+};
 use crate::config::SystemConfig;
 use crate::driver::{IterationPlan, Phase};
 use crate::machine::SimError;
@@ -357,13 +359,15 @@ impl ShardedMachine {
     }
 
     /// Turns the per-barrier coherence audit off (or back on). The audit
-    /// walks every touched block at every barrier — exhaustive and right
-    /// for protocol validation, but O(blocks × nodes × barriers) and so
-    /// unaffordable at millions of blocks. Scale runs disable it and
-    /// finish with one [`verify_coherence_sampled`]
+    /// covers the blocks written since the previous barrier — O(blocks
+    /// written in the phase × nodes), no longer the O(every touched
+    /// block) per barrier this knob was added to escape. It stays only
+    /// because the scale drivers (`benchmark/`, `repro scale`) call it
+    /// and audits-on at 1.67 M blocks has not been measured; they finish
+    /// with one [`verify_coherence_sampled`]
     /// (Self::verify_coherence_sampled) sweep instead. Note the audit
-    /// feeds `stache.invariant.checks`, so snapshots are only comparable
-    /// between runs using the same audit setting.
+    /// feeds `stache.invariant.checks` (checks performed), so snapshots
+    /// are only comparable between runs using the same setting.
     pub fn set_audit_barriers(&mut self, audit: bool) {
         self.audit_barriers = audit;
     }
@@ -463,6 +467,7 @@ impl ShardedMachine {
         effective_cache_states(&self.proto, block, &self.dir_state(block), |n| {
             self.cache_state(n, block)
         })
+        .collect()
     }
 
     /// The directory entry for `block` (`Idle` if never touched).
@@ -650,16 +655,30 @@ impl ShardedMachine {
         }
     }
 
-    /// Barrier: quiescent by construction; audits the invariants and
-    /// synchronises clocks.
+    /// Barrier: audits the invariants over the blocks any core wrote
+    /// since the previous barrier (the sequential engine's set and
+    /// order) and synchronises clocks.
     fn barrier(&mut self) -> Result<(), SimError> {
-        debug_assert!(
-            self.shards.iter().all(|s| s.core.open_transactions() == 0),
-            "transactions drained at barrier"
-        );
-        if self.audit_barriers {
-            self.verify_coherence()?;
+        let cores = || self.shards.iter().map(|s| &s.core);
+        check_drained(
+            &self.proto,
+            cores().find_map(|c| c.waiting_nodes().first().copied()),
+            cores()
+                .filter_map(|c| c.open_transaction_blocks().first().copied())
+                .min(),
+        )?;
+        // Emptied even when not audited: a scale run must not hoard them.
+        let mut written = Vec::new();
+        for s in &mut self.shards {
+            if self.audit_barriers {
+                written.append(&mut s.core.dirty);
+            } else {
+                s.core.dirty.clear();
+            }
         }
+        written.sort_unstable();
+        written.dedup();
+        self.audit_blocks(written)?;
         let max = self.execution_time_ns();
         for s in &mut self.shards {
             s.core.clocks.fill(max + self.sys.barrier_ns);
@@ -680,7 +699,7 @@ impl ShardedMachine {
             .iter()
             .flat_map(|s| s.core.touched_blocks())
             .collect();
-        blocks.sort_by_key(|b| b.number());
+        blocks.sort_unstable();
         blocks.dedup();
         self.audit_blocks(blocks)
     }
@@ -713,11 +732,16 @@ impl ShardedMachine {
         blocks: impl IntoIterator<Item = BlockAddr>,
     ) -> Result<(), SimError> {
         let now = self.execution_time_ns();
+        let core_of = |n: NodeId| &self.shards[n.index() / self.chunk].core;
+        let mut states = Vec::with_capacity(self.proto.nodes);
         for block in blocks {
-            let dir = self.dir_state(block);
-            let states =
-                effective_cache_states(&self.proto, block, &dir, |n| self.cache_state(n, block));
-            audit_block(block, &dir, &states, &self.coord_tally, &mut self.ring, now)?;
+            let home = home_of_block(block, &self.proto);
+            let dir = core_of(home).dirs.get(&block).unwrap_or(&DirState::Idle);
+            states.clear();
+            states.extend(effective_cache_states(&self.proto, block, dir, |n| {
+                core_of(n).cache_state(n, block)
+            }));
+            audit_block(block, dir, &states, &self.coord_tally, &mut self.ring, now)?;
         }
         Ok(())
     }
@@ -808,6 +832,43 @@ mod tests {
             "the two coherence messages are still counted"
         );
     }
+
+    /// With barrier audits off nothing reads the cores' written-block
+    /// lists, so the barrier must still empty them: a scale run's memory
+    /// may not grow with the number of writes it has made.
+    #[test]
+    fn unaudited_barriers_still_empty_the_written_block_lists() {
+        let block = |i: usize| BlockAddr::new(64 * ((i + 5) % 16) as u64);
+        let plan = plan_of(vec![
+            (1..=12).map(|i| Access::write(n(i), block(i))).collect(),
+            (1..=12).map(|i| Access::rmw(n(i), block(i + 1))).collect(),
+        ]);
+        for shards in [1, 3] {
+            let mut m = ShardedMachine::new(ProtocolConfig::paper(), SystemConfig::paper(), shards);
+            m.set_audit_barriers(false);
+            m.begin_phase(&plan.phases[0]);
+            while let Some(floor) = m.min_pending() {
+                m.run_windows(floor + m.lookahead).unwrap();
+                m.replay_windows();
+            }
+            assert!(
+                m.shards.iter().any(|s| !s.core.dirty.is_empty()),
+                "shards {shards}: the phase wrote blocks"
+            );
+            m.barrier().unwrap();
+            m.run_plan(&plan, 1).unwrap();
+            for s in &m.shards {
+                assert!(s.core.dirty.is_empty(), "shards {shards}: {:?}", s.nodes);
+            }
+            assert_eq!(m.tally().invariant_checks(), 0, "nothing was audited");
+            // Audits on: the lists are consumed, not merely dropped.
+            m.set_audit_barriers(true);
+            m.run_plan(&plan, 2).unwrap();
+            assert!(m.shards.iter().all(|s| s.core.dirty.is_empty()));
+            assert!(m.tally().invariant_checks() > 0);
+        }
+    }
+
     /// The seam windows rest on: whatever a core schedules is handed
     /// over in full (its own queue and outbox stay empty) and every
     /// event a shard holds — before and after the coordinator routes the

@@ -6,7 +6,6 @@ use crate::concurrent::ConcurrentMachine;
 use crate::machine::SimError;
 use crate::speculate::EagerPolicy;
 use stache::invariants::{check_swmr, check_watermark, InvariantViolation};
-use stache::placement::home_of_block;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -158,18 +157,8 @@ pub(crate) fn run_schedule(
                 return violation(SimError::from(v), sched, labels);
             }
         }
-        // Quiescent inside the phase: nothing in flight may be stuck.
-        // These checks precede the barrier, whose audit assumes a clean
-        // drain (transactions closed, every waiter granted).
-        if let Some(&(node, block)) = m.waiting_nodes().first() {
-            let v = InvariantViolation::StuckMessage { block, node };
-            return violation(SimError::from(v), sched, labels);
-        }
-        if let Some(&block) = m.open_transaction_blocks().first() {
-            let node = home_of_block(block, &cfg.proto);
-            let v = InvariantViolation::StuckMessage { block, node };
-            return violation(SimError::from(v), sched, labels);
-        }
+        // Quiescent: the barrier refuses a stuck waiter or open
+        // transaction, then audits.
         if let Err(e) = m.run_barrier() {
             return violation(e, sched, labels);
         }

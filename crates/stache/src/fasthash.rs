@@ -1,8 +1,9 @@
-//! A hand-rolled FxHash-style hasher for the predictor's hot tables.
+//! A hand-rolled FxHash-style hasher for the hot block-keyed tables: the
+//! predictor core's and the execution engines'.
 //!
-//! The predictor core keys every table by small fixed-width integers — a
-//! packed history (`u64`), a [`BlockAddr`](stache::BlockAddr) (one `u64`),
-//! or a pair of the two. `std`'s default SipHash is DoS-resistant but costs
+//! Both key every table by small fixed-width integers — a packed history
+//! (`u64`), a [`BlockAddr`](crate::BlockAddr) (one `u64`), or a pair of
+//! the two. `std`'s default SipHash is DoS-resistant but costs
 //! tens of cycles per probe, which dominates the eval loop; these keys are
 //! program-internal (never attacker-controlled), so the multiply-xor hash
 //! used by rustc's own tables (`FxHash`) is the right trade. The repo policy

@@ -43,6 +43,7 @@ pub mod cache;
 pub mod config;
 pub mod directory;
 pub mod error;
+pub mod fasthash;
 pub mod fingerprint;
 pub mod ids;
 pub mod invariants;

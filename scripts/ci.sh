@@ -118,14 +118,22 @@ echo "    scale CSV matches golden; throughput JSON emitted"
 # (drop=0.01,dup=0.005,reorder=3), so this exercises prediction-actioned
 # grants, self-invalidations, early acks, forwarding pushes, and the
 # rollback/recovery paths end to end — and diff the CSV against its
-# golden byte for byte.
-echo "==> speculation smoke (speedup report + golden CSV diff)"
+# golden byte for byte. Timed like the table smoke: the target is all
+# ConcurrentMachine runs, and its wall is printed so that a barrier audit
+# gone back to walking every touched block shows in the log — faintly at
+# this scale (≈ 170–210 ms against ≈ 120–160 ms); the paper-scale tripwire
+# is the spec16 pass below, ≈ 11 s against ≈ 1 s.
+echo "==> speculation smoke (speedup report + golden CSV diff, timed)"
 cargo run -q --release --offline -p bench-suite --bin repro -- \
-  --small --csv "$SMOKE_DIR" speedup > /dev/null
+  --small --csv "$SMOKE_DIR" --bench-json "$SMOKE_DIR/BENCH_speedup.json" \
+  speedup > /dev/null
 diff -u crates/bench-suite/tests/golden/speedup_small.csv "$SMOKE_DIR/speedup.csv"
 grep -q '"stache.rollback.pushes"' "$SMOKE_DIR/speedup_obs.json"
 grep -q '"stache.rollback.early_acks"' "$SMOKE_DIR/speedup_obs.json"
+SPEEDUP_NS="$(sed -n 's/.*"bench\.phase\.speedup_ns":\([0-9]*\).*/\1/p' "$SMOKE_DIR/BENCH_speedup.json")"
+test -n "$SPEEDUP_NS"
 echo "    speedup CSV matches golden; rollback obs JSON emitted"
+echo "    repro --small speedup wall: $((SPEEDUP_NS / 1000000)) ms"
 
 # Packed-trace smoke: run the streaming pack/sample pipeline at small
 # scale and diff the deterministic CSV against its golden. The CSV pins
@@ -147,13 +155,16 @@ echo "    tracepack CSV matches golden; trace bench JSON emitted"
 # Benchmark smoke: benchmark/ is a workspace of its own that tier-1 never
 # compiles, so a layer-crate API change can break the pipeline's build
 # unseen. Build and unit-test it, then run one pass of the hot-table, the
-# cold-stream and the 1024-node workloads and require every output check
-# (coherence, digests, scored totals, evaluate_cosmos cross-check) to
-# pass. scale1024 is the only place a 1024-node sharded core runs under
-# this gate. Read-only use: nothing under benchmark/ is edited.
-echo "==> benchmark smoke (package tests + one pass of suite16, stream64, scale1024)"
+# speculating-engine, the cold-stream and the 1024-node workloads and
+# require every output check (coherence, digests, scored totals,
+# evaluate_cosmos cross-check) to pass. scale1024 is the only place a
+# 1024-node sharded core runs under this gate, spec16 the only place the
+# paper-scale speculative engine does (a pass is ~1 s now that barrier
+# audits cost what the phase wrote). Read-only use: nothing under
+# benchmark/ is edited.
+echo "==> benchmark smoke (package tests + one pass of suite16, spec16, stream64, scale1024)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for workload in suite16 stream64 scale1024; do
+for workload in suite16 spec16 stream64 scale1024; do
   benchmark/run.sh --workload "$workload" --seed 0 --seconds 1 --trace 0 \
     | tail -n 1 > "$SMOKE_DIR/bench_$workload.json"
   grep -q '"failed": 0[,}]' "$SMOKE_DIR/bench_$workload.json" || {
@@ -161,7 +172,7 @@ for workload in suite16 stream64 scale1024; do
     cat "$SMOKE_DIR/bench_$workload.json" >&2
     exit 1
   }
-  echo "    $workload: failed 0"
+  echo "    $workload: failed 0, pass wall_s $(sed -n 's/.*"wall_s": {"value": \([0-9.]*\).*/\1/p' "$SMOKE_DIR/bench_$workload.json")"
 done
 
 # Proptest seed promotion: every saved counterexample hash in a
