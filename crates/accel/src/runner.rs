@@ -202,7 +202,7 @@ pub struct ActionAudit {
 
 /// Replays a [`CosmosPolicy`](crate::CosmosPolicy)-equivalent fleet over a
 /// finished run's trace — the same per-`(node, role)` agent layout
-/// [`cosmos::record_verdicts`] uses — and counts the actions the live
+/// [`cosmos::eval::record_verdicts`] uses — and counts the actions the live
 /// policy fired, from the recorded messages alone.
 ///
 /// The live policy trains on exactly the receptions the trace records, in

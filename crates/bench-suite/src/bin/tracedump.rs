@@ -46,12 +46,18 @@ fn main() -> ExitCode {
             } else {
                 Scale::Paper
             };
-            let bundle = single_trace(
+            let bundle = match single_trace(
                 &args[1],
                 scale,
                 ProtocolConfig::paper(),
                 SystemConfig::paper(),
-            );
+            ) {
+                Ok(bundle) => bundle,
+                Err(e) => {
+                    eprintln!("tracedump gen: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             if let Err(e) = trace_io::write_file(&args[2], &bundle) {
                 eprintln!("writing {}: {e}", args[2]);
                 return ExitCode::FAILURE;

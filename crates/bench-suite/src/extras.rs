@@ -1,14 +1,12 @@
 //! Beyond the numbered artefacts: the paper's prose claims and the
 //! design-choice ablations DESIGN.md calls out.
 
+use crate::contenders::by_label;
 use crate::traces::{single_trace, Scale, TraceSet};
-use cosmos::directed::{
-    Composition, DsiPredictor, LastTuple, MigratoryPredictor, MostCommon, RmwPredictor,
-};
 use cosmos::eval::{evaluate, evaluate_cosmos, EvalOptions};
-use cosmos::{CosmosPredictor, MessagePredictor, TypeOnlyCosmos};
+use cosmos::TypeOnlyCosmos;
 use simx::SystemConfig;
-use stache::{NodeId, ProtocolConfig, Role};
+use stache::ProtocolConfig;
 use std::fmt::Write as _;
 
 /// §5's claim: accuracy is largely insensitive to network latency (40 ns
@@ -24,7 +22,7 @@ pub fn latency_sensitivity(scale: Scale, latencies_ns: &[u64]) -> Vec<(String, V
         let name = names[i / cols];
         let lat = latencies_ns[i % cols];
         let sys = SystemConfig::paper().with_network_latency(lat);
-        let t = single_trace(name, scale, ProtocolConfig::paper(), sys);
+        let t = single_trace(name, scale, ProtocolConfig::paper(), sys).expect("suite benchmark");
         evaluate_cosmos(&t, 1, 0).overall.percent()
     });
     names
@@ -82,28 +80,23 @@ pub fn render_adaptation(rows: &[(String, Option<u32>)]) -> String {
 /// §7's comparison: Cosmos (depths 1 and 3) against every directed
 /// predictor and the baselines, overall accuracy per benchmark.
 pub fn comparison(set: &TraceSet) -> Vec<(String, Vec<(String, f64)>)> {
-    // Plain fn pointers (capture nothing) so the contender table is
-    // `Sync` and the (benchmark × predictor) grid can fan out as one
-    // sweep cell per evaluation.
-    type Factory = fn(NodeId, Role) -> Box<dyn MessagePredictor>;
-    let contenders: &[(&str, Factory)] = &[
-        ("cosmos-d1", |_, _| Box::new(CosmosPredictor::new(1, 0))),
-        ("cosmos-d3", |_, _| Box::new(CosmosPredictor::new(3, 0))),
-        ("migratory", |_, role| {
-            Box::new(MigratoryPredictor::new(role))
-        }),
-        ("self-inval", |_, role| Box::new(DsiPredictor::new(role))),
-        ("rmw", |_, role| Box::new(RmwPredictor::new(role))),
-        ("composition", |_, role| Box::new(Composition::new(role))),
-        ("last-tuple", |_, _| Box::new(LastTuple::new())),
-        ("most-common", |_, _| Box::new(MostCommon::new())),
-    ];
+    let contenders = [
+        "cosmos-d1",
+        "cosmos-d3",
+        "migratory",
+        "self-inval",
+        "rmw",
+        "composition",
+        "last-tuple",
+        "most-common",
+    ]
+    .map(|label| (label, by_label(label)));
     let cols = contenders.len();
     let traces = set.traces();
     let cells = crate::par::sweep(traces.len() * cols, |i| {
         let t = &traces[i / cols];
         let (name, factory) = contenders[i % cols];
-        let r = evaluate(t, &EvalOptions::default(), |n, role| factory(n, role));
+        let r = evaluate(t, &EvalOptions::default(), factory);
         (name.to_string(), r.overall.percent())
     });
     traces
@@ -190,7 +183,7 @@ pub fn ablation_sender(set: &TraceSet) -> String {
         "benchmark", "full tuple", "type-only"
     );
     for t in set.traces() {
-        let full = evaluate_cosmos(t, 1, 0);
+        let full = evaluate(t, &EvalOptions::default(), by_label("cosmos-d1"));
         let type_only = evaluate(
             t,
             &EvalOptions {
@@ -215,35 +208,24 @@ pub fn ablation_sender(set: &TraceSet) -> String {
 /// preallocated-PHT memory layout (§3.7) — against plain Cosmos at
 /// depth 2, reporting accuracy, coverage, and table sizes.
 pub fn variants(set: &TraceSet) -> String {
-    use cosmos::{ConfidenceCosmos, MacroblockCosmos, PreallocCosmos};
-    type Factory = Box<dyn Fn() -> Box<dyn MessagePredictor>>;
-    let contenders: Vec<(&str, Factory)> = vec![
-        ("cosmos", Box::new(|| Box::new(CosmosPredictor::new(2, 0)))),
-        (
-            "macro x4",
-            Box::new(|| Box::new(MacroblockCosmos::new(2, 0, 2))),
-        ),
-        (
-            "macro x16",
-            Box::new(|| Box::new(MacroblockCosmos::new(2, 0, 4))),
-        ),
-        (
-            "conf>=2",
-            Box::new(|| Box::new(ConfidenceCosmos::new(2, 2))),
-        ),
-        (
-            "prealloc",
-            Box::new(|| Box::new(PreallocCosmos::paper(2, 256))),
-        ),
-        (
-            "shared 4k",
-            Box::new(|| Box::new(cosmos::SharedPhtCosmos::new(2, 1, 12))),
-        ),
-        (
-            "hybrid 1+3",
-            Box::new(|| Box::new(cosmos::HybridCosmos::new(1, 3))),
-        ),
-    ];
+    let contenders = [
+        "cosmos-d2",
+        "macro x4",
+        "macro x16",
+        "conf>=2",
+        "prealloc",
+        "shared 4k",
+        "hybrid 1+3",
+    ]
+    .map(|label| {
+        // Plain Cosmos is the baseline column, headed just "cosmos".
+        let heading = if label == "cosmos-d2" {
+            "cosmos"
+        } else {
+            label
+        };
+        (heading, by_label(label))
+    });
     let mut out = String::from(
         "Variants: paper-sketched predictor extensions, depth 2.\n\
          acc = accuracy on all messages; cov = messages with a prediction\n\
@@ -265,8 +247,8 @@ pub fn variants(set: &TraceSet) -> String {
     out.push('\n');
     for t in set.traces() {
         let _ = write!(out, "{:<14}", t.meta().app);
-        for (_, factory) in &contenders {
-            let r = evaluate(t, &EvalOptions::default(), |_, _| factory());
+        for (_, factory) in contenders {
+            let r = evaluate(t, &EvalOptions::default(), factory);
             let offered = r.coverage.hits.max(1);
             let _ = write!(
                 out,
@@ -293,6 +275,7 @@ pub fn variants(set: &TraceSet) -> String {
 pub fn history_persistence(set: &TraceSet) -> String {
     use cosmos::EvictingCosmos;
     let caps = [usize::MAX, 512, 128, 32, 8];
+    let unbounded = by_label("cosmos-d2");
     let mut out = String::from(
         "History persistence (§3.7): depth-2 accuracy vs per-agent MHT\n\
          capacity (LRU; evicting a block discards its learned patterns)\n",
@@ -310,9 +293,9 @@ pub fn history_persistence(set: &TraceSet) -> String {
     for t in set.traces() {
         let _ = write!(out, "{:<14}", t.meta().app);
         for cap in caps {
-            let r = evaluate(t, &EvalOptions::default(), |_, _| {
+            let r = evaluate(t, &EvalOptions::default(), |node, role| {
                 if cap == usize::MAX {
-                    Box::new(CosmosPredictor::new(2, 0))
+                    unbounded(node, role)
                 } else {
                     Box::new(EvictingCosmos::new(2, 0, cap))
                 }
@@ -487,7 +470,8 @@ pub fn topology_sensitivity(scale: Scale) -> String {
     let cols = topologies.len();
     let cells = crate::par::sweep(names.len() * cols, |i| {
         let sys = SystemConfig::paper().with_topology(topologies[i % cols].1);
-        let t = single_trace(names[i / cols], scale, ProtocolConfig::paper(), sys);
+        let t = single_trace(names[i / cols], scale, ProtocolConfig::paper(), sys)
+            .expect("suite benchmark");
         evaluate_cosmos(&t, 1, 0).overall.percent()
     });
     for (r, name) in names.iter().enumerate() {

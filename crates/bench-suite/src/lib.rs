@@ -36,6 +36,7 @@
 //! machine-readable [`obs::Snapshot`] (`repro --obs-json`).
 
 pub mod bench_report;
+pub mod contenders;
 pub mod extras;
 pub mod faults;
 pub mod figures;

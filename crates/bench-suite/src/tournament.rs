@@ -6,7 +6,7 @@
 //! the two axes: each contender replays the identical trace set through
 //! [`cosmos::eval::evaluate`] and reports both its accuracy *and* the
 //! storage its fleet actually used, in bits, via
-//! [`MessagePredictor::storage_bits`]. Nothing is normalised in the
+//! [`cosmos::MessagePredictor::storage_bits`]. Nothing is normalised in the
 //! predictor's favour: a TAGE table pays for every entry of its fixed
 //! geometry whether occupied or not, while the map-based predictors pay
 //! per resident entry — exactly the hardware-vs-software trade each design
@@ -16,64 +16,32 @@
 //! baselines, TAGE-MP at three budget points, and the per-agent
 //! Cosmos-vs-TAGE tournament hybrid.
 
+use crate::contenders::{self, Factory};
 use crate::par;
 use crate::traces::TraceSet;
-use cosmos::directed::{
-    Composition, DsiPredictor, LastTuple, MigratoryPredictor, MostCommon, RmwPredictor,
-};
 use cosmos::eval::{evaluate, EvalOptions};
-use cosmos::{CosmosPredictor, CosmosTageHybrid, MessagePredictor, TageConfig, TagePredictor};
-use stache::Role;
 use std::fmt::Write as _;
 
-/// One contender family at one configuration point.
-#[derive(Debug, Clone)]
-enum Family {
-    Cosmos(usize),
-    Migratory,
-    Dsi,
-    Rmw,
-    Composition,
-    LastTuple,
-    MostCommon,
-    Tage(TageConfig),
-    Hybrid(TageConfig),
-}
+/// The field, in display order (labels of [`contenders::CONTENDERS`]).
+const FIELD: [&str; 14] = [
+    "cosmos-d1",
+    "cosmos-d2",
+    "cosmos-d3",
+    "cosmos-d4",
+    "migratory",
+    "self-inval",
+    "rmw",
+    "composition",
+    "last-tuple",
+    "most-common",
+    "tage-small",
+    "tage-mid",
+    "tage-large",
+    "cosmos+tage",
+];
 
-impl Family {
-    fn build(&self, role: Role) -> Box<dyn MessagePredictor> {
-        match self {
-            Family::Cosmos(depth) => Box::new(CosmosPredictor::new(*depth, 0)),
-            Family::Migratory => Box::new(MigratoryPredictor::new(role)),
-            Family::Dsi => Box::new(DsiPredictor::new(role)),
-            Family::Rmw => Box::new(RmwPredictor::new(role)),
-            Family::Composition => Box::new(Composition::new(role)),
-            Family::LastTuple => Box::new(LastTuple::new()),
-            Family::MostCommon => Box::new(MostCommon::new()),
-            Family::Tage(config) => Box::new(TagePredictor::new(config.clone())),
-            Family::Hybrid(config) => Box::new(CosmosTageHybrid::new(1, 0, config.clone())),
-        }
-    }
-}
-
-/// The fixed contender list, in display order.
-fn contenders() -> Vec<(&'static str, Family)> {
-    vec![
-        ("cosmos-d1", Family::Cosmos(1)),
-        ("cosmos-d2", Family::Cosmos(2)),
-        ("cosmos-d3", Family::Cosmos(3)),
-        ("cosmos-d4", Family::Cosmos(4)),
-        ("migratory", Family::Migratory),
-        ("self-inval", Family::Dsi),
-        ("rmw", Family::Rmw),
-        ("composition", Family::Composition),
-        ("last-tuple", Family::LastTuple),
-        ("most-common", Family::MostCommon),
-        ("tage-small", Family::Tage(TageConfig::small())),
-        ("tage-mid", Family::Tage(TageConfig::mid())),
-        ("tage-large", Family::Tage(TageConfig::large())),
-        ("cosmos+tage", Family::Hybrid(TageConfig::mid())),
-    ]
+fn contenders() -> [(&'static str, Factory); 14] {
+    FIELD.map(|label| (label, contenders::by_label(label)))
 }
 
 /// One `(contender, benchmark)` cell of the tournament.
@@ -146,9 +114,9 @@ pub fn tournament(set: &TraceSet) -> Vec<TournamentCell> {
     let traces = set.traces();
     let n = contenders.len() * traces.len();
     par::sweep(n, |i| {
-        let (name, family) = &contenders[i / traces.len()];
+        let (name, factory) = contenders[i / traces.len()];
         let trace = &traces[i % traces.len()];
-        let report = evaluate(trace, &EvalOptions::default(), |_, role| family.build(role));
+        let report = evaluate(trace, &EvalOptions::default(), factory);
         TournamentCell {
             app: trace.meta().app.clone(),
             predictor: name.to_string(),
@@ -374,7 +342,7 @@ mod tests {
         let cells = small_cells();
         // A TAGE fleet's bits are at least its fixed table geometry times
         // the number of agents that saw any traffic (here: ≥ 1 agent).
-        let small_bits = TageConfig::small().table_bits();
+        let small_bits = cosmos::TageConfig::small().table_bits();
         for c in cells.iter().filter(|c| c.predictor == "tage-small") {
             assert!(
                 c.storage_bits >= small_bits,

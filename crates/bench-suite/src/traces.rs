@@ -4,8 +4,9 @@
 //! traces, so the suite generates each benchmark's trace once (in
 //! parallel, one thread per benchmark) and shares it.
 
-use simx::SystemConfig;
+use simx::{SimError, SystemConfig};
 use stache::ProtocolConfig;
+use std::fmt;
 use trace::TraceBundle;
 use workloads::{paper_suite, run_to_trace, small_suite, Workload};
 
@@ -65,26 +66,71 @@ impl TraceSet {
     }
 }
 
+/// Why [`single_trace`] produced no trace.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceError {
+    /// The name is not one of the suite's benchmarks.
+    UnknownBenchmark {
+        /// The name asked for.
+        name: String,
+        /// The names the suite does have, in Table 4 row order.
+        valid: Vec<String>,
+    },
+    /// The benchmark ran and the simulation failed.
+    Run {
+        /// The benchmark that failed.
+        name: String,
+        /// The simulator's error.
+        source: SimError,
+    },
+}
+
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceError::UnknownBenchmark { name, valid } => {
+                write!(f, "unknown benchmark {name} (valid: {})", valid.join(", "))
+            }
+            TraceError::Run { name, source } => write!(f, "{name} failed: {source}"),
+        }
+    }
+}
+
+impl std::error::Error for TraceError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            TraceError::UnknownBenchmark { .. } => None,
+            TraceError::Run { source, .. } => Some(source),
+        }
+    }
+}
+
 /// Generates a single benchmark's trace by name on a custom configuration.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `name` is not one of the five benchmarks or the run fails.
+/// [`TraceError::UnknownBenchmark`] if `name` is not one of the five
+/// benchmarks, [`TraceError::Run`] if its simulation fails.
 pub fn single_trace(
     name: &str,
     scale: Scale,
     proto: ProtocolConfig,
     sys: SystemConfig,
-) -> TraceBundle {
-    let suite = match scale {
+) -> Result<TraceBundle, TraceError> {
+    let mut suite = match scale {
         Scale::Paper => paper_suite(),
         Scale::Small => small_suite(),
     };
-    let mut w: Box<dyn Workload> = suite
-        .into_iter()
-        .find(|w| w.name() == name)
-        .unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    run_to_trace(w.as_mut(), proto, sys).unwrap_or_else(|e| panic!("{name} failed: {e}"))
+    let Some(w) = suite.iter_mut().find(|w| w.name() == name) else {
+        return Err(TraceError::UnknownBenchmark {
+            name: name.to_string(),
+            valid: suite.iter().map(|w| w.name().to_string()).collect(),
+        });
+    };
+    run_to_trace(w.as_mut(), proto, sys).map_err(|source| TraceError::Run {
+        name: name.to_string(),
+        source,
+    })
 }
 
 #[cfg(test)]
@@ -113,7 +159,23 @@ mod tests {
             Scale::Small,
             ProtocolConfig::paper(),
             SystemConfig::paper(),
-        );
+        )
+        .expect("appbt is in the suite");
         assert_eq!(set.by_name("appbt").unwrap(), &solo);
+    }
+
+    #[test]
+    fn an_unknown_benchmark_is_an_error_naming_the_valid_ones() {
+        let err = single_trace(
+            "spice",
+            Scale::Small,
+            ProtocolConfig::paper(),
+            SystemConfig::paper(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown benchmark spice (valid: appbt, barnes, dsmc, moldyn, unstructured)"
+        );
     }
 }

@@ -1,6 +1,8 @@
 //! CLI contract tests for the `repro` binary's argument parsing: flags
 //! that expect a value must fail loudly when the value is missing, and
 //! unknown targets must exit non-zero instead of being silently skipped.
+//! One `tracedump` case rides along: an unknown benchmark is a one-line
+//! error, not a panic.
 
 use std::process::Command;
 
@@ -115,4 +117,23 @@ fn help_mentions_the_tournament_target() {
     let out = repro(&["--help"]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("tournament"));
+}
+
+// Regression: `tracedump gen spice out.trace` used to panic inside
+// `single_trace` (exit 101 and a backtrace) instead of reporting the typo.
+
+#[test]
+fn tracedump_gen_rejects_an_unknown_benchmark_without_panicking() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tracedump"))
+        .args(["gen", "spice", "/definitely/not/written.trace", "--small"])
+        .output()
+        .expect("spawn tracedump");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown benchmark spice")
+            && stderr.contains("appbt, barnes, dsmc, moldyn, unstructured"),
+        "stderr was {stderr:?}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr was {stderr:?}");
 }

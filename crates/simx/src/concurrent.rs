@@ -26,6 +26,10 @@
 //! (This engine keeps no data values; the read-sees-latest-write oracle
 //! is [`Machine::check_read`](crate::Machine).)
 //!
+//! [`ConcurrentMachine`] is also the crate's protocol *core* — the one
+//! store and its only writers (`set_dir`, `set_cache_state`, `record`) —
+//! which the other two schedulers run on (see the crate docs).
+//!
 //! Handlers never touch the event queue: everything they schedule goes
 //! onto an outbox that the stepping loop moves into the queue once the
 //! handler returns. Nothing pops in between, so the order — and every
@@ -287,8 +291,8 @@ fn net_span_name(mtype: MsgType) -> &'static str {
 /// the [`run_workload`] helper.
 #[derive(Debug)]
 pub struct ConcurrentMachine {
-    proto: ProtocolConfig,
-    sys: SystemConfig,
+    pub(crate) proto: ProtocolConfig,
+    pub(crate) sys: SystemConfig,
     queue: EventQueue<Event>,
     /// What the running handler has scheduled, in push order. The
     /// stepping loop moves it into `queue` after every dispatch; a shard
@@ -303,7 +307,7 @@ pub struct ConcurrentMachine {
     pub(crate) dirty: Vec<BlockAddr>,
     txns: FastMap<BlockAddr, DirTxn>,
     pending: FastMap<BlockAddr, VecDeque<PendingReq>>,
-    dir_busy: Vec<u64>,
+    pub(crate) dir_busy: Vec<u64>,
     /// Per-node time at which the cache-side protocol handler frees up
     /// (invalidations and grants are software-handled too).
     cache_busy: Vec<u64>,
@@ -313,11 +317,11 @@ pub struct ConcurrentMachine {
     /// The (block, op, issue time) each processor is blocked on, if any.
     waiting: Vec<Option<(BlockAddr, ProcOp, u64)>>,
     pub(crate) trace: TraceBundle,
-    stats: MachineStats,
-    overflowed: FastSet<BlockAddr>,
+    pub(crate) stats: MachineStats,
+    pub(crate) overflowed: FastSet<BlockAddr>,
     pub(crate) iteration: u32,
     /// The §4 speculation hook, if any.
-    policy: Option<Box<dyn SpeculationPolicy>>,
+    pub(crate) policy: Option<Box<dyn SpeculationPolicy>>,
     /// Per-transition and invariant-check tallies, exported by
     /// [`ConcurrentMachine::obs_snapshot`].
     tally: ProtocolTally,
@@ -326,11 +330,11 @@ pub struct ConcurrentMachine {
     pub(crate) ring: RefCell<EventRing>,
     /// Network fault injection, if installed. `None` (the default) means
     /// a perfect fabric and the original code paths.
-    fault: Option<FaultInjector>,
+    pub(crate) fault: Option<FaultInjector>,
     /// Per-node duplicate filters (sequence-numbered idempotent delivery).
-    dedup: Vec<DedupFilter>,
+    pub(crate) dedup: Vec<DedupFilter>,
     /// Next transmission sequence number per *receiver*.
-    next_seq_to: Vec<u64>,
+    pub(crate) next_seq_to: Vec<u64>,
     /// Per-node miss epoch, bumped when a miss completes — lazily
     /// cancels that node's outstanding [`Event::RetryCheck`] timers.
     miss_epoch: Vec<u64>,
@@ -346,14 +350,14 @@ pub struct ConcurrentMachine {
     /// Monotone counter stamping [`DirTxn::epoch`].
     txn_epoch: u64,
     /// Everything the recovery layer did (quiet on a perfect fabric).
-    recovery: RecoveryTally,
+    pub(crate) recovery: RecoveryTally,
     /// Speculative push/rollback accounting (quiet without a policy).
-    rollback: RollbackTally,
+    pub(crate) rollback: RollbackTally,
     /// Seeded protocol bug for simcheck self-validation (off by default).
     mutation: ProtocolMutation,
     /// Causal span log (disabled by default — see
     /// [`ConcurrentMachine::enable_tracing`]).
-    spans: SpanLog,
+    pub(crate) spans: SpanLog,
     /// The span tree of each node's in-flight miss, if any.
     miss_trace: Vec<TraceId>,
 }
@@ -543,12 +547,20 @@ impl ConcurrentMachine {
     /// Point-in-time export of every machine metric, including the
     /// event-queue depth distribution this engine uniquely sustains.
     pub fn obs_snapshot(&self) -> obs::Snapshot {
+        let mut snap = self.store_snapshot();
+        snap.histogram("simx.queue.depth", self.queue.depth_histogram());
+        snap
+    }
+
+    /// The metrics of the protocol store and its instruments — all of
+    /// [`obs_snapshot`](Self::obs_snapshot) that does not depend on how
+    /// the machine is scheduled.
+    pub(crate) fn store_snapshot(&self) -> obs::Snapshot {
         let mut snap = obs::Snapshot::new();
         self.stats.export_obs(&mut snap);
         self.tally.export_obs(&mut snap);
         snap.counter("simx.trace.records", self.trace.len() as u64);
         snap.counter("simx.ring.events_total", self.ring.borrow().total_pushed());
-        snap.histogram("simx.queue.depth", self.queue.depth_histogram());
         // Fault/recovery metrics appear only when an injector is
         // installed, so clean runs keep their exact metric set.
         if let Some(inj) = &self.fault {
@@ -573,7 +585,8 @@ impl ConcurrentMachine {
         self.clocks.iter().copied().max().unwrap_or(0)
     }
 
-    fn one_way(&self, from: NodeId, to: NodeId) -> u64 {
+    /// Topology-aware one-way message latency between two nodes.
+    pub(crate) fn one_way(&self, from: NodeId, to: NodeId) -> u64 {
         self.sys.one_way_between_ns(from, to, self.proto.nodes)
     }
 
@@ -588,7 +601,9 @@ impl ConcurrentMachine {
             .unwrap_or(CacheState::Invalid)
     }
 
-    fn set_cache_state(&mut self, node: NodeId, block: BlockAddr, s: CacheState) {
+    /// The one writer of cache state: tallies the transition, marks the
+    /// block for the next barrier audit and logs it to the recorder.
+    pub(crate) fn set_cache_state(&mut self, node: NodeId, block: BlockAddr, s: CacheState) {
         let prev = self.cache_state(node, block);
         self.tally.cache_transition(prev, s);
         if s == CacheState::Invalid {
@@ -609,14 +624,17 @@ impl ConcurrentMachine {
         );
     }
 
-    fn set_dir(&mut self, block: BlockAddr, next: DirState) {
+    /// The one writer of directory state. Maintains the limited-pointer
+    /// overflow flag: a shared set larger than the pointer budget loses
+    /// precision; leaving the shared state (exclusive or idle) restores it.
+    pub(crate) fn set_dir(&mut self, block: BlockAddr, next: DirState) {
         match (&next, self.proto.limited_pointers) {
             (DirState::Shared(s), Some(budget)) if s.len() > budget => {
                 if self.overflowed.insert(block) {
                     self.stats.directory_overflows += 1;
                 }
             }
-            (DirState::Shared(_), _) => {}
+            (DirState::Shared(_), _) => {} // an existing overflow persists
             _ => {
                 self.overflowed.remove(&block);
             }
@@ -627,7 +645,24 @@ impl ConcurrentMachine {
         self.dirty.push(block);
     }
 
-    fn record(&mut self, time: u64, msg: &Msg) {
+    /// For an overflowed entry, a write must invalidate *every* node —
+    /// the directory no longer knows who shares the block.
+    pub(crate) fn broadcast_targets(
+        &self,
+        requester: NodeId,
+        home: NodeId,
+    ) -> Vec<(NodeId, MsgType)> {
+        (0..self.proto.nodes)
+            .map(NodeId::new)
+            .filter(|&n| n != requester && n != home)
+            .map(|n| (n, MsgType::InvalRoRequest))
+            .collect()
+    }
+
+    /// The one message recorder: counts the reception, logs it, trains
+    /// the policy, links the span tree and appends the trace record
+    /// (stamped with the current `iteration`).
+    pub(crate) fn record(&mut self, time: u64, msg: &Msg) {
         self.stats.count_message(msg.mtype);
         self.ring.get_mut().push(
             ObsEvent::new(time, Severity::Info, "msg.recv")
@@ -1239,12 +1274,18 @@ impl ConcurrentMachine {
         if self.spans.is_enabled() {
             self.flag_orphaned_spans();
         }
-        let max = self.clocks.iter().copied().max().unwrap_or(0);
+        self.sync_clocks();
+        Ok(())
+    }
+
+    /// The timing half of a barrier: every clock advances to the latest
+    /// one plus the barrier cost.
+    pub(crate) fn sync_clocks(&mut self) {
+        let max = self.execution_time_ns();
         for c in &mut self.clocks {
             *c = max + self.sys.barrier_ns;
         }
         self.stats.barriers += 1;
-        Ok(())
     }
 
     fn on_issue(&mut self, node: NodeId, t: u64) -> Result<(), SimError> {
@@ -1617,27 +1658,7 @@ impl ConcurrentMachine {
         let home = msg.receiver;
         let block = msg.block;
         let local = msg.sender == msg.receiver;
-        let service = t.max(self.dir_busy[home.index()]);
-        let dispatch = service + self.sys.handler_ns;
-        self.dir_busy[home.index()] = dispatch;
-        if service > t {
-            self.spans.child(
-                msg.trace,
-                "dir.queue",
-                SpanKind::Queue,
-                t,
-                service,
-                home.raw(),
-            );
-        }
-        self.spans.child(
-            msg.trace,
-            "dir.service",
-            SpanKind::Directory,
-            service,
-            dispatch,
-            home.raw(),
-        );
+        let (service, dispatch) = self.occupy_dir_handler(home, t, msg.trace);
 
         let mut dir = self.dirs.entry(block).or_default().clone();
         // Speculative voluntary drops race their own acknowledgments: a
@@ -1720,11 +1741,7 @@ impl ConcurrentMachine {
         };
         let mut holder_requests = outcome.holder_requests;
         if self.overflowed.contains(&block) && matches!(outcome.next, DirState::Exclusive(_)) {
-            holder_requests = (0..self.proto.nodes)
-                .map(NodeId::new)
-                .filter(|&n| n != msg.sender && n != home)
-                .map(|n| (n, MsgType::InvalRoRequest))
-                .collect();
+            holder_requests = self.broadcast_targets(msg.sender, home);
         }
         let reply = if local {
             None
@@ -1769,6 +1786,28 @@ impl ConcurrentMachine {
             ));
         }
         Ok(())
+    }
+
+    /// A request reaching `home`'s (software) directory handler at `t`
+    /// waits for the handler to free up, then occupies it for one handler
+    /// time. Returns when service starts and when the handler is done.
+    pub(crate) fn occupy_dir_handler(&mut self, home: NodeId, t: u64, tr: TraceId) -> (u64, u64) {
+        let service = t.max(self.dir_busy[home.index()]);
+        let dispatch = service + self.sys.handler_ns;
+        self.dir_busy[home.index()] = dispatch;
+        if service > t {
+            self.spans
+                .child(tr, "dir.queue", SpanKind::Queue, t, service, home.raw());
+        }
+        self.spans.child(
+            tr,
+            "dir.service",
+            SpanKind::Directory,
+            service,
+            dispatch,
+            home.raw(),
+        );
+        (service, dispatch)
     }
 
     fn finish_txn(&mut self, block: BlockAddr, t: u64) -> Result<(), SimError> {
@@ -2326,7 +2365,10 @@ impl ConcurrentMachine {
 
     /// Audits `blocks` in the order given, stopping at the first
     /// violation.
-    fn audit(&self, blocks: impl IntoIterator<Item = BlockAddr>) -> Result<(), SimError> {
+    pub(crate) fn audit(
+        &self,
+        blocks: impl IntoIterator<Item = BlockAddr>,
+    ) -> Result<(), SimError> {
         let now = self.execution_time_ns();
         let mut ring = self.ring.borrow_mut();
         let mut states = Vec::with_capacity(self.proto.nodes);
@@ -2782,6 +2824,79 @@ mod tests {
             .map(|r| (r.node, r.mtype))
             .collect();
         assert_eq!(serial_types, conc_types);
+    }
+
+    #[test]
+    fn a_race_free_plan_leaves_the_same_store_in_both_schedulers() {
+        // `Machine` walks each transaction in closed form, this engine
+        // runs it as events; both write one store through `set_dir` /
+        // `set_cache_state`. One access per phase removes every race, so
+        // the stores must end up equal entry for entry — directory
+        // states, per-node cache states, overflow flags — and so must
+        // every agent's incoming message sequence.
+        use crate::machine::Machine;
+        let accesses = [
+            (1usize, 0u64, ProcOp::Write),
+            (2, 0, ProcOp::Read),
+            (3, 0, ProcOp::Read),
+            (0, 0, ProcOp::Read),   // the home itself
+            (4, 64, ProcOp::Read),  // homed on node 1
+            (1, 64, ProcOp::Write), // local write recalls the sharer
+            (2, 0, ProcOp::Write),  // upgrade over three sharers
+            (5, 1, ProcOp::Write),
+            (5, 1, ProcOp::Read),  // hit
+            (0, 1, ProcOp::Write), // local write recalls the owner
+            (6, 0, ProcOp::Read),
+        ];
+        let full = ProtocolConfig::paper();
+        let limited = ProtocolConfig {
+            limited_pointers: Some(1),
+            ..ProtocolConfig::paper()
+        };
+        for proto in [full, limited] {
+            let mut serial = Machine::new(proto.clone(), SystemConfig::paper());
+            for &(p, b, op) in &accesses {
+                serial.access(n(p), BlockAddr::new(b), op, 0).unwrap();
+            }
+            let mut conc = ConcurrentMachine::new(proto, SystemConfig::paper());
+            let phases = accesses
+                .iter()
+                .map(|&(p, b, op)| {
+                    vec![match op {
+                        ProcOp::Read => Access::read(n(p), BlockAddr::new(b)),
+                        ProcOp::Write => Access::write(n(p), BlockAddr::new(b)),
+                    }]
+                })
+                .collect();
+            conc.run_plan(&plan_of(phases), 0).unwrap();
+            let serial = &serial.core;
+            // What each agent receives, in its own arrival order (the two
+            // schedulers interleave *different* agents' receptions
+            // differently when one write recalls many holders).
+            let agent_seqs = |m: &ConcurrentMachine| -> Vec<Vec<(NodeId, MsgType)>> {
+                let mut per_node = vec![Vec::new(); 16];
+                for r in m.trace().records() {
+                    per_node[r.node.index()].push((r.sender, r.mtype));
+                }
+                per_node
+            };
+            assert_eq!(agent_seqs(serial), agent_seqs(&conc));
+            assert_eq!(serial.touched_blocks(), conc.touched_blocks());
+            for block in conc.touched_blocks() {
+                assert_eq!(serial.dirs.get(&block), conc.dirs.get(&block), "{block}");
+                assert_eq!(
+                    serial.cache_states_for(block),
+                    conc.cache_states_for(block),
+                    "{block}"
+                );
+            }
+            assert_eq!(serial.caches, conc.caches);
+            assert_eq!(serial.overflowed, conc.overflowed);
+            assert_eq!(
+                serial.stats().directory_overflows,
+                conc.stats().directory_overflows
+            );
+        }
     }
 
     #[test]

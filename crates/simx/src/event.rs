@@ -1,36 +1,24 @@
-//! A deterministic discrete-event queue built on a calendar queue.
+//! A deterministic discrete-event queue: a binary heap on `(time, seq)`.
 //!
 //! Events are totally ordered by `(time, seq)` where `seq` is an
 //! insertion counter, so events at equal times pop in FIFO order —
 //! determinism matters because traces (and therefore every reported
 //! accuracy) must be reproducible run-to-run.
 //!
-//! The previous implementation was a binary heap: `O(log n)` per
-//! operation with poor cache behaviour once the machine scales to
-//! thousands of nodes and hundreds of thousands of in-flight events.
-//! This is a classic *calendar queue* (Brown 1988): a circular array of
-//! time buckets, each `width` nanoseconds wide, scanned like the pages
-//! of a desk calendar. With the bucket count resized to track the
-//! population and the width resampled from observed inter-event gaps,
-//! both `push` and `pop` are amortized `O(1)`.
+//! The queue serves [`ConcurrentMachine`](crate::ConcurrentMachine)
+//! (16–64 nodes, a few dozen events in flight) and the processor
+//! interleave in [`driver`](crate::driver) (one entry per node);
+//! thousand-node runs go through [`shard`](crate::shard)'s own heaps. At
+//! those sizes `std`'s heap is both the least code and the fastest thing
+//! measured (DESIGN.md §6h).
 //!
 //! The simcheck model checker additionally needs a *ranked* view of the
 //! pending set ([`EventQueue::iter_ranked`]) and forced out-of-order
-//! removal ([`EventQueue::remove_rank`]); both are preserved with the
-//! exact semantics of the heap-based queue (they are `O(n log n)` and
-//! explicitly off the simulation fast path).
+//! removal ([`EventQueue::remove_rank`]); both sort the pending set
+//! (`O(n log n)`) and are explicitly off the simulation fast path.
 
-use std::cell::RefCell;
-
-/// Smallest number of buckets the calendar ever shrinks to.
-const MIN_BUCKETS: usize = 4;
-/// Hard cap on bucket-array growth (2^20 buckets ≈ 8 MiB of `Vec`
-/// headers); beyond this the per-bucket population grows instead, which
-/// only matters for queues holding tens of millions of events.
-const MAX_BUCKETS: usize = 1 << 20;
-/// How many pending entries are sampled when re-deriving the bucket
-/// width during a resize.
-const WIDTH_SAMPLE: usize = 64;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// A deterministic time-ordered event queue.
 ///
@@ -47,24 +35,13 @@ const WIDTH_SAMPLE: usize = 64;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    /// Circular bucket array; `buckets.len()` is always a power of two.
-    buckets: Vec<Vec<Entry<T>>>,
-    /// Time span covered by one bucket, ≥ 1.
-    width: u64,
-    /// Total pending entries across all buckets.
-    len: usize,
-    /// Bucket the pop scan is currently standing on.
-    cur: usize,
-    /// Exclusive upper time bound of bucket `cur` in the current lap;
-    /// every pending entry satisfies `time >= bucket_top - width`.
-    bucket_top: u64,
+    heap: BinaryHeap<Entry<T>>,
     seq: u64,
     depth: obs::Histogram,
-    /// Scratch for ranked traversals so repeated `iter_ranked` /
-    /// `for_each_ranked` calls (the simcheck hot path) do not allocate.
-    scratch: RefCell<Vec<(u64, u64, u32, u32)>>,
 }
 
+/// A pending event. Ordered by `(time, seq)` *reversed*, so the max-heap
+/// surfaces the earliest entry; the payload takes no part in the order.
 #[derive(Debug, Clone)]
 struct Entry<T> {
     time: u64,
@@ -72,154 +49,68 @@ struct Entry<T> {
     payload: T,
 }
 
+impl<T> Entry<T> {
+    fn rank(&self) -> (u64, u64) {
+        (self.time, self.seq)
+    }
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.rank() == other.rank()
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.rank().cmp(&self.rank())
+    }
+}
+
 impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: 1,
-            len: 0,
-            cur: 0,
-            bucket_top: 1,
+            heap: BinaryHeap::new(),
             seq: 0,
             depth: obs::Histogram::new(),
-            scratch: RefCell::new(Vec::new()),
         }
-    }
-
-    #[inline]
-    fn bucket_of(&self, time: u64) -> usize {
-        ((time / self.width) as usize) & (self.buckets.len() - 1)
-    }
-
-    /// Points the pop scan at the bucket (and lap) containing `time`.
-    #[inline]
-    fn aim_at(&mut self, time: u64) {
-        self.cur = self.bucket_of(time);
-        self.bucket_top = (time / self.width) * self.width + self.width;
     }
 
     /// Schedules `payload` at `time`.
     pub fn push(&mut self, time: u64, payload: T) {
         let seq = self.seq;
         self.seq += 1;
-        let b = self.bucket_of(time);
-        self.buckets[b].push(Entry { time, seq, payload });
-        self.len += 1;
-        // The scan cursor may only ever stand at-or-before the earliest
-        // pending event; a push into the past (relative to the cursor's
-        // lap) rewinds it.
-        if time < self.bucket_top - self.width || self.len == 1 {
-            self.aim_at(time);
-        }
-        if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            self.resize(self.buckets.len() * 2);
-        }
-        self.depth.record(self.len as u64);
+        self.heap.push(Entry { time, seq, payload });
+        self.depth.record(self.heap.len() as u64);
     }
 
     /// Pops the earliest event (FIFO among equal times).
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        let nbuckets = self.buckets.len();
-        for _ in 0..nbuckets {
-            // Entries due within the cursor's lap live exactly in this
-            // bucket, so the lap-local minimum is the global minimum.
-            let bucket_top = self.bucket_top;
-            if let Some(slot) = min_slot_below(&self.buckets[self.cur], bucket_top) {
-                return Some(self.take(self.cur, slot));
-            }
-            self.cur = (self.cur + 1) & (nbuckets - 1);
-            self.bucket_top += self.width;
-        }
-        // A whole lap without a hit: the queue is sparse relative to its
-        // span. Fall back to a direct search and re-aim the cursor.
-        let (b, slot) = self
-            .buckets
-            .iter()
-            .enumerate()
-            .flat_map(|(b, bucket)| {
-                bucket
-                    .iter()
-                    .enumerate()
-                    .map(move |(s, e)| ((e.time, e.seq), (b, s)))
-            })
-            .min()
-            .map(|(_, at)| at)
-            .expect("len > 0 but no entry found");
-        let time = self.buckets[b][slot].time;
-        self.aim_at(time);
-        Some(self.take(b, slot))
-    }
-
-    /// Removes the entry at `(bucket, slot)`, maintaining the population
-    /// and resize thresholds.
-    fn take(&mut self, bucket: usize, slot: usize) -> (u64, T) {
-        let e = self.buckets[bucket].swap_remove(slot);
-        self.len -= 1;
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 2 {
-            self.resize(self.buckets.len() / 2);
-        }
-        (e.time, e.payload)
-    }
-
-    /// Rebuilds the bucket array at `new_n` buckets with a freshly
-    /// sampled width. `O(n)`, amortized to `O(1)` per operation by the
-    /// doubling/halving thresholds.
-    fn resize(&mut self, new_n: usize) {
-        let mut entries: Vec<Entry<T>> = Vec::with_capacity(self.len);
-        for bucket in &mut self.buckets {
-            entries.append(bucket);
-        }
-        self.width = choose_width(&entries);
-        self.buckets = (0..new_n).map(|_| Vec::new()).collect();
-        let min_time = entries.iter().map(|e| e.time).min();
-        for e in entries {
-            let b = ((e.time / self.width) as usize) & (new_n - 1);
-            self.buckets[b].push(e);
-        }
-        match min_time {
-            Some(t) => self.aim_at(t),
-            None => {
-                self.cur = 0;
-                self.bucket_top = self.width;
-            }
-        }
+        self.heap.pop().map(|e| (e.time, e.payload))
     }
 
     /// Time of the next event without popping it.
     pub fn peek_time(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        // Same scan as `pop`, without mutating the cursor.
-        let nbuckets = self.buckets.len();
-        let mut cur = self.cur;
-        let mut top = self.bucket_top;
-        for _ in 0..nbuckets {
-            if let Some(slot) = min_slot_below(&self.buckets[cur], top) {
-                return Some(self.buckets[cur][slot].time);
-            }
-            cur = (cur + 1) & (nbuckets - 1);
-            top += self.width;
-        }
-        self.buckets
-            .iter()
-            .flat_map(|b| b.iter().map(|e| (e.time, e.seq)))
-            .min()
-            .map(|(t, _)| t)
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Distribution of queue depth sampled after every push — how much
@@ -228,95 +119,48 @@ impl<T> EventQueue<T> {
         &self.depth
     }
 
-    /// Fills the shared scratch with `(time, seq, bucket, slot)` sorted
-    /// into pop order and hands it to the caller.
-    fn with_ranked<R>(&self, f: impl FnOnce(&[(u64, u64, u32, u32)], &Self) -> R) -> R {
-        let mut scratch = self.scratch.borrow_mut();
-        scratch.clear();
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (s, e) in bucket.iter().enumerate() {
-                scratch.push((e.time, e.seq, b as u32, s as u32));
-            }
-        }
-        scratch.sort_unstable_by_key(|&(t, q, _, _)| (t, q));
-        f(&scratch, self)
+    /// The pending entries sorted into pop order.
+    fn ranked(&self) -> Vec<&Entry<T>> {
+        let mut ranked: Vec<&Entry<T>> = self.heap.iter().collect();
+        ranked.sort_unstable_by_key(|e| e.rank());
+        ranked
     }
 
-    /// Visits every pending event in deterministic pop order without
-    /// allocating a return vector — the scan reuses an internal scratch
-    /// buffer, so repeated calls (fingerprinting, simcheck enumeration)
-    /// are allocation-free once warm.
+    /// Visits every pending event in deterministic pop order.
     pub fn for_each_ranked(&self, mut f: impl FnMut(u64, &T)) {
-        self.with_ranked(|ranked, q| {
-            for &(t, _, b, s) in ranked {
-                f(t, &q.buckets[b as usize][s as usize].payload);
-            }
-        });
+        for e in self.ranked() {
+            f(e.time, &e.payload);
+        }
     }
 
     /// The pending events in deterministic pop order — rank 0 is what
     /// [`pop`](Self::pop) would return next, ties broken FIFO. This is
     /// the enumeration surface the `simcheck` model checker branches on.
     pub fn iter_ranked(&self) -> Vec<(u64, &T)> {
-        let mut out = Vec::with_capacity(self.len);
-        self.with_ranked(|ranked, _| {
-            for &(t, _, b, s) in ranked {
-                out.push((t, b, s));
-            }
-        });
-        out.into_iter()
-            .map(|(t, b, s)| (t, &self.buckets[b as usize][s as usize].payload))
-            .collect()
+        let ranked = self.ranked();
+        ranked.into_iter().map(|e| (e.time, &e.payload)).collect()
     }
 
     /// Removes and returns the `rank`-th pending event in the
     /// [`iter_ranked`](Self::iter_ranked) order (`remove_rank(0)` is
     /// `pop`), or `None` if `rank` is out of range.
     ///
-    /// Costs a full ranked scan for `rank > 0`; intended for the model
+    /// Sorts and rebuilds the heap for `rank > 0`; intended for the model
     /// checker's forced delivery orders, not the simulation fast path.
     pub fn remove_rank(&mut self, rank: usize) -> Option<(u64, T)> {
-        if rank >= self.len {
+        if rank >= self.heap.len() {
             return None;
         }
         if rank == 0 {
             return self.pop();
         }
-        let (b, s) = self.with_ranked(|ranked, _| {
-            let (_, _, b, s) = ranked[rank];
-            (b as usize, s as usize)
-        });
-        Some(self.take(b, s))
+        // Ascending by `Ord` is descending by `(time, seq)`: pop order
+        // read from the back.
+        let mut entries = std::mem::take(&mut self.heap).into_sorted_vec();
+        let e = entries.remove(entries.len() - 1 - rank);
+        self.heap = entries.into();
+        Some((e.time, e.payload))
     }
-}
-
-/// Index of the `(time, seq)`-minimal entry with `time < top`, if any.
-#[inline]
-fn min_slot_below<T>(bucket: &[Entry<T>], top: u64) -> Option<usize> {
-    let mut best: Option<(u64, u64, usize)> = None;
-    for (i, e) in bucket.iter().enumerate() {
-        if e.time < top && best.is_none_or(|(t, q, _)| (e.time, e.seq) < (t, q)) {
-            best = Some((e.time, e.seq, i));
-        }
-    }
-    best.map(|(_, _, i)| i)
-}
-
-/// Picks a bucket width from a sorted sample of pending-event gaps: the
-/// doubled median inter-event gap, which keeps the typical bucket
-/// population at a couple of entries while staying robust to a long
-/// far-future tail (barrier and timeout events).
-fn choose_width<T>(entries: &[Entry<T>]) -> u64 {
-    if entries.len() < 2 {
-        return 1;
-    }
-    let stride = (entries.len() / WIDTH_SAMPLE).max(1);
-    let mut times: Vec<u64> = entries.iter().step_by(stride).map(|e| e.time).collect();
-    times.sort_unstable();
-    let mut gaps: Vec<u64> = times.windows(2).map(|w| w[1] - w[0]).collect();
-    gaps.sort_unstable();
-    let median = gaps[gaps.len() / 2];
-    (median * 2).max(1)
 }
 
 impl<T> Default for EventQueue<T> {
@@ -465,40 +309,46 @@ mod tests {
         assert_eq!(popped, sorted);
     }
 
-    // ---- differential check against the original binary-heap queue ----
+    // ---- differential check against a plainly-correct sorted vector ----
 
-    /// The pre-calendar implementation, kept as the ordering oracle.
-    struct HeapQueue<T> {
-        heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, T)>>,
+    /// The ordering oracle: every pending `(time, seq, payload)` in a
+    /// `Vec` kept sorted, so the head is `v[0]` and rank `r` is `v[r]`.
+    struct SortedOracle {
+        pending: Vec<(u64, u64, u64)>,
         seq: u64,
+        /// Queue depth after every push: count, min, max.
+        depth: (u64, u64, u64),
     }
 
-    impl<T: Ord> HeapQueue<T> {
+    impl SortedOracle {
         fn new() -> Self {
-            HeapQueue {
-                heap: std::collections::BinaryHeap::new(),
+            SortedOracle {
+                pending: Vec::new(),
                 seq: 0,
+                depth: (0, u64::MAX, 0),
             }
         }
-        fn push(&mut self, time: u64, payload: T) {
-            self.heap.push(std::cmp::Reverse((time, self.seq, payload)));
+        fn push(&mut self, time: u64, payload: u64) {
+            let at = self
+                .pending
+                .partition_point(|&(t, q, _)| (t, q) < (time, self.seq));
+            self.pending.insert(at, (time, self.seq, payload));
             self.seq += 1;
+            let len = self.pending.len() as u64;
+            let (n, lo, hi) = self.depth;
+            self.depth = (n + 1, lo.min(len), hi.max(len));
         }
-        fn pop(&mut self) -> Option<(u64, T)> {
-            self.heap.pop().map(|std::cmp::Reverse((t, _, p))| (t, p))
+        fn remove_rank(&mut self, rank: usize) -> Option<(u64, u64)> {
+            (rank < self.pending.len()).then(|| {
+                let (t, _, p) = self.pending.remove(rank);
+                (t, p)
+            })
         }
-        fn remove_rank(&mut self, rank: usize) -> Option<(u64, T)> {
-            if rank >= self.heap.len() {
-                return None;
-            }
-            let mut entries: Vec<(u64, u64, T)> = std::mem::take(&mut self.heap)
-                .into_iter()
-                .map(|std::cmp::Reverse(e)| e)
-                .collect();
-            entries.sort_by_key(|e| (e.0, e.1));
-            let chosen = entries.remove(rank);
-            self.heap = entries.into_iter().map(std::cmp::Reverse).collect();
-            Some((chosen.0, chosen.2))
+        fn pop(&mut self) -> Option<(u64, u64)> {
+            self.remove_rank(0)
+        }
+        fn peek_time(&self) -> Option<u64> {
+            self.pending.first().map(|&(t, _, _)| t)
         }
     }
 
@@ -516,14 +366,16 @@ mod tests {
     fn differential_random_interleavings_match_heap_oracle() {
         for seed in 1..=20u64 {
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut cal = EventQueue::new();
-            let mut heap = HeapQueue::new();
+            let mut q = EventQueue::new();
+            let mut oracle = SortedOracle::new();
+            // Time of the last event popped; most pushes land at or after
+            // it, some deliberately before.
             let mut now = 0u64;
             for step in 0..2_000u64 {
-                match rng_next(&mut state) % 10 {
-                    // Pushes dominate early so the queue grows through
-                    // several resizes; time scales are mixed to exercise
-                    // dense laps, ties, and the sparse fallback.
+                match rng_next(&mut state) % 12 {
+                    // Pushes dominate so the queue grows to a few hundred
+                    // entries; time scales are mixed to exercise ties,
+                    // near-future and far-future events.
                     0..=5 => {
                         let dt = match rng_next(&mut state) % 5 {
                             0 => 0,
@@ -532,36 +384,57 @@ mod tests {
                             3 => rng_next(&mut state) % 100_000,
                             _ => rng_next(&mut state) % (1 << 30),
                         };
-                        cal.push(now + dt, step);
-                        heap.push(now + dt, step);
+                        q.push(now + dt, step);
+                        oracle.push(now + dt, step);
                     }
-                    6..=8 => {
-                        let a = cal.pop();
-                        let b = heap.pop();
-                        assert_eq!(a, b, "pop diverged (seed {seed}, step {step})");
+                    // A push earlier than the last popped time (simcheck's
+                    // forced orders and reorder faults both do this): it
+                    // must become the new head.
+                    6 => {
+                        let t = now - rng_next(&mut state) % (now + 1);
+                        q.push(t, step);
+                        oracle.push(t, step);
+                    }
+                    7..=9 => {
+                        let a = q.pop();
+                        assert_eq!(a, oracle.pop(), "pop diverged (seed {seed}, step {step})");
                         if let Some((t, _)) = a {
                             now = t;
                         }
                     }
+                    10 => assert_eq!(
+                        q.peek_time(),
+                        oracle.peek_time(),
+                        "peek_time diverged (seed {seed}, step {step})"
+                    ),
                     _ => {
-                        let rank = if cal.is_empty() {
+                        let rank = if q.is_empty() {
                             0
                         } else {
-                            (rng_next(&mut state) as usize) % (cal.len() + 1)
+                            (rng_next(&mut state) as usize) % (q.len() + 1)
                         };
-                        let a = cal.remove_rank(rank);
-                        let b = heap.remove_rank(rank);
+                        let a = q.remove_rank(rank);
+                        let b = oracle.remove_rank(rank);
                         assert_eq!(a, b, "remove_rank diverged (seed {seed}, step {step})");
                         if let Some((t, _)) = a {
                             now = now.max(t);
                         }
                     }
                 }
-                assert_eq!(cal.len(), heap.heap.len());
+                assert_eq!(q.len(), oracle.pending.len());
             }
+            let ranked: Vec<(u64, u64)> = q.iter_ranked().iter().map(|&(t, &p)| (t, p)).collect();
+            let expect: Vec<(u64, u64)> = oracle.pending.iter().map(|&(t, _, p)| (t, p)).collect();
+            assert_eq!(ranked, expect, "ranked view diverged (seed {seed})");
+            let d = q.depth_histogram();
+            assert_eq!(
+                (d.count(), d.min(), d.max()),
+                oracle.depth,
+                "depth samples diverged (seed {seed})"
+            );
             // Drain both completely.
             loop {
-                let (a, b) = (cal.pop(), heap.pop());
+                let (a, b) = (q.pop(), oracle.pop());
                 assert_eq!(a, b, "drain diverged (seed {seed})");
                 if a.is_none() {
                     break;

@@ -20,6 +20,21 @@
 //! observes the most recent write — an end-to-end coherence check — and can
 //! audit the full-map/SWMR invariants after every transaction.
 //!
+//! ## Three schedulers, one core
+//!
+//! [`ConcurrentMachine`] owns the protocol store — cache and directory
+//! state, clocks, handler horizons — and its instruments (trace, stats,
+//! tallies, flight recorder, fault injector, span log, policy); every
+//! state write and every recorded message in this crate goes through its
+//! `set_dir`, `set_cache_state` and `record`. Three schedulers drive it:
+//! its own event loop (one message, one event); [`shard`]'s conservative
+//! time windows over per-shard cores running the same handlers; and
+//! [`Machine`], which walks each transaction to completion in closed form
+//! and adds the data-value oracle. `Machine` shares the store but not the
+//! handlers — its timing model (each holder's handler charged
+//! independently, no cache-side handler queue) is what the Table 5–8
+//! traces were calibrated on (DESIGN.md §6h).
+//!
 //! ## Example
 //!
 //! ```

@@ -1,24 +1,25 @@
-//! The simulated machine: caches + directories + network + trace capture.
+//! The simulated machine: caches + directories + network + trace capture,
+//! one coherence transaction at a time — plus the types every engine
+//! shares ([`SimError`], [`SpeculationPolicy`]).
 
-use crate::concurrent::{audit_block, effective_cache_states};
+use crate::concurrent::ConcurrentMachine;
 use crate::config::SystemConfig;
 use crate::fault::{FaultInjector, FaultPlan, FaultTally};
 use crate::stats::MachineStats;
 use obs::span::{SpanKind, SpanLog, TraceId};
-use obs::{Event, EventRing, Severity};
+use obs::{Event, Severity};
 use stache::cache::{self, CacheAction};
 use stache::directory::{self, DirOutcome};
-use stache::fasthash::{FastMap, FastSet};
+use stache::fasthash::FastMap;
 use stache::invariants::InvariantViolation;
 use stache::placement::home_of_block;
 use stache::{
-    BlockAddr, CacheState, DedupFilter, DirState, MsgType, NodeId, NodeSet, ProcOp, ProtocolConfig,
+    BlockAddr, CacheState, DirState, Msg, MsgType, NodeId, NodeSet, ProcOp, ProtocolConfig,
     ProtocolError, ProtocolTally, RecoveryTally, RollbackTally,
 };
-use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
-use trace::{MsgRecord, TraceBundle, TraceMeta};
+use trace::{MsgRecord, TraceBundle};
 
 /// A simulation failure: a protocol error, a coherence-invariant violation,
 /// or a stale read (a processor observed a value older than the last write).
@@ -224,18 +225,20 @@ pub trait SpeculationPolicy: std::fmt::Debug + Send {
 /// Coherence transactions are serialised per block; processor interleaving
 /// is governed by per-node clocks (see [`crate::driver`]). Every message
 /// reception is appended to the machine's [`TraceBundle`].
+///
+/// A `Machine` is a *scheduler* over a [`ConcurrentMachine`] core, like a
+/// [`shard`](crate::shard): the core owns the protocol store (cache and
+/// directory state, clocks, handler horizons) and its instruments (trace,
+/// stats, tallies, flight recorder, fault injector, span log, policy),
+/// and every state write and recorded message goes through the core's
+/// own writers. What is kept here is what makes this a different
+/// scheduler — each transaction walked to completion in closed form
+/// instead of as queued events — and the data-value oracle.
 #[derive(Debug)]
 pub struct Machine {
-    proto: ProtocolConfig,
-    sys: SystemConfig,
-    /// Per node: cache state of remotely-homed blocks it has touched.
-    caches: Vec<FastMap<BlockAddr, CacheState>>,
-    /// Directory entries (at each block's home), created on first touch.
-    dirs: FastMap<BlockAddr, DirState>,
-    /// Per-node local clocks (ns).
-    clocks: Vec<u64>,
-    trace: TraceBundle,
-    stats: MachineStats,
+    /// The protocol store and its instruments. Its event queue, scripts
+    /// and transaction table stay empty: nothing here dispatches events.
+    pub(crate) core: ConcurrentMachine,
     /// Value each remote cache holds (write stamps).
     cache_values: Vec<FastMap<BlockAddr, u64>>,
     /// Memory's current value per block.
@@ -246,39 +249,6 @@ pub struct Machine {
     /// When true, the full-map/SWMR invariants are audited after every
     /// transaction (slow; used by tests).
     pub paranoid: bool,
-    /// The §4 speculation hook, if any.
-    policy: Option<Box<dyn SpeculationPolicy>>,
-    /// Blocks whose limited-pointer directory entry has lost precision
-    /// (sharer count exceeded the pointer budget). Only populated when
-    /// [`ProtocolConfig::limited_pointers`] is `Some`.
-    overflowed: FastSet<BlockAddr>,
-    /// Per-node time at which the (software) directory handler is next
-    /// free. Stache runs protocol handlers in software (§2.1), so a busy
-    /// home serialises incoming requests — requests arriving early wait.
-    dir_busy: Vec<u64>,
-    /// Per-transition protocol tallies, exported via
-    /// [`Machine::obs_snapshot`].
-    tally: ProtocolTally,
-    /// Flight recorder of recent protocol events. `RefCell` so the
-    /// `&self` verification paths can log failures.
-    ring: RefCell<EventRing>,
-    /// Network fault injection, if installed. `None` (the default) means
-    /// a perfect fabric and the original, byte-identical code paths.
-    fault: Option<FaultInjector>,
-    /// Per-node duplicate filters: sequence-numbered idempotent delivery
-    /// (only exercised under fault injection).
-    dedup: Vec<DedupFilter>,
-    /// Next transmission sequence number per *receiver*, so each node
-    /// observes a dense sequence stream and its filter stays compact.
-    next_seq_to: Vec<u64>,
-    /// Everything the recovery layer did (all zero on a perfect fabric).
-    recovery: RecoveryTally,
-    /// Everything the speculation layer did (all zero with no policy, or
-    /// with a policy that never fires).
-    rollback: RollbackTally,
-    /// Causal span log: per-transaction trees over simulated time.
-    /// Disabled by default — see [`Machine::enable_tracing`].
-    spans: SpanLog,
 }
 
 impl Machine {
@@ -286,29 +256,12 @@ impl Machine {
     pub fn new(proto: ProtocolConfig, sys: SystemConfig) -> Self {
         let nodes = proto.nodes;
         Machine {
-            proto,
-            sys,
-            caches: vec![FastMap::default(); nodes],
-            dirs: FastMap::default(),
-            clocks: vec![0; nodes],
-            trace: TraceBundle::new(TraceMeta::new("unnamed", nodes, 0)),
-            stats: MachineStats::default(),
+            core: ConcurrentMachine::new(proto, sys),
             cache_values: vec![FastMap::default(); nodes],
             mem_values: FastMap::default(),
             last_written: FastMap::default(),
             next_stamp: 0,
             paranoid: false,
-            policy: None,
-            overflowed: FastSet::default(),
-            dir_busy: vec![0; nodes],
-            tally: ProtocolTally::new(),
-            ring: RefCell::new(EventRing::default()),
-            fault: None,
-            dedup: vec![DedupFilter::new(); nodes],
-            next_seq_to: vec![0; nodes],
-            recovery: RecoveryTally::new(),
-            rollback: RollbackTally::new(),
-            spans: SpanLog::new(),
         }
     }
 
@@ -320,97 +273,94 @@ impl Machine {
     /// machine takes its original code paths and produces byte-identical
     /// results.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.set_fault_injector(FaultInjector::new(plan));
+        self.core.set_fault_plan(plan);
     }
 
     /// Installs a pre-built injector — lets tests pin faults to exact
     /// delivery indices with [`FaultInjector::force`] instead of hunting
     /// for a seed.
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.fault = Some(injector);
+        self.core.set_fault_injector(injector);
     }
 
     /// The installed injector, if any (mutable so tests can force faults
     /// mid-run).
     pub fn fault_injector_mut(&mut self) -> Option<&mut FaultInjector> {
-        self.fault.as_mut()
+        self.core.fault_injector_mut()
     }
 
     /// Faults injected so far, when a plan is installed.
     pub fn fault_tally(&self) -> Option<&FaultTally> {
-        self.fault.as_ref().map(FaultInjector::tally)
+        self.core.fault_tally()
     }
 
     /// Recovery-layer actions taken so far (quiet on a perfect fabric).
     pub fn recovery_tally(&self) -> &RecoveryTally {
-        &self.recovery
+        self.core.recovery_tally()
     }
 
     /// Speculation-layer actions taken so far (quiet with no policy, or a
     /// policy that never fires).
     pub fn rollback_tally(&self) -> &RollbackTally {
-        &self.rollback
+        self.core.rollback_tally()
     }
 
     /// Installs a speculation policy (the §4 integration). The policy sees
     /// every message and is consulted at the Table 2 action points.
     pub fn set_policy(&mut self, policy: Box<dyn SpeculationPolicy>) {
-        self.policy = Some(policy);
+        self.core.set_policy(policy);
     }
 
     /// Removes and returns the installed policy, if any.
     pub fn take_policy(&mut self) -> Option<Box<dyn SpeculationPolicy>> {
-        self.policy.take()
+        self.core.policy.take()
     }
 
     /// Names the trace (workload name recorded in the bundle metadata).
     pub fn set_app(&mut self, app: &str, iterations: u32) {
-        let nodes = self.proto.nodes;
-        let mut bundle = TraceBundle::new(TraceMeta::new(app, nodes, iterations));
-        bundle.extend_records(self.trace.records().iter().copied());
-        self.trace = bundle;
+        self.core.set_app(app, iterations);
     }
 
     /// The protocol configuration.
     pub fn protocol_config(&self) -> &ProtocolConfig {
-        &self.proto
+        &self.core.proto
     }
 
     /// The timing configuration.
     pub fn system_config(&self) -> &SystemConfig {
-        &self.sys
+        &self.core.sys
     }
 
     /// The trace captured so far.
     pub fn trace(&self) -> &TraceBundle {
-        &self.trace
+        self.core.trace()
     }
 
     /// Consumes the machine, returning its trace.
     pub fn into_trace(self) -> TraceBundle {
-        self.trace
+        self.core.into_trace()
     }
 
     /// Simulation statistics.
     pub fn stats(&self) -> &MachineStats {
-        &self.stats
+        self.core.stats()
     }
 
     /// Per-transition protocol tallies.
     pub fn tally(&self) -> &ProtocolTally {
-        &self.tally
+        self.core.tally()
     }
 
     /// Enables or disables the flight recorder (on by default).
     pub fn set_ring_enabled(&mut self, enabled: bool) {
-        self.ring.get_mut().set_enabled(enabled);
+        self.core.set_ring_enabled(enabled);
     }
 
     /// Sets the minimum severity the flight recorder keeps. The default
     /// is [`Severity::Info`]; lower it to [`Severity::Debug`] to also
     /// capture every state transition.
     pub fn set_ring_min_severity(&mut self, min: Severity) {
-        self.ring.get_mut().set_min_severity(min);
+        self.core.set_ring_min_severity(min);
     }
 
     /// Turns causal span tracing on. Off (the default), every span call
@@ -419,17 +369,17 @@ impl Machine {
     /// coherence transaction records a span tree stamped with the exact
     /// simulated times the engine already computes.
     pub fn enable_tracing(&mut self) {
-        self.spans.enable();
+        self.core.enable_tracing();
     }
 
     /// The span log recorded so far.
     pub fn spans(&self) -> &SpanLog {
-        &self.spans
+        self.core.spans()
     }
 
     /// Takes the span log, leaving a fresh disabled one.
     pub fn take_spans(&mut self) -> SpanLog {
-        std::mem::take(&mut self.spans)
+        self.core.take_spans()
     }
 
     /// Closes any spans still open, marking them `"orphaned"`, and
@@ -437,118 +387,115 @@ impl Machine {
     /// every transaction inline, so a quiescent machine should report 0;
     /// anything else is a protocol bug and lands in the flight recorder.
     pub fn flag_orphaned_spans(&mut self) -> u64 {
-        let at = self.execution_time_ns();
-        let flagged = self.spans.flag_orphans(at);
-        if flagged > 0 {
-            self.ring
-                .get_mut()
-                .push(Event::new(at, Severity::Warn, "span.orphaned").value(flagged));
-        }
-        flagged
+        self.core.flag_orphaned_spans()
     }
 
     /// A copy of the flight recorder's held events, oldest first.
     pub fn flight_events(&self) -> Vec<Event> {
-        self.ring.borrow().events()
+        self.core.flight_events()
     }
 
     /// Visits the flight recorder's held events, oldest first, without
     /// copying them out — the allocation-free form of
     /// [`flight_events`](Self::flight_events).
     pub fn for_each_flight_event(&self, f: impl FnMut(&Event)) {
-        self.ring.borrow().for_each(f);
+        self.core.for_each_flight_event(f);
     }
 
     /// Renders the flight recorder's recent events — call this when a
     /// verification fails to see the message/transition history that led
     /// up to the violation.
     pub fn dump_flight_recorder(&self) -> String {
-        self.ring.borrow().dump()
+        self.core.dump_flight_recorder()
     }
 
     /// Point-in-time export of every machine metric: access and message
     /// counters, latency histograms, per-transition tallies, and
-    /// invariant-check counts.
+    /// invariant-check counts. (No `simx.queue.depth`: this scheduler
+    /// queues nothing.)
     pub fn obs_snapshot(&self) -> obs::Snapshot {
-        let mut snap = obs::Snapshot::new();
-        self.stats.export_obs(&mut snap);
-        self.tally.export_obs(&mut snap);
-        snap.counter("simx.trace.records", self.trace.len() as u64);
-        snap.counter("simx.ring.events_total", self.ring.borrow().total_pushed());
-        // Fault/recovery metrics appear only when an injector is
-        // installed, so clean runs keep their exact metric set.
-        if let Some(inj) = &self.fault {
-            inj.tally().export_obs(&mut snap);
-            self.recovery.export_obs(&mut snap);
-        }
-        // Rollback metrics appear only when speculation actually fired,
-        // so non-speculative runs keep their exact metric set.
-        if !self.rollback.is_quiet() {
-            self.rollback.export_obs(&mut snap);
-        }
-        // Span metrics appear only when tracing is on, so untraced runs
-        // keep their exact metric set.
-        if self.spans.is_enabled() {
-            self.spans.export_obs("simx.span", &mut snap);
-        }
-        snap
+        self.core.store_snapshot()
     }
 
     /// Fault injection for tests: force a cache line to `state` without a
     /// protocol transition, so invariant checking (and the flight
     /// recorder dump it triggers) can be exercised deliberately.
     pub fn inject_cache_state(&mut self, node: NodeId, block: BlockAddr, state: CacheState) {
-        let t = self.clocks[node.index()];
-        self.ring.get_mut().push(
+        let t = self.core.clocks[node.index()];
+        self.core.ring.get_mut().push(
             Event::new(t, Severity::Warn, "fault.inject_cache_state")
                 .node(node.raw())
                 .block(block.number())
                 .msg(state.short_name()),
         );
-        self.set_cache_state(node, block, state);
+        self.core.set_cache_state(node, block, state);
     }
 
     /// A node's local clock in ns.
     pub fn clock(&self, node: NodeId) -> u64 {
-        self.clocks[node.index()]
+        self.core.clocks[node.index()]
     }
 
     /// Advances a node's clock by `ns` (local compute time with no memory
     /// traffic — used by the driver for per-phase start delays).
     pub fn advance_clock(&mut self, node: NodeId, ns: u64) {
-        self.clocks[node.index()] += ns;
+        self.core.clocks[node.index()] += ns;
     }
 
     /// The machine's execution time so far: the latest node clock. This is
     /// the quantity the §4 integration study compares with and without
     /// speculation.
     pub fn execution_time_ns(&self) -> u64 {
-        self.clocks.iter().copied().max().unwrap_or(0)
+        self.core.execution_time_ns()
     }
 
     /// Synchronises all nodes at a barrier: every clock advances to the
     /// maximum plus the barrier cost. Stache implements barriers with
     /// point-to-point messages excluded from prediction (§5.1), so no
     /// coherence records are produced.
+    ///
+    /// The event engines audit the blocks written since the last barrier
+    /// here; this engine audits per access (`paranoid`) or on demand
+    /// ([`verify_coherence`](Self::verify_coherence)), so the core's list
+    /// of written blocks is dropped unread.
     pub fn barrier(&mut self) {
-        let max = self.clocks.iter().copied().max().unwrap_or(0);
-        for c in &mut self.clocks {
-            *c = max + self.sys.barrier_ns;
-        }
-        self.stats.barriers += 1;
+        self.core.dirty.clear();
+        self.core.sync_clocks();
     }
 
-    /// Topology-aware one-way message latency between two nodes.
-    fn one_way(&self, from: NodeId, to: NodeId) -> u64 {
-        self.sys.one_way_between_ns(from, to, self.proto.nodes)
-    }
-
-    /// [`Machine::one_way`] plus a sample in the network-latency
+    /// The core's one-way latency plus a sample in the network-latency
     /// histogram — use for hops a message actually traverses.
-    fn one_way_rec(&mut self, from: NodeId, to: NodeId) -> u64 {
-        let ns = self.one_way(from, to);
-        self.stats.net_latency_ns.record(ns);
+    fn traverse(&mut self, from: NodeId, to: NodeId) -> u64 {
+        let ns = self.core.one_way(from, to);
+        self.core.stats.net_latency_ns.record(ns);
         ns
+    }
+
+    /// One protocol leg from `from` to `to`, sent at `send_at`: returns
+    /// its arrival time — one hop later on a perfect fabric, whatever
+    /// [`fault_leg`](Self::fault_leg) makes of it with an injector
+    /// installed.
+    fn leg(
+        &mut self,
+        leg: Leg,
+        from: NodeId,
+        to: NodeId,
+        send_at: u64,
+        tr: TraceId,
+    ) -> Result<u64, SimError> {
+        if self.core.fault.is_some() {
+            return self.fault_leg(leg, from, to, send_at, tr);
+        }
+        let t = send_at + self.traverse(from, to);
+        self.core.spans.child(
+            tr,
+            leg.span_name(),
+            SpanKind::Network,
+            send_at,
+            t,
+            from.raw(),
+        );
+        Ok(t)
     }
 
     /// One transmission over the faulty fabric from `from` to `to`, first
@@ -566,8 +513,9 @@ impl Machine {
         send_at: u64,
         tr: TraceId,
     ) -> Result<u64, SimError> {
-        let hop = self.one_way(from, to);
+        let hop = self.core.one_way(from, to);
         let retry = self
+            .core
             .fault
             .as_ref()
             .expect("fault_leg requires an installed injector")
@@ -576,22 +524,22 @@ impl Machine {
         let mut at = send_at;
         let mut attempt: u32 = 0;
         loop {
-            let seq = self.next_seq_to[to.index()];
-            self.next_seq_to[to.index()] += 1;
-            self.stats.net_latency_ns.record(hop);
-            let d = self.fault.as_mut().unwrap().next_delivery(hop);
+            let seq = self.core.next_seq_to[to.index()];
+            self.core.next_seq_to[to.index()] += 1;
+            self.core.stats.net_latency_ns.record(hop);
+            let d = self.core.fault.as_mut().unwrap().next_delivery(hop);
             if !d.dropped {
-                let fresh = self.dedup[to.index()].observe(seq);
+                let fresh = self.core.dedup[to.index()].observe(seq);
                 debug_assert!(fresh, "a new sequence number is never a duplicate");
                 if d.duplicated {
                     // The copy traverses the wire too, then dies at the
                     // receiver's sequence filter.
-                    self.stats.net_latency_ns.record(hop);
-                    if !self.dedup[to.index()].observe(seq) {
-                        self.recovery.dups_absorbed += 1;
+                    self.core.stats.net_latency_ns.record(hop);
+                    if !self.core.dedup[to.index()].observe(seq) {
+                        self.core.recovery.dups_absorbed += 1;
                     }
                 }
-                self.spans.child(
+                self.core.spans.child(
                     tr,
                     leg.span_name(),
                     SpanKind::Network,
@@ -602,7 +550,7 @@ impl Machine {
                 return Ok(at + hop + d.extra_ns);
             }
             // Lost. The leg's sender times out and retransmits.
-            self.recovery.timeouts += 1;
+            self.core.recovery.timeouts += 1;
             if !retry.can_retry(attempt) {
                 return Err(SimError::RetryExhausted {
                     from,
@@ -610,120 +558,29 @@ impl Machine {
                     attempts: attempt + 1,
                 });
             }
-            self.recovery.retries += 1;
+            self.core.recovery.retries += 1;
             let turnaround = match leg {
                 // A requester cannot see its grant was lost; its timeout
                 // fires, it retransmits the *request*, and the home —
                 // which already recorded the grant — re-sends it.
                 Leg::Reply => {
-                    self.recovery.regrants += 1;
-                    self.one_way(to, from) + self.sys.handler_ns
+                    self.core.recovery.regrants += 1;
+                    self.core.one_way(to, from) + self.core.sys.handler_ns
                 }
                 // The home times out waiting for the acknowledgment and
                 // re-sends the invalidation; the now-invalid holder
                 // acknowledges again without a state transition.
-                Leg::Ack => self.one_way(to, from) + self.sys.handler_ns,
+                Leg::Ack => self.core.one_way(to, from) + self.core.sys.handler_ns,
                 // The sender retransmits the same message directly.
                 Leg::Request | Leg::Inval => 0,
             };
             let lost = retry.timeout_for(attempt) + turnaround;
-            self.spans
+            self.core
+                .spans
                 .child(tr, "retry", SpanKind::Retry, at, at + lost, from.raw());
             at += lost;
             attempt += 1;
         }
-    }
-
-    fn cache_state(&self, node: NodeId, block: BlockAddr) -> CacheState {
-        self.caches[node.index()]
-            .get(&block)
-            .copied()
-            .unwrap_or(CacheState::Invalid)
-    }
-
-    /// Commits a directory transition, maintaining the limited-pointer
-    /// overflow flag: a shared set larger than the pointer budget loses
-    /// precision; leaving the shared state (exclusive or idle) restores it.
-    fn set_dir(&mut self, block: BlockAddr, next: DirState) {
-        match (&next, self.proto.limited_pointers) {
-            (DirState::Shared(s), Some(budget)) if s.len() > budget => {
-                if self.overflowed.insert(block) {
-                    self.stats.directory_overflows += 1;
-                }
-            }
-            (DirState::Shared(_), _) => {} // an existing overflow persists
-            _ => {
-                self.overflowed.remove(&block);
-            }
-        }
-        self.tally
-            .dir_transition(self.dirs.get(&block).unwrap_or(&DirState::Idle), &next);
-        self.dirs.insert(block, next);
-    }
-
-    /// For an overflowed entry, a write must invalidate *every* node —
-    /// the directory no longer knows who shares the block.
-    fn broadcast_targets(&self, requester: NodeId, home: NodeId) -> Vec<(NodeId, MsgType)> {
-        (0..self.proto.nodes)
-            .map(NodeId::new)
-            .filter(|&n| n != requester && n != home)
-            .map(|n| (n, MsgType::InvalRoRequest))
-            .collect()
-    }
-
-    fn set_cache_state(&mut self, node: NodeId, block: BlockAddr, s: CacheState) {
-        let prev = self.cache_state(node, block);
-        self.tally.cache_transition(prev, s);
-        if s == CacheState::Invalid {
-            self.caches[node.index()].remove(&block);
-        } else {
-            self.caches[node.index()].insert(block, s);
-        }
-        self.ring.get_mut().push(
-            Event::new(
-                self.clocks[node.index()],
-                Severity::Debug,
-                "cache.transition",
-            )
-            .node(node.raw())
-            .block(block.number())
-            .msg(s.short_name()),
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &mut self,
-        time: u64,
-        receiver: NodeId,
-        block: BlockAddr,
-        sender: NodeId,
-        mtype: MsgType,
-        iteration: u32,
-        tr: TraceId,
-    ) {
-        self.stats.count_message(mtype);
-        self.ring.get_mut().push(
-            Event::new(time, Severity::Info, "msg.recv")
-                .node(receiver.raw())
-                .block(block.number())
-                .msg(mtype.paper_name())
-                .value(sender.raw() as u64),
-        );
-        let rec = MsgRecord {
-            time_ns: time,
-            node: receiver,
-            role: mtype.receiver_role(),
-            block,
-            sender,
-            mtype,
-            iteration,
-        };
-        if let Some(policy) = self.policy.as_mut() {
-            policy.observe(&rec);
-        }
-        self.spans.link_record(tr, self.trace.len() as u64);
-        self.trace.push(rec);
     }
 
     /// Executes one memory access by `node` at `block` and advances the
@@ -740,19 +597,22 @@ impl Machine {
         op: ProcOp,
         iteration: u32,
     ) -> Result<AccessOutcome, SimError> {
-        if node.index() >= self.proto.nodes {
+        if node.index() >= self.core.proto.nodes {
             return Err(SimError::NodeOutOfRange {
                 node,
-                nodes: self.proto.nodes,
+                nodes: self.core.proto.nodes,
             });
         }
-        let home = home_of_block(block, &self.proto);
+        self.core.iteration = iteration;
+        let home = home_of_block(block, &self.core.proto);
         let outcome = if node == home {
-            self.access_local(node, block, op, iteration)?
+            self.access_local(node, block, op)?
         } else {
-            self.access_remote(node, home, block, op, iteration)?
+            self.access_remote(node, home, block, op)?
         };
-        self.stats.count_access(op, outcome.hit, outcome.latency_ns);
+        self.core
+            .stats
+            .count_access(op, outcome.hit, outcome.latency_ns);
         if op == ProcOp::Read {
             self.check_read(node, home, block)?;
         }
@@ -760,13 +620,14 @@ impl Machine {
         // may push the (now exclusive) block back to the directory.
         if op == ProcOp::Write && node != home {
             let wants = self
+                .core
                 .policy
                 .as_mut()
                 .is_some_and(|p| p.self_invalidate(node, block));
             if wants {
-                self.ring.get_mut().push(
+                self.core.ring.get_mut().push(
                     Event::new(
-                        self.clocks[node.index()],
+                        self.core.clocks[node.index()],
                         Severity::Info,
                         "policy.self_invalidate",
                     )
@@ -779,16 +640,19 @@ impl Machine {
         // Early invalidation acknowledgment: after a remote load, the
         // policy may drop the fresh shared copy and acknowledge the
         // predicted invalidation ahead of the writer that will send it.
-        if op == ProcOp::Read && node != home && self.cache_state(node, block) == CacheState::Shared
+        if op == ProcOp::Read
+            && node != home
+            && self.core.cache_state(node, block) == CacheState::Shared
         {
             let wants = self
+                .core
                 .policy
                 .as_mut()
                 .is_some_and(|p| p.early_inval_ack(node, block));
             if wants {
-                self.ring.get_mut().push(
+                self.core.ring.get_mut().push(
                     Event::new(
-                        self.clocks[node.index()],
+                        self.core.clocks[node.index()],
                         Severity::Info,
                         "policy.early_inval_ack",
                     )
@@ -810,21 +674,23 @@ impl Machine {
     /// Returns `false` (and does nothing) if the node does not hold the
     /// block exclusive, or is the block's home.
     pub fn replace_exclusive(&mut self, node: NodeId, block: BlockAddr, iteration: u32) -> bool {
-        let home = home_of_block(block, &self.proto);
-        if node == home || self.cache_state(node, block) != CacheState::Exclusive {
+        let home = home_of_block(block, &self.core.proto);
+        if node == home || self.core.cache_state(node, block) != CacheState::Exclusive {
             return false;
         }
+        self.core.iteration = iteration;
         debug_assert_eq!(
-            self.dirs.get(&block).and_then(DirState::owner),
+            self.core.dirs.get(&block).and_then(DirState::owner),
             Some(node),
             "exclusive cache copy implies directory ownership"
         );
-        let t0 = self.clocks[node.index()];
+        let t0 = self.core.clocks[node.index()];
         let tr = self
+            .core
             .spans
             .begin_trace("self_invalidate", t0, node.raw(), block.number());
-        let t = t0 + self.one_way_rec(node, home);
-        self.spans.child(
+        let t = t0 + self.traverse(node, home);
+        self.core.spans.child(
             tr,
             "net.writeback",
             SpanKind::Speculation,
@@ -832,25 +698,20 @@ impl Machine {
             t,
             node.raw(),
         );
-        self.record(
+        self.core.record(
             t,
-            home,
-            block,
-            node,
-            MsgType::InvalRwResponse,
-            iteration,
-            tr,
+            &Msg::new(node, home, block, MsgType::InvalRwResponse).with_trace(tr),
         );
         if let Some(v) = self.cache_values[node.index()].get(&block).copied() {
             self.mem_values.insert(block, v);
         }
         self.cache_values[node.index()].remove(&block);
-        self.set_cache_state(node, block, CacheState::Invalid);
-        self.set_dir(block, DirState::Idle);
-        self.spans.end_trace(tr, t);
+        self.core.set_cache_state(node, block, CacheState::Invalid);
+        self.core.set_dir(block, DirState::Idle);
+        self.core.spans.end_trace(tr, t);
         // Posting the replacement does not stall the processor.
-        self.clocks[node.index()] += self.sys.cache_hit_ns;
-        self.stats.voluntary_replacements += 1;
+        self.core.clocks[node.index()] += self.core.sys.cache_hit_ns;
+        self.core.stats.voluntary_replacements += 1;
         // The entry just went idle: the predicted next requester may be
         // granted the block unsolicited.
         self.maybe_forward(block, t);
@@ -864,19 +725,21 @@ impl Machine {
     /// shared, is the block's home, or the entry has overflowed its
     /// pointer budget (an imprecise sharer set is left alone).
     pub fn replace_shared(&mut self, node: NodeId, block: BlockAddr, iteration: u32) -> bool {
-        let home = home_of_block(block, &self.proto);
+        let home = home_of_block(block, &self.core.proto);
         if node == home
-            || self.cache_state(node, block) != CacheState::Shared
-            || self.overflowed.contains(&block)
+            || self.core.cache_state(node, block) != CacheState::Shared
+            || self.core.overflowed.contains(&block)
         {
             return false;
         }
-        let t0 = self.clocks[node.index()];
+        self.core.iteration = iteration;
+        let t0 = self.core.clocks[node.index()];
         let tr = self
+            .core
             .spans
             .begin_trace("early_inval_ack", t0, node.raw(), block.number());
-        let t = t0 + self.one_way_rec(node, home);
-        self.spans.child(
+        let t = t0 + self.traverse(node, home);
+        self.core.spans.child(
             tr,
             "net.early_ack",
             SpanKind::Speculation,
@@ -884,18 +747,13 @@ impl Machine {
             t,
             node.raw(),
         );
-        self.record(
+        self.core.record(
             t,
-            home,
-            block,
-            node,
-            MsgType::InvalRoResponse,
-            iteration,
-            tr,
+            &Msg::new(node, home, block, MsgType::InvalRoResponse).with_trace(tr),
         );
         self.cache_values[node.index()].remove(&block);
-        self.set_cache_state(node, block, CacheState::Invalid);
-        let went_idle = if let Some(DirState::Shared(s)) = self.dirs.get(&block) {
+        self.core.set_cache_state(node, block, CacheState::Invalid);
+        let went_idle = if let Some(DirState::Shared(s)) = self.core.dirs.get(&block) {
             let mut s = s.clone();
             s.remove(node);
             let next = if s.is_empty() {
@@ -904,15 +762,15 @@ impl Machine {
                 DirState::Shared(s)
             };
             let idle = next == DirState::Idle;
-            self.set_dir(block, next);
+            self.core.set_dir(block, next);
             idle
         } else {
             false
         };
-        self.spans.end_trace(tr, t);
+        self.core.spans.end_trace(tr, t);
         // Posting the early ack does not stall the processor.
-        self.clocks[node.index()] += self.sys.cache_hit_ns;
-        self.rollback.early_acks += 1;
+        self.core.clocks[node.index()] += self.core.sys.cache_hit_ns;
+        self.core.rollback.early_acks += 1;
         if went_idle {
             self.maybe_forward(block, t);
         }
@@ -928,11 +786,12 @@ impl Machine {
     /// recovery-style control traffic, excluded from the predictor-
     /// visible trace like NAKs and §5.1 barrier messages.
     fn maybe_forward(&mut self, block: BlockAddr, now: u64) {
-        let home = home_of_block(block, &self.proto);
-        if self.policy.is_none() || self.dirs.get(&block) != Some(&DirState::Idle) {
+        let home = home_of_block(block, &self.core.proto);
+        if self.core.policy.is_none() || self.core.dirs.get(&block) != Some(&DirState::Idle) {
             return;
         }
         let Some((target, kind)) = self
+            .core
             .policy
             .as_mut()
             .and_then(|p| p.forward_candidate(home, block))
@@ -940,23 +799,24 @@ impl Machine {
             return;
         };
         if target == home
-            || target.index() >= self.proto.nodes
-            || self.cache_state(target, block) != CacheState::Invalid
+            || target.index() >= self.core.proto.nodes
+            || self.core.cache_state(target, block) != CacheState::Invalid
         {
             return;
         }
-        self.rollback.pushes += 1;
-        self.ring.get_mut().push(
+        self.core.rollback.pushes += 1;
+        self.core.ring.get_mut().push(
             Event::new(now, Severity::Info, "policy.forward")
                 .node(target.raw())
                 .block(block.number()),
         );
         let tr = self
+            .core
             .spans
             .begin_trace("spec_push", now, home.raw(), block.number());
-        self.spans.annotate(tr, "speculative");
-        let t_arr = now + self.one_way_rec(home, target);
-        self.spans.child(
+        self.core.spans.annotate(tr, "speculative");
+        let t_arr = now + self.traverse(home, target);
+        self.core.spans.child(
             tr,
             "net.push",
             SpanKind::Speculation,
@@ -976,10 +836,10 @@ impl Machine {
         // simply appears in its cache, like any asynchronous fill.
         let v = self.mem_values.get(&block).copied().unwrap_or(0);
         self.cache_values[target.index()].insert(block, v);
-        self.set_cache_state(target, block, state);
-        self.set_dir(block, next);
-        self.spans.end_trace(tr, t_arr);
-        self.rollback.confirmed += 1;
+        self.core.set_cache_state(target, block, state);
+        self.core.set_dir(block, next);
+        self.core.spans.end_trace(tr, t_arr);
+        self.core.rollback.confirmed += 1;
     }
 
     /// Access by the home node itself: no request/response messages, but
@@ -989,26 +849,25 @@ impl Machine {
         node: NodeId,
         block: BlockAddr,
         op: ProcOp,
-        iteration: u32,
     ) -> Result<AccessOutcome, SimError> {
-        let dir = self.dirs.entry(block).or_default().clone();
-        let Some(mut outcome) = directory::handle_local(&dir, node, op, &self.proto) else {
+        let dir = self.core.dirs.entry(block).or_default().clone();
+        let Some(mut outcome) = directory::handle_local(&dir, node, op, &self.core.proto) else {
             // Sufficient rights already: a local hit.
-            self.clocks[node.index()] += self.sys.cache_hit_ns;
+            self.core.clocks[node.index()] += self.core.sys.cache_hit_ns;
             if op == ProcOp::Write {
-                self.commit_local_write(node, block);
+                self.commit_local_write(block);
             }
             return Ok(AccessOutcome {
                 hit: true,
-                latency_ns: self.sys.cache_hit_ns,
+                latency_ns: self.core.sys.cache_hit_ns,
                 messages: 0,
             });
         };
-        if self.overflowed.contains(&block) && matches!(outcome.next, DirState::Exclusive(_)) {
-            outcome.holder_requests = self.broadcast_targets(node, node);
+        if self.core.overflowed.contains(&block) && matches!(outcome.next, DirState::Exclusive(_)) {
+            outcome.holder_requests = self.core.broadcast_targets(node, node);
         }
-        let start = self.clocks[node.index()];
-        let tr = self.spans.begin_trace(
+        let start = self.core.clocks[node.index()];
+        let tr = self.core.spans.begin_trace(
             match op {
                 ProcOp::Read => "local_read",
                 ProcOp::Write => "local_write",
@@ -1018,37 +877,17 @@ impl Machine {
             block.number(),
         );
         // The local access still occupies the node's own software handler.
-        let service_start = start.max(self.dir_busy[node.index()]);
-        if service_start > start {
-            self.spans.child(
-                tr,
-                "dir.queue",
-                SpanKind::Queue,
-                start,
-                service_start,
-                node.raw(),
-            );
-        }
-        let dispatch = service_start + self.sys.handler_ns;
-        self.spans.child(
-            tr,
-            "dir.service",
-            SpanKind::Directory,
-            service_start,
-            dispatch,
-            node.raw(),
-        );
-        self.dir_busy[node.index()] = dispatch;
-        let (done, messages) =
-            self.collect_holders(&outcome, node, block, dispatch, iteration, tr)?;
-        self.set_dir(block, outcome.next.clone());
-        let end = done + self.sys.mem_access_ns;
-        self.spans
+        let (_, dispatch) = self.core.occupy_dir_handler(node, start, tr);
+        let (done, messages) = self.collect_holders(&outcome, node, block, dispatch, tr)?;
+        self.core.set_dir(block, outcome.next.clone());
+        let end = done + self.core.sys.mem_access_ns;
+        self.core
+            .spans
             .child(tr, "mem.access", SpanKind::Directory, done, end, node.raw());
-        self.clocks[node.index()] = end;
-        self.spans.end_trace(tr, end);
+        self.core.clocks[node.index()] = end;
+        self.core.spans.end_trace(tr, end);
         if op == ProcOp::Write {
-            self.commit_local_write(node, block);
+            self.commit_local_write(block);
         }
         Ok(AccessOutcome {
             hit: false,
@@ -1065,67 +904,61 @@ impl Machine {
         home: NodeId,
         block: BlockAddr,
         op: ProcOp,
-        iteration: u32,
     ) -> Result<AccessOutcome, SimError> {
-        let state = self.cache_state(node, block);
+        let state = self.core.cache_state(node, block);
         let (transient, action) = cache::on_processor_op(state, op)?;
         let CacheAction::Send(req) = action else {
             // A cache hit on a remote page.
-            self.clocks[node.index()] += self.sys.cache_hit_ns;
+            self.core.clocks[node.index()] += self.core.sys.cache_hit_ns;
             if op == ProcOp::Write {
                 self.commit_remote_write(node, block);
             }
             return Ok(AccessOutcome {
                 hit: true,
-                latency_ns: self.sys.cache_hit_ns,
+                latency_ns: self.core.sys.cache_hit_ns,
                 messages: 0,
             });
         };
-        self.set_cache_state(node, block, transient);
+        self.core.set_cache_state(node, block, transient);
 
-        let start = self.clocks[node.index()];
+        let start = self.core.clocks[node.index()];
         let tr = self
+            .core
             .spans
             .begin_trace(req.paper_name(), start, node.raw(), block.number());
         let recovery_before = self.recovery_actions();
         // Request travels to the directory.
-        let t_req = if self.fault.is_some() {
-            self.fault_leg(Leg::Request, node, home, start, tr)?
-        } else {
-            let t = start + self.one_way_rec(node, home);
-            self.spans
-                .child(tr, "net.request", SpanKind::Network, start, t, node.raw());
-            t
-        };
-        self.record(t_req, home, block, node, req, iteration, tr);
+        let t_req = self.leg(Leg::Request, node, home, start, tr)?;
+        self.core
+            .record(t_req, &Msg::new(node, home, block, req).with_trace(tr));
         let mut messages = 1;
 
         // §4.1 read-modify-write speculation: the policy may answer a
         // shared request with an exclusive grant.
         let mut effective_req = req;
         if req == MsgType::GetRoRequest {
-            if let Some(policy) = self.policy.as_mut() {
+            if let Some(policy) = self.core.policy.as_mut() {
                 if policy.grant_exclusive(home, node, block) {
                     effective_req = MsgType::GetRwRequest;
-                    self.stats.exclusive_grants += 1;
-                    self.ring.get_mut().push(
+                    self.core.stats.exclusive_grants += 1;
+                    self.core.ring.get_mut().push(
                         Event::new(t_req, Severity::Info, "policy.grant_exclusive")
                             .node(node.raw())
                             .block(block.number()),
                     );
-                    self.spans.annotate(tr, "speculative_grant");
+                    self.core.spans.annotate(tr, "speculative_grant");
                 }
             }
         }
 
-        let dir = self.dirs.entry(block).or_default().clone();
+        let dir = self.core.dirs.entry(block).or_default().clone();
         let mut outcome =
-            match directory::handle_request(&dir, home, node, effective_req, &self.proto) {
+            match directory::handle_request(&dir, home, node, effective_req, &self.core.proto) {
                 Ok(o) => o,
                 Err(e) => return Err(SimError::Protocol(e)),
             };
-        if self.overflowed.contains(&block) && matches!(outcome.next, DirState::Exclusive(_)) {
-            outcome.holder_requests = self.broadcast_targets(node, home);
+        if self.core.overflowed.contains(&block) && matches!(outcome.next, DirState::Exclusive(_)) {
+            outcome.holder_requests = self.core.broadcast_targets(node, home);
         }
         // The software handler serialises requests at the home. On a
         // faulty fabric the directory NAKs a request that finds it busy
@@ -1133,14 +966,14 @@ impl Machine {
         // after a round trip. NAKs are recovery-layer control traffic,
         // excluded from the predictor-visible trace (the same convention
         // §5.1 applies to barrier messages).
-        let service_start = if self.fault.is_some() {
-            let mut arrival = t_req;
-            while arrival < self.dir_busy[home.index()] {
-                self.recovery.naks_sent += 1;
-                self.recovery.naks_received += 1;
-                let round_trip = self.one_way_rec(home, node) + self.one_way_rec(node, home);
+        let mut arrival = t_req;
+        if self.core.fault.is_some() {
+            while arrival < self.core.dir_busy[home.index()] {
+                self.core.recovery.naks_sent += 1;
+                self.core.recovery.naks_received += 1;
+                let round_trip = self.traverse(home, node) + self.traverse(node, home);
                 let bounce = round_trip.max(1);
-                self.spans.child(
+                self.core.spans.child(
                     tr,
                     "nak",
                     SpanKind::Retry,
@@ -1150,46 +983,22 @@ impl Machine {
                 );
                 arrival += bounce;
             }
-            arrival
-        } else {
-            let s = t_req.max(self.dir_busy[home.index()]);
-            if s > t_req {
-                self.spans
-                    .child(tr, "dir.queue", SpanKind::Queue, t_req, s, home.raw());
-            }
-            s
-        };
-        let dispatch = service_start + self.sys.handler_ns;
-        self.spans.child(
-            tr,
-            "dir.service",
-            SpanKind::Directory,
-            service_start,
-            dispatch,
-            home.raw(),
-        );
-        self.dir_busy[home.index()] = dispatch;
-        let (ready, holder_msgs) =
-            self.collect_holders(&outcome, home, block, dispatch, iteration, tr)?;
+        }
+        let (_, dispatch) = self.core.occupy_dir_handler(home, arrival, tr);
+        let (ready, holder_msgs) = self.collect_holders(&outcome, home, block, dispatch, tr)?;
         messages += holder_msgs;
 
         // Reply to the requester.
         let reply = outcome.reply.expect("remote requests always get a reply");
-        let t_reply = if self.fault.is_some() {
-            self.fault_leg(Leg::Reply, home, node, ready, tr)?
-        } else {
-            let t = ready + self.one_way_rec(home, node);
-            self.spans
-                .child(tr, "net.reply", SpanKind::Network, ready, t, home.raw());
-            t
-        };
-        self.record(t_reply, node, block, home, reply, iteration, tr);
+        let t_reply = self.leg(Leg::Reply, home, node, ready, tr)?;
+        self.core
+            .record(t_reply, &Msg::new(home, node, block, reply).with_trace(tr));
         messages += 1;
 
         let (stable, extra) = cache::on_message(transient, reply)?;
         debug_assert!(extra.is_none(), "grant replies need no response");
-        self.set_cache_state(node, block, stable);
-        self.set_dir(block, outcome.next.clone());
+        self.core.set_cache_state(node, block, stable);
+        self.core.set_dir(block, outcome.next.clone());
 
         // Data movement: fills come from (now current) memory.
         match op {
@@ -1202,8 +1011,8 @@ impl Machine {
             }
         }
 
-        let end = t_reply + self.sys.handler_ns;
-        self.spans.child(
+        let end = t_reply + self.core.sys.handler_ns;
+        self.core.spans.child(
             tr,
             "cache.fill",
             SpanKind::Directory,
@@ -1211,10 +1020,10 @@ impl Machine {
             end,
             node.raw(),
         );
-        self.clocks[node.index()] = end;
-        self.spans.end_trace(tr, end);
+        self.core.clocks[node.index()] = end;
+        self.core.spans.end_trace(tr, end);
         if self.recovery_actions() > recovery_before {
-            self.recovery.recovery_latency_ns.record(end - start);
+            self.core.recovery.recovery_latency_ns.record(end - start);
         }
         Ok(AccessOutcome {
             hit: false,
@@ -1226,7 +1035,7 @@ impl Machine {
     /// Recovery actions (timeouts, retransmissions, NAKs) so far — used
     /// to attribute an access's latency to the recovery histogram.
     fn recovery_actions(&self) -> u64 {
-        self.recovery.timeouts + self.recovery.retries + self.recovery.naks_received
+        self.core.recovery.timeouts + self.core.recovery.retries + self.core.recovery.naks_received
     }
 
     /// Sends the plan's invalidations/downgrades (in parallel) and collects
@@ -1238,30 +1047,18 @@ impl Machine {
         outcome_home: NodeId,
         block: BlockAddr,
         dispatch: u64,
-        iteration: u32,
         tr: TraceId,
     ) -> Result<(u64, usize), SimError> {
         let mut ready = dispatch;
         let mut messages = 0;
         for &(target, imsg) in &outcome.holder_requests {
-            let t_inv = if self.fault.is_some() {
-                self.fault_leg(Leg::Inval, outcome_home, target, dispatch, tr)?
-            } else {
-                let t = dispatch + self.one_way_rec(outcome_home, target);
-                self.spans.child(
-                    tr,
-                    "net.inval",
-                    SpanKind::Network,
-                    dispatch,
-                    t,
-                    outcome_home.raw(),
-                );
-                t
-            };
-            self.record(t_inv, target, block, outcome_home, imsg, iteration, tr);
-            messages += 1;
-            let handled = t_inv + self.sys.handler_ns;
-            self.spans.child(
+            let t_inv = self.leg(Leg::Inval, outcome_home, target, dispatch, tr)?;
+            self.core.record(
+                t_inv,
+                &Msg::new(outcome_home, target, block, imsg).with_trace(tr),
+            );
+            let handled = t_inv + self.core.sys.handler_ns;
+            self.core.spans.child(
                 tr,
                 "holder.service",
                 SpanKind::Directory,
@@ -1270,85 +1067,47 @@ impl Machine {
                 target.raw(),
             );
 
-            let state = self.cache_state(target, block);
-            // A broadcast invalidation (limited-pointer overflow) reaches
-            // nodes without a copy; the cache controller acknowledges
-            // without consulting the line.
-            if state == CacheState::Invalid && imsg == MsgType::InvalRoRequest {
-                let t_resp = if self.fault.is_some() {
-                    self.fault_leg(Leg::Ack, target, outcome_home, handled, tr)?
-                } else {
-                    let t = handled + self.one_way_rec(target, outcome_home);
-                    self.spans
-                        .child(tr, "net.ack", SpanKind::Network, handled, t, target.raw());
-                    t
-                };
-                self.record(
-                    t_resp,
-                    outcome_home,
-                    block,
-                    target,
-                    MsgType::InvalRoResponse,
-                    iteration,
-                    tr,
-                );
-                messages += 1;
-                self.spans.child(
-                    tr,
-                    "dir.gather",
-                    SpanKind::Directory,
-                    t_resp,
-                    t_resp + self.sys.handler_ns,
-                    outcome_home.raw(),
-                );
-                ready = ready.max(t_resp + self.sys.handler_ns);
-                continue;
-            }
-            let (next, reply) = cache::on_message(state, imsg)?;
-            self.set_cache_state(target, block, next);
-
-            // Writebacks: an exclusive copy returns its (dirty) data.
-            if matches!(imsg, MsgType::InvalRwRequest | MsgType::DowngradeRequest) {
-                if let Some(v) = self.cache_values[target.index()].get(&block).copied() {
-                    self.mem_values.insert(block, v);
-                }
-            }
-            if next == CacheState::Invalid {
-                self.cache_values[target.index()].remove(&block);
-            }
-
-            let reply = reply.expect("invalidations and downgrades are acknowledged");
-            let t_resp = if self.fault.is_some() {
-                self.fault_leg(
-                    Leg::Ack,
-                    target,
-                    outcome_home,
-                    t_inv + self.sys.handler_ns,
-                    tr,
-                )?
+            let state = self.core.cache_state(target, block);
+            let reply = if state == CacheState::Invalid && imsg == MsgType::InvalRoRequest {
+                // A broadcast invalidation (limited-pointer overflow)
+                // reaches nodes without a copy; the cache controller
+                // acknowledges without consulting the line.
+                MsgType::InvalRoResponse
             } else {
-                let t = handled + self.one_way_rec(target, outcome_home);
-                self.spans
-                    .child(tr, "net.ack", SpanKind::Network, handled, t, target.raw());
-                t
+                let (next, reply) = cache::on_message(state, imsg)?;
+                self.core.set_cache_state(target, block, next);
+                // Writebacks: an exclusive copy returns its (dirty) data.
+                if matches!(imsg, MsgType::InvalRwRequest | MsgType::DowngradeRequest) {
+                    if let Some(v) = self.cache_values[target.index()].get(&block).copied() {
+                        self.mem_values.insert(block, v);
+                    }
+                }
+                if next == CacheState::Invalid {
+                    self.cache_values[target.index()].remove(&block);
+                }
+                reply.expect("invalidations and downgrades are acknowledged")
             };
-            self.record(t_resp, outcome_home, block, target, reply, iteration, tr);
-            messages += 1;
-            self.spans.child(
+            let t_resp = self.leg(Leg::Ack, target, outcome_home, handled, tr)?;
+            self.core.record(
+                t_resp,
+                &Msg::new(target, outcome_home, block, reply).with_trace(tr),
+            );
+            messages += 2;
+            let gathered = t_resp + self.core.sys.handler_ns;
+            self.core.spans.child(
                 tr,
                 "dir.gather",
                 SpanKind::Directory,
                 t_resp,
-                t_resp + self.sys.handler_ns,
+                gathered,
                 outcome_home.raw(),
             );
-            ready = ready.max(t_resp + self.sys.handler_ns);
+            ready = ready.max(gathered);
         }
         Ok((ready, messages))
     }
 
-    fn commit_local_write(&mut self, node: NodeId, block: BlockAddr) {
-        let _ = node;
+    fn commit_local_write(&mut self, block: BlockAddr) {
         self.next_stamp += 1;
         // The home's copy is memory itself.
         self.mem_values.insert(block, self.next_stamp);
@@ -1389,36 +1148,16 @@ impl Machine {
     ///
     /// Returns the violation, if any.
     pub fn verify_block(&self, block: BlockAddr) -> Result<(), SimError> {
-        let dir = self.dirs.get(&block).unwrap_or(&DirState::Idle);
-        let states: Vec<CacheState> =
-            effective_cache_states(&self.proto, block, dir, |n| self.cache_state(n, block))
-                .collect();
-        audit_block(
-            block,
-            dir,
-            &states,
-            &self.tally,
-            &mut self.ring.borrow_mut(),
-            self.execution_time_ns(),
-        )
+        self.core.audit([block])
     }
 
-    /// Audits every block ever touched.
+    /// Audits every block ever touched, ascending.
     ///
     /// # Errors
     ///
     /// Returns the first violation found.
     pub fn verify_coherence(&self) -> Result<(), SimError> {
-        let mut blocks: Vec<BlockAddr> = self.dirs.keys().copied().collect();
-        for c in &self.caches {
-            blocks.extend(c.keys().copied());
-        }
-        blocks.sort_unstable();
-        blocks.dedup();
-        for b in blocks {
-            self.verify_block(b)?;
-        }
-        Ok(())
+        self.core.verify_coherence()
     }
 }
 
@@ -1647,6 +1386,90 @@ mod tests {
         assert!(matches!(
             snap.get("simx.net.one_way_ns"),
             Some(obs::MetricValue::Histogram(h)) if h.count() == 2
+        ));
+    }
+
+    #[test]
+    fn a_serialized_run_does_not_hoard_the_written_block_list() {
+        // The core lists every written block for the event engines'
+        // barrier audit. This scheduler must empty that list at each
+        // barrier — and must not audit it: invariant checks here happen
+        // per access (`paranoid`) or on demand, never at a barrier.
+        use crate::driver::{run_iteration, Access, IterationPlan, Phase};
+        let mut plan = IterationPlan::new();
+        for round in 0..3u64 {
+            let mut phase = Phase::new(16);
+            for p in 1..6 {
+                phase.push(Access::write(n(p), BlockAddr::new(round * 64 + p as u64)));
+                phase.push(Access::read(
+                    n(p + 1),
+                    BlockAddr::new(round * 64 + p as u64),
+                ));
+            }
+            plan.push(phase);
+        }
+        let mut m = machine();
+        run_iteration(&mut m, &plan, 0).unwrap();
+        assert!(m.stats().messages_total() > 0);
+        assert!(m.core.dirty.is_empty(), "barrier drops the list");
+        assert_eq!(m.tally().invariant_checks(), 0, "and audits nothing");
+        // Between barriers the list is the core's to fill.
+        m.access(n(1), b0(), ProcOp::Write, 1).unwrap();
+        assert!(m.core.dirty.contains(&b0()));
+        m.barrier();
+        assert!(m.core.dirty.is_empty());
+    }
+
+    #[test]
+    fn a_clean_snapshot_has_exactly_the_serialized_metric_set() {
+        // Sharing the core's exporter must not leak the event engines'
+        // extras (`simx.queue.depth`) or any fault / rollback / span key
+        // into a clean run: `appbt_small_obs.json` pins the same set.
+        let mut m = machine();
+        m.access(n(1), b0(), ProcOp::Write, 0).unwrap();
+        m.access(n(2), b0(), ProcOp::Read, 0).unwrap();
+        m.access(n(0), b0(), ProcOp::Write, 0).unwrap();
+        m.barrier();
+        let snap = m.obs_snapshot();
+        let expect = [
+            "simx.access.hit_rate",
+            "simx.access.hits",
+            "simx.access.latency_ns",
+            "simx.access.misses",
+            "simx.access.reads",
+            "simx.access.writes",
+            "simx.barriers",
+            "simx.directory.overflows",
+            "simx.msg.sent.get_ro_request",
+            "simx.msg.sent.get_ro_response",
+            "simx.msg.sent.get_rw_request",
+            "simx.msg.sent.get_rw_response",
+            "simx.msg.sent.inval_ro_request",
+            "simx.msg.sent.inval_ro_response",
+            "simx.msg.sent.inval_rw_request",
+            "simx.msg.sent.inval_rw_response",
+            "simx.msg.total",
+            "simx.net.one_way_ns",
+            "simx.ring.events_total",
+            "simx.speculation.exclusive_grants",
+            "simx.speculation.voluntary_replacements",
+            "simx.trace.records",
+            "stache.cache.transition.exclusive.invalid",
+            "stache.cache.transition.i_to_e.exclusive",
+            "stache.cache.transition.i_to_s.shared",
+            "stache.cache.transition.invalid.i_to_e",
+            "stache.cache.transition.invalid.i_to_s",
+            "stache.cache.transition.shared.invalid",
+            "stache.dir.transition.exclusive.shared",
+            "stache.dir.transition.idle.exclusive",
+            "stache.dir.transition.shared.exclusive",
+            "stache.invariant.checks",
+            "stache.invariant.failures",
+        ];
+        assert_eq!(snap.names(), expect);
+        assert!(matches!(
+            snap.get("stache.invariant.checks"),
+            Some(obs::MetricValue::Counter(0))
         ));
     }
 

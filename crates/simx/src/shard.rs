@@ -1,6 +1,6 @@
 //! Sharded parallel execution of the concurrent engine (DESIGN.md §6h).
 //!
-//! [`ConcurrentMachine`](crate::ConcurrentMachine) processes one global
+//! [`ConcurrentMachine`] processes one global
 //! event queue on one thread; at 1k+ nodes that single queue is the
 //! scaling wall. This engine partitions the machine by node — each
 //! *shard* owns a contiguous node range: those nodes' caches, clocks,
@@ -57,7 +57,9 @@
 //! receiving node's state — the whole of what windows rely on.
 //!
 //! [`Machine`](crate::Machine), which serialises whole transactions, is
-//! the one remaining engine with a private copy of the protocol steps.
+//! the third scheduler over the same core: it shares the store and its
+//! writers but walks each transaction in closed form instead of
+//! dispatching the handlers (DESIGN.md §6h says why).
 
 use crate::arena::{Arena, ArenaId};
 use crate::concurrent::{
@@ -364,8 +366,9 @@ impl ShardedMachine {
     /// block) per barrier this knob was added to escape. It stays only
     /// because the scale drivers (`benchmark/`, `repro scale`) call it
     /// and audits-on at 1.67 M blocks has not been measured; they finish
-    /// with one [`verify_coherence_sampled`]
-    /// (Self::verify_coherence_sampled) sweep instead. Note the audit
+    /// with one
+    /// [`verify_coherence_sampled`](Self::verify_coherence_sampled)
+    /// sweep instead. Note the audit
     /// feeds `stache.invariant.checks` (checks performed), so snapshots
     /// are only comparable between runs using the same setting.
     pub fn set_audit_barriers(&mut self, audit: bool) {
@@ -707,8 +710,9 @@ impl ShardedMachine {
     /// Audits the coherence invariants for at most `max_blocks` touched
     /// blocks, stride-sampled deterministically across the sorted touched
     /// set. The affordable end-of-run check for millions-of-blocks scale
-    /// runs, where the exhaustive [`verify_coherence`]
-    /// (Self::verify_coherence) would cost O(blocks × nodes).
+    /// runs, where the exhaustive
+    /// [`verify_coherence`](Self::verify_coherence) would cost
+    /// O(blocks × nodes).
     ///
     /// # Errors
     ///

@@ -1,9 +1,12 @@
-//! Property tests: the calendar-queue `EventQueue` against a
-//! binary-heap ordering oracle on arbitrary push/pop/remove_rank
-//! interleavings.
+//! Property tests: `EventQueue` against an independent binary-heap
+//! oracle (payload-ordered `Reverse` tuples, rank removal by full sort)
+//! on arbitrary push/pop/remove_rank interleavings. Since the queue is
+//! itself a `(time, seq)` binary heap this checks the wrapper — sequence
+//! numbering, FIFO ties, rank removal — rather than a second structure.
 //!
-//! The always-on differential with fixed xorshift seeds lives in
-//! `crates/simx/src/event.rs` (`differential_random_interleavings_match_heap_oracle`);
+//! The always-on differential with fixed xorshift seeds, against a
+//! sorted-`Vec` oracle, lives in `crates/simx/src/event.rs`
+//! (`differential_random_interleavings_match_heap_oracle`);
 //! this file widens it to proptest-generated interleavings and is
 //! feature-gated per the workspace's zero-external-dependency policy
 //! (see TESTING.md §2 — any shrunk counterexample proptest saves must

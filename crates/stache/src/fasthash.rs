@@ -17,7 +17,7 @@
 //! block addresses are constant there (Stache homes pages round-robin, so
 //! every block one agent of a 64-node run sees agrees in its low 12 bits).
 //! [`FxHasher::finish`] therefore rotates the well-mixed high bits down
-//! ([`FINISH_ROTATE`], the rustc-hash 2.x finaliser). [`fx_words`] is the
+//! (`FINISH_ROTATE`, the rustc-hash 2.x finaliser). [`fx_words`] is the
 //! raw fold without that step, for callers whose *modelled* hardware hash
 //! is pinned by a golden.
 //!

@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Intra-doc links are checked too (~5 s): code that moves between
+# modules must not leave `[`name`]` links dangling behind it.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> cargo build --release"
 cargo build --release --offline
 
