@@ -1,90 +1,16 @@
-//! Confidence-gated speculation.
-//!
-//! [`CosmosPolicy`](crate::CosmosPolicy) fires on any learned pattern; on
-//! noisy blocks that wastes speculations (each one a potential extra
-//! miss). This policy speculates only when the predictor's confidence
-//! counter has reached a threshold — trading some of the upside for a
-//! near-zero misfire rate, the right end of Figure 5's trade-off when the
-//! misprediction penalty is high.
-
-use cosmos::{ConfidenceCosmos, MessagePredictor, PredTuple};
-use simx::SpeculationPolicy;
-use stache::{BlockAddr, MsgType, NodeId, Role};
-use std::collections::HashMap;
-use trace::MsgRecord;
-
-/// A speculation policy driven by confidence-gated Cosmos predictors.
-#[derive(Debug)]
-pub struct ConfidentPolicy {
-    depth: usize,
-    threshold: u8,
-    directories: HashMap<NodeId, ConfidenceCosmos>,
-    caches: HashMap<NodeId, ConfidenceCosmos>,
-}
-
-impl ConfidentPolicy {
-    /// Creates a policy whose predictors answer only at the given
-    /// confidence (see [`cosmos::confidence::CONFIDENCE_MAX`]).
-    pub fn new(depth: usize, threshold: u8) -> Self {
-        ConfidentPolicy {
-            depth,
-            threshold,
-            directories: HashMap::new(),
-            caches: HashMap::new(),
-        }
-    }
-
-    fn directory(&mut self, home: NodeId) -> &mut ConfidenceCosmos {
-        let (depth, threshold) = (self.depth, self.threshold);
-        self.directories
-            .entry(home)
-            .or_insert_with(|| ConfidenceCosmos::new(depth, threshold))
-    }
-
-    fn cache(&mut self, node: NodeId) -> &mut ConfidenceCosmos {
-        let (depth, threshold) = (self.depth, self.threshold);
-        self.caches
-            .entry(node)
-            .or_insert_with(|| ConfidenceCosmos::new(depth, threshold))
-    }
-}
-
-impl SpeculationPolicy for ConfidentPolicy {
-    fn grant_exclusive(&mut self, home: NodeId, requester: NodeId, block: BlockAddr) -> bool {
-        self.directory(home).predict(block)
-            == Some(PredTuple::new(requester, MsgType::UpgradeRequest))
-    }
-
-    fn self_invalidate(&mut self, node: NodeId, block: BlockAddr) -> bool {
-        matches!(
-            self.cache(node).predict(block),
-            Some(PredTuple {
-                mtype: MsgType::InvalRwRequest,
-                ..
-            })
-        )
-    }
-
-    fn observe(&mut self, record: &MsgRecord) {
-        let tuple = PredTuple::new(record.sender, record.mtype);
-        match record.role {
-            Role::Directory => self.directory(record.node).observe(record.block, tuple),
-            Role::Cache => self.cache(record.node).observe(record.block, tuple),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::runner::compare;
-    use crate::CosmosPolicy;
+    use crate::{CosmosPolicy, SpeculatePolicy};
+    use simx::SpeculationPolicy;
+    use stache::{BlockAddr, MsgType, NodeId, Role};
+    use trace::MsgRecord;
     use workloads::micro::ProducerConsumer;
     use workloads::Appbt;
 
     #[test]
     fn needs_confirmations_before_granting() {
-        let mut p = ConfidentPolicy::new(1, 2);
+        let mut p = SpeculatePolicy::new(1, Some(2));
         let rec = |mtype| MsgRecord {
             time_ns: 0,
             node: NodeId::new(0),
@@ -115,7 +41,7 @@ mod tests {
             ..Default::default()
         };
         let c = compare(&mut make(), &mut make(), || {
-            Box::new(ConfidentPolicy::new(1, 2))
+            Box::new(SpeculatePolicy::new(1, Some(2)))
         })
         .unwrap();
         assert!(c.accelerated.messages < c.baseline.messages, "{c}");
@@ -128,7 +54,7 @@ mod tests {
         let make = || Appbt::small();
         let eager = compare(&mut make(), &mut make(), || Box::new(CosmosPolicy::new(1))).unwrap();
         let gated = compare(&mut make(), &mut make(), || {
-            Box::new(ConfidentPolicy::new(1, 2))
+            Box::new(SpeculatePolicy::new(1, Some(2)))
         })
         .unwrap();
         let eager_fires =

@@ -1,91 +1,32 @@
 //! Speculation driven by the §7 directed predictors, for comparison with
 //! [`CosmosPolicy`](crate::CosmosPolicy).
 
+use crate::policy::{PredictorPolicy, GRANT_AND_SELF_INVALIDATE};
 use cosmos::directed::{DsiPredictor, RmwPredictor};
-use cosmos::{MessagePredictor, PredTuple};
-use simx::SpeculationPolicy;
-use stache::{BlockAddr, MsgType, NodeId, Role};
-use std::collections::HashMap;
-use trace::MsgRecord;
+use stache::Role;
 
-/// The classical pairing: Origin-style read-modify-write prediction at
-/// directories, dynamic self-invalidation at caches — each wired to the
-/// action it was designed for.
-#[derive(Debug)]
-pub struct DirectedPolicy {
-    directories: HashMap<NodeId, RmwPredictor>,
-    caches: HashMap<NodeId, DsiPredictor>,
-    /// Exclusive grants issued.
-    pub grants: u64,
-    /// Voluntary replacements issued.
-    pub replacements: u64,
-}
+/// Constructor of the classical pairing: Origin-style read-modify-write
+/// prediction at directories, dynamic self-invalidation at caches — each
+/// wired to the action it was designed for.
+pub enum DirectedPolicy {}
 
 impl DirectedPolicy {
     /// Creates the policy.
-    pub fn new() -> Self {
-        DirectedPolicy {
-            directories: HashMap::new(),
-            caches: HashMap::new(),
-            grants: 0,
-            replacements: 0,
-        }
-    }
-}
-
-impl Default for DirectedPolicy {
-    fn default() -> Self {
-        DirectedPolicy::new()
-    }
-}
-
-impl SpeculationPolicy for DirectedPolicy {
-    fn grant_exclusive(&mut self, home: NodeId, requester: NodeId, block: BlockAddr) -> bool {
-        let p = self
-            .directories
-            .entry(home)
-            .or_insert_with(|| RmwPredictor::new(Role::Directory));
-        let fire = p.predict(block) == Some(PredTuple::new(requester, MsgType::UpgradeRequest));
-        self.grants += u64::from(fire);
-        fire
-    }
-
-    fn self_invalidate(&mut self, node: NodeId, block: BlockAddr) -> bool {
-        let p = self
-            .caches
-            .entry(node)
-            .or_insert_with(|| DsiPredictor::new(Role::Cache));
-        let fire = matches!(
-            p.predict(block),
-            Some(PredTuple {
-                mtype: MsgType::InvalRwRequest,
-                ..
-            })
-        );
-        self.replacements += u64::from(fire);
-        fire
-    }
-
-    fn observe(&mut self, record: &MsgRecord) {
-        let tuple = PredTuple::new(record.sender, record.mtype);
-        match record.role {
-            Role::Directory => self
-                .directories
-                .entry(record.node)
-                .or_insert_with(|| RmwPredictor::new(Role::Directory))
-                .observe(record.block, tuple),
-            Role::Cache => self
-                .caches
-                .entry(record.node)
-                .or_insert_with(|| DsiPredictor::new(Role::Cache))
-                .observe(record.block, tuple),
-        }
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new() -> PredictorPolicy {
+        PredictorPolicy::new(GRANT_AND_SELF_INVALIDATE, |role| match role {
+            Role::Directory => Box::new(RmwPredictor::new(role)),
+            Role::Cache => Box::new(DsiPredictor::new(role)),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simx::SpeculationPolicy;
+    use stache::{BlockAddr, MsgType, NodeId};
+    use trace::MsgRecord;
 
     #[test]
     fn rmw_grant_fires_unconditionally_after_any_read() {

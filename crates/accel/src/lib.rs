@@ -8,9 +8,13 @@
 //! micro-architecture to see how much it affects the bottom line", §8).
 //! This crate is that next step, on the simulated machine:
 //!
+//! * [`PredictorPolicy`] is the one [`simx::SpeculationPolicy`]: a fleet
+//!   of per-agent predictors, the prediction→action rules, and the set of
+//!   [`simx::SpecActions`] those rules may fire. The three names below
+//!   are constructors of it.
 //! * [`CosmosPolicy`] installs one Cosmos predictor per directory and per
-//!   cache in a [`simx::Machine`] and drives the two speculative actions
-//!   of the paper's Table 2 that fit a trace-level protocol:
+//!   cache and arms the two speculative actions of the paper's Table 2
+//!   that fit a trace-level protocol:
 //!   - **exclusive grants** (read-modify-write prediction): when the
 //!     directory predictor says a reader's next message will be an
 //!     `upgrade_request`, the `get_ro_request` is answered exclusively —
@@ -20,15 +24,15 @@
 //!     block is an `inval_rw_request`, the block is replaced to the
 //!     directory immediately — turning the consumer's four-message
 //!     owner-recall miss into a two-message idle-directory miss.
-//! * [`directed_policy::DirectedPolicy`] does the same with the §7
-//!   directed predictors, for comparison;
-//! * [`ConfidentPolicy`] gates both actions behind a confidence counter,
-//!   for workloads where mispredicted speculation is costly.
-//! * [`SpeculatePolicy`] closes the loop on the concurrent engine: the
-//!   same confidence-gated fleet additionally drives **early
-//!   invalidation acks** and **speculative forwarding pushes** — the two
-//!   §4 actions that *do* send extra protocol messages and need the
-//!   engine's rollback machinery when wrong.
+//! * [`DirectedPolicy`] arms the same two with the §7 directed
+//!   predictors (read-modify-write at directories, dynamic
+//!   self-invalidation at caches), for comparison.
+//! * [`SpeculatePolicy`] closes the loop: a confidence-gated Cosmos fleet
+//!   (for workloads where mispredicted speculation is costly) that
+//!   additionally arms **early invalidation acks** and **speculative
+//!   forwarding pushes** — the two §4 actions that *do* send extra
+//!   protocol messages and need the concurrent engine's rollback
+//!   machinery when wrong. The serial engine consults only the first two.
 //! * [`runner`] executes a workload with and without a policy and reports
 //!   messages, execution time, and the speculation outcome counters.
 //!
@@ -58,16 +62,20 @@
 //! assert!(comparison.accelerated.messages < comparison.baseline.messages);
 //! ```
 
-pub mod confident_policy;
 pub mod directed_policy;
 pub mod policy;
 pub mod runner;
 pub mod speculate;
 
-pub use confident_policy::ConfidentPolicy;
-pub use policy::CosmosPolicy;
+pub use directed_policy::DirectedPolicy;
+pub use policy::{CosmosPolicy, PredictorPolicy};
 pub use runner::{
     audit_actions, audit_actions_chunks, compare, compare_concurrent, run_concurrent_with_policy,
     run_with_policy, ActionAudit, ActionAuditor, Comparison, RunSummary,
 };
 pub use speculate::SpeculatePolicy;
+
+// Tests of confidence-gated speculation on the serial engine, under the
+// module path they had when that pairing was a policy of its own.
+#[cfg(test)]
+mod confident_policy;

@@ -1,90 +1,168 @@
-//! The Cosmos-driven speculation policy.
+//! The predictor-driven speculation policy — the only one.
+//!
+//! A policy here is two things: a way to build each agent's predictor,
+//! and the set of [`SpecActions`] its predictions are allowed to fire.
+//! [`CosmosPolicy`], [`DirectedPolicy`](crate::DirectedPolicy) and
+//! [`SpeculatePolicy`](crate::SpeculatePolicy) are constructors that pick
+//! those two arguments; the prediction→action rules below are written
+//! once.
 
-use cosmos::{CosmosPredictor, MessagePredictor, PredTuple};
-use simx::SpeculationPolicy;
+use cosmos::{CosmosPredictor, Fleet, MessagePredictor, PredTuple};
+use simx::{ForwardKind, SpecActions, SpeculationPolicy};
 use stache::{BlockAddr, MsgType, NodeId, Role};
-use std::collections::HashMap;
+use std::fmt;
 use trace::MsgRecord;
 
-/// Drives the machine's speculative actions from live Cosmos predictors —
-/// one per directory and one per cache, trained on exactly the messages
-/// each agent receives, as §3.2 prescribes.
+/// One agent's predictor, as a policy holds it.
+pub type Agent = Box<dyn MessagePredictor + Send>;
+
+/// Drives the machine's speculative actions from live predictors — one
+/// per directory and one per cache, trained on exactly the messages each
+/// agent receives, as §3.2 prescribes.
 ///
 /// Speculation is deliberately *conservative*: an action fires only when
-/// the agent's predictor has an opinion and that opinion maps to the
-/// action. With no opinion the protocol runs unmodified, so the worst
-/// case degenerates to the baseline plus mispredicted actions.
-#[derive(Debug)]
-pub struct CosmosPolicy {
-    depth: usize,
-    directories: HashMap<NodeId, CosmosPredictor>,
-    caches: HashMap<NodeId, CosmosPredictor>,
+/// it is armed, the agent's predictor has an opinion, and that opinion
+/// maps to the action. With no opinion the protocol runs unmodified, so
+/// the worst case degenerates to the baseline plus mispredicted actions.
+pub struct PredictorPolicy {
+    build: Box<dyn Fn(Role) -> Agent + Send>,
+    armed: SpecActions,
+    fleet: Fleet<Agent>,
     /// Exclusive grants issued.
     pub grants: u64,
     /// Voluntary replacements issued.
     pub replacements: u64,
 }
 
-impl CosmosPolicy {
-    /// Creates a policy whose predictors use the given MHR depth (the
-    /// paper's single-bit filter is always on: speculation should not
-    /// flip-flop on one noisy message).
-    pub fn new(depth: usize) -> Self {
-        CosmosPolicy {
-            depth,
-            directories: HashMap::new(),
-            caches: HashMap::new(),
+impl PredictorPolicy {
+    /// A policy that may fire the `armed` actions, on the word of
+    /// predictors made by `build` (called once per agent, on its first
+    /// message).
+    pub fn new(armed: SpecActions, build: impl Fn(Role) -> Agent + Send + 'static) -> Self {
+        PredictorPolicy {
+            build: Box::new(build),
+            armed,
+            fleet: Fleet::default(),
             grants: 0,
             replacements: 0,
         }
     }
 
-    fn directory(&mut self, home: NodeId) -> &mut CosmosPredictor {
-        let depth = self.depth;
-        self.directories
-            .entry(home)
-            .or_insert_with(|| CosmosPredictor::new(depth, 1))
+    /// What the agent expects to receive next for `block`; an agent that
+    /// has received nothing yet has no predictor and no opinion.
+    pub(crate) fn predicted(
+        &self,
+        node: NodeId,
+        role: Role,
+        block: BlockAddr,
+    ) -> Option<PredTuple> {
+        self.fleet.get(node, role)?.predict(block)
     }
 
-    fn cache(&mut self, node: NodeId) -> &mut CosmosPredictor {
-        let depth = self.depth;
-        self.caches
-            .entry(node)
-            .or_insert_with(|| CosmosPredictor::new(depth, 1))
+    /// Whom the agent expects an `mtype` from next, if that is what it
+    /// expects.
+    fn expects(
+        &self,
+        node: NodeId,
+        role: Role,
+        block: BlockAddr,
+        mtype: MsgType,
+    ) -> Option<NodeId> {
+        let p = self.predicted(node, role, block)?;
+        (p.mtype == mtype).then_some(p.sender)
     }
 }
 
-impl SpeculationPolicy for CosmosPolicy {
+impl fmt::Debug for PredictorPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PredictorPolicy")
+            .field("armed", &self.armed)
+            .field("grants", &self.grants)
+            .field("replacements", &self.replacements)
+            .finish_non_exhaustive()
+    }
+}
+
+impl SpeculationPolicy for PredictorPolicy {
     fn grant_exclusive(&mut self, home: NodeId, requester: NodeId, block: BlockAddr) -> bool {
         // The directory predictor has already observed the get_ro_request
         // (observe runs on every reception). If it now expects an
         // upgrade_request from the same requester, grant exclusive.
-        let predicted = self.directory(home).predict(block);
-        let fire = predicted == Some(PredTuple::new(requester, MsgType::UpgradeRequest));
+        let fire = self.armed.grant_exclusive
+            && self.expects(home, Role::Directory, block, MsgType::UpgradeRequest)
+                == Some(requester);
         self.grants += u64::from(fire);
         fire
     }
 
     fn self_invalidate(&mut self, node: NodeId, block: BlockAddr) -> bool {
         // After the store, does this cache expect its copy to be recalled?
-        let predicted = self.cache(node).predict(block);
-        let fire = matches!(
-            predicted,
-            Some(PredTuple {
-                mtype: MsgType::InvalRwRequest,
-                ..
-            })
-        );
+        let recall = self.expects(node, Role::Cache, block, MsgType::InvalRwRequest);
+        let fire = self.armed.self_invalidate && recall.is_some();
         self.replacements += u64::from(fire);
         fire
     }
 
-    fn observe(&mut self, record: &MsgRecord) {
-        let tuple = PredTuple::new(record.sender, record.mtype);
-        match record.role {
-            Role::Directory => self.directory(record.node).observe(record.block, tuple),
-            Role::Cache => self.cache(record.node).observe(record.block, tuple),
+    fn early_inval_ack(&mut self, node: NodeId, block: BlockAddr) -> bool {
+        // The cache's incoming-message predictor says the next thing this
+        // node hears about the block is a (read-sharer) invalidation:
+        // acknowledge it before it is sent.
+        let inval = self.expects(node, Role::Cache, block, MsgType::InvalRoRequest);
+        self.armed.early_ack && inval.is_some()
+    }
+
+    fn forward_candidate(
+        &mut self,
+        home: NodeId,
+        block: BlockAddr,
+    ) -> Option<(NodeId, ForwardKind)> {
+        // The directory's predictor names the next requester; push it the
+        // matching copy. A predicted local re-acquisition is not worth a
+        // push (the home's own stache refills without the network).
+        if !self.armed.forward {
+            return None;
         }
+        let p = self.predicted(home, Role::Directory, block)?;
+        if p.sender == home {
+            return None;
+        }
+        match p.mtype {
+            MsgType::GetRoRequest => Some((p.sender, ForwardKind::Shared)),
+            MsgType::GetRwRequest => Some((p.sender, ForwardKind::Exclusive)),
+            _ => None,
+        }
+    }
+
+    fn observe(&mut self, record: &MsgRecord) {
+        let build = &self.build;
+        self.fleet
+            .agent(record.node, record.role, || build(record.role))
+            .observe(record.block, PredTuple::new(record.sender, record.mtype));
+    }
+}
+
+/// The two actions the serial engine supports and that never send an
+/// extra protocol message: exclusive grants and self-invalidation.
+pub(crate) const GRANT_AND_SELF_INVALIDATE: SpecActions = SpecActions {
+    grant_exclusive: true,
+    self_invalidate: true,
+    early_ack: false,
+    forward: false,
+};
+
+/// Constructor of the Cosmos-driven policy: plain Cosmos predictors arm
+/// exclusive grants and self-invalidation.
+pub enum CosmosPolicy {}
+
+impl CosmosPolicy {
+    /// A policy whose predictors use the given MHR depth and the paper's
+    /// single-bit filter: speculation should not flip-flop on one noisy
+    /// message.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(depth: usize) -> PredictorPolicy {
+        PredictorPolicy::new(GRANT_AND_SELF_INVALIDATE, move |_| {
+            Box::new(CosmosPredictor::new(depth, 1))
+        })
     }
 }
 

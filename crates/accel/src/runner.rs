@@ -1,9 +1,9 @@
 //! Running workloads with and without speculation and comparing outcomes.
 
-use cosmos::{CosmosPredictor, MessagePredictor, PredTuple};
-use simx::{driver, Machine, SimError, SpeculationPolicy, SystemConfig};
+use crate::policy::{CosmosPolicy, PredictorPolicy};
+use simx::{driver, Machine, MachineStats, SimError, SpeculationPolicy, SystemConfig};
 use stache::{BlockAddr, MsgType, NodeId, ProtocolConfig, Role};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use trace::TraceBundle;
 use workloads::Workload;
@@ -23,6 +23,19 @@ pub struct RunSummary {
     pub exclusive_grants: u64,
     /// Voluntary replacements the caches issued.
     pub voluntary_replacements: u64,
+}
+
+impl RunSummary {
+    fn of(stats: &MachineStats, execution_time_ns: u64) -> Self {
+        RunSummary {
+            messages: stats.messages_total(),
+            execution_time_ns,
+            hits: stats.hits,
+            accesses: stats.accesses(),
+            exclusive_grants: stats.exclusive_grants,
+            voluntary_replacements: stats.voluntary_replacements,
+        }
+    }
 }
 
 /// Baseline vs. accelerated, on identical access streams.
@@ -126,15 +139,7 @@ pub fn run_with_policy<W: Workload + ?Sized>(
         driver::run_iteration(&mut machine, &plan, it)?;
     }
     machine.verify_coherence()?;
-    let stats = machine.stats();
-    Ok(RunSummary {
-        messages: stats.messages_total(),
-        execution_time_ns: machine.execution_time_ns(),
-        hits: stats.hits,
-        accesses: stats.accesses(),
-        exclusive_grants: stats.exclusive_grants,
-        voluntary_replacements: stats.voluntary_replacements,
-    })
+    Ok(RunSummary::of(machine.stats(), machine.execution_time_ns()))
 }
 
 /// Runs the same workload twice — bare, then with `make_policy()` — and
@@ -179,15 +184,7 @@ pub fn run_concurrent_with_policy<W: Workload + ?Sized>(
         machine.run_plan(&plan, it)?;
     }
     machine.verify_coherence()?;
-    let stats = machine.stats();
-    Ok(RunSummary {
-        messages: stats.messages_total(),
-        execution_time_ns: machine.execution_time_ns(),
-        hits: stats.hits,
-        accesses: stats.accesses(),
-        exclusive_grants: stats.exclusive_grants,
-        voluntary_replacements: stats.voluntary_replacements,
-    })
+    Ok(RunSummary::of(machine.stats(), machine.execution_time_ns()))
 }
 
 /// The speculative-action counts recovered by replaying a finished run's
@@ -200,10 +197,10 @@ pub struct ActionAudit {
     pub voluntary_replacements: u64,
 }
 
-/// Replays a [`CosmosPolicy`](crate::CosmosPolicy)-equivalent fleet over a
-/// finished run's trace — the same per-`(node, role)` agent layout
-/// [`cosmos::eval::record_verdicts`] uses — and counts the actions the live
-/// policy fired, from the recorded messages alone.
+/// Replays [`CosmosPolicy::new`]`(depth)` over a finished run's trace — the
+/// same per-`(node, role)` agent layout [`cosmos::eval::record_verdicts`]
+/// uses — and counts the actions the live policy fired, from the recorded
+/// messages alone.
 ///
 /// The live policy trains on exactly the receptions the trace records, in
 /// record order, so a replayed fleet reaches the same table state at every
@@ -227,10 +224,8 @@ pub struct ActionAudit {
 /// recorded, so the live observe stream and the trace diverge. The
 /// regression tests pin the clean-run equality so any such drift in the
 /// runner is caught.
-pub fn audit_actions(bundle: &TraceBundle, depth: usize, filter_max: u8) -> ActionAudit {
-    let mut auditor = ActionAuditor::new(depth, filter_max);
-    auditor.push_all(bundle.records());
-    auditor.finish()
+pub fn audit_actions(bundle: &TraceBundle, depth: usize) -> ActionAudit {
+    audit_actions_chunks([bundle.records()], depth)
 }
 
 /// [`audit_actions`], fed a chunked record stream — the packed-trace
@@ -239,9 +234,8 @@ pub fn audit_actions(bundle: &TraceBundle, depth: usize, filter_max: u8) -> Acti
 pub fn audit_actions_chunks<'a>(
     chunks: impl IntoIterator<Item = &'a [trace::MsgRecord]>,
     depth: usize,
-    filter_max: u8,
 ) -> ActionAudit {
-    let mut auditor = ActionAuditor::new(depth, filter_max);
+    let mut auditor = ActionAuditor::new(depth);
     for chunk in chunks {
         auditor.push_all(chunk);
     }
@@ -251,59 +245,44 @@ pub fn audit_actions_chunks<'a>(
 /// The push-based core of [`audit_actions`]: feed records in trace order,
 /// then [`finish`](ActionAuditor::finish). Lets the streaming replay path
 /// audit a trace it never holds whole.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ActionAuditor {
-    depth: usize,
-    filter_max: u8,
-    fleet: HashMap<(NodeId, Role), CosmosPredictor>,
+    /// The policy the run is replayed under; it applies the two action
+    /// rules and counts what fires.
+    policy: PredictorPolicy,
     /// Exclusive fills in flight, keyed (block, holder): genuine write
     /// requests plus reads the audit granted exclusively. Each one's
     /// arrival is a self-invalidation consult point.
     fills: HashSet<(BlockAddr, NodeId)>,
-    audit: ActionAudit,
 }
 
 impl ActionAuditor {
-    /// Starts an audit with a fleet of the given depth and filter.
-    pub fn new(depth: usize, filter_max: u8) -> Self {
+    /// Starts an audit of a run under `CosmosPolicy::new(depth)`.
+    pub fn new(depth: usize) -> Self {
         ActionAuditor {
-            depth,
-            filter_max,
-            ..Default::default()
+            policy: CosmosPolicy::new(depth),
+            fills: HashSet::new(),
         }
     }
 
     /// Feeds one record in trace order.
     pub fn push(&mut self, r: &trace::MsgRecord) {
-        let predictor = self
-            .fleet
-            .entry((r.node, r.role))
-            .or_insert_with(|| CosmosPredictor::new(self.depth, self.filter_max));
         // The machine records a reception (training the policy) before it
         // consults any action for it, so observe first.
-        predictor.observe(r.block, PredTuple::new(r.sender, r.mtype));
+        self.policy.observe(r);
         match (r.role, r.mtype) {
             (Role::Directory, MsgType::GetRoRequest)
-                if predictor.predict(r.block)
-                    == Some(PredTuple::new(r.sender, MsgType::UpgradeRequest)) =>
+                if self.policy.grant_exclusive(r.node, r.sender, r.block) =>
             {
-                self.audit.exclusive_grants += 1;
                 self.fills.insert((r.block, r.sender));
             }
             (Role::Directory, MsgType::GetRwRequest | MsgType::UpgradeRequest) => {
                 self.fills.insert((r.block, r.sender));
             }
             (Role::Cache, MsgType::GetRwResponse | MsgType::UpgradeResponse)
-                if self.fills.remove(&(r.block, r.node))
-                    && matches!(
-                        predictor.predict(r.block),
-                        Some(PredTuple {
-                            mtype: MsgType::InvalRwRequest,
-                            ..
-                        })
-                    ) =>
+                if self.fills.remove(&(r.block, r.node)) =>
             {
-                self.audit.voluntary_replacements += 1;
+                self.policy.self_invalidate(r.node, r.block);
             }
             _ => {}
         }
@@ -318,7 +297,10 @@ impl ActionAuditor {
 
     /// Returns the recovered action counts.
     pub fn finish(self) -> ActionAudit {
-        self.audit
+        ActionAudit {
+            exclusive_grants: self.policy.grants,
+            voluntary_replacements: self.policy.replacements,
+        }
     }
 }
 
@@ -343,8 +325,7 @@ pub fn compare_concurrent<W: Workload + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directed_policy::DirectedPolicy;
-    use crate::CosmosPolicy;
+    use crate::DirectedPolicy;
     use workloads::micro::{Migratory, ProducerConsumer};
 
     #[test]
@@ -458,7 +439,7 @@ mod tests {
         };
         let (grants, repls, bundle) = traced_run(&mut w, Box::new(CosmosPolicy::new(2)));
         assert!(grants > 0, "migratory must drive grants");
-        let audit = audit_actions(&bundle, 2, 1);
+        let audit = audit_actions(&bundle, 2);
         assert_eq!(audit.exclusive_grants, grants);
         assert_eq!(audit.voluntary_replacements, repls);
     }
@@ -472,7 +453,7 @@ mod tests {
         };
         let (grants, repls, bundle) = traced_run(&mut w, Box::new(CosmosPolicy::new(2)));
         assert!(repls > 0, "producer-consumer must drive replacements");
-        let audit = audit_actions(&bundle, 2, 1);
+        let audit = audit_actions(&bundle, 2);
         assert_eq!(audit.voluntary_replacements, repls);
         assert_eq!(audit.exclusive_grants, grants);
     }
@@ -497,7 +478,7 @@ mod tests {
             driver::run_iteration(&mut machine, &plan, it).unwrap();
         }
         let bundle = machine.into_trace();
-        let audit = audit_actions(&bundle, 2, 1);
+        let audit = audit_actions(&bundle, 2);
         assert!(audit.voluntary_replacements > 0);
         let verdicts = cosmos::eval::record_verdicts(&bundle, 2, 1);
         let recall_hits = bundle

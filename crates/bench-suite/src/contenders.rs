@@ -1,19 +1,18 @@
 //! The contender table: every predictor configuration the studies race,
 //! declared once as `(label, factory)`.
 //!
-//! [`tournament`](crate::tournament), [`extras::comparison`] and
-//! [`extras::variants`] each pick their field from this table *by label*,
-//! so a label means one configuration everywhere and a new contender is
-//! one line here plus its label in the study that wants it.
-//!
-//! [`extras::comparison`]: crate::extras::comparison
-//! [`extras::variants`]: crate::extras::variants
+//! [`tournament`](crate::tournament), the [`extras`](crate::extras)
+//! studies and the streamed [`tracepack`](crate::tracepack) replay each
+//! pick their field from this table *by label*, so a label means one
+//! configuration everywhere and a new contender is one line here plus its
+//! label in the study that wants it. The Cosmos rows are one struct and
+//! differ only in its arguments.
 
 use cosmos::directed::{
     Composition, DsiPredictor, LastTuple, MigratoryPredictor, MostCommon, RmwPredictor,
 };
 use cosmos::{
-    ConfidenceCosmos, CosmosPredictor, CosmosTageHybrid, HybridCosmos, MacroblockCosmos,
+    CosmosPredictor as Cosmos, CosmosTageHybrid, EvictingCosmos as Evicting, HybridCosmos,
     MessagePredictor, PreallocCosmos, SharedPhtCosmos, TageConfig, TagePredictor,
 };
 use stache::{NodeId, Role};
@@ -26,10 +25,10 @@ pub type Factory = fn(NodeId, Role) -> Box<dyn MessagePredictor>;
 /// Every contender, by label. Filterless unless the label says otherwise.
 pub const CONTENDERS: &[(&str, Factory)] = &[
     // Cosmos at MHR depths 1–4.
-    ("cosmos-d1", |_, _| Box::new(CosmosPredictor::new(1, 0))),
-    ("cosmos-d2", |_, _| Box::new(CosmosPredictor::new(2, 0))),
-    ("cosmos-d3", |_, _| Box::new(CosmosPredictor::new(3, 0))),
-    ("cosmos-d4", |_, _| Box::new(CosmosPredictor::new(4, 0))),
+    ("cosmos-d1", |_, _| Box::new(Cosmos::new(1, 0))),
+    ("cosmos-d2", |_, _| Box::new(Cosmos::new(2, 0))),
+    ("cosmos-d3", |_, _| Box::new(Cosmos::new(3, 0))),
+    ("cosmos-d4", |_, _| Box::new(Cosmos::new(4, 0))),
     // The §7 directed predictors and the two baselines.
     ("migratory", |_, role| {
         Box::new(MigratoryPredictor::new(role))
@@ -53,12 +52,22 @@ pub const CONTENDERS: &[(&str, Factory)] = &[
         Box::new(CosmosTageHybrid::new(1, 0, TageConfig::mid()))
     }),
     // The paper-sketched Cosmos extensions, all at depth 2.
-    ("macro x4", |_, _| Box::new(MacroblockCosmos::new(2, 0, 2))),
-    ("macro x16", |_, _| Box::new(MacroblockCosmos::new(2, 0, 4))),
-    ("conf>=2", |_, _| Box::new(ConfidenceCosmos::new(2, 2))),
+    ("macro x4", |_, _| Box::new(Cosmos::new(2, 0).macroblock(2))),
+    ("macro x16", |_, _| {
+        Box::new(Cosmos::new(2, 0).macroblock(4))
+    }),
+    ("conf>=2", |_, _| Box::new(Cosmos::new(2, 0).confident(2))),
     ("prealloc", |_, _| Box::new(PreallocCosmos::paper(2, 256))),
     ("shared 4k", |_, _| Box::new(SharedPhtCosmos::new(2, 1, 12))),
     ("hybrid 1+3", |_, _| Box::new(HybridCosmos::new(1, 3))),
+    // §3.5 fn 3: the sender dropped (score it on the type only).
+    ("type-only", |_, _| Box::new(Cosmos::new(1, 0).type_only())),
+    // §3.7: the MHT bounded per agent, depth 2 (8192: the streamed replay).
+    ("evict 8192", |_, _| Box::new(Evicting::new(2, 0, 8192))),
+    ("evict 512", |_, _| Box::new(Evicting::new(2, 0, 512))),
+    ("evict 128", |_, _| Box::new(Evicting::new(2, 0, 128))),
+    ("evict 32", |_, _| Box::new(Evicting::new(2, 0, 32))),
+    ("evict 8", |_, _| Box::new(Evicting::new(2, 0, 8))),
 ];
 
 /// The factory registered under `label`.

@@ -4,7 +4,6 @@
 use crate::contenders::by_label;
 use crate::traces::{single_trace, Scale, TraceSet};
 use cosmos::eval::{evaluate, evaluate_cosmos, EvalOptions};
-use cosmos::TypeOnlyCosmos;
 use simx::SystemConfig;
 use stache::ProtocolConfig;
 use std::fmt::Write as _;
@@ -190,7 +189,7 @@ pub fn ablation_sender(set: &TraceSet) -> String {
                 type_only: true,
                 ..Default::default()
             },
-            |_, _| Box::new(TypeOnlyCosmos::new(1, 0)),
+            by_label("type-only"),
         );
         let _ = writeln!(
             out,
@@ -273,33 +272,26 @@ pub fn variants(set: &TraceSet) -> String {
 /// capacity shrinks — what merging the predictor tables with finite cache
 /// state would cost.
 pub fn history_persistence(set: &TraceSet) -> String {
-    use cosmos::EvictingCosmos;
-    let caps = [usize::MAX, 512, 128, 32, 8];
-    let unbounded = by_label("cosmos-d2");
+    let columns = [
+        ("unbounded", "cosmos-d2"),
+        ("512", "evict 512"),
+        ("128", "evict 128"),
+        ("32", "evict 32"),
+        ("8", "evict 8"),
+    ];
     let mut out = String::from(
         "History persistence (§3.7): depth-2 accuracy vs per-agent MHT\n\
          capacity (LRU; evicting a block discards its learned patterns)\n",
     );
     let _ = write!(out, "{:<14}", "benchmark");
-    for cap in caps {
-        let label = if cap == usize::MAX {
-            "unbounded".to_string()
-        } else {
-            cap.to_string()
-        };
-        let _ = write!(out, " {label:>10}");
+    for (heading, _) in columns {
+        let _ = write!(out, " {heading:>10}");
     }
     out.push('\n');
     for t in set.traces() {
         let _ = write!(out, "{:<14}", t.meta().app);
-        for cap in caps {
-            let r = evaluate(t, &EvalOptions::default(), |node, role| {
-                if cap == usize::MAX {
-                    unbounded(node, role)
-                } else {
-                    Box::new(EvictingCosmos::new(2, 0, cap))
-                }
-            });
+        for (_, label) in columns {
+            let r = evaluate(t, &EvalOptions::default(), by_label(label));
             let _ = write!(out, " {:>9.1}%", r.overall.percent());
         }
         out.push('\n');

@@ -3,8 +3,7 @@
 //! and against the directed-predictor pairing.
 
 use crate::traces::Scale;
-use accel::directed_policy::DirectedPolicy;
-use accel::{compare, compare_concurrent, Comparison, CosmosPolicy};
+use accel::{compare, compare_concurrent, Comparison, CosmosPolicy, DirectedPolicy};
 use std::fmt::Write as _;
 use workloads::{paper_suite, small_suite, Workload};
 

@@ -32,7 +32,7 @@ use crate::Scale;
 pub const SPEEDUP_DEPTHS: [usize; 4] = [1, 2, 3, 4];
 
 /// Confidence threshold every speculative run uses (see
-/// [`cosmos::confidence::CONFIDENCE_MAX`]): high enough that cold tables
+/// [`cosmos::CONFIDENCE_MAX`]): high enough that cold tables
 /// stay silent, low enough that stable patterns fire.
 pub const SPEC_THRESHOLD: u8 = 2;
 

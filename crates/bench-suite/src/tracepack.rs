@@ -32,10 +32,11 @@
 //! `tracepack_small.csv`); `BENCH_trace.json` carries the wall-clock
 //! side and is recorded, never diffed.
 
+use crate::contenders::by_label;
 use crate::traces::Scale as RunScale;
 use crate::TraceSet;
 use cosmos::eval::{evaluate_cosmos, Counts};
-use cosmos::{CosmosPredictor, EvictingCosmos, MessagePredictor, StreamEval};
+use cosmos::{CosmosPredictor, MessagePredictor, StreamEval};
 use simx::SystemConfig;
 use std::io::Cursor;
 use std::time::{Duration, Instant};
@@ -280,12 +281,12 @@ pub fn stream_cell(scale: RunScale) -> (usize, usize, u32) {
 /// [`crate::par::sweep`] a batch to fan out.
 pub const DECODE_WINDOW: usize = 64;
 
-/// Per-agent MHT capacity of the bounded-memory replay fleet. The
-/// streamed cell touches millions of distinct blocks; an unbounded fleet
-/// would grow a table entry for every one of them, so the replay uses
-/// [`EvictingCosmos`] — predictor memory stays O(fleet × capacity)
-/// regardless of trace length.
-pub const REPLAY_MHT_CAPACITY: usize = 8192;
+/// The [contender](crate::contenders) the streamed cell replays through:
+/// depth-2 Cosmos with each agent's MHT bounded to 8192 blocks. The cell
+/// touches millions of distinct blocks; an unbounded fleet would grow a
+/// table entry for every one of them, a bounded one keeps predictor
+/// memory O(fleet × capacity) regardless of trace length.
+pub const REPLAY_FLEET: &str = "evict 8192";
 
 /// Runs the streaming cell: simulate on the sharded engine, drain each
 /// iteration's records straight into a packed writer over a temporary
@@ -354,9 +355,7 @@ pub fn run_stream_cell(scale: RunScale) -> StreamRow {
     let chunk_count = reader.chunk_count();
     let mut decode_wall = Duration::ZERO;
     let mut replay_wall = Duration::ZERO;
-    let mut ev = StreamEval::new(Default::default(), |_, _| {
-        Box::new(EvictingCosmos::new(2, 0, REPLAY_MHT_CAPACITY)) as Box<dyn MessagePredictor>
-    });
+    let mut ev = StreamEval::new(Default::default(), by_label(REPLAY_FLEET));
     let mut lo = 0usize;
     while lo < chunk_count {
         let hi = (lo + DECODE_WINDOW).min(chunk_count);

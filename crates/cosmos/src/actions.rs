@@ -8,6 +8,7 @@
 //! cost) given whether the prediction proved right.
 
 use crate::eval::Counts;
+use crate::fleet::Fleet;
 use crate::speedup::{speedup, SpeedupParams};
 use crate::tuple::PredTuple;
 use crate::MessagePredictor;
@@ -144,18 +145,13 @@ pub fn simulate_speculation<F>(bundle: &TraceBundle, mut factory: F) -> Speculat
 where
     F: FnMut(NodeId, Role) -> Box<dyn MessagePredictor>,
 {
-    // Flat fleet indexed by `agent_index` — same layout as `eval`.
-    let mut fleet: Vec<Option<Box<dyn MessagePredictor>>> = Vec::new();
+    let mut fleet = Fleet::default();
     let mut report = SpeculationReport::default();
     for r in bundle.records() {
-        let idx = crate::eval::agent_index(r.node, r.role);
-        if idx >= fleet.len() {
-            fleet.resize_with(idx + 1, || None);
-        }
-        let agent = fleet[idx].get_or_insert_with(|| factory(r.node, r.role));
+        let agent = fleet.agent(r.node, r.role, || factory(r.node, r.role));
         let observed = PredTuple::new(r.sender, r.mtype);
         report.total_messages += 1;
-        if let Some(predicted) = agent.predict(r.block) {
+        if let Some(predicted) = agent.predict_then_observe(r.block, observed) {
             if let Some(action) = map_prediction(r.role, predicted) {
                 let hit = predicted == observed;
                 report
@@ -170,7 +166,6 @@ where
                 }
             }
         }
-        agent.observe(r.block, observed);
     }
     report
 }

@@ -1,135 +1,7 @@
-//! Confidence-gated prediction.
-//!
-//! §4.2 notes that speculative actions must fire "not too early or late",
-//! and §4.3 that mispredictions cost recovery; a natural refinement is to
-//! act only on predictions the tables have *repeatedly confirmed*. This
-//! variant attaches a saturating confidence counter to every PHT entry:
-//! each confirmation increments it, each miss resets it, and the predictor
-//! stays silent until the counter reaches a threshold.
-//!
-//! The result is a coverage/accuracy dial: higher thresholds answer fewer
-//! messages but are right more often — exactly what an integration wants
-//! when the misprediction penalty `r` is large (Figure 5's model makes the
-//! trade-off explicit).
-
-use crate::fasthash::FastMap;
-use crate::memory::MemoryFootprint;
-use crate::packed::{self, PackedHistory};
-use crate::tuple::PredTuple;
-use crate::MessagePredictor;
-use stache::BlockAddr;
-use std::collections::hash_map::Entry as MapEntry;
-
-/// A PHT entry with a confidence counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    prediction: PredTuple,
-    /// Consecutive confirmations, saturating at `CONFIDENCE_MAX`.
-    confidence: u8,
-}
-
-/// Saturation point for the confidence counter (2 bits, like branch
-/// predictors' counters).
-pub const CONFIDENCE_MAX: u8 = 3;
-
-/// A Cosmos variant that only predicts once an entry's confidence reaches
-/// the threshold. Replacement is immediate on a miss (the confidence
-/// counter subsumes the noise filter's role).
-#[derive(Debug, Clone)]
-pub struct ConfidenceCosmos {
-    depth: usize,
-    threshold: u8,
-    histories: FastMap<BlockAddr, PackedHistory>,
-    pht: FastMap<(BlockAddr, u64), Entry>,
-}
-
-impl ConfidenceCosmos {
-    /// Creates a predictor of the given MHR depth that answers only with
-    /// confidence ≥ `threshold` (0 = always answer, like plain Cosmos;
-    /// values above [`CONFIDENCE_MAX`] are clamped).
-    pub fn new(depth: usize, threshold: u8) -> Self {
-        assert!(depth > 0, "MHR depth must be at least 1");
-        assert!(
-            depth <= packed::MAX_DEPTH,
-            "MHR depth {depth} exceeds the packed-word maximum of {}",
-            packed::MAX_DEPTH
-        );
-        ConfidenceCosmos {
-            depth,
-            threshold: threshold.min(CONFIDENCE_MAX),
-            histories: FastMap::default(),
-            pht: FastMap::default(),
-        }
-    }
-
-    /// The configured confidence threshold.
-    pub fn threshold(&self) -> u8 {
-        self.threshold
-    }
-
-    /// The raw prediction regardless of confidence, with its confidence.
-    pub fn predict_with_confidence(&self, block: BlockAddr) -> Option<(PredTuple, u8)> {
-        let key = self.histories.get(&block)?.key()?;
-        self.pht
-            .get(&(block, key))
-            .map(|e| (e.prediction, e.confidence))
-    }
-}
-
-impl MessagePredictor for ConfidenceCosmos {
-    fn name(&self) -> &'static str {
-        "cosmos-confidence"
-    }
-
-    fn predict(&self, block: BlockAddr) -> Option<PredTuple> {
-        self.predict_with_confidence(block)
-            .and_then(|(p, c)| (c >= self.threshold).then_some(p))
-    }
-
-    fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
-        let depth = self.depth;
-        let history = self
-            .histories
-            .entry(block)
-            .or_insert_with(|| PackedHistory::new(depth));
-        if let Some(key) = history.key() {
-            match self.pht.entry((block, key)) {
-                MapEntry::Vacant(slot) => {
-                    slot.insert(Entry {
-                        prediction: tuple,
-                        confidence: 0,
-                    });
-                }
-                MapEntry::Occupied(mut slot) => {
-                    let e = slot.get_mut();
-                    if e.prediction == tuple {
-                        e.confidence = (e.confidence + 1).min(CONFIDENCE_MAX);
-                    } else {
-                        *e = Entry {
-                            prediction: tuple,
-                            confidence: 0,
-                        };
-                    }
-                }
-            }
-        }
-        self.histories
-            .get_mut(&block)
-            .expect("just inserted")
-            .push(tuple.pack());
-    }
-
-    fn memory(&self) -> MemoryFootprint {
-        MemoryFootprint {
-            mhr_entries: self.histories.len(),
-            pht_entries: self.pht.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{CosmosPredictor, MessagePredictor, PredTuple, CONFIDENCE_MAX};
+    use stache::BlockAddr;
     use stache::{MsgType, NodeId};
 
     fn t(n: usize, m: MsgType) -> PredTuple {
@@ -142,7 +14,7 @@ mod tests {
 
     #[test]
     fn threshold_zero_behaves_like_plain_cosmos() {
-        let mut p = ConfidenceCosmos::new(1, 0);
+        let mut p = CosmosPredictor::new(1, 0).confident(0);
         p.observe(b(1), t(1, MsgType::GetRoRequest));
         p.observe(b(1), t(2, MsgType::GetRwRequest));
         p.observe(b(1), t(1, MsgType::GetRoRequest));
@@ -151,7 +23,7 @@ mod tests {
 
     #[test]
     fn needs_confirmations_before_answering() {
-        let mut p = ConfidenceCosmos::new(1, 2);
+        let mut p = CosmosPredictor::new(1, 0).confident(2);
         let a = t(1, MsgType::GetRoRequest);
         let bb = t(2, MsgType::GetRwRequest);
         // First sighting of A -> B: confidence 0, silent.
@@ -172,7 +44,7 @@ mod tests {
 
     #[test]
     fn a_miss_resets_confidence() {
-        let mut p = ConfidenceCosmos::new(1, 1);
+        let mut p = CosmosPredictor::new(1, 0).confident(1);
         let a = t(1, MsgType::GetRoRequest);
         let bb = t(2, MsgType::GetRwRequest);
         let c = t(3, MsgType::UpgradeRequest);
@@ -190,7 +62,7 @@ mod tests {
 
     #[test]
     fn confidence_saturates() {
-        let mut p = ConfidenceCosmos::new(1, 0);
+        let mut p = CosmosPredictor::new(1, 0).confident(0);
         let a = t(1, MsgType::GetRoRequest);
         let bb = t(2, MsgType::GetRwRequest);
         for _ in 0..10 {
@@ -204,7 +76,7 @@ mod tests {
 
     #[test]
     fn threshold_clamped_to_max() {
-        let p = ConfidenceCosmos::new(2, 200);
+        let p = CosmosPredictor::new(2, 0).confident(200);
         assert_eq!(p.threshold(), CONFIDENCE_MAX);
     }
 }

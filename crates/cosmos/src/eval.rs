@@ -18,6 +18,7 @@
 //! (the conservative convention); coverage is reported separately.
 
 use crate::fasthash::FastMap;
+use crate::fleet::{role_index, Fleet, ROLES};
 use crate::memory::MemoryFootprint;
 use crate::predictor::CosmosPredictor;
 use crate::tuple::PredTuple;
@@ -26,21 +27,6 @@ use stache::msg::ALL_MSG_TYPES;
 use stache::{BlockAddr, MsgType, NodeId, Role};
 use std::collections::{BTreeMap, HashMap};
 use trace::{ArcKey, TraceBundle};
-
-/// Dense index of a role: caches 0, directories 1.
-#[inline]
-fn role_index(role: Role) -> usize {
-    match role {
-        Role::Cache => 0,
-        Role::Directory => 1,
-    }
-}
-
-/// Flat fleet index for a `(node, role)` agent: two slots per node.
-#[inline]
-pub(crate) fn agent_index(node: NodeId, role: Role) -> usize {
-    node.index() * 2 + role_index(role)
-}
 
 /// Hit/total counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -301,12 +287,8 @@ impl AccuracyReport {
     }
 }
 
-/// One agent's predictor plus its replay-local state, held in a flat
-/// vector indexed by [`agent_index`] — the hot loop does two Vec
-/// indexings instead of hashing a `(NodeId, Role)` tuple per record.
+/// One agent's predictor plus its replay-local state.
 struct AgentSlot {
-    node: NodeId,
-    role: Role,
     predictor: Box<dyn MessagePredictor>,
     /// Last message type seen per block at this agent (arc tracking).
     prev_type: FastMap<BlockAddr, MsgType>,
@@ -354,7 +336,7 @@ impl OpenIteration {
     /// The arc a cell of `arcs` counts.
     fn arc_of(cell: usize) -> ArcKey {
         ArcKey {
-            role: [Role::Cache, Role::Directory][cell / (TYPES * TYPES)],
+            role: ROLES[cell / (TYPES * TYPES)],
             prev: ALL_MSG_TYPES[cell / TYPES % TYPES],
             next: ALL_MSG_TYPES[cell % TYPES],
         }
@@ -374,7 +356,7 @@ where
 {
     factory: F,
     opts: EvalOptions,
-    fleet: Vec<Option<AgentSlot>>,
+    fleet: Fleet<AgentSlot>,
     per_arc: FastMap<ArcKey, Counts>,
     per_arc_by_iteration: FastMap<ArcKey, BTreeMap<u32, Counts>>,
     predictor: String,
@@ -395,7 +377,7 @@ where
         StreamEval {
             factory,
             opts,
-            fleet: Vec::new(),
+            fleet: Fleet::default(),
             per_arc: FastMap::default(),
             per_arc_by_iteration: FastMap::default(),
             predictor: String::new(),
@@ -434,14 +416,8 @@ where
     }
 
     fn feed(&mut self, r: &trace::MsgRecord, score: bool) {
-        let idx = agent_index(r.node, r.role);
-        if idx >= self.fleet.len() {
-            self.fleet.resize_with(idx + 1, || None);
-        }
         let factory = &mut self.factory;
-        let slot = self.fleet[idx].get_or_insert_with(|| AgentSlot {
-            node: r.node,
-            role: r.role,
+        let slot = self.fleet.agent(r.node, r.role, || AgentSlot {
             predictor: factory(r.node, r.role),
             prev_type: FastMap::default(),
             counts: Counts::default(),
@@ -534,14 +510,14 @@ where
             core: CoreStats::default(),
             storage_bits: 0,
         };
-        for slot in self.fleet.iter().flatten() {
+        for (node, role, slot) in self.fleet.iter() {
             report.memory = report.memory + slot.predictor.memory();
             report.core.merge(slot.predictor.core_stats());
             report.storage_bits += slot.predictor.storage_bits();
             // Agents that only saw warmup records never scored anything and
             // get no per-agent entry, matching the map-keyed accounting.
             if slot.counts.total > 0 {
-                report.per_agent.insert((slot.node, slot.role), slot.counts);
+                report.per_agent.insert((node, role), slot.counts);
             }
         }
         report
@@ -554,9 +530,7 @@ pub fn evaluate<F>(bundle: &TraceBundle, opts: &EvalOptions, factory: F) -> Accu
 where
     F: FnMut(NodeId, Role) -> Box<dyn MessagePredictor>,
 {
-    let mut eval = StreamEval::new(opts.clone(), factory);
-    eval.push_all(bundle.records());
-    eval.finish()
+    evaluate_chunks([bundle.records()], opts, factory)
 }
 
 /// Replays a chunked record stream — the packed-trace form — through a
@@ -579,9 +553,7 @@ where
 
 /// Evaluates a Cosmos fleet of the given depth and filter over a trace.
 pub fn evaluate_cosmos(bundle: &TraceBundle, depth: usize, filter_max: u8) -> AccuracyReport {
-    evaluate(bundle, &EvalOptions::default(), |_, _| {
-        Box::new(CosmosPredictor::new(depth, filter_max))
-    })
+    evaluate_cosmos_chunks([bundle.records()], depth, filter_max)
 }
 
 /// Evaluates a Cosmos fleet over a chunked record stream.
@@ -623,22 +595,16 @@ impl Verdict {
 /// up the verdict of the exact message it recorded (by trace-record index)
 /// and annotate its critical path with "predicted / mispredicted".
 pub fn record_verdicts(bundle: &TraceBundle, depth: usize, filter_max: u8) -> Vec<Verdict> {
-    let mut fleet: Vec<Option<CosmosPredictor>> = Vec::new();
+    let mut fleet = Fleet::default();
     let mut out = Vec::with_capacity(bundle.records().len());
     for r in bundle.records() {
-        let idx = agent_index(r.node, r.role);
-        if idx >= fleet.len() {
-            fleet.resize_with(idx + 1, || None);
-        }
-        let predictor = fleet[idx].get_or_insert_with(|| CosmosPredictor::new(depth, filter_max));
+        let predictor = fleet.agent(r.node, r.role, || CosmosPredictor::new(depth, filter_max));
         let observed = PredTuple::new(r.sender, r.mtype);
-        let verdict = match predictor.predict(r.block) {
+        out.push(match predictor.predict_then_observe(r.block, observed) {
             Some(p) if p == observed => Verdict::Hit,
             Some(_) => Verdict::Miss,
             None => Verdict::NoPrediction,
-        };
-        out.push(verdict);
-        predictor.observe(r.block, observed);
+        });
     }
     out
 }

@@ -1,11 +1,14 @@
-//! A tournament hybrid of two Cosmos depths.
+//! Tournament hybrids: two predictors and a chooser.
 //!
 //! Table 5 shows no single depth wins everywhere: depth 1 adapts fastest
 //! (barnes prefers it), depth 3 resolves rotations (dsmc needs it). Branch
 //! prediction's classic answer is a *tournament*: run both, and let a
-//! per-block chooser counter track which component has been right more
-//! often recently. This is the same construction over coherence messages —
-//! the kind of follow-on design the paper's §8 invites.
+//! chooser counter track which component has been right more often
+//! recently. This is the same construction over coherence messages — the
+//! kind of follow-on design the paper's §8 invites — for any two
+//! predictors: [`HybridCosmos`] pits two Cosmos depths against each other
+//! per block, [`CosmosTageHybrid`](crate::CosmosTageHybrid) a Cosmos
+//! against a TAGE-MP per agent.
 
 use crate::fasthash::FastMap;
 use crate::memory::MemoryFootprint;
@@ -14,22 +17,29 @@ use crate::tuple::PredTuple;
 use crate::{CoreStats, MessagePredictor};
 use stache::BlockAddr;
 
-/// Chooser saturation (2-bit counter: 0–1 favour the shallow component,
-/// 2–3 the deep one).
+/// Chooser saturation (2-bit counter: 0–1 favour the first component,
+/// 2–3 the second).
 const CHOOSER_MAX: u8 = 3;
 
 /// A two-component tournament predictor.
 #[derive(Debug, Clone)]
-pub struct HybridCosmos {
-    shallow: CosmosPredictor,
-    deep: CosmosPredictor,
-    /// Per-block chooser counters.
+pub struct Tournament<A, B> {
+    name: &'static str,
+    first: A,
+    second: B,
+    /// Whether every block has a chooser of its own; otherwise one serves
+    /// the whole agent.
+    per_block: bool,
+    /// Chooser counters by block (an agent-wide one is kept under block 0).
     choosers: FastMap<BlockAddr, u8>,
-    /// Times the shallow component supplied the answer.
-    pub shallow_used: u64,
-    /// Times the deep component supplied the answer.
-    pub deep_used: u64,
+    /// Times the first component supplied the answer.
+    pub first_used: u64,
+    /// Times the second component supplied the answer.
+    pub second_used: u64,
 }
+
+/// A per-block tournament between a shallow and a deep Cosmos.
+pub type HybridCosmos = Tournament<CosmosPredictor, CosmosPredictor>;
 
 impl HybridCosmos {
     /// Creates a tournament between `shallow_depth` and `deep_depth`
@@ -41,81 +51,101 @@ impl HybridCosmos {
     /// Panics if the depths are equal or zero.
     pub fn new(shallow_depth: usize, deep_depth: usize) -> Self {
         assert!(shallow_depth < deep_depth, "components must differ");
-        HybridCosmos {
-            shallow: CosmosPredictor::new(shallow_depth, 0),
-            deep: CosmosPredictor::new(deep_depth, 0),
+        Tournament::between(
+            "cosmos-hybrid",
+            CosmosPredictor::new(shallow_depth, 0),
+            CosmosPredictor::new(deep_depth, 0),
+            true,
+        )
+    }
+}
+
+impl<A, B> Tournament<A, B> {
+    pub(crate) fn between(name: &'static str, first: A, second: B, per_block: bool) -> Self {
+        Tournament {
+            name,
+            first,
+            second,
+            per_block,
             choosers: FastMap::default(),
-            shallow_used: 0,
-            deep_used: 0,
+            first_used: 0,
+            second_used: 0,
+        }
+    }
+
+    fn chooser_key(&self, block: BlockAddr) -> BlockAddr {
+        if self.per_block {
+            block
+        } else {
+            BlockAddr::new(0)
         }
     }
 
     fn chooser(&self, block: BlockAddr) -> u8 {
-        // Start leaning shallow: it warms up first.
-        self.choosers.get(&block).copied().unwrap_or(1)
+        // Start leaning towards the first component: it warms up first.
+        let key = self.chooser_key(block);
+        self.choosers.get(&key).copied().unwrap_or(1)
     }
 }
 
-impl MessagePredictor for HybridCosmos {
+impl<A: MessagePredictor, B: MessagePredictor> MessagePredictor for Tournament<A, B> {
     fn name(&self) -> &'static str {
-        "cosmos-hybrid"
+        self.name
     }
 
     fn predict(&self, block: BlockAddr) -> Option<PredTuple> {
-        let s = self.shallow.predict(block);
-        let d = self.deep.predict(block);
-        match (s, d) {
-            (Some(s), Some(d)) => Some(if self.chooser(block) >= 2 { d } else { s }),
+        let a = self.first.predict(block);
+        let b = self.second.predict(block);
+        match (a, b) {
+            (Some(a), Some(b)) => Some(if self.chooser(block) >= 2 { b } else { a }),
             // Whoever has an opinion, speaks.
-            (Some(s), None) => Some(s),
-            (None, Some(d)) => Some(d),
-            (None, None) => None,
+            (a, b) => a.or(b),
         }
     }
 
     fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
         // Score the components before they learn from the observation.
-        let s = self.shallow.predict(block);
-        let d = self.deep.predict(block);
-        let s_hit = s == Some(tuple);
-        let d_hit = d == Some(tuple);
-        if s_hit != d_hit {
-            let c = self.choosers.entry(block).or_insert(1);
-            if d_hit {
+        let a = self.first.predict(block);
+        let b = self.second.predict(block);
+        let a_hit = a == Some(tuple);
+        let b_hit = b == Some(tuple);
+        if a_hit != b_hit {
+            let c = self.choosers.entry(self.chooser_key(block)).or_insert(1);
+            if b_hit {
                 *c = (*c + 1).min(CHOOSER_MAX);
             } else {
                 *c = c.saturating_sub(1);
             }
         }
-        match (s.is_some(), d.is_some()) {
-            (true, true) => {
-                if self.chooser(block) >= 2 {
-                    self.deep_used += 1;
-                } else {
-                    self.shallow_used += 1;
-                }
-            }
-            (true, false) => self.shallow_used += 1,
-            (false, true) => self.deep_used += 1,
+        match (a.is_some(), b.is_some()) {
+            (true, true) if self.chooser(block) >= 2 => self.second_used += 1,
+            (true, _) => self.first_used += 1,
+            (false, true) => self.second_used += 1,
             (false, false) => {}
         }
-        self.shallow.observe(block, tuple);
-        self.deep.observe(block, tuple);
+        self.first.observe(block, tuple);
+        self.second.observe(block, tuple);
     }
 
     fn memory(&self) -> MemoryFootprint {
-        self.shallow.memory() + self.deep.memory()
+        self.first.memory() + self.second.memory()
     }
 
     fn core_stats(&self) -> CoreStats {
-        let mut stats = self.shallow.core_stats();
-        stats.merge(self.deep.core_stats());
+        let mut stats = self.first.core_stats();
+        stats.merge(self.second.core_stats());
         stats
     }
 
-    /// Both components' Table 7 bits plus one 2-bit chooser per block.
+    /// Both components' bits plus one 2-bit chooser per block, or one for
+    /// the agent.
     fn storage_bits(&self) -> u64 {
-        self.shallow.storage_bits() + self.deep.storage_bits() + 2 * self.choosers.len() as u64
+        let choosers = if self.per_block {
+            self.choosers.len() as u64
+        } else {
+            1
+        };
+        self.first.storage_bits() + self.second.storage_bits() + 2 * choosers
     }
 }
 
@@ -146,7 +176,7 @@ mod tests {
             p.observe(b(1), *tuple);
         }
         assert_eq!(p.predict(b(1)), Some(cycle[0]));
-        assert!(p.shallow_used > 0);
+        assert!(p.first_used > 0);
     }
 
     #[test]
@@ -166,7 +196,7 @@ mod tests {
         }
         // After [y, a] the successor is x; depth 2 knows, depth 1 cannot.
         assert_eq!(p.predict(b(1)), Some(x));
-        assert!(p.deep_used > 0);
+        assert!(p.second_used > 0);
     }
 
     #[test]

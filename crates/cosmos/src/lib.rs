@@ -17,8 +17,13 @@
 //!    whose entry — if present — is the predicted next tuple. PHT entries
 //!    may carry a saturating-counter noise filter (§3.6).
 //!
-//! The crate also provides:
+//! That structure exists once, as [`CosmosPredictor`]; the paper's own
+//! follow-ons (macroblocks, a dropped sender, a bounded table, confidence
+//! gating) are constructor arguments of it, see [`predictor`]. The crate
+//! also provides:
 //!
+//! * [`fleet`] — the per-`(node, role)` table every replay and live policy
+//!   keeps its agents in;
 //! * [`directed`] — reimplementations of the *directed* predictors the
 //!   paper compares against in §7 (migratory detection, dynamic
 //!   self-invalidation, Origin-style read-modify-write, last-tuple);
@@ -48,13 +53,12 @@
 //! ```
 
 pub mod actions;
-pub mod confidence;
 pub mod directed;
 pub mod eval;
-pub mod evicting;
+pub mod fleet;
 pub mod hybrid;
 pub mod lookahead;
-pub mod macroblock;
+mod lru;
 pub mod memory;
 pub mod mhr;
 pub mod packed;
@@ -67,18 +71,16 @@ pub mod speedup;
 pub mod tage;
 pub mod tuple;
 
-pub use confidence::ConfidenceCosmos;
 pub use eval::{AccuracyReport, Counts, EvalOptions, StreamEval, Verdict};
-pub use evicting::EvictingCosmos;
-pub use hybrid::HybridCosmos;
+pub use fleet::Fleet;
+pub use hybrid::{HybridCosmos, Tournament};
 pub use lookahead::{evaluate_lookahead, LookaheadReport};
-pub use macroblock::MacroblockCosmos;
 pub use memory::MemoryFootprint;
 pub use mhr::Mhr;
 pub use packed::PackedHistory;
-pub use pht::{Pht, PhtEntry};
+pub use pht::{Pht, PhtEntry, CONFIDENCE_MAX};
 pub use prealloc::PreallocCosmos;
-pub use predictor::{CosmosPredictor, TypeOnlyCosmos};
+pub use predictor::{CosmosPredictor, EvictingCosmos};
 pub use shared_pht::SharedPhtCosmos;
 pub use tage::{CosmosTageHybrid, TageConfig, TagePredictor};
 pub use tuple::PredTuple;
@@ -162,6 +164,15 @@ pub trait MessagePredictor {
         0
     }
 }
+
+// Tests of the index, store and gate arguments of `CosmosPredictor`, under
+// the module paths they had when each argument was a struct of its own.
+#[cfg(test)]
+mod confidence;
+#[cfg(test)]
+mod evicting;
+#[cfg(test)]
+mod macroblock;
 
 #[cfg(test)]
 mod tests {

@@ -13,6 +13,7 @@
 
 use crate::eval::Counts;
 use crate::fasthash::FastMap;
+use crate::fleet::Fleet;
 use crate::predictor::CosmosPredictor;
 use crate::tuple::PredTuple;
 use crate::MessagePredictor;
@@ -50,21 +51,16 @@ struct OutstandingChain {
 pub fn evaluate_lookahead(bundle: &TraceBundle, depth: usize, k: usize) -> LookaheadReport {
     assert!(k >= 1, "need at least one lookahead step");
     /// One agent: its predictor plus its outstanding chains per block
-    /// (oldest first). Held in a flat vector indexed by
-    /// [`crate::eval::agent_index`], like the accuracy harness.
+    /// (oldest first).
     struct AgentSlot {
         predictor: CosmosPredictor,
         outstanding: FastMap<BlockAddr, VecDeque<OutstandingChain>>,
     }
-    let mut fleet: Vec<Option<AgentSlot>> = Vec::new();
+    let mut fleet = Fleet::default();
     let mut by_distance = vec![Counts::default(); k];
 
     for r in bundle.records() {
-        let idx = crate::eval::agent_index(r.node, r.role);
-        if idx >= fleet.len() {
-            fleet.resize_with(idx + 1, || None);
-        }
-        let slot = fleet[idx].get_or_insert_with(|| AgentSlot {
+        let slot = fleet.agent(r.node, r.role, || AgentSlot {
             predictor: CosmosPredictor::new(depth, 0),
             outstanding: FastMap::default(),
         });

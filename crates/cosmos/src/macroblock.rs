@@ -1,78 +1,7 @@
-//! Macroblock grouping — §7's memory-reduction suggestion.
-//!
-//! "Cosmos' memory requirement can perhaps be reduced by grouping
-//! predictions for multiple cache blocks together (similar to Johnson and
-//! Hwu's macroblocks)." This variant indexes the Message History Table by
-//! `block >> shift` instead of the block address, so `2^shift` adjacent
-//! blocks share one MHR and one PHT.
-//!
-//! The trade-off is interference: adjacent blocks with *the same* sharing
-//! pattern (a partitioned array) reinforce each other and cost `2^shift`×
-//! less memory; adjacent blocks with *different* patterns corrupt each
-//! other's history. The `repro variants` study quantifies both sides.
-
-use crate::memory::MemoryFootprint;
-use crate::predictor::CosmosPredictor;
-use crate::tuple::PredTuple;
-use crate::MessagePredictor;
-use stache::BlockAddr;
-
-/// A Cosmos predictor whose tables are shared by `2^shift` adjacent
-/// blocks.
-#[derive(Debug, Clone)]
-pub struct MacroblockCosmos {
-    shift: u32,
-    inner: CosmosPredictor,
-}
-
-impl MacroblockCosmos {
-    /// Creates a macroblock predictor: MHR `depth`, noise-filter
-    /// `filter_max`, and macroblocks of `2^shift` blocks (`shift = 0` is
-    /// plain Cosmos).
-    pub fn new(depth: usize, filter_max: u8, shift: u32) -> Self {
-        MacroblockCosmos {
-            shift,
-            inner: CosmosPredictor::new(depth, filter_max),
-        }
-    }
-
-    /// The macroblock a block falls into.
-    pub fn macroblock(&self, block: BlockAddr) -> BlockAddr {
-        BlockAddr::new(block.number() >> self.shift)
-    }
-
-    /// Blocks per macroblock.
-    pub fn group_size(&self) -> u64 {
-        1 << self.shift
-    }
-}
-
-impl MessagePredictor for MacroblockCosmos {
-    fn name(&self) -> &'static str {
-        "cosmos-macroblock"
-    }
-
-    fn predict(&self, block: BlockAddr) -> Option<PredTuple> {
-        self.inner.predict(self.macroblock(block))
-    }
-
-    fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
-        let mb = self.macroblock(block);
-        self.inner.observe(mb, tuple);
-    }
-
-    fn memory(&self) -> MemoryFootprint {
-        self.inner.memory()
-    }
-
-    fn core_stats(&self) -> crate::CoreStats {
-        self.inner.core_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{CosmosPredictor, MessagePredictor, PredTuple};
+    use stache::BlockAddr;
     use stache::{MsgType, NodeId};
 
     fn t(n: usize, m: MsgType) -> PredTuple {
@@ -81,7 +10,7 @@ mod tests {
 
     #[test]
     fn shift_zero_matches_plain_cosmos() {
-        let mut mb = MacroblockCosmos::new(1, 0, 0);
+        let mut mb = CosmosPredictor::new(1, 0).macroblock(0);
         let mut plain = CosmosPredictor::new(1, 0);
         let stream = [
             (0u64, t(1, MsgType::GetRoRequest)),
@@ -103,10 +32,9 @@ mod tests {
 
     #[test]
     fn adjacent_blocks_share_tables() {
-        let mut mb = MacroblockCosmos::new(1, 0, 1);
-        assert_eq!(mb.group_size(), 2);
+        let mut mb = CosmosPredictor::new(1, 0).macroblock(1);
         // Train on block 0; block 1 shares the macroblock and inherits
-        // the learned pattern.
+        // the learned pattern (block 2, in the next group of two, does not).
         mb.observe(BlockAddr::new(0), t(1, MsgType::GetRoRequest));
         mb.observe(BlockAddr::new(0), t(1, MsgType::UpgradeRequest));
         mb.observe(BlockAddr::new(1), t(1, MsgType::GetRoRequest));
@@ -114,6 +42,7 @@ mod tests {
             mb.predict(BlockAddr::new(1)),
             Some(t(1, MsgType::UpgradeRequest))
         );
+        assert_eq!(mb.predict(BlockAddr::new(2)), None);
         // Only one MHR was allocated for the pair.
         assert_eq!(mb.memory().mhr_entries, 1);
     }
@@ -122,7 +51,7 @@ mod tests {
     fn unrelated_patterns_interfere() {
         // Block 0 cycles A->B; block 1 cycles A->C. Grouped, the PHT entry
         // for A keeps flipping: interference, the §7 caveat.
-        let mut mb = MacroblockCosmos::new(1, 0, 1);
+        let mut mb = CosmosPredictor::new(1, 0).macroblock(1);
         let a = t(1, MsgType::GetRoRequest);
         let b = t(2, MsgType::GetRwRequest);
         let c = t(3, MsgType::UpgradeRequest);
@@ -138,11 +67,19 @@ mod tests {
         );
     }
 
+    /// `block >> 64` panics in debug builds and is `block >> 0` in
+    /// release ones, where shift 64 silently was plain Cosmos.
+    #[test]
+    #[should_panic(expected = "leaves no address bits")]
+    fn a_shift_of_the_whole_address_is_rejected() {
+        let _ = CosmosPredictor::new(1, 0).macroblock(64);
+    }
+
     #[test]
     fn memory_shrinks_with_group_size() {
         let blocks = 64u64;
-        let mut fine = MacroblockCosmos::new(1, 0, 0);
-        let mut coarse = MacroblockCosmos::new(1, 0, 3);
+        let mut fine = CosmosPredictor::new(1, 0).macroblock(0);
+        let mut coarse = CosmosPredictor::new(1, 0).macroblock(3);
         for round in 0..3 {
             for blk in 0..blocks {
                 let tuple = t((round % 4) + 1, MsgType::GetRoRequest);

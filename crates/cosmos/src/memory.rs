@@ -26,7 +26,6 @@ pub const TABLE7_BLOCK_BYTES: usize = 128;
 
 /// Table sizes of one or more predictors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryFootprint {
     /// MHR entries (blocks referenced at least once).
     pub mhr_entries: usize,

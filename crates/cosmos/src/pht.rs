@@ -5,7 +5,10 @@
 //! PAp's two-bit counters, a Cosmos PHT entry "simply consists of a
 //! prediction" — optionally guarded by a saturating-counter noise filter
 //! (§3.6): the prediction is replaced only after `max_count + 1`
-//! consecutive mispredictions for the same history.
+//! consecutive mispredictions for the same history. Beside the filter's
+//! miss counter an entry keeps a confirmation counter, which a
+//! confidence-gated predictor reads; [`PhtEntry::learn`] updates both and
+//! is the rule every second-level layout in the crate applies.
 //!
 //! Since PR 3 the table is keyed by the **packed history word** (see
 //! [`crate::packed`]) through the allocation-free [`FastMap`]: a probe
@@ -17,7 +20,13 @@ use crate::fasthash::FastMap;
 use crate::tuple::PredTuple;
 use std::collections::hash_map::Entry;
 
-/// A PHT entry: the prediction, plus the filter's miss counter.
+/// Saturation point of [`PhtEntry::confidence`] (2 bits, like branch
+/// predictors' counters). A confidence threshold above it is clamped to
+/// it — the one rule for every gate in the workspace.
+pub const CONFIDENCE_MAX: u8 = 3;
+
+/// A PHT entry: the prediction, the filter's miss counter and the
+/// confidence counter, side by side in one 16-byte table bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhtEntry {
     /// The predicted next tuple for this history.
@@ -25,6 +34,45 @@ pub struct PhtEntry {
     /// Consecutive mispredictions observed (saturates at the filter's
     /// maximum count).
     pub misses: u8,
+    /// Consecutive confirmations observed, saturating at
+    /// [`CONFIDENCE_MAX`]; any miss resets it.
+    pub confidence: u8,
+}
+
+impl PhtEntry {
+    /// A freshly learned prediction: never missed, never confirmed.
+    pub fn new(prediction: PredTuple) -> Self {
+        PhtEntry {
+            prediction,
+            misses: 0,
+            confidence: 0,
+        }
+    }
+
+    /// Folds the actually-observed tuple into the entry — the workspace's
+    /// one statement of the §3.6 noise filter: a confirmation clears the
+    /// miss counter, a miss is absorbed while the counter is below
+    /// `filter_max` and replaces the prediction once it is not
+    /// (`filter_max = 0` replaces on the first miss, Table 6's column 0).
+    #[inline]
+    pub fn learn(&mut self, observed: PredTuple, filter_max: u8) {
+        if self.prediction == observed {
+            self.misses = 0;
+            self.confidence += u8::from(self.confidence < CONFIDENCE_MAX);
+        } else if self.misses < filter_max {
+            self.misses += 1;
+            self.confidence = 0;
+        } else {
+            *self = PhtEntry::new(observed);
+        }
+    }
+
+    /// The prediction, if it has been confirmed at least `gate` times in a
+    /// row (`gate = 0` always offers it).
+    #[inline]
+    pub fn offered(&self, gate: u8) -> Option<PredTuple> {
+        (self.confidence >= gate).then_some(self.prediction)
+    }
 }
 
 /// A per-block pattern history table.
@@ -39,53 +87,47 @@ impl Pht {
         Pht::default()
     }
 
+    /// The entry for a packed history, if one has been learned.
+    #[inline]
+    pub fn entry(&self, key: u64) -> Option<&PhtEntry> {
+        self.entries.get(&key)
+    }
+
     /// The prediction for a packed history, if one has been learned.
     #[inline]
     pub fn predict(&self, key: u64) -> Option<PredTuple> {
-        self.entries.get(&key).map(|e| e.prediction)
+        self.entry(key).map(|e| e.prediction)
     }
 
     /// Updates the entry for `key` with the actually-observed tuple,
-    /// applying the noise filter with the given maximum count
-    /// (`filter_max = 0` replaces the prediction on the first miss — the
-    /// unfiltered configuration of Table 6's column 0).
+    /// applying the noise filter with the given maximum count (see
+    /// [`PhtEntry::learn`]).
     #[inline]
     pub fn update(&mut self, key: u64, observed: PredTuple, filter_max: u8) {
-        self.predict_then_update(key, observed, filter_max);
+        self.predict_then_update(key, observed, filter_max, 0);
     }
 
-    /// [`predict`](Self::predict) then [`update`](Self::update) on one
-    /// table slot: returns what the table predicted for `key` *before*
-    /// learning `observed`.
+    /// A gated [`predict`](Self::predict) then [`update`](Self::update) on
+    /// one table slot: returns what the entry for `key`
+    /// [offered](PhtEntry::offered) at `gate` *before* learning `observed`.
     #[inline]
     pub fn predict_then_update(
         &mut self,
         key: u64,
         observed: PredTuple,
         filter_max: u8,
+        gate: u8,
     ) -> Option<PredTuple> {
         match self.entries.entry(key) {
             Entry::Vacant(slot) => {
-                slot.insert(PhtEntry {
-                    prediction: observed,
-                    misses: 0,
-                });
+                slot.insert(PhtEntry::new(observed));
                 None
             }
             Entry::Occupied(mut slot) => {
                 let entry = slot.get_mut();
-                let predicted = entry.prediction;
-                if predicted == observed {
-                    entry.misses = 0;
-                } else if entry.misses < filter_max {
-                    entry.misses += 1;
-                } else {
-                    *entry = PhtEntry {
-                        prediction: observed,
-                        misses: 0,
-                    };
-                }
-                Some(predicted)
+                let offered = entry.offered(gate);
+                entry.learn(observed, filter_max);
+                offered
             }
         }
     }
@@ -93,7 +135,11 @@ impl Pht {
     /// Installs an entry verbatim (the restore half of
     /// [`crate::snapshot`]): no filter logic applies.
     pub fn restore_entry(&mut self, key: u64, prediction: PredTuple, misses: u8) {
-        self.entries.insert(key, PhtEntry { prediction, misses });
+        let entry = PhtEntry {
+            misses,
+            ..PhtEntry::new(prediction)
+        };
+        self.entries.insert(key, entry);
     }
 
     /// Number of learned patterns (Table 7's per-block PHT entry count).
@@ -153,7 +199,7 @@ mod tests {
         for observed in stream {
             let expected = split.predict(key1());
             split.update(key1(), observed, 1);
-            assert_eq!(fused.predict_then_update(key1(), observed, 1), expected);
+            assert_eq!(fused.predict_then_update(key1(), observed, 1, 0), expected);
             assert_eq!(fused, split);
         }
     }

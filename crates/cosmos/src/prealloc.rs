@@ -16,25 +16,16 @@
 //! variants`).
 
 use crate::fasthash::FastMap;
+use crate::lru::LruSlab;
 use crate::memory::MemoryFootprint;
-use crate::packed::{self, PackedHistory};
+use crate::packed::PackedHistory;
+use crate::pht::PhtEntry;
 use crate::tuple::PredTuple;
 use crate::MessagePredictor;
 use stache::BlockAddr;
 
 /// A `(block, packed history)` pattern key — two words, no allocation.
 type PatternKey = (BlockAddr, u64);
-
-#[derive(Debug, Clone)]
-struct Slot {
-    prediction: PredTuple,
-    misses: u8,
-    /// Whether the slot lives in the shared pool (true) or the block's
-    /// static allocation (false).
-    pooled: bool,
-    /// LRU stamp for pooled slots.
-    last_used: u64,
-}
 
 /// A Cosmos predictor with the §3.7 bounded memory layout.
 #[derive(Debug, Clone)]
@@ -44,13 +35,13 @@ pub struct PreallocCosmos {
     static_entries: usize,
     pool_capacity: usize,
     histories: FastMap<BlockAddr, PackedHistory>,
-    entries: FastMap<PatternKey, Slot>,
+    /// Patterns held in their block's static allocation, and how many of
+    /// its `static_entries` each block has used.
+    fixed: FastMap<PatternKey, PhtEntry>,
     static_used: FastMap<BlockAddr, usize>,
-    pool_used: usize,
-    clock: u64,
-    /// Pooled patterns evicted under pressure (a measure of how far the
-    /// paper's "four static entries" assumption is from a workload).
-    pub evictions: u64,
+    /// Patterns held in the shared pool, least recently *observed* first
+    /// out.
+    pool: LruSlab<PatternKey, PhtEntry>,
 }
 
 impl PreallocCosmos {
@@ -63,73 +54,47 @@ impl PreallocCosmos {
     /// Creates a predictor: MHR `depth`, noise filter `filter_max`,
     /// `static_entries` per block, and a shared pool of `pool_capacity`.
     pub fn new(depth: usize, filter_max: u8, static_entries: usize, pool_capacity: usize) -> Self {
-        assert!(depth > 0, "MHR depth must be at least 1");
-        assert!(
-            depth <= packed::MAX_DEPTH,
-            "MHR depth {depth} exceeds the packed-word maximum of {}",
-            packed::MAX_DEPTH
-        );
+        let _ = PackedHistory::new(depth); // checks `depth` now, not at the first block
         PreallocCosmos {
             depth,
             filter_max,
             static_entries,
             pool_capacity,
             histories: FastMap::default(),
-            entries: FastMap::default(),
+            fixed: FastMap::default(),
             static_used: FastMap::default(),
-            pool_used: 0,
-            clock: 0,
-            evictions: 0,
+            pool: LruSlab::new(pool_capacity),
         }
     }
 
     /// Patterns currently held in the shared pool.
     pub fn pool_used(&self) -> usize {
-        self.pool_used
+        self.pool.len()
     }
 
-    fn evict_lru_pooled(&mut self) {
-        // `last_used` stamps are unique (one clock tick per observe), so
-        // the minimum is well-defined regardless of table iteration order.
-        if let Some(key) = self
-            .entries
-            .iter()
-            .filter(|(_, s)| s.pooled)
-            .min_by_key(|(_, s)| s.last_used)
-            .map(|(k, _)| *k)
-        {
-            self.entries.remove(&key);
-            self.pool_used -= 1;
-            self.evictions += 1;
+    /// Pooled patterns evicted under pressure (a measure of how far the
+    /// paper's "four static entries" assumption is from a workload).
+    pub fn evictions(&self) -> u64 {
+        self.pool.evictions
+    }
+
+    /// Learns `observed` as the successor of pattern `key`: in place if
+    /// the pattern is stored, else in the block's next static slot, else
+    /// in the pool (a pool of capacity zero stores nothing).
+    fn learn(&mut self, key: PatternKey, observed: PredTuple) {
+        if let Some(entry) = self.fixed.get_mut(&key) {
+            return entry.learn(observed, self.filter_max);
         }
-    }
-
-    fn insert_pattern(&mut self, key: PatternKey, prediction: PredTuple) {
-        let block = key.0;
-        let used = self.static_used.entry(block).or_insert(0);
-        let pooled = if *used < self.static_entries {
+        if let Some(entry) = self.pool.hit(&key) {
+            return entry.learn(observed, self.filter_max);
+        }
+        let used = self.static_used.entry(key.0).or_insert(0);
+        if *used < self.static_entries {
             *used += 1;
-            false
-        } else {
-            if self.pool_used >= self.pool_capacity {
-                self.evict_lru_pooled();
-            }
-            if self.pool_used >= self.pool_capacity {
-                // Pool capacity zero: the pattern cannot be stored at all.
-                return;
-            }
-            self.pool_used += 1;
-            true
-        };
-        self.entries.insert(
-            key,
-            Slot {
-                prediction,
-                misses: 0,
-                pooled,
-                last_used: self.clock,
-            },
-        );
+            self.fixed.insert(key, PhtEntry::new(observed));
+        } else if self.pool_capacity > 0 {
+            self.pool.touch(key, || PhtEntry::new(observed));
+        }
     }
 }
 
@@ -139,44 +104,28 @@ impl MessagePredictor for PreallocCosmos {
     }
 
     fn predict(&self, block: BlockAddr) -> Option<PredTuple> {
-        let key = self.histories.get(&block)?.key()?;
-        self.entries.get(&(block, key)).map(|s| s.prediction)
+        let key = (block, self.histories.get(&block)?.key()?);
+        let entry = self.fixed.get(&key).or_else(|| self.pool.get(&key))?;
+        Some(entry.prediction)
     }
 
     fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
-        self.clock += 1;
         let depth = self.depth;
         let history = self
             .histories
             .entry(block)
             .or_insert_with(|| PackedHistory::new(depth));
-        if let Some(packed_key) = history.key() {
-            let key = (block, packed_key);
-            match self.entries.get_mut(&key) {
-                Some(slot) => {
-                    slot.last_used = self.clock;
-                    if slot.prediction == tuple {
-                        slot.misses = 0;
-                    } else if slot.misses < self.filter_max {
-                        slot.misses += 1;
-                    } else {
-                        slot.prediction = tuple;
-                        slot.misses = 0;
-                    }
-                }
-                None => self.insert_pattern(key, tuple),
-            }
+        let key = history.key();
+        history.push(tuple.pack());
+        if let Some(key) = key {
+            self.learn((block, key), tuple);
         }
-        self.histories
-            .get_mut(&block)
-            .expect("just inserted")
-            .push(tuple.pack());
     }
 
     fn memory(&self) -> MemoryFootprint {
         MemoryFootprint {
             mhr_entries: self.histories.len(),
-            pht_entries: self.entries.len(),
+            pht_entries: self.fixed.len() + self.pool.len(),
         }
     }
 }
@@ -226,7 +175,27 @@ mod tests {
         // 6 distinct patterns on one block: 1 static + 2 pooled max.
         distinct_patterns(&mut p, 1, 7);
         assert_eq!(p.memory().pht_entries, 3);
-        assert!(p.evictions > 0);
+        assert!(p.evictions() > 0);
+    }
+
+    #[test]
+    fn the_pool_forgets_its_least_recently_observed_pattern() {
+        // No static slots and a pool of two; block i's only pattern is
+        // x -> x, learned by its second x and confirmed by every later one.
+        let mut p = PreallocCosmos::new(1, 0, 0, 2);
+        let x = t(1, MsgType::GetRoRequest);
+        for blk in [1, 2] {
+            p.observe(b(blk), x);
+            p.observe(b(blk), x);
+        }
+        p.observe(b(1), x); // block 1's pattern is now the more recent
+        p.observe(b(3), x);
+        p.observe(b(3), x); // admitted in place of block 2's
+        assert_eq!(p.evictions(), 1);
+        assert_eq!(p.pool_used(), 2);
+        assert_eq!(p.predict(b(1)), Some(x));
+        assert_eq!(p.predict(b(2)), None, "block 2's pattern was the victim");
+        assert_eq!(p.predict(b(3)), Some(x));
     }
 
     #[test]

@@ -1,48 +1,58 @@
-//! The full two-level Cosmos predictor for one agent.
+//! The two-level Cosmos predictor for one agent — the only one.
+//!
+//! The paper's contribution is one structure, block → MHR → PHT with an
+//! optional filter (§3.2–3.6), and its follow-ons are parameter changes of
+//! it. [`CosmosPredictor`] takes them as constructor arguments on three
+//! axes — *index*, what address and tuple the tables see
+//! ([`macroblock`](CosmosPredictor::macroblock), §7;
+//! [`type_only`](CosmosPredictor::type_only), §3.5 fn 3); *store*, where a
+//! block's state lives ([`EvictingCosmos::new`], §3.7);
+//! *gate*, when a stored prediction is offered
+//! ([`confident`](CosmosPredictor::confident), §4.2/§4.3) — and every
+//! combination runs the same `step`.
 
 use crate::fasthash::FastMap;
+use crate::lru::LruSlab;
 use crate::memory::MemoryFootprint;
 use crate::mhr::Mhr;
 use crate::packed;
-use crate::pht::Pht;
+use crate::pht::{Pht, CONFIDENCE_MAX};
 use crate::tuple::PredTuple;
 use crate::{CoreStats, MessagePredictor};
-use stache::BlockAddr;
+use stache::{BlockAddr, NodeId};
 use std::cell::Cell;
 use std::collections::HashMap;
 
-/// Per-block predictor state: the MHR and its private PHT. Shared with
-/// [`EvictingCosmos`](crate::EvictingCosmos), which stores the same state
-/// in a bounded table.
+/// Per-block predictor state: the MHR and its private PHT.
 ///
-/// Both methods take the owner's PHT probe counter and keep it the
-/// *logical* count — one per lookup that reached a PHT, one per update —
-/// however the step was made.
+/// Both methods take the owner's gate and PHT probe counter, and keep the
+/// counter the *logical* count — one per lookup that reached a PHT, one
+/// per update — however the step was made.
 #[derive(Debug, Clone)]
-pub(crate) struct BlockState {
-    pub(crate) mhr: Mhr,
+struct BlockState {
+    mhr: Mhr,
     /// Allocated lazily: a block gets a PHT only once its reference count
     /// exceeds the MHR depth (Table 7's accounting rule — blocks with at
     /// most `depth` references never allocate one).
-    pub(crate) pht: Option<Pht>,
+    pht: Option<Pht>,
 }
 
 impl BlockState {
-    pub(crate) fn new(depth: usize) -> Self {
+    fn new(depth: usize) -> Self {
         BlockState {
             mhr: Mhr::new(depth),
             pht: None,
         }
     }
 
-    /// §3.3: the MHR is the PHT key; the PHT's entry, if any, is the
-    /// prediction.
+    /// §3.3: the MHR is the PHT key; the PHT's entry, if any and if it
+    /// passes the gate, is the prediction.
     #[inline]
-    pub(crate) fn predict(&self, probes: &Cell<u64>) -> Option<PredTuple> {
+    fn predict(&self, gate: u8, probes: &Cell<u64>) -> Option<PredTuple> {
         let key = self.mhr.key()?;
         let pht = self.pht.as_ref()?;
         probes.set(probes.get() + 1);
-        pht.predict(key)
+        pht.entry(key)?.offered(gate)
     }
 
     /// §3.4: write the observed tuple as the new prediction for the
@@ -51,10 +61,11 @@ impl BlockState {
     /// first, found on the same PHT slot; `lookup` says whether the
     /// caller asked for it (and so whether it counts as a probe).
     #[inline]
-    pub(crate) fn step(
+    fn step(
         &mut self,
         tuple: PredTuple,
         filter_max: u8,
+        gate: u8,
         lookup: bool,
         probes: &Cell<u64>,
     ) -> Option<PredTuple> {
@@ -63,10 +74,66 @@ impl BlockState {
             let reached = lookup && self.pht.is_some();
             probes.set(probes.get() + 1 + u64::from(reached));
             let pht = self.pht.get_or_insert_with(Pht::new);
-            predicted = pht.predict_then_update(key, tuple, filter_max);
+            predicted = pht.predict_then_update(key, tuple, filter_max, gate);
         }
         self.mhr.shift(tuple);
         predicted
+    }
+}
+
+/// Where the per-block state lives (the Message History Table).
+#[derive(Debug, Clone)]
+enum Store {
+    /// An entry for every block ever seen — Stache never replaces a block
+    /// (§5.1), so the paper's tables never forget one.
+    Unbounded(FastMap<BlockAddr, BlockState>),
+    /// §3.7's merge with finite cache state: "this may lead to a loss of
+    /// Cosmos' history information when cache blocks are replaced". The
+    /// least recently *observed* block's whole state, MHR and PHT, is
+    /// discarded to admit a new block (predictions don't touch recency).
+    Lru(LruSlab<BlockAddr, BlockState>),
+}
+
+impl Store {
+    #[inline]
+    fn get(&self, block: BlockAddr) -> Option<&BlockState> {
+        match self {
+            Store::Unbounded(map) => map.get(&block),
+            Store::Lru(slab) => slab.get(&block),
+        }
+    }
+
+    /// `block`'s state, created on its first observation.
+    #[inline]
+    fn touch(&mut self, block: BlockAddr, depth: usize) -> &mut BlockState {
+        match self {
+            Store::Unbounded(map) => map.entry(block).or_insert_with(|| BlockState::new(depth)),
+            Store::Lru(slab) => slab.touch(block, || BlockState::new(depth)),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Store::Unbounded(map) => map.len(),
+            Store::Lru(slab) => slab.len(),
+        }
+    }
+
+    fn iter(&self) -> Box<dyn Iterator<Item = (BlockAddr, &BlockState)> + '_> {
+        match self {
+            Store::Unbounded(map) => Box::new(map.iter().map(|(b, s)| (*b, s))),
+            Store::Lru(slab) => Box::new(slab.iter()),
+        }
+    }
+
+    /// Bytes the table itself has reserved, PHTs excluded.
+    fn reserved_bytes(&self) -> usize {
+        match self {
+            Store::Unbounded(map) => {
+                map.capacity() * std::mem::size_of::<(BlockAddr, BlockState)>()
+            }
+            Store::Lru(slab) => slab.reserved_bytes(),
+        }
     }
 }
 
@@ -75,12 +142,20 @@ impl BlockState {
 ///
 /// `depth` is the MHR depth (the paper evaluates 1–4); `filter_max` the
 /// noise filter's maximum count (0 = no filter, matching Table 6's
-/// column 0; the paper's single-bit counter is 1).
+/// column 0; the paper's single-bit counter is 1). The builder methods
+/// set the [module's](self) index and gate arguments; call them before
+/// the first observation.
 #[derive(Debug, Clone)]
 pub struct CosmosPredictor {
     depth: usize,
     filter_max: u8,
-    blocks: FastMap<BlockAddr, BlockState>,
+    /// Index: the tables are keyed by `block >> shift`.
+    shift: u32,
+    /// Index: every sender is recorded as processor 0.
+    drop_sender: bool,
+    /// Gate: confirmations in a row an entry needs before it is offered.
+    threshold: u8,
+    store: Store,
     /// PHT probe count (lookups + updates), kept in a `Cell` so the
     /// `&self` predict path can account itself without atomics.
     probes: Cell<u64>,
@@ -93,18 +168,56 @@ impl CosmosPredictor {
     ///
     /// Panics if `depth` is zero or exceeds [`packed::MAX_DEPTH`].
     pub fn new(depth: usize, filter_max: u8) -> Self {
-        assert!(depth > 0, "MHR depth must be at least 1");
-        assert!(
-            depth <= packed::MAX_DEPTH,
-            "MHR depth {depth} exceeds the packed-word maximum of {}",
-            packed::MAX_DEPTH
-        );
+        let _ = Mhr::new(depth); // checks `depth` now, not at the first block
         CosmosPredictor {
             depth,
             filter_max,
-            blocks: FastMap::default(),
+            shift: 0,
+            drop_sender: false,
+            threshold: 0,
+            store: Store::Unbounded(FastMap::default()),
             probes: Cell::new(0),
         }
+    }
+
+    /// §7's macroblocks ("grouping predictions for multiple cache blocks
+    /// together"): `2^shift` adjacent blocks share one MHR and one PHT.
+    /// Neighbours with the same sharing pattern reinforce each other at
+    /// `2^shift`× less memory; neighbours with different patterns corrupt
+    /// each other's history. `shift = 0` is plain Cosmos.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shift` is 64 or more — no address bits would be left.
+    pub fn macroblock(mut self, shift: u32) -> Self {
+        assert!(
+            shift < 64,
+            "macroblock shift {shift} leaves no address bits"
+        );
+        self.shift = shift;
+        self
+    }
+
+    /// The §3.5 footnote-3 ablation: history and predictions collapse
+    /// every sender to processor 0, so only message *types* are tracked.
+    /// Evaluate it with [`EvalOptions::type_only`](crate::EvalOptions) —
+    /// its predictions can never match a full tuple from a nonzero sender,
+    /// which is the paper's point that dropping the sender loses
+    /// actionability.
+    pub fn type_only(mut self) -> Self {
+        self.drop_sender = true;
+        self
+    }
+
+    /// Confidence gating: a prediction is offered only once its entry has
+    /// been confirmed `threshold` times in a row (see
+    /// [`PhtEntry::confidence`](crate::PhtEntry)), the coverage/accuracy
+    /// dial an integration wants when the misprediction penalty `r` of
+    /// §4.3 is large. 0 always answers; values above [`CONFIDENCE_MAX`]
+    /// are clamped to it.
+    pub fn confident(mut self, threshold: u8) -> Self {
+        self.threshold = threshold.min(CONFIDENCE_MAX);
+        self
     }
 
     /// The configured MHR depth.
@@ -117,25 +230,76 @@ impl CosmosPredictor {
         self.filter_max
     }
 
-    /// Number of MHRs allocated (blocks seen at least once).
+    /// The configured confidence threshold.
+    pub fn threshold(&self) -> u8 {
+        self.threshold
+    }
+
+    /// Blocks whose history a bounded table ([`EvictingCosmos::new`]) discarded.
+    pub fn evictions(&self) -> u64 {
+        match &self.store {
+            Store::Unbounded(_) => 0,
+            Store::Lru(slab) => slab.evictions,
+        }
+    }
+
+    /// Whether the index, store and gate arguments are all at their
+    /// defaults — the predictor a `CPS1` snapshot can describe.
+    pub(crate) fn is_plain(&self) -> bool {
+        self.shift == 0
+            && !self.drop_sender
+            && self.threshold == 0
+            && matches!(self.store, Store::Unbounded(_))
+    }
+
+    /// The table key of a block: its macroblock. The identity index is
+    /// *tested*, not computed: a shift by the predictor's own `shift` field
+    /// puts a load on the address path of every table probe, where a
+    /// branch a plain Cosmos never takes costs nothing (hot scoring read
+    /// ≈ 6 % lower with the bare shift). [`macroblock_of`](Self::macroblock_of)
+    /// is out of line because, inlined, the test folds back into the shift.
+    #[inline]
+    fn slot_of(&self, block: BlockAddr) -> BlockAddr {
+        if self.shift == 0 {
+            block
+        } else {
+            self.macroblock_of(block)
+        }
+    }
+
+    #[inline(never)]
+    fn macroblock_of(&self, block: BlockAddr) -> BlockAddr {
+        BlockAddr::new(block.number() >> self.shift)
+    }
+
+    /// Number of MHRs allocated (blocks seen at least once and still
+    /// tracked).
     pub fn mhr_entries(&self) -> usize {
-        self.blocks.len()
+        self.store.len()
     }
 
     /// Total PHT entries across all blocks.
     pub fn pht_entries(&self) -> usize {
-        self.blocks
-            .values()
-            .filter_map(|b| b.pht.as_ref())
-            .map(Pht::len)
-            .sum()
+        self.phts().map(Pht::len).sum()
+    }
+
+    fn phts(&self) -> impl Iterator<Item = &Pht> {
+        self.store.iter().filter_map(|(_, s)| s.pht.as_ref())
+    }
+
+    /// The stored prediction for `block` regardless of the gate, with its
+    /// confidence.
+    pub fn predict_with_confidence(&self, block: BlockAddr) -> Option<(PredTuple, u8)> {
+        let state = self.store.get(self.slot_of(block))?;
+        let entry = state.pht.as_ref()?.entry(state.mhr.key()?)?;
+        Some((entry.prediction, entry.confidence))
     }
 
     /// Predicts a *chain* of up to `n` future messages for `block` by
     /// repeatedly applying the PHT to a simulated history — the mechanism
     /// behind §4.1's "executing a sequence of protocol actions, instead of
     /// executing a single action". The chain stops early at the first
-    /// history with no learned successor.
+    /// history with no (offered) successor.
     ///
     /// ```
     /// use cosmos::{CosmosPredictor, MessagePredictor, PredTuple};
@@ -155,19 +319,15 @@ impl CosmosPredictor {
     /// ```
     pub fn predict_chain(&self, block: BlockAddr, n: usize) -> Vec<PredTuple> {
         let mut chain = Vec::new();
-        let Some(state) = self.blocks.get(&block) else {
+        let Some(state) = self.store.get(self.slot_of(block)) else {
             return chain;
         };
-        let Some(key) = state.mhr.key() else {
+        let (Some(mut history), Some(pht)) = (state.mhr.key(), state.pht.as_ref()) else {
             return chain;
         };
-        let Some(pht) = state.pht.as_ref() else {
-            return chain;
-        };
-        let mut history = key;
         for _ in 0..n {
             self.probes.set(self.probes.get() + 1);
-            let Some(next) = pht.predict(history) else {
+            let Some(next) = pht.entry(history).and_then(|e| e.offered(self.threshold)) else {
                 break;
             };
             chain.push(next);
@@ -180,9 +340,9 @@ impl CosmosPredictor {
     /// [`snapshot::save`](crate::snapshot::save).
     pub fn snapshot_blocks(&self) -> Vec<(BlockAddr, &Mhr, Option<&Pht>)> {
         let mut blocks: Vec<_> = self
-            .blocks
+            .store
             .iter()
-            .map(|(addr, s)| (*addr, &s.mhr, s.pht.as_ref()))
+            .map(|(addr, s)| (addr, &s.mhr, s.pht.as_ref()))
             .collect();
         blocks.sort_by_key(|(addr, _, _)| *addr);
         blocks
@@ -196,13 +356,13 @@ impl CosmosPredictor {
     /// Panics if the register's depth differs from the predictor's.
     pub fn restore_block(&mut self, addr: BlockAddr, mhr: Mhr, pht: Option<Pht>) {
         assert_eq!(mhr.depth(), self.depth, "MHR depth mismatch on restore");
-        self.blocks.insert(addr, BlockState { mhr, pht });
+        *self.store.touch(addr, self.depth) = BlockState { mhr, pht };
     }
 
     /// Per-block PHT entry counts (for the preallocation analysis of §3.7).
     pub fn pht_entry_histogram(&self) -> HashMap<usize, usize> {
         let mut hist = HashMap::new();
-        for b in self.blocks.values() {
+        for (_, b) in self.store.iter() {
             let n = b.pht.as_ref().map_or(0, Pht::len);
             *hist.entry(n).or_insert(0) += 1;
         }
@@ -212,37 +372,42 @@ impl CosmosPredictor {
     /// One MHT probe for both halves of a scoring step.
     #[inline]
     fn step(&mut self, block: BlockAddr, tuple: PredTuple, lookup: bool) -> Option<PredTuple> {
-        let depth = self.depth;
-        self.blocks
-            .entry(block)
-            .or_insert_with(|| BlockState::new(depth))
-            .step(tuple, self.filter_max, lookup, &self.probes)
-    }
-
-    /// PHT probes (lookups plus updates) performed so far.
-    pub fn pht_probes(&self) -> u64 {
-        self.probes.get()
+        let tuple = if self.drop_sender {
+            PredTuple::new(NodeId::new(0), tuple.mtype)
+        } else {
+            tuple
+        };
+        let block = self.slot_of(block);
+        self.store.touch(block, self.depth).step(
+            tuple,
+            self.filter_max,
+            self.threshold,
+            lookup,
+            &self.probes,
+        )
     }
 
     /// Estimated bytes reserved by the predictor's hash tables (capacity,
     /// not occupancy) — the `cosmos.core.fastmap_capacity_bytes` gauge.
     pub fn table_capacity_bytes(&self) -> u64 {
-        let block_slot = std::mem::size_of::<(BlockAddr, BlockState)>();
-        let phts = self.blocks.values().filter_map(|b| b.pht.as_ref());
-        (self.blocks.capacity() * block_slot + phts.map(Pht::capacity_bytes).sum::<usize>()) as u64
+        (self.store.reserved_bytes() + self.phts().map(Pht::capacity_bytes).sum::<usize>()) as u64
     }
 }
 
 impl MessagePredictor for CosmosPredictor {
+    /// Whatever the arguments: a configuration is named by the label of
+    /// the study that builds it.
     fn name(&self) -> &'static str {
         "cosmos"
     }
 
     /// §3.3: index the MHT by block, use the MHR as the PHT key, return
-    /// the PHT's prediction if one exists.
+    /// the PHT's prediction if one exists and passes the gate.
     #[inline]
     fn predict(&self, block: BlockAddr) -> Option<PredTuple> {
-        self.blocks.get(&block)?.predict(&self.probes)
+        self.store
+            .get(self.slot_of(block))?
+            .predict(self.threshold, &self.probes)
     }
 
     /// §3.4: learn the observed tuple, then shift it into the MHR.
@@ -265,65 +430,39 @@ impl MessagePredictor for CosmosPredictor {
 
     fn core_stats(&self) -> CoreStats {
         CoreStats {
-            pht_probes: self.pht_probes(),
+            pht_probes: self.probes.get(),
             table_capacity_bytes: self.table_capacity_bytes(),
         }
     }
 
     /// Table 7's tuple accounting, in bits: `depth` tuples per MHR plus
-    /// `depth + 1` tuples per PHT entry, at 2 bytes per tuple.
+    /// `depth + 1` tuples per PHT entry, at 2 bytes per tuple — whatever
+    /// the index, store and gate arguments.
     fn storage_bits(&self) -> u64 {
         self.memory().bytes(self.depth) as u64 * 8
     }
 }
 
-/// A sender-agnostic Cosmos variant for the §3.5 footnote-3 ablation: both
-/// the history and the predictions collapse every sender to processor 0,
-/// so only message *types* are tracked. Evaluate it with
-/// [`EvalOptions::type_only`](crate::eval::EvalOptions) — its predictions
-/// can never match a full tuple from a nonzero sender, which is exactly
-/// the paper's point that dropping the sender loses actionability.
-#[derive(Debug, Clone)]
-pub struct TypeOnlyCosmos {
-    inner: CosmosPredictor,
-}
+/// The constructor of the *store* argument, under the name the §3.7
+/// history-persistence study has always built it by.
+pub enum EvictingCosmos {}
 
-impl TypeOnlyCosmos {
-    /// Creates a type-only predictor with the given depth and filter.
-    pub fn new(depth: usize, filter_max: u8) -> Self {
-        TypeOnlyCosmos {
-            inner: CosmosPredictor::new(depth, filter_max),
+impl EvictingCosmos {
+    /// A Cosmos whose MHT holds at most `capacity` blocks and discards the
+    /// least recently observed block's whole state to admit a new one —
+    /// §3.7's history-loss concern, what merging the table with finite
+    /// cache state would do.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` or `capacity` is zero.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(depth: usize, filter_max: u8, capacity: usize) -> CosmosPredictor {
+        assert!(capacity > 0, "a zero-capacity MHT cannot predict");
+        CosmosPredictor {
+            store: Store::Lru(LruSlab::new(capacity)),
+            ..CosmosPredictor::new(depth, filter_max)
         }
-    }
-
-    fn collapse(tuple: PredTuple) -> PredTuple {
-        PredTuple::new(stache::NodeId::new(0), tuple.mtype)
-    }
-}
-
-impl MessagePredictor for TypeOnlyCosmos {
-    fn name(&self) -> &'static str {
-        "cosmos-type-only"
-    }
-
-    fn predict(&self, block: BlockAddr) -> Option<PredTuple> {
-        self.inner.predict(block)
-    }
-
-    fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
-        self.inner.observe(block, Self::collapse(tuple));
-    }
-
-    fn memory(&self) -> MemoryFootprint {
-        self.inner.memory()
-    }
-
-    fn core_stats(&self) -> CoreStats {
-        self.inner.core_stats()
-    }
-
-    fn storage_bits(&self) -> u64 {
-        self.inner.storage_bits()
     }
 }
 
@@ -482,6 +621,31 @@ mod tests {
         let stats = p.core_stats();
         assert_eq!(stats.pht_probes, 2);
         assert!(stats.table_capacity_bytes > 0);
+    }
+
+    #[test]
+    fn every_argument_reports_table_sevens_storage() {
+        let variants = [
+            ("plain", CosmosPredictor::new(2, 0)),
+            ("macroblock", CosmosPredictor::new(2, 0).macroblock(1)),
+            ("type-only", CosmosPredictor::new(2, 0).type_only()),
+            ("confident", CosmosPredictor::new(2, 0).confident(2)),
+            ("bounded", EvictingCosmos::new(2, 0, 4)),
+        ];
+        for (name, mut p) in variants {
+            assert_eq!(p.storage_bits(), 0, "{name}: empty tables cost nothing");
+            let cycle = [
+                MsgType::GetRoRequest,
+                MsgType::UpgradeRequest,
+                MsgType::InvalRwResponse,
+            ];
+            for m in cycle.iter().cycle().take(6) {
+                p.observe(b(1), t(1, *m));
+            }
+            // One MHR of 2 tuples and three PHT entries of 3, 16 bits each.
+            assert_eq!(p.memory().pht_entries, 3, "{name}");
+            assert_eq!(p.storage_bits(), (2 + 3 * 3) * 16, "{name}");
+        }
     }
 
     #[test]

@@ -15,25 +15,19 @@
 use crate::fasthash::FastMap;
 use crate::memory::MemoryFootprint;
 use crate::mhr::Mhr;
+use crate::pht::PhtEntry;
 use crate::tuple::PredTuple;
 use crate::MessagePredictor;
 use stache::BlockAddr;
 
-/// An entry in the shared table: a tag-less prediction with the paper's
-/// saturating miss counter.
-#[derive(Debug, Clone, Copy)]
-struct SharedEntry {
-    prediction: PredTuple,
-    misses: u8,
-}
-
-/// A Cosmos variant with one shared, fixed-size pattern history table.
+/// A Cosmos variant with one shared, fixed-size pattern history table of
+/// tag-less [`PhtEntry`]s.
 #[derive(Debug, Clone)]
 pub struct SharedPhtCosmos {
     depth: usize,
     filter_max: u8,
     histories: FastMap<BlockAddr, Mhr>,
-    table: Vec<Option<SharedEntry>>,
+    table: Vec<Option<PhtEntry>>,
 }
 
 impl SharedPhtCosmos {
@@ -42,10 +36,11 @@ impl SharedPhtCosmos {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is zero or `index_bits` exceeds 24 (a 16M-entry
-    /// table is already far past any hardware point worth studying).
+    /// Panics if `depth` is out of [`Mhr`]'s range or `index_bits` exceeds
+    /// 24 (a 16M-entry table is already far past any hardware point worth
+    /// studying).
     pub fn new(depth: usize, filter_max: u8, index_bits: u32) -> Self {
-        assert!(depth > 0, "MHR depth must be at least 1");
+        let _ = Mhr::new(depth); // checks `depth` now, not at the first block
         assert!(index_bits <= 24, "table size out of the study's range");
         SharedPhtCosmos {
             depth,
@@ -89,34 +84,19 @@ impl MessagePredictor for SharedPhtCosmos {
 
     fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
         let depth = self.depth;
-        let key = self
+        let mhr = self
             .histories
             .entry(block)
-            .or_insert_with(|| Mhr::new(depth))
-            .key();
+            .or_insert_with(|| Mhr::new(depth));
+        let key = mhr.key();
+        mhr.shift(tuple);
         if let Some(key) = key {
             let idx = self.index(block, key);
             match &mut self.table[idx] {
-                slot @ None => {
-                    *slot = Some(SharedEntry {
-                        prediction: tuple,
-                        misses: 0,
-                    });
-                }
-                Some(e) if e.prediction == tuple => e.misses = 0,
-                Some(e) if e.misses < self.filter_max => e.misses += 1,
-                Some(e) => {
-                    *e = SharedEntry {
-                        prediction: tuple,
-                        misses: 0,
-                    }
-                }
+                Some(entry) => entry.learn(tuple, self.filter_max),
+                slot @ None => *slot = Some(PhtEntry::new(tuple)),
             }
         }
-        self.histories
-            .get_mut(&block)
-            .expect("just inserted")
-            .shift(tuple);
     }
 
     fn memory(&self) -> MemoryFootprint {

@@ -17,6 +17,10 @@
 //! predictions, same memory accounting, same future evolution). The bytes
 //! are canonical — blocks in address order, PHT entries in packed-key
 //! order — so equal predictors save equal snapshots.
+//!
+//! The scope is a plain, unbounded Cosmos: the header carries `depth` and
+//! `filter_max` only, and the confidence counters, which only a gated
+//! predictor reads, are not written.
 
 use crate::mhr::Mhr;
 use crate::pht::Pht;
@@ -55,7 +59,17 @@ impl fmt::Display for SnapshotError {
 impl Error for SnapshotError {}
 
 /// Serialises a predictor's full state.
+///
+/// # Panics
+///
+/// Panics if the predictor was built with an index, store or gate
+/// argument: `CPS1` has fields for depth and filter only, so the bytes
+/// would restore as a different predictor.
 pub fn save(predictor: &CosmosPredictor) -> Vec<u8> {
+    assert!(
+        predictor.is_plain(),
+        "CPS1 cannot describe index, store or gate arguments"
+    );
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.push(predictor.depth() as u8);
@@ -269,6 +283,12 @@ mod tests {
                 field: "trailing bytes"
             })
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot describe")]
+    fn a_variant_predictor_is_outside_the_format() {
+        save(&crate::EvictingCosmos::new(1, 0, 4));
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 /// Model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpeedupParams {
     /// Prediction accuracy per message, in [0, 1].
     pub p: f64,
@@ -100,7 +99,6 @@ pub fn speedup_percent(params: SpeedupParams) -> f64 {
 
 /// One point of a Figure 5 sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SweepPoint {
     /// The parameters at this point.
     pub params: SpeedupParams,

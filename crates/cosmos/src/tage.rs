@@ -34,6 +34,7 @@
 //! Cosmos MHR entries.
 
 use crate::fasthash::{fx_words, FastMap};
+use crate::hybrid::Tournament;
 use crate::memory::MemoryFootprint;
 use crate::packed::{self, PackedHistory};
 use crate::predictor::CosmosPredictor;
@@ -457,96 +458,21 @@ impl MessagePredictor for TagePredictor {
     }
 }
 
-/// Chooser saturation for [`CosmosTageHybrid`] (2-bit: 0–1 favour Cosmos,
-/// 2–3 favour TAGE).
-const CHOOSER_MAX: u8 = 3;
-
 /// A per-agent tournament between a Cosmos predictor and a TAGE-MP
 /// predictor: one 2-bit chooser counter per agent (per *node*, not per
 /// block) tracks which component has been right more often recently when
 /// they disagree, and arbitrates between them.
-#[derive(Debug, Clone)]
-pub struct CosmosTageHybrid {
-    cosmos: CosmosPredictor,
-    tage: TagePredictor,
-    /// The agent-wide chooser counter.
-    chooser: u8,
-    /// Times the Cosmos component supplied the answer.
-    pub cosmos_used: u64,
-    /// Times the TAGE component supplied the answer.
-    pub tage_used: u64,
-}
+pub type CosmosTageHybrid = Tournament<CosmosPredictor, TagePredictor>;
 
 impl CosmosTageHybrid {
     /// Builds the hybrid from a Cosmos depth/filter and a TAGE geometry.
     pub fn new(depth: usize, filter_max: u8, config: TageConfig) -> Self {
-        CosmosTageHybrid {
-            cosmos: CosmosPredictor::new(depth, filter_max),
-            tage: TagePredictor::new(config),
-            chooser: 1,
-            cosmos_used: 0,
-            tage_used: 0,
-        }
-    }
-}
-
-impl MessagePredictor for CosmosTageHybrid {
-    fn name(&self) -> &'static str {
-        "cosmos+tage"
-    }
-
-    fn predict(&self, block: BlockAddr) -> Option<PredTuple> {
-        let c = self.cosmos.predict(block);
-        let t = self.tage.predict(block);
-        match (c, t) {
-            (Some(c), Some(t)) => Some(if self.chooser >= 2 { t } else { c }),
-            (Some(c), None) => Some(c),
-            (None, Some(t)) => Some(t),
-            (None, None) => None,
-        }
-    }
-
-    fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
-        let c = self.cosmos.predict(block);
-        let t = self.tage.predict(block);
-        let c_hit = c == Some(tuple);
-        let t_hit = t == Some(tuple);
-        if c_hit != t_hit {
-            if t_hit {
-                self.chooser = (self.chooser + 1).min(CHOOSER_MAX);
-            } else {
-                self.chooser = self.chooser.saturating_sub(1);
-            }
-        }
-        match (c.is_some(), t.is_some()) {
-            (true, true) => {
-                if self.chooser >= 2 {
-                    self.tage_used += 1;
-                } else {
-                    self.cosmos_used += 1;
-                }
-            }
-            (true, false) => self.cosmos_used += 1,
-            (false, true) => self.tage_used += 1,
-            (false, false) => {}
-        }
-        self.cosmos.observe(block, tuple);
-        self.tage.observe(block, tuple);
-    }
-
-    fn memory(&self) -> MemoryFootprint {
-        self.cosmos.memory() + self.tage.memory()
-    }
-
-    fn core_stats(&self) -> CoreStats {
-        let mut s = self.cosmos.core_stats();
-        s.merge(self.tage.core_stats());
-        s
-    }
-
-    fn storage_bits(&self) -> u64 {
-        // Components plus the chooser's own two bits.
-        MessagePredictor::storage_bits(&self.cosmos) + self.tage.storage_bits() + 2
+        Tournament::between(
+            "cosmos+tage",
+            CosmosPredictor::new(depth, filter_max),
+            TagePredictor::new(config),
+            false,
+        )
     }
 }
 
@@ -696,7 +622,7 @@ mod tests {
             p.observe(b(1), *tuple);
         }
         assert!(hits >= 9, "hybrid hit {hits}/10 on an easy cycle");
-        assert!(p.cosmos_used + p.tage_used > 0);
+        assert!(p.first_used + p.second_used > 0);
         assert!(p.storage_bits() > TageConfig::small().table_bits());
     }
 }

@@ -11,7 +11,6 @@ use std::fmt;
 /// A `<sender, message-type>` pair: both what Cosmos remembers (MHR
 /// contents) and what it predicts (PHT entries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PredTuple {
     /// The message's sender.
     pub sender: NodeId,

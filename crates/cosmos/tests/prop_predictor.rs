@@ -1,65 +1,61 @@
 //! Property tests for the Cosmos predictor: shift-register laws, filter
 //! semantics against a reference model, determinism, and convergence on
 //! periodic streams.
+//!
+//! Seeded cases on the in-house generator (see `seeded/mod.rs`).
 
-// Property tests need the external `proptest` crate; the feature is a
-// placeholder until it can be vendored (see the workspace manifest).
-#![cfg(feature = "proptest-tests")]
+mod seeded;
+
 use cosmos::{CosmosPredictor, MessagePredictor, Mhr, PredTuple};
-use proptest::prelude::*;
-use stache::{BlockAddr, MsgType, NodeId};
+use seeded::{check, stream, tuple};
+use stache::BlockAddr;
 use std::collections::HashMap;
 
-fn tuple_strategy() -> impl Strategy<Value = PredTuple> {
-    (0usize..16, 0u8..12)
-        .prop_map(|(n, c)| PredTuple::new(NodeId::new(n), MsgType::from_code(c).unwrap()))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The MHR behaves like a bounded FIFO of the last `depth` tuples.
-    #[test]
-    fn mhr_is_a_bounded_fifo(
-        depth in 1usize..5,
-        tuples in prop::collection::vec(tuple_strategy(), 0..40),
-    ) {
+/// The MHR behaves like a bounded FIFO of the last `depth` tuples.
+#[test]
+fn mhr_is_a_bounded_fifo() {
+    check(128, |rng| {
+        let depth = rng.gen_range(1..5);
         let mut mhr = Mhr::new(depth);
         let mut model: Vec<PredTuple> = Vec::new();
-        for t in tuples {
+        for _ in 0..rng.gen_range(0..40) {
+            let t = tuple(rng);
             mhr.shift(t);
             model.push(t);
             if model.len() > depth {
                 model.remove(0);
             }
-            prop_assert_eq!(mhr.contents(), model.clone());
-            prop_assert_eq!(mhr.is_full(), model.len() == depth);
+            assert_eq!(mhr.contents(), model);
+            assert_eq!(mhr.is_full(), model.len() == depth);
             if let Some(key) = mhr.key() {
-                prop_assert_eq!(key, cosmos::packed::pack_key(&model));
+                assert_eq!(key, cosmos::packed::pack_key(&model));
             }
         }
-    }
+    });
+}
 
-    /// The packed tuple encoding round-trips.
-    #[test]
-    fn tuple_pack_roundtrip(t in tuple_strategy()) {
-        prop_assert_eq!(PredTuple::unpack(t.pack()), Some(t));
-    }
+/// The packed tuple encoding round-trips.
+#[test]
+fn tuple_pack_roundtrip() {
+    check(128, |rng| {
+        let t = tuple(rng);
+        assert_eq!(PredTuple::unpack(t.pack()), Some(t));
+    });
+}
 
-    /// The full predictor agrees with a direct reference model: a map from
-    /// (block, last-depth-tuples) to a prediction with a saturating miss
-    /// counter.
-    #[test]
-    fn predictor_matches_reference_model(
-        depth in 1usize..4,
-        filter_max in 0u8..3,
-        stream in prop::collection::vec((0u64..3, tuple_strategy()), 0..120),
-    ) {
+/// The full predictor agrees with a direct reference model: a map from
+/// (block, last-depth-tuples) to a prediction with a saturating miss
+/// counter.
+#[test]
+fn predictor_matches_reference_model() {
+    check(128, |rng| {
+        let depth = rng.gen_range(1..4);
+        let filter_max = rng.gen_range(0..3) as u8;
         let mut sut = CosmosPredictor::new(depth, filter_max);
         let mut histories: HashMap<u64, Vec<PredTuple>> = HashMap::new();
         let mut pht: HashMap<(u64, Vec<PredTuple>), (PredTuple, u8)> = HashMap::new();
 
-        for (block, tuple) in stream {
+        for (block, tuple) in stream(rng, 3, 120) {
             let b = BlockAddr::new(block);
             let history = histories.entry(block).or_default();
             // Reference prediction.
@@ -68,7 +64,7 @@ proptest! {
             } else {
                 None
             };
-            prop_assert_eq!(sut.predict(b), expected);
+            assert_eq!(sut.predict(b), expected);
             // Reference update.
             if history.len() == depth {
                 let key = (block, history.clone());
@@ -92,75 +88,77 @@ proptest! {
             history.push(tuple);
             sut.observe(b, tuple);
         }
-    }
+    });
+}
 
-    /// On a purely periodic stream, a filterless Cosmos of depth >= 1
-    /// reaches 100% accuracy after at most two periods, provided each
-    /// history uniquely determines the successor (period > depth
-    /// guarantees distinct windows for a non-repeating period).
-    #[test]
-    fn periodic_streams_converge(
-        depth in 1usize..4,
-        period_tuples in prop::collection::vec(tuple_strategy(), 2..6),
-        reps in 3usize..6,
-    ) {
-        // Ensure the period has pairwise-distinct tuples so every window
-        // of `depth` tuples is unique within the cycle.
-        let mut seen = std::collections::HashSet::new();
-        prop_assume!(period_tuples.iter().all(|t| seen.insert(*t)));
-        prop_assume!(period_tuples.len() > depth);
+/// On a purely periodic stream, a filterless Cosmos of depth >= 1
+/// reaches 100% accuracy after at most two periods, provided each
+/// history uniquely determines the successor (a period longer than the
+/// depth, of pairwise-distinct tuples, has distinct windows).
+#[test]
+fn periodic_streams_converge() {
+    check(128, |rng| {
+        let depth = rng.gen_range(1..4);
+        let len = rng.gen_range(depth + 1..6);
+        let mut period: Vec<PredTuple> = Vec::new();
+        while period.len() < len {
+            let t = tuple(rng);
+            if !period.contains(&t) {
+                period.push(t);
+            }
+        }
+        let reps = rng.gen_range(3..6);
 
         let b = BlockAddr::new(0);
         let mut p = CosmosPredictor::new(depth, 0);
         // Warm up for two full periods.
-        for t in period_tuples.iter().cycle().take(period_tuples.len() * 2) {
+        for t in period.iter().cycle().take(period.len() * 2) {
             p.observe(b, *t);
         }
         // Every subsequent message is predicted exactly.
-        for t in period_tuples.iter().cycle().take(period_tuples.len() * reps) {
-            prop_assert_eq!(p.predict(b), Some(*t));
+        for t in period.iter().cycle().take(period.len() * reps) {
+            assert_eq!(p.predict(b), Some(*t));
             p.observe(b, *t);
         }
-    }
+    });
+}
 
-    /// Determinism: identical streams produce identical predictor state
-    /// and predictions.
-    #[test]
-    fn predictor_is_deterministic(
-        stream in prop::collection::vec((0u64..4, tuple_strategy()), 0..80),
-    ) {
+/// Determinism: identical streams produce identical predictor state
+/// and predictions.
+#[test]
+fn predictor_is_deterministic() {
+    check(128, |rng| {
         let mut a = CosmosPredictor::new(2, 1);
         let mut b = CosmosPredictor::new(2, 1);
-        for (block, tuple) in &stream {
-            let blk = BlockAddr::new(*block);
-            prop_assert_eq!(a.predict(blk), b.predict(blk));
-            a.observe(blk, *tuple);
-            b.observe(blk, *tuple);
+        for (block, tuple) in stream(rng, 4, 80) {
+            let blk = BlockAddr::new(block);
+            assert_eq!(a.predict(blk), b.predict(blk));
+            a.observe(blk, tuple);
+            b.observe(blk, tuple);
         }
-        prop_assert_eq!(a.mhr_entries(), b.mhr_entries());
-        prop_assert_eq!(a.pht_entries(), b.pht_entries());
-    }
+        assert_eq!(a.mhr_entries(), b.mhr_entries());
+        assert_eq!(a.pht_entries(), b.pht_entries());
+    });
+}
 
-    /// Memory accounting: MHR entries equal distinct blocks observed, and
-    /// PHT entries never exceed (observations - depth) summed per block.
-    #[test]
-    fn memory_accounting_bounds(
-        depth in 1usize..4,
-        stream in prop::collection::vec((0u64..5, tuple_strategy()), 0..100),
-    ) {
+/// Memory accounting: MHR entries equal distinct blocks observed, and
+/// PHT entries never exceed (observations - depth) summed per block.
+#[test]
+fn memory_accounting_bounds() {
+    check(128, |rng| {
+        let depth = rng.gen_range(1..4);
         let mut p = CosmosPredictor::new(depth, 0);
         let mut per_block: HashMap<u64, usize> = HashMap::new();
-        for (block, tuple) in &stream {
-            p.observe(BlockAddr::new(*block), *tuple);
-            *per_block.entry(*block).or_insert(0) += 1;
+        for (block, tuple) in stream(rng, 5, 100) {
+            p.observe(BlockAddr::new(block), tuple);
+            *per_block.entry(block).or_insert(0) += 1;
         }
-        prop_assert_eq!(p.mhr_entries(), per_block.len());
-        let max_pht: usize =
-            per_block.values().map(|&n| n.saturating_sub(depth)).sum();
-        prop_assert!(p.pht_entries() <= max_pht);
+        assert_eq!(p.mhr_entries(), per_block.len());
+        let max_pht: usize = per_block.values().map(|&n| n.saturating_sub(depth)).sum();
+        assert!(p.pht_entries() <= max_pht);
         // Blocks with <= depth observations allocate no PHT (Table 7 rule):
         if per_block.values().all(|&n| n <= depth) {
-            prop_assert_eq!(p.pht_entries(), 0);
+            assert_eq!(p.pht_entries(), 0);
         }
-    }
+    });
 }

@@ -3,8 +3,9 @@
 //! Three rewrites made scoring a record one table probe and no tree walk;
 //! each keeps its predecessor alive here as an executable reference:
 //!
-//! * the index-plus-slab [`EvictingCosmos`] against a `Vec` of blocks with
-//!   last-use timestamps and a min-scan victim search;
+//! * the index-plus-slab bounded table ([`EvictingCosmos::new`]) against
+//!   a `Vec` of blocks with last-use timestamps and a min-scan victim
+//!   search;
 //! * [`MessagePredictor::predict_then_observe`] against `predict` then
 //!   `observe`, for every predictor family the tournament and the
 //!   variants study construct;
@@ -15,9 +16,9 @@ use cosmos::directed::{
     Composition, DsiPredictor, LastTuple, MigratoryPredictor, MostCommon, RmwPredictor,
 };
 use cosmos::{
-    ConfidenceCosmos, CosmosPredictor, CosmosTageHybrid, Counts, EvalOptions, EvictingCosmos,
-    HybridCosmos, MacroblockCosmos, MemoryFootprint, MessagePredictor, PreallocCosmos, PredTuple,
-    SharedPhtCosmos, StreamEval, TageConfig, TagePredictor, TypeOnlyCosmos,
+    CosmosPredictor, CosmosTageHybrid, Counts, EvalOptions, EvictingCosmos, HybridCosmos,
+    MemoryFootprint, MessagePredictor, PreallocCosmos, PredTuple, SharedPhtCosmos, StreamEval,
+    TageConfig, TagePredictor,
 };
 use simx::SystemConfig;
 use stache::{BlockAddr, MsgType, NodeId, ProtocolConfig, Role};
@@ -114,7 +115,7 @@ fn slab_evicting_cosmos_matches_the_timestamp_scan_reference() {
     streams.push(("never-repeating".into(), never_repeating(6000)));
     for (app, records) in &streams {
         for capacity in [1usize, 2, 7, 64, 1000] {
-            let mut fleet: HashMap<(NodeId, Role), (EvictingCosmos, RefEvicting)> = HashMap::new();
+            let mut fleet: HashMap<(NodeId, Role), (CosmosPredictor, RefEvicting)> = HashMap::new();
             for (n, r) in records.iter().enumerate() {
                 let (real, reference) = fleet.entry((r.node, r.role)).or_insert_with(|| {
                     (
@@ -133,7 +134,8 @@ fn slab_evicting_cosmos_matches_the_timestamp_scan_reference() {
             }
             for (agent, (real, reference)) in &fleet {
                 assert_eq!(
-                    real.evictions, reference.evictions,
+                    real.evictions(),
+                    reference.evictions,
                     "{app} capacity {capacity} {agent:?}"
                 );
                 assert_eq!(
@@ -158,9 +160,15 @@ fn families() -> Vec<Family> {
         ("evicting-8192", |_| {
             Box::new(EvictingCosmos::new(2, 0, 8192))
         }),
-        ("type-only", |_| Box::new(TypeOnlyCosmos::new(2, 0))),
-        ("macro-x4", |_| Box::new(MacroblockCosmos::new(2, 0, 2))),
-        ("conf>=2", |_| Box::new(ConfidenceCosmos::new(2, 2))),
+        ("type-only", |_| {
+            Box::new(CosmosPredictor::new(2, 0).type_only())
+        }),
+        ("macro-x4", |_| {
+            Box::new(CosmosPredictor::new(2, 0).macroblock(2))
+        }),
+        ("conf>=2", |_| {
+            Box::new(CosmosPredictor::new(2, 0).confident(2))
+        }),
         ("prealloc", |_| Box::new(PreallocCosmos::paper(2, 256))),
         ("shared-4k", |_| Box::new(SharedPhtCosmos::new(2, 1, 12))),
         ("hybrid-1+3", |_| Box::new(HybridCosmos::new(1, 3))),

@@ -9,7 +9,6 @@ use crate::network::Topology;
 /// 40 ns to 1 µs "hardly changes" the rates); the sensitivity harness
 /// sweeps [`SystemConfig::network_latency_ns`] to reproduce that claim.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemConfig {
     /// Processor clock in GHz (Table 3: 1 GHz).
     pub processor_ghz: f64,

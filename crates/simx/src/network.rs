@@ -12,7 +12,6 @@ use stache::NodeId;
 
 /// How nodes are wired together.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Topology {
     /// Full crossbar: every pair is one hop apart (the paper's model).
     #[default]

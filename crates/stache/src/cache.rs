@@ -16,7 +16,6 @@ use std::fmt;
 
 /// Per-block cache state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CacheState {
     /// No valid copy.
     #[default]

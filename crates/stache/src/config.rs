@@ -13,7 +13,6 @@
 /// assert!(cfg.half_migratory);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProtocolConfig {
     /// Number of single-processor nodes.
     pub nodes: usize,

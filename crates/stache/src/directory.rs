@@ -22,7 +22,6 @@ use std::fmt;
 
 /// Per-block directory state (the full map).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DirState {
     /// No cached copies.
     #[default]

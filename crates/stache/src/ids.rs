@@ -21,7 +21,6 @@ pub const MAX_NODES: usize = 1 << 12;
 /// assert_eq!(n.to_string(), "P3");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(u16);
 
 impl NodeId {
@@ -69,7 +68,6 @@ impl From<NodeId> for usize {
 /// the block size. Directory entries, cache lines, and Cosmos MHRs are all
 /// keyed by `BlockAddr`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockAddr(u64);
 
 impl BlockAddr {
@@ -103,7 +101,6 @@ impl fmt::Display for BlockAddr {
 /// A page identifier. Pages are the unit of round-robin home placement
 /// (paper §5.1): page `X` is homed on node `X mod N`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PageId(u64);
 
 impl PageId {
@@ -146,7 +143,6 @@ impl fmt::Display for PageId {
 /// assert_eq!(members, vec![2, 5]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeSet {
     words: Vec<u64>,
 }

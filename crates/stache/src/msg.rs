@@ -12,7 +12,6 @@ use std::fmt;
 
 /// Which protocol agent a message (or a predictor) is attached to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Role {
     /// The per-node remote-data cache.
     Cache,
@@ -31,7 +30,6 @@ impl fmt::Display for Role {
 
 /// A processor-side memory operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ProcOp {
     /// A load.
     Read,
@@ -57,7 +55,6 @@ impl fmt::Display for ProcOp {
 /// encoding the paper assumes in Table 7 ("12 bits for processors and
 /// 4 bits for coherence message types").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(u8)]
 pub enum MsgType {
     /// Get a block in read-only (shared) state. Received by a directory.
@@ -201,7 +198,6 @@ impl fmt::Display for MsgType {
 /// messages that say the same thing about the same block compare equal
 /// whether or not tracing is on.
 #[derive(Debug, Clone, Copy, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Msg {
     /// Sending node.
     pub sender: NodeId,

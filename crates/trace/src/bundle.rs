@@ -6,7 +6,6 @@ use std::collections::BTreeSet;
 
 /// Metadata describing the run a trace came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceMeta {
     /// Workload name (e.g. `"appbt"`).
     pub app: String,
@@ -33,7 +32,6 @@ impl TraceMeta {
 /// is also (node-local) program order per block — the order in which a
 /// predictor sitting at the receiving agent would observe them.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceBundle {
     meta: TraceMeta,
     records: Vec<MsgRecord>,

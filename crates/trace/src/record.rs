@@ -8,7 +8,6 @@ use std::fmt;
 /// This is the unit Cosmos predicts: given the history of records for
 /// `(node, role, block)`, predict the `(sender, mtype)` of the next one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MsgRecord {
     /// Simulated reception time in nanoseconds.
     pub time_ns: u64,

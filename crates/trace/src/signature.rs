@@ -18,7 +18,6 @@ use std::fmt;
 /// An arc: at agents of `role`, a message of type `prev` for a block was
 /// followed by one of type `next` for the same block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArcKey {
     /// The receiving agent's role.
     pub role: Role,

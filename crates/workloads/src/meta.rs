@@ -2,7 +2,6 @@
 
 /// A row of Table 4: what each benchmark is and how it is sized here.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BenchmarkMeta {
     /// Benchmark name.
     pub name: &'static str,

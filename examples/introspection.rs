@@ -7,9 +7,7 @@
 //! ```
 
 use cosmos_repro::cosmos::eval::evaluate_cosmos;
-use cosmos_repro::cosmos::{
-    evaluate_lookahead, ConfidenceCosmos, CosmosPredictor, MessagePredictor, PredTuple,
-};
+use cosmos_repro::cosmos::{evaluate_lookahead, CosmosPredictor, MessagePredictor, PredTuple};
 use cosmos_repro::simx::SystemConfig;
 use cosmos_repro::stache::{ProtocolConfig, Role};
 use cosmos_repro::workloads::{run_to_trace, Unstructured};
@@ -67,7 +65,7 @@ fn main() {
     println!("\n== confidence gating ==");
     for threshold in [0u8, 1, 2, 3] {
         let r = cosmos_repro::cosmos::eval::evaluate(&trace, &Default::default(), |_, _| {
-            Box::new(ConfidenceCosmos::new(2, threshold))
+            Box::new(CosmosPredictor::new(2, 0).confident(threshold))
         });
         let offered = r.coverage.hits.max(1);
         println!(

@@ -165,19 +165,30 @@ echo "    tracepack CSV matches golden; trace bench JSON emitted"
 # evaluate_cosmos cross-check) to pass. scale1024 is the only place a
 # 1024-node sharded core runs under this gate, spec16 the only place the
 # paper-scale speculative engine does (a pass is ~1 s now that barrier
-# audits cost what the phase wrote). Read-only use: nothing under
-# benchmark/ is edited.
+# audits cost what the phase wrote). The printed `digest` line (a hash of
+# every captured trace record) must equal the value below: the simulated
+# stream at seed 0 has been the same since PR 14, and a PR that means to
+# change it updates the value here, on purpose. Read-only use: nothing
+# under benchmark/ is edited.
 echo "==> benchmark smoke (package tests + one pass of suite16, spec16, stream64, scale1024)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for workload in suite16 spec16 stream64 scale1024; do
+for cell in suite16:bc72c28fa0e53aef spec16:756d7e7c23faec11 \
+    stream64:06b75860eda1bc80 scale1024:85bfb8bcdd80a000; do
+  workload="${cell%%:*}" want="${cell##*:}"
   benchmark/run.sh --workload "$workload" --seed 0 --seconds 1 --trace 0 \
-    | tail -n 1 > "$SMOKE_DIR/bench_$workload.json"
+    > "$SMOKE_DIR/bench_$workload.txt"
+  tail -n 1 "$SMOKE_DIR/bench_$workload.txt" > "$SMOKE_DIR/bench_$workload.json"
   grep -q '"failed": 0[,}]' "$SMOKE_DIR/bench_$workload.json" || {
     echo "    $workload: output checks failed:" >&2
     cat "$SMOKE_DIR/bench_$workload.json" >&2
     exit 1
   }
-  echo "    $workload: failed 0, pass wall_s $(sed -n 's/.*"wall_s": {"value": \([0-9.]*\).*/\1/p' "$SMOKE_DIR/bench_$workload.json")"
+  got="$(sed -n "s/^$workload digest \([0-9a-f]*\) hex\$/\1/p" "$SMOKE_DIR/bench_$workload.txt")"
+  [ "$got" = "$want" ] || {
+    echo "    $workload: simulated stream changed: digest $got, expected $want" >&2
+    exit 1
+  }
+  echo "    $workload: failed 0, digest $got, pass wall_s $(sed -n 's/.*"wall_s": {"value": \([0-9.]*\).*/\1/p' "$SMOKE_DIR/bench_$workload.json")"
 done
 
 # Proptest seed promotion: every saved counterexample hash in a
