@@ -28,7 +28,12 @@
 //!
 //! [`ConcurrentMachine`] is also the crate's protocol *core* — the one
 //! store and its only writers (`set_dir`, `set_cache_state`, `record`) —
-//! which the other two schedulers run on (see the crate docs).
+//! which the other two schedulers run on (see the crate docs). The store
+//! is block-major: one table of directory entries (state, overflow flag
+//! and open transaction together) and one of each block's cached copies,
+//! nothing per node. A handler looks its block up once, in the table of
+//! its side, and hands the entry down — so an event costs the same on 16
+//! nodes and on 1024, and allocates nothing (DESIGN.md §6h).
 //!
 //! Handlers never touch the event queue: everything they schedule goes
 //! onto an outbox that the stepping loop moves into the queue once the
@@ -44,13 +49,14 @@ use crate::event::EventQueue;
 use crate::fault::{FaultInjector, FaultPlan, FaultTally};
 use crate::machine::{ForwardKind, SimError, SpeculationPolicy};
 use crate::stats::MachineStats;
+use crate::store::{with_home_rights, Copies, DirEntry, Holder, NO_TXN};
 use obs::span::{SpanKind, SpanLog, TraceId};
 use obs::{Event as ObsEvent, EventRing, Severity};
 use stache::cache::{self, CacheAction};
 use stache::directory::{self};
-use stache::fasthash::{FastMap, FastSet};
+use stache::fasthash::FastMap;
 use stache::fingerprint::Fp;
-use stache::invariants::{check_block, InvariantViolation};
+use stache::invariants::{check_block_sparse, InvariantViolation};
 use stache::placement::home_of_block;
 use stache::{
     BlockAddr, CacheState, DedupFilter, DirState, Msg, MsgType, NodeId, NodeSet, ProcOp,
@@ -241,9 +247,13 @@ impl ProtocolMutation {
     }
 }
 
-/// An in-flight directory transaction for one block.
+/// An in-flight directory transaction for one block: a slot of the
+/// machine's transaction slab, which the block's [`DirEntry`] points at.
+/// Slots are recycled in place, so a slot's queue keeps its storage.
 #[derive(Debug, Clone)]
 struct DirTxn {
+    /// The block, or `None` for a slot on the free list.
+    block: Option<BlockAddr>,
     requester: NodeId,
     /// The grant to send when all acknowledgments are in (`None` for the
     /// home's own accesses, which need no reply message).
@@ -252,9 +262,11 @@ struct DirTxn {
     outstanding: usize,
     /// Whether the requester is the home itself.
     local: bool,
-    /// The invalidations/downgrades sent, kept so fault-mode ack timers
-    /// can re-send exactly the unacknowledged ones.
-    holders: Vec<(NodeId, MsgType)>,
+    /// The holders sent `holder_request` (an invalidation or downgrade),
+    /// kept so fault-mode ack timers can re-send exactly the
+    /// unacknowledged ones.
+    holders: NodeSet,
+    holder_request: MsgType,
     /// Holders whose acknowledgment has been counted (fault mode):
     /// makes ack processing idempotent under re-sends and races.
     acked: NodeSet,
@@ -267,6 +279,9 @@ struct DirTxn {
     /// The requester's span tree, threaded onto every message the
     /// transaction sends (observability only).
     trace: TraceId,
+    /// Requests that found the block busy, oldest first. The slot stays
+    /// with the block until the queue has drained.
+    pending: VecDeque<PendingReq>,
 }
 
 /// A request waiting for a busy block at its home directory.
@@ -298,15 +313,20 @@ pub struct ConcurrentMachine {
     /// stepping loop moves it into `queue` after every dispatch; a shard
     /// takes it instead.
     pub(crate) outbox: Vec<(u64, Event)>,
-    caches: Vec<FastMap<BlockAddr, CacheState>>,
-    pub(crate) dirs: FastMap<BlockAddr, DirState>,
+    /// Each block's cached copies outside its home, block-major: one
+    /// table whatever the node count, holding only blocks somebody caches.
+    copies: FastMap<BlockAddr, Copies>,
+    /// Each block's directory entry — state, overflow flag and open
+    /// transaction together, looked up once per handler.
+    pub(crate) dir: FastMap<BlockAddr, DirEntry>,
     /// Every block whose directory entry or a cache state was written
     /// since the last barrier (repeats allowed) — all that can have
     /// *become* incoherent, and what the next barrier audits. Fed by
-    /// `set_dir` and `set_cache_state`, the only writers.
+    /// `write_dir` and `set_cache_state`, the only writers.
     pub(crate) dirty: Vec<BlockAddr>,
-    txns: FastMap<BlockAddr, DirTxn>,
-    pending: FastMap<BlockAddr, VecDeque<PendingReq>>,
+    /// The transaction slab [`DirEntry::txn`] indexes, and its free slots.
+    txns: Vec<DirTxn>,
+    free_txns: Vec<u32>,
     pub(crate) dir_busy: Vec<u64>,
     /// Per-node time at which the cache-side protocol handler frees up
     /// (invalidations and grants are software-handled too).
@@ -318,7 +338,6 @@ pub struct ConcurrentMachine {
     waiting: Vec<Option<(BlockAddr, ProcOp, u64)>>,
     pub(crate) trace: TraceBundle,
     pub(crate) stats: MachineStats,
-    pub(crate) overflowed: FastSet<BlockAddr>,
     pub(crate) iteration: u32,
     /// The §4 speculation hook, if any.
     pub(crate) policy: Option<Box<dyn SpeculationPolicy>>,
@@ -371,11 +390,11 @@ impl ConcurrentMachine {
             sys,
             queue: EventQueue::new(),
             outbox: Vec::new(),
-            caches: vec![FastMap::default(); nodes],
-            dirs: FastMap::default(),
+            copies: FastMap::default(),
+            dir: FastMap::default(),
             dirty: Vec::new(),
-            txns: FastMap::default(),
-            pending: FastMap::default(),
+            txns: Vec::new(),
+            free_txns: Vec::new(),
             dir_busy: vec![0; nodes],
             cache_busy: vec![0; nodes],
             clocks: vec![0; nodes],
@@ -383,7 +402,6 @@ impl ConcurrentMachine {
             waiting: vec![None; nodes],
             trace: TraceBundle::new(TraceMeta::new("unnamed", nodes, 0)),
             stats: MachineStats::default(),
-            overflowed: FastSet::default(),
             iteration: 0,
             policy: None,
             tally: ProtocolTally::new(),
@@ -595,21 +613,51 @@ impl ConcurrentMachine {
     /// directory entry, not here — see
     /// [`cache_states_for`](Self::cache_states_for).
     pub fn cache_state(&self, node: NodeId, block: BlockAddr) -> CacheState {
-        self.caches[node.index()]
+        self.copies
             .get(&block)
-            .copied()
-            .unwrap_or(CacheState::Invalid)
+            .map_or(CacheState::Invalid, |c| c.state(node))
+    }
+
+    /// The block's cached copies outside its home, in node order.
+    pub(crate) fn holders(&self, block: BlockAddr) -> &[Holder] {
+        self.copies.get(&block).map_or(&[], Copies::as_slice)
+    }
+
+    /// The block's directory state, if its home has ever touched it.
+    pub(crate) fn dir_state(&self, block: BlockAddr) -> Option<&DirState> {
+        self.dir.get(&block).map(|e| &e.state)
+    }
+
+    /// Whether the block's sharer set outgrew the limited-pointer budget.
+    pub(crate) fn overflowed(&self, block: BlockAddr) -> bool {
+        self.dir.get(&block).is_some_and(|e| e.overflowed)
+    }
+
+    /// Runs `f` on `block`'s directory entry (created idle on first
+    /// touch) — the one lookup a directory-side handler makes; everything
+    /// it calls is handed the entry. The table is lent out for the call,
+    /// so `f` must not reach for `self.dir` itself. (The cache side makes
+    /// do with a read and a write of `copies`: two lookups, as before.)
+    fn with_dir<R>(
+        &mut self,
+        block: BlockAddr,
+        f: impl FnOnce(&mut Self, &mut DirEntry) -> R,
+    ) -> R {
+        let mut dir = std::mem::take(&mut self.dir);
+        let out = f(self, dir.entry(block).or_default());
+        debug_assert!(self.dir.is_empty(), "a handler reached around its entry");
+        self.dir = dir;
+        out
     }
 
     /// The one writer of cache state: tallies the transition, marks the
     /// block for the next barrier audit and logs it to the recorder.
     pub(crate) fn set_cache_state(&mut self, node: NodeId, block: BlockAddr, s: CacheState) {
-        let prev = self.cache_state(node, block);
-        self.tally.cache_transition(prev, s);
-        if s == CacheState::Invalid {
-            self.caches[node.index()].remove(&block);
-        } else {
-            self.caches[node.index()].insert(block, s);
+        let held = self.copies.entry(block).or_default();
+        self.tally.cache_transition(held.state(node), s);
+        held.set(node, s);
+        if held.as_slice().is_empty() {
+            self.copies.remove(&block); // only blocks somebody caches
         }
         self.dirty.push(block);
         self.ring.get_mut().push(
@@ -624,39 +672,36 @@ impl ConcurrentMachine {
         );
     }
 
+    /// Sets a block's directory state, through
+    /// [`write_dir`](Self::write_dir).
+    pub(crate) fn set_dir(&mut self, block: BlockAddr, next: DirState) {
+        self.with_dir(block, |m, e| m.write_dir(e, block, next));
+    }
+
     /// The one writer of directory state. Maintains the limited-pointer
     /// overflow flag: a shared set larger than the pointer budget loses
     /// precision; leaving the shared state (exclusive or idle) restores it.
-    pub(crate) fn set_dir(&mut self, block: BlockAddr, next: DirState) {
+    fn write_dir(&mut self, e: &mut DirEntry, block: BlockAddr, next: DirState) {
         match (&next, self.proto.limited_pointers) {
             (DirState::Shared(s), Some(budget)) if s.len() > budget => {
-                if self.overflowed.insert(block) {
+                if !e.overflowed {
                     self.stats.directory_overflows += 1;
                 }
+                e.overflowed = true;
             }
             (DirState::Shared(_), _) => {} // an existing overflow persists
-            _ => {
-                self.overflowed.remove(&block);
-            }
+            _ => e.overflowed = false,
         }
-        self.tally
-            .dir_transition(self.dirs.get(&block).unwrap_or(&DirState::Idle), &next);
-        self.dirs.insert(block, next);
+        self.tally.dir_transition(&e.state, &next);
+        e.state = next;
         self.dirty.push(block);
     }
 
     /// For an overflowed entry, a write must invalidate *every* node —
     /// the directory no longer knows who shares the block.
-    pub(crate) fn broadcast_targets(
-        &self,
-        requester: NodeId,
-        home: NodeId,
-    ) -> Vec<(NodeId, MsgType)> {
-        (0..self.proto.nodes)
-            .map(NodeId::new)
-            .filter(|&n| n != requester && n != home)
-            .map(|n| (n, MsgType::InvalRoRequest))
-            .collect()
+    pub(crate) fn broadcast_targets(&self, requester: NodeId, home: NodeId) -> NodeSet {
+        let everyone = (0..self.proto.nodes).map(NodeId::new);
+        everyone.filter(|&n| n != requester && n != home).collect()
     }
 
     /// The one message recorder: counts the reception, logs it, trains
@@ -895,7 +940,7 @@ impl ConcurrentMachine {
                     self.recovery.dups_absorbed += 1;
                     return Ok(());
                 }
-                self.on_spec_push_resp(&msg, accepted, t)?;
+                self.with_dir(msg.block, |m, e| m.on_spec_push_resp(e, &msg, accepted, t))?;
             }
         }
         Ok(())
@@ -958,13 +1003,13 @@ impl ConcurrentMachine {
 
     /// Directory transactions currently in flight.
     pub fn open_transactions(&self) -> usize {
-        self.txns.len()
+        self.txns.len() - self.free_txns.len()
     }
 
     /// Blocks with an open directory transaction, ascending.
     pub fn open_transaction_blocks(&self) -> Vec<BlockAddr> {
-        let mut blocks: Vec<BlockAddr> = self.txns.keys().copied().collect();
-        blocks.sort_by_key(|b| b.number());
+        let mut blocks: Vec<BlockAddr> = self.txns.iter().filter_map(|t| t.block).collect();
+        blocks.sort_unstable();
         blocks
     }
 
@@ -979,10 +1024,8 @@ impl ConcurrentMachine {
 
     /// Every block any cache or directory entry has touched, ascending.
     pub fn touched_blocks(&self) -> Vec<BlockAddr> {
-        let mut blocks: Vec<BlockAddr> = self.dirs.keys().copied().collect();
-        for c in &self.caches {
-            blocks.extend(c.keys().copied());
-        }
+        let mut blocks: Vec<BlockAddr> = self.dir.keys().copied().collect();
+        blocks.extend(self.copies.keys().copied());
         blocks.sort_unstable();
         blocks.dedup();
         blocks
@@ -993,8 +1036,8 @@ impl ConcurrentMachine {
     /// directory entry itself, so they are derived from it here, the same
     /// picture [`verify_coherence`](Self::verify_coherence) audits.
     pub fn cache_states_for(&self, block: BlockAddr) -> Vec<CacheState> {
-        let dir = self.dirs.get(&block).unwrap_or(&DirState::Idle);
-        effective_cache_states(&self.proto, block, dir, |n| self.cache_state(n, block)).collect()
+        let dir = self.dir_state(block).unwrap_or(&DirState::Idle);
+        dense_states(&self.proto, block, dir, self.holders(block).iter().copied())
     }
 
     /// Each node's duplicate-filter low-water mark (all zero on a perfect
@@ -1020,28 +1063,31 @@ impl ConcurrentMachine {
     pub fn state_fingerprint(&self) -> u64 {
         let mut fp = Fp::new();
         fp.tag(0x01);
-        for (i, c) in self.caches.iter().enumerate() {
-            let mut blocks: Vec<(BlockAddr, CacheState)> =
-                c.iter().map(|(b, s)| (*b, *s)).collect();
-            blocks.sort_by_key(|(b, _)| b.number());
-            fp.word(i as u64);
-            fp.word(blocks.len() as u64);
-            for (b, s) in blocks {
-                fp.absorb(&b);
-                fp.absorb(&s);
+        let mut copies: Vec<(&BlockAddr, &Copies)> = self.copies.iter().collect();
+        copies.sort_unstable_by_key(|(b, _)| **b);
+        for (b, held) in copies {
+            fp.absorb(b);
+            fp.word(held.as_slice().len() as u64);
+            for (n, s) in held.as_slice() {
+                fp.absorb(n);
+                fp.absorb(s);
             }
         }
         fp.tag(0x02);
-        let mut dirs: Vec<(&BlockAddr, &DirState)> = self.dirs.iter().collect();
-        dirs.sort_by_key(|(b, _)| b.number());
-        for (b, d) in dirs {
-            fp.absorb(b);
-            fp.absorb(d);
+        let mut dirs: Vec<(&BlockAddr, &DirEntry)> = self.dir.iter().collect();
+        dirs.sort_unstable_by_key(|(b, _)| **b);
+        for (b, e) in &dirs {
+            fp.absorb(*b);
+            fp.absorb(&e.state);
         }
         fp.tag(0x03);
-        let mut txns: Vec<(&BlockAddr, &DirTxn)> = self.txns.iter().collect();
-        txns.sort_by_key(|(b, _)| b.number());
-        for (b, txn) in txns {
+        let mut txns: Vec<(BlockAddr, &DirTxn)> = self
+            .txns
+            .iter()
+            .filter_map(|t| Some((t.block?, t)))
+            .collect();
+        txns.sort_unstable_by_key(|(b, _)| *b);
+        for (b, txn) in &txns {
             fp.absorb(b);
             fp.absorb(&txn.requester);
             match txn.reply {
@@ -1052,24 +1098,22 @@ impl ConcurrentMachine {
             fp.word(txn.outstanding as u64);
             fp.word(u64::from(txn.local));
             fp.word(u64::from(txn.speculative));
-            for (n, m) in &txn.holders {
-                fp.absorb(n);
-                fp.absorb(m);
+            for n in &txn.holders {
+                fp.absorb(&n);
+                fp.absorb(&txn.holder_request);
             }
             for n in &txn.acked {
                 fp.absorb(&n);
             }
         }
         fp.tag(0x04);
-        let mut pending: Vec<(&BlockAddr, &VecDeque<PendingReq>)> = self.pending.iter().collect();
-        pending.sort_by_key(|(b, _)| b.number());
-        for (b, q) in pending {
-            if q.is_empty() {
+        for (b, txn) in &txns {
+            if txn.pending.is_empty() {
                 continue; // a drained queue is the same state as no queue
             }
             fp.absorb(b);
-            fp.word(q.len() as u64);
-            for r in q {
+            fp.word(txn.pending.len() as u64);
+            for r in &txn.pending {
                 fp.absorb(&r.msg);
             }
         }
@@ -1093,10 +1137,8 @@ impl ConcurrentMachine {
             }
         }
         fp.tag(0x07);
-        let mut overflowed: Vec<BlockAddr> = self.overflowed.iter().copied().collect();
-        overflowed.sort_by_key(|b| b.number());
-        for b in overflowed {
-            fp.absorb(&b);
+        for (b, _) in dirs.iter().filter(|(_, e)| e.overflowed) {
+            fp.absorb(*b);
         }
         fp.tag(0x08);
         let mut events: Vec<u64> = Vec::with_capacity(self.queue.len());
@@ -1193,7 +1235,11 @@ impl ConcurrentMachine {
         attempt: u32,
         t: u64,
     ) -> Result<(), SimError> {
-        let Some(txn) = self.txns.get(&block) else {
+        let Some(txn) = self
+            .dir
+            .get(&block)
+            .and_then(|e| self.txns.get(e.txn as usize))
+        else {
             return Ok(()); // lazily cancelled: the transaction finished
         };
         if txn.epoch != epoch || txn.outstanding == 0 {
@@ -1207,20 +1253,19 @@ impl ConcurrentMachine {
             .retry()
             .clone();
         let home = home_of_block(block, &self.proto);
-        let unacked: Vec<(NodeId, MsgType)> = txn
+        let (imsg, tr) = (txn.holder_request, txn.trace);
+        let unacked: Vec<NodeId> = txn
             .holders
             .iter()
-            .filter(|(n, _)| !txn.acked.contains(*n))
-            .copied()
+            .filter(|n| !txn.acked.contains(*n))
             .collect();
         if !retry.can_retry(attempt) {
             return Err(SimError::RetryExhausted {
                 from: home,
-                to: unacked.first().map_or(home, |&(n, _)| n),
+                to: unacked.first().copied().unwrap_or(home),
                 attempts: attempt + 1,
             });
         }
-        let tr = self.txns.get(&block).map_or(TraceId::NONE, |x| x.trace);
         self.spans.child(
             tr,
             "retry.ack",
@@ -1229,7 +1274,7 @@ impl ConcurrentMachine {
             t,
             home.raw(),
         );
-        for (target, imsg) in unacked {
+        for target in unacked {
             self.recovery.retries += 1;
             self.send(t, Msg::new(home, target, block, imsg).with_trace(tr));
         }
@@ -1294,42 +1339,12 @@ impl ConcurrentMachine {
         while let Some(&(block, op)) = self.scripts[node.index()].front() {
             let home = home_of_block(block, &self.proto);
             if node == home {
-                // The home's rights live in the directory entry; a local
-                // access misses only if the entry needs changing, and that
-                // change is itself a (possibly queued) transaction.
-                let dir = self.dirs.entry(block).or_default().clone();
-                let sufficient = match op {
-                    ProcOp::Read => dir.node_readable(node),
-                    ProcOp::Write => dir.node_writable(node),
-                } && !self.txns.contains_key(&block);
-                if sufficient {
-                    self.scripts[node.index()].pop_front();
-                    self.stats.count_access(op, true, self.sys.cache_hit_ns);
-                    now += self.sys.cache_hit_ns;
-                    continue;
+                if !self.with_dir(block, |m, e| m.issue_at_home(e, block, op, now))? {
+                    return Ok(());
                 }
-                // Local miss: a directory transaction with no messages to
-                // or from the requester. Queue it like a remote request.
-                self.scripts[node.index()].pop_front();
-                self.waiting[node.index()] = Some((block, op, now));
-                self.clocks[node.index()] = now;
-                let req = match op {
-                    ProcOp::Read => MsgType::GetRoRequest,
-                    ProcOp::Write => MsgType::GetRwRequest,
-                };
-                let tr = self.spans.begin_trace(
-                    match op {
-                        ProcOp::Read => "local_read",
-                        ProcOp::Write => "local_write",
-                    },
-                    now,
-                    node.raw(),
-                    block.number(),
-                );
-                self.miss_trace[node.index()] = tr;
-                let marker = Msg::new(node, node, block, req).with_trace(tr);
-                self.enqueue_or_start(marker, now)?;
-                return Ok(());
+                self.stats.count_access(op, true, self.sys.cache_hit_ns);
+                now += self.sys.cache_hit_ns;
+                continue;
             }
             let state = self.cache_state(node, block);
             let (transient, action) = cache::on_processor_op(state, op)?;
@@ -1363,15 +1378,56 @@ impl ConcurrentMachine {
         Ok(())
     }
 
+    /// The home's own next access, at `now`: `Ok(true)` for a hit. The
+    /// home's rights live in the directory entry; a local access misses
+    /// only if the entry needs changing, and that change is itself a
+    /// (possibly queued) transaction.
+    fn issue_at_home(
+        &mut self,
+        e: &mut DirEntry,
+        block: BlockAddr,
+        op: ProcOp,
+        now: u64,
+    ) -> Result<bool, SimError> {
+        let node = home_of_block(block, &self.proto);
+        self.scripts[node.index()].pop_front();
+        let sufficient = match op {
+            ProcOp::Read => e.state.node_readable(node),
+            ProcOp::Write => e.state.node_writable(node),
+        } && e.txn == NO_TXN;
+        if sufficient {
+            return Ok(true);
+        }
+        // Local miss: a directory transaction with no messages to
+        // or from the requester. Queue it like a remote request.
+        self.waiting[node.index()] = Some((block, op, now));
+        self.clocks[node.index()] = now;
+        let (req, name) = match op {
+            ProcOp::Read => (MsgType::GetRoRequest, "local_read"),
+            ProcOp::Write => (MsgType::GetRwRequest, "local_write"),
+        };
+        let tr = self
+            .spans
+            .begin_trace(name, now, node.raw(), block.number());
+        self.miss_trace[node.index()] = tr;
+        let marker = Msg::new(node, node, block, req).with_trace(tr);
+        self.enqueue_or_start(e, marker, now).map(|()| false)
+    }
+
     fn on_deliver(&mut self, msg: &Msg, seq: u64, t: u64) -> Result<(), SimError> {
         if msg.receiver_role() == stache::Role::Directory {
-            self.on_directory_receive(msg, t)
+            self.with_dir(msg.block, |m, e| m.on_directory_receive(e, msg, t))
         } else {
             self.on_cache_receive(msg, seq, t)
         }
     }
 
-    fn on_directory_receive(&mut self, msg: &Msg, t: u64) -> Result<(), SimError> {
+    fn on_directory_receive(
+        &mut self,
+        e: &mut DirEntry,
+        msg: &Msg,
+        t: u64,
+    ) -> Result<(), SimError> {
         if msg.mtype.is_request() {
             // Local markers (sender == receiver) are not real messages.
             if msg.sender != msg.receiver {
@@ -1388,17 +1444,17 @@ impl ConcurrentMachine {
                         self.recovery.dups_absorbed += 1;
                         return Ok(());
                     }
-                    if self.fault_request_shortcut(msg, t) {
+                    if self.fault_request_shortcut(e, msg, t) {
                         return Ok(());
                     }
                 }
             }
-            self.enqueue_or_start(*msg, t)
+            self.enqueue_or_start(e, *msg, t)
         } else {
             // An acknowledgment — for the in-flight transaction if one
             // exists, else a *voluntary* writeback (self-invalidation).
             self.record(t, msg);
-            match self.txns.get_mut(&msg.block) {
+            match self.txns.get_mut(e.txn as usize) {
                 Some(txn) => {
                     // In the replacement race the voluntary writeback
                     // doubles as the owner's acknowledgment; the crossing
@@ -1428,14 +1484,13 @@ impl ConcurrentMachine {
                     // unless the sender still holds a copy, in which
                     // case the ack is a stale fault-mode re-ack and is
                     // absorbed below like any other unexpected one.
-                    // Reads `caches` directly because `txn` keeps
+                    // Reads `copies` directly because `txn` keeps
                     // `txns` borrowed; only the speculation and fault
                     // guards below ever look.
                     let sender_state = || {
-                        self.caches[msg.sender.index()]
+                        self.copies
                             .get(&msg.block)
-                            .copied()
-                            .unwrap_or(CacheState::Invalid)
+                            .map_or(CacheState::Invalid, |c| c.state(msg.sender))
                     };
                     let from_push_target = txn.speculative && msg.sender == txn.requester;
                     if from_push_target
@@ -1456,15 +1511,13 @@ impl ConcurrentMachine {
                         return Ok(());
                     }
                     if self.fault.is_some() || self.policy.is_some() {
-                        let expected = txn.holders.iter().any(|&(h, req)| {
-                            h == msg.sender
-                                && matches!(
-                                    (req, msg.mtype),
-                                    (MsgType::InvalRoRequest, MsgType::InvalRoResponse)
-                                        | (MsgType::InvalRwRequest, MsgType::InvalRwResponse)
-                                        | (MsgType::DowngradeRequest, MsgType::DowngradeResponse)
-                                )
-                        });
+                        let expected = txn.holders.contains(msg.sender)
+                            && matches!(
+                                (txn.holder_request, msg.mtype),
+                                (MsgType::InvalRoRequest, MsgType::InvalRoResponse)
+                                    | (MsgType::InvalRwRequest, MsgType::InvalRwResponse)
+                                    | (MsgType::DowngradeRequest, MsgType::DowngradeResponse)
+                            );
                         let complied = match msg.mtype {
                             MsgType::InvalRoResponse | MsgType::InvalRwResponse => !matches!(
                                 sender_state(),
@@ -1483,7 +1536,7 @@ impl ConcurrentMachine {
                     txn.outstanding -= 1;
                     if txn.outstanding == 0 {
                         let service = t + self.sys.handler_ns;
-                        self.finish_txn(msg.block, service)?;
+                        self.finish_txn(e, msg.block, service)?;
                     }
                 }
                 None => {
@@ -1505,22 +1558,14 @@ impl ConcurrentMachine {
                             self.cache_state(msg.sender, msg.block),
                             CacheState::Invalid | CacheState::IToE
                         ) {
-                            let dir = self.dirs.entry(msg.block).or_default().clone();
-                            if let DirState::Shared(mut s) = dir {
-                                if s.contains(msg.sender) && !self.overflowed.contains(&msg.block) {
-                                    s.remove(msg.sender);
-                                    let next = if s.is_empty() {
-                                        DirState::Idle
-                                    } else {
-                                        DirState::Shared(s)
-                                    };
-                                    let idle = next == DirState::Idle;
-                                    self.set_dir(msg.block, next);
-                                    if idle {
-                                        self.maybe_spec_push(msg.block, t + self.sys.handler_ns);
-                                    }
-                                    return Ok(());
+                            let struck = without_sharer(&e.state, msg.sender);
+                            if let Some(next) = struck.filter(|_| !e.overflowed) {
+                                let idle = next == DirState::Idle;
+                                self.write_dir(e, msg.block, next);
+                                if idle {
+                                    self.maybe_spec_push(e, msg.block, t + self.sys.handler_ns);
                                 }
+                                return Ok(());
                             }
                         }
                         if self.fault.is_some() {
@@ -1540,10 +1585,9 @@ impl ConcurrentMachine {
                         return Ok(());
                     }
                     debug_assert_eq!(msg.mtype, MsgType::InvalRwResponse, "voluntary writeback");
-                    let dir = self.dirs.entry(msg.block).or_default().clone();
-                    if dir.owner() == Some(msg.sender) {
-                        self.set_dir(msg.block, DirState::Idle);
-                        self.maybe_spec_push(msg.block, t + self.sys.handler_ns);
+                    if e.state.owner() == Some(msg.sender) {
+                        self.write_dir(e, msg.block, DirState::Idle);
+                        self.maybe_spec_push(e, msg.block, t + self.sys.handler_ns);
                     }
                     // Otherwise stale: a later transaction already moved
                     // the entry on; nothing to do.
@@ -1587,8 +1631,8 @@ impl ConcurrentMachine {
     /// if the directory already recorded this requester — a
     /// retransmission whose original grant was lost or is still in
     /// flight. Returns `true` when the request was fully handled.
-    fn fault_request_shortcut(&mut self, msg: &Msg, t: u64) -> bool {
-        if self.txns.contains_key(&msg.block) {
+    fn fault_request_shortcut(&mut self, e: &DirEntry, msg: &Msg, t: u64) -> bool {
+        if e.txn != NO_TXN {
             self.recovery.naks_sent += 1;
             let hop = self.one_way(msg.receiver, msg.sender);
             self.stats.net_latency_ns.record(hop);
@@ -1611,7 +1655,7 @@ impl ConcurrentMachine {
             ));
             return true;
         }
-        let dir = self.dirs.entry(msg.block).or_default().clone();
+        let dir = &e.state;
         let regrant = match msg.mtype {
             // The re-sent grant must carry the *recorded* rights, not the
             // requested ones: a speculative exclusive grant upgrades a
@@ -1642,25 +1686,22 @@ impl ConcurrentMachine {
     }
 
     /// Starts the transaction if the block is free, else queues it.
-    fn enqueue_or_start(&mut self, msg: Msg, t: u64) -> Result<(), SimError> {
-        if self.txns.contains_key(&msg.block) {
-            self.pending
-                .entry(msg.block)
-                .or_default()
-                .push_back(PendingReq { msg, arrived: t });
-            Ok(())
-        } else {
-            self.start_txn(msg, t)
+    fn enqueue_or_start(&mut self, e: &mut DirEntry, msg: Msg, t: u64) -> Result<(), SimError> {
+        match self.txns.get_mut(e.txn as usize) {
+            Some(busy) => {
+                busy.pending.push_back(PendingReq { msg, arrived: t });
+                Ok(())
+            }
+            None => self.start_txn(e, msg, t),
         }
     }
 
-    fn start_txn(&mut self, msg: Msg, t: u64) -> Result<(), SimError> {
+    fn start_txn(&mut self, e: &mut DirEntry, msg: Msg, t: u64) -> Result<(), SimError> {
         let home = msg.receiver;
         let block = msg.block;
         let local = msg.sender == msg.receiver;
         let (service, dispatch) = self.occupy_dir_handler(home, t, msg.trace);
 
-        let mut dir = self.dirs.entry(block).or_default().clone();
         // Speculative voluntary drops race their own acknowledgments: a
         // node that early-acked or self-invalidated and immediately
         // missed again on the same block sends its demand request while
@@ -1673,31 +1714,19 @@ impl ConcurrentMachine {
             && self.mutation != ProtocolMutation::SpeculateWithoutRollback
             && !local
             && matches!(msg.mtype, MsgType::GetRoRequest | MsgType::GetRwRequest)
-            && !self.overflowed.contains(&block)
+            && !e.overflowed
         {
-            let stripped = match &dir {
-                DirState::Shared(s) if s.contains(msg.sender) => {
-                    let mut s = s.clone();
-                    s.remove(msg.sender);
-                    Some(if s.is_empty() {
-                        DirState::Idle
-                    } else {
-                        DirState::Shared(s)
-                    })
-                }
-                DirState::Exclusive(owner) if *owner == msg.sender => Some(DirState::Idle),
-                _ => None,
-            };
-            if let Some(next) = stripped {
-                self.set_dir(block, next.clone());
-                dir = next;
+            let owned = e.state.owner() == Some(msg.sender);
+            let stripped = without_sharer(&e.state, msg.sender);
+            if let Some(next) = stripped.or(owned.then_some(DirState::Idle)) {
+                self.write_dir(e, block, next);
             }
         }
         // The upgrade race: the requester lost its copy to a concurrent
         // writer while this request was queued; convert to a write miss.
         let mut effective = msg.mtype;
         let mut reply_override = None;
-        if effective == MsgType::UpgradeRequest && !dir.holders().contains(msg.sender) {
+        if effective == MsgType::UpgradeRequest && !e.state.node_readable(msg.sender) {
             effective = MsgType::GetRwRequest;
             reply_override = Some(MsgType::GetRwResponse);
         }
@@ -1721,57 +1750,58 @@ impl ConcurrentMachine {
                 self.spans.annotate(msg.trace, "speculative_grant");
             }
         }
-        let outcome = if local {
+        let mut plan = if local {
             let op = match effective {
                 MsgType::GetRoRequest => ProcOp::Read,
                 MsgType::GetRwRequest | MsgType::UpgradeRequest => ProcOp::Write,
                 other => unreachable!("local marker {other}"),
             };
-            match directory::handle_local(&dir, home, op, &self.proto) {
+            match directory::handle_local(&e.state, home, op, &self.proto) {
                 Some(o) => o,
                 None => {
                     // Rights appeared while the request was queued.
                     self.dir_busy[home.index()] = service; // handler unused
-                    return self.complete_local(home, block, dispatch);
+                    self.complete_local(home, block, dispatch)?;
+                    return self.start_next_pending(e, block, dispatch);
                 }
             }
         } else {
-            directory::handle_request(&dir, home, msg.sender, effective, &self.proto)
+            directory::handle_request(&e.state, home, msg.sender, effective, &self.proto)
                 .map_err(SimError::Protocol)?
         };
-        let mut holder_requests = outcome.holder_requests;
-        if self.overflowed.contains(&block) && matches!(outcome.next, DirState::Exclusive(_)) {
-            holder_requests = self.broadcast_targets(msg.sender, home);
+        if e.overflowed && matches!(plan.next, DirState::Exclusive(_)) {
+            plan.holders = self.broadcast_targets(msg.sender, home);
         }
         let reply = if local {
             None
         } else {
-            Some(reply_override.unwrap_or_else(|| outcome.reply.expect("remote grants reply")))
+            Some(reply_override.unwrap_or_else(|| plan.reply.expect("remote grants reply")))
         };
-        self.txn_epoch += 1;
-        let txn = DirTxn {
-            requester: msg.sender,
-            reply,
-            next: outcome.next,
-            outstanding: holder_requests.len(),
-            local,
-            holders: holder_requests,
-            acked: NodeSet::new(),
-            epoch: self.txn_epoch,
-            speculative: false,
-            trace: msg.trace,
-        };
-        let epoch = txn.epoch;
-        let quiet = txn.holders.is_empty();
-        for &(target, imsg) in &txn.holders {
-            self.send(
-                dispatch,
-                Msg::new(home, target, block, imsg).with_trace(msg.trace),
-            );
+        for target in &plan.holders {
+            let imsg = Msg::new(home, target, block, plan.holder_request);
+            self.send(dispatch, imsg.with_trace(msg.trace));
         }
-        self.txns.insert(block, txn);
-        if quiet {
-            self.finish_txn(block, dispatch)?;
+        let outstanding = plan.holders.len();
+        let epoch = self.open_txn(
+            e,
+            DirTxn {
+                block: Some(block),
+                requester: msg.sender,
+                reply,
+                next: plan.next,
+                outstanding,
+                local,
+                holders: plan.holders,
+                holder_request: plan.holder_request,
+                acked: NodeSet::new(),
+                epoch: 0,
+                speculative: false,
+                trace: msg.trace,
+                pending: VecDeque::new(),
+            },
+        );
+        if outstanding == 0 {
+            self.finish_txn(e, block, dispatch)?;
         } else if let Some(inj) = &self.fault {
             // The directory waits for acknowledgments that a faulty
             // fabric may eat: arm its re-send timer.
@@ -1786,6 +1816,25 @@ impl ConcurrentMachine {
             ));
         }
         Ok(())
+    }
+
+    /// Opens `txn` on `e`'s block, stamping and returning its epoch. The
+    /// slot is the one the block already holds while its queue drains,
+    /// else a recycled or new one; either way the slot's queue stays.
+    fn open_txn(&mut self, e: &mut DirEntry, mut txn: DirTxn) -> u64 {
+        self.txn_epoch += 1;
+        txn.epoch = self.txn_epoch;
+        if e.txn == NO_TXN {
+            e.txn = self.free_txns.pop().unwrap_or(self.txns.len() as u32);
+        }
+        match self.txns.get_mut(e.txn as usize) {
+            Some(slot) => {
+                txn.pending = std::mem::take(&mut slot.pending);
+                *slot = txn;
+            }
+            None => self.txns.push(txn),
+        }
+        self.txn_epoch
     }
 
     /// A request reaching `home`'s (software) directory handler at `t`
@@ -1810,37 +1859,52 @@ impl ConcurrentMachine {
         (service, dispatch)
     }
 
-    fn finish_txn(&mut self, block: BlockAddr, t: u64) -> Result<(), SimError> {
-        let txn = self.txns.remove(&block).expect("transaction in flight");
+    fn finish_txn(&mut self, e: &mut DirEntry, block: BlockAddr, t: u64) -> Result<(), SimError> {
+        let txn = &mut self.txns[e.txn as usize];
+        let (local, reply, requester, trace) = (txn.local, txn.reply, txn.requester, txn.trace);
+        let next = std::mem::take(&mut txn.next);
         let home = home_of_block(block, &self.proto);
-        self.set_dir(block, txn.next);
-        if txn.local {
+        self.write_dir(e, block, next);
+        if local {
             self.complete_local(home, block, t)?;
-        } else if let Some(reply) = txn.reply {
-            self.send(
-                t,
-                Msg::new(home, txn.requester, block, reply).with_trace(txn.trace),
-            );
+        } else if let Some(reply) = reply {
+            self.send(t, Msg::new(home, requester, block, reply).with_trace(trace));
         }
         // (A speculative push transaction has no reply: the target was
         // granted — or refused — the copy by the push itself.)
-        // The block is free: service the next queued request, if any.
-        if let Some(next) = self.pending.get_mut(&block).and_then(VecDeque::pop_front) {
-            let resume = next.arrived.max(t);
-            if resume > next.arrived {
-                // Time spent queued behind the previous transaction.
-                self.spans.child(
-                    next.msg.trace,
-                    "dir.pending",
-                    SpanKind::Queue,
-                    next.arrived,
-                    resume,
-                    home.raw(),
-                );
-            }
-            self.start_txn(next.msg, resume)?;
+        self.start_next_pending(e, block, t)
+    }
+
+    /// The block's transaction is over at `t`: services the next queued
+    /// request, if any, else gives the slot back.
+    fn start_next_pending(
+        &mut self,
+        e: &mut DirEntry,
+        block: BlockAddr,
+        t: u64,
+    ) -> Result<(), SimError> {
+        let Some(slot) = self.txns.get_mut(e.txn as usize) else {
+            return Ok(()); // a local request found its rights, nothing open
+        };
+        let Some(next) = slot.pending.pop_front() else {
+            slot.block = None;
+            self.free_txns.push(e.txn);
+            e.txn = NO_TXN;
+            return Ok(());
+        };
+        let resume = next.arrived.max(t);
+        if resume > next.arrived {
+            // Time spent queued behind the previous transaction.
+            self.spans.child(
+                next.msg.trace,
+                "dir.pending",
+                SpanKind::Queue,
+                next.arrived,
+                resume,
+                home_of_block(block, &self.proto).raw(),
+            );
         }
-        Ok(())
+        self.start_txn(e, next.msg, resume)
     }
 
     /// Completes the home node's own (message-free) access.
@@ -2133,7 +2197,7 @@ impl ConcurrentMachine {
         // sharer sets intact.
         if node == home
             || self.cache_state(node, block) != CacheState::Shared
-            || self.overflowed.contains(&block)
+            || self.overflowed(block)
         {
             return;
         }
@@ -2171,12 +2235,8 @@ impl ConcurrentMachine {
     /// behind the push exactly as behind any other transaction; the
     /// target's verdict ([`Self::on_spec_push_resp`]) either confirms the
     /// provisional directory entry or rolls it back to idle.
-    fn maybe_spec_push(&mut self, block: BlockAddr, t: u64) {
-        if self.policy.is_none()
-            || self.txns.contains_key(&block)
-            || self.pending.get(&block).is_some_and(|q| !q.is_empty())
-            || self.dirs.get(&block).is_some_and(|d| *d != DirState::Idle)
-        {
+    fn maybe_spec_push(&mut self, e: &mut DirEntry, block: BlockAddr, t: u64) {
+        if self.policy.is_none() || e.txn != NO_TXN || e.state != DirState::Idle {
             return;
         }
         let home = home_of_block(block, &self.proto);
@@ -2203,20 +2263,22 @@ impl ConcurrentMachine {
             .spans
             .begin_trace("spec_push", t, home.raw(), block.number());
         self.spans.annotate(tr, "speculative");
-        self.txn_epoch += 1;
-        self.txns.insert(
-            block,
+        self.open_txn(
+            e,
             DirTxn {
+                block: Some(block),
                 requester: target,
                 reply: None,
                 next,
                 outstanding: 1,
                 local: false,
-                holders: Vec::new(),
+                holders: NodeSet::new(),
+                holder_request: MsgType::InvalRoRequest,
                 acked: NodeSet::new(),
-                epoch: self.txn_epoch,
+                epoch: 0,
                 speculative: true,
                 trace: tr,
+                pending: VecDeque::new(),
             },
         );
         self.rollback.pushes += 1;
@@ -2327,9 +2389,15 @@ impl ConcurrentMachine {
     /// seeded [`ProtocolMutation::SpeculateWithoutRollback`] bug skips
     /// the rollback, leaving the directory believing in a copy the
     /// target never installed.
-    fn on_spec_push_resp(&mut self, msg: &Msg, accepted: bool, t: u64) -> Result<(), SimError> {
+    fn on_spec_push_resp(
+        &mut self,
+        e: &mut DirEntry,
+        msg: &Msg,
+        accepted: bool,
+        t: u64,
+    ) -> Result<(), SimError> {
         let block = msg.block;
-        let Some(txn) = self.txns.get_mut(&block) else {
+        let Some(txn) = self.txns.get_mut(e.txn as usize) else {
             // The reliable channel cannot lose the response, so the
             // push transaction is always still open when it arrives.
             debug_assert!(false, "push response without its transaction");
@@ -2348,7 +2416,7 @@ impl ConcurrentMachine {
             self.rollback.rolled_back += 1;
         }
         let service = t + self.sys.handler_ns;
-        self.finish_txn(block, service)?;
+        self.finish_txn(e, block, service)?;
         self.spans.end_trace(tr, service);
         Ok(())
     }
@@ -2370,17 +2438,30 @@ impl ConcurrentMachine {
         blocks: impl IntoIterator<Item = BlockAddr>,
     ) -> Result<(), SimError> {
         let now = self.execution_time_ns();
+        let (proto, tally) = (&self.proto, &self.tally);
         let mut ring = self.ring.borrow_mut();
-        let mut states = Vec::with_capacity(self.proto.nodes);
         for block in blocks {
-            let dir = self.dirs.get(&block).unwrap_or(&DirState::Idle);
-            states.clear();
-            states.extend(effective_cache_states(&self.proto, block, dir, |n| {
-                self.cache_state(n, block)
-            }));
-            audit_block(block, dir, &states, &self.tally, &mut ring, now)?;
+            let dir = self.dir_state(block).unwrap_or(&DirState::Idle);
+            let holders = self.holders(block).iter().copied();
+            audit_block(proto, block, dir, holders, tally, &mut ring, now)?;
         }
         Ok(())
+    }
+}
+
+/// `state` with `node` struck from its sharer set, if it is listed there.
+pub(crate) fn without_sharer(state: &DirState, node: NodeId) -> Option<DirState> {
+    match state {
+        DirState::Shared(s) if s.contains(node) => {
+            let mut s = s.clone();
+            s.remove(node);
+            Some(if s.is_empty() {
+                DirState::Idle
+            } else {
+                DirState::Shared(s)
+            })
+        }
+        _ => None,
     }
 }
 
@@ -2399,42 +2480,38 @@ pub(crate) fn check_drained(
     }
 }
 
-/// Every node's effective cache state for `block`, in node order:
-/// `cache_state` for ordinary nodes, and for the home — which holds no
-/// cache entry of its own — the rights its directory entry `dir` implies.
-pub(crate) fn effective_cache_states<'a>(
+/// Every node's effective cache state for `block`, indexed by node: its
+/// cached copy among `holders` for ordinary nodes, and for the home —
+/// which holds no cache entry of its own — the rights its directory entry
+/// `dir` implies.
+pub(crate) fn dense_states(
     proto: &ProtocolConfig,
     block: BlockAddr,
-    dir: &'a DirState,
-    cache_state: impl Fn(NodeId) -> CacheState + 'a,
-) -> impl Iterator<Item = CacheState> + 'a {
-    let home = home_of_block(block, proto);
-    (0..proto.nodes).map(move |i| {
-        let n = NodeId::new(i);
-        if n != home {
-            cache_state(n)
-        } else if dir.node_writable(n) {
-            CacheState::Exclusive
-        } else if dir.node_readable(n) {
-            CacheState::Shared
-        } else {
-            CacheState::Invalid
-        }
-    })
+    dir: &DirState,
+    holders: impl Iterator<Item = Holder> + Clone,
+) -> Vec<CacheState> {
+    let mut states = vec![CacheState::Invalid; proto.nodes];
+    for (n, s) in with_home_rights(holders, home_of_block(block, proto), dir) {
+        states[n.index()] = s;
+    }
+    states
 }
 
-/// Audits one block's full-map/SWMR invariants, counting the check in
+/// Audits one block's full-map/SWMR invariants over its cached copies
+/// `holders` (ascending) and its home's rights, counting the check in
 /// `tally` and logging a violation (stamped `now`) to `ring`.
 pub(crate) fn audit_block(
+    proto: &ProtocolConfig,
     block: BlockAddr,
     dir: &DirState,
-    states: &[CacheState],
+    holders: impl Iterator<Item = Holder> + Clone,
     tally: &ProtocolTally,
     ring: &mut EventRing,
     now: u64,
 ) -> Result<(), SimError> {
     tally.count_invariant_check();
-    if let Err(v) = check_block(block, dir, states) {
+    let picture = with_home_rights(holders, home_of_block(block, proto), dir);
+    if let Err(v) = check_block_sparse(block, dir, picture) {
         tally.count_invariant_failure();
         let mut ev = ObsEvent::new(now, Severity::Error, "invariant.failure")
             .block(block.number())
@@ -2655,7 +2732,8 @@ mod tests {
         }
         // Corrupt the waiting room: a second read from node 1, which
         // contradicts the entry the open transaction is about to write.
-        m.pending.entry(b).or_default().push_back(PendingReq {
+        let open = m.dir[&b].txn as usize;
+        m.txns[open].pending.push_back(PendingReq {
             msg: Msg::new(n(1), n(0), b, MsgType::GetRoRequest),
             arrived: 0,
         });
@@ -2883,15 +2961,16 @@ mod tests {
             assert_eq!(agent_seqs(serial), agent_seqs(&conc));
             assert_eq!(serial.touched_blocks(), conc.touched_blocks());
             for block in conc.touched_blocks() {
-                assert_eq!(serial.dirs.get(&block), conc.dirs.get(&block), "{block}");
+                assert_eq!(serial.dir.get(&block), conc.dir.get(&block), "{block}");
                 assert_eq!(
                     serial.cache_states_for(block),
                     conc.cache_states_for(block),
                     "{block}"
                 );
             }
-            assert_eq!(serial.caches, conc.caches);
-            assert_eq!(serial.overflowed, conc.overflowed);
+            assert_eq!(serial.copies, conc.copies);
+            // Entry for entry, overflow flags included.
+            assert_eq!(serial.dir, conc.dir);
             assert_eq!(
                 serial.stats().directory_overflows,
                 conc.stats().directory_overflows

@@ -65,6 +65,7 @@ pub mod shard;
 pub mod simcheck;
 pub mod speculate;
 pub mod stats;
+mod store;
 
 pub use arena::{Arena, ArenaId};
 pub use concurrent::ConcurrentMachine;

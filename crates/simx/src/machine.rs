@@ -2,7 +2,7 @@
 //! one coherence transaction at a time — plus the types every engine
 //! shares ([`SimError`], [`SpeculationPolicy`]).
 
-use crate::concurrent::ConcurrentMachine;
+use crate::concurrent::{without_sharer, ConcurrentMachine};
 use crate::config::SystemConfig;
 use crate::fault::{FaultInjector, FaultPlan, FaultTally};
 use crate::stats::MachineStats;
@@ -680,7 +680,7 @@ impl Machine {
         }
         self.core.iteration = iteration;
         debug_assert_eq!(
-            self.core.dirs.get(&block).and_then(DirState::owner),
+            self.core.dir_state(block).and_then(DirState::owner),
             Some(node),
             "exclusive cache copy implies directory ownership"
         );
@@ -728,7 +728,7 @@ impl Machine {
         let home = home_of_block(block, &self.core.proto);
         if node == home
             || self.core.cache_state(node, block) != CacheState::Shared
-            || self.core.overflowed.contains(&block)
+            || self.core.overflowed(block)
         {
             return false;
         }
@@ -753,20 +753,14 @@ impl Machine {
         );
         self.cache_values[node.index()].remove(&block);
         self.core.set_cache_state(node, block, CacheState::Invalid);
-        let went_idle = if let Some(DirState::Shared(s)) = self.core.dirs.get(&block) {
-            let mut s = s.clone();
-            s.remove(node);
-            let next = if s.is_empty() {
-                DirState::Idle
-            } else {
-                DirState::Shared(s)
-            };
-            let idle = next == DirState::Idle;
+        let struck = self
+            .core
+            .dir_state(block)
+            .and_then(|d| without_sharer(d, node));
+        let went_idle = struck == Some(DirState::Idle);
+        if let Some(next) = struck {
             self.core.set_dir(block, next);
-            idle
-        } else {
-            false
-        };
+        }
         self.core.spans.end_trace(tr, t);
         // Posting the early ack does not stall the processor.
         self.core.clocks[node.index()] += self.core.sys.cache_hit_ns;
@@ -787,7 +781,7 @@ impl Machine {
     /// visible trace like NAKs and §5.1 barrier messages.
     fn maybe_forward(&mut self, block: BlockAddr, now: u64) {
         let home = home_of_block(block, &self.core.proto);
-        if self.core.policy.is_none() || self.core.dirs.get(&block) != Some(&DirState::Idle) {
+        if self.core.policy.is_none() || self.core.dir_state(block) != Some(&DirState::Idle) {
             return;
         }
         let Some((target, kind)) = self
@@ -850,8 +844,8 @@ impl Machine {
         block: BlockAddr,
         op: ProcOp,
     ) -> Result<AccessOutcome, SimError> {
-        let dir = self.core.dirs.entry(block).or_default().clone();
-        let Some(mut outcome) = directory::handle_local(&dir, node, op, &self.core.proto) else {
+        let dir = self.core.dir_state(block).unwrap_or(&DirState::Idle);
+        let Some(mut outcome) = directory::handle_local(dir, node, op, &self.core.proto) else {
             // Sufficient rights already: a local hit.
             self.core.clocks[node.index()] += self.core.sys.cache_hit_ns;
             if op == ProcOp::Write {
@@ -863,8 +857,8 @@ impl Machine {
                 messages: 0,
             });
         };
-        if self.core.overflowed.contains(&block) && matches!(outcome.next, DirState::Exclusive(_)) {
-            outcome.holder_requests = self.core.broadcast_targets(node, node);
+        if self.core.overflowed(block) && matches!(outcome.next, DirState::Exclusive(_)) {
+            outcome.holders = self.core.broadcast_targets(node, node);
         }
         let start = self.core.clocks[node.index()];
         let tr = self.core.spans.begin_trace(
@@ -951,14 +945,12 @@ impl Machine {
             }
         }
 
-        let dir = self.core.dirs.entry(block).or_default().clone();
+        let dir = self.core.dir_state(block).unwrap_or(&DirState::Idle);
         let mut outcome =
-            match directory::handle_request(&dir, home, node, effective_req, &self.core.proto) {
-                Ok(o) => o,
-                Err(e) => return Err(SimError::Protocol(e)),
-            };
-        if self.core.overflowed.contains(&block) && matches!(outcome.next, DirState::Exclusive(_)) {
-            outcome.holder_requests = self.core.broadcast_targets(node, home);
+            directory::handle_request(dir, home, node, effective_req, &self.core.proto)
+                .map_err(SimError::Protocol)?;
+        if self.core.overflowed(block) && matches!(outcome.next, DirState::Exclusive(_)) {
+            outcome.holders = self.core.broadcast_targets(node, home);
         }
         // The software handler serialises requests at the home. On a
         // faulty fabric the directory NAKs a request that finds it busy
@@ -1051,7 +1043,8 @@ impl Machine {
     ) -> Result<(u64, usize), SimError> {
         let mut ready = dispatch;
         let mut messages = 0;
-        for &(target, imsg) in &outcome.holder_requests {
+        let imsg = outcome.holder_request;
+        for target in &outcome.holders {
             let t_inv = self.leg(Leg::Inval, outcome_home, target, dispatch, tr)?;
             self.core.record(
                 t_inv,

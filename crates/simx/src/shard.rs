@@ -23,19 +23,30 @@
 //! ## Why shard counts cannot change results
 //!
 //! Shards do pure protocol work and *log* their side effects; a
-//! sequential coordinator then merges the logs in the global `(time,
-//! tie)` rank order — the exact order the sequential engine would have
-//! popped those events — and replays them: assigning queue sequence
-//! numbers, appending trace records, feeding the flight recorder, and
-//! reconstructing the queue-depth histogram. Events pushed at window
-//! boundaries carry their replay-assigned `(time, seq)` rank; events
-//! spawned *inside* a window carry a composite tie-break derived from
-//! their parent's rank, constructed so that compact ranks sort before
-//! composite ones at equal times — which is precisely the order the
-//! sequential engine's global push counter would impose. The result:
-//! traces, statistics, tallies, and obs snapshots are byte-identical
-//! for every shard count, including the `shards = 1` sequential
-//! fallback (see `crates/workloads/tests/shard_identity.rs`).
+//! sequential coordinator then merges the logs in the global rank order
+//! — the exact order the sequential engine would have popped those events
+//! — and replays them: assigning queue sequence numbers, appending trace
+//! records, feeding the flight recorder, and reconstructing the
+//! queue-depth histogram. The result: traces, statistics, tallies, and
+//! obs snapshots are byte-identical for every shard count, including the
+//! `shards = 1` sequential fallback (see
+//! `crates/workloads/tests/shard_identity.rs`).
+//!
+//! ## Ranks are one word
+//!
+//! A shard keeps one heap keyed `(time, rank)`, `rank` a `u64`: the
+//! replay-assigned global sequence number for an event pushed at a window
+//! boundary, `1 << 63 | c` for an event spawned *inside* a window, `c`
+//! counting the shard's spawns this window. On one shard that is the
+//! sequential engine's order: its push counter numbers a spawned event
+//! after everything that existed when the window opened (bit 63), and
+//! numbers spawned events by when their parents were processed, then by
+//! push order — which, a shard processing its own events in rank order,
+//! is creation order. Across shards the counters mean nothing, so a log
+//! entry also records `(parent's log index, index among siblings)` and
+//! the merge compares two spawned events as it compares their parents,
+//! then by sibling index (`cmp_entries`; DESIGN.md §6h shows this is
+//! the lexicographic order of the ancestry paths ranks used to carry).
 //!
 //! ## What this engine deliberately omits
 //!
@@ -62,17 +73,16 @@
 //! dispatching the handlers (DESIGN.md §6h says why).
 
 use crate::arena::{Arena, ArenaId};
-use crate::concurrent::{
-    audit_block, check_drained, effective_cache_states, ConcurrentMachine, Event,
-};
+use crate::concurrent::{audit_block, check_drained, dense_states, ConcurrentMachine, Event};
 use crate::config::SystemConfig;
 use crate::driver::{IterationPlan, Phase};
 use crate::machine::SimError;
 use crate::stats::MachineStats;
+use crate::store::Holder;
 use obs::{Event as ObsEvent, EventRing, Severity};
 use stache::placement::home_of_block;
 use stache::{BlockAddr, CacheState, DirState, NodeId, ProtocolConfig, ProtocolTally};
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::ops::Range;
 use trace::{MsgRecord, TraceBundle, TraceMeta};
@@ -86,28 +96,15 @@ fn owner(ev: &Event) -> NodeId {
     }
 }
 
-/// Tie-break key ordering events at equal times: `(head, rest)`
-/// compared lexicographically as the flattened sequence `[head] ++
-/// rest`.
-///
-/// * Events pushed at a window boundary carry their replay-assigned
-///   global sequence number: `(seq, [])`.
-/// * Events spawned inside a window carry `(u64::MAX, [parent_time,
-///   parent_head, parent_rest ..., child_index])` — `u64::MAX` sorts
-///   them after every boundary event at the same time (the sequential
-///   push counter would have assigned them later seqs), the embedded
-///   parent rank orders children of different parents by their parents'
-///   processing order, and the child index orders siblings.
-type Tie = (u64, Vec<u64>);
+/// Set in the rank of an event spawned *inside* a window; the low bits
+/// are then the shard's creation counter for the window. Clear, the rank
+/// is the global sequence number the replay assigned at a window
+/// boundary. See the module docs for why `(time, rank)` is the sequential
+/// engine's order on one shard.
+const IN_WINDOW: u64 = 1 << 63;
 
-fn child_tie(parent_time: u64, parent: &Tie, index: u64) -> Tie {
-    let mut rest = Vec::with_capacity(parent.1.len() + 3);
-    rest.push(parent_time);
-    rest.push(parent.0);
-    rest.extend_from_slice(&parent.1);
-    rest.push(index);
-    (u64::MAX, rest)
-}
+/// [`LogEntry::parent`] of a boundary event.
+const NO_PARENT: u32 = u32::MAX;
 
 /// One push a handler made while executing an event, in order.
 #[derive(Debug, Clone, Copy)]
@@ -125,7 +122,12 @@ struct PushRec {
 #[derive(Debug)]
 struct LogEntry {
     time: u64,
-    tie: Tie,
+    rank: u64,
+    /// For an in-window event, the log index of the event that spawned it
+    /// (same shard, same window) and its place among that event's
+    /// in-window children: the ancestry only [`cmp_entries`] walks.
+    parent: u32,
+    sibling: u32,
     push_end: u32,
     rec_end: u32,
     ring_end: u32,
@@ -138,6 +140,9 @@ struct WindowLog {
     pushes: Vec<PushRec>,
     recs: Vec<MsgRecord>,
     rings: Vec<ObsEvent>,
+    /// `(parent, sibling)` of each in-window event, by creation counter,
+    /// kept from its creation until it executes and logs them.
+    spawned: Vec<(u32, u32)>,
 }
 
 impl WindowLog {
@@ -146,7 +151,26 @@ impl WindowLog {
         self.pushes.clear();
         self.recs.clear();
         self.rings.clear();
+        self.spawned.clear();
     }
+}
+
+/// The global execution order of two events of one window, on any two
+/// shards: what the sequential engine's `(time, seq)` would have been.
+/// Boundary events compare by sequence number and precede in-window
+/// events of their time; in-window events compare as their parents do,
+/// then by birth order — a walk up to the boundary events the two chains
+/// hang from, as deep as a window has self-scheduled follow-ups (a few).
+fn cmp_entries(logs: &[WindowLog], a: (usize, usize), b: (usize, usize)) -> Ordering {
+    let (x, y) = (&logs[a.0].entries[a.1], &logs[b.0].entries[b.1]);
+    x.time.cmp(&y.time).then_with(|| {
+        if x.parent == NO_PARENT || y.parent == NO_PARENT {
+            // The in-window bit sorts a spawned event last.
+            return x.rank.cmp(&y.rank);
+        }
+        cmp_entries(logs, (a.0, x.parent as usize), (b.0, y.parent as usize))
+            .then(x.sibling.cmp(&y.sibling))
+    })
 }
 
 /// One node-range partition of the machine: a protocol core plus the
@@ -160,10 +184,9 @@ struct Shard {
     core: ConcurrentMachine,
     /// The owned node indices.
     nodes: Range<usize>,
-    /// Cross-window pending events, compact `(time, seq)` ranks only.
+    /// Pending events by `(time, rank)`: the running window's and later
+    /// ones' together.
     queue: BinaryHeap<Reverse<(u64, u64, ArenaId)>>,
-    /// The current window's working set, ranked by `(time, tie)`.
-    wheap: BinaryHeap<Reverse<(u64, Tie, ArenaId)>>,
     /// Backing storage for queued and in-window events: slots recycle
     /// through the free list, so steady-state execution allocates
     /// nothing per message.
@@ -182,7 +205,6 @@ impl Shard {
             core,
             nodes,
             queue: BinaryHeap::new(),
-            wheap: BinaryHeap::new(),
             events: Arena::new(),
             log: WindowLog::default(),
             capture_trace: true,
@@ -193,7 +215,7 @@ impl Shard {
         self.nodes.contains(&owner(ev).index())
     }
 
-    /// Earliest pending cross-window event time.
+    /// Earliest pending event time.
     fn peek_time(&self) -> Option<u64> {
         self.queue.peek().map(|Reverse((t, _, _))| *t)
     }
@@ -208,19 +230,18 @@ impl Shard {
     /// Executes every owned event with `time < horizon` on the core,
     /// moving each event's side effects into the window log.
     fn run_window(&mut self, horizon: u64) -> Result<(), SimError> {
-        while let Some(&Reverse((t, _, _))) = self.queue.peek() {
-            if t >= horizon {
-                break;
-            }
-            let Reverse((t, seq, id)) = self.queue.pop().expect("peeked");
-            self.wheap.push(Reverse((t, (seq, Vec::new()), id)));
-        }
-        while let Some(Reverse((t, tie, id))) = self.wheap.pop() {
-            let ev = self.events.free(id).expect("live window event");
+        while self.peek_time().is_some_and(|t| t < horizon) {
+            let Reverse((t, rank, id)) = self.queue.pop().expect("peeked");
+            let ev = self.events.free(id).expect("live queued event");
+            let (parent, sibling) = match rank & IN_WINDOW {
+                0 => (NO_PARENT, 0),
+                _ => self.log.spawned[(rank & !IN_WINDOW) as usize],
+            };
+            let me = self.log.entries.len() as u32;
             self.core.dispatch(t, ev)?;
             // Pushes landing inside the window are intra-node follow-ups:
-            // they join the window heap with a composite tie derived from
-            // this event's rank.
+            // they rejoin the heap ranked by creation order, which on one
+            // shard is parent order, then order among siblings.
             let mut children = 0;
             for (at, ev) in self.core.outbox.drain(..) {
                 let consumed = at < horizon;
@@ -235,8 +256,9 @@ impl Shard {
                         "intra-window pushes stay on the owning shard"
                     );
                     let id = self.events.alloc(ev);
-                    self.wheap
-                        .push(Reverse((at, child_tie(t, &tie, children), id)));
+                    let born = IN_WINDOW | self.log.spawned.len() as u64;
+                    self.log.spawned.push((me, children));
+                    self.queue.push(Reverse((at, born, id)));
                     children += 1;
                 }
             }
@@ -253,7 +275,9 @@ impl Shard {
             ring.clear();
             self.log.entries.push(LogEntry {
                 time: t,
-                tie,
+                rank,
+                parent,
+                sibling,
                 push_end: self.log.pushes.len() as u32,
                 rec_end: self.log.recs.len() as u32,
                 ring_end: self.log.rings.len() as u32,
@@ -289,6 +313,22 @@ pub struct ShardedMachine {
     capture_trace: bool,
     audit_barriers: bool,
     windows: u64,
+    /// Replay scratch, reused every window: the shards' logs while they
+    /// are merged, and how far into each the merge has got.
+    logs: Vec<WindowLog>,
+    cursors: Vec<Cursor>,
+    /// Barrier scratch: the blocks written since the previous one.
+    written: Vec<BlockAddr>,
+}
+
+/// The replay's position in one shard's [`WindowLog`]: the next entry,
+/// and the pushes, trace records and ring events consumed so far.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    entry: usize,
+    push: usize,
+    rec: usize,
+    ring: usize,
 }
 
 impl ShardedMachine {
@@ -325,6 +365,9 @@ impl ShardedMachine {
             trace: TraceBundle::new(TraceMeta::new("unnamed", nodes, 0)),
             proto,
             sys,
+            logs: parts.iter().map(|_| WindowLog::default()).collect(),
+            cursors: vec![Cursor::default(); parts.len()],
+            written: Vec::new(),
             shards: parts,
             chunk,
             lookahead,
@@ -361,12 +404,12 @@ impl ShardedMachine {
     }
 
     /// Turns the per-barrier coherence audit off (or back on). The audit
-    /// covers the blocks written since the previous barrier — O(blocks
-    /// written in the phase × nodes), no longer the O(every touched
-    /// block) per barrier this knob was added to escape. It stays only
-    /// because the scale drivers (`benchmark/`, `repro scale`) call it
-    /// and audits-on at 1.67 M blocks has not been measured; they finish
-    /// with one
+    /// covers the blocks written since the previous barrier and visits
+    /// each one's holders, not the machine's nodes — a second lookup per
+    /// written block, which on 1.67 M blocks each written once is about
+    /// half the run again (EXPERIMENTS.md has the on/off timings). The
+    /// knob stays because the scale drivers (`benchmark/`, `repro scale`)
+    /// call it; they finish with one
     /// [`verify_coherence_sampled`](Self::verify_coherence_sampled)
     /// sweep instead. Note the audit
     /// feeds `stache.invariant.checks` (checks performed), so snapshots
@@ -467,21 +510,15 @@ impl ShardedMachine {
     /// Every node's effective cache state for `block` (home rights are
     /// derived from the directory entry, as in the audits).
     pub fn cache_states_for(&self, block: BlockAddr) -> Vec<CacheState> {
-        effective_cache_states(&self.proto, block, &self.dir_state(block), |n| {
-            self.cache_state(n, block)
-        })
-        .collect()
+        let holders = holders(&self.shards, block);
+        dense_states(&self.proto, block, &self.dir_state(block), holders)
     }
 
     /// The directory entry for `block` (`Idle` if never touched).
     pub fn dir_state(&self, block: BlockAddr) -> DirState {
         let home = home_of_block(block, &self.proto);
-        self.shards[self.shard_of(home)]
-            .core
-            .dirs
-            .get(&block)
-            .cloned()
-            .unwrap_or_default()
+        let core = &self.shards[self.shard_of(home)].core;
+        core.dir_state(block).cloned().unwrap_or_default()
     }
 
     /// Point-in-time export of every machine metric. Byte-identical for
@@ -596,66 +633,45 @@ impl ShardedMachine {
     /// rank of every event entering the next window), trace records,
     /// flight-recorder events, and the queue-depth histogram.
     fn replay_windows(&mut self) {
-        let logs: Vec<WindowLog> = self
-            .shards
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.log))
-            .collect();
-        let k = logs.len();
-        let mut ei = vec![0usize; k]; // next entry per shard
-        let mut pi = vec![0usize; k]; // consumed pushes per shard
-        let mut ri = vec![0usize; k]; // consumed trace records per shard
-        let mut gi = vec![0usize; k]; // consumed ring events per shard
+        for (mine, shard) in self.logs.iter_mut().zip(&mut self.shards) {
+            std::mem::swap(mine, &mut shard.log);
+        }
+        self.cursors.fill(Cursor::default());
+        let logs = &self.logs;
         loop {
-            let mut best: Option<usize> = None;
-            for s in 0..k {
-                if ei[s] >= logs[s].entries.len() {
-                    continue;
-                }
-                let e = &logs[s].entries[ei[s]];
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let be = &logs[b].entries[ei[b]];
-                        (e.time, &e.tie) < (be.time, &be.tie)
-                    }
-                };
-                if better {
-                    best = Some(s);
-                }
-            }
-            let Some(s) = best else { break };
-            let e = &logs[s].entries[ei[s]];
+            let heads = self.cursors.iter().enumerate();
+            let pending = heads.filter(|(s, at)| at.entry < logs[*s].entries.len());
+            let first =
+                pending.min_by(|(a, x), (b, y)| cmp_entries(logs, (*a, x.entry), (*b, y.entry)));
+            let Some((s, _)) = first else { break };
+            let (log, at) = (&logs[s], &mut self.cursors[s]);
+            let e = &log.entries[at.entry];
             self.vlen -= 1; // the executed event itself popped
-            for g in gi[s]..e.ring_end as usize {
-                self.ring.push(logs[s].rings[g]);
+            for &offer in &log.rings[at.ring..e.ring_end as usize] {
+                self.ring.push(offer);
             }
-            gi[s] = e.ring_end as usize;
             if self.capture_trace {
-                for r in ri[s]..e.rec_end as usize {
-                    self.trace.push(logs[s].recs[r]);
-                }
+                let recs = &log.recs[at.rec..e.rec_end as usize];
+                self.trace.extend_records(recs.iter().copied());
             }
-            ri[s] = e.rec_end as usize;
-            let push_end = e.push_end as usize;
-            for p in pi[s]..push_end {
-                let push = logs[s].pushes[p];
+            for push in &log.pushes[at.push..e.push_end as usize] {
                 let seq = self.seq;
                 self.seq += 1;
                 self.vlen += 1;
                 self.depth.record(self.vlen);
                 if !push.consumed {
-                    let si = self.shard_of(owner(&push.ev));
+                    let si = owner(&push.ev).index() / self.chunk;
                     self.shards[si].enqueue(push.time, seq, push.ev);
                 }
             }
-            pi[s] = push_end;
-            ei[s] += 1;
+            *at = Cursor {
+                entry: at.entry + 1,
+                push: e.push_end as usize,
+                rec: e.rec_end as usize,
+                ring: e.ring_end as usize,
+            };
         }
-        for (s, mut log) in logs.into_iter().enumerate() {
-            log.clear();
-            self.shards[s].log = log;
-        }
+        self.logs.iter_mut().for_each(WindowLog::clear);
     }
 
     /// Barrier: audits the invariants over the blocks any core wrote
@@ -671,7 +687,7 @@ impl ShardedMachine {
                 .min(),
         )?;
         // Emptied even when not audited: a scale run must not hoard them.
-        let mut written = Vec::new();
+        let mut written = std::mem::take(&mut self.written);
         for s in &mut self.shards {
             if self.audit_barriers {
                 written.append(&mut s.core.dirty);
@@ -681,7 +697,10 @@ impl ShardedMachine {
         }
         written.sort_unstable();
         written.dedup();
-        self.audit_blocks(written)?;
+        let audited = self.audit_blocks(written.iter().copied());
+        written.clear();
+        self.written = written;
+        audited?;
         let max = self.execution_time_ns();
         for s in &mut self.shards {
             s.core.clocks.fill(max + self.sys.barrier_ns);
@@ -697,22 +716,14 @@ impl ShardedMachine {
     ///
     /// Returns the first violation found.
     pub fn verify_coherence(&mut self) -> Result<(), SimError> {
-        let mut blocks: Vec<BlockAddr> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.core.touched_blocks())
-            .collect();
-        blocks.sort_unstable();
-        blocks.dedup();
-        self.audit_blocks(blocks)
+        self.verify_coherence_sampled(usize::MAX)
     }
 
     /// Audits the coherence invariants for at most `max_blocks` touched
     /// blocks, stride-sampled deterministically across the sorted touched
-    /// set. The affordable end-of-run check for millions-of-blocks scale
-    /// runs, where the exhaustive
-    /// [`verify_coherence`](Self::verify_coherence) would cost
-    /// O(blocks × nodes).
+    /// set. The cheap end-of-run check for millions-of-blocks scale runs,
+    /// which the exhaustive [`verify_coherence`](Self::verify_coherence)
+    /// would walk in full.
     ///
     /// # Errors
     ///
@@ -721,12 +732,10 @@ impl ShardedMachine {
         if max_blocks == 0 {
             return Ok(());
         }
-        let mut blocks: Vec<BlockAddr> = Vec::new();
-        for s in &self.shards {
-            blocks.extend(s.core.dirs.keys().copied());
-        }
-        blocks.sort_by_key(|b| b.number());
-        blocks.dedup();
+        // At quiescence every cached block has an entry at its home.
+        let cores = self.shards.iter().map(|s| &s.core);
+        let mut blocks: Vec<BlockAddr> = cores.flat_map(|c| c.dir.keys().copied()).collect();
+        blocks.sort_unstable();
         let stride = blocks.len().div_ceil(max_blocks).max(1);
         self.audit_blocks(blocks.into_iter().step_by(stride))
     }
@@ -736,19 +745,24 @@ impl ShardedMachine {
         blocks: impl IntoIterator<Item = BlockAddr>,
     ) -> Result<(), SimError> {
         let now = self.execution_time_ns();
-        let core_of = |n: NodeId| &self.shards[n.index() / self.chunk].core;
-        let mut states = Vec::with_capacity(self.proto.nodes);
+        let (proto, tally) = (&self.proto, &self.coord_tally);
         for block in blocks {
-            let home = home_of_block(block, &self.proto);
-            let dir = core_of(home).dirs.get(&block).unwrap_or(&DirState::Idle);
-            states.clear();
-            states.extend(effective_cache_states(&self.proto, block, dir, |n| {
-                core_of(n).cache_state(n, block)
-            }));
-            audit_block(block, dir, &states, &self.coord_tally, &mut self.ring, now)?;
+            let home = home_of_block(block, proto);
+            let core = &self.shards[home.index() / self.chunk].core;
+            let dir = core.dir_state(block).unwrap_or(&DirState::Idle);
+            let holders = holders(&self.shards, block);
+            audit_block(proto, block, dir, holders, tally, &mut self.ring, now)?;
         }
         Ok(())
     }
+}
+
+/// The copies of `block` cached outside its home, in node order: each
+/// shard's own, shards being ascending node ranges.
+fn holders(shards: &[Shard], block: BlockAddr) -> impl Iterator<Item = Holder> + Clone + '_ {
+    shards
+        .iter()
+        .flat_map(move |s| s.core.holders(block).iter().copied())
 }
 
 /// Runs a workload-style plan stream through a fresh sharded machine.
@@ -797,6 +811,167 @@ mod tests {
             plan.push(phase);
         }
         plan
+    }
+
+    /// The rank this engine used before ranks were fixed-width, kept as
+    /// the reference the new order is checked against: a tie-break
+    /// `(head, rest)` compared lexicographically as `[head] ++ rest`. A
+    /// boundary event carried `(seq, [])`; an event spawned inside a
+    /// window `(u64::MAX, [parent_time, parent_head, parent_rest ...,
+    /// sibling_index])` — after every boundary event of its time, then in
+    /// its parent's order, then in birth order.
+    type Tie = (u64, Vec<u64>);
+
+    fn child_tie(parent_time: u64, parent: &Tie, index: u64) -> Tie {
+        let mut rest = Vec::with_capacity(parent.1.len() + 3);
+        rest.push(parent_time);
+        rest.push(parent.0);
+        rest.extend_from_slice(&parent.1);
+        rest.push(index);
+        (u64::MAX, rest)
+    }
+
+    /// An event as `(shard, log index)`, beside its reference `(time, tie)`.
+    type Ranked = ((usize, usize), (u64, Tie));
+
+    /// One window's worth of events over `shards` shards: boundary events
+    /// with distinct global sequence numbers, and chains of in-window
+    /// follow-ups up to `depth` deep, each on its parent's shard. Times
+    /// come from a handful of values, so ties are the rule. Returns every
+    /// event as `(shard, log index)` beside its reference rank.
+    fn random_window(
+        rng: &mut crate::rng::SmallRng,
+        shards: usize,
+        depth: usize,
+    ) -> (Vec<WindowLog>, Vec<Ranked>) {
+        let mut logs: Vec<WindowLog> = (0..shards).map(|_| WindowLog::default()).collect();
+        let mut events: Vec<Ranked> = Vec::new();
+        let mut depths = Vec::new();
+        let mut born: Vec<u32> = Vec::new(); // in-window children so far, per event
+        let log = |logs: &mut Vec<WindowLog>, shard: usize, e: LogEntry| {
+            logs[shard].entries.push(e);
+            (shard, logs[shard].entries.len() - 1)
+        };
+        let entry = |time, rank, parent, sibling| LogEntry {
+            time,
+            rank,
+            parent,
+            sibling,
+            push_end: 0,
+            rec_end: 0,
+            ring_end: 0,
+        };
+        for seq in 0..rng.gen_range(2..10) as u64 {
+            let (shard, time) = (
+                rng.gen_range(0..shards),
+                100 + 10 * rng.gen_range(0..3) as u64,
+            );
+            let at = log(&mut logs, shard, entry(time, seq, NO_PARENT, 0));
+            events.push((at, (time, (seq, Vec::new()))));
+            depths.push(0);
+            born.push(0);
+        }
+        for _ in 0..rng.gen_range(0..40) {
+            let p = rng.gen_range(0..events.len());
+            if depths[p] == depth {
+                continue;
+            }
+            let ((shard, parent), (ptime, ptie)) = events[p].clone();
+            let time = ptime + 10 * rng.gen_range(0..2) as u64;
+            let sibling = born[p];
+            born[p] += 1;
+            // The creation counter is irrelevant across shards; any value
+            // with the in-window bit will do.
+            let rank = IN_WINDOW | rng.gen() >> 1;
+            let at = log(&mut logs, shard, entry(time, rank, parent as u32, sibling));
+            events.push((at, (time, child_tie(ptime, &ptie, u64::from(sibling)))));
+            depths.push(depths[p] + 1);
+            born.push(0);
+        }
+        (logs, events)
+    }
+
+    /// The cross-shard merge's comparator walks `(parent, sibling)` links
+    /// in the logs; the order it yields must be the lexicographic order
+    /// of the ancestry paths those links abbreviate — for every pair, on
+    /// one shard or two, boundary or spawned, at equal times or not.
+    #[test]
+    fn the_log_walking_order_is_the_ancestry_path_order() {
+        let mut rng = crate::rng::SmallRng::seed_from_u64(0x5eed);
+        let (mut pairs, mut ties, mut deep) = (0, 0, 0);
+        for _ in 0..300 {
+            let (logs, events) = random_window(&mut rng, 4, 6);
+            for (a, ra) in &events {
+                for (b, rb) in &events {
+                    assert_eq!(cmp_entries(&logs, *a, *b), ra.cmp(rb), "{ra:?} vs {rb:?}");
+                    pairs += 1;
+                    ties += usize::from(ra.0 == rb.0 && a != b);
+                    deep += usize::from(ra.1 .1.len() > 9 && rb.1 .1.len() > 9 && a.0 != b.0);
+                }
+            }
+        }
+        assert!(
+            pairs > 100_000 && ties > 30_000,
+            "{pairs} pairs, {ties} at equal times"
+        );
+        assert!(
+            deep > 100,
+            "{deep} pairs of deep chains on different shards"
+        );
+    }
+
+    /// On one shard the heap needs no ancestry at all: run a window's
+    /// loop on the old ranks and on `(time, seq | IN_WINDOW + creation
+    /// counter)` side by side, spawning the same follow-ups from whatever
+    /// pops, and the two heaps pop the same events in the same order.
+    #[test]
+    fn creation_order_ranks_pop_in_the_ancestry_path_order_on_one_shard() {
+        let mut rng = crate::rng::SmallRng::seed_from_u64(0xc0ffee);
+        let mut popped = 0;
+        for _ in 0..200 {
+            let mut old: BinaryHeap<Reverse<(u64, Tie, usize)>> = BinaryHeap::new();
+            let mut new: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
+            let mut ids = 0..;
+            for seq in 0..rng.gen_range(1..8) as u64 {
+                let (time, id) = (100 + 10 * rng.gen_range(0..3) as u64, ids.next().unwrap());
+                old.push(Reverse((time, (seq, Vec::new()), id)));
+                new.push(Reverse((time, seq, id)));
+            }
+            let mut counter = 0;
+            while let Some(Reverse((time, tie, id))) = old.pop() {
+                let Reverse((new_time, _, new_id)) = new.pop().expect("same length");
+                assert_eq!((new_time, new_id), (time, id));
+                popped += 1;
+                let depth = tie.1.len() / 3; // three words per generation
+                for sibling in 0..rng.gen_range(0..3) as u64 {
+                    if depth == 6 {
+                        break;
+                    }
+                    let (at, id) = (time + 10 * rng.gen_range(0..2) as u64, ids.next().unwrap());
+                    old.push(Reverse((at, child_tie(time, &tie, sibling), id)));
+                    new.push(Reverse((at, IN_WINDOW | counter, id)));
+                    counter += 1;
+                }
+            }
+            assert!(new.is_empty());
+        }
+        assert!(popped > 2_000, "{popped}");
+    }
+
+    /// What an event and a block cost in memory, pinned: the heap entry
+    /// and the log entry are fixed-width, a sharer set is two words with
+    /// its spill boxed, and a directory entry — state, overflow flag and
+    /// transaction slot together — is no larger than the `dirs` entry it
+    /// replaced (1.67 M of them in `scale1024`).
+    #[test]
+    fn event_and_block_footprints_are_pinned() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Reverse<(u64, u64, ArenaId)>>(), 24);
+        assert!(size_of::<LogEntry>() <= 40);
+        assert!(size_of::<stache::NodeSet>() <= 24);
+        assert_eq!(size_of::<DirState>(), size_of::<stache::NodeSet>());
+        assert!(size_of::<(BlockAddr, crate::store::DirEntry)>() <= 32);
+        assert!(size_of::<(BlockAddr, crate::store::Copies)>() <= 32);
     }
 
     #[test]
@@ -883,7 +1058,9 @@ mod tests {
             for s in &m.shards {
                 assert_eq!(s.core.pending_events(), 0, "{when}: core queue in use");
                 assert!(s.core.outbox.is_empty(), "{when}: outbox not taken");
-                assert!(s.wheap.is_empty(), "{when}: window heap not drained");
+                let spawned =
+                    |Reverse((_, rank, _)): &Reverse<(u64, u64, ArenaId)>| rank & IN_WINDOW != 0;
+                assert!(!s.queue.iter().any(spawned), "{when}: window not drained");
                 for (_, ev) in s.events.iter() {
                     assert!(s.owns(ev), "{when}: shard {:?} holds {ev:?}", s.nodes);
                 }

@@ -88,14 +88,19 @@ impl fmt::Display for DirState {
 
 /// The directory's plan for servicing one request.
 ///
-/// `holder_requests` are sent first (invalidations or downgrades to current
-/// holders); once all their responses have been collected, `reply` (if any —
-/// local accesses by the home node need no reply message) is sent to the
-/// requester, and the entry moves to `next`.
+/// `holder_request` is sent to every node of `holders` first (invalidations
+/// or a downgrade to current holders); once all their responses have been
+/// collected, `reply` (if any — local accesses by the home node need no
+/// reply message) is sent to the requester, and the entry moves to `next`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirOutcome {
-    /// Invalidation/downgrade requests to current holders, in node order.
-    pub holder_requests: Vec<(NodeId, MsgType)>,
+    /// The current holders that must first give up or downgrade their
+    /// copy. A set, not a message list: every plan sends one message type,
+    /// so building it allocates nothing while the set stays inline.
+    pub holders: NodeSet,
+    /// What each of `holders` is sent (`inval_ro_request` when there are
+    /// none).
+    pub holder_request: MsgType,
     /// The granting reply to the requester, if the requester is remote.
     pub reply: Option<MsgType>,
     /// The entry's state after the transaction completes.
@@ -103,12 +108,38 @@ pub struct DirOutcome {
 }
 
 impl DirOutcome {
-    fn grant(reply: MsgType, next: DirState) -> Self {
+    /// A plan that messages no holder.
+    fn quiet(reply: Option<MsgType>, next: DirState) -> Self {
         DirOutcome {
-            holder_requests: Vec::new(),
-            reply: Some(reply),
+            holders: NodeSet::new(),
+            holder_request: MsgType::InvalRoRequest,
+            reply,
             next,
         }
+    }
+
+    /// Invalidates every sharer but the requester `but` and the home.
+    fn invalidate(sharers: &NodeSet, but: NodeId, home: NodeId, reply: Option<MsgType>) -> Self {
+        let mut plan = DirOutcome::quiet(reply, DirState::Exclusive(but));
+        plan.holders = sharers.clone();
+        plan.holders.remove(but);
+        plan.holders.remove(home);
+        plan
+    }
+
+    /// Sends `req` to the owner.
+    fn recall(
+        owner: NodeId,
+        req: MsgType,
+        home: NodeId,
+        reply: Option<MsgType>,
+        next: DirState,
+    ) -> Self {
+        let mut plan = DirOutcome::quiet(reply, next);
+        plan.holders.insert(owner);
+        plan.holders.remove(home);
+        plan.holder_request = req;
+        plan
     }
 }
 
@@ -117,7 +148,7 @@ impl DirOutcome {
 /// Returns the directory's service plan. `home` is the directory's own
 /// node; its local copy is tracked in the entry but never receives
 /// messages, so invalidating it is state-only (it simply drops out of
-/// `holder_requests`).
+/// `holders`).
 ///
 /// # Errors
 ///
@@ -141,8 +172,8 @@ pub fn handle_request(
     };
     match mtype {
         MsgType::GetRoRequest => match state {
-            DirState::Idle => Ok(DirOutcome::grant(
-                MsgType::GetRoResponse,
+            DirState::Idle => Ok(DirOutcome::quiet(
+                Some(MsgType::GetRoResponse),
                 DirState::Shared(NodeSet::singleton(from)),
             )),
             DirState::Shared(s) => {
@@ -151,8 +182,8 @@ pub fn handle_request(
                 }
                 let mut next = s.clone();
                 next.insert(from);
-                Ok(DirOutcome::grant(
-                    MsgType::GetRoResponse,
+                Ok(DirOutcome::quiet(
+                    Some(MsgType::GetRoResponse),
                     DirState::Shared(next),
                 ))
             }
@@ -173,53 +204,42 @@ pub fn handle_request(
                     s.insert(*owner);
                     (MsgType::DowngradeRequest, DirState::Shared(s))
                 };
-                Ok(DirOutcome {
-                    holder_requests: holder_msgs([(*owner, req)], home),
-                    reply: Some(MsgType::GetRoResponse),
-                    next,
-                })
+                let reply = Some(MsgType::GetRoResponse);
+                Ok(DirOutcome::recall(*owner, req, home, reply, next))
             }
         },
         MsgType::GetRwRequest => match state {
-            DirState::Idle => Ok(DirOutcome::grant(
-                MsgType::GetRwResponse,
+            DirState::Idle => Ok(DirOutcome::quiet(
+                Some(MsgType::GetRwResponse),
                 DirState::Exclusive(from),
             )),
             DirState::Shared(s) => {
                 if s.contains(from) {
                     return Err(inconsistent());
                 }
-                Ok(DirOutcome {
-                    holder_requests: holder_msgs(
-                        s.iter().map(|n| (n, MsgType::InvalRoRequest)),
-                        home,
-                    ),
-                    reply: Some(MsgType::GetRwResponse),
-                    next: DirState::Exclusive(from),
-                })
+                let reply = Some(MsgType::GetRwResponse);
+                Ok(DirOutcome::invalidate(s, from, home, reply))
             }
             DirState::Exclusive(owner) => {
                 if *owner == from {
                     return Err(inconsistent());
                 }
-                Ok(DirOutcome {
-                    holder_requests: holder_msgs([(*owner, MsgType::InvalRwRequest)], home),
-                    reply: Some(MsgType::GetRwResponse),
-                    next: DirState::Exclusive(from),
-                })
+                Ok(DirOutcome::recall(
+                    *owner,
+                    MsgType::InvalRwRequest,
+                    home,
+                    Some(MsgType::GetRwResponse),
+                    DirState::Exclusive(from),
+                ))
             }
         },
         MsgType::UpgradeRequest => match state {
-            DirState::Shared(s) if s.contains(from) => Ok(DirOutcome {
-                holder_requests: holder_msgs(
-                    s.iter()
-                        .filter(|&n| n != from)
-                        .map(|n| (n, MsgType::InvalRoRequest)),
-                    home,
-                ),
-                reply: Some(MsgType::UpgradeResponse),
-                next: DirState::Exclusive(from),
-            }),
+            DirState::Shared(s) if s.contains(from) => Ok(DirOutcome::invalidate(
+                s,
+                from,
+                home,
+                Some(MsgType::UpgradeResponse),
+            )),
             _ => Err(inconsistent()),
         },
         // Responses are absorbed by the transaction engine (it knows which
@@ -251,19 +271,14 @@ pub fn handle_local(
                 return None;
             }
             match state {
-                DirState::Idle => Some(DirOutcome {
-                    holder_requests: Vec::new(),
-                    reply: None,
-                    next: DirState::Shared(NodeSet::singleton(home)),
-                }),
+                DirState::Idle => Some(DirOutcome::quiet(
+                    None,
+                    DirState::Shared(NodeSet::singleton(home)),
+                )),
                 DirState::Shared(s) => {
                     let mut next = s.clone();
                     next.insert(home);
-                    Some(DirOutcome {
-                        holder_requests: Vec::new(),
-                        reply: None,
-                        next: DirState::Shared(next),
-                    })
+                    Some(DirOutcome::quiet(None, DirState::Shared(next)))
                 }
                 DirState::Exclusive(owner) => {
                     let (req, next) = if cfg.half_migratory {
@@ -276,11 +291,7 @@ pub fn handle_local(
                         s.insert(*owner);
                         (MsgType::DowngradeRequest, DirState::Shared(s))
                     };
-                    Some(DirOutcome {
-                        holder_requests: holder_msgs([(*owner, req)], home),
-                        reply: None,
-                        next,
-                    })
+                    Some(DirOutcome::recall(*owner, req, home, None, next))
                 }
             }
         }
@@ -288,34 +299,16 @@ pub fn handle_local(
             if state.node_writable(home) {
                 return None;
             }
-            let holder_requests = match state {
-                DirState::Idle => Vec::new(),
-                DirState::Shared(s) => holder_msgs(
-                    s.iter()
-                        .filter(|&n| n != home)
-                        .map(|n| (n, MsgType::InvalRoRequest)),
-                    home,
-                ),
+            let next = DirState::Exclusive(home);
+            Some(match state {
+                DirState::Idle => DirOutcome::quiet(None, next),
+                DirState::Shared(s) => DirOutcome::invalidate(s, home, home, None),
                 DirState::Exclusive(owner) => {
-                    holder_msgs([(*owner, MsgType::InvalRwRequest)], home)
+                    DirOutcome::recall(*owner, MsgType::InvalRwRequest, home, None, next)
                 }
-            };
-            Some(DirOutcome {
-                holder_requests,
-                reply: None,
-                next: DirState::Exclusive(home),
             })
         }
     }
-}
-
-/// Filters out the home node: transitions involving the home's own copy are
-/// local and generate no messages.
-fn holder_msgs(
-    targets: impl IntoIterator<Item = (NodeId, MsgType)>,
-    home: NodeId,
-) -> Vec<(NodeId, MsgType)> {
-    targets.into_iter().filter(|(n, _)| *n != home).collect()
 }
 
 #[cfg(test)]
@@ -339,11 +332,19 @@ mod tests {
         NodeId::new(i)
     }
 
+    /// The plan's holder messages, in the order they are sent.
+    fn reqs(out: &DirOutcome) -> Vec<(NodeId, MsgType)> {
+        out.holders
+            .iter()
+            .map(|h| (h, out.holder_request))
+            .collect()
+    }
+
     #[test]
     fn read_miss_on_idle_grants_shared() {
         let out =
             handle_request(&DirState::Idle, n(H), n(1), MsgType::GetRoRequest, &cfg()).unwrap();
-        assert!(out.holder_requests.is_empty());
+        assert!(out.holders.is_empty());
         assert_eq!(out.reply, Some(MsgType::GetRoResponse));
         assert_eq!(out.next, DirState::Shared(NodeSet::singleton(n(1))));
     }
@@ -352,7 +353,7 @@ mod tests {
     fn read_miss_on_shared_adds_sharer() {
         let s = DirState::Shared(NodeSet::singleton(n(1)));
         let out = handle_request(&s, n(H), n(2), MsgType::GetRoRequest, &cfg()).unwrap();
-        assert!(out.holder_requests.is_empty());
+        assert!(out.holders.is_empty());
         let expected: NodeSet = [n(1), n(2)].into_iter().collect();
         assert_eq!(out.next, DirState::Shared(expected));
     }
@@ -361,7 +362,7 @@ mod tests {
     fn half_migratory_read_miss_invalidates_owner() {
         let s = DirState::Exclusive(n(2));
         let out = handle_request(&s, n(H), n(1), MsgType::GetRoRequest, &cfg()).unwrap();
-        assert_eq!(out.holder_requests, vec![(n(2), MsgType::InvalRwRequest)]);
+        assert_eq!(reqs(&out), vec![(n(2), MsgType::InvalRwRequest)]);
         assert_eq!(out.reply, Some(MsgType::GetRoResponse));
         // Only the reader keeps a copy: the half-migratory bet.
         assert_eq!(out.next, DirState::Shared(NodeSet::singleton(n(1))));
@@ -371,7 +372,7 @@ mod tests {
     fn dash_style_read_miss_downgrades_owner() {
         let s = DirState::Exclusive(n(2));
         let out = handle_request(&s, n(H), n(1), MsgType::GetRoRequest, &no_hm()).unwrap();
-        assert_eq!(out.holder_requests, vec![(n(2), MsgType::DowngradeRequest)]);
+        assert_eq!(reqs(&out), vec![(n(2), MsgType::DowngradeRequest)]);
         let expected: NodeSet = [n(1), n(2)].into_iter().collect();
         assert_eq!(out.next, DirState::Shared(expected));
     }
@@ -381,7 +382,7 @@ mod tests {
         let s = DirState::Shared([n(1), n(2), n(3)].into_iter().collect());
         let out = handle_request(&s, n(H), n(4), MsgType::GetRwRequest, &cfg()).unwrap();
         assert_eq!(
-            out.holder_requests,
+            reqs(&out),
             vec![
                 (n(1), MsgType::InvalRoRequest),
                 (n(2), MsgType::InvalRoRequest),
@@ -397,7 +398,7 @@ mod tests {
         // The home's own copy is invalidated silently.
         let s = DirState::Shared([n(H), n(2)].into_iter().collect());
         let out = handle_request(&s, n(H), n(3), MsgType::GetRwRequest, &cfg()).unwrap();
-        assert_eq!(out.holder_requests, vec![(n(2), MsgType::InvalRoRequest)]);
+        assert_eq!(reqs(&out), vec![(n(2), MsgType::InvalRoRequest)]);
         assert_eq!(out.next, DirState::Exclusive(n(3)));
     }
 
@@ -405,7 +406,7 @@ mod tests {
     fn write_miss_on_exclusive_forwards_invalidation() {
         let s = DirState::Exclusive(n(2));
         let out = handle_request(&s, n(H), n(1), MsgType::GetRwRequest, &cfg()).unwrap();
-        assert_eq!(out.holder_requests, vec![(n(2), MsgType::InvalRwRequest)]);
+        assert_eq!(reqs(&out), vec![(n(2), MsgType::InvalRwRequest)]);
         assert_eq!(out.next, DirState::Exclusive(n(1)));
     }
 
@@ -413,7 +414,7 @@ mod tests {
     fn upgrade_invalidates_other_sharers_only() {
         let s = DirState::Shared([n(1), n(2)].into_iter().collect());
         let out = handle_request(&s, n(H), n(1), MsgType::UpgradeRequest, &cfg()).unwrap();
-        assert_eq!(out.holder_requests, vec![(n(2), MsgType::InvalRoRequest)]);
+        assert_eq!(reqs(&out), vec![(n(2), MsgType::InvalRoRequest)]);
         assert_eq!(out.reply, Some(MsgType::UpgradeResponse));
         assert_eq!(out.next, DirState::Exclusive(n(1)));
     }
@@ -422,7 +423,7 @@ mod tests {
     fn upgrade_by_sole_sharer_needs_no_invalidations() {
         let s = DirState::Shared(NodeSet::singleton(n(1)));
         let out = handle_request(&s, n(H), n(1), MsgType::UpgradeRequest, &cfg()).unwrap();
-        assert!(out.holder_requests.is_empty());
+        assert!(out.holders.is_empty());
         assert_eq!(out.next, DirState::Exclusive(n(1)));
     }
 
@@ -467,7 +468,7 @@ mod tests {
     fn local_read_of_remote_exclusive_invalidates_owner() {
         let s = DirState::Exclusive(n(2));
         let out = handle_local(&s, n(H), ProcOp::Read, &cfg()).unwrap();
-        assert_eq!(out.holder_requests, vec![(n(2), MsgType::InvalRwRequest)]);
+        assert_eq!(reqs(&out), vec![(n(2), MsgType::InvalRwRequest)]);
         assert_eq!(out.reply, None);
         assert_eq!(out.next, DirState::Shared(NodeSet::singleton(n(H))));
     }
@@ -476,7 +477,7 @@ mod tests {
     fn local_read_without_half_migratory_downgrades() {
         let s = DirState::Exclusive(n(2));
         let out = handle_local(&s, n(H), ProcOp::Read, &no_hm()).unwrap();
-        assert_eq!(out.holder_requests, vec![(n(2), MsgType::DowngradeRequest)]);
+        assert_eq!(reqs(&out), vec![(n(2), MsgType::DowngradeRequest)]);
         let expected: NodeSet = [n(H), n(2)].into_iter().collect();
         assert_eq!(out.next, DirState::Shared(expected));
     }
@@ -486,7 +487,7 @@ mod tests {
         let s = DirState::Shared([n(H), n(2), n(5)].into_iter().collect());
         let out = handle_local(&s, n(H), ProcOp::Write, &cfg()).unwrap();
         assert_eq!(
-            out.holder_requests,
+            reqs(&out),
             vec![
                 (n(2), MsgType::InvalRoRequest),
                 (n(5), MsgType::InvalRoRequest)
@@ -498,7 +499,7 @@ mod tests {
     #[test]
     fn local_write_on_idle_is_silent() {
         let out = handle_local(&DirState::Idle, n(H), ProcOp::Write, &cfg()).unwrap();
-        assert!(out.holder_requests.is_empty());
+        assert!(out.holders.is_empty());
         assert_eq!(out.next, DirState::Exclusive(n(H)));
     }
 

@@ -4,7 +4,9 @@
 //! 4 bits for the message type (Table 7 caption), so [`NodeId`] enforces a
 //! 12-bit range. [`BlockAddr`] is a *block-granular* address (a block
 //! number), which is the granularity at which both the directory and Cosmos
-//! keep state.
+//! keep state. [`NodeSet`] is the directory's sharer list: two words, no
+//! allocation for the usual handful of sharers, and one abstract set
+//! whichever way it is stored.
 
 use std::fmt;
 
@@ -128,9 +130,11 @@ impl fmt::Display for PageId {
 
 /// A set of nodes, used as the full-map sharer list in directory entries.
 ///
-/// Backed by a fixed 64-bit word per 64 nodes; for the paper's 16-node
-/// machine a single word suffices, but the set grows as needed so larger
-/// configurations also work.
+/// A sorted list of ids: up to seven members live in the value itself, so
+/// the usual sharer set — a handful of nodes, whatever their ids — costs
+/// no allocation to build, clone or grow; a larger set spills to the heap
+/// and stays there. Either way it is one abstract set: equality, hashing
+/// and iteration order depend on the members only.
 ///
 /// ```
 /// use stache::{NodeId, NodeSet};
@@ -142,9 +146,26 @@ impl fmt::Display for PageId {
 /// let members: Vec<_> = s.iter().map(|n| n.index()).collect();
 /// assert_eq!(members, vec![2, 5]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-pub struct NodeSet {
-    words: Vec<u64>,
+#[derive(Debug, Clone, Default)]
+pub struct NodeSet(Repr);
+
+/// Members a [`NodeSet`] holds without allocating.
+const INLINE: usize = 7;
+
+/// Raw ids, ascending. Two words: the spill sits behind a thin pointer so
+/// that every directory entry stays as small as an inline sharer list.
+#[derive(Debug, Clone)]
+enum Repr {
+    /// The first `.0` slots.
+    Inline(u8, [u16; INLINE]),
+    #[allow(clippy::box_collection)] // a bare `Vec` is three words
+    Spilled(Box<Vec<u16>>),
+}
+
+impl Default for Repr {
+    fn default() -> Self {
+        Repr::Inline(0, [0; INLINE])
+    }
 }
 
 impl NodeSet {
@@ -155,56 +176,72 @@ impl NodeSet {
 
     /// Creates a set containing exactly one node.
     pub fn singleton(node: NodeId) -> Self {
-        let mut s = NodeSet::new();
-        s.insert(node);
-        s
+        let mut set = NodeSet::new();
+        set.insert(node);
+        set
+    }
+
+    fn members(&self) -> &[u16] {
+        match &self.0 {
+            Repr::Inline(len, list) => &list[..usize::from(*len)],
+            Repr::Spilled(list) => list,
+        }
     }
 
     /// Inserts a node; returns `true` if it was newly added.
     pub fn insert(&mut self, node: NodeId) -> bool {
-        let (w, b) = (node.index() / 64, node.index() % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
+        let Err(at) = self.members().binary_search(&node.raw()) else {
+            return false;
+        };
+        match &mut self.0 {
+            Repr::Inline(len, list) if usize::from(*len) < INLINE => {
+                list.copy_within(at..usize::from(*len), at + 1);
+                list[at] = node.raw();
+                *len += 1;
+            }
+            Repr::Inline(_, list) => {
+                let mut list = list.to_vec();
+                list.insert(at, node.raw());
+                self.0 = Repr::Spilled(Box::new(list));
+            }
+            Repr::Spilled(list) => list.insert(at, node.raw()),
         }
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] |= 1 << b;
-        !had
+        true
     }
 
     /// Removes a node; returns `true` if it was present.
     pub fn remove(&mut self, node: NodeId) -> bool {
-        let (w, b) = (node.index() / 64, node.index() % 64);
-        if w >= self.words.len() {
+        let Ok(at) = self.members().binary_search(&node.raw()) else {
             return false;
+        };
+        match &mut self.0 {
+            Repr::Inline(len, list) => {
+                list.copy_within(at + 1..usize::from(*len), at);
+                *len -= 1;
+            }
+            Repr::Spilled(list) => drop(list.remove(at)),
         }
-        let had = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
-        had
+        true
     }
 
     /// Whether the node is a member.
     pub fn contains(&self, node: NodeId) -> bool {
-        let (w, b) = (node.index() / 64, node.index() % 64);
-        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
+        self.members().binary_search(&node.raw()).is_ok()
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.members().len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.members().is_empty()
     }
 
     /// Iterates members in ascending index order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            set: self,
-            word: 0,
-            bits: self.words.first().copied().unwrap_or(0),
-        }
+        Iter(self.members().iter())
     }
 
     /// The sole member, if the set is a singleton.
@@ -212,6 +249,20 @@ impl NodeSet {
         let mut it = self.iter();
         let first = it.next()?;
         it.next().is_none().then_some(first)
+    }
+}
+
+impl PartialEq for NodeSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.members() == other.members()
+    }
+}
+
+impl Eq for NodeSet {}
+
+impl std::hash::Hash for NodeSet {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.members().hash(state);
     }
 }
 
@@ -256,25 +307,13 @@ impl fmt::Display for NodeSet {
 
 /// Iterator over the members of a [`NodeSet`] in ascending order.
 #[derive(Debug, Clone)]
-pub struct Iter<'a> {
-    set: &'a NodeSet,
-    word: usize,
-    bits: u64,
-}
+pub struct Iter<'a>(std::slice::Iter<'a, u16>);
 
 impl Iterator for Iter<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        loop {
-            if self.bits != 0 {
-                let b = self.bits.trailing_zeros() as usize;
-                self.bits &= self.bits - 1;
-                return Some(NodeId::new(self.word * 64 + b));
-            }
-            self.word += 1;
-            self.bits = *self.set.words.get(self.word)?;
-        }
+        self.0.next().map(|&raw| NodeId(raw))
     }
 }
 
@@ -340,6 +379,88 @@ mod tests {
         let s: NodeSet = [NodeId::new(1), NodeId::new(4)].into_iter().collect();
         assert_eq!(s.to_string(), "{P1,P4}");
         assert_eq!(NodeSet::new().to_string(), "{}");
+    }
+
+    /// `singleton(a); insert(b); remove(b)` once compared unequal to a
+    /// fresh `singleton(a)` (the bitset kept `b`'s zeroed word), which
+    /// made equal `DirState`s differ above 64 nodes.
+    #[test]
+    fn node_set_equality_and_hash_see_members_only() {
+        use std::hash::{Hash, Hasher};
+        fn hash_of(s: &NodeSet) -> u64 {
+            let mut h = crate::fasthash::FxHasher::default();
+            s.hash(&mut h);
+            h.finish()
+        }
+        for a in [3, 64, 1000] {
+            for b in [100, 2000, 4095] {
+                let fresh = NodeSet::singleton(NodeId::new(a));
+                let mut worn = fresh.clone();
+                worn.insert(NodeId::new(b));
+                assert_ne!(worn, fresh);
+                worn.remove(NodeId::new(b));
+                assert_eq!(worn, fresh, "{a} then {b}");
+                assert_eq!(hash_of(&worn), hash_of(&fresh));
+                assert_eq!(
+                    crate::DirState::Shared(worn),
+                    crate::DirState::Shared(fresh)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn node_set_is_one_set_across_the_spill_boundary() {
+        use std::hash::{Hash, Hasher};
+        // Ids on both sides of a word boundary, inserted out of order.
+        let ids = [1000, 3, 64, 63, 4095, 7, 129, 128];
+        let seven: NodeSet = ids[..7].iter().map(|&i| NodeId::new(i)).collect();
+        assert!(matches!(seven.0, Repr::Inline(..)));
+        let mut grown = seven.clone();
+        assert!(grown.insert(NodeId::new(ids[7])));
+        assert!(matches!(grown.0, Repr::Spilled(_)));
+        assert!(!grown.insert(NodeId::new(ids[7])));
+        assert_eq!(grown.len(), 8);
+        let mut sorted = ids;
+        sorted.sort_unstable();
+        assert_eq!(grown.iter().map(NodeId::index).collect::<Vec<_>>(), sorted);
+        assert_ne!(grown, seven);
+        // 8 -> 7: still spilled, yet the same set as the inline one.
+        assert!(grown.remove(NodeId::new(ids[7])));
+        assert!(matches!(grown.0, Repr::Spilled(_)));
+        assert_eq!(grown, seven);
+        assert_eq!(seven, grown);
+        assert_eq!(grown.len(), 7);
+        assert!(grown.iter().eq(seven.iter()));
+        let hash = |s: &NodeSet| {
+            let mut h = crate::fasthash::FxHasher::default();
+            s.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&grown), hash(&seven));
+        for &i in &ids[..7] {
+            assert!(grown.contains(NodeId::new(i)) && seven.contains(NodeId::new(i)));
+            assert!(grown.remove(NodeId::new(i)));
+        }
+        assert!(grown.is_empty());
+        assert_eq!(grown, NodeSet::new());
+        assert_eq!(grown.sole_member(), None);
+    }
+
+    #[test]
+    fn node_set_inline_list_stays_sorted_under_insert_and_remove() {
+        let mut s = NodeSet::new();
+        for i in [9, 2, 4000, 2, 70, 5] {
+            s.insert(NodeId::new(i));
+        }
+        assert_eq!(
+            s.iter().map(NodeId::index).collect::<Vec<_>>(),
+            [2, 5, 9, 70, 4000]
+        );
+        assert!(s.remove(NodeId::new(9)));
+        assert!(!s.remove(NodeId::new(9)));
+        assert_eq!(s.to_string(), "{P2,P5,P70,P4000}");
+        assert_eq!(s.len(), 4);
     }
 
     #[test]

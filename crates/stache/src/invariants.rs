@@ -8,8 +8,9 @@
 //! 2. **Full-map accuracy** — the directory's holder set matches exactly
 //!    the caches that actually hold a valid copy.
 //!
-//! The `simx` machine calls this after every transaction in debug builds
-//! and the property-test suite drives it with random access streams.
+//! The property-test suite drives it with random access streams. The
+//! `simx` engines audit with [`check_block_sparse`], the same check over a
+//! block's holders only, and tests hold the two forms equal.
 
 use crate::cache::CacheState;
 use crate::directory::DirState;
@@ -235,6 +236,74 @@ pub fn check_block(
     Ok(())
 }
 
+/// [`check_block`] over the block's *holders* — `(node, state)` for every
+/// node whose state is not `Invalid`, ascending — instead of one state per
+/// node of the machine: the same verdict and first violation at the
+/// holders' cost, whatever the machine's size, allocating nothing for a
+/// coherent block. This is the form the engines audit with.
+///
+/// # Errors
+///
+/// Returns the first violated invariant.
+pub fn check_block_sparse<I>(
+    block: BlockAddr,
+    dir: &DirState,
+    holders: I,
+) -> Result<(), InvariantViolation>
+where
+    I: Iterator<Item = (NodeId, CacheState)> + Clone,
+{
+    if let Some((node, state)) = holders.clone().find(|(_, s)| !s.is_stable()) {
+        return Err(InvariantViolation::TransientAtRest { block, node, state });
+    }
+    let writer = swmr(block, holders.clone())?;
+    let mut readers = holders.clone().filter(|(_, s)| *s == CacheState::Shared);
+    let accurate = match dir {
+        DirState::Idle => writer.is_none() && readers.next().is_none(),
+        DirState::Shared(set) => {
+            let listed = readers.clone().all(|(n, _)| set.contains(n));
+            writer.is_none() && listed && !set.is_empty() && readers.count() == set.len()
+        }
+        // (A writer has no reader beside it: `swmr` saw to that.)
+        DirState::Exclusive(owner) => writer == Some(*owner),
+    };
+    if !accurate {
+        let actual = holders.filter(|(_, s)| *s != CacheState::Invalid);
+        return Err(InvariantViolation::DirectoryMismatch {
+            block,
+            directory: dir.to_string(),
+            actual: actual.collect(),
+        });
+    }
+    Ok(())
+}
+
+/// Single-writer/multiple-reader over a block's holders: the exclusive
+/// owner, if any — alone of its kind, and with no reader beside it.
+fn swmr<I>(block: BlockAddr, holders: I) -> Result<Option<NodeId>, InvariantViolation>
+where
+    I: Iterator<Item = (NodeId, CacheState)> + Clone,
+{
+    let holding = |want| {
+        let of_state = holders.clone().filter(move |(_, s)| *s == want);
+        of_state.map(|(n, _)| n)
+    };
+    let mut writers = holding(CacheState::Exclusive);
+    let writer = writers.next();
+    if writers.next().is_some() {
+        let writers = holding(CacheState::Exclusive).collect();
+        return Err(InvariantViolation::MultipleWriters { block, writers });
+    }
+    match (writer, holding(CacheState::Shared).next()) {
+        (Some(writer), Some(_)) => Err(InvariantViolation::WriterWithReaders {
+            block,
+            writer,
+            readers: holding(CacheState::Shared).collect(),
+        }),
+        _ => Ok(writer),
+    }
+}
+
 /// Checks single-writer/multiple-reader only — the invariant that must
 /// hold at *every* step, not just at quiescence.
 ///
@@ -250,29 +319,8 @@ pub fn check_block(
 /// Returns [`InvariantViolation::MultipleWriters`] or
 /// [`InvariantViolation::WriterWithReaders`].
 pub fn check_swmr(block: BlockAddr, cache_states: &[CacheState]) -> Result<(), InvariantViolation> {
-    let writers: Vec<NodeId> = cache_states
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| **s == CacheState::Exclusive)
-        .map(|(i, _)| NodeId::new(i))
-        .collect();
-    if writers.len() > 1 {
-        return Err(InvariantViolation::MultipleWriters { block, writers });
-    }
-    let readers: Vec<NodeId> = cache_states
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| **s == CacheState::Shared)
-        .map(|(i, _)| NodeId::new(i))
-        .collect();
-    if let (Some(&writer), false) = (writers.first(), readers.is_empty()) {
-        return Err(InvariantViolation::WriterWithReaders {
-            block,
-            writer,
-            readers,
-        });
-    }
-    Ok(())
+    let states = cache_states.iter().enumerate();
+    swmr(block, states.map(|(i, s)| (NodeId::new(i), *s))).map(drop)
 }
 
 /// Checks that a receiver's delivery low-water mark only moves forward.
@@ -373,6 +421,50 @@ mod tests {
             check_block(b(), &DirState::Idle, &states),
             Err(InvariantViolation::TransientAtRest { .. })
         ));
+    }
+
+    /// Every picture of a four-node machine — six states per cache, every
+    /// directory entry including the ill-formed empty sharer set — gets
+    /// the same verdict, down to the nodes a violation lists, from the
+    /// dense check and from the sparse one fed the non-`Invalid` states.
+    #[test]
+    fn sparse_check_agrees_with_the_dense_one_on_every_small_picture() {
+        let all = [
+            CacheState::Invalid,
+            CacheState::Shared,
+            CacheState::Exclusive,
+            CacheState::IToS,
+            CacheState::IToE,
+            CacheState::SToE,
+        ];
+        let mut dirs = vec![DirState::Idle];
+        dirs.extend((0..4).map(|i| DirState::Exclusive(NodeId::new(i))));
+        dirs.extend((0..16u32).map(|mask| {
+            let members = (0..4).filter(|i| mask & (1 << i) != 0);
+            DirState::Shared(members.map(NodeId::new).collect())
+        }));
+        let mut failures = 0;
+        for code in 0..6usize.pow(4) {
+            let states: Vec<CacheState> = (0..4).map(|i| all[code / 6usize.pow(i) % 6]).collect();
+            let holders = states
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| **s != CacheState::Invalid)
+                .map(|(i, s)| (NodeId::new(i), *s));
+            for dir in &dirs {
+                let dense = check_block(b(), dir, &states);
+                assert_eq!(
+                    check_block_sparse(b(), dir, holders.clone()),
+                    dense,
+                    "{dir} {states:?}"
+                );
+                failures += usize::from(dense.is_err());
+            }
+        }
+        assert!(
+            failures > 20_000,
+            "most pictures are incoherent: {failures}"
+        );
     }
 
     #[test]

@@ -6,23 +6,50 @@
 //! transition it applies, plus how often the coherence invariants were
 //! checked and how often they failed. The tally exports into an
 //! [`obs::Snapshot`] under the `stache.` prefix.
+//!
+//! Counting is on every state write of every engine, so a transition is
+//! one add into a `[from][to]` array indexed by state; the state *names*
+//! appear only at export (where the snapshot sorts the metric paths).
 
 use crate::cache::CacheState;
 use crate::directory::DirState;
 use std::cell::Cell;
-use std::collections::BTreeMap;
+
+/// The [`CacheState::short_name`]s, at the index of the discriminant.
+const CACHE_NAMES: [&str; 6] = [
+    "invalid",
+    "shared",
+    "exclusive",
+    "i_to_s",
+    "i_to_e",
+    "s_to_e",
+];
+
+/// The [`DirState::kind_name`]s, at the index [`dir_kind`] gives them.
+const DIR_KINDS: [&str; 3] = ["idle", "shared", "exclusive"];
+
+/// `state`'s row and column in the directory table.
+fn dir_kind(state: &DirState) -> usize {
+    match state {
+        DirState::Idle => 0,
+        DirState::Shared(_) => 1,
+        DirState::Exclusive(_) => 2,
+    }
+}
 
 /// Counts of applied FSM transitions and invariant checks.
 ///
-/// Transition keys are the lowercase state names
+/// Transitions are exported under the lowercase state names
 /// ([`CacheState::short_name`], [`DirState::kind_name`]); self-loops
 /// (state unchanged) are counted too, since a re-grant to the same state
 /// is still protocol work. Invariant counters are `Cell`s so the
 /// `&self` verification paths can count without threading `&mut`.
 #[derive(Debug, Clone, Default)]
 pub struct ProtocolTally {
-    cache: BTreeMap<(&'static str, &'static str), u64>,
-    dir: BTreeMap<(&'static str, &'static str), u64>,
+    /// `[from][to]`, each indexed by the state's discriminant.
+    cache: [[u64; 6]; 6],
+    /// `[from][to]`, each indexed by [`dir_kind`].
+    dir: [[u64; 3]; 3],
     invariant_checks: Cell<u64>,
     invariant_failures: Cell<u64>,
 }
@@ -36,19 +63,13 @@ impl ProtocolTally {
     /// Records one applied cache-side transition.
     #[inline]
     pub fn cache_transition(&mut self, from: CacheState, to: CacheState) {
-        *self
-            .cache
-            .entry((from.short_name(), to.short_name()))
-            .or_insert(0) += 1;
+        self.cache[from as usize][to as usize] += 1;
     }
 
     /// Records one applied directory-side transition (by state kind).
     #[inline]
     pub fn dir_transition(&mut self, from: &DirState, to: &DirState) {
-        *self
-            .dir
-            .entry((from.kind_name(), to.kind_name()))
-            .or_insert(0) += 1;
+        self.dir[dir_kind(from)][dir_kind(to)] += 1;
     }
 
     /// Records one invariant check.
@@ -66,12 +87,12 @@ impl ProtocolTally {
 
     /// Total cache-side transitions recorded.
     pub fn cache_transitions(&self) -> u64 {
-        self.cache.values().sum()
+        self.cache.as_flattened().iter().sum()
     }
 
     /// Total directory-side transitions recorded.
     pub fn dir_transitions(&self) -> u64 {
-        self.dir.values().sum()
+        self.dir.as_flattened().iter().sum()
     }
 
     /// Invariant checks recorded.
@@ -86,12 +107,11 @@ impl ProtocolTally {
 
     /// Merges another tally into this one.
     pub fn merge(&mut self, other: &ProtocolTally) {
-        for (k, v) in &other.cache {
-            *self.cache.entry(*k).or_insert(0) += v;
-        }
-        for (k, v) in &other.dir {
-            *self.dir.entry(*k).or_insert(0) += v;
-        }
+        let sum = |mine: &mut [u64], theirs: &[u64]| {
+            mine.iter_mut().zip(theirs).for_each(|(m, t)| *m += t);
+        };
+        sum(self.cache.as_flattened_mut(), other.cache.as_flattened());
+        sum(self.dir.as_flattened_mut(), other.dir.as_flattened());
         self.invariant_checks
             .set(self.invariant_checks.get() + other.invariant_checks.get());
         self.invariant_failures
@@ -100,15 +120,17 @@ impl ProtocolTally {
 
     /// Exports into a metrics snapshot under the `stache.` prefix:
     /// `stache.cache.transition.<from>.<to>`,
-    /// `stache.dir.transition.<from>.<to>`, and
-    /// `stache.invariant.{checks,failures}`.
+    /// `stache.dir.transition.<from>.<to>` (for the transitions that
+    /// occurred), and `stache.invariant.{checks,failures}`.
     pub fn export_obs(&self, snap: &mut obs::Snapshot) {
-        for ((from, to), v) in &self.cache {
-            snap.counter(&format!("stache.cache.transition.{from}.{to}"), *v);
-        }
-        for ((from, to), v) in &self.dir {
-            snap.counter(&format!("stache.dir.transition.{from}.{to}"), *v);
-        }
+        let mut export = |side: &str, names: &[&str], counts: &[u64]| {
+            for (i, &v) in counts.iter().enumerate().filter(|(_, v)| **v > 0) {
+                let (from, to) = (names[i / names.len()], names[i % names.len()]);
+                snap.counter(&format!("stache.{side}.transition.{from}.{to}"), v);
+            }
+        };
+        export("cache", &CACHE_NAMES, self.cache.as_flattened());
+        export("dir", &DIR_KINDS, self.dir.as_flattened());
         snap.counter("stache.invariant.checks", self.invariant_checks.get());
         snap.counter("stache.invariant.failures", self.invariant_failures.get());
     }
@@ -137,6 +159,55 @@ mod tests {
         assert_eq!(
             snap.get("stache.dir.transition.idle.exclusive"),
             Some(&obs::MetricValue::Counter(1))
+        );
+    }
+
+    /// The arrays are indexed by state and named only at export: every
+    /// transition must come out under the names the states give
+    /// themselves, exactly once.
+    #[test]
+    fn every_transition_exports_under_its_states_own_names() {
+        let dirs = [
+            DirState::Idle,
+            DirState::Shared(NodeSet::singleton(NodeId::new(2))),
+            DirState::Exclusive(NodeId::new(2)),
+        ];
+        let mut t = ProtocolTally::new();
+        let mut want = Vec::new();
+        let mut count = 0;
+        let states = [
+            CacheState::Invalid,
+            CacheState::Shared,
+            CacheState::Exclusive,
+            CacheState::IToS,
+            CacheState::IToE,
+            CacheState::SToE,
+        ];
+        for from in states {
+            for to in states {
+                count += 1;
+                (0..count).for_each(|_| t.cache_transition(from, to));
+                let (from, to) = (from.short_name(), to.short_name());
+                want.push((format!("stache.cache.transition.{from}.{to}"), count));
+            }
+        }
+        for from in &dirs {
+            for to in &dirs {
+                count += 1;
+                (0..count).for_each(|_| t.dir_transition(from, to));
+                let (from, to) = (from.kind_name(), to.kind_name());
+                want.push((format!("stache.dir.transition.{from}.{to}"), count));
+            }
+        }
+        let mut snap = obs::Snapshot::new();
+        t.export_obs(&mut snap);
+        for (name, count) in &want {
+            assert_eq!(snap.get(name), Some(&obs::MetricValue::Counter(*count)));
+        }
+        assert_eq!(
+            snap.names().len(),
+            want.len() + 2,
+            "plus the two invariant counters"
         );
     }
 

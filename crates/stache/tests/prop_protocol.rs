@@ -83,17 +83,17 @@ proptest! {
             prop_assert!(result.is_err());
             return Ok(());
         }
-        let DirOutcome { holder_requests, reply, next } = result.unwrap();
+        let DirOutcome { holders, holder_request, reply, next } = result.unwrap();
         let holders_before = state.holders();
-        for (target, mtype) in &holder_requests {
-            prop_assert!(holders_before.contains(*target), "{target} not a holder");
-            prop_assert_ne!(*target, from);
-            prop_assert_ne!(*target, home);
-            prop_assert!(matches!(
-                mtype,
-                MsgType::InvalRoRequest | MsgType::InvalRwRequest | MsgType::DowngradeRequest
-            ));
+        for target in &holders {
+            prop_assert!(holders_before.contains(target), "{target} not a holder");
+            prop_assert_ne!(target, from);
+            prop_assert_ne!(target, home);
         }
+        prop_assert!(matches!(
+            holder_request,
+            MsgType::InvalRoRequest | MsgType::InvalRwRequest | MsgType::DowngradeRequest
+        ));
         prop_assert!(reply.is_some(), "remote requests are always answered");
         match req {
             MsgType::GetRoRequest => prop_assert!(next.node_readable(from)),
@@ -131,8 +131,8 @@ proptest! {
             }
             Some(out) => {
                 prop_assert!(out.reply.is_none());
-                for (target, _) in &out.holder_requests {
-                    prop_assert_ne!(*target, home);
+                for target in &out.holders {
+                    prop_assert_ne!(target, home);
                 }
                 if write {
                     prop_assert!(out.next.node_writable(home));

@@ -58,8 +58,8 @@ fn step(
         match handle_local(dir, home, op, cfg) {
             None => (dir.clone(), caches),
             Some(out) => {
-                for (target, mtype) in out.holder_requests {
-                    let (next, reply) = on_message(caches[target.index()], mtype)
+                for target in &out.holders {
+                    let (next, reply) = on_message(caches[target.index()], out.holder_request)
                         .expect("holders accept invalidations");
                     assert!(reply.is_some());
                     caches[target.index()] = next;
@@ -74,8 +74,8 @@ fn step(
             CacheAction::Send(req) => {
                 let out = handle_request(dir, home, node, req, cfg)
                     .expect("serialized requests are consistent");
-                for (target, mtype) in out.holder_requests {
-                    let (next, reply) = on_message(caches[target.index()], mtype)
+                for target in &out.holders {
+                    let (next, reply) = on_message(caches[target.index()], out.holder_request)
                         .expect("holders accept invalidations");
                     assert!(reply.is_some());
                     caches[target.index()] = next;

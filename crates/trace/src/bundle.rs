@@ -80,9 +80,12 @@ impl TraceBundle {
     /// Takes the records out, leaving the bundle empty (metadata intact).
     /// The drain half of the streaming pipeline: callers hand the batch to
     /// a [`crate::pack::PackedTraceWriter`] and let it go, so memory stays
-    /// bounded by the batch rather than the whole run.
+    /// bounded by the batch rather than the whole run. The bundle keeps
+    /// room for as many records as it gave away: a caller draining once
+    /// per iteration refills it without regrowing it from empty each time.
     pub fn take_records(&mut self) -> Vec<MsgRecord> {
-        std::mem::take(&mut self.records)
+        let room = self.records.len();
+        std::mem::replace(&mut self.records, Vec::with_capacity(room))
     }
 
     /// Discards every record but keeps the allocation, for callers that

@@ -393,90 +393,122 @@ pub fn lz_decompress(src: &[u8], raw_len: usize) -> Result<Vec<u8>, PackError> {
 // Columnar chunk codec.
 // ---------------------------------------------------------------------
 
-/// Encodes one chunk's records into the uncompressed columnar payload.
-fn encode_chunk_raw(records: &[MsgRecord]) -> Vec<u8> {
-    assert!(!records.is_empty(), "chunks are never empty");
-    let n = records.len();
-    let mut out = Vec::with_capacity(n * 6);
+/// "Not in the dictionary yet" in a [`ChunkEncoder`] lookup table (above
+/// any index: a chunk has at most `2 * MAX_NODES` = 8192 agents).
+const UNSEEN: u16 = u16::MAX;
 
-    // Column 1: timestamps, delta-of-delta (wrapping, lossless).
-    put_varint(&mut out, records[0].time_ns);
-    let mut prev_time = records[0].time_ns;
-    let mut prev_delta = 0u64;
-    for r in &records[1..] {
-        let delta = r.time_ns.wrapping_sub(prev_time);
-        let dod = delta.wrapping_sub(prev_delta);
-        put_varint(&mut out, zigzag(dod as i64));
-        prev_time = r.time_ns;
-        prev_delta = delta;
+/// Encodes chunks into the uncompressed columnar payload.
+///
+/// The agent and sender dictionaries are in first-appearance order, and
+/// each has a table from the 12-bit node id to the dictionary index, so a
+/// record's lookup is one load whatever the node count (a scan of the
+/// dictionary made packing a 1024-node trace 10x slower per record than a
+/// 64-node one). The writer owns one encoder: the tables are built once,
+/// and a chunk resets only the slots it filled.
+#[derive(Debug)]
+struct ChunkEncoder {
+    agents: Vec<(u16, u8)>,
+    senders: Vec<u16>,
+    /// Index in `agents` of `(node, role)`, at `node * 2 + role`.
+    agent_at: Vec<u16>,
+    /// Index in `senders` of `node`, at `node`.
+    sender_at: Vec<u16>,
+}
+
+impl ChunkEncoder {
+    fn new() -> Self {
+        ChunkEncoder {
+            agents: Vec::new(),
+            senders: Vec::new(),
+            agent_at: vec![UNSEEN; 2 * stache::ids::MAX_NODES],
+            sender_at: vec![UNSEEN; stache::ids::MAX_NODES],
+        }
     }
 
-    // Dictionaries, first-appearance order.
-    let mut agents: Vec<(u16, u8)> = Vec::new();
-    let mut senders: Vec<u16> = Vec::new();
-    let mut mtypes: Vec<u8> = Vec::new();
-    let mut agent_idx = Vec::with_capacity(n);
-    let mut sender_idx = Vec::with_capacity(n);
-    let mut mtype_idx = Vec::with_capacity(n);
-    for r in records {
-        let role = match r.role {
-            Role::Cache => 0u8,
-            Role::Directory => 1u8,
-        };
-        let a = (r.node.raw(), role);
-        let ai = agents.iter().position(|&x| x == a).unwrap_or_else(|| {
-            agents.push(a);
-            agents.len() - 1
-        });
-        agent_idx.push(ai as u64);
-        let s = r.sender.raw();
-        let si = senders.iter().position(|&x| x == s).unwrap_or_else(|| {
-            senders.push(s);
-            senders.len() - 1
-        });
-        sender_idx.push(si as u64);
-        let m = r.mtype.code();
-        let mi = mtypes.iter().position(|&x| x == m).unwrap_or_else(|| {
-            mtypes.push(m);
-            mtypes.len() - 1
-        });
-        mtype_idx.push(mi as u64);
-    }
-    put_varint(&mut out, agents.len() as u64);
-    for (node, role) in &agents {
-        put_varint(&mut out, u64::from(*node));
-        out.push(*role);
-    }
-    put_varint(&mut out, senders.len() as u64);
-    for s in &senders {
-        put_varint(&mut out, u64::from(*s));
-    }
-    put_varint(&mut out, mtypes.len() as u64);
-    out.extend_from_slice(&mtypes);
+    fn encode(&mut self, records: &[MsgRecord]) -> Vec<u8> {
+        assert!(!records.is_empty(), "chunks are never empty");
+        let n = records.len();
+        let mut out = Vec::with_capacity(n * 6);
 
-    // Index columns, then delta columns, each contiguous.
-    for &i in &agent_idx {
-        put_varint(&mut out, i);
+        // Column 1: timestamps, delta-of-delta (wrapping, lossless).
+        put_varint(&mut out, records[0].time_ns);
+        let mut prev_time = records[0].time_ns;
+        let mut prev_delta = 0u64;
+        for r in &records[1..] {
+            let delta = r.time_ns.wrapping_sub(prev_time);
+            let dod = delta.wrapping_sub(prev_delta);
+            put_varint(&mut out, zigzag(dod as i64));
+            prev_time = r.time_ns;
+            prev_delta = delta;
+        }
+
+        // Dictionaries, first-appearance order.
+        let mut mtypes: Vec<u8> = Vec::new();
+        let mut agent_idx = Vec::with_capacity(n);
+        let mut sender_idx = Vec::with_capacity(n);
+        let mut mtype_idx = Vec::with_capacity(n);
+        for r in records {
+            let role = match r.role {
+                Role::Cache => 0u8,
+                Role::Directory => 1u8,
+            };
+            let slot = &mut self.agent_at[r.node.index() * 2 + usize::from(role)];
+            if *slot == UNSEEN {
+                *slot = self.agents.len() as u16;
+                self.agents.push((r.node.raw(), role));
+            }
+            agent_idx.push(u64::from(*slot));
+            let slot = &mut self.sender_at[r.sender.index()];
+            if *slot == UNSEEN {
+                *slot = self.senders.len() as u16;
+                self.senders.push(r.sender.raw());
+            }
+            sender_idx.push(u64::from(*slot));
+            let m = r.mtype.code();
+            let mi = mtypes.iter().position(|&x| x == m).unwrap_or_else(|| {
+                mtypes.push(m);
+                mtypes.len() - 1
+            });
+            mtype_idx.push(mi as u64);
+        }
+        put_varint(&mut out, self.agents.len() as u64);
+        for (node, role) in self.agents.drain(..) {
+            put_varint(&mut out, u64::from(node));
+            out.push(role);
+            self.agent_at[usize::from(node) * 2 + usize::from(role)] = UNSEEN;
+        }
+        put_varint(&mut out, self.senders.len() as u64);
+        for s in self.senders.drain(..) {
+            put_varint(&mut out, u64::from(s));
+            self.sender_at[usize::from(s)] = UNSEEN;
+        }
+        put_varint(&mut out, mtypes.len() as u64);
+        out.extend_from_slice(&mtypes);
+
+        // Index columns, then delta columns, each contiguous.
+        for &i in &agent_idx {
+            put_varint(&mut out, i);
+        }
+        let mut prev_block = 0u64;
+        for r in records {
+            let delta = r.block.number().wrapping_sub(prev_block);
+            put_varint(&mut out, zigzag(delta as i64));
+            prev_block = r.block.number();
+        }
+        for &i in &sender_idx {
+            put_varint(&mut out, i);
+        }
+        for &i in &mtype_idx {
+            put_varint(&mut out, i);
+        }
+        let mut prev_iter = 0u32;
+        for r in records {
+            let delta = r.iteration.wrapping_sub(prev_iter);
+            put_varint(&mut out, zigzag(i64::from(delta as i32)));
+            prev_iter = r.iteration;
+        }
+        out
     }
-    let mut prev_block = 0u64;
-    for r in records {
-        let delta = r.block.number().wrapping_sub(prev_block);
-        put_varint(&mut out, zigzag(delta as i64));
-        prev_block = r.block.number();
-    }
-    for &i in &sender_idx {
-        put_varint(&mut out, i);
-    }
-    for &i in &mtype_idx {
-        put_varint(&mut out, i);
-    }
-    let mut prev_iter = 0u32;
-    for r in records {
-        let delta = r.iteration.wrapping_sub(prev_iter);
-        put_varint(&mut out, zigzag(i64::from(delta as i32)));
-        prev_iter = r.iteration;
-    }
-    out
 }
 
 /// Decodes one chunk's uncompressed columnar payload.
@@ -715,6 +747,7 @@ pub struct PackedTraceWriter<W: Write + Seek> {
     sink: W,
     chunk_records: u32,
     buf: Vec<MsgRecord>,
+    encoder: ChunkEncoder,
     index: Vec<ChunkInfo>,
     stats: PackStats,
     offset: u64,
@@ -747,6 +780,7 @@ impl<W: Write + Seek> PackedTraceWriter<W> {
             sink,
             chunk_records,
             buf: Vec::with_capacity(chunk_records as usize),
+            encoder: ChunkEncoder::new(),
             index: Vec::new(),
             stats: PackStats::default(),
             offset: header.len() as u64,
@@ -787,7 +821,7 @@ impl<W: Write + Seek> PackedTraceWriter<W> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        let raw = encode_chunk_raw(&self.buf);
+        let raw = self.encoder.encode(&self.buf);
         let crc = crc32(&raw);
         let lz = lz_compress(&raw);
         let (method, payload) = if lz.len() < raw.len() {
@@ -1396,6 +1430,60 @@ mod tests {
                 what: "index offset"
             })
         ));
+    }
+
+    /// The dictionary part of a chunk as the scanning encoder built it:
+    /// first appearance appends, a later appearance finds by `position`.
+    fn scanned_dictionaries(records: &[MsgRecord]) -> (Vec<(u16, u8)>, Vec<u16>) {
+        let (mut agents, mut senders) = (Vec::new(), Vec::new());
+        for r in records {
+            let a = (r.node.raw(), u8::from(r.role == Role::Directory));
+            if !agents.contains(&a) {
+                agents.push(a);
+            }
+            if !senders.contains(&r.sender.raw()) {
+                senders.push(r.sender.raw());
+            }
+        }
+        (agents, senders)
+    }
+
+    /// Ids across the whole 12-bit range, both roles of one node, repeats:
+    /// the table lookup must assign the indices the dictionary scan did,
+    /// and a second chunk through the same encoder must start from empty
+    /// tables (its bytes are those of a fresh encoder).
+    #[test]
+    fn table_lookup_builds_the_first_appearance_dictionaries() {
+        let wide = |i: u64| MsgRecord {
+            node: NodeId::new(((i * 1223) % 4096) as usize),
+            sender: NodeId::new(((i * 577 + 4095) % 4096) as usize),
+            ..rec(i)
+        };
+        let first: Vec<MsgRecord> = (0..3000).map(wide).chain((0..50).map(wide)).collect();
+        let second: Vec<MsgRecord> = (2990..3400).map(wide).collect();
+        let mut encoder = ChunkEncoder::new();
+        for chunk in [&first, &second] {
+            let raw = encoder.encode(chunk);
+            assert_eq!(raw, ChunkEncoder::new().encode(chunk), "state left behind");
+            assert_eq!(&decode_chunk_raw(&raw, chunk.len()).unwrap(), chunk);
+            // Skip the timestamp column, then read the dictionaries back.
+            let mut pos = 0;
+            for _ in 0..chunk.len() {
+                get_varint(&raw, &mut pos).unwrap();
+            }
+            let (agents, senders) = scanned_dictionaries(chunk);
+            assert!(agents.len() > 2000 || chunk.len() < 1000);
+            assert_eq!(get_varint(&raw, &mut pos).unwrap(), agents.len() as u64);
+            for (node, role) in agents {
+                assert_eq!(get_varint(&raw, &mut pos).unwrap(), u64::from(node));
+                assert_eq!(raw[pos], role);
+                pos += 1;
+            }
+            assert_eq!(get_varint(&raw, &mut pos).unwrap(), senders.len() as u64);
+            for s in senders {
+                assert_eq!(get_varint(&raw, &mut pos).unwrap(), u64::from(s));
+            }
+        }
     }
 
     #[test]

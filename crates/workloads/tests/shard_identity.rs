@@ -213,3 +213,42 @@ fn micro_workloads_match_across_engines() {
         }
     }
 }
+
+/// What a per-barrier audit costs at scale: the benchmark's two streaming
+/// shapes (`scale1024`, `stream64`) on the sharded engine at shards 1,
+/// drained every iteration, with barrier audits off (as the benchmark
+/// configures them) and on. Prints host seconds; asserts only that the
+/// simulated run is the same either way. Ignored: a measurement, run in
+/// release —
+/// `cargo test --release --offline -p workloads --test shard_identity -- --ignored --nocapture`.
+#[test]
+#[ignore = "a timing measurement; run in release with --ignored --nocapture"]
+fn barrier_audit_cost_at_64_and_1024_nodes() {
+    use workloads::Scale;
+    for (nodes, private, iterations) in [(1024, 16, 96), (64, 0, 12_000)] {
+        let mut outcome = Vec::new();
+        for audit in [false, true] {
+            let mut w = Scale::new(nodes, private, iterations);
+            let mut m = ShardedMachine::new(w.proto(), SystemConfig::paper(), 1);
+            m.set_ring_enabled(false);
+            m.set_audit_barriers(audit);
+            let started = std::time::Instant::now();
+            let mut records = 0;
+            for it in 0..iterations {
+                m.run_plan(&w.plan(it), it).expect("scale runs clean");
+                records += m.drain_trace_records().len();
+            }
+            let secs = started.elapsed().as_secs_f64();
+            let checks = m.tally().invariant_checks();
+            println!(
+                "scale {nodes} nodes, barrier audits {}: {secs:.3} s, {records} records, {checks} blocks audited",
+                if audit { "on" } else { "off" }
+            );
+            outcome.push((records, m.execution_time_ns()));
+        }
+        assert_eq!(
+            outcome[0], outcome[1],
+            "{nodes} nodes: the audit changed the run"
+        );
+    }
+}

@@ -191,6 +191,18 @@ for cell in suite16:bc72c28fa0e53aef spec16:756d7e7c23faec11 \
   echo "    $workload: failed 0, digest $got, pass wall_s $(sed -n 's/.*"wall_s": {"value": \([0-9.]*\).*/\1/p' "$SMOKE_DIR/bench_$workload.json")"
 done
 
+# Per-event cost gate, in release (a debug build inlines and allocates
+# differently, and release is what the benchmark measures): allocations
+# per message after warm-up on both event engines (<= 0.05, printed), and
+# the pinned sizes of a heap entry, a log entry, a sharer set and a
+# directory entry. Tier-1 runs both in debug already; this is the build
+# the numbers in EXPERIMENTS.md come from.
+echo "==> per-event cost (release): allocations per message, pinned sizes"
+cargo test -q --release --offline -p workloads --test alloc_steady_state -- --nocapture \
+  | grep -E "per message|test result"
+cargo test -q --release --offline -p simx --lib event_and_block_footprints_are_pinned \
+  | grep -E "test result: ok. 1 passed"
+
 # Proptest seed promotion: every saved counterexample hash in a
 # *.proptest-regressions file must have a matching `promoted: <hash>`
 # marker in a checked-in test, so the seeds keep running even in builds
