@@ -1,12 +1,12 @@
 //! Running workloads with and without speculation and comparing outcomes.
 
 use crate::policy::{CosmosPolicy, PredictorPolicy};
-use simx::{driver, Machine, MachineStats, SimError, SpeculationPolicy, SystemConfig};
+use simx::{ConcurrentMachine, Machine, MachineStats, SimError, SpeculationPolicy, SystemConfig};
 use stache::{BlockAddr, MsgType, NodeId, ProtocolConfig, Role};
 use std::collections::HashSet;
 use std::fmt;
 use trace::TraceBundle;
-use workloads::Workload;
+use workloads::{drive, Workload};
 
 /// The outcome of one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,15 +130,10 @@ pub fn run_with_policy<W: Workload + ?Sized>(
     policy: Option<Box<dyn SpeculationPolicy>>,
 ) -> Result<RunSummary, SimError> {
     let mut machine = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-    machine.set_app(workload.name(), workload.iterations());
     if let Some(p) = policy {
         machine.set_policy(p);
     }
-    for it in 0..workload.iterations() {
-        let plan = workload.plan(it);
-        driver::run_iteration(&mut machine, &plan, it)?;
-    }
-    machine.verify_coherence()?;
+    drive(&mut machine, workload)?;
     Ok(RunSummary::of(machine.stats(), machine.execution_time_ns()))
 }
 
@@ -174,16 +169,11 @@ pub fn run_concurrent_with_policy<W: Workload + ?Sized>(
     workload: &mut W,
     policy: Option<Box<dyn SpeculationPolicy>>,
 ) -> Result<RunSummary, SimError> {
-    let mut machine = simx::ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
-    machine.set_app(workload.name(), workload.iterations());
+    let mut machine = ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
     if let Some(p) = policy {
         machine.set_policy(p);
     }
-    for it in 0..workload.iterations() {
-        let plan = workload.plan(it);
-        machine.run_plan(&plan, it)?;
-    }
-    machine.verify_coherence()?;
+    drive(&mut machine, workload)?;
     Ok(RunSummary::of(machine.stats(), machine.execution_time_ns()))
 }
 
@@ -418,13 +408,8 @@ mod tests {
         policy: Box<dyn SpeculationPolicy>,
     ) -> (u64, u64, trace::TraceBundle) {
         let mut machine = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-        machine.set_app(workload.name(), workload.iterations());
         machine.set_policy(policy);
-        for it in 0..workload.iterations() {
-            let plan = workload.plan(it);
-            driver::run_iteration(&mut machine, &plan, it).unwrap();
-        }
-        machine.verify_coherence().unwrap();
+        drive(&mut machine, workload).unwrap();
         let stats = machine.stats();
         let (grants, repls) = (stats.exclusive_grants, stats.voluntary_replacements);
         (grants, repls, machine.into_trace())
@@ -472,11 +457,7 @@ mod tests {
             ..Default::default()
         };
         let mut machine = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-        machine.set_app(w.name(), w.iterations());
-        for it in 0..w.iterations() {
-            let plan = w.plan(it);
-            driver::run_iteration(&mut machine, &plan, it).unwrap();
-        }
+        drive(&mut machine, &mut w).unwrap();
         let bundle = machine.into_trace();
         let audit = audit_actions(&bundle, 2);
         assert!(audit.voluntary_replacements > 0);

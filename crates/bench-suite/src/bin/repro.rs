@@ -2,526 +2,445 @@
 //!
 //! ```text
 //! repro [--small] [TARGET ...]
-//!
-//! TARGETS
-//!   table1 table2 table3 table4 table5 table6 table7 table8
-//!   fig5 fig6 fig7 fig8
-//!   sensitivity adaptation comparison ablation
-//!   integration variants persistence limitless scaling topology
-//!   simcheck     (bounded schedule-exploration model check)
-//!   speedup      (measured speculative speedup vs the Figure 5 model)
-//!   tournament   (predictor competition: accuracy-vs-bits frontier)
-//!   scale        (sharded-engine 64-1024 node throughput sweep;
-//!                 run explicitly — `all` does not include it)
-//!   tracepack    (packed-trace codec throughput, SimPoint-sampled
-//!                 accuracy, and the streaming ≥1e8-message cell;
-//!                 run explicitly — `all` does not include it)
-//!   all          (default) everything above except `scale` and
-//!                `tracepack`
-//!
-//! Repeated targets run once: the list is deduplicated preserving the
-//! first occurrence's position, so `repro table5 all` never evaluates a
-//! table twice.
 //! ```
+//!
+//! Every target is one row of [`TARGETS`]; `repro --help` lists them.
+//! `all` (the default) runs every row except `scale` and `tracepack`,
+//! which exist to exercise the simulator and its trace pipeline (minutes
+//! at paper scale — the tracepack streaming cell alone simulates ≥10⁸
+//! messages) and are run explicitly. Repeated targets run once: the list
+//! is deduplicated preserving the first occurrence's position, so `repro
+//! table5 all` never evaluates a table twice.
 //!
 //! `--small` uses the reduced workload sizes (for smoke runs); the default
 //! is the paper-calibrated scale. `--csv DIR` additionally writes
 //! machine-readable CSV files for the plottable artefacts (tables 5-8,
-//! figure 5) into DIR.
+//! figure 5) into DIR; a DIR that cannot be created, or an artefact that
+//! cannot be written, is exit status 1.
 //!
 //! `--obs-json PATH` runs one instrumented benchmark end-to-end (`--obs-app
 //! NAME` selects it; default `appbt`) and writes the workspace-wide metrics
 //! snapshot — machine, protocol, trace, predictor, and speculation layers —
 //! as `obs.v1` JSON to PATH. Given alone, it runs only the report.
 //!
-//! `--bench-json PATH` times the run: every target's wall time, the trace
-//! generation phase, a dedicated predictor replay pass (throughput and
-//! core probe/capacity counters), and sweep-parallelism utilisation are
-//! written as an `obs.v1` JSON snapshot to PATH (`BENCH_repro.json` in
-//! CI).
+//! Host time is not measured here: `benchmark/run.sh` times the pipeline.
 
-use bench_suite::{extras, faults, figures, obs_report, tables, BenchTimer, Scale, TraceSet};
+use bench_suite::{extras, faults, figures, obs_report, tables, Scale, TraceSet};
 use simx::{FaultPlan, SystemConfig};
+use std::cell::Cell;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
-const TARGETS: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "table8",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "sensitivity",
-    "adaptation",
-    "comparison",
-    "ablation",
-    "integration",
-    "variants",
-    "persistence",
-    "limitless",
-    "scaling",
-    "topology",
-    "engines",
-    "lookahead",
-    "seeds",
-    "faults",
-    "simcheck",
-    "speedup",
-    "tracespans",
-    "tournament",
-    "scale",
-    "tracepack",
+/// What a target's `run` sees of the command line.
+struct Ctx<'a> {
+    scale: Scale,
+    /// The shared trace set; present when any requested target needs it.
+    set: Option<&'a TraceSet>,
+    csv_dir: Option<&'a Path>,
+    trace_out: Option<&'a Path>,
+    fault_plan: &'a FaultPlan,
+    /// Figures 6 and 7 are one rendering: whichever target comes first
+    /// prints it.
+    fig67_done: Cell<bool>,
+}
+
+impl Ctx<'_> {
+    fn set(&self) -> &TraceSet {
+        self.set.expect("row is marked `traced`")
+    }
+
+    /// Writes one artefact when `--csv DIR` was given.
+    fn artefact(&self, name: &str, contents: &str) -> Result<(), String> {
+        let Some(dir) = self.csv_dir else {
+            return Ok(());
+        };
+        let path = dir.join(name);
+        std::fs::write(&path, contents).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        eprintln!("wrote {}", path.display());
+        Ok(())
+    }
+}
+
+type Run = fn(&Ctx) -> Result<(), String>;
+
+/// One `repro` target. The usage line, `all`, the shared-trace decision
+/// and the dispatch all read this one declaration.
+struct Target {
+    name: &'static str,
+    /// Whether `all` includes it.
+    in_all: bool,
+    /// Whether it reads the shared five-benchmark trace set.
+    needs_traces: bool,
+    run: Run,
+}
+
+impl Target {
+    const fn new(name: &'static str, run: Run) -> Self {
+        Target {
+            name,
+            in_all: true,
+            needs_traces: false,
+            run,
+        }
+    }
+
+    const fn traced(mut self) -> Self {
+        self.needs_traces = true;
+        self
+    }
+
+    const fn explicit_only(mut self) -> Self {
+        self.in_all = false;
+        self
+    }
+}
+
+fn show(text: impl std::fmt::Display) -> Result<(), String> {
+    println!("{text}");
+    Ok(())
+}
+
+const TARGETS: &[Target] = &[
+    Target::new("table1", |_| show(tables::table1())),
+    Target::new("table2", |_| show(tables::table2())),
+    Target::new("table3", |_| show(tables::table3(&SystemConfig::paper()))),
+    Target::new("table4", |_| show(tables::table4())),
+    Target::new("table5", table5).traced(),
+    Target::new("table6", table6).traced(),
+    Target::new("table7", table7).traced(),
+    Target::new("table8", table8).traced(),
+    Target::new("fig5", fig5),
+    Target::new("fig6", fig67).traced(),
+    Target::new("fig7", fig67).traced(),
+    Target::new("fig8", |_| show(figures::render_figure8())),
+    Target::new("sensitivity", sensitivity),
+    Target::new("adaptation", |c| {
+        show(extras::render_adaptation(&extras::adaptation(c.set())))
+    })
+    .traced(),
+    Target::new("comparison", |c| {
+        show(extras::render_comparison(&extras::comparison(c.set())))
+    })
+    .traced(),
+    Target::new("ablation", ablation).traced(),
+    Target::new("integration", integration),
+    Target::new("variants", |c| show(extras::variants(c.set()))).traced(),
+    Target::new("persistence", |c| {
+        show(extras::history_persistence(c.set()))
+    })
+    .traced(),
+    Target::new("limitless", |c| show(extras::limitless(c.scale))),
+    Target::new("scaling", |c| show(extras::scaling(c.scale))),
+    Target::new("topology", |c| show(extras::topology_sensitivity(c.scale))),
+    Target::new("engines", |c| show(extras::engines(c.scale))),
+    Target::new("lookahead", |c| show(extras::lookahead(c.set()))).traced(),
+    Target::new("seeds", |c| show(extras::seed_robustness(c.scale))),
+    Target::new("faults", fault_sensitivity),
+    Target::new("simcheck", simcheck),
+    Target::new("speedup", speedup),
+    Target::new("tracespans", tracespans),
+    Target::new("tournament", tournament).traced(),
+    Target::new("scale", scale_sweep).explicit_only(),
+    Target::new("tracepack", tracepack).traced().explicit_only(),
 ];
 
-/// Targets `all` expands to. The `scale` sweep and the `tracepack`
-/// codec report are excluded: both exist to measure the simulator and
-/// its trace pipeline (minutes of wall clock at paper scale — the
-/// tracepack streaming cell alone simulates ≥10⁸ messages) and are run
-/// explicitly — `repro all` wall-clock stays a property of the paper
-/// reproduction alone.
-fn all_targets() -> impl Iterator<Item = &'static &'static str> {
-    TARGETS
-        .iter()
-        .filter(|t| **t != "scale" && **t != "tracepack")
+fn table5(c: &Ctx) -> Result<(), String> {
+    let rows = tables::table5(c.set());
+    println!("{}", tables::render_table5(&rows));
+    c.artefact("table5.csv", &tables::csv_table5(&rows))
+}
+
+fn table6(c: &Ctx) -> Result<(), String> {
+    let rows = tables::table6(c.set());
+    println!("{}", tables::render_table6(&rows));
+    c.artefact("table6.csv", &tables::csv_table6(&rows))
+}
+
+fn table7(c: &Ctx) -> Result<(), String> {
+    let rows = tables::table7(c.set());
+    println!("{}", tables::render_table7(&rows));
+    c.artefact("table7.csv", &tables::csv_table7(&rows))
+}
+
+fn table8(c: &Ctx) -> Result<(), String> {
+    let rows = tables::table8_from_set(c.set());
+    println!("{}", tables::render_table8(&rows));
+    c.artefact("table8.csv", &tables::csv_table8(&rows))
+}
+
+fn fig5(c: &Ctx) -> Result<(), String> {
+    let series = figures::figure5();
+    println!("{}", figures::render_figure5(&series));
+    c.artefact("figure5.csv", &figures::csv_figure5(&series))
+}
+
+fn fig67(c: &Ctx) -> Result<(), String> {
+    if !c.fig67_done.replace(true) {
+        println!("{}", figures::render_figures_6_7(c.set()));
+    }
+    Ok(())
+}
+
+fn sensitivity(c: &Ctx) -> Result<(), String> {
+    let latencies = [40, 200, 1000];
+    let rows = extras::latency_sensitivity(c.scale, &latencies);
+    show(extras::render_latency_sensitivity(&rows, &latencies))
+}
+
+fn ablation(c: &Ctx) -> Result<(), String> {
+    println!("{}", extras::ablation_half_migratory(c.scale));
+    show(extras::ablation_sender(c.set()))
+}
+
+fn integration(c: &Ctx) -> Result<(), String> {
+    let rows = bench_suite::integration::integration(c.scale, 2);
+    show(bench_suite::integration::render_integration(&rows, 2))
+}
+
+fn fault_sensitivity(c: &Ctx) -> Result<(), String> {
+    eprintln!(
+        "running fault-sensitivity report ({:?} scale, seed {})...",
+        c.scale, c.fault_plan.seed
+    );
+    let report = faults::fault_report(c.scale, c.fault_plan);
+    println!("{}", faults::render_fault_report(&report));
+    c.artefact("faults.csv", &faults::csv_fault_report(&report))?;
+    c.artefact("faults_obs.json", &report.export_obs().to_json())
+}
+
+fn simcheck(c: &Ctx) -> Result<(), String> {
+    use bench_suite::modelcheck;
+    eprintln!(
+        "running bounded schedule exploration ({:?} scale)...",
+        c.scale
+    );
+    let rows = modelcheck::simcheck_report(c.scale);
+    println!("{}", modelcheck::render_simcheck(&rows));
+    c.artefact("simcheck.csv", &modelcheck::csv_simcheck(&rows))?;
+    c.artefact(
+        "simcheck_obs.json",
+        &modelcheck::export_obs(&rows).to_json(),
+    )?;
+    if rows.iter().any(|r| r.violation.is_some()) {
+        return Err("simcheck: invariant violation found".into());
+    }
+    Ok(())
+}
+
+fn speedup(c: &Ctx) -> Result<(), String> {
+    use bench_suite::speedup;
+    eprintln!(
+        "running speculative speedup report ({:?} scale, seed {})...",
+        c.scale, c.fault_plan.seed
+    );
+    let report = speedup::speedup_report(c.scale, c.fault_plan);
+    println!("{}", speedup::render_speedup_report(&report));
+    c.artefact("speedup.csv", &speedup::csv_speedup_report(&report))?;
+    c.artefact("speedup_obs.json", &report.export_obs().to_json())
+}
+
+fn tracespans(c: &Ctx) -> Result<(), String> {
+    use bench_suite::spans;
+    eprintln!(
+        "running traced benchmarks ({:?} scale, both engines)...",
+        c.scale
+    );
+    let runs = spans::traced_runs(c.scale);
+    let rows = spans::attribution(&runs);
+    println!("{}", spans::render_attribution(&rows));
+    println!("{}", spans::render_phases(&runs));
+    println!("{}", spans::render_critical_paths(&runs, 5));
+    c.artefact("tracespans.csv", &spans::csv_attribution(&rows))?;
+    if let Some(path) = c.trace_out {
+        spans::write_chrome_trace(&runs, path)
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        eprintln!("wrote {}", path.display());
+    }
+    Ok(())
+}
+
+fn tournament(c: &Ctx) -> Result<(), String> {
+    use bench_suite::tournament;
+    eprintln!("running predictor tournament ({:?} scale)...", c.scale);
+    let cells = tournament::tournament(c.set());
+    let rows = tournament::frontier(&cells);
+    println!("{}", tournament::render_tournament(&cells));
+    println!("{}", tournament::render_frontier(&rows));
+    c.artefact("tournament.csv", &tournament::csv_tournament(&cells))?;
+    c.artefact("tournament_frontier.csv", &tournament::csv_frontier(&rows))?;
+    c.artefact(
+        "tournament_obs.json",
+        &tournament::export_obs(&cells, &rows).to_json(),
+    )
+}
+
+fn scale_sweep(c: &Ctx) -> Result<(), String> {
+    use bench_suite::scale as sc;
+    eprintln!("running sharded scale sweep ({:?} scale)...", c.scale);
+    let rows = sc::sweep(c.scale);
+    println!("{}", sc::render_scale(&rows));
+    c.artefact("scale.csv", &sc::csv_scale(&rows))
+}
+
+fn tracepack(c: &Ctx) -> Result<(), String> {
+    use bench_suite::tracepack as tp;
+    eprintln!(
+        "running packed-trace pipeline report ({:?} scale)...",
+        c.scale
+    );
+    let report = tp::tracepack(c.set(), c.scale);
+    println!("{}", tp::render_tracepack(&report));
+    c.artefact("tracepack.csv", &tp::csv_tracepack(&report))
+}
+
+fn target_named(name: &str) -> Option<&'static Target> {
+    TARGETS.iter().find(|t| t.name == name)
+}
+
+/// The row a flag implies (`--trace-out`, `--faults`).
+fn implied(name: &str) -> &'static Target {
+    target_named(name).expect("flags imply targets the table has")
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(std::env::args().skip(1)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn print_help() {
+    let names: Vec<&str> = TARGETS.iter().map(|t| t.name).collect();
+    println!(
+        "usage: repro [--small] [--csv DIR] [--obs-json PATH [--obs-app NAME]] \
+         [--trace-out PATH] \
+         [--faults SPEC [--faults-seed N]] [{}|all ...]",
+        names.join("|")
+    );
+    println!(
+        "  --trace-out PATH   write the traced runs of the `tracespans` target \
+         as Chrome trace-event JSON (Perfetto-loadable) to PATH"
+    );
+    println!(
+        "  --faults SPEC   fault plan for the `faults` target, e.g. \
+         drop=0.01,dup=0.005,reorder=3 (keys: drop, dup, spike, reorder, spike_ns)"
+    );
+}
+
+fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let mut scale = Scale::Paper;
-    let mut targets: Vec<String> = Vec::new();
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut obs_json: Option<std::path::PathBuf> = None;
-    let mut bench_json: Option<std::path::PathBuf> = None;
+    let mut targets: Vec<&'static Target> = Vec::new();
+    let mut csv_dir: Option<PathBuf> = None;
+    let mut obs_json: Option<PathBuf> = None;
     let mut obs_app = String::from("appbt");
     let mut fault_plan: Option<FaultPlan> = None;
     let mut faults_seed: Option<u64> = None;
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut expect = None::<&str>;
-    for a in &args {
-        match expect.take() {
-            Some("--csv") => {
-                csv_dir = Some(std::path::PathBuf::from(a));
-                continue;
-            }
-            Some("--obs-json") => {
-                obs_json = Some(std::path::PathBuf::from(a));
-                continue;
-            }
-            Some("--bench-json") => {
-                bench_json = Some(std::path::PathBuf::from(a));
-                continue;
-            }
-            Some("--obs-app") => {
-                obs_app = a.clone();
-                continue;
-            }
-            Some("--trace-out") => {
-                trace_out = Some(std::path::PathBuf::from(a));
-                continue;
-            }
-            Some("--faults") => {
-                match FaultPlan::parse(a) {
-                    Ok(p) => fault_plan = Some(p),
-                    Err(e) => {
-                        eprintln!("--faults: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                continue;
-            }
-            Some("--faults-seed") => {
-                match a.parse::<u64>() {
-                    Ok(s) => faults_seed = Some(s),
-                    Err(_) => {
-                        eprintln!("--faults-seed: `{a}` is not a u64");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                continue;
-            }
-            Some(_) => unreachable!(),
-            None => {}
-        }
+    let mut trace_out: Option<PathBuf> = None;
+    let all = || TARGETS.iter().filter(|t| t.in_all);
+    while let Some(a) = args.next() {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| format!("{a} needs a value; try --help"))
+        };
         match a.as_str() {
             "--small" => scale = Scale::Small,
-            "--csv" | "--obs-json" | "--bench-json" | "--obs-app" | "--faults"
-            | "--faults-seed" | "--trace-out" => expect = Some(a.as_str()),
+            "--csv" => csv_dir = Some(PathBuf::from(value()?)),
+            "--obs-json" => obs_json = Some(PathBuf::from(value()?)),
+            "--obs-app" => obs_app = value()?,
+            "--trace-out" => trace_out = Some(PathBuf::from(value()?)),
+            "--faults" => {
+                let plan = FaultPlan::parse(&value()?).map_err(|e| format!("--faults: {e}"))?;
+                fault_plan = Some(plan);
+            }
+            "--faults-seed" => {
+                let v = value()?;
+                let seed = v.parse();
+                faults_seed = Some(seed.map_err(|_| format!("--faults-seed: `{v}` is not a u64"))?);
+            }
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [--small] [--csv DIR] [--obs-json PATH [--obs-app NAME]] \
-                     [--bench-json PATH] [--trace-out PATH] \
-                     [--faults SPEC [--faults-seed N]] [{}|all ...]",
-                    TARGETS.join("|")
-                );
-                println!(
-                    "  --bench-json PATH  write per-phase wall-clock timings and predictor \
-                     throughput as obs.v1 JSON to PATH"
-                );
-                println!(
-                    "  --trace-out PATH   write the traced runs of the `tracespans` target \
-                     as Chrome trace-event JSON (Perfetto-loadable) to PATH"
-                );
-                println!(
-                    "  --faults SPEC   fault plan for the `faults` target, e.g. \
-                     drop=0.01,dup=0.005,reorder=3 (keys: drop, dup, spike, reorder, spike_ns)"
-                );
-                return ExitCode::SUCCESS;
+                print_help();
+                return Ok(());
             }
-            "all" => targets.extend(all_targets().map(|s| s.to_string())),
-            t if TARGETS.contains(&t) => targets.push(t.to_string()),
-            other => {
-                eprintln!("unknown target `{other}`; try --help");
-                return ExitCode::FAILURE;
-            }
+            "all" => targets.extend(all()),
+            other => targets.push(
+                target_named(other)
+                    .ok_or_else(|| format!("unknown target `{other}`; try --help"))?,
+            ),
         }
-    }
-    if let Some(flag) = expect {
-        eprintln!("{flag} needs a value; try --help");
-        return ExitCode::FAILURE;
     }
 
     if let Some(path) = &trace_out {
         // Fail on an unwritable destination before minutes of simulation.
         let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
-        if let Some(dir) = parent {
-            if !dir.is_dir() {
-                eprintln!("--trace-out: directory {} does not exist", dir.display());
-                return ExitCode::FAILURE;
-            }
+        if let Some(dir) = parent.filter(|dir| !dir.is_dir()) {
+            return Err(format!(
+                "--trace-out: directory {} does not exist",
+                dir.display()
+            ));
         }
         // `--trace-out` alone implies the target that produces the trace.
-        if !targets.iter().any(|t| t == "tracespans") {
-            targets.push("tracespans".to_string());
-        }
+        targets.push(implied("tracespans"));
+    }
+    if let Some(dir) = &csv_dir {
+        // Likewise: no simulating towards artefacts that cannot be written.
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     }
 
     // `--faults SPEC` alone runs the fault-sensitivity report; the
     // `faults` target without a spec uses a small default perturbation.
     if fault_plan.is_some() && targets.is_empty() && obs_json.is_none() {
-        targets.push("faults".to_string());
+        targets.push(implied("faults"));
     }
-    let fault_plan = {
-        let mut p = fault_plan.unwrap_or_else(|| {
-            FaultPlan::parse("drop=0.01,dup=0.005,reorder=3").expect("default fault spec")
-        });
-        if let Some(seed) = faults_seed {
-            p = p.with_seed(seed);
-        }
-        p
-    };
+    let mut fault_plan = fault_plan.unwrap_or_else(|| {
+        FaultPlan::parse("drop=0.01,dup=0.005,reorder=3").expect("default fault spec")
+    });
+    if let Some(seed) = faults_seed {
+        fault_plan = fault_plan.with_seed(seed);
+    }
 
     if let Some(path) = &obs_json {
         let apps = bench_suite::report::report_apps();
         if !apps.contains(&obs_app) {
-            eprintln!("unknown --obs-app `{obs_app}`; one of: {}", apps.join(", "));
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "unknown --obs-app `{obs_app}`; one of: {}",
+                apps.join(", ")
+            ));
         }
         eprintln!("running instrumented {obs_app} ({scale:?} scale)...");
         let snap = obs_report(scale, &obs_app);
-        if let Err(e) = std::fs::write(path, snap.to_json()) {
-            eprintln!("writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, snap.to_json())
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
         eprintln!("wrote {} ({} metrics)", path.display(), snap.len());
         // `--obs-json` alone runs only the report.
         if targets.is_empty() {
-            return ExitCode::SUCCESS;
+            return Ok(());
         }
     }
     if targets.is_empty() {
-        targets.extend(all_targets().map(|s| s.to_string()));
+        targets.extend(all());
     }
     // Run each target once however often it was named (`repro table5
     // table5`, or `table5 all`, or an implied push duplicating an explicit
     // one). Keep the first occurrence's position so output order follows
     // the command line.
-    {
-        let mut seen = std::collections::HashSet::new();
-        targets.retain(|t| seen.insert(t.clone()));
-    }
+    let mut seen = std::collections::HashSet::new();
+    targets.retain(|t| seen.insert(t.name));
 
     // Figures 6/7 share the same trace set as the tables; generate once.
-    let needs_set = targets.iter().any(|t| {
-        matches!(
-            t.as_str(),
-            "table5"
-                | "table6"
-                | "table7"
-                | "table8"
-                | "fig6"
-                | "fig7"
-                | "adaptation"
-                | "comparison"
-                | "ablation"
-                | "variants"
-                | "persistence"
-                | "lookahead"
-                | "tournament"
-                | "tracepack"
-        )
-    });
-    let mut bench = bench_json.as_ref().map(|_| BenchTimer::new());
-    let set = needs_set.then(|| {
+    let set = targets.iter().any(|t| t.needs_traces).then(|| {
         eprintln!("generating traces ({scale:?} scale)...");
-        let t0 = Instant::now();
-        let set = TraceSet::generate(scale);
-        if let Some(b) = &mut bench {
-            b.record("traces", t0.elapsed());
-        }
-        set
+        TraceSet::generate(scale)
     });
-    let set = set.as_ref();
-
-    let mut fig67_done = false;
-    for t in &targets {
-        let phase_start = Instant::now();
-        match t.as_str() {
-            "table1" => println!("{}", tables::table1()),
-            "table2" => println!("{}", tables::table2()),
-            "table3" => println!("{}", tables::table3(&SystemConfig::paper())),
-            "table4" => println!("{}", tables::table4()),
-            "table5" => {
-                let rows = tables::table5(set.unwrap());
-                println!("{}", tables::render_table5(&rows));
-                write_csv(&csv_dir, "table5.csv", &tables::csv_table5(&rows));
-            }
-            "table6" => {
-                let rows = tables::table6(set.unwrap());
-                println!("{}", tables::render_table6(&rows));
-                write_csv(&csv_dir, "table6.csv", &tables::csv_table6(&rows));
-            }
-            "table7" => {
-                let rows = tables::table7(set.unwrap());
-                println!("{}", tables::render_table7(&rows));
-                write_csv(&csv_dir, "table7.csv", &tables::csv_table7(&rows));
-            }
-            "table8" => {
-                let rows = tables::table8_from_set(set.unwrap());
-                println!("{}", tables::render_table8(&rows));
-                write_csv(&csv_dir, "table8.csv", &tables::csv_table8(&rows));
-            }
-            "fig5" => {
-                let series = figures::figure5();
-                println!("{}", figures::render_figure5(&series));
-                write_csv(&csv_dir, "figure5.csv", &figures::csv_figure5(&series));
-            }
-            "fig6" | "fig7" => {
-                if !fig67_done {
-                    println!("{}", figures::render_figures_6_7(set.unwrap()));
-                    fig67_done = true;
-                }
-            }
-            "fig8" => println!("{}", figures::render_figure8()),
-            "sensitivity" => {
-                let latencies = [40, 200, 1000];
-                let rows = extras::latency_sensitivity(scale, &latencies);
-                println!("{}", extras::render_latency_sensitivity(&rows, &latencies));
-            }
-            "adaptation" => {
-                println!(
-                    "{}",
-                    extras::render_adaptation(&extras::adaptation(set.unwrap()))
-                );
-            }
-            "comparison" => {
-                println!(
-                    "{}",
-                    extras::render_comparison(&extras::comparison(set.unwrap()))
-                );
-            }
-            "ablation" => {
-                println!("{}", extras::ablation_half_migratory(scale));
-                println!("{}", extras::ablation_sender(set.unwrap()));
-            }
-            "variants" => {
-                println!("{}", extras::variants(set.unwrap()));
-            }
-            "persistence" => {
-                println!("{}", extras::history_persistence(set.unwrap()));
-            }
-            "limitless" => {
-                println!("{}", extras::limitless(scale));
-            }
-            "scaling" => {
-                println!("{}", extras::scaling(scale));
-            }
-            "topology" => {
-                println!("{}", extras::topology_sensitivity(scale));
-            }
-            "engines" => {
-                println!("{}", extras::engines(scale));
-            }
-            "lookahead" => {
-                println!("{}", extras::lookahead(set.unwrap()));
-            }
-            "seeds" => {
-                println!("{}", extras::seed_robustness(scale));
-            }
-            "faults" => {
-                eprintln!(
-                    "running fault-sensitivity report ({scale:?} scale, seed {})...",
-                    fault_plan.seed
-                );
-                let report = faults::fault_report(scale, &fault_plan);
-                println!("{}", faults::render_fault_report(&report));
-                write_csv(&csv_dir, "faults.csv", &faults::csv_fault_report(&report));
-                write_csv(&csv_dir, "faults_obs.json", &report.export_obs().to_json());
-            }
-            "speedup" => {
-                use bench_suite::speedup;
-                eprintln!(
-                    "running speculative speedup report ({scale:?} scale, seed {})...",
-                    fault_plan.seed
-                );
-                let report = speedup::speedup_report(scale, &fault_plan);
-                println!("{}", speedup::render_speedup_report(&report));
-                write_csv(
-                    &csv_dir,
-                    "speedup.csv",
-                    &speedup::csv_speedup_report(&report),
-                );
-                write_csv(&csv_dir, "speedup_obs.json", &report.export_obs().to_json());
-            }
-            "integration" => {
-                let rows = bench_suite::integration::integration(scale, 2);
-                println!("{}", bench_suite::integration::render_integration(&rows, 2));
-            }
-            "tracespans" => {
-                use bench_suite::spans;
-                eprintln!("running traced benchmarks ({scale:?} scale, both engines)...");
-                let runs = spans::traced_runs(scale);
-                let rows = spans::attribution(&runs);
-                println!("{}", spans::render_attribution(&rows));
-                println!("{}", spans::render_phases(&runs));
-                println!("{}", spans::render_critical_paths(&runs, 5));
-                write_csv(&csv_dir, "tracespans.csv", &spans::csv_attribution(&rows));
-                if let Some(path) = &trace_out {
-                    match spans::write_chrome_trace(&runs, path) {
-                        Ok(()) => eprintln!("wrote {}", path.display()),
-                        Err(e) => {
-                            eprintln!("writing {}: {e}", path.display());
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-            }
-            "tournament" => {
-                use bench_suite::tournament;
-                eprintln!("running predictor tournament ({scale:?} scale)...");
-                let cells = tournament::tournament(set.unwrap());
-                let rows = tournament::frontier(&cells);
-                println!("{}", tournament::render_tournament(&cells));
-                println!("{}", tournament::render_frontier(&rows));
-                write_csv(
-                    &csv_dir,
-                    "tournament.csv",
-                    &tournament::csv_tournament(&cells),
-                );
-                write_csv(
-                    &csv_dir,
-                    "tournament_frontier.csv",
-                    &tournament::csv_frontier(&rows),
-                );
-                write_csv(
-                    &csv_dir,
-                    "tournament_obs.json",
-                    &tournament::export_obs(&cells, &rows).to_json(),
-                );
-            }
-            "scale" => {
-                use bench_suite::scale as sc;
-                eprintln!("running sharded scale sweep ({scale:?} scale)...");
-                let rows = sc::sweep(scale);
-                println!("{}", sc::render_scale(&rows));
-                write_csv(&csv_dir, "scale.csv", &sc::csv_scale(&rows));
-                write_csv(
-                    &csv_dir,
-                    "BENCH_scale.json",
-                    &sc::export_obs(&rows).to_json(),
-                );
-            }
-            "tracepack" => {
-                use bench_suite::tracepack as tp;
-                eprintln!("running packed-trace pipeline report ({scale:?} scale)...");
-                let report = tp::tracepack(set.unwrap(), scale);
-                println!("{}", tp::render_tracepack(&report));
-                write_csv(&csv_dir, "tracepack.csv", &tp::csv_tracepack(&report));
-                write_csv(
-                    &csv_dir,
-                    "BENCH_trace.json",
-                    &tp::export_obs(&report).to_json(),
-                );
-            }
-            "simcheck" => {
-                use bench_suite::modelcheck;
-                eprintln!("running bounded schedule exploration ({scale:?} scale)...");
-                let rows = modelcheck::simcheck_report(scale);
-                println!("{}", modelcheck::render_simcheck(&rows));
-                write_csv(&csv_dir, "simcheck.csv", &modelcheck::csv_simcheck(&rows));
-                write_csv(
-                    &csv_dir,
-                    "simcheck_obs.json",
-                    &modelcheck::export_obs(&rows).to_json(),
-                );
-                if rows.iter().any(|r| r.violation.is_some()) {
-                    eprintln!("simcheck: invariant violation found");
-                    return ExitCode::FAILURE;
-                }
-            }
-            _ => unreachable!("validated above"),
-        }
-        if let Some(b) = &mut bench {
-            b.record(t, phase_start.elapsed());
-        }
-    }
-
-    if let (Some(mut b), Some(path)) = (bench, &bench_json) {
-        if let Some(set) = set {
-            let msgs: u64 = set
-                .traces()
-                .iter()
-                .map(|tr| tr.records().len() as u64)
-                .sum();
-            b.add_messages(msgs);
-            // A dedicated replay pass isolates predictor throughput from
-            // table bookkeeping and collects the core probe counters.
-            let t0 = Instant::now();
-            for tr in set.traces() {
-                let report = cosmos::eval::evaluate_cosmos(tr, 1, 0);
-                b.add_core(report.core);
-            }
-            let dt = t0.elapsed();
-            b.record("predictor_pass", dt);
-            b.add_predictor_pass(msgs, dt);
-        }
-        let snap = b.snapshot();
-        if let Err(e) = std::fs::write(path, snap.to_json()) {
-            eprintln!("writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {} ({} metrics)", path.display(), snap.len());
-    }
-    ExitCode::SUCCESS
-}
-
-/// Writes one CSV artefact when `--csv DIR` was given.
-fn write_csv(dir: &Option<std::path::PathBuf>, name: &str, contents: &str) {
-    if let Some(dir) = dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("creating {}: {e}", dir.display());
-            return;
-        }
-        let path = dir.join(name);
-        match std::fs::write(&path, contents) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("writing {}: {e}", path.display()),
-        }
-    }
+    let ctx = Ctx {
+        scale,
+        set: set.as_ref(),
+        csv_dir: csv_dir.as_deref(),
+        trace_out: trace_out.as_deref(),
+        fault_plan: &fault_plan,
+        fig67_done: Cell::new(false),
+    };
+    targets.into_iter().try_for_each(|t| (t.run)(&ctx))
 }

@@ -11,135 +11,170 @@
 //! tracedump seq <file.trace> <block> [limit]        sequence diagram
 //! ```
 //!
-//! Files use the `trace` crate's binary format (`CTR1`); `gen` writes with
-//! the streaming writer, everything else reads with the streaming reader.
+//! A trace file is exactly [`trace::codec`]'s `CTR1` bytes. A number that
+//! does not parse, or a depth outside `1..=`[`MAX_DEPTH`], is a one-line
+//! error and exit status 1; a reader that closes the pipe early (`dump … |
+//! head`) is a clean exit.
 
 use bench_suite::traces::single_trace;
 use bench_suite::Scale;
 use cosmos::eval::evaluate_cosmos;
+use cosmos::packed::MAX_DEPTH;
 use simx::SystemConfig;
 use stache::{ProtocolConfig, Role};
+use std::io::{self, Write};
 use std::process::ExitCode;
-use trace::{io as trace_io, ArcTable, TraceStats};
+use trace::{codec, ArcTable, TraceBundle, TraceStats};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  tracedump gen <benchmark> <out.trace> [--small]\n  \
-         tracedump info <file.trace>\n  tracedump arcs <file.trace>\n  \
-         tracedump eval <file.trace> [depth] [filter]\n  \
-         tracedump obs <file.trace> [depth]\n  \
-         tracedump dump <file.trace> [limit]\n  \
-         tracedump seq <file.trace> <block> [limit]"
-    );
-    ExitCode::FAILURE
-}
+const USAGE: &str = "usage:\n  tracedump gen <benchmark> <out.trace> [--small]\n  \
+     tracedump info <file.trace>\n  tracedump arcs <file.trace>\n  \
+     tracedump eval <file.trace> [depth] [filter]\n  \
+     tracedump obs <file.trace> [depth]\n  \
+     tracedump dump <file.trace> [limit]\n  \
+     tracedump seq <file.trace> <block> [limit]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
-    };
-    match (cmd.as_str(), args.len()) {
+    match run(&args, &mut io::stdout().lock()) {
+        Ok(()) => ExitCode::SUCCESS,
+        // `dump … | head`: the reader has what it wanted.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Something to tell the user, travelling the same way a failing stdout
+/// does.
+fn failure(message: String) -> io::Error {
+    io::Error::other(message)
+}
+
+/// The optional number at `args[i]`: `default` when absent, an error when
+/// it does not parse.
+fn number<T: std::str::FromStr>(
+    args: &[String],
+    i: usize,
+    what: &str,
+    default: T,
+) -> io::Result<T> {
+    args.get(i).map_or(Ok(default), |s| {
+        s.parse()
+            .map_err(|_| failure(format!("tracedump: {what} `{s}` is not a valid number")))
+    })
+}
+
+/// The optional MHR depth at `args[i]` (default 1), checked against what
+/// the packed history word holds.
+fn depth_arg(args: &[String], i: usize) -> io::Result<usize> {
+    let depth = number(args, i, "depth", 1)?;
+    if !(1..=MAX_DEPTH).contains(&depth) {
+        return Err(failure(format!(
+            "tracedump: depth {depth} is outside 1..={MAX_DEPTH}"
+        )));
+    }
+    Ok(depth)
+}
+
+fn load(path: &str) -> io::Result<TraceBundle> {
+    let bytes = std::fs::read(path).map_err(|e| failure(format!("reading {path}: {e}")))?;
+    codec::decode(&bytes).map_err(|e| failure(format!("reading {path}: {e}")))
+}
+
+fn run(args: &[String], out: &mut impl Write) -> io::Result<()> {
+    let cmd = args.first().map(String::as_str);
+    match (cmd.unwrap_or(""), args.len()) {
         ("gen", 3..=4) => {
             let scale = if args.get(3).is_some_and(|a| a == "--small") {
                 Scale::Small
             } else {
                 Scale::Paper
             };
-            let bundle = match single_trace(
-                &args[1],
-                scale,
-                ProtocolConfig::paper(),
-                SystemConfig::paper(),
-            ) {
-                Ok(bundle) => bundle,
-                Err(e) => {
-                    eprintln!("tracedump gen: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = trace_io::write_file(&args[2], &bundle) {
-                eprintln!("writing {}: {e}", args[2]);
-                return ExitCode::FAILURE;
-            }
-            println!("{}: {} records written", args[2], bundle.len());
-            ExitCode::SUCCESS
+            let proto = ProtocolConfig::paper();
+            let bundle = single_trace(&args[1], scale, proto, SystemConfig::paper())
+                .map_err(|e| failure(format!("tracedump gen: {e}")))?;
+            let path = &args[2];
+            let bytes =
+                codec::encode(&bundle).map_err(|e| failure(format!("writing {path}: {e}")))?;
+            std::fs::write(path, bytes).map_err(|e| failure(format!("writing {path}: {e}")))?;
+            writeln!(out, "{path}: {} records written", bundle.len())?;
         }
-        ("info", 2) => with_bundle(&args[1], |bundle| {
-            let stats = TraceStats::compute(bundle);
-            println!(
+        ("info", 2) => {
+            let bundle = load(&args[1])?;
+            let meta = bundle.meta();
+            writeln!(
+                out,
                 "app={} nodes={} iterations={}",
-                bundle.meta().app,
-                bundle.meta().nodes,
-                bundle.meta().iterations
-            );
-            print!("{stats}");
-        }),
-        ("arcs", 2) => with_bundle(&args[1], |bundle| {
-            let arcs = ArcTable::from_bundle(bundle);
+                meta.app, meta.nodes, meta.iterations
+            )?;
+            write!(out, "{}", TraceStats::compute(&bundle))?;
+        }
+        ("arcs", 2) => {
+            let arcs = ArcTable::from_bundle(&load(&args[1])?);
             for role in [Role::Cache, Role::Directory] {
-                println!("dominant arcs at the {role}:");
+                writeln!(out, "dominant arcs at the {role}:")?;
                 for (key, count) in arcs.dominant(role).into_iter().take(8) {
-                    println!(
+                    writeln!(
+                        out,
                         "  {:<22} -> {:<22} {:>8} refs ({:>4.1}%)",
                         key.prev.paper_name(),
                         key.next.paper_name(),
                         count,
                         100.0 * arcs.share(key)
-                    );
+                    )?;
                 }
             }
-        }),
+        }
         ("eval", 2..=4) => {
-            let depth: usize = args.get(2).map_or(Ok(1), |s| s.parse()).unwrap_or(1);
-            let filter: u8 = args.get(3).map_or(Ok(0), |s| s.parse()).unwrap_or(0);
-            with_bundle(&args[1], |bundle| {
-                let r = evaluate_cosmos(bundle, depth.max(1), filter);
-                println!("depth {depth}, filter {filter}");
-                print!("{}", r.render_summary());
-            })
+            let depth = depth_arg(args, 2)?;
+            let filter: u8 = number(args, 3, "filter", 0)?;
+            let report = evaluate_cosmos(&load(&args[1])?, depth, filter);
+            writeln!(out, "depth {depth}, filter {filter}")?;
+            write!(out, "{}", report.render_summary())?;
         }
         ("obs", 2..=3) => {
-            let depth: usize = args.get(2).map_or(Ok(1), |s| s.parse()).unwrap_or(1);
-            with_bundle(&args[1], |bundle| {
-                let mut snap = obs::Snapshot::new();
-                TraceStats::compute(bundle).export_obs(&mut snap);
-                evaluate_cosmos(bundle, depth.max(1), 0).export_obs(depth.max(1), &mut snap);
-                print!("{}", snap.to_json());
-            })
+            let depth = depth_arg(args, 2)?;
+            let bundle = load(&args[1])?;
+            let mut snap = obs::Snapshot::new();
+            TraceStats::compute(&bundle).export_obs(&mut snap);
+            evaluate_cosmos(&bundle, depth, 0).export_obs(depth, &mut snap);
+            write!(out, "{}", snap.to_json())?;
         }
         ("seq", 3..=4) => {
-            let block: u64 = match args[2].parse() {
-                Ok(b) => b,
-                Err(_) => return usage(),
-            };
-            let limit: usize = args.get(3).map_or(Ok(24), |s| s.parse()).unwrap_or(24);
-            with_bundle(&args[1], |bundle| print_sequence(bundle, block, limit))
+            let block: u64 = number(args, 2, "block", 0)?;
+            let limit = number(args, 3, "limit", 24)?;
+            print_sequence(out, &load(&args[1])?, block, limit)?;
         }
         ("dump", 2..=3) => {
-            let limit: usize = args.get(2).map_or(Ok(20), |s| s.parse()).unwrap_or(20);
-            with_bundle(&args[1], |bundle| {
-                for r in bundle.records().iter().take(limit) {
-                    println!("{r}");
-                }
-                if bundle.len() > limit {
-                    println!("... ({} more records)", bundle.len() - limit);
-                }
-            })
+            let limit = number(args, 2, "limit", 20)?;
+            let bundle = load(&args[1])?;
+            for r in bundle.records().iter().take(limit) {
+                writeln!(out, "{r}")?;
+            }
+            if bundle.len() > limit {
+                writeln!(out, "... ({} more records)", bundle.len() - limit)?;
+            }
         }
-        _ => usage(),
+        _ => return Err(failure(USAGE.to_string())),
     }
+    Ok(())
 }
 
 /// Prints a Figure 1-style message sequence diagram for one block: each
 /// line is one message reception, drawn between the sender's and
 /// receiver's columns.
-fn print_sequence(bundle: &trace::TraceBundle, block: u64, limit: usize) {
+fn print_sequence(
+    out: &mut impl Write,
+    bundle: &TraceBundle,
+    block: u64,
+    limit: usize,
+) -> io::Result<()> {
     let block = stache::BlockAddr::new(block);
     let records: Vec<_> = bundle.for_block(block).collect();
     if records.is_empty() {
-        println!("no messages for {block} in this trace");
-        return;
+        return writeln!(out, "no messages for {block} in this trace");
     }
     // Columns: the nodes that participate, in index order.
     let mut nodes: Vec<usize> = records
@@ -148,46 +183,40 @@ fn print_sequence(bundle: &trace::TraceBundle, block: u64, limit: usize) {
         .collect();
     nodes.sort_unstable();
     nodes.dedup();
-    print!("{:>10} ", "time(ns)");
+    write!(out, "{:>10} ", "time(ns)")?;
     for n in &nodes {
-        print!("{:^12}", format!("P{n}"));
+        write!(out, "{:^12}", format!("P{n}"))?;
     }
-    println!();
+    writeln!(out)?;
     for r in records.iter().take(limit) {
-        print!("{:>10} ", r.time_ns);
+        write!(out, "{:>10} ", r.time_ns)?;
         let from = nodes.iter().position(|&n| n == r.sender.index()).unwrap();
         let to = nodes.iter().position(|&n| n == r.node.index()).unwrap();
         let (lo, hi) = (from.min(to), from.max(to));
         for (i, _) in nodes.iter().enumerate() {
-            if i == from {
-                print!("{:^12}", "o");
+            let mark = if i == from {
+                "o"
             } else if i == to {
-                print!("{:^12}", if to > from { ">" } else { "<" });
+                if to > from {
+                    ">"
+                } else {
+                    "<"
+                }
             } else if i > lo && i < hi {
-                print!("{:^12}", "-");
+                "-"
             } else {
-                print!("{:^12}", ".");
-            }
+                "."
+            };
+            write!(out, "{mark:^12}")?;
         }
-        println!("  {}", r.mtype.paper_name());
+        writeln!(out, "  {}", r.mtype.paper_name())?;
     }
     if records.len() > limit {
-        println!(
+        writeln!(
+            out,
             "... ({} more messages for this block)",
             records.len() - limit
-        );
+        )?;
     }
-}
-
-fn with_bundle(path: &str, f: impl FnOnce(&trace::TraceBundle)) -> ExitCode {
-    match trace_io::read_file(path) {
-        Ok(bundle) => {
-            f(&bundle);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("reading {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(())
 }

@@ -483,7 +483,6 @@ pub fn topology_sensitivity(scale: Scale) -> String {
 /// at busy blocks, and exhibits the upgrade race — this study shows how
 /// much any of that moves the paper\'s numbers.
 pub fn engines(scale: Scale) -> String {
-    use simx::concurrent::run_workload as run_concurrent;
     let suite = || match scale {
         Scale::Paper => workloads::paper_suite(),
         Scale::Small => workloads::small_suite(),
@@ -519,15 +518,9 @@ pub fn engines(scale: Scale) -> String {
                 .unwrap_or(0);
             (serial.len(), acc, time / 1000)
         } else {
-            let iterations = w.iterations();
-            let conc = run_concurrent(
-                name,
-                iterations,
-                |it| w.plan(it),
-                ProtocolConfig::paper(),
-                SystemConfig::paper(),
-            )
-            .expect("clean concurrent run");
+            let mut conc =
+                simx::ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
+            workloads::drive(&mut conc, &mut *w).expect("clean concurrent run");
             let acc = evaluate_cosmos(conc.trace(), 1, 0).overall.percent();
             (conc.trace().len(), acc, conc.execution_time_ns() / 1000)
         }

@@ -19,10 +19,10 @@
 
 use cosmos::eval::evaluate_cosmos;
 use simx::fault::FaultTally;
-use simx::{driver, FaultPlan, Machine, SystemConfig};
+use simx::{FaultPlan, Machine, SystemConfig};
 use stache::{ProtocolConfig, RecoveryTally};
 use trace::TraceBundle;
-use workloads::{paper_suite, small_suite, Workload};
+use workloads::{drive, paper_suite, small_suite, Workload};
 
 use crate::Scale;
 
@@ -124,19 +124,10 @@ fn run_traced(
     plan: Option<FaultPlan>,
 ) -> (TraceBundle, FaultTally, RecoveryTally) {
     let mut machine = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-    machine.set_app(w.name(), w.iterations());
     if let Some(p) = plan {
         machine.set_fault_plan(p);
     }
-    let name = w.name().to_string();
-    for it in 0..w.iterations() {
-        let plan = w.plan(it);
-        driver::run_iteration(&mut machine, &plan, it)
-            .unwrap_or_else(|e| panic!("{name} failed under faults: {e}"));
-    }
-    machine
-        .verify_coherence()
-        .unwrap_or_else(|e| panic!("{name} incoherent under faults: {e}"));
+    drive(&mut machine, w).unwrap_or_else(|e| panic!("{} failed under faults: {e}", w.name()));
     let faults = machine.fault_tally().cloned().unwrap_or_default();
     let recovery = machine.recovery_tally().clone();
     (machine.into_trace(), faults, recovery)

@@ -35,7 +35,6 @@
 //! protocol, predictor, and speculation metrics — into a single
 //! machine-readable [`obs::Snapshot`] (`repro --obs-json`).
 
-pub mod bench_report;
 pub mod contenders;
 pub mod extras;
 pub mod faults;
@@ -52,6 +51,5 @@ pub mod tournament;
 pub mod tracepack;
 pub mod traces;
 
-pub use bench_report::BenchTimer;
 pub use report::obs_report;
 pub use traces::{Scale, TraceSet};

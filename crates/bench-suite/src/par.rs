@@ -7,18 +7,8 @@
 //! so rendered tables are byte-identical to the serial sweeps.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Sweeps launched since process start.
-static SWEEPS: AtomicU64 = AtomicU64::new(0);
-/// Cells evaluated across all sweeps.
-static CELLS: AtomicU64 = AtomicU64::new(0);
-/// Worker threads spawned across all sweeps.
-static WORKERS: AtomicU64 = AtomicU64::new(0);
-/// Σ workersᵢ × cellsᵢ over all sweeps — the numerator of the
-/// cells-weighted mean pool size.
-static WORKER_CELLS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of worker threads a sweep over `n` items uses.
 pub fn worker_count(n: usize) -> usize {
@@ -41,10 +31,6 @@ where
         return Vec::new();
     }
     let workers = worker_count(n);
-    SWEEPS.fetch_add(1, Ordering::Relaxed);
-    CELLS.fetch_add(n as u64, Ordering::Relaxed);
-    WORKERS.fetch_add(workers as u64, Ordering::Relaxed);
-    WORKER_CELLS.fetch_add(workers as u64 * n as u64, Ordering::Relaxed);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
@@ -69,38 +55,6 @@ where
         .collect()
 }
 
-/// Exports sweep-utilisation counters into a metrics snapshot: how many
-/// sweeps ran, how many cells they covered, and the mean worker pool size
-/// relative to the machine's parallelism.
-///
-/// `mean_workers` is **cells-weighted**: each sweep contributes its pool
-/// size once per cell, not once per sweep. A per-sweep mean let a handful
-/// of 1-cell sweeps (which are clamped to one worker) drag the gauge to 1
-/// even when every non-trivial batch ran fully parallel — exactly the
-/// misleading `bench.par.mean_workers = 1` that BENCH_repro.json used to
-/// report. Weighting by cells makes the gauge answer the question the
-/// scale roadmap item needs: "with how many workers was the average cell
-/// processed?".
-pub fn export_obs(snap: &mut obs::Snapshot) {
-    let sweeps = SWEEPS.load(Ordering::Relaxed);
-    let cells = CELLS.load(Ordering::Relaxed);
-    let workers = WORKERS.load(Ordering::Relaxed);
-    let worker_cells = WORKER_CELLS.load(Ordering::Relaxed);
-    snap.counter("bench.par.sweeps", sweeps);
-    snap.counter("bench.par.cells", cells);
-    snap.counter("bench.par.worker_threads", workers);
-    let cores = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1) as f64;
-    let mean_workers = if cells == 0 {
-        0.0
-    } else {
-        worker_cells as f64 / cells as f64
-    };
-    snap.gauge("bench.par.mean_workers", mean_workers);
-    snap.gauge("bench.par.utilisation", mean_workers / cores);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,47 +76,5 @@ mod tests {
         assert_eq!(worker_count(1), 1);
         assert!(worker_count(1000) >= 1);
         assert!(worker_count(1000) <= 1000);
-    }
-
-    #[test]
-    fn utilisation_metrics_export() {
-        let _ = sweep(4, |i| i);
-        let mut snap = obs::Snapshot::new();
-        export_obs(&mut snap);
-        assert!(matches!(
-            snap.get("bench.par.sweeps"),
-            Some(obs::MetricValue::Counter(n)) if *n >= 1
-        ));
-        assert!(matches!(
-            snap.get("bench.par.worker_threads"),
-            Some(obs::MetricValue::Counter(n)) if *n >= 1
-        ));
-        assert!(matches!(
-            snap.get("bench.par.utilisation"),
-            Some(obs::MetricValue::Gauge(u)) if *u > 0.0 && *u <= 1.0
-        ));
-    }
-
-    #[test]
-    fn mean_workers_is_cells_weighted_not_sweep_weighted() {
-        // Many 1-cell sweeps (pool clamped to one worker) plus one large
-        // batch: the big batch dominates the cells, so it must dominate
-        // the gauge. The old per-sweep mean collapsed toward 1 here.
-        let parallel = worker_count(64);
-        for _ in 0..8 {
-            let _ = sweep(1, |i| i);
-        }
-        let _ = sweep(64, |i| i);
-        let mut snap = obs::Snapshot::new();
-        export_obs(&mut snap);
-        let Some(obs::MetricValue::Gauge(mean)) = snap.get("bench.par.mean_workers") else {
-            panic!("gauge missing");
-        };
-        // Counters are process-global, so other tests' sweeps are mixed
-        // in; on any multi-core machine the weighted mean must still sit
-        // strictly above the all-serial floor.
-        if parallel > 1 {
-            assert!(*mean > 1.0, "cells-weighted mean stuck at {mean}");
-        }
     }
 }

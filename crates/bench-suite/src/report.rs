@@ -20,10 +20,10 @@
 
 use accel::{compare, CosmosPolicy};
 use cosmos::eval::evaluate_cosmos;
-use simx::{driver, Machine, SystemConfig};
+use simx::{Machine, SystemConfig};
 use stache::ProtocolConfig;
 use trace::TraceStats;
-use workloads::{paper_suite, small_suite, Workload};
+use workloads::{drive, paper_suite, small_suite, Workload};
 
 use crate::Scale;
 
@@ -65,22 +65,14 @@ pub fn obs_report(scale: Scale, app: &str) -> obs::Snapshot {
     // The instrumented base run: machine + protocol + trace metrics.
     let mut w = workload_named(scale, app);
     let mut machine = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-    machine.set_app(w.name(), w.iterations());
-    for it in 0..w.iterations() {
-        let plan = w.plan(it);
-        driver::run_iteration(&mut machine, &plan, it)
-            .unwrap_or_else(|e| panic!("{app} failed: {e}"));
-    }
-    machine
-        .verify_coherence()
-        .unwrap_or_else(|e| panic!("{app} incoherent: {e}"));
+    drive(&mut machine, &mut *w).unwrap_or_else(|e| panic!("{app} failed: {e}"));
     let mut snap = machine.obs_snapshot();
     TraceStats::compute(machine.trace()).export_obs(&mut snap);
 
     // The packed-codec totals over the same captured trace: byte volumes
     // and compression ratio are pure functions of the record stream, so
-    // they belong in the deterministic report (wall-clock packing speed
-    // does not — that lives in `BENCH_trace.json`).
+    // they belong in the deterministic report (packing speed is the
+    // pipeline benchmark's `trace.pack_encode` layer).
     let (_, pack_stats) =
         trace::pack::pack_bundle_with_stats(machine.trace(), report_chunk_records(scale))
             .unwrap_or_else(|e| panic!("{app} trace failed to pack: {e}"));

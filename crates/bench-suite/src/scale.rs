@@ -2,26 +2,18 @@
 //! (DESIGN.md §6h).
 //!
 //! Sweeps the streaming [`workloads::Scale`] generator over 64–1024
-//! nodes × block-population sizes on the [`simx::ShardedMachine`],
-//! measuring simulator *throughput* — delivered coherence messages per
-//! wall-clock second per worker core — as a first-class metric
-//! (`sim.throughput.msgs_per_sec_per_core`).
-//!
-//! Two artefact classes with different determinism contracts:
-//!
-//! * `scale.csv` carries only simulation-deterministic columns (node
-//!   count, block population, accesses, messages, synchronisation
-//!   windows, simulated ns). Byte-identity of the sharded engine makes
-//!   these independent of the shard count, so the CSV diffs cleanly
-//!   against a golden on any machine (`scale_small.csv` in CI).
-//! * `BENCH_scale.json` adds the wall-clock side — per-cell runtimes
-//!   and throughput — which is machine-dependent by nature and is
-//!   recorded, never diffed.
+//! nodes × block-population sizes on the [`simx::ShardedMachine`].
+//! Every reported column is simulation-deterministic (node count, block
+//! population, accesses, messages, synchronisation windows, simulated
+//! ns), and byte-identity of the sharded engine makes them independent
+//! of the shard count, so `scale.csv` diffs cleanly against a golden on
+//! any machine (`scale_small.csv` in CI). How fast the host gets there
+//! is the pipeline benchmark's question (`benchmark/run.sh --workload
+//! scale1024`), not this target's.
 
 use crate::traces::Scale as RunScale;
-use simx::{ShardedMachine, SystemConfig};
-use std::time::{Duration, Instant};
-use workloads::{Scale as ScaleWorkload, Workload};
+use simx::SystemConfig;
+use workloads::{run_sharded_streaming, Scale as ScaleWorkload};
 
 /// One sweep cell: a machine size and a block-population shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,15 +27,11 @@ pub struct ScaleCell {
     pub iterations: u32,
 }
 
-/// A finished cell: the deterministic simulation outcome plus the
-/// machine-dependent wall-clock measurements.
+/// A finished cell: the deterministic simulation outcome.
 #[derive(Debug, Clone)]
 pub struct ScaleRow {
     /// The cell that ran.
     pub cell: ScaleCell,
-    /// Worker threads (shards) used — machine-dependent, excluded from
-    /// the CSV.
-    pub shards: usize,
     /// Distinct blocks the run touched.
     pub blocks: u64,
     /// Processor accesses executed.
@@ -55,20 +43,6 @@ pub struct ScaleRow {
     pub windows: u64,
     /// Final simulated time in ns.
     pub exec_ns: u64,
-    /// Wall-clock time of the run.
-    pub wall: Duration,
-}
-
-impl ScaleRow {
-    /// Delivered messages per wall-clock second per worker core — the
-    /// sweep's headline throughput metric.
-    pub fn msgs_per_sec_per_core(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.msgs as f64 / secs / self.shards as f64
-    }
 }
 
 /// The sweep grid. Paper scale covers the five node counts at two block
@@ -118,36 +92,33 @@ pub fn default_shards(nodes: usize) -> usize {
     cores.clamp(1, (nodes / 16).max(1))
 }
 
-/// Runs one cell on the sharded engine in streaming mode: no trace
-/// capture, no flight recorder, barrier audits off, one sampled
-/// coherence audit at the end.
+/// Runs one cell on the sharded engine in streaming mode: each
+/// iteration's records drained and dropped, no flight recorder, barrier
+/// audits off, one sampled coherence audit at the end.
 pub fn run_cell(cell: ScaleCell, shards: usize) -> ScaleRow {
     let mut w = ScaleWorkload::new(cell.nodes, cell.private_per_node, cell.iterations);
     let proto = w.proto();
-    let mut m = ShardedMachine::new(proto, SystemConfig::paper(), shards);
-    m.set_capture_trace(false);
-    m.set_ring_enabled(false);
-    m.set_audit_barriers(false);
-    m.set_app(w.name(), cell.iterations);
-    let t0 = Instant::now();
-    for it in 0..cell.iterations {
-        let plan = w.plan(it);
-        m.run_plan(&plan, it)
-            .unwrap_or_else(|e| panic!("scale cell {cell:?} failed: {e}"));
-    }
-    m.verify_coherence_sampled(4096)
-        .unwrap_or_else(|e| panic!("scale cell {cell:?} violates coherence: {e}"));
-    let wall = t0.elapsed();
+    let m = run_sharded_streaming(
+        &mut w,
+        proto,
+        SystemConfig::paper(),
+        shards,
+        Some(4096),
+        |m| {
+            m.set_ring_enabled(false);
+            m.set_audit_barriers(false);
+        },
+        |_records| Ok::<(), std::convert::Infallible>(()),
+    )
+    .unwrap_or_else(|e| panic!("scale cell {cell:?} failed: {e}"));
     let stats = m.stats();
     ScaleRow {
         cell,
-        shards: m.shard_count(),
         blocks: w.total_blocks(),
         accesses: stats.accesses(),
         msgs: stats.messages_total(),
         windows: m.windows(),
         exec_ns: m.execution_time_ns(),
-        wall,
     }
 }
 
@@ -161,31 +132,21 @@ pub fn sweep(scale: RunScale) -> Vec<ScaleRow> {
                 "  scale: {} nodes, {} blocks/node/iter x {} iters, {} shard(s)...",
                 cell.nodes, cell.private_per_node, cell.iterations, shards
             );
-            let row = run_cell(cell, shards);
-            eprintln!(
-                "    {} blocks, {} msgs in {:.2?} ({:.0} msgs/s/core)",
-                row.blocks,
-                row.msgs,
-                row.wall,
-                row.msgs_per_sec_per_core()
-            );
-            row
+            run_cell(cell, shards)
         })
         .collect()
 }
 
-/// Renders the sweep as a report table (wall-clock columns included —
-/// this is for humans, not for diffing).
+/// Renders the sweep as a report table.
 pub fn render_scale(rows: &[ScaleRow]) -> String {
     let mut out = String::new();
     out.push_str("Sharded-engine scale sweep (streaming workload)\n");
     out.push_str(
-        "  nodes  blk/nd/it  iters     blocks   accesses       msgs  windows      sim_ms  \
-         wall_s  msgs/s/core\n",
+        "  nodes  blk/nd/it  iters     blocks   accesses       msgs  windows      sim_ms\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "  {:>5}  {:>9}  {:>5}  {:>9}  {:>9}  {:>9}  {:>7}  {:>10.1}  {:>6.2}  {:>11.0}\n",
+            "  {:>5}  {:>9}  {:>5}  {:>9}  {:>9}  {:>9}  {:>7}  {:>10.1}\n",
             r.cell.nodes,
             r.cell.private_per_node,
             r.cell.iterations,
@@ -194,15 +155,13 @@ pub fn render_scale(rows: &[ScaleRow]) -> String {
             r.msgs,
             r.windows,
             r.exec_ns as f64 / 1e6,
-            r.wall.as_secs_f64(),
-            r.msgs_per_sec_per_core(),
         ));
     }
     out
 }
 
-/// The deterministic CSV artefact: simulation-defined columns only, so
-/// the small-scale output is golden-diffable on any machine.
+/// The CSV artefact: simulation-defined columns only, so the small-scale
+/// output is golden-diffable on any machine.
 pub fn csv_scale(rows: &[ScaleRow]) -> String {
     let mut out =
         String::from("nodes,private_per_node,iterations,blocks,accesses,msgs,windows,exec_ns\n");
@@ -220,36 +179,6 @@ pub fn csv_scale(rows: &[ScaleRow]) -> String {
         ));
     }
     out
-}
-
-/// The wall-clock side as an `obs.v1` snapshot (`BENCH_scale.json`):
-/// per-cell runtimes and throughput, plus the headline
-/// `sim.throughput.msgs_per_sec_per_core` from the largest cell.
-pub fn export_obs(rows: &[ScaleRow]) -> obs::Snapshot {
-    let mut snap = obs::Snapshot::new();
-    snap.counter("bench.scale.cells", rows.len() as u64);
-    for r in rows {
-        let key = format!("n{}_p{}", r.cell.nodes, r.cell.private_per_node);
-        snap.counter(&format!("bench.scale.{key}.blocks"), r.blocks);
-        snap.counter(&format!("bench.scale.{key}.msgs"), r.msgs);
-        snap.counter(&format!("bench.scale.{key}.windows"), r.windows);
-        snap.counter(
-            &format!("bench.scale.{key}.wall_ns"),
-            r.wall.as_nanos() as u64,
-        );
-        snap.gauge(&format!("bench.scale.{key}.shards"), r.shards as f64);
-        snap.gauge(
-            &format!("sim.throughput.msgs_per_sec_per_core.{key}"),
-            r.msgs_per_sec_per_core(),
-        );
-    }
-    if let Some(flagship) = rows.iter().max_by_key(|r| (r.cell.nodes, r.blocks)) {
-        snap.gauge(
-            "sim.throughput.msgs_per_sec_per_core",
-            flagship.msgs_per_sec_per_core(),
-        );
-    }
-    snap
 }
 
 #[cfg(test)]
@@ -276,17 +205,5 @@ mod tests {
                 + c.nodes as u64 * (c.iterations as u64 - 1);
             assert_eq!(r.accesses, expected);
         }
-    }
-
-    #[test]
-    fn headline_throughput_comes_from_the_largest_cell() {
-        let rows = sweep(RunScale::Small);
-        let snap = export_obs(&rows);
-        assert!(snap.get("sim.throughput.msgs_per_sec_per_core").is_some());
-        assert!(snap.get("bench.scale.n128_p2.msgs").is_some());
-        assert_eq!(
-            snap.get("bench.scale.cells"),
-            Some(&obs::MetricValue::Counter(2))
-        );
     }
 }

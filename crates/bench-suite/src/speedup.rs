@@ -24,7 +24,7 @@ use cosmos::speedup::{speedup as model_speedup, SpeedupParams};
 use simx::{ConcurrentMachine, FaultPlan, SystemConfig};
 use stache::{ProtocolConfig, RollbackTally};
 use trace::TraceBundle;
-use workloads::{paper_suite, small_suite, Workload};
+use workloads::{drive, paper_suite, small_suite, Workload};
 
 use crate::Scale;
 
@@ -145,23 +145,13 @@ fn run_cell(
     plan: Option<FaultPlan>,
 ) -> (u64, u64, RollbackTally, TraceBundle) {
     let mut machine = ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
-    machine.set_app(w.name(), w.iterations());
     if let Some(p) = plan {
         machine.set_fault_plan(p);
     }
     if let Some(p) = policy {
         machine.set_policy(p);
     }
-    let name = w.name().to_string();
-    for it in 0..w.iterations() {
-        let plan = w.plan(it);
-        machine
-            .run_plan(&plan, it)
-            .unwrap_or_else(|e| panic!("{name} failed: {e}"));
-    }
-    machine
-        .verify_coherence()
-        .unwrap_or_else(|e| panic!("{name} incoherent after speculation: {e}"));
+    drive(&mut machine, w).unwrap_or_else(|e| panic!("{} failed: {e}", w.name()));
     let ns = machine.execution_time_ns();
     let msgs = machine.stats().messages_total();
     let rollback = machine.rollback_tally().clone();

@@ -1,9 +1,9 @@
 //! The paper's tables, regenerated.
 
 use crate::traces::TraceSet;
-use cosmos::eval::{evaluate, evaluate_cosmos, AccuracyReport, EvalOptions};
+use cosmos::eval::{evaluate_cosmos, AccuracyReport};
 use cosmos::memory::overhead_percent;
-use cosmos::{CosmosPredictor, MemoryFootprint};
+use cosmos::MemoryFootprint;
 use simx::SystemConfig;
 use stache::msg::ALL_MSG_TYPES;
 use stache::{MsgType, Role};
@@ -473,33 +473,6 @@ pub fn csv_table8(rows: &[Table8Row]) -> String {
         }
     }
     t.to_csv()
-}
-
-/// Evaluates an arbitrary depth/filter Cosmos over every trace (in
-/// parallel, one evaluation per benchmark) — shared by several extras.
-pub fn reports_for(set: &TraceSet, depth: usize, filter_max: u8) -> Vec<(String, AccuracyReport)> {
-    let traces = set.traces();
-    let reports = crate::par::sweep(traces.len(), |i| {
-        evaluate_cosmos(&traces[i], depth, filter_max)
-    });
-    traces
-        .iter()
-        .zip(reports)
-        .map(|(t, r)| (t.meta().app.clone(), r))
-        .collect()
-}
-
-/// Evaluates Cosmos with warm-up exclusion, used by tests.
-pub fn report_with_warmup(set: &TraceSet, app: &str, depth: usize, warmup: u32) -> AccuracyReport {
-    let t = set.by_name(app).expect("known benchmark");
-    evaluate(
-        t,
-        &EvalOptions {
-            score_from_iteration: warmup,
-            ..Default::default()
-        },
-        |_, _| Box::new(CosmosPredictor::new(depth, 0)),
-    )
 }
 
 #[cfg(test)]

@@ -19,18 +19,16 @@
 //!    The report pins the sampled-vs-full accuracy error per benchmark ×
 //!    MHR depth — the evidence that phase sampling is safe for
 //!    billion-message runs where full replay is not an option.
-//! 3. **How fast** — a streaming [`workloads::Scale`] cell runs on the
+//! 3. **How bounded** — a streaming [`workloads::Scale`] cell runs on the
 //!    sharded engine with its per-iteration trace drained straight into a
 //!    [`trace::pack::PackedTraceWriter`] (the full record set is never
 //!    materialised), then decoded chunk-parallel over [`crate::par::sweep`]
-//!    and replayed chunk-by-chunk through a predictor fleet. Encode /
-//!    decode / replay wall-clock throughputs are machine-dependent and go
-//!    to `BENCH_trace.json`, never the CSV.
+//!    and replayed chunk-by-chunk through a predictor fleet.
 //!
-//! Artefact split, as everywhere in the suite: `tracepack.csv` carries
-//! only simulation-deterministic columns (golden-diffed in CI as
-//! `tracepack_small.csv`); `BENCH_trace.json` carries the wall-clock
-//! side and is recorded, never diffed.
+//! Every column is simulation-deterministic (`tracepack.csv` is
+//! golden-diffed in CI as `tracepack_small.csv`); encode / decode / replay
+//! host throughput is the pipeline benchmark's to measure (`benchmark/run.sh
+//! --workload stream64`, layers `trace.pack_*` and `cosmos.score`).
 
 use crate::contenders::by_label;
 use crate::traces::Scale as RunScale;
@@ -39,10 +37,9 @@ use cosmos::eval::{evaluate_cosmos, Counts};
 use cosmos::{CosmosPredictor, MessagePredictor, StreamEval};
 use simx::SystemConfig;
 use std::io::Cursor;
-use std::time::{Duration, Instant};
 use trace::pack::{PackStats, PackedTraceReader, PackedTraceWriter};
 use trace::simpoint::{self, SamplePlan};
-use trace::{MsgRecord, TraceBundle};
+use trace::MsgRecord;
 use workloads::{run_sharded_streaming, Scale as ScaleWorkload, Workload};
 
 /// MHR depths the sampled-vs-full comparison covers.
@@ -85,18 +82,13 @@ pub fn sample_interval(scale: RunScale) -> u64 {
     }
 }
 
-/// One benchmark's packing outcome: deterministic byte totals plus the
-/// (machine-dependent) encode/decode wall times.
+/// One benchmark's packing outcome.
 #[derive(Debug, Clone)]
 pub struct PackRow {
     /// Benchmark name.
     pub app: String,
     /// Codec byte totals (records, chunks, flat vs packed bytes).
     pub stats: PackStats,
-    /// Wall time to encode the trace (excluded from the CSV).
-    pub encode_wall: Duration,
-    /// Wall time to decode all chunks in parallel (excluded from the CSV).
-    pub decode_wall: Duration,
 }
 
 /// One benchmark × depth sampled-accuracy outcome. All columns are
@@ -126,8 +118,7 @@ impl SampleRow {
     }
 }
 
-/// The streaming cell's outcome: deterministic stream/codec totals plus
-/// the wall-clock throughput measurements.
+/// The streaming cell's outcome: stream and codec totals.
 #[derive(Debug, Clone)]
 pub struct StreamRow {
     /// Nodes in the streamed cell.
@@ -144,15 +135,6 @@ pub struct StreamRow {
     /// Replay accuracy (percent) of the bounded-memory fleet — pinned so
     /// the streaming path provably feeds real records, not padding.
     pub replay_pct: f64,
-    /// Wall time of the whole simulate-and-encode loop (excluded from
-    /// the CSV, like every wall-clock column).
-    pub sim_wall: Duration,
-    /// Wall time spent inside the packed writer alone.
-    pub encode_wall: Duration,
-    /// Wall time for the window-parallel chunk decode.
-    pub decode_wall: Duration,
-    /// Wall time for the chunked predictor replay.
-    pub replay_wall: Duration,
 }
 
 /// The whole `tracepack` report.
@@ -166,27 +148,11 @@ pub struct TracepackReport {
     pub stream: StreamRow,
 }
 
-/// Packs a bundle into memory, returning the packed bytes, the codec
-/// stats, and the encode wall time.
-fn pack_timed(bundle: &TraceBundle, chunk: u32) -> (Vec<u8>, PackStats, Duration) {
-    let t0 = Instant::now();
-    let meta = bundle.meta().clone();
-    let mut w = PackedTraceWriter::new(Cursor::new(Vec::new()), &meta, chunk)
-        .unwrap_or_else(|e| panic!("{}: pack writer failed: {e}", meta.app));
-    w.push_all(bundle.records())
-        .unwrap_or_else(|e| panic!("{}: pack failed: {e}", meta.app));
-    let (cursor, stats) = w
-        .finish()
-        .unwrap_or_else(|e| panic!("{}: pack finish failed: {e}", meta.app));
-    (cursor.into_inner(), stats, t0.elapsed())
-}
-
 /// Decodes every chunk of a packed trace, fanning the chunks out over
 /// the shared worker pool ([`crate::par::sweep`]); chunks decode
 /// independently (own dictionary, own CRC), which is the format feature
 /// this path exists to exploit. Returns the chunks in stream order.
-pub fn decode_parallel(bytes: &[u8]) -> (Vec<Vec<MsgRecord>>, Duration) {
-    let t0 = Instant::now();
+pub fn decode_parallel(bytes: &[u8]) -> Vec<Vec<MsgRecord>> {
     // One reader pulls the raw (still-compressed) chunks in order — that
     // part is a cheap index walk — and only the LZ + column decode fans
     // out. Opening a reader per chunk would re-parse the whole index
@@ -199,12 +165,11 @@ pub fn decode_parallel(bytes: &[u8]) -> (Vec<Vec<MsgRecord>>, Duration) {
                 .unwrap_or_else(|e| panic!("chunk {i} unreadable: {e}"))
         })
         .collect();
-    let chunks = crate::par::sweep(raw.len(), |i| {
+    crate::par::sweep(raw.len(), |i| {
         raw[i]
             .decode()
             .unwrap_or_else(|e| panic!("chunk {i} failed to decode: {e}"))
-    });
-    (chunks, t0.elapsed())
+    })
 }
 
 /// Sampled evaluation in one streaming pass: every record trains the
@@ -311,8 +276,6 @@ pub fn run_stream_cell(scale: RunScale) -> StreamRow {
     let mut writer = PackedTraceWriter::new(std::io::BufWriter::new(file), &meta, chunk)
         .unwrap_or_else(|e| panic!("stream writer failed: {e}"));
     let mut max_drain = 0usize;
-    let mut encode_wall = Duration::ZERO;
-    let t0 = Instant::now();
     run_sharded_streaming(
         &mut w,
         proto,
@@ -325,14 +288,10 @@ pub fn run_stream_cell(scale: RunScale) -> StreamRow {
         },
         |batch| {
             max_drain = max_drain.max(batch.len());
-            let w0 = Instant::now();
-            let out = writer.push_all(&batch);
-            encode_wall += w0.elapsed();
-            out
+            writer.push_all(&batch)
         },
     )
     .unwrap_or_else(|e| panic!("stream cell failed: {e}"));
-    let w0 = Instant::now();
     let (buf, stats) = writer
         .finish()
         .unwrap_or_else(|e| panic!("stream finish failed: {e}"));
@@ -341,8 +300,6 @@ pub fn run_stream_cell(scale: RunScale) -> StreamRow {
         .unwrap_or_else(|e| panic!("flushing {}: {e}", path.display()));
     file.sync_all()
         .unwrap_or_else(|e| panic!("syncing {}: {e}", path.display()));
-    encode_wall += w0.elapsed();
-    let sim_wall = t0.elapsed();
 
     // Windowed replay: one reader streams the raw (still-compressed)
     // chunks of each DECODE_WINDOW in order — sequential I/O plus an
@@ -353,13 +310,10 @@ pub fn run_stream_cell(scale: RunScale) -> StreamRow {
     let mut reader = PackedTraceReader::open(&path)
         .unwrap_or_else(|e| panic!("reopening {}: {e}", path.display()));
     let chunk_count = reader.chunk_count();
-    let mut decode_wall = Duration::ZERO;
-    let mut replay_wall = Duration::ZERO;
     let mut ev = StreamEval::new(Default::default(), by_label(REPLAY_FLEET));
     let mut lo = 0usize;
     while lo < chunk_count {
         let hi = (lo + DECODE_WINDOW).min(chunk_count);
-        let d0 = Instant::now();
         let raw: Vec<_> = (lo..hi)
             .map(|i| {
                 reader
@@ -372,12 +326,9 @@ pub fn run_stream_cell(scale: RunScale) -> StreamRow {
                 .decode()
                 .unwrap_or_else(|e| panic!("chunk {} failed to decode: {e}", lo + i))
         });
-        decode_wall += d0.elapsed();
-        let r0 = Instant::now();
         for chunk in &window {
             ev.push_all(chunk);
         }
-        replay_wall += r0.elapsed();
         lo = hi;
     }
     let report = ev.finish();
@@ -390,10 +341,6 @@ pub fn run_stream_cell(scale: RunScale) -> StreamRow {
         max_drain,
         replayed: report.overall.total,
         replay_pct: report.overall.percent(),
-        sim_wall,
-        encode_wall,
-        decode_wall,
-        replay_wall,
     }
 }
 
@@ -405,8 +352,9 @@ pub fn tracepack(set: &TraceSet, scale: RunScale) -> TracepackReport {
     for bundle in set.traces() {
         let app = bundle.meta().app.clone();
         eprintln!("  tracepack: packing {app}...");
-        let (bytes, stats, encode_wall) = pack_timed(bundle, chunk);
-        let (chunks, decode_wall) = decode_parallel(&bytes);
+        let (bytes, stats) = trace::pack::pack_bundle_with_stats(bundle, chunk)
+            .unwrap_or_else(|e| panic!("{app}: pack failed: {e}"));
+        let chunks = decode_parallel(&bytes);
         let decoded: usize = chunks.iter().map(Vec::len).sum();
         assert_eq!(decoded as u64, stats.records, "{app}: decode lost records");
         let interval = sample_interval(scale);
@@ -429,12 +377,7 @@ pub fn tracepack(set: &TraceSet, scale: RunScale) -> TracepackReport {
                 sampled_fraction: plan.sampled_fraction(),
             });
         }
-        pack.push(PackRow {
-            app,
-            stats,
-            encode_wall,
-            decode_wall,
-        });
+        pack.push(PackRow { app, stats });
     }
     eprintln!(
         "  tracepack: streaming scale cell ({} nodes)...",
@@ -448,24 +391,20 @@ pub fn tracepack(set: &TraceSet, scale: RunScale) -> TracepackReport {
     }
 }
 
-/// Renders the report for humans (wall-clock columns included).
+/// Renders the report for humans.
 pub fn render_tracepack(r: &TracepackReport) -> String {
     let mut out = String::new();
     out.push_str("Packed-trace codec (chunked columnar + LZ) vs flat 26-byte records\n");
-    out.push_str(
-        "  app            records  chunks  flat_bytes  packed_bytes  ratio  enc_ms  dec_ms\n",
-    );
+    out.push_str("  app            records  chunks  flat_bytes  packed_bytes  ratio\n");
     for p in &r.pack {
         out.push_str(&format!(
-            "  {:<12}  {:>8}  {:>6}  {:>10}  {:>12}  {:>5.2}  {:>6.1}  {:>6.1}\n",
+            "  {:<12}  {:>8}  {:>6}  {:>10}  {:>12}  {:>5.2}\n",
             p.app,
             p.stats.records,
             p.stats.chunks,
             p.stats.flat_bytes,
             p.stats.packed_bytes,
             p.stats.ratio(),
-            p.encode_wall.as_secs_f64() * 1e3,
-            p.decode_wall.as_secs_f64() * 1e3,
         ));
     }
     out.push_str("\nSimPoint-sampled vs full Cosmos accuracy\n");
@@ -496,30 +435,14 @@ pub fn render_tracepack(r: &TracepackReport) -> String {
         st.stats.ratio(),
         st.max_drain,
     ));
-    let tput = |recs: u64, d: Duration| {
-        let s = d.as_secs_f64();
-        if s > 0.0 {
-            recs as f64 / s
-        } else {
-            0.0
-        }
-    };
     out.push_str(&format!(
-        "  simulate+encode {:.2}s (encode alone {:.3}s, {:.0} rec/s), decode {:.3}s \
-         ({:.0} rec/s), replay {:.3}s ({:.0} rec/s, depth-2 accuracy {:.2}%)\n",
-        st.sim_wall.as_secs_f64(),
-        st.encode_wall.as_secs_f64(),
-        tput(st.stats.records, st.encode_wall),
-        st.decode_wall.as_secs_f64(),
-        tput(st.stats.records, st.decode_wall),
-        st.replay_wall.as_secs_f64(),
-        tput(st.replayed, st.replay_wall),
-        st.replay_pct,
+        "  {} records replayed through `{REPLAY_FLEET}`, depth-2 accuracy {:.2}%\n",
+        st.replayed, st.replay_pct,
     ));
     out
 }
 
-/// The deterministic CSV artefact (`tracepack.csv`): every column is a
+/// The CSV artefact (`tracepack.csv`): every column is a
 /// pure function of workload parameters, so the small run golden-diffs.
 pub fn csv_tracepack(r: &TracepackReport) -> String {
     let mut out = String::from(
@@ -560,86 +483,6 @@ pub fn csv_tracepack(r: &TracepackReport) -> String {
         st.stats.ratio(),
     ));
     out
-}
-
-/// The wall-clock side as an `obs.v1` snapshot (`BENCH_trace.json`):
-/// per-benchmark codec totals plus encode/decode/replay throughput of
-/// the streaming cell.
-pub fn export_obs(r: &TracepackReport) -> obs::Snapshot {
-    let mut snap = obs::Snapshot::new();
-    let mut total = PackStats::default();
-    for p in &r.pack {
-        let s = &p.stats;
-        total.records += s.records;
-        total.flat_bytes += s.flat_bytes;
-        total.packed_bytes += s.packed_bytes;
-        total.chunks += s.chunks;
-        total.raw_payload_bytes += s.raw_payload_bytes;
-        total.comp_payload_bytes += s.comp_payload_bytes;
-        snap.counter(&format!("bench.tracepack.{}.records", p.app), s.records);
-        snap.counter(
-            &format!("bench.tracepack.{}.packed_bytes", p.app),
-            s.packed_bytes,
-        );
-        snap.gauge(&format!("bench.tracepack.{}.ratio", p.app), s.ratio());
-        snap.counter(
-            &format!("bench.tracepack.{}.encode_wall_ns", p.app),
-            p.encode_wall.as_nanos() as u64,
-        );
-        snap.counter(
-            &format!("bench.tracepack.{}.decode_wall_ns", p.app),
-            p.decode_wall.as_nanos() as u64,
-        );
-    }
-    total.export_obs(&mut snap);
-    let worst = r
-        .samples
-        .iter()
-        .map(SampleRow::error_pp)
-        .fold(0.0f64, f64::max);
-    snap.gauge("bench.tracepack.sample.worst_error_pp", worst);
-    let st = &r.stream;
-    snap.counter("bench.tracepack.stream.records", st.stats.records);
-    snap.counter("bench.tracepack.stream.packed_bytes", st.stats.packed_bytes);
-    snap.gauge("bench.tracepack.stream.ratio", st.stats.ratio());
-    snap.counter("bench.tracepack.stream.max_drain", st.max_drain as u64);
-    let tput = |recs: u64, d: Duration| {
-        let s = d.as_secs_f64();
-        if s > 0.0 {
-            recs as f64 / s
-        } else {
-            0.0
-        }
-    };
-    snap.counter(
-        "bench.tracepack.stream.sim_wall_ns",
-        st.sim_wall.as_nanos() as u64,
-    );
-    snap.counter(
-        "bench.tracepack.stream.encode_wall_ns",
-        st.encode_wall.as_nanos() as u64,
-    );
-    snap.counter(
-        "bench.tracepack.stream.decode_wall_ns",
-        st.decode_wall.as_nanos() as u64,
-    );
-    snap.counter(
-        "bench.tracepack.stream.replay_wall_ns",
-        st.replay_wall.as_nanos() as u64,
-    );
-    snap.gauge(
-        "bench.tracepack.stream.encode_recs_per_sec",
-        tput(st.stats.records, st.encode_wall),
-    );
-    snap.gauge(
-        "bench.tracepack.stream.decode_recs_per_sec",
-        tput(st.stats.records, st.decode_wall),
-    );
-    snap.gauge(
-        "bench.tracepack.stream.replay_recs_per_sec",
-        tput(st.replayed, st.replay_wall),
-    );
-    snap
 }
 
 #[cfg(test)]
@@ -701,9 +544,9 @@ mod tests {
     fn parallel_decode_matches_sequential() {
         let set = TraceSet::generate(RunScale::Small);
         let bundle = set.by_name("dsmc").unwrap();
-        let (bytes, stats, _) = pack_timed(bundle, 128);
+        let (bytes, stats) = trace::pack::pack_bundle_with_stats(bundle, 128).unwrap();
         assert_eq!(stats.records, bundle.records().len() as u64);
-        let (chunks, _) = decode_parallel(&bytes);
+        let chunks = decode_parallel(&bytes);
         let flat: Vec<MsgRecord> = chunks.into_iter().flatten().collect();
         assert_eq!(flat, bundle.records(), "parallel decode must be lossless");
     }

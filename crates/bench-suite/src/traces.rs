@@ -33,8 +33,7 @@ impl TraceSet {
 
     /// Generates all five traces on a custom machine configuration,
     /// running the benchmarks on the shared bounded worker pool
-    /// ([`crate::par::sweep`]), so the generation phase counts toward
-    /// the sweep-utilisation metrics in `BENCH_repro.json`.
+    /// ([`crate::par::sweep`]).
     pub fn generate_with(scale: Scale, proto: ProtocolConfig, sys: SystemConfig) -> Self {
         let suite = match scale {
             Scale::Paper => paper_suite(),

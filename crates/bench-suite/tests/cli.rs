@@ -1,10 +1,11 @@
 //! CLI contract tests for the `repro` binary's argument parsing: flags
-//! that expect a value must fail loudly when the value is missing, and
-//! unknown targets must exit non-zero instead of being silently skipped.
-//! One `tracedump` case rides along: an unknown benchmark is a one-line
-//! error, not a panic.
+//! that expect a value must fail loudly when the value is missing,
+//! unknown targets must exit non-zero instead of being silently skipped,
+//! and an artefact that cannot be written is a failure. `tracedump`'s
+//! cases ride along: bad input is a one-line error, not a panic and not
+//! a silent default.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn repro(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -13,12 +14,22 @@ fn repro(args: &[&str]) -> std::process::Output {
         .expect("spawn repro")
 }
 
+fn tracedump(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_tracedump"))
+        .args(args)
+        .output()
+        .expect("spawn tracedump")
+}
+
+/// Named for a timing flag `repro` no longer has (`benchmark/run.sh`
+/// measures host time); what it pins is that `--help` succeeds and
+/// documents the flags.
 #[test]
 fn help_exits_zero_and_mentions_bench_json() {
     let out = repro(&["--help"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("--bench-json"));
+    assert!(stdout.contains("--csv"));
     assert!(stdout.contains("--faults"));
 }
 
@@ -27,7 +38,6 @@ fn value_flags_reject_a_missing_value() {
     for flag in [
         "--csv",
         "--obs-json",
-        "--bench-json",
         "--faults",
         "--faults-seed",
         "--trace-out",
@@ -63,6 +73,21 @@ fn trace_out_rejects_a_missing_directory_before_simulating() {
         stderr.contains("--trace-out") && stderr.contains("does not exist"),
         "stderr was {stderr:?}"
     );
+}
+
+// Regression: `write_csv` logged a failed write and carried on, so a run
+// whose every artefact was lost still exited 0.
+
+#[test]
+fn unwritable_csv_dir_fails_before_the_first_target() {
+    let out = repro(&["--small", "--csv", "/proc/nonexistent/dir", "fig5"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("/proc/nonexistent/dir"),
+        "stderr was {stderr:?}"
+    );
+    assert!(out.stdout.is_empty(), "no target may have run");
 }
 
 #[test]
@@ -124,10 +149,7 @@ fn help_mentions_the_tournament_target() {
 
 #[test]
 fn tracedump_gen_rejects_an_unknown_benchmark_without_panicking() {
-    let out = Command::new(env!("CARGO_BIN_EXE_tracedump"))
-        .args(["gen", "spice", "/definitely/not/written.trace", "--small"])
-        .output()
-        .expect("spawn tracedump");
+    let out = tracedump(&["gen", "spice", "/definitely/not/written.trace", "--small"]);
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -136,4 +158,61 @@ fn tracedump_gen_rejects_an_unknown_benchmark_without_panicking() {
         "stderr was {stderr:?}"
     );
     assert!(!stderr.contains("panicked"), "stderr was {stderr:?}");
+}
+
+// Regressions: `eval a.trace two` evaluated depth 1 and exited 0, `eval
+// a.trace 0` printed `depth 0` over a depth-1 result, `eval a.trace 9`
+// panicked in the packed-history word, `dump a.trace x` dumped 20 records,
+// and `dump a.trace | head` panicked on the closed pipe.
+
+#[test]
+fn tracedump_rejects_bad_numbers_and_survives_a_closed_pipe() {
+    let path = std::env::temp_dir().join(format!("cli-appbt-{}.trace", std::process::id()));
+    let file = path.to_str().expect("utf-8 temp path");
+    let gen = tracedump(&["gen", "appbt", file, "--small"]);
+    assert!(gen.status.success());
+    assert!(String::from_utf8_lossy(&gen.stdout).contains("7592 records written"));
+
+    for (args, complaint) in [
+        (vec!["eval", file, "two"], "depth `two`"),
+        (vec!["eval", file, "0"], "depth 0 is outside 1..=4"),
+        (vec!["eval", file, "9"], "depth 9 is outside 1..=4"),
+        (vec!["eval", file, "1", "256"], "filter `256`"),
+        (vec!["obs", file, "-1"], "depth `-1`"),
+        (vec!["dump", file, "x"], "limit `x`"),
+        (vec!["seq", file, "0x40"], "block `0x40`"),
+    ] {
+        let out = tracedump(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{args:?}: stderr was {stderr:?}"
+        );
+        assert!(
+            stderr.contains(complaint),
+            "{args:?}: stderr was {stderr:?}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr was {stderr:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result anyway");
+    }
+
+    let out = tracedump(&["eval", file, "2", "1"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("depth 2, filter 1\n"), "{stdout:?}");
+
+    // Far more output than a pipe buffers, and nobody reading it.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tracedump"))
+        .args(["dump", file, "7592"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tracedump");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for tracedump");
+    assert!(out.status.success(), "closed pipe gave {:?}", out.status);
+    assert!(out.stderr.is_empty(), "closed pipe is not an error");
+
+    std::fs::remove_file(&path).ok();
 }

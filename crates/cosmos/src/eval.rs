@@ -258,18 +258,6 @@ impl AccuracyReport {
         );
     }
 
-    /// Exports the predictor-core counters under `cosmos.core.` — kept
-    /// separate from [`export_obs`](Self::export_obs) so the accuracy
-    /// snapshots (and their golden files) are unaffected by perf
-    /// instrumentation.
-    pub fn export_core_obs(&self, snap: &mut obs::Snapshot) {
-        snap.counter("cosmos.core.pht_probes", self.core.pht_probes);
-        snap.counter(
-            "cosmos.core.fastmap_capacity_bytes",
-            self.core.table_capacity_bytes,
-        );
-    }
-
     /// Dominant arcs of a role by scored references, with `(accuracy %,
     /// share %)` — the Figure 6/7 labels.
     pub fn dominant_arcs(&self, role: Role, top: usize) -> Vec<(ArcKey, f64, f64)> {

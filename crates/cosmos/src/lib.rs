@@ -93,9 +93,10 @@ pub use stache::fasthash::{FastMap, FastSet, FxHasher};
 
 use stache::BlockAddr;
 
-/// Internal predictor-core counters, exported (separately from the
-/// accuracy metrics) as `cosmos.core.*` so Table 7's memory-model numbers
-/// stay auditable after the packed-layout change.
+/// Internal predictor-core counters, carried on every report as
+/// [`eval::AccuracyReport::core`] (apart from the accuracy metrics and
+/// their goldens); the pipeline benchmark publishes them as
+/// `cosmos.score.pht_probes` and `cosmos.score.table_bytes`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// PHT probes (lookups plus updates) performed over the predictor's
@@ -147,7 +148,7 @@ pub trait MessagePredictor {
         MemoryFootprint::default()
     }
 
-    /// Internal table counters for performance auditing (`cosmos.core.*`).
+    /// Internal table counters for performance auditing ([`CoreStats`]).
     /// Predictors without an instrumented core report zeros.
     fn core_stats(&self) -> CoreStats {
         CoreStats::default()

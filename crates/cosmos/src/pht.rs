@@ -153,7 +153,7 @@ impl Pht {
     }
 
     /// Bytes of buckets the table has reserved (capacity, not occupancy)
-    /// — feeds the `cosmos.core.fastmap_capacity_bytes` gauge.
+    /// — feeds [`crate::CoreStats::table_capacity_bytes`].
     pub fn capacity_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<(u64, PhtEntry)>()
     }

@@ -388,7 +388,7 @@ impl CosmosPredictor {
     }
 
     /// Estimated bytes reserved by the predictor's hash tables (capacity,
-    /// not occupancy) — the `cosmos.core.fastmap_capacity_bytes` gauge.
+    /// not occupancy) — [`crate::CoreStats::table_capacity_bytes`].
     pub fn table_capacity_bytes(&self) -> u64 {
         (self.store.reserved_bytes() + self.phts().map(Pht::capacity_bytes).sum::<usize>()) as u64
     }

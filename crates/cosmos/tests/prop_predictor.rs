@@ -2,12 +2,13 @@
 //! semantics against a reference model, determinism, and convergence on
 //! periodic streams.
 //!
-//! Seeded cases on the in-house generator (see `seeded/mod.rs`).
+//! Seeded cases on the in-house generator (`simx::rng::check`).
 
 mod seeded;
 
 use cosmos::{CosmosPredictor, MessagePredictor, Mhr, PredTuple};
-use seeded::{check, stream, tuple};
+use seeded::{stream, tuple};
+use simx::rng::check;
 use stache::BlockAddr;
 use std::collections::HashMap;
 

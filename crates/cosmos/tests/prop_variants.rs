@@ -4,12 +4,13 @@
 //! confidence gate never lies about its threshold, a bounded table
 //! respects its capacity, and `PreallocCosmos`' memory bound is hard.
 //!
-//! Seeded cases on the in-house generator (see `seeded/mod.rs`).
+//! Seeded cases on the in-house generator (`simx::rng::check`).
 
 mod seeded;
 
 use cosmos::{CosmosPredictor, EvictingCosmos, MessagePredictor, PreallocCosmos, PredTuple};
-use seeded::{check, stream, tuple};
+use seeded::{stream, tuple};
+use simx::rng::check;
 use stache::{BlockAddr, NodeId};
 
 /// Feeds `stream` to `left` and its image under `right_sees` to `right`,

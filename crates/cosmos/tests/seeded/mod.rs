@@ -1,26 +1,9 @@
-//! The seeded property runner the `prop_*` suites share: a fixed number
-//! of cases, each on its own [`SmallRng`] stream, the failing seed in the
-//! panic message, no shrinking — re-run the one seed to debug it.
+//! Generators the seeded `prop_*` suites share; the runner is
+//! [`simx::rng::check`].
 
 use cosmos::PredTuple;
 use simx::rng::SmallRng;
 use stache::{MsgType, NodeId};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
-/// Runs `property` on generators seeded `0..cases`.
-pub fn check(cases: u64, property: impl Fn(&mut SmallRng)) {
-    for seed in 0..cases {
-        let case = AssertUnwindSafe(|| property(&mut SmallRng::seed_from_u64(seed)));
-        if let Err(cause) = catch_unwind(case) {
-            let why = (cause.downcast_ref::<String>().map(String::as_str))
-                .or_else(|| cause.downcast_ref::<&str>().copied());
-            match why {
-                Some(why) => panic!("property failed at seed {seed}: {why}"),
-                None => resume_unwind(cause),
-            }
-        }
-    }
-}
 
 /// Any `<sender, type>` of a 16-node machine.
 pub fn tuple(rng: &mut SmallRng) -> PredTuple {

@@ -7,10 +7,10 @@
 //! needs the same visibility at run time. This crate is the common,
 //! dependency-free substrate every other crate reports through:
 //!
-//! * a **metrics registry** ([`Registry`]) of counters, gauges, and
-//!   power-of-two-bucket latency [`Histogram`]s, cheap enough for the
-//!   simulator hot path (plain integer cells behind clonable handles;
-//!   atomics only in [`sync`] for cross-thread tallies);
+//! * **metric snapshots** ([`Snapshot`]): every crate keeps its own plain
+//!   integer tallies and power-of-two-bucket latency [`Histogram`]s on its
+//!   hot path and writes them into a snapshot under its own names at
+//!   export time — there is no shared registry to go through;
 //! * a **bounded ring-buffer event trace** ([`EventRing`]) — message
 //!   sends/receives, state transitions, predictor and policy actions —
 //!   with severity levels, dumpable on invariant failure so protocol bugs
@@ -19,7 +19,7 @@
 //!   trees over simulated time with latency-attribution categories and a
 //!   Chrome trace-event / Perfetto exporter ([`span::chrome_trace_json`]),
 //!   off by default so untraced runs stay byte-identical;
-//! * machine-readable **snapshot exporters** ([`Snapshot::to_json`],
+//! * machine-readable **exporters** ([`Snapshot::to_json`],
 //!   [`Snapshot::to_csv`]) and a shared text/CSV [`Table`] formatter. No
 //!   serde: the snapshot *is* the serialisation layer.
 //!
@@ -33,30 +33,25 @@
 //! ## Example
 //!
 //! ```
-//! use obs::{Registry, Snapshot};
+//! use obs::{Histogram, Snapshot};
 //!
-//! let mut reg = Registry::new();
-//! let hits = reg.counter("cache.hits");
-//! let lat = reg.histogram("cache.latency_ns");
-//! hits.inc();
-//! lat.record(120);
-//! let snap = reg.snapshot();
-//! assert!(snap.to_json().contains("\"cache.hits\""));
+//! let mut latency = Histogram::new();
+//! latency.record(120);
+//! let mut snap = Snapshot::new();
+//! snap.counter("cache.hits", 1);
+//! snap.histogram("cache.latency_ns", &latency);
+//! assert!(snap.to_json().contains("\"cache.hits\":1"));
 //! ```
 
 pub mod hist;
 pub mod json;
-pub mod registry;
 pub mod ring;
 pub mod snapshot;
 pub mod span;
-pub mod sync;
 pub mod table;
 
 pub use hist::Histogram;
-pub use registry::{Counter, Gauge, HistogramHandle, Registry};
 pub use ring::{Event, EventRing, Severity};
 pub use snapshot::{MetricValue, Snapshot};
 pub use span::{Span, SpanId, SpanKind, SpanLog, TraceId};
-pub use sync::SharedCounter;
 pub use table::{Align, Table};

@@ -1,11 +1,10 @@
 //! Point-in-time metric snapshots and their JSON/CSV exports.
 //!
 //! A [`Snapshot`] is a sorted map from metric name to [`MetricValue`],
-//! assembled either by [`crate::Registry::snapshot`] or directly by
-//! subsystems that keep their own tallies. Because the map is a
-//! `BTreeMap` and all formatting is deterministic, exporting the same
-//! run twice yields byte-identical output — which is what golden tests
-//! and diff-based regression tooling need.
+//! filled in directly by the subsystems that keep the tallies. Because
+//! the map is a `BTreeMap` and all formatting is deterministic, exporting
+//! the same run twice yields byte-identical output — which is what golden
+//! tests and diff-based regression tooling need.
 //!
 //! ## JSON schema (`obs.v1`)
 //!

@@ -302,8 +302,7 @@ fn net_span_name(mtype: MsgType) -> &'static str {
     }
 }
 
-/// The concurrent machine. Drive it with [`run_plan`](Self::run_plan) or
-/// the [`run_workload`] helper.
+/// The concurrent machine. Drive it with [`run_plan`](Self::run_plan).
 #[derive(Debug)]
 pub struct ConcurrentMachine {
     pub(crate) proto: ProtocolConfig,
@@ -443,11 +442,6 @@ impl ConcurrentMachine {
     /// delivery indices with [`FaultInjector::force`].
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
         self.fault = Some(injector);
-    }
-
-    /// The installed injector, if any.
-    pub fn fault_injector_mut(&mut self) -> Option<&mut FaultInjector> {
-        self.fault.as_mut()
     }
 
     /// Faults injected so far, when a plan is installed.
@@ -2525,31 +2519,6 @@ pub(crate) fn audit_block(
     Ok(())
 }
 
-/// Runs a workload-style plan stream through a fresh concurrent machine.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`].
-pub fn run_workload<F>(
-    name: &str,
-    iterations: u32,
-    mut plan_for: F,
-    proto: ProtocolConfig,
-    sys: SystemConfig,
-) -> Result<ConcurrentMachine, SimError>
-where
-    F: FnMut(u32) -> IterationPlan,
-{
-    let mut m = ConcurrentMachine::new(proto, sys);
-    m.set_app(name, iterations);
-    for it in 0..iterations {
-        let plan = plan_for(it);
-        m.run_plan(&plan, it)?;
-    }
-    m.verify_coherence()?;
-    Ok(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3191,19 +3160,17 @@ mod tests {
 
     #[test]
     fn workload_helper_runs_micros() {
-        let m = run_workload(
-            "pc",
-            6,
-            |_| {
-                plan_of(vec![
-                    vec![Access::write(n(1), BlockAddr::new(0))],
-                    vec![Access::read(n(2), BlockAddr::new(0))],
-                ])
-            },
-            ProtocolConfig::paper(),
-            SystemConfig::paper(),
-        )
-        .unwrap();
+        let mut m = machine();
+        m.set_app("pc", 6);
+        for it in 0..6 {
+            let plan = plan_of(vec![
+                vec![Access::write(n(1), BlockAddr::new(0))],
+                vec![Access::read(n(2), BlockAddr::new(0))],
+            ]);
+            m.run_plan(&plan, it).unwrap();
+        }
+        m.verify_coherence().unwrap();
+        assert_eq!(m.trace().meta().app, "pc");
         assert!(m.trace().len() >= 6 * 4);
         assert!(m.execution_time_ns() > 0);
     }

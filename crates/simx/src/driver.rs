@@ -8,8 +8,10 @@
 //! exactly the effect the paper's Cosmos must adapt to ("the two
 //! `get_ro_request` messages can now arrive in any order", §3.1).
 
+use crate::concurrent::ConcurrentMachine;
 use crate::event::EventQueue;
 use crate::machine::{Machine, SimError};
+use crate::shard::ShardedMachine;
 use stache::{BlockAddr, NodeId, ProcOp};
 
 /// The kind of access a plan step performs.
@@ -164,6 +166,77 @@ impl IterationPlan {
     }
 }
 
+/// What driving a workload needs of a scheduler, spelled the same on all
+/// three: `workloads::drive` is written once over this, and each machine
+/// implements it by its inherent methods of the same names
+/// ([`run_iteration`] being [`Machine`]'s `run_plan`).
+pub trait Engine {
+    /// Processors in the machine.
+    fn nodes(&self) -> usize;
+
+    /// Names the run in the trace metadata.
+    fn set_app(&mut self, app: &str, iterations: u32);
+
+    /// Executes one iteration plan, a barrier after every phase.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`SimError`].
+    fn run_plan(&mut self, plan: &IterationPlan, iteration: u32) -> Result<(), SimError>;
+
+    /// Audits every touched block, at quiescence.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation found.
+    fn verify_coherence(&mut self) -> Result<(), SimError>;
+}
+
+impl Engine for Machine {
+    fn nodes(&self) -> usize {
+        self.core.proto.nodes
+    }
+    fn set_app(&mut self, app: &str, iterations: u32) {
+        Machine::set_app(self, app, iterations);
+    }
+    fn run_plan(&mut self, plan: &IterationPlan, iteration: u32) -> Result<(), SimError> {
+        run_iteration(self, plan, iteration)
+    }
+    fn verify_coherence(&mut self) -> Result<(), SimError> {
+        Machine::verify_coherence(self)
+    }
+}
+
+impl Engine for ConcurrentMachine {
+    fn nodes(&self) -> usize {
+        self.proto.nodes
+    }
+    fn set_app(&mut self, app: &str, iterations: u32) {
+        ConcurrentMachine::set_app(self, app, iterations);
+    }
+    fn run_plan(&mut self, plan: &IterationPlan, iteration: u32) -> Result<(), SimError> {
+        ConcurrentMachine::run_plan(self, plan, iteration)
+    }
+    fn verify_coherence(&mut self) -> Result<(), SimError> {
+        ConcurrentMachine::verify_coherence(self)
+    }
+}
+
+impl Engine for ShardedMachine {
+    fn nodes(&self) -> usize {
+        self.proto.nodes
+    }
+    fn set_app(&mut self, app: &str, iterations: u32) {
+        ShardedMachine::set_app(self, app, iterations);
+    }
+    fn run_plan(&mut self, plan: &IterationPlan, iteration: u32) -> Result<(), SimError> {
+        ShardedMachine::run_plan(self, plan, iteration)
+    }
+    fn verify_coherence(&mut self) -> Result<(), SimError> {
+        ShardedMachine::verify_coherence(self)
+    }
+}
+
 /// Executes one iteration plan on the machine, stamping trace records with
 /// `iteration`. A barrier follows every phase.
 ///
@@ -179,23 +252,6 @@ pub fn run_iteration(
     for phase in &plan.phases {
         run_phase(machine, phase, iteration)?;
         machine.barrier();
-    }
-    Ok(())
-}
-
-/// Executes the phases of `plan` without inter-phase barriers (useful for
-/// microbenchmarks that manage synchronisation themselves).
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`].
-pub fn run_unbarriered(
-    machine: &mut Machine,
-    plan: &IterationPlan,
-    iteration: u32,
-) -> Result<(), SimError> {
-    for phase in &plan.phases {
-        run_phase(machine, phase, iteration)?;
     }
     Ok(())
 }
@@ -278,24 +334,20 @@ mod tests {
     fn min_clock_interleaving_orders_by_time() {
         let mut m = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
         // Node 1 is already far in the future; node 2's access must run first.
-        let mut warmup = IterationPlan::new();
         let mut w = Phase::new(16);
         for _ in 0..5 {
             w.push(Access::write(n(1), BlockAddr::new(64))); // page homed on node 1? no: block 64 -> page 1 -> home 1; local, cheap.
             w.push(Access::write(n(1), BlockAddr::new(0))); // remote: expensive
         }
-        warmup.push(w);
-        run_unbarriered(&mut m, &warmup, 0).unwrap();
+        run_phase(&mut m, &w, 0).unwrap();
         assert!(m.clock(n(1)) > m.clock(n(2)));
 
         let c1_before = m.clock(n(1));
-        let mut plan = IterationPlan::new();
         let mut p = Phase::new(16);
         // Block 192 lives on page 3 (home node 3): remote for both readers.
         p.push(Access::read(n(1), BlockAddr::new(192)));
         p.push(Access::read(n(2), BlockAddr::new(192)));
-        plan.push(p);
-        run_unbarriered(&mut m, &plan, 1).unwrap();
+        run_phase(&mut m, &p, 1).unwrap();
         // Node 2's request must have reached the directory before node 1's:
         // the first get_ro_request in the new records comes from node 2.
         let recs: Vec<_> = m
@@ -311,7 +363,6 @@ mod tests {
     #[test]
     fn phase_delays_stagger_node_starts() {
         let mut m = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-        let mut plan = IterationPlan::new();
         let mut p = Phase::new(16);
         // Node 2 is delayed past node 5: despite the lower index, its
         // request must reach the shared home second.
@@ -320,8 +371,7 @@ mod tests {
         p.set_delay(n(2), 10_000);
         assert_eq!(p.delay(n(2)), 10_000);
         assert_eq!(p.delay(n(5)), 0);
-        plan.push(p);
-        run_unbarriered(&mut m, &plan, 0).unwrap();
+        run_phase(&mut m, &p, 0).unwrap();
         let requests: Vec<_> = m
             .trace()
             .records()

@@ -70,7 +70,7 @@ mod store;
 pub use arena::{Arena, ArenaId};
 pub use concurrent::ConcurrentMachine;
 pub use config::SystemConfig;
-pub use driver::{Access, AccessOp, IterationPlan, Phase};
+pub use driver::{Access, AccessOp, Engine, IterationPlan, Phase};
 pub use event::EventQueue;
 pub use fault::{FaultInjector, FaultPlan};
 pub use machine::{AccessOutcome, ForwardKind, Machine, SimError, SpeculationPolicy};

@@ -283,12 +283,6 @@ impl Machine {
         self.core.set_fault_injector(injector);
     }
 
-    /// The installed injector, if any (mutable so tests can force faults
-    /// mid-run).
-    pub fn fault_injector_mut(&mut self) -> Option<&mut FaultInjector> {
-        self.core.fault_injector_mut()
-    }
-
     /// Faults injected so far, when a plan is installed.
     pub fn fault_tally(&self) -> Option<&FaultTally> {
         self.core.fault_tally()
@@ -311,19 +305,9 @@ impl Machine {
         self.core.set_policy(policy);
     }
 
-    /// Removes and returns the installed policy, if any.
-    pub fn take_policy(&mut self) -> Option<Box<dyn SpeculationPolicy>> {
-        self.core.policy.take()
-    }
-
     /// Names the trace (workload name recorded in the bundle metadata).
     pub fn set_app(&mut self, app: &str, iterations: u32) {
         self.core.set_app(app, iterations);
-    }
-
-    /// The protocol configuration.
-    pub fn protocol_config(&self) -> &ProtocolConfig {
-        &self.core.proto
     }
 
     /// The timing configuration.

@@ -18,6 +18,7 @@
 //! their frozen byte streams are unchanged.
 
 use std::ops::{Range, RangeInclusive};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -90,6 +91,24 @@ impl SmallRng {
     fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0, "empty range");
         ((self.gen() as u128 * n as u128) >> 64) as u64
+    }
+}
+
+/// The seeded property runner every `prop_*` suite shares: runs
+/// `property` on generators seeded `0..cases`, each case on its own
+/// stream, and puts the failing seed in the panic message. There is no
+/// shrinking — re-run the one seed to debug it.
+pub fn check(cases: u64, property: impl Fn(&mut SmallRng)) {
+    for seed in 0..cases {
+        let case = AssertUnwindSafe(|| property(&mut SmallRng::seed_from_u64(seed)));
+        if let Err(cause) = catch_unwind(case) {
+            let why = (cause.downcast_ref::<String>().map(String::as_str))
+                .or_else(|| cause.downcast_ref::<&str>().copied());
+            match why {
+                Some(why) => panic!("property failed at seed {seed}: {why}"),
+                None => resume_unwind(cause),
+            }
+        }
     }
 }
 

@@ -192,7 +192,6 @@ struct Shard {
     /// nothing per message.
     events: Arena<Event>,
     log: WindowLog,
-    capture_trace: bool,
 }
 
 impl Shard {
@@ -207,7 +206,6 @@ impl Shard {
             queue: BinaryHeap::new(),
             events: Arena::new(),
             log: WindowLog::default(),
-            capture_trace: true,
         }
     }
 
@@ -262,9 +260,7 @@ impl Shard {
                     children += 1;
                 }
             }
-            if self.capture_trace {
-                self.log.recs.extend_from_slice(self.core.trace.records());
-            }
+            self.log.recs.extend_from_slice(self.core.trace.records());
             self.core.trace.clear_records();
             let ring = self.core.ring.get_mut();
             debug_assert!(
@@ -292,7 +288,7 @@ impl Shard {
 /// the synchronisation and determinism arguments.
 #[derive(Debug)]
 pub struct ShardedMachine {
-    proto: ProtocolConfig,
+    pub(crate) proto: ProtocolConfig,
     sys: SystemConfig,
     shards: Vec<Shard>,
     /// Nodes per shard (the last shard may own fewer).
@@ -310,7 +306,6 @@ pub struct ShardedMachine {
     ring: EventRing,
     coord_stats: MachineStats,
     coord_tally: ProtocolTally,
-    capture_trace: bool,
     audit_barriers: bool,
     windows: u64,
     /// Replay scratch, reused every window: the shards' logs while they
@@ -377,7 +372,6 @@ impl ShardedMachine {
             ring: EventRing::default(),
             coord_stats: MachineStats::default(),
             coord_tally: ProtocolTally::new(),
-            capture_trace: true,
             audit_barriers: true,
             windows: 0,
         }
@@ -389,18 +383,6 @@ impl ShardedMachine {
         let mut bundle = TraceBundle::new(TraceMeta::new(app, nodes, iterations));
         bundle.extend_records(self.trace.records().iter().copied());
         self.trace = bundle;
-    }
-
-    /// Turns trace capture off (or back on). Off, delivered messages are
-    /// still *counted* — `simx.trace.records` stays truthful — but no
-    /// [`MsgRecord`] is materialised: the streaming mode for
-    /// 1k-node/million-block scale runs whose traces would not fit in
-    /// memory.
-    pub fn set_capture_trace(&mut self, capture: bool) {
-        self.capture_trace = capture;
-        for s in &mut self.shards {
-            s.capture_trace = capture;
-        }
     }
 
     /// Turns the per-barrier coherence audit off (or back on). The audit
@@ -454,10 +436,9 @@ impl ShardedMachine {
     }
 
     /// Takes the records captured since the last drain, leaving the
-    /// machine's bundle empty. The streaming middle ground between full
-    /// capture and `set_capture_trace(false)`: drained after every
-    /// iteration and handed to a packed-trace writer, peak memory is one
-    /// iteration's records instead of the whole run's.
+    /// machine's bundle empty. The streaming mode: drained after every
+    /// iteration and handed to a packed-trace writer (or dropped), peak
+    /// memory is one iteration's records instead of the whole run's.
     pub fn drain_trace_records(&mut self) -> Vec<trace::MsgRecord> {
         self.trace.take_records()
     }
@@ -529,12 +510,8 @@ impl ShardedMachine {
         let stats = self.stats();
         stats.export_obs(&mut snap);
         self.tally().export_obs(&mut snap);
-        let records = if self.capture_trace {
-            self.trace.len() as u64
-        } else {
-            stats.messages_total()
-        };
-        snap.counter("simx.trace.records", records);
+        // Every delivered message is one record, drained or still held.
+        snap.counter("simx.trace.records", stats.messages_total());
         // Events *offered*, recorder on or off, as the concurrent engine
         // counts them: each core counts its handlers' offers, and the
         // coordinator's own are the audit failures.
@@ -650,10 +627,8 @@ impl ShardedMachine {
             for &offer in &log.rings[at.ring..e.ring_end as usize] {
                 self.ring.push(offer);
             }
-            if self.capture_trace {
-                let recs = &log.recs[at.rec..e.rec_end as usize];
-                self.trace.extend_records(recs.iter().copied());
-            }
+            let recs = &log.recs[at.rec..e.rec_end as usize];
+            self.trace.extend_records(recs.iter().copied());
             for push in &log.pushes[at.push..e.push_end as usize] {
                 let seq = self.seq;
                 self.seq += 1;
@@ -763,32 +738,6 @@ fn holders(shards: &[Shard], block: BlockAddr) -> impl Iterator<Item = Holder> +
     shards
         .iter()
         .flat_map(move |s| s.core.holders(block).iter().copied())
-}
-
-/// Runs a workload-style plan stream through a fresh sharded machine.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`].
-pub fn run_workload_sharded<F>(
-    name: &str,
-    iterations: u32,
-    mut plan_for: F,
-    proto: ProtocolConfig,
-    sys: SystemConfig,
-    shards: usize,
-) -> Result<ShardedMachine, SimError>
-where
-    F: FnMut(u32) -> IterationPlan,
-{
-    let mut m = ShardedMachine::new(proto, sys, shards);
-    m.set_app(name, iterations);
-    for it in 0..iterations {
-        let plan = plan_for(it);
-        m.run_plan(&plan, it)?;
-    }
-    m.verify_coherence()?;
-    Ok(m)
 }
 
 #[cfg(test)]
@@ -997,18 +946,20 @@ mod tests {
         assert_eq!(m.shard_count(), 16);
     }
 
+    /// Named for the capture switch it first covered; what it pins now is
+    /// that draining the trace does not un-count its records.
     #[test]
     fn capture_off_still_counts_records() {
         let mut m = ShardedMachine::new(ProtocolConfig::paper(), SystemConfig::paper(), 2);
-        m.set_capture_trace(false);
         let plan = plan_of(vec![vec![Access::read(n(1), BlockAddr::new(0))]]);
         m.run_plan(&plan, 0).unwrap();
-        assert_eq!(m.trace().len(), 0, "no records materialised");
+        assert_eq!(m.drain_trace_records().len(), 2);
+        assert_eq!(m.trace().len(), 0, "nothing left in the machine");
         let snap = m.obs_snapshot();
         assert_eq!(
             snap.get("simx.trace.records"),
             Some(&obs::MetricValue::Counter(2)),
-            "the two coherence messages are still counted"
+            "the two drained coherence messages are still counted"
         );
     }
 

@@ -1,12 +1,8 @@
-//! Trace (de)serialisation.
-//!
-//! Two encodings are provided:
-//!
-//! * a **binary** codec ([`encode`]/[`decode`]) — fixed-width records
-//!   behind a small header; compact and fast, suitable for archiving the
-//!   multi-million-message traces the benchmark harness produces;
-//! * a **text** codec ([`to_text`]/[`from_text`]) — one record per line in
-//!   the paper's message vocabulary; handy for eyeballing and diffing.
+//! Flat trace (de)serialisation: [`encode`]/[`decode`] move a whole
+//! bundle to and from `CTR1` bytes — fixed-width big-endian records behind
+//! a small header. `std::fs::{read, write}` around them is the file
+//! format `tracedump` speaks; traces too large to materialise stream
+//! through [`crate::pack`] instead.
 
 use crate::bundle::{TraceBundle, TraceMeta};
 use crate::record::MsgRecord;
@@ -16,6 +12,8 @@ use std::fmt;
 
 /// Magic bytes identifying a binary trace.
 const MAGIC: &[u8; 4] = b"CTR1";
+/// The fixed encoded size of one record.
+pub const RECORD_BYTES: usize = 26;
 
 /// A malformed trace encountered while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,7 +144,7 @@ impl<'a> Reader<'a> {
 pub fn encode(bundle: &TraceBundle) -> Result<Vec<u8>, EncodeError> {
     let meta = bundle.meta();
     check_header_bounds(meta)?;
-    let mut buf = Vec::with_capacity(32 + meta.app.len() + bundle.len() * 26);
+    let mut buf = Vec::with_capacity(32 + meta.app.len() + bundle.len() * RECORD_BYTES);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&(meta.app.len() as u16).to_be_bytes());
     buf.extend_from_slice(meta.app.as_bytes());
@@ -187,7 +185,7 @@ pub fn decode(data: &[u8]) -> Result<TraceBundle, DecodeError> {
 
     let mut bundle = TraceBundle::new(TraceMeta::new(app, nodes, iterations));
     for _ in 0..count {
-        r.need(26)?;
+        r.need(RECORD_BYTES)?;
         let time_ns = r.u64()?;
         let node = NodeId::from_raw(r.u16()?).ok_or(DecodeError::BadField { field: "node" })?;
         let role = match r.u8()? {
@@ -207,111 +205,6 @@ pub fn decode(data: &[u8]) -> Result<TraceBundle, DecodeError> {
             sender,
             mtype,
             iteration,
-        });
-    }
-    Ok(bundle)
-}
-
-/// Renders a bundle as text, one record per line.
-pub fn to_text(bundle: &TraceBundle) -> String {
-    use std::fmt::Write as _;
-    let meta = bundle.meta();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# app={} nodes={} iterations={}",
-        meta.app, meta.nodes, meta.iterations
-    );
-    for r in bundle.records() {
-        let _ = writeln!(
-            out,
-            "{} {} {} {} {} {} {}",
-            r.time_ns,
-            r.node.index(),
-            match r.role {
-                Role::Cache => "C",
-                Role::Directory => "D",
-            },
-            r.block.number(),
-            r.sender.index(),
-            r.mtype.paper_name(),
-            r.iteration,
-        );
-    }
-    out
-}
-
-/// Parses the text format produced by [`to_text`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] describing the first malformed line.
-pub fn from_text(text: &str) -> Result<TraceBundle, DecodeError> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or(DecodeError::Truncated)?;
-    let header = header.strip_prefix("# ").ok_or(DecodeError::BadMagic)?;
-    let mut app = String::new();
-    let mut nodes = 0usize;
-    let mut iterations = 0u32;
-    for kv in header.split_whitespace() {
-        let (k, v) = kv
-            .split_once('=')
-            .ok_or(DecodeError::BadField { field: "header" })?;
-        match k {
-            "app" => app = v.to_string(),
-            "nodes" => {
-                nodes = v
-                    .parse()
-                    .map_err(|_| DecodeError::BadField { field: "nodes" })?
-            }
-            "iterations" => {
-                iterations = v.parse().map_err(|_| DecodeError::BadField {
-                    field: "iterations",
-                })?
-            }
-            _ => return Err(DecodeError::BadField { field: "header" }),
-        }
-    }
-    let mut bundle = TraceBundle::new(TraceMeta::new(app, nodes, iterations));
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != 7 {
-            return Err(DecodeError::BadField { field: "record" });
-        }
-        let parse_u64 = |s: &str, f: &'static str| {
-            s.parse::<u64>()
-                .map_err(|_| DecodeError::BadField { field: f })
-        };
-        let mtype = stache::msg::ALL_MSG_TYPES
-            .iter()
-            .copied()
-            .find(|t| t.paper_name() == fields[5])
-            .ok_or(DecodeError::BadField { field: "mtype" })?;
-        // Checked: `NodeId::new` panics above the 12-bit id space, so an
-        // out-of-range node in a text trace used to abort instead of
-        // reporting the malformed field.
-        let parse_node = |s: &str, f: &'static str| {
-            parse_u64(s, f)
-                .and_then(|v| u16::try_from(v).map_err(|_| DecodeError::BadField { field: f }))
-                .and_then(|v| NodeId::from_raw(v).ok_or(DecodeError::BadField { field: f }))
-        };
-        bundle.push(MsgRecord {
-            time_ns: parse_u64(fields[0], "time")?,
-            node: parse_node(fields[1], "node")?,
-            role: match fields[2] {
-                "C" => Role::Cache,
-                "D" => Role::Directory,
-                _ => return Err(DecodeError::BadField { field: "role" }),
-            },
-            block: BlockAddr::new(parse_u64(fields[3], "block")?),
-            sender: parse_node(fields[4], "sender")?,
-            mtype,
-            // Checked: a parsed value above u32::MAX used to wrap via `as`.
-            iteration: u32::try_from(parse_u64(fields[6], "iteration")?)
-                .map_err(|_| DecodeError::BadField { field: "iteration" })?,
         });
     }
     Ok(bundle)
@@ -350,14 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn text_roundtrip() {
-        let b = sample();
-        let text = to_text(&b);
-        let decoded = from_text(&text).unwrap();
-        assert_eq!(b, decoded);
-    }
-
-    #[test]
     fn bad_magic_rejected() {
         assert_eq!(decode(b"NOPE"), Err(DecodeError::BadMagic));
         assert_eq!(decode(b"XX"), Err(DecodeError::Truncated));
@@ -381,39 +266,6 @@ mod tests {
         assert_eq!(
             decode(&bytes),
             Err(DecodeError::BadField { field: "mtype" })
-        );
-    }
-
-    #[test]
-    fn text_out_of_range_node_is_rejected_not_a_panic() {
-        // Regression: `NodeId::new(v as usize)` panicked for ids >= 4096.
-        for line in [
-            "0 4096 C 0 0 get_ro_request 0",
-            "0 0 C 0 99999999999 get_ro_request 0",
-        ] {
-            let text = format!("# app=x nodes=1 iterations=1\n{line}\n");
-            let err = from_text(&text).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    DecodeError::BadField {
-                        field: "node" | "sender"
-                    }
-                ),
-                "line {line:?} gave {err:?}"
-            );
-        }
-        // The boundary id still parses.
-        let ok = "# app=x nodes=1 iterations=1\n0 4095 C 0 4095 get_ro_request 0\n";
-        assert_eq!(from_text(ok).unwrap().records()[0].node.index(), 4095);
-    }
-
-    #[test]
-    fn text_bad_role_rejected() {
-        let text = "# app=x nodes=1 iterations=1\n0 0 Z 0 0 get_ro_request 0\n";
-        assert_eq!(
-            from_text(text),
-            Err(DecodeError::BadField { field: "role" })
         );
     }
 
@@ -445,20 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn text_iteration_above_u32_is_rejected() {
-        // Regression: the parsed u64 was cast with `as u32`, so 2^32
-        // decoded as iteration 0 instead of failing.
-        let text = "# app=x nodes=1 iterations=1\n0 0 C 0 0 get_ro_request 4294967296\n";
-        assert_eq!(
-            from_text(text),
-            Err(DecodeError::BadField { field: "iteration" })
-        );
-        // The boundary value itself still parses.
-        let ok = "# app=x nodes=1 iterations=1\n0 0 C 0 0 get_ro_request 4294967295\n";
-        assert_eq!(from_text(ok).unwrap().records()[0].iteration, u32::MAX);
-    }
-
-    #[test]
     fn encode_errors_render() {
         assert!(EncodeError::AppTooLong { len: 70_000 }
             .to_string()
@@ -472,6 +310,5 @@ mod tests {
     fn empty_trace_roundtrips() {
         let b = TraceBundle::new(TraceMeta::new("empty", 2, 0));
         assert_eq!(decode(&encode(&b).unwrap()).unwrap(), b);
-        assert_eq!(from_text(&to_text(&b)).unwrap(), b);
     }
 }

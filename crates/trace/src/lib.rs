@@ -10,13 +10,12 @@
 //!   and role (cache or directory), for which block, from whom, and what;
 //! * [`TraceBundle`] — a full run's worth of records plus metadata, with
 //!   iterators per receiver and per block;
-//! * [`codec`] — a compact binary encoding (and a line-oriented text
-//!   encoding) for writing traces to disk and reading them back;
-//! * [`io`] — streaming readers/writers over `std::io` in the same binary
-//!   format, for traces too large to hold in memory;
-//! * [`pack`] — the chunked, compressed packed-trace format: streaming
-//!   writers, indexed readers, and independent per-chunk decode for
-//!   parallel replay with bounded memory;
+//! * [`codec`] — the flat binary encoding (`CTR1`, 26 bytes a record) a
+//!   whole bundle is written to disk in and read back from;
+//! * [`pack`] — the chunked, compressed packed-trace format (`CPK1`):
+//!   streaming writers, indexed readers, and independent per-chunk decode
+//!   for parallel replay with bounded memory — the format for traces too
+//!   large to hold;
 //! * [`simpoint`] — SimPoint-style phase sampling: interval fingerprints
 //!   over message-signature arcs, deterministic k-means clustering, and
 //!   weighted representative selection;
@@ -47,7 +46,6 @@
 
 pub mod bundle;
 pub mod codec;
-pub mod io;
 pub mod pack;
 pub mod record;
 pub mod signature;

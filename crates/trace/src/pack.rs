@@ -101,7 +101,7 @@ const FOOTER_BYTES: u64 = 8 + 8 + 4;
 /// Index entry size: offset + records + comp_len + raw_len + first_time.
 const INDEX_ENTRY_BYTES: u64 = 8 + 4 + 4 + 4 + 8;
 /// The flat codec's per-record cost, the compression-ratio baseline.
-pub const FLAT_RECORD_BYTES: u64 = crate::io::RECORD_BYTES as u64;
+pub const FLAT_RECORD_BYTES: u64 = crate::codec::RECORD_BYTES as u64;
 
 /// A failure while packing or unpacking a trace.
 #[derive(Debug)]

@@ -1,12 +1,7 @@
-//! Proptest regression seeds for the packed-trace format, promoted to
-//! named deterministic tests.
-//!
-//! `prop_pack.rs` is gated behind the `proptest-tests` feature (the
-//! crate cannot be vendored yet), so the saved counterexamples in
-//! `prop_pack.proptest-regressions` would only re-run in an environment
-//! that has proptest. Each saved seed is replayed here verbatim as an
-//! always-on unit test with a `promoted:` marker; CI checks that every
-//! `cc` line has a matching marker.
+//! Counterexamples proptest once found for the packed-trace format,
+//! kept as named deterministic tests (the `promoted:` markers carry the
+//! saved-seed hashes they were replayed from). The always-on random
+//! cases live in `prop_pack.rs`.
 
 use stache::{BlockAddr, MsgType, NodeId, Role};
 use trace::pack;

@@ -1,94 +1,106 @@
-//! Property tests for the trace codecs and arc extraction.
+//! Property tests for the flat trace codec and arc extraction.
+//!
+//! Seeded cases on the in-house generator (`simx::rng::check`).
 
-// Property tests need the external `proptest` crate; the feature is a
-// placeholder until it can be vendored (see the workspace manifest).
-#![cfg(feature = "proptest-tests")]
-use proptest::prelude::*;
+mod seeded;
+
+use seeded::{bundle, noise, record};
+use simx::rng::check;
 use stache::{BlockAddr, MsgType, NodeId, Role};
-use trace::codec;
-use trace::{MsgRecord, TraceBundle, TraceMeta};
+use std::collections::HashMap;
+use trace::{codec, MsgRecord, TraceBundle, TraceMeta};
 
-fn record_strategy() -> impl Strategy<Value = MsgRecord> {
-    (
-        any::<u64>(),
-        0usize..4096,
-        any::<bool>(),
-        any::<u64>(),
-        0usize..4096,
-        0u8..12,
-        any::<u32>(),
-    )
-        .prop_map(
-            |(time, node, is_dir, block, sender, code, iteration)| MsgRecord {
-                time_ns: time,
-                node: NodeId::new(node),
-                role: if is_dir { Role::Directory } else { Role::Cache },
-                block: BlockAddr::new(block),
-                sender: NodeId::new(sender),
-                mtype: MsgType::from_code(code).unwrap(),
-                iteration,
-            },
-        )
+/// Binary encode/decode is the identity.
+#[test]
+fn binary_roundtrip() {
+    check(128, |rng| {
+        let b = bundle(rng, 0, 100);
+        assert_eq!(codec::decode(&codec::encode(&b).unwrap()).unwrap(), b);
+    });
 }
 
-fn bundle_strategy() -> impl Strategy<Value = TraceBundle> {
-    (
-        "[a-z]{1,12}",
-        1usize..64,
-        any::<u32>(),
-        prop::collection::vec(record_strategy(), 0..100),
-    )
-        .prop_map(|(app, nodes, iterations, records)| {
-            let mut b = TraceBundle::new(TraceMeta::new(app, nodes, iterations));
-            b.extend_records(records);
-            b
-        })
+/// A trace file is the codec's bytes and nothing else: what
+/// `fs::write(p, encode(b))` stores, `decode(&fs::read(p))` returns — for
+/// the empty bundle, a single record, and every field at its maximum.
+#[test]
+fn file_roundtrip() {
+    let one = MsgRecord {
+        time_ns: 7,
+        node: NodeId::new(3),
+        role: Role::Cache,
+        block: BlockAddr::new(0x80),
+        sender: NodeId::new(1),
+        mtype: MsgType::GetRoRequest,
+        iteration: 9,
+    };
+    let max = MsgRecord {
+        time_ns: u64::MAX,
+        node: NodeId::new(4095),
+        role: Role::Directory,
+        block: BlockAddr::new(u64::MAX),
+        sender: NodeId::new(4095),
+        mtype: MsgType::from_code(11).unwrap(),
+        iteration: u32::MAX,
+    };
+    let dir = std::env::temp_dir().join(format!("trace-prop-codec-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases = [
+        ("empty", TraceMeta::new("empty", 2, 0), vec![]),
+        ("one", TraceMeta::new("one", 16, 10), vec![one]),
+        (
+            "max",
+            TraceMeta::new("m".repeat(u16::MAX as usize), u32::MAX as usize, u32::MAX),
+            vec![max; 3],
+        ),
+    ];
+    for (name, meta, records) in cases {
+        let mut b = TraceBundle::new(meta);
+        b.extend_records(records);
+        let path = dir.join(format!("{name}.trace"));
+        std::fs::write(&path, codec::encode(&b).unwrap()).unwrap();
+        let restored = codec::decode(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!(restored, b, "{name} bundle changed on disk");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// Decoding never panics on arbitrary bytes — it returns an error.
+#[test]
+fn decode_is_total() {
+    check(128, |rng| {
+        let _ = codec::decode(&noise(rng, b"CTR1", 300));
+    });
+}
 
-    /// Binary encode/decode is the identity.
-    #[test]
-    fn binary_roundtrip(bundle in bundle_strategy()) {
-        let decoded = codec::decode(&codec::encode(&bundle).unwrap()).unwrap();
-        prop_assert_eq!(bundle, decoded);
-    }
-
-    /// Text encode/decode is the identity.
-    #[test]
-    fn text_roundtrip(bundle in bundle_strategy()) {
-        let decoded = codec::from_text(&codec::to_text(&bundle)).unwrap();
-        prop_assert_eq!(bundle, decoded);
-    }
-
-    /// Decoding never panics on arbitrary bytes — it returns an error.
-    #[test]
-    fn decode_is_total(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        let _ = codec::decode(&bytes);
-    }
-
-    /// Truncating a valid encoding anywhere inside the payload fails
-    /// cleanly rather than yielding a different valid trace.
-    #[test]
-    fn truncation_detected(bundle in bundle_strategy(), cut in any::<prop::sample::Index>()) {
-        prop_assume!(!bundle.is_empty());
-        let encoded = codec::encode(&bundle).unwrap();
-        let cut = cut.index(encoded.len().max(1) - 1);
-        match codec::decode(&encoded[..cut]) {
-            Err(_) => {}
-            Ok(decoded) => prop_assert!(decoded.len() < bundle.len()),
+/// Truncating a valid encoding anywhere inside the payload fails
+/// cleanly rather than yielding a different valid trace.
+#[test]
+fn truncation_detected() {
+    check(128, |rng| {
+        let b = bundle(rng, 1, 100);
+        let encoded = codec::encode(&b).unwrap();
+        let cut = rng.gen_range(0..encoded.len());
+        if let Ok(decoded) = codec::decode(&encoded[..cut]) {
+            assert!(decoded.len() < b.len(), "cut at {cut} kept every record");
         }
-    }
+    });
+}
 
-    /// Arc counts: total arcs per role equals (records per key - 1) summed
-    /// over keys of that role.
-    #[test]
-    fn arc_totals_match_stream_lengths(bundle in bundle_strategy()) {
-        use std::collections::HashMap;
-        let arcs = trace::ArcTable::from_bundle(&bundle);
+/// Arc counts: total arcs per role equals (records per key - 1) summed
+/// over keys of that role.
+#[test]
+fn arc_totals_match_stream_lengths() {
+    check(128, |rng| {
+        // Few nodes and blocks, so streams are longer than one record.
+        let mut b = TraceBundle::new(TraceMeta::new("arcs", 3, 1));
+        b.extend_records((0..rng.gen_range(0..=100)).map(|_| MsgRecord {
+            node: NodeId::new(rng.gen_range(0..3)),
+            block: BlockAddr::new(rng.gen_range(0..4) as u64),
+            ..record(rng)
+        }));
+        let arcs = trace::ArcTable::from_bundle(&b);
         let mut streams: HashMap<(NodeId, Role, BlockAddr), usize> = HashMap::new();
-        for r in bundle.records() {
+        for r in b.records() {
             *streams.entry((r.node, r.role, r.block)).or_insert(0) += 1;
         }
         for role in [Role::Cache, Role::Directory] {
@@ -97,7 +109,7 @@ proptest! {
                 .filter(|((_, r, _), _)| *r == role)
                 .map(|(_, &n)| n - 1)
                 .sum();
-            prop_assert_eq!(arcs.total(role), expected);
+            assert_eq!(arcs.total(role), expected);
         }
-    }
+    });
 }

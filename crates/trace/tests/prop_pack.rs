@@ -1,123 +1,102 @@
 //! Property tests for the chunked packed-trace format (`trace::pack`).
+//!
+//! Seeded cases on the in-house generator (`simx::rng::check`); the three
+//! counterexamples the proptest era saved stay as named tests in
+//! `pack_regression_seeds.rs`.
 
-// Property tests need the external `proptest` crate; the feature is a
-// placeholder until it can be vendored (see the workspace manifest).
-#![cfg(feature = "proptest-tests")]
-use proptest::prelude::*;
-use stache::{BlockAddr, MsgType, NodeId, Role};
+mod seeded;
+
+use seeded::{bundle, noise};
+use simx::rng::check;
 use std::io::Cursor;
-use trace::pack;
-use trace::{MsgRecord, TraceBundle, TraceMeta};
+use trace::{pack, MsgRecord};
 
-fn record_strategy() -> impl Strategy<Value = MsgRecord> {
-    (
-        any::<u64>(),
-        0usize..4096,
-        any::<bool>(),
-        any::<u64>(),
-        0usize..4096,
-        0u8..12,
-        any::<u32>(),
-    )
-        .prop_map(
-            |(time, node, is_dir, block, sender, code, iteration)| MsgRecord {
-                time_ns: time,
-                node: NodeId::new(node),
-                role: if is_dir { Role::Directory } else { Role::Cache },
-                block: BlockAddr::new(block),
-                sender: NodeId::new(sender),
-                mtype: MsgType::from_code(code).unwrap(),
-                iteration,
-            },
-        )
+/// Pack/unpack is the identity for every chunk size, including chunk
+/// sizes that divide the record count exactly (no partial tail) and
+/// chunk 1 (one record per chunk).
+#[test]
+fn packed_roundtrip() {
+    check(128, |rng| {
+        let b = bundle(rng, 0, 200);
+        let chunk = rng.gen_range(1..300) as u32;
+        let bytes = pack::pack_bundle(&b, chunk).unwrap();
+        assert_eq!(pack::unpack_bundle(&bytes).unwrap(), b, "chunk {chunk}");
+    });
 }
 
-fn bundle_strategy() -> impl Strategy<Value = TraceBundle> {
-    (
-        "[a-z]{1,12}",
-        1usize..64,
-        any::<u32>(),
-        prop::collection::vec(record_strategy(), 0..200),
-    )
-        .prop_map(|(app, nodes, iterations, records)| {
-            let mut b = TraceBundle::new(TraceMeta::new(app, nodes, iterations));
-            b.extend_records(records);
-            b
-        })
+/// The stats agree with the stream: record count, chunk count, and
+/// the flat baseline of 26 bytes per record.
+#[test]
+fn stats_are_consistent() {
+    check(128, |rng| {
+        let b = bundle(rng, 0, 200);
+        let chunk = rng.gen_range(1..300) as u32;
+        let (bytes, stats) = pack::pack_bundle_with_stats(&b, chunk).unwrap();
+        assert_eq!(stats.records, b.len() as u64);
+        assert_eq!(stats.flat_bytes, pack::FLAT_RECORD_BYTES * b.len() as u64);
+        assert_eq!(stats.chunks, (b.len() as u64).div_ceil(u64::from(chunk)));
+        assert_eq!(stats.packed_bytes, bytes.len() as u64);
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Pack/unpack is the identity for every chunk size, including chunk
-    /// sizes that divide the record count exactly (no partial tail) and
-    /// chunk 1 (one record per chunk).
-    #[test]
-    fn packed_roundtrip(bundle in bundle_strategy(), chunk in 1u32..300) {
-        let bytes = pack::pack_bundle(&bundle, chunk).unwrap();
-        let decoded = pack::unpack_bundle(&bytes).unwrap();
-        prop_assert_eq!(bundle, decoded);
-    }
-
-    /// The stats agree with the stream: record count, chunk count, and
-    /// the flat baseline of 26 bytes per record.
-    #[test]
-    fn stats_are_consistent(bundle in bundle_strategy(), chunk in 1u32..300) {
-        let (bytes, stats) = pack::pack_bundle_with_stats(&bundle, chunk).unwrap();
-        prop_assert_eq!(stats.records, bundle.len() as u64);
-        prop_assert_eq!(stats.flat_bytes, pack::FLAT_RECORD_BYTES * bundle.len() as u64);
-        let expected_chunks = (bundle.len() as u64).div_ceil(u64::from(chunk));
-        prop_assert_eq!(stats.chunks, expected_chunks);
-        prop_assert_eq!(stats.packed_bytes, bytes.len() as u64);
-    }
-
-    /// Chunks decode independently and in any order: reading them in
-    /// reverse reconstructs the same stream as reading forward.
-    #[test]
-    fn chunks_decode_independently(bundle in bundle_strategy(), chunk in 1u32..64) {
-        prop_assume!(!bundle.is_empty());
-        let bytes = pack::pack_bundle(&bundle, chunk).unwrap();
+/// Chunks decode independently and in any order: reading them in
+/// reverse reconstructs the same stream as reading forward.
+#[test]
+fn chunks_decode_independently() {
+    check(128, |rng| {
+        let b = bundle(rng, 1, 200);
+        let bytes = pack::pack_bundle(&b, rng.gen_range(1..64) as u32).unwrap();
         let mut r = pack::PackedTraceReader::new(Cursor::new(&bytes[..])).unwrap();
-        let n = r.chunk_count();
-        let mut rev: Vec<Vec<MsgRecord>> = (0..n)
+        let mut rev: Vec<Vec<MsgRecord>> = (0..r.chunk_count())
             .rev()
             .map(|i| r.read_chunk(i).unwrap())
             .collect();
         rev.reverse();
         let flat: Vec<MsgRecord> = rev.into_iter().flatten().collect();
-        prop_assert_eq!(flat.as_slice(), bundle.records());
-    }
+        assert_eq!(flat.as_slice(), b.records());
+    });
+}
 
-    /// Unpacking never panics on arbitrary bytes — it returns an error.
-    #[test]
-    fn unpack_is_total(bytes in prop::collection::vec(any::<u8>(), 0..400)) {
-        let _ = pack::unpack_bundle(&bytes);
-    }
+/// Unpacking never panics on arbitrary bytes — it returns an error.
+#[test]
+fn unpack_is_total() {
+    check(128, |rng| {
+        let _ = pack::unpack_bundle(&noise(rng, b"CPK1", 400));
+    });
+}
 
-    /// Truncating a valid packed stream anywhere fails cleanly rather
-    /// than yielding a different valid trace: the footer and per-chunk
-    /// CRCs leave no window for a silent short read.
-    #[test]
-    fn truncation_detected(bundle in bundle_strategy(), chunk in 1u32..64, cut in any::<prop::sample::Index>()) {
-        prop_assume!(!bundle.is_empty());
-        let bytes = pack::pack_bundle(&bundle, chunk).unwrap();
-        let cut = cut.index(bytes.len().max(1) - 1);
-        prop_assert!(pack::unpack_bundle(&bytes[..cut]).is_err());
-    }
+/// Truncating a valid packed stream anywhere fails cleanly rather
+/// than yielding a different valid trace: the footer and per-chunk
+/// CRCs leave no window for a silent short read.
+#[test]
+fn truncation_detected() {
+    check(128, |rng| {
+        let b = bundle(rng, 1, 200);
+        let bytes = pack::pack_bundle(&b, rng.gen_range(1..64) as u32).unwrap();
+        let cut = rng.gen_range(0..bytes.len());
+        assert!(
+            pack::unpack_bundle(&bytes[..cut]).is_err(),
+            "cut at {cut}/{} decoded",
+            bytes.len()
+        );
+    });
+}
 
-    /// Corrupting any single byte of the packed stream is detected: the
-    /// stream either fails to open, fails a CRC, or decodes to records
-    /// that differ from the original (header fields like the app name
-    /// are covered by their own checks).
-    #[test]
-    fn corruption_never_passes_silently(bundle in bundle_strategy(), chunk in 1u32..64, at in any::<prop::sample::Index>(), flip in 1u8..=255) {
-        prop_assume!(!bundle.is_empty());
-        let mut bytes = pack::pack_bundle(&bundle, chunk).unwrap();
-        let at = at.index(bytes.len());
-        bytes[at] ^= flip;
-        match pack::unpack_bundle(&bytes) {
-            Err(_) => {}
-            Ok(decoded) => prop_assert_ne!(bundle, decoded),
+/// Corrupting any single byte of the packed stream never changes a
+/// record silently: the stream fails to open, fails a CRC, or — where the
+/// flipped byte is redundant (an LZ token bit the decompressor ignores) or
+/// only labels the stream (the header's name and counts, an index entry's
+/// `first_time`; no checksum covers those) — still decodes to the records
+/// that were packed.
+#[test]
+fn corruption_never_passes_silently() {
+    check(128, |rng| {
+        let b = bundle(rng, 1, 200);
+        let mut bytes = pack::pack_bundle(&b, rng.gen_range(1..64) as u32).unwrap();
+        let at = rng.gen_range(0..bytes.len());
+        bytes[at] ^= rng.gen_range(1..=255) as u8;
+        if let Ok(decoded) = pack::unpack_bundle(&bytes) {
+            assert_eq!(decoded.records(), b.records(), "flipped byte {at}");
         }
-    }
+    });
 }

@@ -20,8 +20,10 @@
 //! | [`unstructured`] | per-phase oscillation between migratory and producer-consumer (producer also consumes; mean 2.6 consumers) |
 //!
 //! The [`Workload`] trait yields one [`IterationPlan`] per iteration;
-//! [`run_to_trace`] drives a plan stream through a [`simx::Machine`] and
-//! returns the coherence message trace Cosmos is evaluated on.
+//! [`drive`] is the one loop that runs a plan stream through any of the
+//! three [`simx::Engine`]s, and [`run_to_trace`] wraps it around a fresh
+//! [`simx::Machine`] to return the coherence message trace Cosmos is
+//! evaluated on.
 //!
 //! ## Example
 //!
@@ -46,7 +48,9 @@ pub mod rng;
 pub mod scale;
 pub mod unstructured;
 
-use simx::{driver, IterationPlan, Machine, SimError, SystemConfig};
+use simx::{
+    ConcurrentMachine, Engine, IterationPlan, Machine, ShardedMachine, SimError, SystemConfig,
+};
 use stache::ProtocolConfig;
 use trace::TraceBundle;
 
@@ -111,13 +115,57 @@ pub fn push_quiet_phase(
     }
 }
 
-/// Runs a workload to completion on a fresh machine and returns its
-/// coherence-message trace.
+/// The one driver loop: names the run, then plans and executes every
+/// iteration, handing the engine to `after_iteration` between them (the
+/// streaming callers drain the trace there). No final audit — [`drive`]
+/// and [`run_sharded_streaming`] each add theirs.
+fn run_iterations<E: Engine, W: Workload + ?Sized, X: From<SimError>>(
+    engine: &mut E,
+    workload: &mut W,
+    mut after_iteration: impl FnMut(&mut E) -> Result<(), X>,
+) -> Result<(), X> {
+    assert!(
+        workload.nodes() <= engine.nodes(),
+        "workload needs {} nodes but machine has {}",
+        workload.nodes(),
+        engine.nodes()
+    );
+    engine.set_app(workload.name(), workload.iterations());
+    for it in 0..workload.iterations() {
+        let plan = workload.plan(it);
+        engine.run_plan(&plan, it)?;
+        after_iteration(engine)?;
+    }
+    Ok(())
+}
+
+/// Runs a workload to completion on `engine` — any of the three
+/// schedulers, configured by the caller (policy, fault plan, tracing)
+/// beforehand — and audits coherence at the end.
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`] — with correct generators this indicates a
 /// bug in the protocol substrate, so tests treat it as fatal.
+///
+/// # Panics
+///
+/// Panics if the workload is written for more processors than the engine
+/// has.
+pub fn drive<E: Engine, W: Workload + ?Sized>(
+    engine: &mut E,
+    workload: &mut W,
+) -> Result<(), SimError> {
+    run_iterations(engine, workload, |_| Ok::<(), SimError>(()))?;
+    engine.verify_coherence()
+}
+
+/// Runs a workload to completion on a fresh machine and returns its
+/// coherence-message trace.
+///
+/// # Errors
+///
+/// Propagates any [`SimError`].
 pub fn run_to_trace<W: Workload + ?Sized>(
     workload: &mut W,
     proto: ProtocolConfig,
@@ -137,19 +185,8 @@ pub fn run_to_trace_with_stats<W: Workload + ?Sized>(
     proto: ProtocolConfig,
     sys: SystemConfig,
 ) -> Result<(TraceBundle, simx::MachineStats), SimError> {
-    assert!(
-        workload.nodes() <= proto.nodes,
-        "workload needs {} nodes but machine has {}",
-        workload.nodes(),
-        proto.nodes
-    );
     let mut machine = Machine::new(proto, sys);
-    machine.set_app(workload.name(), workload.iterations());
-    for it in 0..workload.iterations() {
-        let plan = workload.plan(it);
-        driver::run_iteration(&mut machine, &plan, it)?;
-    }
-    machine.verify_coherence()?;
+    drive(&mut machine, workload)?;
     let stats = machine.stats().clone();
     Ok((machine.into_trace(), stats))
 }
@@ -167,16 +204,8 @@ pub fn run_to_trace_concurrent<W: Workload + ?Sized>(
     proto: ProtocolConfig,
     sys: SystemConfig,
 ) -> Result<TraceBundle, SimError> {
-    assert!(
-        workload.nodes() <= proto.nodes,
-        "workload needs {} nodes but machine has {}",
-        workload.nodes(),
-        proto.nodes
-    );
-    let name = workload.name();
-    let iterations = workload.iterations();
-    let machine =
-        simx::concurrent::run_workload(name, iterations, |it| workload.plan(it), proto, sys)?;
+    let mut machine = ConcurrentMachine::new(proto, sys);
+    drive(&mut machine, workload)?;
     Ok(machine.into_trace())
 }
 
@@ -194,16 +223,10 @@ pub fn run_sharded<W: Workload + ?Sized>(
     proto: ProtocolConfig,
     sys: SystemConfig,
     shards: usize,
-) -> Result<simx::ShardedMachine, SimError> {
-    assert!(
-        workload.nodes() <= proto.nodes,
-        "workload needs {} nodes but machine has {}",
-        workload.nodes(),
-        proto.nodes
-    );
-    let name = workload.name();
-    let iterations = workload.iterations();
-    simx::shard::run_workload_sharded(name, iterations, |it| workload.plan(it), proto, sys, shards)
+) -> Result<ShardedMachine, SimError> {
+    let mut machine = ShardedMachine::new(proto, sys, shards);
+    drive(&mut machine, workload)?;
+    Ok(machine)
 }
 
 /// A failure inside [`run_sharded_streaming`]: either the simulation
@@ -215,6 +238,12 @@ pub enum StreamingRunError<E> {
     Sim(SimError),
     /// The record sink failed; the run stops at the failing iteration.
     Sink(E),
+}
+
+impl<E> From<SimError> for StreamingRunError<E> {
+    fn from(e: SimError) -> Self {
+        StreamingRunError::Sim(e)
+    }
 }
 
 impl<E: std::fmt::Display> std::fmt::Display for StreamingRunError<E> {
@@ -258,33 +287,19 @@ pub fn run_sharded_streaming<W: Workload + ?Sized, E>(
     sys: SystemConfig,
     shards: usize,
     verify_sample: Option<usize>,
-    configure: impl FnOnce(&mut simx::ShardedMachine),
+    configure: impl FnOnce(&mut ShardedMachine),
     mut sink: impl FnMut(Vec<trace::MsgRecord>) -> Result<(), E>,
-) -> Result<simx::ShardedMachine, StreamingRunError<E>> {
-    assert!(
-        workload.nodes() <= proto.nodes,
-        "workload needs {} nodes but machine has {}",
-        workload.nodes(),
-        proto.nodes
-    );
-    let mut machine = simx::ShardedMachine::new(proto, sys, shards);
-    machine.set_app(workload.name(), workload.iterations());
+) -> Result<ShardedMachine, StreamingRunError<E>> {
+    let mut machine = ShardedMachine::new(proto, sys, shards);
     configure(&mut machine);
-    for it in 0..workload.iterations() {
-        let plan = workload.plan(it);
-        machine
-            .run_plan(&plan, it)
-            .map_err(StreamingRunError::Sim)?;
-        let records = machine.drain_trace_records();
-        if !records.is_empty() {
-            sink(records).map_err(StreamingRunError::Sink)?;
+    run_iterations(&mut machine, workload, |m| {
+        let records = m.drain_trace_records();
+        if records.is_empty() {
+            return Ok(());
         }
-    }
-    match verify_sample {
-        None => machine.verify_coherence(),
-        Some(n) => machine.verify_coherence_sampled(n),
-    }
-    .map_err(StreamingRunError::Sim)?;
+        sink(records).map_err(StreamingRunError::Sink)
+    })?;
+    machine.verify_coherence_sampled(verify_sample.unwrap_or(usize::MAX))?;
     Ok(machine)
 }
 
@@ -302,20 +317,9 @@ pub fn run_traced<W: Workload + ?Sized>(
     proto: ProtocolConfig,
     sys: SystemConfig,
 ) -> Result<(TraceBundle, obs::SpanLog), SimError> {
-    assert!(
-        workload.nodes() <= proto.nodes,
-        "workload needs {} nodes but machine has {}",
-        workload.nodes(),
-        proto.nodes
-    );
     let mut machine = Machine::new(proto, sys);
     machine.enable_tracing();
-    machine.set_app(workload.name(), workload.iterations());
-    for it in 0..workload.iterations() {
-        let plan = workload.plan(it);
-        driver::run_iteration(&mut machine, &plan, it)?;
-    }
-    machine.verify_coherence()?;
+    drive(&mut machine, workload)?;
     machine.flag_orphaned_spans();
     let spans = machine.take_spans();
     Ok((machine.into_trace(), spans))
@@ -332,20 +336,9 @@ pub fn run_traced_concurrent<W: Workload + ?Sized>(
     proto: ProtocolConfig,
     sys: SystemConfig,
 ) -> Result<(TraceBundle, obs::SpanLog), SimError> {
-    assert!(
-        workload.nodes() <= proto.nodes,
-        "workload needs {} nodes but machine has {}",
-        workload.nodes(),
-        proto.nodes
-    );
-    let mut machine = simx::concurrent::ConcurrentMachine::new(proto, sys);
+    let mut machine = ConcurrentMachine::new(proto, sys);
     machine.enable_tracing();
-    machine.set_app(workload.name(), workload.iterations());
-    for it in 0..workload.iterations() {
-        let plan = workload.plan(it);
-        machine.run_plan(&plan, it)?;
-    }
-    machine.verify_coherence()?;
+    drive(&mut machine, workload)?;
     machine.flag_orphaned_spans();
     let spans = machine.take_spans();
     Ok((machine.into_trace(), spans))

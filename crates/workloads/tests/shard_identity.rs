@@ -20,23 +20,16 @@
 //!    sends land a varying number of windows out), and the flight
 //!    recorder switched off.
 
-use simx::concurrent::{self, ConcurrentMachine};
+use simx::ConcurrentMachine;
 use simx::IterationPlan;
 use simx::{ShardedMachine, SystemConfig, Topology};
 use stache::ProtocolConfig;
-use workloads::{run_sharded, small_suite, Workload};
+use workloads::{drive, run_sharded, small_suite, Workload};
 
 fn concurrent_run(w: &mut dyn Workload) -> ConcurrentMachine {
-    let name = w.name();
-    let iterations = w.iterations();
-    concurrent::run_workload(
-        name,
-        iterations,
-        |it| w.plan(it),
-        ProtocolConfig::paper(),
-        SystemConfig::paper(),
-    )
-    .unwrap_or_else(|e| panic!("{name} concurrent run failed: {e}"))
+    let mut m = ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
+    drive(&mut m, w).unwrap_or_else(|e| panic!("{} concurrent run failed: {e}", w.name()));
+    m
 }
 
 fn sharded_run(w: &mut dyn Workload, shards: usize) -> ShardedMachine {

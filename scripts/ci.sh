@@ -31,20 +31,16 @@ for spec in drop=0.02 dup=0.02 reorder=3; do
     --small --faults "$spec" --faults-seed 7 > /dev/null
 done
 
-# Timed release smoke: regenerate the small-scale tables with the bench
-# harness on, emit the timing snapshot, and diff the Table 5 CSV against
-# the golden copy captured before the packed-core optimisation — speed
-# work must never move a result.
-echo "==> timed table smoke (--bench-json + golden Table 5 diff)"
+# Release table smoke: regenerate the small-scale Table 5 and diff its CSV
+# against the golden copy captured before the packed-core optimisation —
+# speed work must never move a result.
+echo "==> table smoke (golden Table 5 diff)"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 cargo run -q --release --offline -p bench-suite --bin repro -- \
-  --small --csv "$SMOKE_DIR" --bench-json "$SMOKE_DIR/BENCH_smoke.json" \
-  table5 > /dev/null
+  --small --csv "$SMOKE_DIR" table5 > /dev/null
 diff -u crates/bench-suite/tests/golden/table5_small.csv "$SMOKE_DIR/table5.csv"
-grep -q '"bench.total_ns"' "$SMOKE_DIR/BENCH_smoke.json"
-grep -q '"bench.phase.table5_ns"' "$SMOKE_DIR/BENCH_smoke.json"
-echo "    table5 CSV matches golden; bench JSON emitted"
+echo "    table5 CSV matches golden"
 
 # Model-checker smoke: exhaustively explore the 2-node configurations and
 # require the simcheck.* obs artefact. The repro target exits non-zero if
@@ -109,53 +105,45 @@ echo "    frontier CSV matches golden; tournament obs JSON emitted"
 # Scale smoke: run the sharded-engine sweep at small scale and diff the
 # deterministic CSV against its golden. The CSV carries only
 # simulation-defined columns, and the sharded engine is byte-identical
-# for every shard count, so the diff must hold on any machine. The
-# throughput side lands in BENCH_scale.json (recorded, never diffed).
+# for every shard count, so the diff must hold on any machine.
 echo "==> scale smoke (sharded sweep + golden CSV diff)"
 cargo run -q --release --offline -p bench-suite --bin repro -- \
   --small --csv "$SMOKE_DIR" scale > /dev/null
 diff -u crates/bench-suite/tests/golden/scale_small.csv "$SMOKE_DIR/scale.csv"
-grep -q '"sim.throughput.msgs_per_sec_per_core"' "$SMOKE_DIR/BENCH_scale.json"
-echo "    scale CSV matches golden; throughput JSON emitted"
+echo "    scale CSV matches golden"
 
 # Speculation smoke: regenerate the measured-speedup report — every cell
 # runs the speculative machine clean *and* under the default fault plan
 # (drop=0.01,dup=0.005,reorder=3), so this exercises prediction-actioned
 # grants, self-invalidations, early acks, forwarding pushes, and the
 # rollback/recovery paths end to end — and diff the CSV against its
-# golden byte for byte. Timed like the table smoke: the target is all
-# ConcurrentMachine runs, and its wall is printed so that a barrier audit
-# gone back to walking every touched block shows in the log — faintly at
-# this scale (≈ 170–210 ms against ≈ 120–160 ms); the paper-scale tripwire
-# is the spec16 pass below, ≈ 11 s against ≈ 1 s.
+# golden byte for byte. The target is all ConcurrentMachine runs, and the
+# wall of the binary (built above; run directly so cargo is not in the
+# figure) is printed so that a barrier audit gone back to walking every
+# touched block shows in the log — faintly at this scale (≈ 80 ms today;
+# the exhaustive audit made it about a third longer); the paper-scale
+# tripwire is the spec16 pass below, ≈ 11 s against ≈ 1 s.
 echo "==> speculation smoke (speedup report + golden CSV diff, timed)"
-cargo run -q --release --offline -p bench-suite --bin repro -- \
-  --small --csv "$SMOKE_DIR" --bench-json "$SMOKE_DIR/BENCH_speedup.json" \
-  speedup > /dev/null
+SPEEDUP_T0="$(date +%s%N)"
+"${CARGO_TARGET_DIR:-target}/release/repro" \
+  --small --csv "$SMOKE_DIR" speedup > /dev/null
+SPEEDUP_NS="$(($(date +%s%N) - SPEEDUP_T0))"
 diff -u crates/bench-suite/tests/golden/speedup_small.csv "$SMOKE_DIR/speedup.csv"
 grep -q '"stache.rollback.pushes"' "$SMOKE_DIR/speedup_obs.json"
 grep -q '"stache.rollback.early_acks"' "$SMOKE_DIR/speedup_obs.json"
-SPEEDUP_NS="$(sed -n 's/.*"bench\.phase\.speedup_ns":\([0-9]*\).*/\1/p' "$SMOKE_DIR/BENCH_speedup.json")"
-test -n "$SPEEDUP_NS"
 echo "    speedup CSV matches golden; rollback obs JSON emitted"
 echo "    repro --small speedup wall: $((SPEEDUP_NS / 1000000)) ms"
 
 # Packed-trace smoke: run the streaming pack/sample pipeline at small
 # scale and diff the deterministic CSV against its golden. The CSV pins
 # the codec byte totals, compression ratios, SimPoint-sampled vs full
-# accuracy, and the streamed cell's record totals; the wall-clock side
-# lands in BENCH_trace.json (recorded, never diffed). The committed
-# repo-root BENCH_trace.json is the paper-scale counterpart.
+# accuracy, and the streamed cell's record totals.
 echo "==> tracepack smoke (packed pipeline + golden CSV diff)"
 cargo run -q --release --offline -p bench-suite --bin repro -- \
   --small --csv "$SMOKE_DIR" tracepack > /dev/null
 diff -u crates/bench-suite/tests/golden/tracepack_small.csv \
   "$SMOKE_DIR/tracepack.csv"
-grep -q '"bench.tracepack.stream.encode_recs_per_sec"' \
-  "$SMOKE_DIR/BENCH_trace.json"
-grep -q '"bench.tracepack.sample.worst_error_pp"' "$SMOKE_DIR/BENCH_trace.json"
-test -s BENCH_trace.json
-echo "    tracepack CSV matches golden; trace bench JSON emitted"
+echo "    tracepack CSV matches golden"
 
 # Benchmark smoke: benchmark/ is a workspace of its own that tier-1 never
 # compiles, so a layer-crate API change can break the pipeline's build
@@ -202,6 +190,10 @@ cargo test -q --release --offline -p workloads --test alloc_steady_state -- --no
   | grep -E "per message|test result"
 cargo test -q --release --offline -p simx --lib event_and_block_footprints_are_pinned \
   | grep -E "test result: ok. 1 passed"
+
+# Surface report: what a simplicity PR is judged on. Printed, not gated.
+echo "==> surface (non-test lines, pub fns, predictor / policy impls per crate)"
+scripts/surface.sh | sed 's/^/    /'
 
 # Proptest seed promotion: every saved counterexample hash in a
 # *.proptest-regressions file must have a matching `promoted: <hash>`

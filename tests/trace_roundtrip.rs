@@ -1,12 +1,12 @@
 //! Integration: traces survive serialisation — a real workload's trace,
-//! written and re-read through either codec, evaluates to bit-identical
-//! accuracy reports.
+//! written and re-read through either format (flat `CTR1`, packed
+//! `CPK1`), evaluates to bit-identical accuracy reports.
 
 use cosmos_repro::cosmos::eval::evaluate_cosmos;
 use cosmos_repro::simx::SystemConfig;
 use cosmos_repro::stache::ProtocolConfig;
 use cosmos_repro::trace::{codec, pack};
-use cosmos_repro::workloads::{micro::Migratory, run_to_trace, small_suite, Appbt, Workload};
+use cosmos_repro::workloads::{run_to_trace, small_suite, Appbt, Workload};
 
 fn trace_of(w: &mut dyn Workload) -> cosmos_repro::trace::TraceBundle {
     run_to_trace(w, ProtocolConfig::paper(), SystemConfig::paper()).unwrap()
@@ -25,19 +25,6 @@ fn binary_roundtrip_preserves_evaluation() {
     assert_eq!(a.cache, b.cache);
     assert_eq!(a.directory, b.directory);
     assert_eq!(a.memory, b.memory);
-}
-
-#[test]
-fn text_roundtrip_preserves_evaluation() {
-    let mut w = Migratory::default();
-    let original = trace_of(&mut w);
-    let text = codec::to_text(&original);
-    let restored = codec::from_text(&text).unwrap();
-    assert_eq!(original, restored);
-    assert_eq!(
-        evaluate_cosmos(&original, 1, 0).overall,
-        evaluate_cosmos(&restored, 1, 0).overall
-    );
 }
 
 #[test]
@@ -81,8 +68,6 @@ fn binary_encoding_is_compact() {
     let mut w = Appbt::small();
     let t = trace_of(&mut w);
     let binary = codec::encode(&t).unwrap();
-    let text = codec::to_text(&t);
     // 26 bytes per record plus a small header.
     assert!(binary.len() < 27 * t.len() + 64);
-    assert!(binary.len() < text.len(), "binary should beat text");
 }
