@@ -202,6 +202,16 @@ impl Event {
     }
 }
 
+/// The table lookup an event's handler opens with, as
+/// [`ConcurrentMachine::first_touch`] predicts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Touch {
+    /// The block's directory entry: the executing node is its home.
+    Dir(BlockAddr),
+    /// The block's copies in other nodes' caches.
+    Copies(BlockAddr),
+}
+
 /// A deliberately broken protocol variant, used to validate that the
 /// `simcheck` model checker actually catches bugs: a known-bad transition
 /// is seeded, the checker must find a violating schedule, and the shrunk
@@ -306,6 +316,8 @@ fn net_span_name(mtype: MsgType) -> &'static str {
 #[derive(Debug)]
 pub struct ConcurrentMachine {
     pub(crate) proto: ProtocolConfig,
+    /// `proto.blocks_per_page()`, derived (and its asserts fired) once.
+    blocks_per_page: u64,
     pub(crate) sys: SystemConfig,
     queue: EventQueue<Event>,
     /// What the running handler has scheduled, in push order. The
@@ -385,6 +397,7 @@ impl ConcurrentMachine {
     pub fn new(proto: ProtocolConfig, sys: SystemConfig) -> Self {
         let nodes = proto.nodes;
         ConcurrentMachine {
+            blocks_per_page: proto.blocks_per_page(),
             proto,
             sys,
             queue: EventQueue::new(),
@@ -602,6 +615,18 @@ impl ConcurrentMachine {
         self.sys.one_way_between_ns(from, to, self.proto.nodes)
     }
 
+    /// `block`'s home node: [`home_of_block`]'s round-robin rule on the
+    /// page size `new` derived, inline — two divisions where the public
+    /// function's checks and calls make four. For handlers, which run per
+    /// event; one that already holds the home hands it down instead.
+    #[inline]
+    fn home(&self, block: BlockAddr) -> NodeId {
+        let page = block.number() / self.blocks_per_page;
+        let home = NodeId::new((page % self.proto.nodes as u64) as usize);
+        debug_assert_eq!(home, home_of_block(block, &self.proto));
+        home
+    }
+
     /// One node's recorded cache state for a block (`Invalid` when the
     /// block was never touched). Note the home node's rights live in the
     /// directory entry, not here — see
@@ -642,6 +667,48 @@ impl ConcurrentMachine {
         debug_assert!(self.dir.is_empty(), "a handler reached around its entry");
         self.dir = dir;
         out
+    }
+
+    /// The table lookup `ev`'s handler opens with, on a clean fabric:
+    /// `on_issue` looks up the block at the front of the node's script,
+    /// `on_deliver` the message's block — each in the directory table
+    /// where the executing node acts as the block's home, else in
+    /// `copies`. `None` for an issue that finds its script empty. True
+    /// for as long as `ev` stays queued: a node has at most one issue
+    /// pending, and only that issue pops the node's script.
+    pub(crate) fn first_touch(&self, ev: &Event) -> Option<Touch> {
+        debug_assert!(self.fault.is_none(), "a faulty fabric may absorb the event");
+        let (at_home, block) = match ev {
+            Event::Issue(n) => {
+                let block = self.scripts[n.index()].front()?.0;
+                (*n == self.home(block), block)
+            }
+            Event::Deliver(m, _) => (m.receiver_role() == stache::Role::Directory, m.block),
+            other => unreachable!("a clean-fabric core scheduled {other:?}"),
+        };
+        Some(if at_home {
+            Touch::Dir(block)
+        } else {
+            Touch::Copies(block)
+        })
+    }
+
+    /// Makes the lookups of [`first_touch`](Self::first_touch) for a
+    /// batch of events before any of them runs, in loops that do nothing
+    /// else: the lookups are independent, so their cache misses overlap
+    /// here instead of being taken one per handler (DESIGN.md §6h, "The
+    /// window is a batch"). The directory side is `with_dir`'s own
+    /// `entry(..).or_default()`, moved forward: it creates the entry the
+    /// handler is about to create and warms the slot the handler writes.
+    /// `copies` holds only blocks somebody caches, so that side is probed
+    /// read-only. Every event of the batch must go on to execute.
+    pub(crate) fn resolve(&mut self, dir: &[BlockAddr], copies: &[BlockAddr]) {
+        for &block in dir {
+            self.dir.entry(block).or_default();
+        }
+        for block in copies {
+            std::hint::black_box(self.copies.get(block));
+        }
     }
 
     /// The one writer of cache state: tallies the transition, marks the
@@ -813,7 +880,7 @@ impl ConcurrentMachine {
         let Some((block, _, _)) = self.waiting[node.index()] else {
             return;
         };
-        let home = home_of_block(block, &self.proto);
+        let home = self.home(block);
         let req = match self.cache_state(node, block) {
             CacheState::IToS => MsgType::GetRoRequest,
             CacheState::IToE => MsgType::GetRwRequest,
@@ -1202,7 +1269,7 @@ impl ConcurrentMachine {
             let (block, _, _) = self.waiting[node.index()].expect("checked above");
             return Err(SimError::RetryExhausted {
                 from: node,
-                to: home_of_block(block, &self.proto),
+                to: self.home(block),
                 attempts: attempt + 1,
             });
         }
@@ -1246,7 +1313,7 @@ impl ConcurrentMachine {
             .expect("timers are only armed under fault injection")
             .retry()
             .clone();
-        let home = home_of_block(block, &self.proto);
+        let home = self.home(block);
         let (imsg, tr) = (txn.holder_request, txn.trace);
         let unacked: Vec<NodeId> = txn
             .holders
@@ -1331,9 +1398,9 @@ impl ConcurrentMachine {
         let mut now = self.clocks[node.index()].max(t);
         // Burn through hits; stop at the first miss or end of script.
         while let Some(&(block, op)) = self.scripts[node.index()].front() {
-            let home = home_of_block(block, &self.proto);
+            let home = self.home(block);
             if node == home {
-                if !self.with_dir(block, |m, e| m.issue_at_home(e, block, op, now))? {
+                if !self.with_dir(block, |m, e| m.issue_at_home(e, home, block, op, now))? {
                     return Ok(());
                 }
                 self.stats.count_access(op, true, self.sys.cache_hit_ns);
@@ -1372,18 +1439,18 @@ impl ConcurrentMachine {
         Ok(())
     }
 
-    /// The home's own next access, at `now`: `Ok(true)` for a hit. The
-    /// home's rights live in the directory entry; a local access misses
-    /// only if the entry needs changing, and that change is itself a
-    /// (possibly queued) transaction.
+    /// The next access of `block`'s home `node`, at `now`: `Ok(true)` for
+    /// a hit. The home's rights live in the directory entry; a local
+    /// access misses only if the entry needs changing, and that change is
+    /// itself a (possibly queued) transaction.
     fn issue_at_home(
         &mut self,
         e: &mut DirEntry,
+        node: NodeId,
         block: BlockAddr,
         op: ProcOp,
         now: u64,
     ) -> Result<bool, SimError> {
-        let node = home_of_block(block, &self.proto);
         self.scripts[node.index()].pop_front();
         let sufficient = match op {
             ProcOp::Read => e.state.node_readable(node),
@@ -1530,7 +1597,7 @@ impl ConcurrentMachine {
                     txn.outstanding -= 1;
                     if txn.outstanding == 0 {
                         let service = t + self.sys.handler_ns;
-                        self.finish_txn(e, msg.block, service)?;
+                        self.finish_txn(e, msg.receiver, msg.block, service)?;
                     }
                 }
                 None => {
@@ -1756,7 +1823,7 @@ impl ConcurrentMachine {
                     // Rights appeared while the request was queued.
                     self.dir_busy[home.index()] = service; // handler unused
                     self.complete_local(home, block, dispatch)?;
-                    return self.start_next_pending(e, block, dispatch);
+                    return self.start_next_pending(e, home, dispatch);
                 }
             }
         } else {
@@ -1795,7 +1862,7 @@ impl ConcurrentMachine {
             },
         );
         if outstanding == 0 {
-            self.finish_txn(e, block, dispatch)?;
+            self.finish_txn(e, home, block, dispatch)?;
         } else if let Some(inj) = &self.fault {
             // The directory waits for acknowledgments that a faulty
             // fabric may eat: arm its re-send timer.
@@ -1853,11 +1920,16 @@ impl ConcurrentMachine {
         (service, dispatch)
     }
 
-    fn finish_txn(&mut self, e: &mut DirEntry, block: BlockAddr, t: u64) -> Result<(), SimError> {
+    fn finish_txn(
+        &mut self,
+        e: &mut DirEntry,
+        home: NodeId,
+        block: BlockAddr,
+        t: u64,
+    ) -> Result<(), SimError> {
         let txn = &mut self.txns[e.txn as usize];
         let (local, reply, requester, trace) = (txn.local, txn.reply, txn.requester, txn.trace);
         let next = std::mem::take(&mut txn.next);
-        let home = home_of_block(block, &self.proto);
         self.write_dir(e, block, next);
         if local {
             self.complete_local(home, block, t)?;
@@ -1866,15 +1938,15 @@ impl ConcurrentMachine {
         }
         // (A speculative push transaction has no reply: the target was
         // granted — or refused — the copy by the push itself.)
-        self.start_next_pending(e, block, t)
+        self.start_next_pending(e, home, t)
     }
 
-    /// The block's transaction is over at `t`: services the next queued
-    /// request, if any, else gives the slot back.
+    /// The transaction of a block homed at `home` is over at `t`:
+    /// services the next queued request, if any, else gives the slot back.
     fn start_next_pending(
         &mut self,
         e: &mut DirEntry,
-        block: BlockAddr,
+        home: NodeId,
         t: u64,
     ) -> Result<(), SimError> {
         let Some(slot) = self.txns.get_mut(e.txn as usize) else {
@@ -1895,7 +1967,7 @@ impl ConcurrentMachine {
                 SpanKind::Queue,
                 next.arrived,
                 resume,
-                home_of_block(block, &self.proto).raw(),
+                home.raw(),
             );
         }
         self.start_txn(e, next.msg, resume)
@@ -2144,7 +2216,7 @@ impl ConcurrentMachine {
         if self.policy.is_none() {
             return;
         }
-        let home = home_of_block(block, &self.proto);
+        let home = self.home(block);
         if node == home || self.cache_state(node, block) != CacheState::Exclusive {
             return;
         }
@@ -2186,7 +2258,7 @@ impl ConcurrentMachine {
         if self.policy.is_none() {
             return;
         }
-        let home = home_of_block(block, &self.proto);
+        let home = self.home(block);
         // Overflowed blocks keep their (imprecise, broadcast-serviced)
         // sharer sets intact.
         if node == home
@@ -2233,7 +2305,7 @@ impl ConcurrentMachine {
         if self.policy.is_none() || e.txn != NO_TXN || e.state != DirState::Idle {
             return;
         }
-        let home = home_of_block(block, &self.proto);
+        let home = self.home(block);
         let Some((target, kind)) = self
             .policy
             .as_mut()
@@ -2410,7 +2482,7 @@ impl ConcurrentMachine {
             self.rollback.rolled_back += 1;
         }
         let service = t + self.sys.handler_ns;
-        self.finish_txn(e, block, service)?;
+        self.finish_txn(e, msg.receiver, block, service)?;
         self.spans.end_trace(tr, service);
         Ok(())
     }
@@ -2432,12 +2504,12 @@ impl ConcurrentMachine {
         blocks: impl IntoIterator<Item = BlockAddr>,
     ) -> Result<(), SimError> {
         let now = self.execution_time_ns();
-        let (proto, tally) = (&self.proto, &self.tally);
         let mut ring = self.ring.borrow_mut();
         for block in blocks {
             let dir = self.dir_state(block).unwrap_or(&DirState::Idle);
             let holders = self.holders(block).iter().copied();
-            audit_block(proto, block, dir, holders, tally, &mut ring, now)?;
+            let home = self.home(block);
+            audit_block(home, block, dir, holders, &self.tally, &mut ring, now)?;
         }
         Ok(())
     }
@@ -2492,10 +2564,10 @@ pub(crate) fn dense_states(
 }
 
 /// Audits one block's full-map/SWMR invariants over its cached copies
-/// `holders` (ascending) and its home's rights, counting the check in
-/// `tally` and logging a violation (stamped `now`) to `ring`.
+/// `holders` (ascending) and the rights of its home `home`, counting the
+/// check in `tally` and logging a violation (stamped `now`) to `ring`.
 pub(crate) fn audit_block(
-    proto: &ProtocolConfig,
+    home: NodeId,
     block: BlockAddr,
     dir: &DirState,
     holders: impl Iterator<Item = Holder> + Clone,
@@ -2504,7 +2576,7 @@ pub(crate) fn audit_block(
     now: u64,
 ) -> Result<(), SimError> {
     tally.count_invariant_check();
-    let picture = with_home_rights(holders, home_of_block(block, proto), dir);
+    let picture = with_home_rights(holders, home, dir);
     if let Err(v) = check_block_sparse(block, dir, picture) {
         tally.count_invariant_failure();
         let mut ev = ObsEvent::new(now, Severity::Error, "invariant.failure")

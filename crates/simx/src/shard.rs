@@ -34,7 +34,7 @@
 //!
 //! ## Ranks are one word
 //!
-//! A shard keeps one heap keyed `(time, rank)`, `rank` a `u64`: the
+//! A shard executes its events in `(time, rank)` order, `rank` a `u64`: the
 //! replay-assigned global sequence number for an event pushed at a window
 //! boundary, `1 << 63 | c` for an event spawned *inside* a window, `c`
 //! counting the shard's spawns this window. On one shard that is the
@@ -47,6 +47,21 @@
 //! the merge compares two spawned events as it compares their parents,
 //! then by sibling index (`cmp_entries`; DESIGN.md §6h shows this is
 //! the lexicographic order of the ancestry paths ranks used to carry).
+//!
+//! ## The window is a batch
+//!
+//! Everything a window executes, bar what it spawns, is queued when it
+//! opens, and those events are independent: another node's, or ordered
+//! behind their own node's. So a shard runs a window in three steps.
+//! *Open*: move the queued events with `time < horizon` out of the
+//! arrival-order queue and sort them, once. *Resolve*: ask the core which
+//! table slot each event's handler looks up first and make all those
+//! lookups back to back, where their cache misses overlap — taken a
+//! handler at a time, on a table that outgrew the cache, they were half
+//! the run. *Execute*: the handlers, in order, follow-ups spawned inside
+//! the window merging in from a small heap. Resolve changes nothing a
+//! handler, the replay or an audit can observe (DESIGN.md §6h has the
+//! argument and the measurements); there is no switch for it.
 //!
 //! ## What this engine deliberately omits
 //!
@@ -73,7 +88,9 @@
 //! dispatching the handlers (DESIGN.md §6h says why).
 
 use crate::arena::{Arena, ArenaId};
-use crate::concurrent::{audit_block, check_drained, dense_states, ConcurrentMachine, Event};
+use crate::concurrent::{
+    audit_block, check_drained, dense_states, ConcurrentMachine, Event, Touch,
+};
 use crate::config::SystemConfig;
 use crate::driver::{IterationPlan, Phase};
 use crate::machine::SimError;
@@ -102,6 +119,9 @@ fn owner(ev: &Event) -> NodeId {
 /// boundary. See the module docs for why `(time, rank)` is the sequential
 /// engine's order on one shard.
 const IN_WINDOW: u64 = 1 << 63;
+
+/// A queued event: `(time, rank, handle into the shard's event arena)`.
+type Queued = (u64, u64, ArenaId);
 
 /// [`LogEntry::parent`] of a boundary event.
 const NO_PARENT: u32 = u32::MAX;
@@ -184,14 +204,21 @@ struct Shard {
     core: ConcurrentMachine,
     /// The owned node indices.
     nodes: Range<usize>,
-    /// Pending events by `(time, rank)`: the running window's and later
-    /// ones' together.
-    queue: BinaryHeap<Reverse<(u64, u64, ArenaId)>>,
+    /// Events waiting for a window to open, in arrival order.
+    queue: Vec<Queued>,
+    /// The open window's events, by `(time, rank)`: those queued when it
+    /// opened, sorted once, and those spawned inside it, a few at a time.
+    batch: Vec<Queued>,
+    in_window: BinaryHeap<Reverse<Queued>>,
     /// Backing storage for queued and in-window events: slots recycle
     /// through the free list, so steady-state execution allocates
     /// nothing per message.
     events: Arena<Event>,
     log: WindowLog,
+    /// Resolve scratch, reused every window: the blocks the window's
+    /// queued events look up first, by table.
+    dir_touches: Vec<BlockAddr>,
+    copy_touches: Vec<BlockAddr>,
 }
 
 impl Shard {
@@ -203,9 +230,13 @@ impl Shard {
         Shard {
             core,
             nodes,
-            queue: BinaryHeap::new(),
+            queue: Vec::new(),
+            batch: Vec::new(),
+            in_window: BinaryHeap::new(),
             events: Arena::new(),
             log: WindowLog::default(),
+            dir_touches: Vec::new(),
+            copy_touches: Vec::new(),
         }
     }
 
@@ -215,30 +246,86 @@ impl Shard {
 
     /// Earliest pending event time.
     fn peek_time(&self) -> Option<u64> {
-        self.queue.peek().map(|Reverse((t, _, _))| *t)
+        self.queue.iter().map(|(t, _, _)| *t).min()
     }
 
     /// Enqueues an event with its replay-assigned compact rank.
     fn enqueue(&mut self, time: u64, seq: u64, ev: Event) {
         debug_assert!(self.owns(&ev), "events are routed to the owning shard");
         let id = self.events.alloc(ev);
-        self.queue.push(Reverse((time, seq, id)));
+        self.queue.push((time, seq, id));
     }
 
-    /// Executes every owned event with `time < horizon` on the core,
-    /// moving each event's side effects into the window log.
+    /// Runs the window `[.., horizon)`: open, resolve, execute.
     fn run_window(&mut self, horizon: u64) -> Result<(), SimError> {
-        while self.peek_time().is_some_and(|t| t < horizon) {
-            let Reverse((t, rank, id)) = self.queue.pop().expect("peeked");
-            let ev = self.events.free(id).expect("live queued event");
-            let (parent, sibling) = match rank & IN_WINDOW {
-                0 => (NO_PARENT, 0),
-                _ => self.log.spawned[(rank & !IN_WINDOW) as usize],
+        self.open_window(horizon);
+        self.resolve_window();
+        self.execute_window(horizon)
+    }
+
+    /// Moves every queued event with `time < horizon` into the batch, in
+    /// `(time, rank)` order: one sort per window, where a heap of
+    /// everything pending sifted a thousand entries per pop.
+    fn open_window(&mut self, horizon: u64) {
+        let batch = &mut self.batch;
+        debug_assert!(batch.is_empty() && self.in_window.is_empty());
+        self.queue.retain(|queued| {
+            let later = queued.0 >= horizon;
+            if !later {
+                batch.push(*queued);
+            }
+            later
+        });
+        batch.sort_unstable();
+    }
+
+    /// Has the core make the first table lookup of every event in the
+    /// batch before the first handler runs (module docs, "The window is a
+    /// batch"). Collecting and looking up are separate loops on purpose:
+    /// a lookup loop that also chases arena slot, script front and home
+    /// overlaps nothing. Events spawned inside the window are not
+    /// resolved. Nothing observable depends on this stage having run.
+    fn resolve_window(&mut self) {
+        self.dir_touches.clear();
+        self.copy_touches.clear();
+        for (_, _, id) in &self.batch {
+            let ev = self.events.get(*id).expect("live queued event");
+            match self.core.first_touch(ev) {
+                Some(Touch::Dir(block)) => self.dir_touches.push(block),
+                Some(Touch::Copies(block)) => self.copy_touches.push(block),
+                None => {}
+            }
+        }
+        self.core.resolve(&self.dir_touches, &self.copy_touches);
+    }
+
+    /// Executes the open window on the core in `(time, rank)` order —
+    /// the batch merged with what the window spawns as it goes — moving
+    /// each event's side effects into the window log.
+    fn execute_window(&mut self, horizon: u64) -> Result<(), SimError> {
+        let mut next = 0;
+        loop {
+            // The earlier of the batch's next event and the next child.
+            let queued = self.batch.get(next).copied();
+            let spawned = self.in_window.peek().map(|Reverse(child)| *child);
+            let Some((t, rank, id)) = queued.into_iter().chain(spawned).min() else {
+                break;
             };
+            let (parent, sibling) = match rank & IN_WINDOW {
+                0 => {
+                    next += 1;
+                    (NO_PARENT, 0)
+                }
+                _ => {
+                    self.in_window.pop();
+                    self.log.spawned[(rank & !IN_WINDOW) as usize]
+                }
+            };
+            let ev = self.events.free(id).expect("live queued event");
             let me = self.log.entries.len() as u32;
             self.core.dispatch(t, ev)?;
             // Pushes landing inside the window are intra-node follow-ups:
-            // they rejoin the heap ranked by creation order, which on one
+            // they join the window ranked by creation order, which on one
             // shard is parent order, then order among siblings.
             let mut children = 0;
             for (at, ev) in self.core.outbox.drain(..) {
@@ -256,7 +343,7 @@ impl Shard {
                     let id = self.events.alloc(ev);
                     let born = IN_WINDOW | self.log.spawned.len() as u64;
                     self.log.spawned.push((me, children));
-                    self.queue.push(Reverse((at, born, id)));
+                    self.in_window.push(Reverse((at, born, id)));
                     children += 1;
                 }
             }
@@ -279,6 +366,7 @@ impl Shard {
                 ring_end: self.log.rings.len() as u32,
             });
         }
+        self.batch.clear();
         Ok(())
     }
 }
@@ -486,6 +574,16 @@ impl ShardedMachine {
         self.shards[self.shard_of(node)]
             .core
             .cache_state(node, block)
+    }
+
+    /// Every block any cache or directory entry has touched, ascending:
+    /// the union of the cores' sets, which is the concurrent engine's set.
+    pub fn touched_blocks(&self) -> Vec<BlockAddr> {
+        let cores = self.shards.iter().map(|s| &s.core);
+        let mut blocks: Vec<BlockAddr> = cores.flat_map(|c| c.touched_blocks()).collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        blocks
     }
 
     /// Every node's effective cache state for `block` (home rights are
@@ -726,7 +824,7 @@ impl ShardedMachine {
             let core = &self.shards[home.index() / self.chunk].core;
             let dir = core.dir_state(block).unwrap_or(&DirState::Idle);
             let holders = holders(&self.shards, block);
-            audit_block(proto, block, dir, holders, tally, &mut self.ring, now)?;
+            audit_block(home, block, dir, holders, tally, &mut self.ring, now)?;
         }
         Ok(())
     }
@@ -915,7 +1013,7 @@ mod tests {
     #[test]
     fn event_and_block_footprints_are_pinned() {
         use std::mem::size_of;
-        assert_eq!(size_of::<Reverse<(u64, u64, ArenaId)>>(), 24);
+        assert_eq!(size_of::<Queued>(), 24);
         assert!(size_of::<LogEntry>() <= 40);
         assert!(size_of::<stache::NodeSet>() <= 24);
         assert_eq!(size_of::<DirState>(), size_of::<stache::NodeSet>());
@@ -999,6 +1097,103 @@ mod tests {
         }
     }
 
+    /// Everything a shard holds that a later window, the replay or an
+    /// audit can see: directory entries, cached copies, the queue with
+    /// its events, and the window log.
+    fn picture(s: &Shard) -> String {
+        let mut dir: Vec<_> = s.core.dir.iter().collect();
+        dir.sort_unstable_by_key(|(block, _)| **block);
+        let touched = s.core.touched_blocks().into_iter();
+        let copies: Vec<_> = touched
+            .map(|b| (b, s.core.holders(b)))
+            .filter(|(_, held)| !held.is_empty())
+            .collect();
+        assert!(s.batch.is_empty() && s.in_window.is_empty(), "window open");
+        let mut queue = s.queue.clone();
+        queue.sort_unstable();
+        let events: Vec<_> = queue.iter().map(|(_, _, id)| s.events.get(*id)).collect();
+        format!("{dir:?}\n{copies:?}\n{queue:?}\n{events:?}\n{:?}", s.log)
+    }
+
+    /// Resolve is invisible. A machine and a twin that skips the resolve
+    /// stage (it makes the other two of `run_window`'s three calls) run
+    /// the same plan window by window: local misses, remote misses,
+    /// scripts that hit before they miss again, eight sharers racing to
+    /// upgrade one block (the losers' upgrades queue at the busy home and
+    /// convert), read-modify-writes. After every window, and again after
+    /// its replay, each shard's directory entries, cached copies, queue and
+    /// log are the twin's: resolve created no entry its window did not.
+    #[test]
+    fn a_resolved_window_leaves_exactly_what_an_unresolved_one_leaves() {
+        let b = |page: usize, offset: u64| BlockAddr::new(64 * page as u64 + offset);
+        let plan = plan_of(vec![
+            (1..=6)
+                .flat_map(|i| {
+                    [
+                        Access::write(n(i), b(i, 0)),      // local miss (page i is homed on i)
+                        Access::read(n(i), b(i, 0)),       // local hit
+                        Access::read(n(i), b(i + 1, 1)),   // remote miss
+                        Access::read(n(i), b(i + 1, 1)),   // hit
+                        Access::write(n(i), b(i + 16, 2)), // local miss, fresh page
+                    ]
+                })
+                .collect(),
+            (1..=8).map(|i| Access::read(n(i), b(0, 0))).collect(),
+            (1..=8).map(|i| Access::write(n(i), b(0, 0))).collect(),
+            (1..=12)
+                .map(|i| Access::rmw(n(i), b((i + 5) % 16, 3)))
+                .collect(),
+        ]);
+        for shards in [1, 3] {
+            let new =
+                || ShardedMachine::new(ProtocolConfig::paper(), SystemConfig::paper(), shards);
+            let (mut resolved, mut twin) = (new(), new());
+            let (mut windows, mut dir_lookups, mut copy_lookups) = (0, 0, 0);
+            let same = |resolved: &ShardedMachine, twin: &ShardedMachine, when: &str| {
+                for (r, t) in resolved.shards.iter().zip(&twin.shards) {
+                    assert_eq!(picture(r), picture(t), "shards {shards}, {when}");
+                }
+            };
+            for phase in &plan.phases {
+                resolved.begin_phase(phase);
+                twin.begin_phase(phase);
+                while let Some(floor) = resolved.min_pending() {
+                    let horizon = floor + resolved.lookahead;
+                    for (r, t) in resolved.shards.iter_mut().zip(&mut twin.shards) {
+                        r.run_window(horizon).unwrap();
+                        t.open_window(horizon);
+                        t.execute_window(horizon).unwrap();
+                        dir_lookups += r.dir_touches.len();
+                        copy_lookups += r.copy_touches.len();
+                    }
+                    same(&resolved, &twin, &format!("window {windows} executed"));
+                    resolved.replay_windows();
+                    twin.replay_windows();
+                    same(&resolved, &twin, &format!("window {windows} replayed"));
+                    windows += 1;
+                }
+                resolved.barrier().unwrap();
+                twin.barrier().unwrap();
+            }
+            assert!(
+                windows > 20 && dir_lookups > 50 && copy_lookups > 50,
+                "{windows} windows, {dir_lookups} + {copy_lookups} lookups resolved"
+            );
+            assert!(twin.shards.iter().all(|s| s.dir_touches.is_empty()));
+            assert_eq!(resolved.trace().records(), twin.trace().records());
+            assert_eq!(
+                resolved.obs_snapshot().to_json(),
+                twin.obs_snapshot().to_json()
+            );
+            let upgrades_converted = resolved
+                .trace()
+                .records()
+                .iter()
+                .any(|r| r.block == b(0, 0) && r.mtype == MsgType::GetRwResponse);
+            assert!(upgrades_converted, "the upgrade race was lost by someone");
+        }
+    }
+
     /// The seam windows rest on: whatever a core schedules is handed
     /// over in full (its own queue and outbox stay empty) and every
     /// event a shard holds — before and after the coordinator routes the
@@ -1009,9 +1204,12 @@ mod tests {
             for s in &m.shards {
                 assert_eq!(s.core.pending_events(), 0, "{when}: core queue in use");
                 assert!(s.core.outbox.is_empty(), "{when}: outbox not taken");
-                let spawned =
-                    |Reverse((_, rank, _)): &Reverse<(u64, u64, ArenaId)>| rank & IN_WINDOW != 0;
-                assert!(!s.queue.iter().any(spawned), "{when}: window not drained");
+                let drained = s.batch.is_empty() && s.in_window.is_empty();
+                let spawned = |(_, rank, _): &Queued| rank & IN_WINDOW != 0;
+                assert!(
+                    drained && !s.queue.iter().any(spawned),
+                    "{when}: window not drained"
+                );
                 for (_, ev) in s.events.iter() {
                     assert!(s.owns(ev), "{when}: shard {:?} holds {ev:?}", s.nodes);
                 }

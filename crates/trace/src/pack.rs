@@ -23,11 +23,16 @@
 //!
 //! All integers are big-endian, matching the flat codec. The `crc32` is
 //! over the *uncompressed* chunk payload, so corruption is detected
-//! before malformed columns are parsed. `method` is [`METHOD_STORE`] or
-//! [`METHOD_LZ`]; a chunk whose compressed form would be larger than its
-//! raw form is stored verbatim. Each chunk carries its own column
-//! dictionaries, so chunks decode independently — the property both the
-//! parallel decode path and SimPoint random access rely on.
+//! before malformed columns are parsed. The fields no checksum covers are
+//! held against what they describe: the index entries' `records` must sum
+//! to the footer's total and be `chunk_records` in every chunk but the
+//! last (the writer flushes only full chunks until it finishes), and a
+//! decoded chunk must start at its index entry's `first_time`. `method`
+//! is [`METHOD_STORE`] or [`METHOD_LZ`]; a chunk whose compressed form
+//! would be larger than its raw form is stored verbatim. Each chunk
+//! carries its own column dictionaries, so chunks decode independently —
+//! the property both the parallel decode path and SimPoint random access
+//! rely on.
 //!
 //! ## Chunk payload (columnar)
 //!
@@ -665,6 +670,8 @@ pub struct PackedChunk {
     pub method: u8,
     /// Expected CRC-32 of the uncompressed payload.
     pub crc: u32,
+    /// The timestamp the index gives for the chunk's first record.
+    pub first_time: u64,
     /// The on-disk payload (compressed when `method == METHOD_LZ`).
     pub payload: Vec<u8>,
     /// Zero-based chunk number (for error attribution).
@@ -691,7 +698,12 @@ impl PackedChunk {
         if crc32(&raw) != self.crc {
             return Err(PackError::CrcMismatch { chunk: self.number });
         }
-        decode_chunk_raw(&raw, self.records as usize)
+        let records = decode_chunk_raw(&raw, self.records as usize)?;
+        // The index entry is covered by no checksum; the records are.
+        if records[0].time_ns != self.first_time {
+            return Err(PackError::Corrupt { what: "first_time" });
+        }
+        Ok(records)
     }
 }
 
@@ -1003,6 +1015,15 @@ impl<R: Read + Seek> PackedTraceReader<R> {
                 what: "record count",
             });
         }
+        // The header's chunk size is covered by no checksum, but the
+        // writer flushes only full chunks until `finish` flushes the rest.
+        if let Some((last, full)) = index.split_last() {
+            if last.records > chunk_records || full.iter().any(|c| c.records != chunk_records) {
+                return Err(PackError::Corrupt {
+                    what: "chunk_records",
+                });
+            }
+        }
         Ok(PackedTraceReader {
             source,
             meta: TraceMeta::new(app, nodes, iterations),
@@ -1070,6 +1091,7 @@ impl<R: Read + Seek> PackedTraceReader<R> {
             raw_len,
             method,
             crc,
+            first_time: info.first_time,
             payload,
             number: i,
         })

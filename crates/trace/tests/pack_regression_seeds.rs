@@ -1,7 +1,8 @@
-//! Counterexamples proptest once found for the packed-trace format,
-//! kept as named deterministic tests (the `promoted:` markers carry the
-//! saved-seed hashes they were replayed from). The always-on random
-//! cases live in `prop_pack.rs`.
+//! Counterexamples found for the packed-trace format, kept as named
+//! deterministic tests: three from the proptest era (their `promoted:`
+//! markers carry the saved-seed hashes they were replayed from) and two
+//! the seeded port of `prop_pack.rs` found, where the always-on random
+//! cases live.
 
 use stache::{BlockAddr, MsgType, NodeId, Role};
 use trace::pack;
@@ -103,5 +104,83 @@ fn seed_single_record_and_all_truncations_detected() {
             "truncation at byte {cut}/{} decoded silently",
             bytes.len()
         );
+    }
+}
+
+/// Ten records in chunks of four: three chunks, the last one partial.
+fn three_chunks() -> (TraceBundle, Vec<u8>) {
+    let b = bundle(
+        (0..10)
+            .map(|i| rec(1000 + i * 10, 1, 0x40 + i, 2, (i % 12) as u8, 0))
+            .collect(),
+    );
+    let bytes = pack::pack_bundle(&b, 4).expect("pack");
+    (b, bytes)
+}
+
+fn assert_corrupt(bytes: &[u8], field: &str, at: usize) {
+    match pack::unpack_bundle(bytes) {
+        Err(pack::PackError::Corrupt { what }) => assert_eq!(what, field, "byte {at}"),
+        other => panic!("byte {at}: {:?}", other.map(|decoded| decoded.len())),
+    }
+}
+
+/// promoted: prop_pack `flipped_chunk_size_or_seek_key_is_rejected`, seed 0
+///
+/// The header's `chunk_records` is covered by no checksum: a flipped byte
+/// there used to open cleanly and report a wrong chunk size (the records
+/// were never affected). Every chunk but the last must hold exactly that
+/// many records and the last no more, so any flip is now caught — except
+/// in a one-chunk file, where a *larger* chunk size describes the same
+/// bytes and is accepted.
+#[test]
+fn seed_flipped_chunk_records_is_rejected() {
+    let (b, bytes) = three_chunks();
+    let field = 4 + 1 + 2 + b.meta().app.len() + 4 + 4;
+    assert_eq!(bytes[field..field + 4], 4u32.to_be_bytes());
+    for at in field..field + 4 {
+        for flip in [0x01, 0x02, 0x04, 0x80, 0xff] {
+            let mut bad = bytes.clone();
+            bad[at] ^= flip;
+            assert_corrupt(&bad, "chunk_records", at);
+        }
+    }
+    let one_chunk = bundle((0..5).map(|i| rec(i, 1, 0x40, 2, 0, 0)).collect());
+    let bytes = pack::pack_bundle(&one_chunk, 8).expect("pack");
+    for (size, fits) in [(4u32, false), (5, true), (9, true)] {
+        let mut other = bytes.clone();
+        other[field..field + 4].copy_from_slice(&size.to_be_bytes());
+        match (pack::unpack_bundle(&other), fits) {
+            (Ok(decoded), true) => assert_eq!(decoded, one_chunk),
+            (Err(pack::PackError::Corrupt { what }), false) => assert_eq!(what, "chunk_records"),
+            (other, _) => panic!("chunk size {size}: {:?}", other.map(|d| d.len())),
+        }
+    }
+}
+
+/// promoted: prop_pack `corruption_never_passes_silently`, seed 84
+///
+/// An index entry's `first_time` — the key a reader seeks by — is covered
+/// by no checksum either. A decoded chunk's first timestamp must equal
+/// it, so a flipped byte in any entry is caught when that chunk decodes,
+/// and the other chunks still read.
+#[test]
+fn seed_flipped_first_time_is_rejected() {
+    let (b, bytes) = three_chunks();
+    let index_end = bytes.len() - 20;
+    for entry in 0..3 {
+        let field = index_end - 28 * (3 - entry) + 20;
+        let first = b.records()[4 * entry].time_ns;
+        assert_eq!(bytes[field..field + 8], first.to_be_bytes());
+        for at in field..field + 8 {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x10;
+            assert_corrupt(&bad, "first_time", at);
+            let mut r =
+                pack::PackedTraceReader::new(std::io::Cursor::new(&bad[..])).expect("opens");
+            for chunk in 0..3 {
+                assert_eq!(r.read_chunk(chunk).is_ok(), chunk != entry, "chunk {chunk}");
+            }
+        }
     }
 }

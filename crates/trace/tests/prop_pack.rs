@@ -82,21 +82,67 @@ fn truncation_detected() {
     });
 }
 
-/// Corrupting any single byte of the packed stream never changes a
-/// record silently: the stream fails to open, fails a CRC, or — where the
-/// flipped byte is redundant (an LZ token bit the decompressor ignores) or
-/// only labels the stream (the header's name and counts, an index entry's
-/// `first_time`; no checksum covers those) — still decodes to the records
-/// that were packed.
+/// Corrupting any single byte of the packed stream never passes
+/// silently: the stream fails to open, a chunk fails its CRC or one of the
+/// reader's cross-checks, or everything the reader returns about the
+/// chunks is what was written — the records, each chunk's `first_time`,
+/// and the chunk size wherever a second chunk pins it. (What may still
+/// change unnoticed only labels the stream or is redundant: the header's
+/// app name, node and iteration counts, the chunk size of a one-chunk
+/// file when it grows, an LZ token bit the decompressor ignores.)
 #[test]
 fn corruption_never_passes_silently() {
     check(128, |rng| {
         let b = bundle(rng, 1, 200);
-        let mut bytes = pack::pack_bundle(&b, rng.gen_range(1..64) as u32).unwrap();
+        let chunk = rng.gen_range(1..64) as u32;
+        let mut bytes = pack::pack_bundle(&b, chunk).unwrap();
         let at = rng.gen_range(0..bytes.len());
         bytes[at] ^= rng.gen_range(1..=255) as u8;
-        if let Ok(decoded) = pack::unpack_bundle(&bytes) {
-            assert_eq!(decoded.records(), b.records(), "flipped byte {at}");
+        let Ok(mut r) = pack::PackedTraceReader::new(Cursor::new(&bytes[..])) else {
+            return;
+        };
+        let decoded: Result<Vec<_>, _> = (0..r.chunk_count()).map(|i| r.read_chunk(i)).collect();
+        let Ok(chunks) = decoded else { return };
+        assert_eq!(chunks.concat(), b.records(), "flipped byte {at}");
+        for (info, records) in r.index().iter().zip(&chunks) {
+            assert_eq!(info.first_time, records[0].time_ns, "flipped byte {at}");
+        }
+        if chunks.len() > 1 {
+            assert_eq!(r.chunk_records(), chunk, "flipped byte {at}");
+        }
+    });
+}
+
+/// The two fields no checksum covers are held against the chunks they
+/// describe: with a second chunk to pin the chunk size, any flipped byte
+/// of the header's `chunk_records` or of an index entry's `first_time`
+/// is a typed error naming the field.
+#[test]
+fn flipped_chunk_size_or_seek_key_is_rejected() {
+    check(128, |rng| {
+        let b = bundle(rng, 2, 200);
+        let chunk = rng.gen_range(1..b.len()) as u32;
+        let bytes = pack::pack_bundle(&b, chunk).unwrap();
+        let chunks = b.len().div_ceil(chunk as usize);
+        // Header: magic, version, app_len, app, nodes, iterations, then
+        // chunk_records. Index: 28-byte entries ending 20 bytes (the
+        // footer) before the end, `first_time` the last 8 of each.
+        let chunk_records = 4 + 1 + 2 + b.meta().app.len() + 4 + 4;
+        let first_time = |i: usize| bytes.len() - 20 - 28 * (chunks - i) + 20;
+        let (at, field) = if rng.gen_bool(0.5) {
+            (chunk_records + rng.gen_range(0..4), "chunk_records")
+        } else {
+            let entry = rng.gen_range(0..chunks);
+            (first_time(entry) + rng.gen_range(0..8), "first_time")
+        };
+        let mut bad = bytes.clone();
+        bad[at] ^= rng.gen_range(1..=255) as u8;
+        match pack::unpack_bundle(&bad) {
+            Err(pack::PackError::Corrupt { what }) => assert_eq!(what, field, "byte {at}"),
+            other => panic!(
+                "flipped {field} byte {at}: {:?}",
+                other.map(|decoded| decoded.len())
+            ),
         }
     });
 }

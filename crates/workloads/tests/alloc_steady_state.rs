@@ -2,12 +2,13 @@
 //!
 //! The event engines' per-event work is meant to be allocation-free once
 //! warm: ranks are fixed-width, sharer sets and a block's copies live
-//! inline, transaction slots, window logs and replay scratch are reused.
-//! What may still allocate is amortised — a table doubling, the trace
-//! buffer growing, one fresh buffer per drained iteration — hence a small
-//! budget rather than zero. This binary installs a counting allocator
-//! (std only, this test binary only) and measures each engine over the
-//! iterations that follow a warm-up.
+//! inline, transaction slots, window logs, the window batch and the
+//! resolve and replay scratch are reused. What may still allocate is
+//! amortised — a table doubling, the trace buffer growing, one fresh
+//! buffer per drained iteration — hence a small budget rather than zero.
+//! This binary installs a counting allocator (std only, this test binary
+//! only) and measures each engine over the iterations that follow a
+//! warm-up.
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running beside this one would be counted too. Shards 2 is left

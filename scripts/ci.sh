@@ -181,15 +181,31 @@ done
 
 # Per-event cost gate, in release (a debug build inlines and allocates
 # differently, and release is what the benchmark measures): allocations
-# per message after warm-up on both event engines (<= 0.05, printed), and
-# the pinned sizes of a heap entry, a log entry, a sharer set and a
-# directory entry. Tier-1 runs both in debug already; this is the build
-# the numbers in EXPERIMENTS.md come from.
-echo "==> per-event cost (release): allocations per message, pinned sizes"
+# per message after warm-up on both event engines (<= 0.05, printed; the
+# window batch and the resolve scratch are reused, not rebuilt), and the
+# pinned sizes of a queue entry, a log entry, a sharer set and a
+# directory entry. Beside them, also in release, the two tests that hold
+# the resolve stage invisible: a shard stepped window by window beside a
+# twin that skips it, and the sharded engine against the concurrent one
+# at shards 1, 2 and 4, touched-block sets included. Tier-1 runs all of
+# these in debug already; this is the build the numbers in EXPERIMENTS.md
+# come from.
+echo "==> per-event cost (release): allocations per message, pinned sizes, resolve invisible"
 cargo test -q --release --offline -p workloads --test alloc_steady_state -- --nocapture \
   | grep -E "per message|test result"
 cargo test -q --release --offline -p simx --lib event_and_block_footprints_are_pinned \
   | grep -E "test result: ok. 1 passed"
+cargo test -q --release --offline -p simx --lib a_resolved_window_leaves_exactly \
+  | grep -E "test result: ok. 1 passed"
+cargo test -q --release --offline -p workloads --test shard_identity \
+  | grep -E "test result: ok. 4 passed"
+
+# Profiler smoke: three seconds of scale1024 under scripts/sigprof.c must
+# print a table, or the notice that this box lacks cc / addr2line / x86-64
+# Linux. A diagnostic, never a gate on what the table says.
+echo "==> profiler smoke (scripts/profile.sh scale1024 3)"
+scripts/profile.sh scale1024 3 > "$SMOKE_DIR/profile.txt"
+grep -E "unavailable here|^ +[0-9.]+% +[0-9]+ " "$SMOKE_DIR/profile.txt" | sed -n '1,4s/^/    /p'
 
 # Surface report: what a simplicity PR is judged on. Printed, not gated.
 echo "==> surface (non-test lines, pub fns, predictor / policy impls per crate)"
