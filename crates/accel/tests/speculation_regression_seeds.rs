@@ -1,12 +1,10 @@
 //! Proptest regression seeds for the speculation layer, promoted to
 //! named deterministic tests.
 //!
-//! `prop_speculation.rs` is gated behind the `proptest-tests` feature
-//! (the crate cannot be vendored yet), so the saved counterexamples in
-//! `prop_speculation.proptest-regressions` would only re-run in an
-//! environment that has proptest. Each saved seed is replayed here
-//! verbatim as an always-on unit test with a `promoted:` marker; CI
-//! checks that every `cc` line has a matching marker.
+//! `prop_speculation.rs` was a proptest suite until it was ported to
+//! seeded cases; the counterexamples proptest had saved for it are
+//! replayed here verbatim, each under the `promoted:` hash it had in the
+//! regressions file.
 //!
 //! All three seeds came out of the speculative speedup harness's faulted
 //! cells and each one exposed a distinct recovery hole in the concurrent

@@ -288,7 +288,7 @@ fn tracepack(c: &Ctx) -> Result<(), String> {
         "running packed-trace pipeline report ({:?} scale)...",
         c.scale
     );
-    let report = tp::tracepack(c.set(), c.scale);
+    let report = tp::tracepack(c.set(), c.scale).map_err(|e| e.to_string())?;
     println!("{}", tp::render_tracepack(&report));
     c.artefact("tracepack.csv", &tp::csv_tracepack(&report))
 }

@@ -6,14 +6,19 @@
 //! pick their field from this table *by label*, so a label means one
 //! configuration everywhere and a new contender is one line here plus its
 //! label in the study that wants it. The Cosmos rows are one struct and
-//! differ only in its arguments.
+//! differ only in its arguments. The studies that replay the shared trace
+//! set all do it through [`race`]: a study is a label list and a
+//! projection of the reports that come back.
 
+use crate::par;
+use crate::traces::TraceSet;
 use cosmos::directed::{
     Composition, DsiPredictor, LastTuple, MigratoryPredictor, MostCommon, RmwPredictor,
 };
+use cosmos::eval::{evaluate, AccuracyReport, EvalOptions};
 use cosmos::{
-    CosmosPredictor as Cosmos, CosmosTageHybrid, EvictingCosmos as Evicting, HybridCosmos,
-    MessagePredictor, PreallocCosmos, SharedPhtCosmos, TageConfig, TagePredictor,
+    CosmosPredictor as Cosmos, EvictingCosmos as Evicting, HybridCosmos, MessagePredictor,
+    PreallocCosmos, SharedPhtCosmos,
 };
 use stache::{NodeId, Role};
 
@@ -38,19 +43,6 @@ pub const CONTENDERS: &[(&str, Factory)] = &[
     ("composition", |_, role| Box::new(Composition::new(role))),
     ("last-tuple", |_, _| Box::new(LastTuple::new())),
     ("most-common", |_, _| Box::new(MostCommon::new())),
-    // TAGE-MP at three budget points, and the per-agent chooser.
-    ("tage-small", |_, _| {
-        Box::new(TagePredictor::new(TageConfig::small()))
-    }),
-    ("tage-mid", |_, _| {
-        Box::new(TagePredictor::new(TageConfig::mid()))
-    }),
-    ("tage-large", |_, _| {
-        Box::new(TagePredictor::new(TageConfig::large()))
-    }),
-    ("cosmos+tage", |_, _| {
-        Box::new(CosmosTageHybrid::new(1, 0, TageConfig::mid()))
-    }),
     // The paper-sketched Cosmos extensions, all at depth 2.
     ("macro x4", |_, _| Box::new(Cosmos::new(2, 0).macroblock(2))),
     ("macro x16", |_, _| {
@@ -84,9 +76,102 @@ pub fn by_label(label: &str) -> Factory {
         .1
 }
 
+/// Races a field over every trace of the set: each `(label, options)`
+/// entry replays each trace through [`evaluate`] with the fleet
+/// [`by_label`] builds. One sweep cell per evaluation; the reports come
+/// back label-major — entry `l` on trace `t` is element
+/// `l * set.traces().len() + t` — whatever the worker count.
+pub fn race(set: &TraceSet, field: &[(&str, EvalOptions)]) -> Vec<AccuracyReport> {
+    let traces = set.traces();
+    par::sweep(field.len() * traces.len(), |i| {
+        let (label, opts) = &field[i / traces.len()];
+        evaluate(&traces[i % traces.len()], opts, by_label(label))
+    })
+}
+
+/// A field that scores every label under the default options.
+pub(crate) fn plain<'a>(labels: &[&'a str]) -> Vec<(&'a str, EvalOptions)> {
+    labels
+        .iter()
+        .map(|&label| (label, EvalOptions::default()))
+        .collect()
+}
+
+/// [`race`]'s reports regrouped for a benchmark-per-row table: each
+/// trace's app name with its reports in field order.
+pub(crate) fn by_app<'a>(
+    set: &'a TraceSet,
+    reports: &'a [AccuracyReport],
+) -> impl Iterator<Item = (&'a str, impl Iterator<Item = &'a AccuracyReport>)> {
+    let traces = set.traces();
+    traces.iter().enumerate().map(move |(t, trace)| {
+        let row = reports.iter().skip(t).step_by(traces.len());
+        (trace.meta().app.as_str(), row)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traces::Scale;
+    use crate::{extras, tournament};
+
+    #[test]
+    fn every_study_label_is_in_the_table() {
+        // `by_label` panics only when a study runs; this catches a typo in
+        // a field nobody raced today.
+        let fields: [&[&str]; 5] = [
+            &tournament::FIELD,
+            &extras::COMPARISON,
+            &extras::VARIANTS,
+            &extras::PERSISTENCE,
+            &extras::SENDER_ABLATION,
+        ];
+        for label in fields.into_iter().flatten() {
+            assert!(
+                CONTENDERS.iter().any(|(l, _)| l == label),
+                "no contender labelled {label}"
+            );
+        }
+    }
+
+    #[test]
+    fn race_returns_its_field_label_major() {
+        // Two labels (under different options) over the five traces.
+        let set = TraceSet::generate(Scale::Small);
+        let traces = set.traces();
+        let type_only = EvalOptions {
+            type_only: true,
+            ..Default::default()
+        };
+        let field = [
+            ("cosmos-d1", EvalOptions::default()),
+            ("type-only", type_only),
+        ];
+        let reports = race(&set, &field);
+        assert_eq!(reports.len(), 2 * traces.len());
+        for (l, (label, opts)) in field.iter().enumerate() {
+            for (t, trace) in traces.iter().enumerate() {
+                let alone = evaluate(trace, opts, by_label(label));
+                let raced = &reports[l * traces.len() + t];
+                assert_eq!(raced.overall, alone.overall, "{label} on trace {t}");
+                assert_eq!(raced.memory, alone.memory, "{label} on trace {t}");
+            }
+        }
+        // The cells differ pairwise, so a transposed or shuffled result
+        // could not have passed the loop above.
+        for (i, a) in reports.iter().enumerate() {
+            for b in &reports[..i] {
+                assert_ne!((a.overall, a.memory), (b.overall, b.memory));
+            }
+        }
+        // `by_app` is the transpose: one row per trace, in field order.
+        for (t, (app, row)) in by_app(&set, &reports).enumerate() {
+            assert_eq!(app, traces[t].meta().app);
+            let row: Vec<_> = row.map(|r| r.overall).collect();
+            assert_eq!(row, [reports[t].overall, reports[traces.len() + t].overall]);
+        }
+    }
 
     #[test]
     fn labels_are_unique_and_every_factory_builds() {

@@ -1,9 +1,9 @@
 //! Beyond the numbered artefacts: the paper's prose claims and the
 //! design-choice ablations DESIGN.md calls out.
 
-use crate::contenders::by_label;
+use crate::contenders::{by_app, plain, race};
 use crate::traces::{single_trace, Scale, TraceSet};
-use cosmos::eval::{evaluate, evaluate_cosmos, EvalOptions};
+use cosmos::eval::{evaluate_cosmos, EvalOptions};
 use simx::SystemConfig;
 use stache::ProtocolConfig;
 use std::fmt::Write as _;
@@ -76,36 +76,31 @@ pub fn render_adaptation(rows: &[(String, Option<u32>)]) -> String {
     out
 }
 
+/// [`comparison`]'s field: the tournament's, less depths 2 and 4.
+pub(crate) const COMPARISON: [&str; 8] = [
+    "cosmos-d1",
+    "cosmos-d3",
+    "migratory",
+    "self-inval",
+    "rmw",
+    "composition",
+    "last-tuple",
+    "most-common",
+];
+
 /// §7's comparison: Cosmos (depths 1 and 3) against every directed
-/// predictor and the baselines, overall accuracy per benchmark.
+/// predictor and the baselines, overall accuracy per benchmark — the
+/// [`tournament`](crate::tournament)'s cells for this field, less the bits.
 pub fn comparison(set: &TraceSet) -> Vec<(String, Vec<(String, f64)>)> {
-    let contenders = [
-        "cosmos-d1",
-        "cosmos-d3",
-        "migratory",
-        "self-inval",
-        "rmw",
-        "composition",
-        "last-tuple",
-        "most-common",
-    ]
-    .map(|label| (label, by_label(label)));
-    let cols = contenders.len();
-    let traces = set.traces();
-    let cells = crate::par::sweep(traces.len() * cols, |i| {
-        let t = &traces[i / cols];
-        let (name, factory) = contenders[i % cols];
-        let r = evaluate(t, &EvalOptions::default(), factory);
-        (name.to_string(), r.overall.percent())
-    });
-    traces
-        .iter()
-        .enumerate()
-        .map(|(r, t)| {
-            (
-                t.meta().app.clone(),
-                cells[r * cols..(r + 1) * cols].to_vec(),
-            )
+    let reports = race(set, &plain(&COMPARISON));
+    by_app(set, &reports)
+        .map(|(app, row)| {
+            let cells = COMPARISON
+                .iter()
+                .zip(row)
+                .map(|(label, r)| (label.to_string(), r.overall.percent()))
+                .collect();
+            (app.to_string(), cells)
         })
         .collect()
 }
@@ -169,6 +164,9 @@ pub fn ablation_half_migratory(scale: Scale) -> String {
     out
 }
 
+/// [`ablation_sender`]'s two columns.
+pub(crate) const SENDER_ABLATION: [&str; 2] = ["cosmos-d1", "type-only"];
+
 /// Ablation: dropping the sender from the tuple (§3.5 footnote 3). Scores
 /// a sender-agnostic Cosmos on message *type* only, next to the full
 /// tuple's accuracy — the gap is what a type-only predictor would gain in
@@ -181,62 +179,59 @@ pub fn ablation_sender(set: &TraceSet) -> String {
         "{:<14} {:>12} {:>12}",
         "benchmark", "full tuple", "type-only"
     );
-    for t in set.traces() {
-        let full = evaluate(t, &EvalOptions::default(), by_label("cosmos-d1"));
-        let type_only = evaluate(
-            t,
-            &EvalOptions {
-                type_only: true,
-                ..Default::default()
-            },
-            by_label("type-only"),
-        );
-        let _ = writeln!(
-            out,
-            "{:<14} {:>11.1}% {:>11.1}%",
-            t.meta().app,
-            full.overall.percent(),
-            type_only.overall.percent()
-        );
+    let [full, type_only] = SENDER_ABLATION;
+    let score_type = EvalOptions {
+        type_only: true,
+        ..Default::default()
+    };
+    let reports = race(
+        set,
+        &[(full, EvalOptions::default()), (type_only, score_type)],
+    );
+    for (app, row) in by_app(set, &reports) {
+        let _ = write!(out, "{app:<14}");
+        for r in row {
+            let _ = write!(out, " {:>11.1}%", r.overall.percent());
+        }
+        out.push('\n');
     }
     out
 }
+
+/// [`variants`]' columns; the first is the plain-Cosmos baseline.
+pub(crate) const VARIANTS: [&str; 7] = [
+    "cosmos-d2",
+    "macro x4",
+    "macro x16",
+    "conf>=2",
+    "prealloc",
+    "shared 4k",
+    "hybrid 1+3",
+];
 
 /// The predictor-variant study: the extensions the paper sketches —
 /// macroblock grouping (§7), confidence gating (§4.2/§4.3), and the
 /// preallocated-PHT memory layout (§3.7) — against plain Cosmos at
 /// depth 2, reporting accuracy, coverage, and table sizes.
 pub fn variants(set: &TraceSet) -> String {
-    let contenders = [
-        "cosmos-d2",
-        "macro x4",
-        "macro x16",
-        "conf>=2",
-        "prealloc",
-        "shared 4k",
-        "hybrid 1+3",
-    ]
-    .map(|label| {
-        // Plain Cosmos is the baseline column, headed just "cosmos".
-        let heading = if label == "cosmos-d2" {
-            "cosmos"
-        } else {
-            label
-        };
-        (heading, by_label(label))
-    });
     let mut out = String::from(
         "Variants: paper-sketched predictor extensions, depth 2.\n\
          acc = accuracy on all messages; cov = messages with a prediction\n\
          offered; acc|cov = accuracy among offered; PHT = total entries\n",
     );
     let _ = write!(out, "{:<14}", "benchmark");
-    for (name, _) in &contenders {
-        let _ = write!(out, " | {:^27}", name);
+    for label in VARIANTS {
+        // The baseline column is headed just "cosmos".
+        let heading = if label == "cosmos-d2" {
+            "cosmos"
+        } else {
+            label
+        };
+        let _ = write!(out, " | {:^27}", heading);
     }
     out.push('\n');
     let _ = write!(out, "{:<14}", "");
-    for _ in &contenders {
+    for _ in VARIANTS {
         let _ = write!(
             out,
             " | {:>4} {:>4} {:>7} {:>7}",
@@ -244,10 +239,10 @@ pub fn variants(set: &TraceSet) -> String {
         );
     }
     out.push('\n');
-    for t in set.traces() {
-        let _ = write!(out, "{:<14}", t.meta().app);
-        for (_, factory) in contenders {
-            let r = evaluate(t, &EvalOptions::default(), factory);
+    let reports = race(set, &plain(&VARIANTS));
+    for (app, row) in by_app(set, &reports) {
+        let _ = write!(out, "{app:<14}");
+        for r in row {
             let offered = r.coverage.hits.max(1);
             let _ = write!(
                 out,
@@ -267,31 +262,29 @@ pub fn variants(set: &TraceSet) -> String {
     out
 }
 
+/// [`history_persistence`]'s columns: unbounded, then shrinking capacity.
+pub(crate) const PERSISTENCE: [&str; 5] =
+    ["cosmos-d2", "evict 512", "evict 128", "evict 32", "evict 8"];
+
 /// The §3.7 history-persistence study: accuracy of an MHT-capacity-bounded
 /// Cosmos (history discarded with LRU block eviction) as the per-agent
 /// capacity shrinks — what merging the predictor tables with finite cache
 /// state would cost.
 pub fn history_persistence(set: &TraceSet) -> String {
-    let columns = [
-        ("unbounded", "cosmos-d2"),
-        ("512", "evict 512"),
-        ("128", "evict 128"),
-        ("32", "evict 32"),
-        ("8", "evict 8"),
-    ];
     let mut out = String::from(
         "History persistence (§3.7): depth-2 accuracy vs per-agent MHT\n\
          capacity (LRU; evicting a block discards its learned patterns)\n",
     );
     let _ = write!(out, "{:<14}", "benchmark");
-    for (heading, _) in columns {
+    for label in PERSISTENCE {
+        let heading = label.strip_prefix("evict ").unwrap_or("unbounded");
         let _ = write!(out, " {heading:>10}");
     }
     out.push('\n');
-    for t in set.traces() {
-        let _ = write!(out, "{:<14}", t.meta().app);
-        for (_, label) in columns {
-            let r = evaluate(t, &EvalOptions::default(), by_label(label));
+    let reports = race(set, &plain(&PERSISTENCE));
+    for (app, row) in by_app(set, &reports) {
+        let _ = write!(out, "{app:<14}");
+        for r in row {
             let _ = write!(out, " {:>9.1}%", r.overall.percent());
         }
         out.push('\n');
@@ -710,6 +703,29 @@ mod tests {
         );
         assert!(cosmos_d3 > last);
         assert!(render_comparison(&rows).contains("cosmos-d3"));
+    }
+
+    #[test]
+    fn comparison_is_the_tournament_restricted_to_its_field() {
+        let set = TraceSet::generate(Scale::Small);
+        let cells = crate::tournament::tournament(&set);
+        let rows = comparison(&set);
+        assert_eq!(rows.len(), 5);
+        for (app, row) in &rows {
+            let labels: Vec<&str> = row.iter().map(|(label, _)| label.as_str()).collect();
+            assert_eq!(labels, COMPARISON);
+            for (label, pct) in row {
+                let cell = cells
+                    .iter()
+                    .find(|c| c.app == *app && c.predictor == *label)
+                    .expect("the tournament races the comparison's field");
+                let counts = cosmos::Counts {
+                    hits: cell.hits,
+                    total: cell.total,
+                };
+                assert_eq!(*pct, counts.percent(), "{label} on {app}");
+            }
+        }
     }
 
     #[test]

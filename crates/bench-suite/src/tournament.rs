@@ -6,24 +6,19 @@
 //! the two axes: each contender replays the identical trace set through
 //! [`cosmos::eval::evaluate`] and reports both its accuracy *and* the
 //! storage its fleet actually used, in bits, via
-//! [`cosmos::MessagePredictor::storage_bits`]. Nothing is normalised in the
-//! predictor's favour: a TAGE table pays for every entry of its fixed
-//! geometry whether occupied or not, while the map-based predictors pay
-//! per resident entry — exactly the hardware-vs-software trade each design
-//! makes.
+//! [`cosmos::MessagePredictor::storage_bits`]: every contender pays per
+//! resident table entry.
 //!
-//! Contenders: Cosmos at MHR depths 1–4 (filterless), the §7 directed
-//! baselines, TAGE-MP at three budget points, and the per-agent
-//! Cosmos-vs-TAGE tournament hybrid.
+//! Contenders: Cosmos at MHR depths 1–4 (filterless) and the §7 directed
+//! predictors and baselines — [`extras::comparison`](crate::extras::comparison)'s
+//! field with two more depths and the bits column.
 
-use crate::contenders::{self, Factory};
-use crate::par;
+use crate::contenders;
 use crate::traces::TraceSet;
-use cosmos::eval::{evaluate, EvalOptions};
 use std::fmt::Write as _;
 
 /// The field, in display order (labels of [`contenders::CONTENDERS`]).
-const FIELD: [&str; 14] = [
+pub(crate) const FIELD: [&str; 10] = [
     "cosmos-d1",
     "cosmos-d2",
     "cosmos-d3",
@@ -34,22 +29,14 @@ const FIELD: [&str; 14] = [
     "composition",
     "last-tuple",
     "most-common",
-    "tage-small",
-    "tage-mid",
-    "tage-large",
-    "cosmos+tage",
 ];
-
-fn contenders() -> [(&'static str, Factory); 14] {
-    FIELD.map(|label| (label, contenders::by_label(label)))
-}
 
 /// One `(contender, benchmark)` cell of the tournament.
 #[derive(Debug, Clone)]
 pub struct TournamentCell {
     /// Benchmark name.
     pub app: String,
-    /// Contender label (budget point included, unlike `name()`).
+    /// Contender label (depth included, unlike `name()`).
     pub predictor: String,
     /// Correct predictions among scored messages.
     pub hits: u64,
@@ -61,21 +48,23 @@ pub struct TournamentCell {
     pub storage_bits: u64,
 }
 
+/// `part` of `whole` as a percentage; 0 of nothing.
+fn pct(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        return 0.0;
+    }
+    100.0 * part as f64 / whole as f64
+}
+
 impl TournamentCell {
     /// Accuracy on all messages, as a percentage.
     pub fn accuracy_pct(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        100.0 * self.hits as f64 / self.total as f64
+        pct(self.hits, self.total)
     }
 
     /// Share of messages with a prediction offered, as a percentage.
     pub fn coverage_pct(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        100.0 * self.offered as f64 / self.total as f64
+        pct(self.offered, self.total)
     }
 }
 
@@ -100,62 +89,51 @@ pub struct FrontierRow {
 impl FrontierRow {
     /// Pooled accuracy as a percentage.
     pub fn accuracy_pct(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        100.0 * self.hits as f64 / self.total as f64
+        pct(self.hits, self.total)
     }
 }
 
 /// Races every contender over every trace of the set. Cells come back in
 /// deterministic contender-major order; the sweep itself is parallel.
 pub fn tournament(set: &TraceSet) -> Vec<TournamentCell> {
-    let contenders = contenders();
     let traces = set.traces();
-    let n = contenders.len() * traces.len();
-    par::sweep(n, |i| {
-        let (name, factory) = contenders[i / traces.len()];
-        let trace = &traces[i % traces.len()];
-        let report = evaluate(trace, &EvalOptions::default(), factory);
-        TournamentCell {
-            app: trace.meta().app.clone(),
-            predictor: name.to_string(),
+    contenders::race(set, &contenders::plain(&FIELD))
+        .into_iter()
+        .enumerate()
+        .map(|(i, report)| TournamentCell {
+            app: traces[i % traces.len()].meta().app.clone(),
+            predictor: FIELD[i / traces.len()].to_string(),
             hits: report.overall.hits,
             total: report.overall.total,
             offered: report.coverage.hits,
             storage_bits: report.storage_bits,
-        }
-    })
+        })
+        .collect()
 }
 
-/// Folds the cells into one frontier row per contender and marks Pareto
-/// optimality. Rows keep the contender display order.
+/// The cells of one contender at a time: [`tournament`] returns them
+/// contender-major, each contender over the same benchmarks in the same
+/// order, and the folds below rely on it.
+fn by_contender(cells: &[TournamentCell]) -> impl Iterator<Item = &[TournamentCell]> {
+    cells.chunk_by(|a, b| a.predictor == b.predictor)
+}
+
+/// Folds [`tournament`]'s cells into one frontier row per contender and
+/// marks Pareto optimality. Rows keep the contender display order.
 pub fn frontier(cells: &[TournamentCell]) -> Vec<FrontierRow> {
-    let mut rows: Vec<FrontierRow> = Vec::new();
-    let mut bits_sum: Vec<(u64, u64)> = Vec::new(); // (Σ bits, benchmarks)
-    for cell in cells {
-        let idx = match rows.iter().position(|r| r.predictor == cell.predictor) {
-            Some(i) => i,
-            None => {
-                rows.push(FrontierRow {
-                    predictor: cell.predictor.clone(),
-                    hits: 0,
-                    total: 0,
-                    storage_bits: 0,
-                    pareto: false,
-                });
-                bits_sum.push((0, 0));
-                rows.len() - 1
+    let mut rows: Vec<FrontierRow> = by_contender(cells)
+        .map(|mine| {
+            let bits: u64 = mine.iter().map(|c| c.storage_bits).sum();
+            let n = mine.len() as u64;
+            FrontierRow {
+                predictor: mine[0].predictor.clone(),
+                hits: mine.iter().map(|c| c.hits).sum(),
+                total: mine.iter().map(|c| c.total).sum(),
+                storage_bits: (bits + n / 2) / n,
+                pareto: false,
             }
-        };
-        rows[idx].hits += cell.hits;
-        rows[idx].total += cell.total;
-        bits_sum[idx].0 += cell.storage_bits;
-        bits_sum[idx].1 += 1;
-    }
-    for (row, (sum, n)) in rows.iter_mut().zip(&bits_sum) {
-        row.storage_bits = if *n == 0 { 0 } else { (sum + n / 2) / n };
-    }
+        })
+        .collect();
     let snapshot: Vec<(u64, f64)> = rows
         .iter()
         .map(|r| (r.storage_bits, r.accuracy_pct()))
@@ -170,54 +148,26 @@ pub fn frontier(cells: &[TournamentCell]) -> Vec<FrontierRow> {
     rows
 }
 
-/// Renders the per-benchmark accuracy matrix.
+/// Renders [`tournament`]'s cells as the per-benchmark accuracy matrix.
 pub fn render_tournament(cells: &[TournamentCell]) -> String {
     let mut out = String::from(
         "Tournament: overall accuracy (%) per contender and benchmark.\n\
          Every contender replays the identical traces; a message with no\n\
          prediction offered scores as a miss.\n",
     );
-    let apps: Vec<&str> = {
-        let mut seen = Vec::new();
-        for c in cells {
-            if !seen.contains(&c.app.as_str()) {
-                seen.push(c.app.as_str());
-            }
-        }
-        seen
-    };
     let _ = write!(out, "{:<14}", "predictor");
-    for app in &apps {
-        let _ = write!(out, " {app:>12}");
+    for c in by_contender(cells).next().unwrap_or_default() {
+        let _ = write!(out, " {:>12}", c.app);
     }
     let _ = writeln!(out, " {:>8}", "cov%");
-    let mut preds = Vec::new();
-    for c in cells {
-        if !preds.contains(&c.predictor.as_str()) {
-            preds.push(c.predictor.as_str());
-        }
-    }
-    for pred in preds {
-        let _ = write!(out, "{pred:<14}");
-        let mine: Vec<&TournamentCell> = cells.iter().filter(|c| c.predictor == pred).collect();
-        for app in &apps {
-            match mine.iter().find(|c| c.app == *app) {
-                Some(c) => {
-                    let _ = write!(out, " {:>12.1}", c.accuracy_pct());
-                }
-                None => {
-                    let _ = write!(out, " {:>12}", "-");
-                }
-            }
+    for mine in by_contender(cells) {
+        let _ = write!(out, "{:<14}", mine[0].predictor);
+        for c in mine {
+            let _ = write!(out, " {:>12.1}", c.accuracy_pct());
         }
         let offered: u64 = mine.iter().map(|c| c.offered).sum();
         let total: u64 = mine.iter().map(|c| c.total).sum();
-        let cov = if total == 0 {
-            0.0
-        } else {
-            100.0 * offered as f64 / total as f64
-        };
-        let _ = writeln!(out, " {cov:>8.1}");
+        let _ = writeln!(out, " {:>8.1}", pct(offered, total));
     }
     out
 }
@@ -298,7 +248,7 @@ pub fn export_obs(cells: &[TournamentCell], rows: &[FrontierRow]) -> obs::Snapsh
         rows.iter().filter(|r| r.pareto).count() as u64,
     );
     for r in rows {
-        let key = r.predictor.replace('+', "-");
+        let key = &r.predictor;
         snap.gauge(&format!("tournament.{key}.accuracy_pct"), r.accuracy_pct());
         snap.counter(&format!("tournament.{key}.storage_bits"), r.storage_bits);
         snap.counter(&format!("tournament.{key}.pareto"), u64::from(r.pareto));
@@ -319,7 +269,7 @@ mod tests {
     #[test]
     fn covers_every_contender_and_benchmark() {
         let cells = small_cells();
-        assert_eq!(cells.len(), contenders().len() * 5);
+        assert_eq!(cells.len(), FIELD.len() * 5);
         for c in &cells {
             assert!(c.total > 0, "{}:{} scored nothing", c.app, c.predictor);
             assert!(c.hits <= c.total);
@@ -327,7 +277,7 @@ mod tests {
         }
         // Every contender carries a storage price on at least one
         // benchmark: 0 would mean unaccounted, which the frontier bans.
-        for (name, _) in contenders() {
+        for name in FIELD {
             let bits: u64 = cells
                 .iter()
                 .filter(|c| c.predictor == name)
@@ -338,19 +288,22 @@ mod tests {
     }
 
     #[test]
-    fn tage_fixed_geometry_dominates_its_storage() {
+    fn cosmos_depth_dominates_its_storage() {
         let cells = small_cells();
-        // A TAGE fleet's bits are at least its fixed table geometry times
-        // the number of agents that saw any traffic (here: ≥ 1 agent).
-        let small_bits = cosmos::TageConfig::small().table_bits();
-        for c in cells.iter().filter(|c| c.predictor == "tage-small") {
-            assert!(
-                c.storage_bits >= small_bits,
-                "{}: {} < {}",
-                c.app,
-                c.storage_bits,
-                small_bits
-            );
+        // A Cosmos fleet's bits grow with its MHR depth on every
+        // benchmark: each block's register holds one more 16-bit tuple and
+        // every PHT entry is keyed by one more.
+        for app in ["appbt", "barnes", "dsmc", "moldyn", "unstructured"] {
+            let bits = |label: &str| {
+                cells
+                    .iter()
+                    .find(|c| c.app == app && c.predictor == label)
+                    .map(|c| c.storage_bits)
+                    .expect("every contender ran every benchmark")
+            };
+            let depths = ["cosmos-d1", "cosmos-d2", "cosmos-d3", "cosmos-d4"].map(bits);
+            assert!(depths[0] > 0, "{app}: depth 1 reports no storage");
+            assert!(depths.windows(2).all(|w| w[0] < w[1]), "{app}: {depths:?}");
         }
     }
 
@@ -358,7 +311,7 @@ mod tests {
     fn frontier_pools_and_marks_pareto() {
         let cells = small_cells();
         let rows = frontier(&cells);
-        assert_eq!(rows.len(), contenders().len());
+        assert_eq!(rows.len(), FIELD.len());
         // Totals pool: each row's total is the sum of its cells'.
         for row in &rows {
             let total: u64 = cells
@@ -404,7 +357,7 @@ mod tests {
         let cells = small_cells();
         let rows = frontier(&cells);
         let t = render_tournament(&cells);
-        assert!(t.contains("cosmos-d1") && t.contains("tage-large"));
+        assert!(t.contains("cosmos-d1") && t.contains("most-common"));
         let f = render_frontier(&rows);
         assert!(f.contains("pareto"));
         let snap = export_obs(&cells, &rows);
@@ -414,7 +367,7 @@ mod tests {
             Some(obs::MetricValue::Counter(n)) if *n == cells.len() as u64
         ));
         assert!(matches!(
-            snap.get("tournament.cosmos-tage.storage_bits"),
+            snap.get("tournament.most-common.storage_bits"),
             Some(obs::MetricValue::Counter(n)) if *n > 0
         ));
     }

@@ -35,12 +35,15 @@ use crate::traces::Scale as RunScale;
 use crate::TraceSet;
 use cosmos::eval::{evaluate_cosmos, Counts};
 use cosmos::{CosmosPredictor, MessagePredictor, StreamEval};
-use simx::SystemConfig;
-use std::io::Cursor;
-use trace::pack::{PackStats, PackedTraceReader, PackedTraceWriter};
+use simx::{SimError, SystemConfig};
+use std::fmt;
+use std::io::{Cursor, Read, Seek};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use trace::pack::{PackError, PackStats, PackedTraceReader, PackedTraceWriter};
 use trace::simpoint::{self, SamplePlan};
 use trace::MsgRecord;
-use workloads::{run_sharded_streaming, Scale as ScaleWorkload, Workload};
+use workloads::{run_sharded_streaming, Scale as ScaleWorkload, StreamingRunError, Workload};
 
 /// MHR depths the sampled-vs-full comparison covers.
 pub const SAMPLE_DEPTHS: [usize; 4] = [1, 2, 3, 4];
@@ -119,7 +122,7 @@ impl SampleRow {
 }
 
 /// The streaming cell's outcome: stream and codec totals.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamRow {
     /// Nodes in the streamed cell.
     pub nodes: usize,
@@ -148,28 +151,41 @@ pub struct TracepackReport {
     pub stream: StreamRow,
 }
 
-/// Decodes every chunk of a packed trace, fanning the chunks out over
-/// the shared worker pool ([`crate::par::sweep`]); chunks decode
-/// independently (own dictionary, own CRC), which is the format feature
-/// this path exists to exploit. Returns the chunks in stream order.
+/// Decodes every chunk of a packed trace; the chunks come back in stream
+/// order.
 pub fn decode_parallel(bytes: &[u8]) -> Vec<Vec<MsgRecord>> {
-    // One reader pulls the raw (still-compressed) chunks in order — that
-    // part is a cheap index walk — and only the LZ + column decode fans
-    // out. Opening a reader per chunk would re-parse the whole index
-    // each time, which is quadratic in chunk count.
     let mut r = PackedTraceReader::new(Cursor::new(bytes))
         .unwrap_or_else(|e| panic!("packed trace unreadable: {e}"));
-    let raw: Vec<_> = (0..r.chunk_count())
+    let all = 0..r.chunk_count();
+    decode_chunks(&mut r, all).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Decodes a run of chunks, in order. The one reader pulls the raw
+/// (still-compressed) chunks — sequential I/O plus an index lookup — and
+/// only the LZ + column decode fans out over [`crate::par::sweep`]:
+/// chunks decode independently (own dictionary, own CRC), which is the
+/// format feature this path exists to exploit. Opening a reader per chunk
+/// would re-parse the whole index each time: quadratic in chunk count,
+/// ruinous at 10^8 records.
+fn decode_chunks<R: Read + Seek>(
+    reader: &mut PackedTraceReader<R>,
+    chunks: std::ops::Range<usize>,
+) -> Result<Vec<Vec<MsgRecord>>, StreamCellError> {
+    let first = chunks.start;
+    let raw = chunks
         .map(|i| {
-            r.read_chunk_raw(i)
-                .unwrap_or_else(|e| panic!("chunk {i} unreadable: {e}"))
+            reader
+                .read_chunk_raw(i)
+                .map_err(|e| StreamCellError::ChunkRead(i, e))
         })
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     crate::par::sweep(raw.len(), |i| {
         raw[i]
             .decode()
-            .unwrap_or_else(|e| panic!("chunk {i} failed to decode: {e}"))
+            .map_err(|e| StreamCellError::Decode(first + i, e))
     })
+    .into_iter()
+    .collect()
 }
 
 /// Sampled evaluation in one streaming pass: every record trains the
@@ -253,28 +269,86 @@ pub const DECODE_WINDOW: usize = 64;
 /// memory O(fleet × capacity) regardless of trace length.
 pub const REPLAY_FLEET: &str = "evict 8192";
 
+/// Why the streaming cell produced no row (or a packed trace did not
+/// decode): the step that failed, on which file or chunk number. The
+/// cell's temporary file is gone either way.
+#[derive(Debug)]
+pub enum StreamCellError {
+    /// The temporary file could not be created.
+    Create(PathBuf, std::io::Error),
+    /// Writing the packed stream failed: header, a chunk, the index, the
+    /// final flush or the sync.
+    Write(PathBuf, PackError),
+    /// The simulation itself failed.
+    Sim(SimError),
+    /// The finished file could not be reopened for the replay.
+    Reopen(PathBuf, PackError),
+    /// A chunk could not be read back from the file.
+    ChunkRead(usize, PackError),
+    /// A chunk read back but did not decode.
+    Decode(usize, PackError),
+}
+
+impl fmt::Display for StreamCellError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use StreamCellError::*;
+        f.write_str("tracepack: ")?;
+        match self {
+            Create(path, e) => write!(f, "creating {}: {e}", path.display()),
+            Write(path, e) => write!(f, "writing {}: {e}", path.display()),
+            Sim(e) => write!(f, "simulation failed: {e}"),
+            Reopen(path, e) => write!(f, "reopening {}: {e}", path.display()),
+            ChunkRead(chunk, e) => write!(f, "chunk {chunk} unreadable: {e}"),
+            Decode(chunk, e) => write!(f, "chunk {chunk} failed to decode: {e}"),
+        }
+    }
+}
+
+// The message already carries the failing step's own error.
+impl std::error::Error for StreamCellError {}
+
+/// Stream cells this process has started: with the pid, what keeps two
+/// concurrent cells (or two test threads) off each other's file.
+static STREAM_CELLS: AtomicU64 = AtomicU64::new(0);
+
 /// Runs the streaming cell: simulate on the sharded engine, drain each
 /// iteration's records straight into a packed writer over a temporary
 /// file, then decode in chunk-parallel windows feeding a chunk-by-chunk
 /// predictor replay. At no point does the full record set exist in
 /// memory — the peaks are one iteration's drain (encode side) and
 /// [`DECODE_WINDOW`] chunks (replay side).
-pub fn run_stream_cell(scale: RunScale) -> StreamRow {
+///
+/// # Errors
+///
+/// A [`StreamCellError`] naming the step that failed; the temporary file
+/// is removed whether the cell succeeds or not.
+pub fn run_stream_cell(scale: RunScale) -> Result<StreamRow, StreamCellError> {
+    run_stream_cell_in(&std::env::temp_dir(), scale)
+}
+
+fn run_stream_cell_in(dir: &Path, scale: RunScale) -> Result<StreamRow, StreamCellError> {
+    let path = dir.join(format!(
+        "tracepack_stream_{}_{}.cpk",
+        std::process::id(),
+        STREAM_CELLS.fetch_add(1, Ordering::Relaxed)
+    ));
+    let row = stream_through(&path, scale);
+    let _ = std::fs::remove_file(&path);
+    row
+}
+
+fn stream_through(path: &Path, scale: RunScale) -> Result<StreamRow, StreamCellError> {
     let (nodes, private_per_node, iterations) = stream_cell(scale);
     let chunk = chunk_records(scale);
     let mut w = ScaleWorkload::new(nodes, private_per_node, iterations);
     let proto = w.proto();
     let meta = trace::TraceMeta::new(w.name(), proto.nodes, iterations);
     let shards = crate::scale::default_shards(nodes);
-    let path = std::env::temp_dir().join(format!(
-        "tracepack_stream_{}_{nodes}n.cpk",
-        std::process::id()
-    ));
+    let write_failed = |e: PackError| StreamCellError::Write(path.into(), e);
 
-    let file =
-        std::fs::File::create(&path).unwrap_or_else(|e| panic!("creating {}: {e}", path.display()));
+    let file = std::fs::File::create(path).map_err(|e| StreamCellError::Create(path.into(), e))?;
     let mut writer = PackedTraceWriter::new(std::io::BufWriter::new(file), &meta, chunk)
-        .unwrap_or_else(|e| panic!("stream writer failed: {e}"));
+        .map_err(write_failed)?;
     let mut max_drain = 0usize;
     run_sharded_streaming(
         &mut w,
@@ -291,61 +365,47 @@ pub fn run_stream_cell(scale: RunScale) -> StreamRow {
             writer.push_all(&batch)
         },
     )
-    .unwrap_or_else(|e| panic!("stream cell failed: {e}"));
-    let (buf, stats) = writer
-        .finish()
-        .unwrap_or_else(|e| panic!("stream finish failed: {e}"));
+    .map_err(|e| match e {
+        StreamingRunError::Sim(e) => StreamCellError::Sim(e),
+        StreamingRunError::Sink(e) => write_failed(e),
+    })?;
+    let (buf, stats) = writer.finish().map_err(write_failed)?;
     let file = buf
         .into_inner()
-        .unwrap_or_else(|e| panic!("flushing {}: {e}", path.display()));
+        .map_err(|e| write_failed(PackError::Io(e.into_error())))?;
     file.sync_all()
-        .unwrap_or_else(|e| panic!("syncing {}: {e}", path.display()));
+        .map_err(|e| write_failed(PackError::Io(e)))?;
 
-    // Windowed replay: one reader streams the raw (still-compressed)
-    // chunks of each DECODE_WINDOW in order — sequential I/O plus an
-    // index lookup — the LZ + column decode fans out in parallel, the
-    // window feeds the fleet in stream order, is dropped, repeat.
-    // (Opening a reader per chunk would re-read the whole chunk index
-    // each time: quadratic in chunk count, ruinous at 10^8 records.)
-    let mut reader = PackedTraceReader::open(&path)
-        .unwrap_or_else(|e| panic!("reopening {}: {e}", path.display()));
+    // Windowed replay: a window of chunks is decoded, feeds the fleet in
+    // stream order, is dropped, repeat.
+    let mut reader =
+        PackedTraceReader::open(path).map_err(|e| StreamCellError::Reopen(path.into(), e))?;
     let chunk_count = reader.chunk_count();
     let mut ev = StreamEval::new(Default::default(), by_label(REPLAY_FLEET));
-    let mut lo = 0usize;
-    while lo < chunk_count {
+    for lo in (0..chunk_count).step_by(DECODE_WINDOW) {
         let hi = (lo + DECODE_WINDOW).min(chunk_count);
-        let raw: Vec<_> = (lo..hi)
-            .map(|i| {
-                reader
-                    .read_chunk_raw(i)
-                    .unwrap_or_else(|e| panic!("chunk {i} unreadable: {e}"))
-            })
-            .collect();
-        let window = crate::par::sweep(hi - lo, |i| {
-            raw[i]
-                .decode()
-                .unwrap_or_else(|e| panic!("chunk {} failed to decode: {e}", lo + i))
-        });
-        for chunk in &window {
-            ev.push_all(chunk);
+        for chunk in decode_chunks(&mut reader, lo..hi)? {
+            ev.push_all(&chunk);
         }
-        lo = hi;
     }
     let report = ev.finish();
-    let _ = std::fs::remove_file(&path);
 
-    StreamRow {
+    Ok(StreamRow {
         nodes,
         iterations,
         stats,
         max_drain,
         replayed: report.overall.total,
         replay_pct: report.overall.percent(),
-    }
+    })
 }
 
 /// Builds the full report from the shared trace set.
-pub fn tracepack(set: &TraceSet, scale: RunScale) -> TracepackReport {
+///
+/// # Errors
+///
+/// The streaming cell's [`StreamCellError`].
+pub fn tracepack(set: &TraceSet, scale: RunScale) -> Result<TracepackReport, StreamCellError> {
     let chunk = chunk_records(scale);
     let mut pack = Vec::new();
     let mut samples = Vec::new();
@@ -383,12 +443,12 @@ pub fn tracepack(set: &TraceSet, scale: RunScale) -> TracepackReport {
         "  tracepack: streaming scale cell ({} nodes)...",
         stream_cell(scale).0
     );
-    let stream = run_stream_cell(scale);
-    TracepackReport {
+    let stream = run_stream_cell(scale)?;
+    Ok(TracepackReport {
         pack,
         samples,
         stream,
-    }
+    })
 }
 
 /// Renders the report for humans.
@@ -492,8 +552,8 @@ mod tests {
     #[test]
     fn small_report_is_deterministic_and_accurate() {
         let set = TraceSet::generate(RunScale::Small);
-        let a = tracepack(&set, RunScale::Small);
-        let b = tracepack(&set, RunScale::Small);
+        let a = tracepack(&set, RunScale::Small).unwrap();
+        let b = tracepack(&set, RunScale::Small).unwrap();
         assert_eq!(
             csv_tracepack(&a),
             csv_tracepack(&b),
@@ -530,7 +590,7 @@ mod tests {
 
     #[test]
     fn stream_cell_stays_bounded_and_replays() {
-        let row = run_stream_cell(RunScale::Small);
+        let row = run_stream_cell(RunScale::Small).unwrap();
         assert!(row.stats.records > 0);
         assert!(
             (row.max_drain as u64) < row.stats.records,
@@ -538,6 +598,49 @@ mod tests {
         );
         assert!(row.replayed > 0);
         assert!(row.stats.ratio() >= 2.0);
+    }
+
+    #[test]
+    fn concurrent_stream_cells_agree_and_leave_nothing_behind() {
+        let dir = std::env::temp_dir().join(format!("tracepack_cells_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // The barrier puts all four inside the cell at once; at the
+        // parent they shared one path and truncated each other's file.
+        let start = std::sync::Barrier::new(4);
+        let rows: Vec<StreamRow> = std::thread::scope(|s| {
+            let cells: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        run_stream_cell_in(&dir, RunScale::Small)
+                    })
+                })
+                .collect();
+            cells
+                .into_iter()
+                .map(|cell| cell.join().expect("cell thread panicked").unwrap())
+                .collect()
+        });
+        assert!(rows.windows(2).all(|w| w[0] == w[1]), "{rows:?}");
+        assert_eq!(rows[0], run_stream_cell(RunScale::Small).unwrap());
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "a cell left its file"
+        );
+        std::fs::remove_dir(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_cell_that_cannot_create_its_file_says_so_and_leaves_nothing() {
+        let dir = std::env::temp_dir().join(format!("tracepack_no_dir_{}", std::process::id()));
+        let err = run_stream_cell_in(&dir, RunScale::Small).unwrap_err();
+        assert!(
+            matches!(&err, StreamCellError::Create(path, _) if path.starts_with(&dir)),
+            "{err}"
+        );
+        assert!(err.to_string().starts_with("tracepack: creating "), "{err}");
+        assert!(!dir.exists());
     }
 
     #[test]

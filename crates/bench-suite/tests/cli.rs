@@ -90,6 +90,25 @@ fn unwritable_csv_dir_fails_before_the_first_target() {
     assert!(out.stdout.is_empty(), "no target may have run");
 }
 
+// Regression: a stream cell that could not create its temporary file
+// panicked; it is a one-line error and exit status 1.
+#[test]
+fn tracepack_without_a_temp_directory_is_a_one_line_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--small", "tracepack"])
+        .env("TMPDIR", "/definitely/not/a/directory")
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let last = stderr.lines().last().unwrap_or_default();
+    assert!(
+        last.starts_with("tracepack: creating /definitely/not/a/directory/"),
+        "stderr was {stderr:?}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr was {stderr:?}");
+}
+
 #[test]
 fn help_mentions_the_tracespans_target_and_trace_out() {
     let out = repro(&["--help"]);

@@ -17,7 +17,7 @@ const GOLDEN: &str = include_str!("golden/tracepack_small.csv");
 #[test]
 fn small_tracepack_csv_is_byte_identical_to_the_golden() {
     let set = TraceSet::generate(Scale::Small);
-    let report = tracepack::tracepack(&set, Scale::Small);
+    let report = tracepack::tracepack(&set, Scale::Small).expect("clean stream cell");
     let csv = tracepack::csv_tracepack(&report);
     assert_eq!(csv, GOLDEN, "tracepack report drifted from the golden");
 

@@ -1,14 +1,12 @@
-//! Tournament hybrids: two predictors and a chooser.
+//! The tournament hybrid: two Cosmos depths and a chooser.
 //!
 //! Table 5 shows no single depth wins everywhere: depth 1 adapts fastest
 //! (barnes prefers it), depth 3 resolves rotations (dsmc needs it). Branch
 //! prediction's classic answer is a *tournament*: run both, and let a
 //! chooser counter track which component has been right more often
-//! recently. This is the same construction over coherence messages — the
-//! kind of follow-on design the paper's §8 invites — for any two
-//! predictors: [`HybridCosmos`] pits two Cosmos depths against each other
-//! per block, [`CosmosTageHybrid`](crate::CosmosTageHybrid) a Cosmos
-//! against a TAGE-MP per agent.
+//! recently. [`HybridCosmos`] is that construction over coherence messages
+//! — the kind of follow-on design the paper's §8 invites — with one
+//! chooser per block.
 
 use crate::fasthash::FastMap;
 use crate::memory::MemoryFootprint;
@@ -17,29 +15,18 @@ use crate::tuple::PredTuple;
 use crate::{CoreStats, MessagePredictor};
 use stache::BlockAddr;
 
-/// Chooser saturation (2-bit counter: 0–1 favour the first component,
-/// 2–3 the second).
+/// Chooser saturation (2-bit counter: 0–1 favour the shallow component,
+/// 2–3 the deep one).
 const CHOOSER_MAX: u8 = 3;
 
-/// A two-component tournament predictor.
-#[derive(Debug, Clone)]
-pub struct Tournament<A, B> {
-    name: &'static str,
-    first: A,
-    second: B,
-    /// Whether every block has a chooser of its own; otherwise one serves
-    /// the whole agent.
-    per_block: bool,
-    /// Chooser counters by block (an agent-wide one is kept under block 0).
-    choosers: FastMap<BlockAddr, u8>,
-    /// Times the first component supplied the answer.
-    pub first_used: u64,
-    /// Times the second component supplied the answer.
-    pub second_used: u64,
-}
-
 /// A per-block tournament between a shallow and a deep Cosmos.
-pub type HybridCosmos = Tournament<CosmosPredictor, CosmosPredictor>;
+#[derive(Debug, Clone)]
+pub struct HybridCosmos {
+    shallow: CosmosPredictor,
+    deep: CosmosPredictor,
+    /// Chooser counters by block.
+    choosers: FastMap<BlockAddr, u8>,
+}
 
 impl HybridCosmos {
     /// Creates a tournament between `shallow_depth` and `deep_depth`
@@ -51,53 +38,28 @@ impl HybridCosmos {
     /// Panics if the depths are equal or zero.
     pub fn new(shallow_depth: usize, deep_depth: usize) -> Self {
         assert!(shallow_depth < deep_depth, "components must differ");
-        Tournament::between(
-            "cosmos-hybrid",
-            CosmosPredictor::new(shallow_depth, 0),
-            CosmosPredictor::new(deep_depth, 0),
-            true,
-        )
-    }
-}
-
-impl<A, B> Tournament<A, B> {
-    pub(crate) fn between(name: &'static str, first: A, second: B, per_block: bool) -> Self {
-        Tournament {
-            name,
-            first,
-            second,
-            per_block,
+        HybridCosmos {
+            shallow: CosmosPredictor::new(shallow_depth, 0),
+            deep: CosmosPredictor::new(deep_depth, 0),
             choosers: FastMap::default(),
-            first_used: 0,
-            second_used: 0,
         }
-    }
-
-    fn chooser_key(&self, block: BlockAddr) -> BlockAddr {
-        if self.per_block {
-            block
-        } else {
-            BlockAddr::new(0)
-        }
-    }
-
-    fn chooser(&self, block: BlockAddr) -> u8 {
-        // Start leaning towards the first component: it warms up first.
-        let key = self.chooser_key(block);
-        self.choosers.get(&key).copied().unwrap_or(1)
     }
 }
 
-impl<A: MessagePredictor, B: MessagePredictor> MessagePredictor for Tournament<A, B> {
+impl MessagePredictor for HybridCosmos {
     fn name(&self) -> &'static str {
-        self.name
+        "cosmos-hybrid"
     }
 
     fn predict(&self, block: BlockAddr) -> Option<PredTuple> {
-        let a = self.first.predict(block);
-        let b = self.second.predict(block);
+        let a = self.shallow.predict(block);
+        let b = self.deep.predict(block);
         match (a, b) {
-            (Some(a), Some(b)) => Some(if self.chooser(block) >= 2 { b } else { a }),
+            (Some(a), Some(b)) => {
+                // An untrained chooser leans shallow: it warms up first.
+                let chooser = self.choosers.get(&block).copied().unwrap_or(1);
+                Some(if chooser >= 2 { b } else { a })
+            }
             // Whoever has an opinion, speaks.
             (a, b) => a.or(b),
         }
@@ -105,47 +67,33 @@ impl<A: MessagePredictor, B: MessagePredictor> MessagePredictor for Tournament<A
 
     fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
         // Score the components before they learn from the observation.
-        let a = self.first.predict(block);
-        let b = self.second.predict(block);
-        let a_hit = a == Some(tuple);
-        let b_hit = b == Some(tuple);
+        let a_hit = self.shallow.predict(block) == Some(tuple);
+        let b_hit = self.deep.predict(block) == Some(tuple);
         if a_hit != b_hit {
-            let c = self.choosers.entry(self.chooser_key(block)).or_insert(1);
+            let c = self.choosers.entry(block).or_insert(1);
             if b_hit {
                 *c = (*c + 1).min(CHOOSER_MAX);
             } else {
                 *c = c.saturating_sub(1);
             }
         }
-        match (a.is_some(), b.is_some()) {
-            (true, true) if self.chooser(block) >= 2 => self.second_used += 1,
-            (true, _) => self.first_used += 1,
-            (false, true) => self.second_used += 1,
-            (false, false) => {}
-        }
-        self.first.observe(block, tuple);
-        self.second.observe(block, tuple);
+        self.shallow.observe(block, tuple);
+        self.deep.observe(block, tuple);
     }
 
     fn memory(&self) -> MemoryFootprint {
-        self.first.memory() + self.second.memory()
+        self.shallow.memory() + self.deep.memory()
     }
 
     fn core_stats(&self) -> CoreStats {
-        let mut stats = self.first.core_stats();
-        stats.merge(self.second.core_stats());
+        let mut stats = self.shallow.core_stats();
+        stats.merge(self.deep.core_stats());
         stats
     }
 
-    /// Both components' bits plus one 2-bit chooser per block, or one for
-    /// the agent.
+    /// Both components' bits plus one 2-bit chooser per block.
     fn storage_bits(&self) -> u64 {
-        let choosers = if self.per_block {
-            self.choosers.len() as u64
-        } else {
-            1
-        };
-        self.first.storage_bits() + self.second.storage_bits() + 2 * choosers
+        self.shallow.storage_bits() + self.deep.storage_bits() + 2 * self.choosers.len() as u64
     }
 }
 
@@ -176,7 +124,6 @@ mod tests {
             p.observe(b(1), *tuple);
         }
         assert_eq!(p.predict(b(1)), Some(cycle[0]));
-        assert!(p.first_used > 0);
     }
 
     #[test]
@@ -196,7 +143,6 @@ mod tests {
         }
         // After [y, a] the successor is x; depth 2 knows, depth 1 cannot.
         assert_eq!(p.predict(b(1)), Some(x));
-        assert!(p.second_used > 0);
     }
 
     #[test]

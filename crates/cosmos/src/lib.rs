@@ -68,12 +68,11 @@ pub mod predictor;
 pub mod shared_pht;
 pub mod snapshot;
 pub mod speedup;
-pub mod tage;
 pub mod tuple;
 
 pub use eval::{AccuracyReport, Counts, EvalOptions, StreamEval, Verdict};
 pub use fleet::Fleet;
-pub use hybrid::{HybridCosmos, Tournament};
+pub use hybrid::HybridCosmos;
 pub use lookahead::{evaluate_lookahead, LookaheadReport};
 pub use memory::MemoryFootprint;
 pub use mhr::Mhr;
@@ -82,7 +81,6 @@ pub use pht::{Pht, PhtEntry, CONFIDENCE_MAX};
 pub use prealloc::PreallocCosmos;
 pub use predictor::{CosmosPredictor, EvictingCosmos};
 pub use shared_pht::SharedPhtCosmos;
-pub use tage::{CosmosTageHybrid, TageConfig, TagePredictor};
 pub use tuple::PredTuple;
 
 // The table hasher lives in `stache`, beside the `BlockAddr` page stride it
@@ -157,8 +155,8 @@ pub trait MessagePredictor {
     /// Modelled storage cost of this predictor instance in **bits** — the
     /// currency of the `repro tournament` accuracy-vs-bits frontier. Each
     /// implementation documents its counting rule (Cosmos uses Table 7's
-    /// tuple accounting; TAGE-MP its fixed table geometry plus history
-    /// registers; the directed predictors their per-block tracking state).
+    /// tuple accounting; the directed predictors their per-block tracking
+    /// state).
     /// Predictors that do not model storage report 0, which the frontier
     /// renders as unaccounted rather than free.
     fn storage_bits(&self) -> u64 {

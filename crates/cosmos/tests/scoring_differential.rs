@@ -16,9 +16,8 @@ use cosmos::directed::{
     Composition, DsiPredictor, LastTuple, MigratoryPredictor, MostCommon, RmwPredictor,
 };
 use cosmos::{
-    CosmosPredictor, CosmosTageHybrid, Counts, EvalOptions, EvictingCosmos, HybridCosmos,
-    MemoryFootprint, MessagePredictor, PreallocCosmos, PredTuple, SharedPhtCosmos, StreamEval,
-    TageConfig, TagePredictor,
+    CosmosPredictor, Counts, EvalOptions, EvictingCosmos, HybridCosmos, MemoryFootprint,
+    MessagePredictor, PreallocCosmos, PredTuple, SharedPhtCosmos, StreamEval,
 };
 use simx::SystemConfig;
 use stache::{BlockAddr, MsgType, NodeId, ProtocolConfig, Role};
@@ -172,12 +171,6 @@ fn families() -> Vec<Family> {
         ("prealloc", |_| Box::new(PreallocCosmos::paper(2, 256))),
         ("shared-4k", |_| Box::new(SharedPhtCosmos::new(2, 1, 12))),
         ("hybrid-1+3", |_| Box::new(HybridCosmos::new(1, 3))),
-        ("tage-small", |_| {
-            Box::new(TagePredictor::new(TageConfig::small()))
-        }),
-        ("cosmos+tage", |_| {
-            Box::new(CosmosTageHybrid::new(1, 0, TageConfig::small()))
-        }),
         ("migratory", |role| Box::new(MigratoryPredictor::new(role))),
         ("dsi", |role| Box::new(DsiPredictor::new(role))),
         ("rmw", |role| Box::new(RmwPredictor::new(role))),

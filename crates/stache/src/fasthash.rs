@@ -17,9 +17,7 @@
 //! block addresses are constant there (Stache homes pages round-robin, so
 //! every block one agent of a 64-node run sees agrees in its low 12 bits).
 //! [`FxHasher::finish`] therefore rotates the well-mixed high bits down
-//! (`FINISH_ROTATE`, the rustc-hash 2.x finaliser). [`fx_words`] is the
-//! raw fold without that step, for callers whose *modelled* hardware hash
-//! is pinned by a golden.
+//! (`FINISH_ROTATE`, the rustc-hash 2.x finaliser).
 //!
 //! Unlike `RandomState`, [`FastHash`] is deterministic across processes —
 //! table *iteration order* is therefore reproducible, which the eval
@@ -100,20 +98,6 @@ impl Hasher for FxHasher {
     }
 }
 
-/// The raw Fx fold of `words`, with no finaliser: what `hash_one` of a
-/// `u64` (tuple) returned before [`FxHasher::finish`] rotated. TAGE-MP
-/// derives its *modelled* table indices and tags from this word, and the
-/// tournament golden pins them, so the model keeps the raw fold while the
-/// host-side tables get the finalised hash.
-#[inline]
-pub fn fx_words(words: &[u64]) -> u64 {
-    let mut h = FxHasher::default();
-    for &w in words {
-        h.add_to_hash(w);
-    }
-    h.hash
-}
-
 /// The deterministic `BuildHasher` for [`FastMap`]/[`FastSet`].
 pub type FastHash = BuildHasherDefault<FxHasher>;
 
@@ -179,20 +163,20 @@ mod tests {
     }
 
     #[test]
-    fn fx_words_is_the_pre_finaliser_hash() {
-        // The values `FastHash::default().hash_one(..)` returned for a
-        // `u64` and a `(u64, u64, u64)` before `finish()` rotated: TAGE-MP's
-        // model index/tag hash must stay exactly this.
-        assert_eq!(fx_words(&[42]), 0x5e77_c80c_6b95_bc72);
+    fn map_hash_is_the_fx_fold_rotated() {
+        // The per-word fold of a `u64` and a `(u64, u64, u64)`, then the
+        // finaliser's rotation and nothing else: table iteration order
+        // (and with it every perf run's probe sequence) hangs on these.
+        let rotated = |fold: u64| fold.rotate_left(FINISH_ROTATE);
+        let hash = FastHash::default();
+        assert_eq!(hash.hash_one(42u64), rotated(0x5e77_c80c_6b95_bc72));
         assert_eq!(
-            fx_words(&[0x1234_5678_9abc_def0, 0x0007_0011, 3]),
-            0x7234_53fe_d179_25b9
+            hash.hash_one((0x1234_5678_9abc_def0u64, 0x0007_0011u64, 3u64)),
+            rotated(0x7234_53fe_d179_25b9)
         );
-        assert_eq!(fx_words(&[(7 * 64 + 5) * 64 + 1]), 0xc22f_07c6_f650_74d5);
-        // And the map hash is that fold plus the rotation, nothing else.
         assert_eq!(
-            FastHash::default().hash_one(42u64),
-            fx_words(&[42]).rotate_left(FINISH_ROTATE)
+            hash.hash_one((7u64 * 64 + 5) * 64 + 1),
+            rotated(0xc22f_07c6_f650_74d5)
         );
     }
 

@@ -98,9 +98,12 @@ cargo run -q --release --offline -p bench-suite --bin repro -- \
   --small --csv "$SMOKE_DIR" tournament > /dev/null
 diff -u crates/bench-suite/tests/golden/tournament_frontier_small.csv \
   "$SMOKE_DIR/tournament_frontier.csv"
+# Cosmos depths 1-4 and the six section-7 predictors: a header and ten rows.
+rows="$(($(wc -l < "$SMOKE_DIR/tournament_frontier.csv") - 1))"
+[ "$rows" -eq 10 ] || { echo "    frontier has $rows contenders, not 10" >&2; exit 1; }
 grep -q '"tournament.cells"' "$SMOKE_DIR/tournament_obs.json"
 grep -q '"tournament.pareto_count"' "$SMOKE_DIR/tournament_obs.json"
-echo "    frontier CSV matches golden; tournament obs JSON emitted"
+echo "    frontier CSV matches golden (10 contenders); tournament obs JSON emitted"
 
 # Scale smoke: run the sharded-engine sweep at small scale and diff the
 # deterministic CSV against its golden. The CSV carries only
@@ -212,9 +215,9 @@ echo "==> surface (non-test lines, pub fns, predictor / policy impls per crate)"
 scripts/surface.sh | sed 's/^/    /'
 
 # Proptest seed promotion: every saved counterexample hash in a
-# *.proptest-regressions file must have a matching `promoted: <hash>`
-# marker in a checked-in test, so the seeds keep running even in builds
-# without the (feature-gated) proptest dependency.
+# *.proptest-regressions file (one is left, simx's) must have a matching
+# `promoted: <hash>` marker in a checked-in test, so the seeds keep
+# running even in builds without the (feature-gated) proptest dependency.
 echo "==> proptest-regressions promotion check"
 while read -r file; do
   while read -r hash; do
