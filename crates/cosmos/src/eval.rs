@@ -17,7 +17,7 @@
 //! A message for which the predictor offers no prediction counts as a miss
 //! (the conservative convention); coverage is reported separately.
 
-use crate::fasthash::FastMap;
+use crate::fasthash::{FastMap, FastSet};
 use crate::fleet::{role_index, Fleet, ROLES};
 use crate::memory::MemoryFootprint;
 use crate::predictor::CosmosPredictor;
@@ -26,6 +26,7 @@ use crate::{CoreStats, MessagePredictor};
 use stache::msg::ALL_MSG_TYPES;
 use stache::{BlockAddr, MsgType, NodeId, Role};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use trace::{ArcKey, TraceBundle};
 
 /// Hit/total counters.
@@ -275,11 +276,48 @@ impl AccuracyReport {
     }
 }
 
+/// A block and the type of the last message an agent saw for it, in one
+/// word — `block << 4 | type code`; a block number is a byte address over
+/// the block size, so its top four bits are free — hashed and compared by
+/// the block alone. A set of these is a map from block to type at 8 bytes
+/// an entry rather than 16.
+#[derive(Clone, Copy)]
+struct LastSeen(u64);
+
+impl LastSeen {
+    fn new(block: BlockAddr, mtype: MsgType) -> Self {
+        debug_assert!(block.number() >> 60 == 0, "{block} leaves no room");
+        LastSeen(block.number() << 4 | u64::from(mtype.code()))
+    }
+
+    fn mtype(self) -> MsgType {
+        ALL_MSG_TYPES[(self.0 & 0xf) as usize]
+    }
+}
+
+impl PartialEq for LastSeen {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 >> 4 == other.0 >> 4
+    }
+}
+
+impl Eq for LastSeen {}
+
+impl Hash for LastSeen {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0 >> 4); // as the `BlockAddr` hashes
+    }
+}
+
 /// One agent's predictor plus its replay-local state.
 struct AgentSlot {
     predictor: Box<dyn MessagePredictor>,
-    /// Last message type seen per block at this agent (arc tracking).
-    prev_type: FastMap<BlockAddr, MsgType>,
+    /// Last message type seen per block at this agent (arc tracking): one
+    /// word for every block the agent ever saw. This is the part of a
+    /// "bounded-memory" fleet that is not bounded — an evicting predictor
+    /// caps its tables, the arc tracker cannot forget — so it is kept to
+    /// the one word.
+    prev_type: FastSet<LastSeen>,
     counts: Counts,
 }
 
@@ -407,7 +445,7 @@ where
         let factory = &mut self.factory;
         let slot = self.fleet.agent(r.node, r.role, || AgentSlot {
             predictor: factory(r.node, r.role),
-            prev_type: FastMap::default(),
+            prev_type: FastSet::default(),
             counts: Counts::default(),
         });
         if self.predictor.is_empty() {
@@ -415,7 +453,8 @@ where
         }
         let observed = PredTuple::new(r.sender, r.mtype);
         let predicted = slot.predictor.predict_then_observe(r.block, observed);
-        let prev = slot.prev_type.insert(r.block, r.mtype);
+        let seen = LastSeen::new(r.block, r.mtype);
+        let prev = slot.prev_type.replace(seen).map(LastSeen::mtype);
 
         if score && r.iteration >= self.opts.score_from_iteration {
             let hit = if self.opts.type_only {

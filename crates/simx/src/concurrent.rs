@@ -49,12 +49,11 @@ use crate::event::EventQueue;
 use crate::fault::{FaultInjector, FaultPlan, FaultTally};
 use crate::machine::{ForwardKind, SimError, SpeculationPolicy};
 use crate::stats::MachineStats;
-use crate::store::{with_home_rights, Copies, DirEntry, Holder, NO_TXN};
+use crate::store::{with_home_rights, BlockTable, Copies, DirEntry, Holder, NO_TXN};
 use obs::span::{SpanKind, SpanLog, TraceId};
 use obs::{Event as ObsEvent, EventRing, Severity};
 use stache::cache::{self, CacheAction};
 use stache::directory::{self};
-use stache::fasthash::FastMap;
 use stache::fingerprint::Fp;
 use stache::invariants::{check_block_sparse, InvariantViolation};
 use stache::placement::home_of_block;
@@ -326,10 +325,10 @@ pub struct ConcurrentMachine {
     pub(crate) outbox: Vec<(u64, Event)>,
     /// Each block's cached copies outside its home, block-major: one
     /// table whatever the node count, holding only blocks somebody caches.
-    copies: FastMap<BlockAddr, Copies>,
+    copies: BlockTable<Copies>,
     /// Each block's directory entry — state, overflow flag and open
     /// transaction together, looked up once per handler.
-    pub(crate) dir: FastMap<BlockAddr, DirEntry>,
+    pub(crate) dir: BlockTable<DirEntry>,
     /// Every block whose directory entry or a cache state was written
     /// since the last barrier (repeats allowed) — all that can have
     /// *become* incoherent, and what the next barrier audits. Fed by
@@ -402,8 +401,8 @@ impl ConcurrentMachine {
             sys,
             queue: EventQueue::new(),
             outbox: Vec::new(),
-            copies: FastMap::default(),
-            dir: FastMap::default(),
+            copies: BlockTable::new(),
+            dir: BlockTable::new(),
             dirty: Vec::new(),
             txns: Vec::new(),
             free_txns: Vec::new(),
@@ -633,23 +632,23 @@ impl ConcurrentMachine {
     /// [`cache_states_for`](Self::cache_states_for).
     pub fn cache_state(&self, node: NodeId, block: BlockAddr) -> CacheState {
         self.copies
-            .get(&block)
+            .get(block)
             .map_or(CacheState::Invalid, |c| c.state(node))
     }
 
     /// The block's cached copies outside its home, in node order.
     pub(crate) fn holders(&self, block: BlockAddr) -> &[Holder] {
-        self.copies.get(&block).map_or(&[], Copies::as_slice)
+        self.copies.get(block).map_or(&[], Copies::as_slice)
     }
 
     /// The block's directory state, if its home has ever touched it.
     pub(crate) fn dir_state(&self, block: BlockAddr) -> Option<&DirState> {
-        self.dir.get(&block).map(|e| &e.state)
+        self.dir.get(block).map(|e| &e.state)
     }
 
     /// Whether the block's sharer set outgrew the limited-pointer budget.
     pub(crate) fn overflowed(&self, block: BlockAddr) -> bool {
-        self.dir.get(&block).is_some_and(|e| e.overflowed)
+        self.dir.get(block).is_some_and(|e| e.overflowed)
     }
 
     /// Runs `f` on `block`'s directory entry (created idle on first
@@ -663,7 +662,7 @@ impl ConcurrentMachine {
         f: impl FnOnce(&mut Self, &mut DirEntry) -> R,
     ) -> R {
         let mut dir = std::mem::take(&mut self.dir);
-        let out = f(self, dir.entry(block).or_default());
+        let out = f(self, dir.entry_or_default(block));
         debug_assert!(self.dir.is_empty(), "a handler reached around its entry");
         self.dir = dir;
         out
@@ -704,9 +703,9 @@ impl ConcurrentMachine {
     /// read-only. Every event of the batch must go on to execute.
     pub(crate) fn resolve(&mut self, dir: &[BlockAddr], copies: &[BlockAddr]) {
         for &block in dir {
-            self.dir.entry(block).or_default();
+            self.dir.entry_or_default(block);
         }
-        for block in copies {
+        for &block in copies {
             std::hint::black_box(self.copies.get(block));
         }
     }
@@ -714,11 +713,11 @@ impl ConcurrentMachine {
     /// The one writer of cache state: tallies the transition, marks the
     /// block for the next barrier audit and logs it to the recorder.
     pub(crate) fn set_cache_state(&mut self, node: NodeId, block: BlockAddr, s: CacheState) {
-        let held = self.copies.entry(block).or_default();
+        let held = self.copies.entry_or_default(block);
         self.tally.cache_transition(held.state(node), s);
         held.set(node, s);
         if held.as_slice().is_empty() {
-            self.copies.remove(&block); // only blocks somebody caches
+            self.copies.remove(block); // only blocks somebody caches
         }
         self.dirty.push(block);
         self.ring.get_mut().push(
@@ -1085,8 +1084,8 @@ impl ConcurrentMachine {
 
     /// Every block any cache or directory entry has touched, ascending.
     pub fn touched_blocks(&self) -> Vec<BlockAddr> {
-        let mut blocks: Vec<BlockAddr> = self.dir.keys().copied().collect();
-        blocks.extend(self.copies.keys().copied());
+        let mut blocks: Vec<BlockAddr> = self.dir.keys().collect();
+        blocks.extend(self.copies.keys());
         blocks.sort_unstable();
         blocks.dedup();
         blocks
@@ -1124,10 +1123,10 @@ impl ConcurrentMachine {
     pub fn state_fingerprint(&self) -> u64 {
         let mut fp = Fp::new();
         fp.tag(0x01);
-        let mut copies: Vec<(&BlockAddr, &Copies)> = self.copies.iter().collect();
-        copies.sort_unstable_by_key(|(b, _)| **b);
+        let mut copies: Vec<(BlockAddr, &Copies)> = self.copies.iter().collect();
+        copies.sort_unstable_by_key(|(b, _)| *b);
         for (b, held) in copies {
-            fp.absorb(b);
+            fp.absorb(&b);
             fp.word(held.as_slice().len() as u64);
             for (n, s) in held.as_slice() {
                 fp.absorb(n);
@@ -1135,10 +1134,10 @@ impl ConcurrentMachine {
             }
         }
         fp.tag(0x02);
-        let mut dirs: Vec<(&BlockAddr, &DirEntry)> = self.dir.iter().collect();
-        dirs.sort_unstable_by_key(|(b, _)| **b);
+        let mut dirs: Vec<(BlockAddr, &DirEntry)> = self.dir.iter().collect();
+        dirs.sort_unstable_by_key(|(b, _)| *b);
         for (b, e) in &dirs {
-            fp.absorb(*b);
+            fp.absorb(b);
             fp.absorb(&e.state);
         }
         fp.tag(0x03);
@@ -1199,7 +1198,7 @@ impl ConcurrentMachine {
         }
         fp.tag(0x07);
         for (b, _) in dirs.iter().filter(|(_, e)| e.overflowed) {
-            fp.absorb(*b);
+            fp.absorb(b);
         }
         fp.tag(0x08);
         let mut events: Vec<u64> = Vec::with_capacity(self.queue.len());
@@ -1298,7 +1297,7 @@ impl ConcurrentMachine {
     ) -> Result<(), SimError> {
         let Some(txn) = self
             .dir
-            .get(&block)
+            .get(block)
             .and_then(|e| self.txns.get(e.txn as usize))
         else {
             return Ok(()); // lazily cancelled: the transaction finished
@@ -1550,7 +1549,7 @@ impl ConcurrentMachine {
                     // guards below ever look.
                     let sender_state = || {
                         self.copies
-                            .get(&msg.block)
+                            .get(msg.block)
                             .map_or(CacheState::Invalid, |c| c.state(msg.sender))
                     };
                     let from_push_target = txn.speculative && msg.sender == txn.requester;
@@ -1832,6 +1831,14 @@ impl ConcurrentMachine {
         };
         if e.overflowed && matches!(plan.next, DirState::Exclusive(_)) {
             plan.holders = self.broadcast_targets(msg.sender, home);
+        }
+        if local && plan.holders.is_empty() && e.txn == NO_TXN {
+            // A quiet local miss — nobody to recall, nobody queued — is
+            // over in this handler: no slot to open and read back, only
+            // the epoch it would have been stamped with.
+            self.txn_epoch += 1;
+            self.write_dir(e, block, plan.next);
+            return self.complete_local(home, block, dispatch);
         }
         let reply = if local {
             None
@@ -2773,7 +2780,7 @@ mod tests {
         }
         // Corrupt the waiting room: a second read from node 1, which
         // contradicts the entry the open transaction is about to write.
-        let open = m.dir[&b].txn as usize;
+        let open = m.dir.get(b).expect("touched").txn as usize;
         m.txns[open].pending.push_back(PendingReq {
             msg: Msg::new(n(1), n(0), b, MsgType::GetRoRequest),
             arrived: 0,
@@ -3002,7 +3009,7 @@ mod tests {
             assert_eq!(agent_seqs(serial), agent_seqs(&conc));
             assert_eq!(serial.touched_blocks(), conc.touched_blocks());
             for block in conc.touched_blocks() {
-                assert_eq!(serial.dir.get(&block), conc.dir.get(&block), "{block}");
+                assert_eq!(serial.dir.get(block), conc.dir.get(block), "{block}");
                 assert_eq!(
                     serial.cache_states_for(block),
                     conc.cache_states_for(block),

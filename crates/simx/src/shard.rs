@@ -429,21 +429,14 @@ impl ShardedMachine {
             parts.push(Shard::new(proto.clone(), sys.clone(), lo..hi));
             lo = hi;
         }
-        let mut lookahead = u64::MAX;
-        for a in 0..nodes {
-            for b in 0..nodes {
-                if a != b {
-                    lookahead = lookahead.min(sys.one_way_between_ns(
-                        NodeId::new(a),
-                        NodeId::new(b),
-                        nodes,
-                    ));
-                }
-            }
-        }
-        if lookahead == u64::MAX || lookahead == 0 {
-            lookahead = 1;
-        }
+        // Every topology puts some pair of nodes one hop apart and charges
+        // no pair less than a hop, so the minimum over pairs is one hop's
+        // time (`tests::lookahead_by_pairs` is the loop this replaces).
+        let lookahead = if nodes < 2 {
+            1
+        } else {
+            sys.one_way_ns().max(1)
+        };
         ShardedMachine {
             trace: TraceBundle::new(TraceMeta::new("unnamed", nodes, 0)),
             proto,
@@ -807,7 +800,7 @@ impl ShardedMachine {
         }
         // At quiescence every cached block has an entry at its home.
         let cores = self.shards.iter().map(|s| &s.core);
-        let mut blocks: Vec<BlockAddr> = cores.flat_map(|c| c.dir.keys().copied()).collect();
+        let mut blocks: Vec<BlockAddr> = cores.flat_map(|c| c.dir.keys()).collect();
         blocks.sort_unstable();
         let stride = blocks.len().div_ceil(max_blocks).max(1);
         self.audit_blocks(blocks.into_iter().step_by(stride))
@@ -1038,6 +1031,41 @@ mod tests {
         assert_eq!(m.lookahead_ns(), 160);
     }
 
+    /// The lookahead as `new` used to compute it: the minimum over every
+    /// ordered pair of distinct nodes.
+    fn lookahead_by_pairs(sys: &SystemConfig, nodes: usize) -> u64 {
+        let pairs = (0..nodes).flat_map(|a| (0..nodes).map(move |b| (a, b)));
+        let min = pairs
+            .filter(|(a, b)| a != b)
+            .map(|(a, b)| sys.one_way_between_ns(n(a), n(b), nodes))
+            .min();
+        min.filter(|&l| l > 0).unwrap_or(1)
+    }
+
+    #[test]
+    fn lookahead_is_one_hop_under_every_topology() {
+        for spec in ["crossbar", "ring", "mesh:1", "mesh:4", "mesh:7"] {
+            let topology = crate::Topology::parse(spec).unwrap();
+            let sys = SystemConfig::paper().with_topology(topology);
+            for nodes in 1..=40 {
+                let proto = ProtocolConfig {
+                    nodes,
+                    ..ProtocolConfig::paper()
+                };
+                let m = ShardedMachine::new(proto, sys.clone(), 2);
+                let want = lookahead_by_pairs(&sys, nodes);
+                assert_eq!(m.lookahead_ns(), want, "{spec}, {nodes} nodes");
+            }
+        }
+        let free = SystemConfig {
+            ni_access_ns: 0,
+            ..SystemConfig::paper().with_network_latency(0)
+        };
+        let m = ShardedMachine::new(ProtocolConfig::paper(), free.clone(), 2);
+        assert_eq!(m.lookahead_ns(), lookahead_by_pairs(&free, 16));
+        assert_eq!(m.lookahead_ns(), 1, "a window is never empty");
+    }
+
     #[test]
     fn shard_count_clamps_to_nodes() {
         let m = ShardedMachine::new(ProtocolConfig::paper(), SystemConfig::paper(), 64);
@@ -1102,7 +1130,7 @@ mod tests {
     /// its events, and the window log.
     fn picture(s: &Shard) -> String {
         let mut dir: Vec<_> = s.core.dir.iter().collect();
-        dir.sort_unstable_by_key(|(block, _)| **block);
+        dir.sort_unstable_by_key(|(block, _)| *block);
         let touched = s.core.touched_blocks().into_iter();
         let copies: Vec<_> = touched
             .map(|b| (b, s.core.holders(b)))

@@ -3,7 +3,73 @@
 //! and its [`Copies`] in other nodes' caches. Nothing is kept per node, so
 //! a handler looks a block up once and an audit visits a block's holders.
 
-use stache::{CacheState, DirState, NodeId};
+use stache::fasthash::FastMap;
+use stache::{BlockAddr, CacheState, DirState, NodeId};
+
+/// How many maps a [`BlockTable`] spreads its blocks over. At 1 024 nodes
+/// a segment is ≈ 270 KB, so growing one copies that much, not the whole
+/// table. A constant, not a knob: 64 to 4 096 leave the same memory
+/// resident; more of them allocate more often while the table fills, which
+/// `alloc_steady_state.rs` holds under its budget.
+const SEGMENTS: usize = 256;
+const _: () = assert!(SEGMENTS.is_power_of_two(), "`segment` takes top bits");
+
+/// One of [`ConcurrentMachine`](crate::ConcurrentMachine)'s block-keyed
+/// tables: [`SEGMENTS`] [`FastMap`]s that each grow on their own, a block's
+/// segment picked by the top bits of a Fibonacci hash (a multiplier other
+/// than [`FastMap`]'s, so the bits are not ones a segment indexes by). Not
+/// a map in general: just what the machine's handlers and audits use, and
+/// no iteration order anybody may rely on.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct BlockTable<V> {
+    /// [`SEGMENTS`] maps — or none, in the `Default` table that stands in
+    /// while `with_dir` lends the real one out: that one reads as empty
+    /// and panics on a write.
+    segments: Vec<FastMap<BlockAddr, V>>,
+}
+
+impl<V: Default> BlockTable<V> {
+    /// An empty table, its segments in place.
+    pub(crate) fn new() -> Self {
+        BlockTable {
+            segments: (0..SEGMENTS).map(|_| FastMap::default()).collect(),
+        }
+    }
+
+    #[inline]
+    fn segment(block: BlockAddr) -> usize {
+        const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+        (block.number().wrapping_mul(GOLDEN) >> (u64::BITS - SEGMENTS.trailing_zeros())) as usize
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, block: BlockAddr) -> Option<&V> {
+        self.segments.get(Self::segment(block))?.get(&block)
+    }
+
+    #[inline]
+    pub(crate) fn entry_or_default(&mut self, block: BlockAddr) -> &mut V {
+        self.segments[Self::segment(block)]
+            .entry(block)
+            .or_default()
+    }
+
+    pub(crate) fn remove(&mut self, block: BlockAddr) -> Option<V> {
+        self.segments.get_mut(Self::segment(block))?.remove(&block)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.segments.iter().all(FastMap::is_empty)
+    }
+
+    pub(crate) fn keys(&self) -> impl Iterator<Item = BlockAddr> + '_ {
+        self.iter().map(|(block, _)| block)
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (BlockAddr, &V)> {
+        self.segments.iter().flatten().map(|(b, v)| (*b, v))
+    }
+}
 
 /// [`DirEntry::txn`] of a block with no transaction open.
 pub(crate) const NO_TXN: u32 = u32::MAX;
@@ -171,6 +237,84 @@ mod tests {
         }
         assert!(matches!(c, Copies::Spilled(_)));
         assert_eq!(c, Copies::default(), "equality is the copies'");
+    }
+
+    #[test]
+    fn block_table_is_a_map_from_block_to_value() {
+        // Page-strided keys, as one home of a machine sees them.
+        for nodes in [16u64, 64, 1024] {
+            crate::rng::check(8, |rng| {
+                let home = rng.gen_range(0..nodes as usize) as u64;
+                let key = |rng: &mut crate::rng::SmallRng| {
+                    let (slot, offset) = (rng.gen_range(0..40) as u64, rng.gen_range(0..3) as u64);
+                    BlockAddr::new((slot * nodes + home) * 64 + offset)
+                };
+                let mut table = BlockTable::<u64>::new();
+                let mut model = FastMap::<BlockAddr, u64>::default();
+                for step in 0..2_000 {
+                    let block = key(rng);
+                    match rng.gen_range(0..4) {
+                        0 => assert_eq!(table.remove(block), model.remove(&block)),
+                        1 => assert_eq!(table.get(block), model.get(&block)),
+                        _ => {
+                            let (got, want) = (
+                                table.entry_or_default(block),
+                                model.entry(block).or_default(),
+                            );
+                            assert_eq!(got, want);
+                            (*got, *want) = (step, step);
+                        }
+                    }
+                    assert_eq!(table.is_empty(), model.is_empty());
+                }
+                let sorted = |mut blocks: Vec<BlockAddr>| {
+                    blocks.sort_unstable();
+                    blocks
+                };
+                let want = sorted(model.keys().copied().collect());
+                assert_eq!(sorted(table.keys().collect()), want);
+                assert_eq!(table.iter().count(), want.len());
+                assert!(table.iter().all(|(block, v)| model.get(&block) == Some(v)));
+            });
+        }
+    }
+
+    #[test]
+    fn a_default_block_table_has_no_segments_and_reads_as_empty() {
+        let mut lent = BlockTable::<DirEntry>::default();
+        assert!(lent.segments.is_empty() && lent.is_empty());
+        assert_eq!(lent.get(BlockAddr::new(7)), None);
+        assert_eq!(lent.remove(BlockAddr::new(7)), None);
+        assert_eq!(lent.keys().count(), 0);
+        assert_eq!(BlockTable::<DirEntry>::new().segments.len(), SEGMENTS);
+    }
+
+    /// Every block `w` touches.
+    fn blocks_of(mut w: impl workloads::Workload) -> Vec<BlockAddr> {
+        let plans: Vec<_> = (0..w.iterations()).map(|it| w.plan(it)).collect();
+        let phases = plans.iter().flat_map(|plan| &plan.phases);
+        let accesses = phases.flat_map(|phase| phase.per_node.iter().flatten());
+        accesses.map(|a| a.block).collect()
+    }
+
+    #[test]
+    fn segments_fill_evenly() {
+        let sets = [
+            ("scale 1024", blocks_of(workloads::Scale::new(1024, 16, 8))),
+            ("scale 64", blocks_of(workloads::Scale::new(64, 0, 400))),
+            ("appbt", blocks_of(workloads::Appbt::default())),
+        ];
+        for (name, blocks) in sets {
+            let mut table = BlockTable::<()>::new();
+            for block in blocks {
+                table.entry_or_default(block);
+            }
+            let mean = table.iter().count() as f64 / SEGMENTS as f64;
+            let fullest = table.segments.iter().map(FastMap::len).max().unwrap();
+            println!("{name}: fullest segment {fullest}, mean {mean:.1}");
+            assert!(mean >= 8.0, "{name}: too few blocks to judge");
+            assert!(fullest as f64 <= 2.0 * mean, "{name}: {fullest} of {mean}");
+        }
     }
 
     #[test]

@@ -159,10 +159,13 @@ echo "    tracepack CSV matches golden"
 # audits cost what the phase wrote). The printed `digest` line (a hash of
 # every captured trace record) must equal the value below: the simulated
 # stream at seed 0 has been the same since PR 14, and a PR that means to
-# change it updates the value here, on purpose. Read-only use: nothing
-# under benchmark/ is edited.
+# change it updates the value here, on purpose. Each line also prints the
+# pass's wall_s and the process's peak_rss_mb (scale1024: 94-98 MB since the
+# block tables grow a segment at a time; 142 MB means one table doubled
+# whole again). Read-only use: nothing under benchmark/ is edited.
 echo "==> benchmark smoke (package tests + one pass of suite16, spec16, stream64, scale1024)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+metric() { sed -n "s/.*\"$1\": {\"value\": \([0-9.]*\).*/\1/p" "$SMOKE_DIR/bench_$workload.json"; }
 for cell in suite16:bc72c28fa0e53aef spec16:756d7e7c23faec11 \
     stream64:06b75860eda1bc80 scale1024:85bfb8bcdd80a000; do
   workload="${cell%%:*}" want="${cell##*:}"
@@ -179,7 +182,7 @@ for cell in suite16:bc72c28fa0e53aef spec16:756d7e7c23faec11 \
     echo "    $workload: simulated stream changed: digest $got, expected $want" >&2
     exit 1
   }
-  echo "    $workload: failed 0, digest $got, pass wall_s $(sed -n 's/.*"wall_s": {"value": \([0-9.]*\).*/\1/p' "$SMOKE_DIR/bench_$workload.json")"
+  echo "    $workload: failed 0, digest $got, pass wall_s $(metric wall_s), peak_rss_mb $(metric peak_rss_mb)"
 done
 
 # Per-event cost gate, in release (a debug build inlines and allocates
