@@ -31,10 +31,12 @@
 //!   (for workloads where mispredicted speculation is costly) that
 //!   additionally arms **early invalidation acks** and **speculative
 //!   forwarding pushes** — the two §4 actions that *do* send extra
-//!   protocol messages and need the concurrent engine's rollback
-//!   machinery when wrong. The serial engine consults only the first two.
-//! * [`runner`] executes a workload with and without a policy and reports
-//!   messages, execution time, and the speculation outcome counters.
+//!   protocol messages and need the engine's rollback machinery when
+//!   wrong.
+//! * [`runner`] executes a workload with and without a policy on the
+//!   event engine ([`simx::ConcurrentMachine`], where actions contend
+//!   with real races) and reports messages, execution time, and the
+//!   speculation outcome counters.
 //!
 //! Mispredictions by the grant/self-invalidate actions need no protocol
 //! recovery (both move the protocol between legal states — the first
@@ -70,12 +72,12 @@ pub mod speculate;
 pub use directed_policy::DirectedPolicy;
 pub use policy::{CosmosPolicy, PredictorPolicy};
 pub use runner::{
-    audit_actions, audit_actions_chunks, compare, compare_concurrent, run_concurrent_with_policy,
-    run_with_policy, ActionAudit, ActionAuditor, Comparison, RunSummary,
+    audit_actions, audit_actions_chunks, compare, run_machine, run_with_policy, ActionAudit,
+    ActionAuditor, Comparison, RunSummary,
 };
 pub use speculate::SpeculatePolicy;
 
-// Tests of confidence-gated speculation on the serial engine, under the
-// module path they had when that pairing was a policy of its own.
+// Tests of confidence-gated speculation, under the module path they had
+// when that pairing was a policy of its own.
 #[cfg(test)]
 mod confident_policy;

@@ -141,8 +141,8 @@ impl SpeculationPolicy for PredictorPolicy {
     }
 }
 
-/// The two actions the serial engine supports and that never send an
-/// extra protocol message: exclusive grants and self-invalidation.
+/// The two actions that never send an extra protocol message: exclusive
+/// grants and self-invalidation.
 pub(crate) const GRANT_AND_SELF_INVALIDATE: SpecActions = SpecActions {
     grant_exclusive: true,
     self_invalidate: true,

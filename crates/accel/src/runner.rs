@@ -1,7 +1,7 @@
 //! Running workloads with and without speculation and comparing outcomes.
 
 use crate::policy::{CosmosPolicy, PredictorPolicy};
-use simx::{ConcurrentMachine, Machine, MachineStats, SimError, SpeculationPolicy, SystemConfig};
+use simx::{ConcurrentMachine, FaultPlan, SimError, SpeculationPolicy, SystemConfig};
 use stache::{BlockAddr, MsgType, NodeId, ProtocolConfig, Role};
 use std::collections::HashSet;
 use std::fmt;
@@ -26,10 +26,12 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    fn of(stats: &MachineStats, execution_time_ns: u64) -> Self {
+    /// The outcome of the run `machine` has finished.
+    pub fn of(machine: &ConcurrentMachine) -> Self {
+        let stats = machine.stats();
         RunSummary {
             messages: stats.messages_total(),
-            execution_time_ns,
+            execution_time_ns: machine.execution_time_ns(),
             hits: stats.hits,
             accesses: stats.accesses(),
             exclusive_grants: stats.exclusive_grants,
@@ -119,7 +121,33 @@ impl fmt::Display for Comparison {
     }
 }
 
-/// Runs a workload on the paper's machine, optionally with a policy.
+/// Runs a workload to completion on the event engine — the paper's
+/// machine (Table 3) — optionally speculating under `policy`, optionally
+/// over the faulty fabric `plan` describes, audits coherence, and returns
+/// the finished machine: its trace, statistics and tallies are the
+/// caller's to read. Every speculation and fault study runs through here.
+///
+/// # Errors
+///
+/// Propagates any [`SimError`]: a retry budget exhausted by the plan, or
+/// a run that ends incoherent.
+pub fn run_machine<W: Workload + ?Sized>(
+    workload: &mut W,
+    policy: Option<Box<dyn SpeculationPolicy>>,
+    plan: Option<FaultPlan>,
+) -> Result<ConcurrentMachine, SimError> {
+    let mut machine = ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
+    if let Some(p) = plan {
+        machine.set_fault_plan(p);
+    }
+    if let Some(p) = policy {
+        machine.set_policy(p);
+    }
+    drive(&mut machine, workload)?;
+    Ok(machine)
+}
+
+/// [`run_machine`] on a perfect fabric, condensed to a [`RunSummary`].
 ///
 /// # Errors
 ///
@@ -129,12 +157,7 @@ pub fn run_with_policy<W: Workload + ?Sized>(
     workload: &mut W,
     policy: Option<Box<dyn SpeculationPolicy>>,
 ) -> Result<RunSummary, SimError> {
-    let mut machine = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-    if let Some(p) = policy {
-        machine.set_policy(p);
-    }
-    drive(&mut machine, workload)?;
-    Ok(RunSummary::of(machine.stats(), machine.execution_time_ns()))
+    run_machine(workload, policy, None).map(|m| RunSummary::of(&m))
 }
 
 /// Runs the same workload twice — bare, then with `make_policy()` — and
@@ -156,25 +179,6 @@ pub fn compare<W: Workload + ?Sized>(
         baseline,
         accelerated,
     })
-}
-
-/// Runs a workload on the *concurrent* engine, optionally with a policy —
-/// the same study at the higher-fidelity execution model, where grants
-/// and voluntary replacements contend with real races.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`].
-pub fn run_concurrent_with_policy<W: Workload + ?Sized>(
-    workload: &mut W,
-    policy: Option<Box<dyn SpeculationPolicy>>,
-) -> Result<RunSummary, SimError> {
-    let mut machine = ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
-    if let Some(p) = policy {
-        machine.set_policy(p);
-    }
-    drive(&mut machine, workload)?;
-    Ok(RunSummary::of(machine.stats(), machine.execution_time_ns()))
 }
 
 /// The speculative-action counts recovered by replaying a finished run's
@@ -294,24 +298,6 @@ impl ActionAuditor {
     }
 }
 
-/// [`compare`], on the concurrent engine.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from either run.
-pub fn compare_concurrent<W: Workload + ?Sized>(
-    baseline_workload: &mut W,
-    accelerated_workload: &mut W,
-    make_policy: impl FnOnce() -> Box<dyn SpeculationPolicy>,
-) -> Result<Comparison, SimError> {
-    let baseline = run_concurrent_with_policy(baseline_workload, None)?;
-    let accelerated = run_concurrent_with_policy(accelerated_workload, Some(make_policy()))?;
-    Ok(Comparison {
-        baseline,
-        accelerated,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,28 +342,38 @@ mod tests {
 
     #[test]
     fn concurrent_engine_speculation_stays_coherent_and_saves_messages() {
+        // `run_machine` hands back the event engine itself: the summary
+        // `compare` condenses is read off a machine that still audits.
         let make = || ProducerConsumer {
             blocks: 2,
             iterations: 20,
             ..Default::default()
         };
-        let c = compare_concurrent(&mut make(), &mut make(), || Box::new(CosmosPolicy::new(2)))
-            .unwrap();
-        assert!(c.accelerated.voluntary_replacements > 0, "{c}");
-        assert!(c.accelerated.messages < c.baseline.messages, "{c}");
+        let base = run_machine(&mut make(), None, None).unwrap();
+        let spec = run_machine(&mut make(), Some(Box::new(CosmosPolicy::new(2))), None).unwrap();
+        spec.verify_coherence().unwrap();
+        assert!(spec.stats().voluntary_replacements > 0);
+        assert!(spec.stats().messages_total() < base.stats().messages_total());
+        assert!(base.rollback_tally().is_quiet() && base.fault_tally().is_none());
     }
 
     #[test]
     fn concurrent_grants_fire_on_migratory() {
+        // Clean, and with the fabric misbehaving under the policy: the
+        // plan and the policy compose in the one runner.
         let make = || Migratory {
             blocks: 2,
             iterations: 20,
             ..Default::default()
         };
-        let c = compare_concurrent(&mut make(), &mut make(), || Box::new(CosmosPolicy::new(2)))
-            .unwrap();
-        assert!(c.accelerated.exclusive_grants > 0, "{c}");
-        assert!(c.accelerated.messages < c.baseline.messages, "{c}");
+        let plan = FaultPlan::parse("drop=0.02,dup=0.01,reorder=2").unwrap();
+        for plan in [None, Some(plan.with_seed(7))] {
+            let faulted = plan.is_some();
+            let policy: Box<dyn SpeculationPolicy> = Box::new(CosmosPolicy::new(2));
+            let m = run_machine(&mut make(), Some(policy), plan).unwrap();
+            assert!(m.stats().exclusive_grants > 0);
+            assert_eq!(m.fault_tally().is_some(), faulted);
+        }
     }
 
     #[test]
@@ -401,15 +397,13 @@ mod tests {
         ));
     }
 
-    /// Runs `workload` on the serial machine with a policy installed and
-    /// returns the live action counts plus the trace they came from.
+    /// Runs `workload` with a policy installed and returns the live
+    /// action counts plus the trace they came from.
     fn traced_run<W: workloads::Workload>(
         workload: &mut W,
         policy: Box<dyn SpeculationPolicy>,
     ) -> (u64, u64, trace::TraceBundle) {
-        let mut machine = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-        machine.set_policy(policy);
-        drive(&mut machine, workload).unwrap();
+        let machine = run_machine(workload, Some(policy), None).unwrap();
         let stats = machine.stats();
         let (grants, repls) = (stats.exclusive_grants, stats.voluntary_replacements);
         (grants, repls, machine.into_trace())
@@ -456,9 +450,7 @@ mod tests {
             iterations: 20,
             ..Default::default()
         };
-        let mut machine = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-        drive(&mut machine, &mut w).unwrap();
-        let bundle = machine.into_trace();
+        let bundle = run_machine(&mut w, None, None).unwrap().into_trace();
         let audit = audit_actions(&bundle, 2);
         assert!(audit.voluntary_replacements > 0);
         let verdicts = cosmos::eval::record_verdicts(&bundle, 2, 1);

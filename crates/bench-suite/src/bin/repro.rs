@@ -71,6 +71,8 @@ struct Target {
     in_all: bool,
     /// Whether it reads the shared five-benchmark trace set.
     needs_traces: bool,
+    /// Whether it reads the `--faults` / `--faults-seed` plan.
+    reads_faults: bool,
     run: Run,
 }
 
@@ -80,12 +82,18 @@ impl Target {
             name,
             in_all: true,
             needs_traces: false,
+            reads_faults: false,
             run,
         }
     }
 
     const fn traced(mut self) -> Self {
         self.needs_traces = true;
+        self
+    }
+
+    const fn faulted(mut self) -> Self {
+        self.reads_faults = true;
         self
     }
 
@@ -135,9 +143,9 @@ const TARGETS: &[Target] = &[
     Target::new("engines", |c| show(extras::engines(c.scale))),
     Target::new("lookahead", |c| show(extras::lookahead(c.set()))).traced(),
     Target::new("seeds", |c| show(extras::seed_robustness(c.scale))),
-    Target::new("faults", fault_sensitivity),
+    Target::new("faults", fault_sensitivity).faulted(),
     Target::new("simcheck", simcheck),
-    Target::new("speedup", speedup),
+    Target::new("speedup", speedup).faulted(),
     Target::new("tracespans", tracespans),
     Target::new("tournament", tournament).traced(),
     Target::new("scale", scale_sweep).explicit_only(),
@@ -193,7 +201,8 @@ fn ablation(c: &Ctx) -> Result<(), String> {
 }
 
 fn integration(c: &Ctx) -> Result<(), String> {
-    let rows = bench_suite::integration::integration(c.scale, 2);
+    let rows = bench_suite::integration::integration(c.scale, 2)
+        .map_err(|e| format!("integration: {e}"))?;
     show(bench_suite::integration::render_integration(&rows, 2))
 }
 
@@ -202,7 +211,7 @@ fn fault_sensitivity(c: &Ctx) -> Result<(), String> {
         "running fault-sensitivity report ({:?} scale, seed {})...",
         c.scale, c.fault_plan.seed
     );
-    let report = faults::fault_report(c.scale, c.fault_plan);
+    let report = faults::fault_report(c.scale, c.fault_plan).map_err(|e| format!("faults: {e}"))?;
     println!("{}", faults::render_fault_report(&report));
     c.artefact("faults.csv", &faults::csv_fault_report(&report))?;
     c.artefact("faults_obs.json", &report.export_obs().to_json())
@@ -233,7 +242,8 @@ fn speedup(c: &Ctx) -> Result<(), String> {
         "running speculative speedup report ({:?} scale, seed {})...",
         c.scale, c.fault_plan.seed
     );
-    let report = speedup::speedup_report(c.scale, c.fault_plan);
+    let report =
+        speedup::speedup_report(c.scale, c.fault_plan).map_err(|e| format!("speedup: {e}"))?;
     println!("{}", speedup::render_speedup_report(&report));
     c.artefact("speedup.csv", &speedup::csv_speedup_report(&report))?;
     c.artefact("speedup_obs.json", &report.export_obs().to_json())
@@ -325,7 +335,7 @@ fn print_help() {
          as Chrome trace-event JSON (Perfetto-loadable) to PATH"
     );
     println!(
-        "  --faults SPEC   fault plan for the `faults` target, e.g. \
+        "  --faults SPEC   fault plan for the `faults` and `speedup` targets, e.g. \
          drop=0.01,dup=0.005,reorder=3 (keys: drop, dup, spike, reorder, spike_ns)"
     );
 }
@@ -394,6 +404,21 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     if fault_plan.is_some() && targets.is_empty() && obs_json.is_none() {
         targets.push(implied("faults"));
     }
+    // No target named and no report asked for: everything.
+    if targets.is_empty() && obs_json.is_none() {
+        targets.extend(all());
+    }
+    if (fault_plan.is_some() || faults_seed.is_some()) && !targets.iter().any(|t| t.reads_faults) {
+        let readers: Vec<&str> = TARGETS
+            .iter()
+            .filter(|t| t.reads_faults)
+            .map(|t| t.name)
+            .collect();
+        return Err(format!(
+            "--faults / --faults-seed: no selected target reads a fault plan (only {} do)",
+            readers.join(", ")
+        ));
+    }
     let mut fault_plan = fault_plan.unwrap_or_else(|| {
         FaultPlan::parse("drop=0.01,dup=0.005,reorder=3").expect("default fault spec")
     });
@@ -418,9 +443,6 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         if targets.is_empty() {
             return Ok(());
         }
-    }
-    if targets.is_empty() {
-        targets.extend(all());
     }
     // Run each target once however often it was named (`repro table5
     // table5`, or `table5 all`, or an implied push duplicating an explicit

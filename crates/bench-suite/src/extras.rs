@@ -476,10 +476,6 @@ pub fn topology_sensitivity(scale: Scale) -> String {
 /// at busy blocks, and exhibits the upgrade race — this study shows how
 /// much any of that moves the paper\'s numbers.
 pub fn engines(scale: Scale) -> String {
-    let suite = || match scale {
-        Scale::Paper => workloads::paper_suite(),
-        Scale::Small => workloads::small_suite(),
-    };
     let mut out = String::from(
         "Engines: serialized (calibrated default) vs concurrent\n\
          (message-level DES with request queueing and races)\n",
@@ -494,10 +490,7 @@ pub fn engines(scale: Scale) -> String {
     let names = ["appbt", "barnes", "dsmc", "moldyn", "unstructured"];
     let cells = crate::par::sweep(names.len() * 2, |i| {
         let name = names[i / 2];
-        let mut w = suite()
-            .into_iter()
-            .find(|w| w.name() == name)
-            .expect("known");
+        let mut w = scale.workload(name).expect("known");
         if i % 2 == 0 {
             let serial =
                 workloads::run_to_trace(&mut *w, ProtocolConfig::paper(), SystemConfig::paper())

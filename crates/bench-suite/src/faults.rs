@@ -2,14 +2,14 @@
 //!
 //! §5 of the paper argues Cosmos accuracy is insensitive to modest
 //! perturbations of the message stream. This report tests that claim
-//! directly: every benchmark runs twice on the serialized machine — once
-//! on a perfect fabric and once under a seeded [`FaultPlan`] — and the
+//! directly: every benchmark runs twice on the event engine — once on a
+//! perfect fabric and once under a seeded [`FaultPlan`] — and the
 //! predictor is evaluated on both traces at MHR depths 1–4. Faults
 //! perturb the *trace itself* — recovery shifts delivery timing and
-//! ordering, and regrants for lost replies add receptions — while NAKs
-//! and retransmission timers stay recovery-layer control traffic,
-//! excluded from the vocabulary. The accuracy delta therefore measures
-//! how much a lossy network degrades pattern-based prediction.
+//! ordering, and every retransmission that arrives is a reception —
+//! while NAKs and retransmission timers stay recovery-layer control
+//! traffic, excluded from the vocabulary. The accuracy delta therefore
+//! measures how much a lossy network degrades pattern-based prediction.
 //!
 //! Both runs are audited by the usual invariant checks; the perturbed
 //! run's fault and recovery tallies are merged into one snapshot
@@ -19,11 +19,11 @@
 
 use cosmos::eval::evaluate_cosmos;
 use simx::fault::FaultTally;
-use simx::{FaultPlan, Machine, SystemConfig};
-use stache::{ProtocolConfig, RecoveryTally};
+use simx::FaultPlan;
+use stache::RecoveryTally;
 use trace::TraceBundle;
-use workloads::{drive, paper_suite, small_suite, Workload};
 
+use crate::traces::{run_machine, TraceError};
 use crate::Scale;
 
 /// MHR depths the sensitivity report evaluates.
@@ -110,83 +110,41 @@ impl FaultReport {
     }
 }
 
-fn suite(scale: Scale) -> Vec<Box<dyn Workload>> {
-    match scale {
-        Scale::Paper => paper_suite(),
-        Scale::Small => small_suite(),
-    }
-}
-
-/// Runs one workload to a trace, optionally under a fault plan, and
-/// returns the trace with the run's fault and recovery tallies.
-fn run_traced(
-    w: &mut dyn Workload,
-    plan: Option<FaultPlan>,
-) -> (TraceBundle, FaultTally, RecoveryTally) {
-    let mut machine = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-    if let Some(p) = plan {
-        machine.set_fault_plan(p);
-    }
-    drive(&mut machine, w).unwrap_or_else(|e| panic!("{} failed under faults: {e}", w.name()));
-    let faults = machine.fault_tally().cloned().unwrap_or_default();
-    let recovery = machine.recovery_tally().clone();
-    (machine.into_trace(), faults, recovery)
-}
-
-/// Runs all five benchmarks clean and under `plan`, evaluating Cosmos on
-/// both traces at every [`FAULT_DEPTHS`] depth.
+/// Runs all five benchmarks clean and under `plan` on the shared worker
+/// pool, evaluating Cosmos on both traces at every [`FAULT_DEPTHS`] depth.
+/// Every run is invariant-audited.
 ///
-/// The perturbed runs execute in parallel (one thread per benchmark, like
-/// [`crate::TraceSet`]); every run is invariant-audited.
+/// # Errors
 ///
-/// # Panics
-///
-/// Panics if any run fails or ends incoherent — under the recovery layer
-/// that is a protocol bug, not an expected outcome.
-pub fn fault_report(scale: Scale, plan: &FaultPlan) -> FaultReport {
-    let pairs: Vec<(TraceBundle, TraceBundle, FaultTally, RecoveryTally)> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = suite(scale)
-                .into_iter()
-                .zip(suite(scale))
-                .map(|(mut clean_w, mut fault_w)| {
-                    let plan = plan.clone();
-                    s.spawn(move || {
-                        let (clean, _, _) = run_traced(clean_w.as_mut(), None);
-                        let (perturbed, faults, recovery) =
-                            run_traced(fault_w.as_mut(), Some(plan));
-                        (clean, perturbed, faults, recovery)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("benchmark thread"))
-                .collect()
-        });
-
-    let rows = pairs
-        .into_iter()
-        .map(|(clean, perturbed, faults, recovery)| {
-            let accuracy = |bundle: &TraceBundle| {
-                FAULT_DEPTHS.map(|d| evaluate_cosmos(bundle, d, 0).overall.percent())
-            };
-            FaultRow {
-                app: clean.meta().app.clone(),
-                clean_pct: accuracy(&clean),
-                perturbed_pct: accuracy(&perturbed),
-                clean_msgs: clean.len(),
-                perturbed_msgs: perturbed.len(),
-                faults,
-                recovery,
-            }
+/// The first benchmark whose run fails, named: a plan harsh enough to
+/// exhaust the retry budget, or (a protocol bug) an incoherent end state.
+pub fn fault_report(scale: Scale, plan: &FaultPlan) -> Result<FaultReport, TraceError> {
+    let accuracy = |bundle: &TraceBundle| {
+        FAULT_DEPTHS.map(|d| evaluate_cosmos(bundle, d, 0).overall.percent())
+    };
+    let rows = crate::par::sweep(scale.suite().len(), |i| {
+        let fresh = || scale.suite().swap_remove(i);
+        let clean = run_machine(fresh().as_mut(), None, None)?.into_trace();
+        let machine = run_machine(fresh().as_mut(), None, Some(plan.clone()))?;
+        let faults = machine.fault_tally().cloned().unwrap_or_default();
+        let recovery = machine.recovery_tally().clone();
+        let perturbed = machine.into_trace();
+        Ok(FaultRow {
+            app: clean.meta().app.clone(),
+            clean_pct: accuracy(&clean),
+            perturbed_pct: accuracy(&perturbed),
+            clean_msgs: clean.len(),
+            perturbed_msgs: perturbed.len(),
+            faults,
+            recovery,
         })
-        .collect();
-
-    FaultReport {
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
+    Ok(FaultReport {
         plan: plan.clone(),
         rows,
-    }
+    })
 }
 
 /// Renders the accuracy comparison and the recovery-action summary.
@@ -303,7 +261,7 @@ mod tests {
 
     #[test]
     fn all_five_benchmarks_survive_the_issue_plan() {
-        let report = fault_report(Scale::Small, &issue_plan());
+        let report = fault_report(Scale::Small, &issue_plan()).unwrap();
         assert_eq!(
             report
                 .rows
@@ -333,8 +291,12 @@ mod tests {
 
     #[test]
     fn same_seed_exports_identical_obs_json() {
-        let a = fault_report(Scale::Small, &issue_plan()).export_obs();
-        let b = fault_report(Scale::Small, &issue_plan()).export_obs();
+        let a = fault_report(Scale::Small, &issue_plan())
+            .unwrap()
+            .export_obs();
+        let b = fault_report(Scale::Small, &issue_plan())
+            .unwrap()
+            .export_obs();
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.get("stache.recovery.retries").is_some());
         assert!(a.get("simx.fault.drops").is_some());

@@ -1,11 +1,11 @@
-//! The §4/§8 integration study: running the benchmarks on the machine
-//! with live Cosmos-driven speculation, against the unmodified protocol
-//! and against the directed-predictor pairing.
+//! The §4/§8 integration study: running the benchmarks on the event
+//! engine with live Cosmos-driven speculation, against the unmodified
+//! protocol and against the directed-predictor pairing.
 
-use crate::traces::Scale;
-use accel::{compare, compare_concurrent, Comparison, CosmosPolicy, DirectedPolicy};
+use crate::traces::{run_machine, Scale, TraceError};
+use accel::{Comparison, CosmosPolicy, DirectedPolicy, RunSummary};
+use simx::SpeculationPolicy;
 use std::fmt::Write as _;
-use workloads::{paper_suite, small_suite, Workload};
 
 /// One benchmark's integration outcomes.
 #[derive(Debug, Clone)]
@@ -16,49 +16,37 @@ pub struct IntegrationRow {
     pub cosmos: Comparison,
     /// Baseline vs directed-predictor speculation.
     pub directed: Comparison,
-    /// Baseline vs Cosmos speculation, on the concurrent engine.
-    pub cosmos_concurrent: Comparison,
-}
-
-fn suite(scale: Scale) -> Vec<Box<dyn Workload>> {
-    match scale {
-        Scale::Paper => paper_suite(),
-        Scale::Small => small_suite(),
-    }
 }
 
 /// Runs the integration study over the five benchmarks.
-pub fn integration(scale: Scale, depth: usize) -> Vec<IntegrationRow> {
-    let names: Vec<&str> = suite(scale).iter().map(|w| w.name()).collect();
-    // Each benchmark runs six full simulations (three baseline/accelerated
-    // pairs); fan the five benchmarks out on the shared worker pool.
-    crate::par::sweep(names.len(), |i| {
-        let name = names[i];
-        let fresh = || {
-            suite(scale)
-                .into_iter()
-                .find(|w| w.name() == name)
-                .expect("known benchmark")
+///
+/// # Errors
+///
+/// The first benchmark whose run fails or ends incoherent, named.
+pub fn integration(scale: Scale, depth: usize) -> Result<Vec<IntegrationRow>, TraceError> {
+    // Each benchmark runs three full simulations (one baseline, two
+    // accelerated); fan the five benchmarks out on the shared worker pool.
+    crate::par::sweep(scale.suite().len(), |i| {
+        let run = |policy: Option<Box<dyn SpeculationPolicy>>| {
+            let mut w = scale.suite().swap_remove(i);
+            let m = run_machine(w.as_mut(), policy, None)?;
+            Ok((w.name().to_string(), RunSummary::of(&m)))
         };
-        let cosmos = compare(fresh().as_mut(), fresh().as_mut(), || {
-            Box::new(CosmosPolicy::new(depth))
+        let (app, baseline) = run(None)?;
+        let against = |policy| {
+            Ok(Comparison {
+                baseline,
+                accelerated: run(Some(policy))?.1,
+            })
+        };
+        Ok(IntegrationRow {
+            app,
+            cosmos: against(Box::new(CosmosPolicy::new(depth)))?,
+            directed: against(Box::new(DirectedPolicy::new()))?,
         })
-        .expect("coherent accelerated run");
-        let directed = compare(fresh().as_mut(), fresh().as_mut(), || {
-            Box::new(DirectedPolicy::new())
-        })
-        .expect("coherent directed run");
-        let cosmos_concurrent = compare_concurrent(fresh().as_mut(), fresh().as_mut(), || {
-            Box::new(CosmosPolicy::new(depth))
-        })
-        .expect("coherent concurrent accelerated run");
-        IntegrationRow {
-            app: name.to_string(),
-            cosmos,
-            directed,
-            cosmos_concurrent,
-        }
     })
+    .into_iter()
+    .collect()
 }
 
 /// Renders the study.
@@ -69,21 +57,13 @@ pub fn render_integration(rows: &[IntegrationRow], depth: usize) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<14} {:>9} {:>9} {:>8} {:>8} | {:>9} {:>9} | {:>9} {:>9}",
-        "benchmark",
-        "msg-",
-        "speedup",
-        "grants",
-        "repl",
-        "dir msg-",
-        "dir spd",
-        "conc msg-",
-        "conc spd"
+        "{:<14} {:>9} {:>9} {:>8} {:>8} | {:>9} {:>9}",
+        "benchmark", "msg-", "speedup", "grants", "repl", "dir msg-", "dir spd"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<14} {:>8.1}% {:>8.2}x {:>8} {:>8} | {:>8.1}% {:>8.2}x | {:>8.1}% {:>8.2}x",
+            "{:<14} {:>8.1}% {:>8.2}x {:>8} {:>8} | {:>8.1}% {:>8.2}x",
             r.app,
             100.0 * r.cosmos.message_saving(),
             r.cosmos.speedup(),
@@ -91,14 +71,12 @@ pub fn render_integration(rows: &[IntegrationRow], depth: usize) -> String {
             r.cosmos.accelerated.voluntary_replacements,
             100.0 * r.directed.message_saving(),
             r.directed.speedup(),
-            100.0 * r.cosmos_concurrent.message_saving(),
-            r.cosmos_concurrent.speedup(),
         );
     }
     out.push_str(
         "(grants/repl = speculative exclusive grants / voluntary replacements;\n\
-         dir = the directed RMW+DSI pairing; conc = Cosmos speculation on the\n\
-         concurrent engine, where actions contend with real races)\n",
+         dir = the directed RMW+DSI pairing; every run is on the event engine,\n\
+         where actions contend with real races)\n",
     );
     out
 }
@@ -109,12 +87,12 @@ mod tests {
 
     #[test]
     fn integration_runs_coherently_at_small_scale() {
-        let rows = integration(Scale::Small, 2);
+        let rows = integration(Scale::Small, 2).unwrap();
         assert_eq!(rows.len(), 5);
         for r in &rows {
             // Identical access streams: hits can only move because of
-            // speculation, and the run never wedges (compare() verified
-            // coherence internally).
+            // speculation, and the run never wedges (every run is
+            // coherence-audited).
             assert!(r.cosmos.baseline.messages > 0);
             assert!(
                 r.cosmos.accelerated.exclusive_grants + r.cosmos.accelerated.voluntary_replacements
@@ -129,7 +107,7 @@ mod tests {
 
     #[test]
     fn speculation_helps_the_speculation_friendly_benchmarks() {
-        let rows = integration(Scale::Small, 2);
+        let rows = integration(Scale::Small, 2).unwrap();
         // dsmc's handoffs and unstructured/moldyn's migratory phases are
         // the headline cases: Cosmos speculation must cut messages there.
         for app in ["dsmc", "moldyn", "unstructured"] {

@@ -23,7 +23,7 @@ use cosmos::eval::evaluate_cosmos;
 use simx::{Machine, SystemConfig};
 use stache::ProtocolConfig;
 use trace::TraceStats;
-use workloads::{drive, paper_suite, small_suite, Workload};
+use workloads::{drive, small_suite, Workload};
 
 use crate::Scale;
 
@@ -45,13 +45,8 @@ pub fn report_apps() -> Vec<String> {
 }
 
 fn workload_named(scale: Scale, app: &str) -> Box<dyn Workload> {
-    let suite = match scale {
-        Scale::Paper => paper_suite(),
-        Scale::Small => small_suite(),
-    };
-    suite
-        .into_iter()
-        .find(|w| w.name() == app)
+    scale
+        .workload(app)
         .unwrap_or_else(|| panic!("unknown benchmark {app}"))
 }
 

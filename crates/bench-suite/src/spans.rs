@@ -49,10 +49,6 @@ pub struct TracedRun {
 /// Cells fan out over the bounded sweep pool; output order is fixed:
 /// serialized runs first, each in [`BENCHES`] order, then concurrent.
 pub fn traced_runs(scale: Scale) -> Vec<TracedRun> {
-    let suite = move || match scale {
-        Scale::Paper => workloads::paper_suite(),
-        Scale::Small => workloads::small_suite(),
-    };
     crate::par::sweep(2 * BENCHES.len(), move |i| {
         let (engine, name) = (
             if i < BENCHES.len() {
@@ -62,10 +58,7 @@ pub fn traced_runs(scale: Scale) -> Vec<TracedRun> {
             },
             BENCHES[i % BENCHES.len()],
         );
-        let mut w = suite()
-            .into_iter()
-            .find(|w| w.name() == name)
-            .expect("known benchmark");
+        let mut w = scale.workload(name).expect("known benchmark");
         let (bundle, spans) = if engine == "serial" {
             workloads::run_traced(&mut *w, ProtocolConfig::paper(), SystemConfig::paper())
         } else {

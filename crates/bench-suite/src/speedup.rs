@@ -4,7 +4,7 @@
 //! prediction accuracy `p`, overlap fraction `f`, and misprediction
 //! penalty `r`, it predicts how much a prediction-actioned protocol gains.
 //! This report closes the loop the paper leaves open: every benchmark runs
-//! on the concurrent engine twice per cell — bare, then with the
+//! on the event engine twice per cell — bare, then with the
 //! [`SpeculatePolicy`] driving all four speculative actions (exclusive
 //! grants, self-invalidation, early invalidation acks, speculative
 //! forwarding pushes with rollback) — and the *measured* execution-time
@@ -21,11 +21,12 @@
 use accel::SpeculatePolicy;
 use cosmos::eval::evaluate_cosmos;
 use cosmos::speedup::{speedup as model_speedup, SpeedupParams};
-use simx::{ConcurrentMachine, FaultPlan, SystemConfig};
-use stache::{ProtocolConfig, RollbackTally};
+use simx::FaultPlan;
+use stache::RollbackTally;
 use trace::TraceBundle;
-use workloads::{drive, paper_suite, small_suite, Workload};
+use workloads::Workload;
 
+use crate::traces::{run_machine, TraceError};
 use crate::Scale;
 
 /// MHR depths the speedup report measures (the paper evaluates 1–4).
@@ -124,109 +125,81 @@ impl SpeedupReport {
     }
 }
 
-fn suite(scale: Scale) -> Vec<Box<dyn Workload>> {
-    match scale {
-        Scale::Paper => paper_suite(),
-        Scale::Small => small_suite(),
-    }
-}
-
 /// A fresh instance of benchmark `i` (plans are pure functions of the
 /// workload parameters, so every instance replays the same accesses).
 fn fresh(scale: Scale, i: usize) -> Box<dyn Workload> {
-    suite(scale).swap_remove(i)
+    scale.suite().swap_remove(i)
 }
 
-/// Runs one workload on the concurrent engine, optionally speculating,
+/// Runs one workload on the event engine, optionally speculating,
 /// optionally faulted, and returns (time, messages, rollback, trace).
 fn run_cell(
     w: &mut dyn Workload,
     policy: Option<Box<dyn simx::SpeculationPolicy>>,
     plan: Option<FaultPlan>,
-) -> (u64, u64, RollbackTally, TraceBundle) {
-    let mut machine = ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
-    if let Some(p) = plan {
-        machine.set_fault_plan(p);
-    }
-    if let Some(p) = policy {
-        machine.set_policy(p);
-    }
-    drive(&mut machine, w).unwrap_or_else(|e| panic!("{} failed: {e}", w.name()));
+) -> Result<(u64, u64, RollbackTally, TraceBundle), TraceError> {
+    let machine = run_machine(w, policy, plan)?;
     let ns = machine.execution_time_ns();
     let msgs = machine.stats().messages_total();
     let rollback = machine.rollback_tally().clone();
-    (ns, msgs, rollback, machine.into_trace())
+    Ok((ns, msgs, rollback, machine.into_trace()))
 }
 
 /// Measures every benchmark at every [`SPEEDUP_DEPTHS`] depth, clean and
-/// under `plan` (one thread per benchmark, like the fault report).
+/// under `plan` (one sweep cell per benchmark, like the fault report).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if any run fails or ends incoherent — speculation must never
-/// trade correctness for speed.
-pub fn speedup_report(scale: Scale, plan: &FaultPlan) -> SpeedupReport {
-    let napps = suite(scale).len();
-    let per_app: Vec<Vec<SpeedupRow>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..napps)
-            .map(|i| {
-                let plan = plan.clone();
-                s.spawn(move || {
-                    let (base_ns, base_msgs, _, base_trace) =
-                        run_cell(fresh(scale, i).as_mut(), None, None);
-                    let (fbase_ns, fbase_msgs, _, _) =
-                        run_cell(fresh(scale, i).as_mut(), None, Some(plan.clone()));
-                    SPEEDUP_DEPTHS
-                        .iter()
-                        .map(|&depth| {
-                            let policy =
-                                || Box::new(SpeculatePolicy::new(depth, Some(SPEC_THRESHOLD)));
-                            let (spec_ns, spec_msgs, rollback, _) =
-                                run_cell(fresh(scale, i).as_mut(), Some(policy()), None);
-                            let (fspec_ns, fspec_msgs, frollback, _) = run_cell(
-                                fresh(scale, i).as_mut(),
-                                Some(policy()),
-                                Some(plan.clone()),
-                            );
-                            let accuracy = evaluate_cosmos(&base_trace, depth, 1).overall.rate();
-                            SpeedupRow {
-                                app: base_trace.meta().app.clone(),
-                                depth,
-                                accuracy,
-                                analytic: model_speedup(SpeedupParams {
-                                    p: accuracy,
-                                    f: ANALYTIC_F,
-                                    r: ANALYTIC_R,
-                                }),
-                                clean: SpeedupCell {
-                                    base_ns,
-                                    spec_ns,
-                                    base_msgs,
-                                    spec_msgs,
-                                    rollback,
-                                },
-                                faulted: SpeedupCell {
-                                    base_ns: fbase_ns,
-                                    spec_ns: fspec_ns,
-                                    base_msgs: fbase_msgs,
-                                    spec_msgs: fspec_msgs,
-                                    rollback: frollback,
-                                },
-                            }
-                        })
-                        .collect()
+/// The first benchmark whose run fails, named — speculation must never
+/// trade correctness for speed, so short of a plan that exhausts the
+/// retry budget this is a protocol bug.
+pub fn speedup_report(scale: Scale, plan: &FaultPlan) -> Result<SpeedupReport, TraceError> {
+    let per_app = crate::par::sweep(scale.suite().len(), |i| {
+        let (base_ns, base_msgs, _, base_trace) = run_cell(fresh(scale, i).as_mut(), None, None)?;
+        let (fbase_ns, fbase_msgs, _, _) =
+            run_cell(fresh(scale, i).as_mut(), None, Some(plan.clone()))?;
+        SPEEDUP_DEPTHS
+            .iter()
+            .map(|&depth| {
+                let policy = || Box::new(SpeculatePolicy::new(depth, Some(SPEC_THRESHOLD)));
+                let (spec_ns, spec_msgs, rollback, _) =
+                    run_cell(fresh(scale, i).as_mut(), Some(policy()), None)?;
+                let (fspec_ns, fspec_msgs, frollback, _) =
+                    run_cell(fresh(scale, i).as_mut(), Some(policy()), Some(plan.clone()))?;
+                let accuracy = evaluate_cosmos(&base_trace, depth, 1).overall.rate();
+                Ok(SpeedupRow {
+                    app: base_trace.meta().app.clone(),
+                    depth,
+                    accuracy,
+                    analytic: model_speedup(SpeedupParams {
+                        p: accuracy,
+                        f: ANALYTIC_F,
+                        r: ANALYTIC_R,
+                    }),
+                    clean: SpeedupCell {
+                        base_ns,
+                        spec_ns,
+                        base_msgs,
+                        spec_msgs,
+                        rollback,
+                    },
+                    faulted: SpeedupCell {
+                        base_ns: fbase_ns,
+                        spec_ns: fspec_ns,
+                        base_msgs: fbase_msgs,
+                        spec_msgs: fspec_msgs,
+                        rollback: frollback,
+                    },
                 })
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("benchmark thread"))
-            .collect()
-    });
-    SpeedupReport {
+            .collect::<Result<Vec<_>, TraceError>>()
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
+    Ok(SpeedupReport {
         plan: plan.clone(),
         rows: per_app.into_iter().flatten().collect(),
-    }
+    })
 }
 
 /// Renders the measured-vs-analytic table and the speculation-action
@@ -318,7 +291,7 @@ mod tests {
 
     #[test]
     fn speedup_report_covers_every_cell_and_stays_coherent() {
-        let report = speedup_report(Scale::Small, &issue_plan());
+        let report = speedup_report(Scale::Small, &issue_plan()).unwrap();
         assert_eq!(report.rows.len(), 5 * SPEEDUP_DEPTHS.len());
         let apps: Vec<&str> = report
             .rows
@@ -358,8 +331,12 @@ mod tests {
 
     #[test]
     fn same_plan_is_deterministic() {
-        let a = speedup_report(Scale::Small, &issue_plan()).export_obs();
-        let b = speedup_report(Scale::Small, &issue_plan()).export_obs();
+        let a = speedup_report(Scale::Small, &issue_plan())
+            .unwrap()
+            .export_obs();
+        let b = speedup_report(Scale::Small, &issue_plan())
+            .unwrap()
+            .export_obs();
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.get("stache.rollback.pushes").is_some());
     }

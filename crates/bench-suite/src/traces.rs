@@ -19,6 +19,23 @@ pub enum Scale {
     Small,
 }
 
+impl Scale {
+    /// Fresh instances of the five benchmarks at this scale, in Table 4
+    /// row order. Plans are pure functions of the workload parameters, so
+    /// every instance of a benchmark replays the same accesses.
+    pub fn suite(self) -> Vec<Box<dyn Workload>> {
+        match self {
+            Scale::Paper => paper_suite(),
+            Scale::Small => small_suite(),
+        }
+    }
+
+    /// A fresh instance of the benchmark called `name`, if there is one.
+    pub fn workload(self, name: &str) -> Option<Box<dyn Workload>> {
+        self.suite().into_iter().find(|w| w.name() == name)
+    }
+}
+
 /// The five benchmarks' traces for one machine configuration.
 #[derive(Debug, Clone)]
 pub struct TraceSet {
@@ -35,12 +52,11 @@ impl TraceSet {
     /// running the benchmarks on the shared bounded worker pool
     /// ([`crate::par::sweep`]).
     pub fn generate_with(scale: Scale, proto: ProtocolConfig, sys: SystemConfig) -> Self {
-        let suite = match scale {
-            Scale::Paper => paper_suite(),
-            Scale::Small => small_suite(),
-        };
-        let suite: Vec<std::sync::Mutex<Box<dyn Workload>>> =
-            suite.into_iter().map(std::sync::Mutex::new).collect();
+        let suite: Vec<std::sync::Mutex<Box<dyn Workload>>> = scale
+            .suite()
+            .into_iter()
+            .map(std::sync::Mutex::new)
+            .collect();
         let traces = crate::par::sweep(suite.len(), |i| {
             let mut w = suite[i].lock().expect("workload lock poisoned");
             run_to_trace(w.as_mut(), proto.clone(), sys.clone())
@@ -104,6 +120,20 @@ impl std::error::Error for TraceError {
     }
 }
 
+/// [`accel::run_machine`] with a failure tagged by the benchmark it
+/// happened in — the one run function behind the fault, speedup and
+/// integration studies.
+pub(crate) fn run_machine(
+    w: &mut dyn Workload,
+    policy: Option<Box<dyn simx::SpeculationPolicy>>,
+    plan: Option<simx::FaultPlan>,
+) -> Result<simx::ConcurrentMachine, TraceError> {
+    accel::run_machine(w, policy, plan).map_err(|source| TraceError::Run {
+        name: w.name().to_string(),
+        source,
+    })
+}
+
 /// Generates a single benchmark's trace by name on a custom configuration.
 ///
 /// # Errors
@@ -116,10 +146,7 @@ pub fn single_trace(
     proto: ProtocolConfig,
     sys: SystemConfig,
 ) -> Result<TraceBundle, TraceError> {
-    let mut suite = match scale {
-        Scale::Paper => paper_suite(),
-        Scale::Small => small_suite(),
-    };
+    let mut suite = scale.suite();
     let Some(w) = suite.iter_mut().find(|w| w.name() == name) else {
         return Err(TraceError::UnknownBenchmark {
             name: name.to_string(),

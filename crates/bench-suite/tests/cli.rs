@@ -125,6 +125,56 @@ fn bad_faults_seed_exits_nonzero() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("not a u64"));
 }
 
+// Regression: a fault plan harsh enough to exhaust the retry budget
+// panicked in a worker thread (`faults.rs`, `speedup.rs`, the `join`); it
+// is one line naming the target and the benchmark, and exit status 1.
+
+fn assert_exhausted_plan_is_a_one_line_error(target: &str) {
+    let out = repro(&["--small", "--faults", "drop=0.9", target]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr was {stderr:?}");
+    let last = stderr.lines().last().unwrap_or_default();
+    assert!(
+        last.starts_with(&format!("{target}: appbt failed: "))
+            && last.ends_with("retry budget exhausted"),
+        "stderr was {stderr:?}"
+    );
+}
+
+#[test]
+fn a_fault_plan_that_exhausts_retries_fails_the_faults_target_in_one_line() {
+    assert_exhausted_plan_is_a_one_line_error("faults");
+}
+
+#[test]
+fn a_fault_plan_that_exhausts_retries_fails_the_speedup_target_in_one_line() {
+    assert_exhausted_plan_is_a_one_line_error("speedup");
+}
+
+// Regression: `--faults` / `--faults-seed` beside targets that never read
+// the plan ran clean and exited 0, the flag silently ignored.
+#[test]
+fn fault_flags_are_rejected_when_no_selected_target_reads_them() {
+    for args in [
+        &["--faults", "drop=0.1", "table1"][..],
+        &["--faults-seed", "9", "table5"],
+        &["--small", "--faults", "drop=0.1", "--obs-json", "/dev/null"],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something first");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.lines().count() == 1 && stderr.contains("only faults, speedup do"),
+            "{args:?}: stderr was {stderr:?}"
+        );
+    }
+    // Beside a target that does read the plan, other targets are fine.
+    let out = repro(&["--small", "--faults-seed", "9", "table1", "faults"]);
+    assert!(out.status.success());
+}
+
 // Regression: naming a target twice used to run it twice (the target list
 // was never deduplicated), doubling output and wall time. `table1` is
 // trace-free, so these stay fast.

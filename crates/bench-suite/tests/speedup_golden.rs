@@ -16,7 +16,7 @@ const GOLDEN: &str = include_str!("golden/speedup_small.csv");
 fn small_speedup_csv_is_byte_identical_to_the_golden() {
     // The `repro` default plan, seed untouched.
     let plan = FaultPlan::parse("drop=0.01,dup=0.005,reorder=3").unwrap();
-    let report = speedup::speedup_report(Scale::Small, &plan);
+    let report = speedup::speedup_report(Scale::Small, &plan).unwrap();
     let csv = speedup::csv_speedup_report(&report);
     assert_eq!(csv, GOLDEN, "speedup report drifted from the golden");
 }

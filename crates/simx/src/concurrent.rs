@@ -47,7 +47,8 @@ use crate::config::SystemConfig;
 use crate::driver::{AccessOp, IterationPlan, Phase};
 use crate::event::EventQueue;
 use crate::fault::{FaultInjector, FaultPlan, FaultTally};
-use crate::machine::{ForwardKind, SimError, SpeculationPolicy};
+use crate::machine::SimError;
+use crate::speculate::{ForwardKind, SpeculationPolicy};
 use crate::stats::MachineStats;
 use crate::store::{with_home_rights, BlockTable, Copies, DirEntry, Holder, NO_TXN};
 use obs::span::{SpanKind, SpanLog, TraceId};
@@ -337,7 +338,7 @@ pub struct ConcurrentMachine {
     /// The transaction slab [`DirEntry::txn`] indexes, and its free slots.
     txns: Vec<DirTxn>,
     free_txns: Vec<u32>,
-    pub(crate) dir_busy: Vec<u64>,
+    dir_busy: Vec<u64>,
     /// Per-node time at which the cache-side protocol handler frees up
     /// (invalidations and grants are software-handled too).
     cache_busy: Vec<u64>,
@@ -350,7 +351,7 @@ pub struct ConcurrentMachine {
     pub(crate) stats: MachineStats,
     pub(crate) iteration: u32,
     /// The §4 speculation hook, if any.
-    pub(crate) policy: Option<Box<dyn SpeculationPolicy>>,
+    policy: Option<Box<dyn SpeculationPolicy>>,
     /// Per-transition and invariant-check tallies, exported by
     /// [`ConcurrentMachine::obs_snapshot`].
     tally: ProtocolTally,
@@ -359,11 +360,11 @@ pub struct ConcurrentMachine {
     pub(crate) ring: RefCell<EventRing>,
     /// Network fault injection, if installed. `None` (the default) means
     /// a perfect fabric and the original code paths.
-    pub(crate) fault: Option<FaultInjector>,
+    fault: Option<FaultInjector>,
     /// Per-node duplicate filters (sequence-numbered idempotent delivery).
     pub(crate) dedup: Vec<DedupFilter>,
     /// Next transmission sequence number per *receiver*.
-    pub(crate) next_seq_to: Vec<u64>,
+    next_seq_to: Vec<u64>,
     /// Per-node miss epoch, bumped when a miss completes — lazily
     /// cancels that node's outstanding [`Event::RetryCheck`] timers.
     miss_epoch: Vec<u64>,
@@ -379,9 +380,9 @@ pub struct ConcurrentMachine {
     /// Monotone counter stamping [`DirTxn::epoch`].
     txn_epoch: u64,
     /// Everything the recovery layer did (quiet on a perfect fabric).
-    pub(crate) recovery: RecoveryTally,
+    recovery: RecoveryTally,
     /// Speculative push/rollback accounting (quiet without a policy).
-    pub(crate) rollback: RollbackTally,
+    rollback: RollbackTally,
     /// Seeded protocol bug for simcheck self-validation (off by default).
     mutation: ProtocolMutation,
     /// Causal span log (disabled by default — see
@@ -2523,7 +2524,7 @@ impl ConcurrentMachine {
 }
 
 /// `state` with `node` struck from its sharer set, if it is listed there.
-pub(crate) fn without_sharer(state: &DirState, node: NodeId) -> Option<DirState> {
+fn without_sharer(state: &DirState, node: NodeId) -> Option<DirState> {
     match state {
         DirState::Shared(s) if s.contains(node) => {
             let mut s = s.clone();

@@ -30,10 +30,11 @@
 //! its own event loop (one message, one event); [`shard`]'s conservative
 //! time windows over per-shard cores running the same handlers; and
 //! [`Machine`], which walks each transaction to completion in closed form
-//! and adds the data-value oracle. `Machine` shares the store but not the
-//! handlers — its timing model (each holder's handler charged
-//! independently, no cache-side handler queue) is what the Table 5–8
-//! traces were calibrated on (DESIGN.md §6h).
+//! — on a perfect fabric, with no policy: fault recovery and speculation
+//! are the event engines' — and adds the data-value oracle. `Machine`
+//! shares the store but not the handlers — its timing model (each
+//! holder's handler charged independently, no cache-side handler queue)
+//! is what the Table 5–8 traces were calibrated on (DESIGN.md §6h).
 //!
 //! ## Example
 //!
@@ -73,8 +74,8 @@ pub use config::SystemConfig;
 pub use driver::{Access, AccessOp, Engine, IterationPlan, Phase};
 pub use event::EventQueue;
 pub use fault::{FaultInjector, FaultPlan};
-pub use machine::{AccessOutcome, ForwardKind, Machine, SimError, SpeculationPolicy};
+pub use machine::{AccessOutcome, Machine, SimError};
 pub use network::Topology;
 pub use shard::ShardedMachine;
-pub use speculate::{EagerPolicy, SpecActions};
+pub use speculate::{EagerPolicy, ForwardKind, SpecActions, SpeculationPolicy};
 pub use stats::MachineStats;

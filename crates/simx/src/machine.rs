@@ -1,10 +1,13 @@
 //! The simulated machine: caches + directories + network + trace capture,
-//! one coherence transaction at a time — plus the types every engine
-//! shares ([`SimError`], [`SpeculationPolicy`]).
+//! one coherence transaction at a time — plus the error type every engine
+//! shares ([`SimError`]).
+//!
+//! This is the plain walk that makes the paper's tables: a perfect fabric
+//! and an unmodified protocol. Lossy networks and §4 speculation are
+//! event-engine capabilities — see [`ConcurrentMachine`].
 
-use crate::concurrent::{without_sharer, ConcurrentMachine};
+use crate::concurrent::ConcurrentMachine;
 use crate::config::SystemConfig;
-use crate::fault::{FaultInjector, FaultPlan, FaultTally};
 use crate::stats::MachineStats;
 use obs::span::{SpanKind, SpanLog, TraceId};
 use obs::{Event, Severity};
@@ -14,12 +17,12 @@ use stache::fasthash::FastMap;
 use stache::invariants::InvariantViolation;
 use stache::placement::home_of_block;
 use stache::{
-    BlockAddr, CacheState, DirState, Msg, MsgType, NodeId, NodeSet, ProcOp, ProtocolConfig,
-    ProtocolError, ProtocolTally, RecoveryTally, RollbackTally,
+    BlockAddr, CacheState, DirState, Msg, MsgType, NodeId, ProcOp, ProtocolConfig, ProtocolError,
+    ProtocolTally,
 };
 use std::error::Error;
 use std::fmt;
-use trace::{MsgRecord, TraceBundle};
+use trace::TraceBundle;
 
 /// A simulation failure: a protocol error, a coherence-invariant violation,
 /// or a stale read (a processor observed a value older than the last write).
@@ -121,105 +124,6 @@ pub struct AccessOutcome {
     pub messages: usize,
 }
 
-/// Which protocol leg a faulty transmission is on. A lost message is
-/// recovered differently per leg (who times out, and what extra traffic
-/// the retransmission costs) — see [`Machine::fault_leg`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Leg {
-    /// Cache → directory request.
-    Request,
-    /// Directory → requester grant.
-    Reply,
-    /// Directory → holder invalidation/downgrade.
-    Inval,
-    /// Holder → directory acknowledgment.
-    Ack,
-}
-
-impl Leg {
-    /// The network span name for a delivery on this leg.
-    fn span_name(self) -> &'static str {
-        match self {
-            Leg::Request => "net.request",
-            Leg::Reply => "net.reply",
-            Leg::Inval => "net.inval",
-            Leg::Ack => "net.ack",
-        }
-    }
-}
-
-/// The flavour of a speculative push: hand the predicted next reader a
-/// shared copy, or the predicted next writer an exclusive one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ForwardKind {
-    /// Push a shared (read-only) copy.
-    Shared,
-    /// Push an exclusive (writable) copy.
-    Exclusive,
-}
-
-/// A speculation policy: the §4 integration hook.
-///
-/// The paper stops at measuring prediction accuracy; its §4 sketches how a
-/// predictor would *drive* the protocol. This trait is that coupling: the
-/// machine consults the policy at the action points §4 highlights, and
-/// feeds it every message reception for training.
-///
-/// All methods have no-op defaults, so a policy can implement only the
-/// speculation it is directed at.
-pub trait SpeculationPolicy: std::fmt::Debug + Send {
-    /// Directory-side read-modify-write speculation: on a
-    /// `get_ro_request` for `block` from `requester`, return `true` to
-    /// answer with an **exclusive** grant instead of a shared one
-    /// (betting on an imminent upgrade). A wrong bet costs the next
-    /// reader an owner-invalidation round.
-    fn grant_exclusive(&mut self, home: NodeId, requester: NodeId, block: BlockAddr) -> bool {
-        let _ = (home, requester, block);
-        false
-    }
-
-    /// Cache-side dynamic self-invalidation: after `node` completes a
-    /// store to `block` (now exclusive), return `true` to replace the
-    /// block to the directory immediately (betting the next access comes
-    /// from elsewhere). A wrong bet costs `node` a fresh miss.
-    fn self_invalidate(&mut self, node: NodeId, block: BlockAddr) -> bool {
-        let _ = (node, block);
-        false
-    }
-
-    /// Cache-side early invalidation acknowledgment: after `node`
-    /// completes a load of `block` (now shared), return `true` to drop
-    /// the copy and acknowledge the *predicted* invalidation before it is
-    /// ever sent (betting the next writer shows up before the next local
-    /// read). A wrong bet costs `node` a fresh read miss; a right one
-    /// takes the invalidation round trip off the writer's critical path.
-    fn early_inval_ack(&mut self, node: NodeId, block: BlockAddr) -> bool {
-        let _ = (node, block);
-        false
-    }
-
-    /// Directory-side speculative forwarding: when `block`'s entry at
-    /// `home` goes idle, return the predicted next requester (and whether
-    /// to push a shared or exclusive copy) to grant it *unsolicited* —
-    /// the push races any demand miss; a target that already re-acquired
-    /// the block rejects it and the directory rolls back. A wrong bet
-    /// costs the pushed-to node nothing and the true next requester an
-    /// owner-recall round.
-    fn forward_candidate(
-        &mut self,
-        home: NodeId,
-        block: BlockAddr,
-    ) -> Option<(NodeId, ForwardKind)> {
-        let _ = (home, block);
-        None
-    }
-
-    /// Sees every message reception, for training.
-    fn observe(&mut self, record: &MsgRecord) {
-        let _ = record;
-    }
-}
-
 /// The simulated machine.
 ///
 /// Coherence transactions are serialised per block; processor interleaving
@@ -229,8 +133,7 @@ pub trait SpeculationPolicy: std::fmt::Debug + Send {
 /// A `Machine` is a *scheduler* over a [`ConcurrentMachine`] core, like a
 /// [`shard`](crate::shard): the core owns the protocol store (cache and
 /// directory state, clocks, handler horizons) and its instruments (trace,
-/// stats, tallies, flight recorder, fault injector, span log, policy),
-/// and every state write and recorded message goes through the core's
+/// stats, tallies, flight recorder, span log), and every state write and recorded message goes through the core's
 /// own writers. What is kept here is what makes this a different
 /// scheduler — each transaction walked to completion in closed form
 /// instead of as queued events — and the data-value oracle.
@@ -263,46 +166,6 @@ impl Machine {
             next_stamp: 0,
             paranoid: false,
         }
-    }
-
-    /// Installs a network fault plan: every subsequent message leg passes
-    /// through a deterministic [`FaultInjector`] and the recovery layer
-    /// engages — sender-side timeout/retry with capped exponential
-    /// backoff, directory NAKs for requests hitting a busy home, and
-    /// sequence-numbered duplicate absorption. With no plan installed the
-    /// machine takes its original code paths and produces byte-identical
-    /// results.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.core.set_fault_plan(plan);
-    }
-
-    /// Installs a pre-built injector — lets tests pin faults to exact
-    /// delivery indices with [`FaultInjector::force`] instead of hunting
-    /// for a seed.
-    pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.core.set_fault_injector(injector);
-    }
-
-    /// Faults injected so far, when a plan is installed.
-    pub fn fault_tally(&self) -> Option<&FaultTally> {
-        self.core.fault_tally()
-    }
-
-    /// Recovery-layer actions taken so far (quiet on a perfect fabric).
-    pub fn recovery_tally(&self) -> &RecoveryTally {
-        self.core.recovery_tally()
-    }
-
-    /// Speculation-layer actions taken so far (quiet with no policy, or a
-    /// policy that never fires).
-    pub fn rollback_tally(&self) -> &RollbackTally {
-        self.core.rollback_tally()
-    }
-
-    /// Installs a speculation policy (the §4 integration). The policy sees
-    /// every message and is consulted at the Table 2 action points.
-    pub fn set_policy(&mut self, policy: Box<dyn SpeculationPolicy>) {
-        self.core.set_policy(policy);
     }
 
     /// Names the trace (workload name recorded in the bundle metadata).
@@ -401,20 +264,6 @@ impl Machine {
         self.core.store_snapshot()
     }
 
-    /// Fault injection for tests: force a cache line to `state` without a
-    /// protocol transition, so invariant checking (and the flight
-    /// recorder dump it triggers) can be exercised deliberately.
-    pub fn inject_cache_state(&mut self, node: NodeId, block: BlockAddr, state: CacheState) {
-        let t = self.core.clocks[node.index()];
-        self.core.ring.get_mut().push(
-            Event::new(t, Severity::Warn, "fault.inject_cache_state")
-                .node(node.raw())
-                .block(block.number())
-                .msg(state.short_name()),
-        );
-        self.core.set_cache_state(node, block, state);
-    }
-
     /// A node's local clock in ns.
     pub fn clock(&self, node: NodeId) -> u64 {
         self.core.clocks[node.index()]
@@ -447,124 +296,24 @@ impl Machine {
         self.core.sync_clocks();
     }
 
-    /// The core's one-way latency plus a sample in the network-latency
-    /// histogram — use for hops a message actually traverses.
-    fn traverse(&mut self, from: NodeId, to: NodeId) -> u64 {
-        let ns = self.core.one_way(from, to);
-        self.core.stats.net_latency_ns.record(ns);
-        ns
-    }
-
-    /// One protocol leg from `from` to `to`, sent at `send_at`: returns
-    /// its arrival time — one hop later on a perfect fabric, whatever
-    /// [`fault_leg`](Self::fault_leg) makes of it with an injector
-    /// installed.
+    /// One protocol leg from `from` to `to`, sent at `send_at`: one hop, a
+    /// sample in the network-latency histogram and a network span.
+    /// Returns the arrival time.
     fn leg(
         &mut self,
-        leg: Leg,
+        name: &'static str,
         from: NodeId,
         to: NodeId,
         send_at: u64,
         tr: TraceId,
-    ) -> Result<u64, SimError> {
-        if self.core.fault.is_some() {
-            return self.fault_leg(leg, from, to, send_at, tr);
-        }
-        let t = send_at + self.traverse(from, to);
-        self.core.spans.child(
-            tr,
-            leg.span_name(),
-            SpanKind::Network,
-            send_at,
-            t,
-            from.raw(),
-        );
-        Ok(t)
-    }
-
-    /// One transmission over the faulty fabric from `from` to `to`, first
-    /// copy sent at `send_at`. Returns the arrival time of the first copy
-    /// that survives, weaving in drops (the leg's sender times out and
-    /// retransmits under the plan's [`stache::RetryPolicy`]), duplicates
-    /// (the second copy carries the same sequence number and is absorbed
-    /// by the receiver's [`DedupFilter`]), and reorder-jitter/spike delay.
-    /// Callers must have an injector installed.
-    fn fault_leg(
-        &mut self,
-        leg: Leg,
-        from: NodeId,
-        to: NodeId,
-        send_at: u64,
-        tr: TraceId,
-    ) -> Result<u64, SimError> {
+    ) -> u64 {
         let hop = self.core.one_way(from, to);
-        let retry = self
-            .core
-            .fault
-            .as_ref()
-            .expect("fault_leg requires an installed injector")
-            .retry()
-            .clone();
-        let mut at = send_at;
-        let mut attempt: u32 = 0;
-        loop {
-            let seq = self.core.next_seq_to[to.index()];
-            self.core.next_seq_to[to.index()] += 1;
-            self.core.stats.net_latency_ns.record(hop);
-            let d = self.core.fault.as_mut().unwrap().next_delivery(hop);
-            if !d.dropped {
-                let fresh = self.core.dedup[to.index()].observe(seq);
-                debug_assert!(fresh, "a new sequence number is never a duplicate");
-                if d.duplicated {
-                    // The copy traverses the wire too, then dies at the
-                    // receiver's sequence filter.
-                    self.core.stats.net_latency_ns.record(hop);
-                    if !self.core.dedup[to.index()].observe(seq) {
-                        self.core.recovery.dups_absorbed += 1;
-                    }
-                }
-                self.core.spans.child(
-                    tr,
-                    leg.span_name(),
-                    SpanKind::Network,
-                    at,
-                    at + hop + d.extra_ns,
-                    from.raw(),
-                );
-                return Ok(at + hop + d.extra_ns);
-            }
-            // Lost. The leg's sender times out and retransmits.
-            self.core.recovery.timeouts += 1;
-            if !retry.can_retry(attempt) {
-                return Err(SimError::RetryExhausted {
-                    from,
-                    to,
-                    attempts: attempt + 1,
-                });
-            }
-            self.core.recovery.retries += 1;
-            let turnaround = match leg {
-                // A requester cannot see its grant was lost; its timeout
-                // fires, it retransmits the *request*, and the home —
-                // which already recorded the grant — re-sends it.
-                Leg::Reply => {
-                    self.core.recovery.regrants += 1;
-                    self.core.one_way(to, from) + self.core.sys.handler_ns
-                }
-                // The home times out waiting for the acknowledgment and
-                // re-sends the invalidation; the now-invalid holder
-                // acknowledges again without a state transition.
-                Leg::Ack => self.core.one_way(to, from) + self.core.sys.handler_ns,
-                // The sender retransmits the same message directly.
-                Leg::Request | Leg::Inval => 0,
-            };
-            let lost = retry.timeout_for(attempt) + turnaround;
-            self.core
-                .spans
-                .child(tr, "retry", SpanKind::Retry, at, at + lost, from.raw());
-            at += lost;
-            attempt += 1;
-        }
+        self.core.stats.net_latency_ns.record(hop);
+        let t = send_at + hop;
+        self.core
+            .spans
+            .child(tr, name, SpanKind::Network, send_at, t, from.raw());
+        t
     }
 
     /// Executes one memory access by `node` at `block` and advances the
@@ -600,224 +349,10 @@ impl Machine {
         if op == ProcOp::Read {
             self.check_read(node, home, block)?;
         }
-        // §4.1 dynamic self-invalidation: after a remote store, the policy
-        // may push the (now exclusive) block back to the directory.
-        if op == ProcOp::Write && node != home {
-            let wants = self
-                .core
-                .policy
-                .as_mut()
-                .is_some_and(|p| p.self_invalidate(node, block));
-            if wants {
-                self.core.ring.get_mut().push(
-                    Event::new(
-                        self.core.clocks[node.index()],
-                        Severity::Info,
-                        "policy.self_invalidate",
-                    )
-                    .node(node.raw())
-                    .block(block.number()),
-                );
-                self.replace_exclusive(node, block, iteration);
-            }
-        }
-        // Early invalidation acknowledgment: after a remote load, the
-        // policy may drop the fresh shared copy and acknowledge the
-        // predicted invalidation ahead of the writer that will send it.
-        if op == ProcOp::Read
-            && node != home
-            && self.core.cache_state(node, block) == CacheState::Shared
-        {
-            let wants = self
-                .core
-                .policy
-                .as_mut()
-                .is_some_and(|p| p.early_inval_ack(node, block));
-            if wants {
-                self.core.ring.get_mut().push(
-                    Event::new(
-                        self.core.clocks[node.index()],
-                        Severity::Info,
-                        "policy.early_inval_ack",
-                    )
-                    .node(node.raw())
-                    .block(block.number()),
-                );
-                self.replace_shared(node, block, iteration);
-            }
-        }
         if self.paranoid {
             self.verify_block(block)?;
         }
         Ok(outcome)
-    }
-
-    /// Voluntarily replaces `node`'s exclusive copy of `block` to the
-    /// directory (an unsolicited `inval_rw_response` carrying the data),
-    /// leaving the entry idle — dynamic self-invalidation's action.
-    /// Returns `false` (and does nothing) if the node does not hold the
-    /// block exclusive, or is the block's home.
-    pub fn replace_exclusive(&mut self, node: NodeId, block: BlockAddr, iteration: u32) -> bool {
-        let home = home_of_block(block, &self.core.proto);
-        if node == home || self.core.cache_state(node, block) != CacheState::Exclusive {
-            return false;
-        }
-        self.core.iteration = iteration;
-        debug_assert_eq!(
-            self.core.dir_state(block).and_then(DirState::owner),
-            Some(node),
-            "exclusive cache copy implies directory ownership"
-        );
-        let t0 = self.core.clocks[node.index()];
-        let tr = self
-            .core
-            .spans
-            .begin_trace("self_invalidate", t0, node.raw(), block.number());
-        let t = t0 + self.traverse(node, home);
-        self.core.spans.child(
-            tr,
-            "net.writeback",
-            SpanKind::Speculation,
-            t0,
-            t,
-            node.raw(),
-        );
-        self.core.record(
-            t,
-            &Msg::new(node, home, block, MsgType::InvalRwResponse).with_trace(tr),
-        );
-        if let Some(v) = self.cache_values[node.index()].get(&block).copied() {
-            self.mem_values.insert(block, v);
-        }
-        self.cache_values[node.index()].remove(&block);
-        self.core.set_cache_state(node, block, CacheState::Invalid);
-        self.core.set_dir(block, DirState::Idle);
-        self.core.spans.end_trace(tr, t);
-        // Posting the replacement does not stall the processor.
-        self.core.clocks[node.index()] += self.core.sys.cache_hit_ns;
-        self.core.stats.voluntary_replacements += 1;
-        // The entry just went idle: the predicted next requester may be
-        // granted the block unsolicited.
-        self.maybe_forward(block, t);
-        true
-    }
-
-    /// Voluntarily drops `node`'s shared copy of `block`, acknowledging
-    /// the predicted invalidation ahead of time (an unsolicited
-    /// `inval_ro_response`) — the early-invalidation-ack action. Returns
-    /// `false` (and does nothing) if the node does not hold the block
-    /// shared, is the block's home, or the entry has overflowed its
-    /// pointer budget (an imprecise sharer set is left alone).
-    pub fn replace_shared(&mut self, node: NodeId, block: BlockAddr, iteration: u32) -> bool {
-        let home = home_of_block(block, &self.core.proto);
-        if node == home
-            || self.core.cache_state(node, block) != CacheState::Shared
-            || self.core.overflowed(block)
-        {
-            return false;
-        }
-        self.core.iteration = iteration;
-        let t0 = self.core.clocks[node.index()];
-        let tr = self
-            .core
-            .spans
-            .begin_trace("early_inval_ack", t0, node.raw(), block.number());
-        let t = t0 + self.traverse(node, home);
-        self.core.spans.child(
-            tr,
-            "net.early_ack",
-            SpanKind::Speculation,
-            t0,
-            t,
-            node.raw(),
-        );
-        self.core.record(
-            t,
-            &Msg::new(node, home, block, MsgType::InvalRoResponse).with_trace(tr),
-        );
-        self.cache_values[node.index()].remove(&block);
-        self.core.set_cache_state(node, block, CacheState::Invalid);
-        let struck = self
-            .core
-            .dir_state(block)
-            .and_then(|d| without_sharer(d, node));
-        let went_idle = struck == Some(DirState::Idle);
-        if let Some(next) = struck {
-            self.core.set_dir(block, next);
-        }
-        self.core.spans.end_trace(tr, t);
-        // Posting the early ack does not stall the processor.
-        self.core.clocks[node.index()] += self.core.sys.cache_hit_ns;
-        self.core.rollback.early_acks += 1;
-        if went_idle {
-            self.maybe_forward(block, t);
-        }
-        true
-    }
-
-    /// Directory-side speculative forwarding: with `block`'s entry idle
-    /// at simulated time `now`, consult the policy for a predicted next
-    /// requester and push it an unsolicited grant. In this serialized
-    /// engine the target's state is current truth, so an accepted push is
-    /// decided synchronously (the concurrent engine races the push
-    /// against demand misses and rolls back rejects). Pushes are
-    /// recovery-style control traffic, excluded from the predictor-
-    /// visible trace like NAKs and §5.1 barrier messages.
-    fn maybe_forward(&mut self, block: BlockAddr, now: u64) {
-        let home = home_of_block(block, &self.core.proto);
-        if self.core.policy.is_none() || self.core.dir_state(block) != Some(&DirState::Idle) {
-            return;
-        }
-        let Some((target, kind)) = self
-            .core
-            .policy
-            .as_mut()
-            .and_then(|p| p.forward_candidate(home, block))
-        else {
-            return;
-        };
-        if target == home
-            || target.index() >= self.core.proto.nodes
-            || self.core.cache_state(target, block) != CacheState::Invalid
-        {
-            return;
-        }
-        self.core.rollback.pushes += 1;
-        self.core.ring.get_mut().push(
-            Event::new(now, Severity::Info, "policy.forward")
-                .node(target.raw())
-                .block(block.number()),
-        );
-        let tr = self
-            .core
-            .spans
-            .begin_trace("spec_push", now, home.raw(), block.number());
-        self.core.spans.annotate(tr, "speculative");
-        let t_arr = now + self.traverse(home, target);
-        self.core.spans.child(
-            tr,
-            "net.push",
-            SpanKind::Speculation,
-            now,
-            t_arr,
-            home.raw(),
-        );
-        let (state, next) = match kind {
-            ForwardKind::Shared => (
-                CacheState::Shared,
-                DirState::Shared(NodeSet::singleton(target)),
-            ),
-            ForwardKind::Exclusive => (CacheState::Exclusive, DirState::Exclusive(target)),
-        };
-        // The entry was idle, so memory holds the current value; the push
-        // carries it. The target's processor is not stalled — the copy
-        // simply appears in its cache, like any asynchronous fill.
-        let v = self.mem_values.get(&block).copied().unwrap_or(0);
-        self.cache_values[target.index()].insert(block, v);
-        self.core.set_cache_state(target, block, state);
-        self.core.set_dir(block, next);
-        self.core.spans.end_trace(tr, t_arr);
-        self.core.rollback.confirmed += 1;
     }
 
     /// Access by the home node itself: no request/response messages, but
@@ -904,69 +439,26 @@ impl Machine {
             .core
             .spans
             .begin_trace(req.paper_name(), start, node.raw(), block.number());
-        let recovery_before = self.recovery_actions();
         // Request travels to the directory.
-        let t_req = self.leg(Leg::Request, node, home, start, tr)?;
+        let t_req = self.leg("net.request", node, home, start, tr);
         self.core
             .record(t_req, &Msg::new(node, home, block, req).with_trace(tr));
         let mut messages = 1;
 
-        // §4.1 read-modify-write speculation: the policy may answer a
-        // shared request with an exclusive grant.
-        let mut effective_req = req;
-        if req == MsgType::GetRoRequest {
-            if let Some(policy) = self.core.policy.as_mut() {
-                if policy.grant_exclusive(home, node, block) {
-                    effective_req = MsgType::GetRwRequest;
-                    self.core.stats.exclusive_grants += 1;
-                    self.core.ring.get_mut().push(
-                        Event::new(t_req, Severity::Info, "policy.grant_exclusive")
-                            .node(node.raw())
-                            .block(block.number()),
-                    );
-                    self.core.spans.annotate(tr, "speculative_grant");
-                }
-            }
-        }
-
         let dir = self.core.dir_state(block).unwrap_or(&DirState::Idle);
-        let mut outcome =
-            directory::handle_request(dir, home, node, effective_req, &self.core.proto)
-                .map_err(SimError::Protocol)?;
+        let mut outcome = directory::handle_request(dir, home, node, req, &self.core.proto)
+            .map_err(SimError::Protocol)?;
         if self.core.overflowed(block) && matches!(outcome.next, DirState::Exclusive(_)) {
             outcome.holders = self.core.broadcast_targets(node, home);
         }
-        // The software handler serialises requests at the home. On a
-        // faulty fabric the directory NAKs a request that finds it busy
-        // instead of queueing it without bound; the requester re-sends
-        // after a round trip. NAKs are recovery-layer control traffic,
-        // excluded from the predictor-visible trace (the same convention
-        // §5.1 applies to barrier messages).
-        let mut arrival = t_req;
-        if self.core.fault.is_some() {
-            while arrival < self.core.dir_busy[home.index()] {
-                self.core.recovery.naks_sent += 1;
-                self.core.recovery.naks_received += 1;
-                let round_trip = self.traverse(home, node) + self.traverse(node, home);
-                let bounce = round_trip.max(1);
-                self.core.spans.child(
-                    tr,
-                    "nak",
-                    SpanKind::Retry,
-                    arrival,
-                    arrival + bounce,
-                    home.raw(),
-                );
-                arrival += bounce;
-            }
-        }
-        let (_, dispatch) = self.core.occupy_dir_handler(home, arrival, tr);
+        // The software handler serialises requests at the home.
+        let (_, dispatch) = self.core.occupy_dir_handler(home, t_req, tr);
         let (ready, holder_msgs) = self.collect_holders(&outcome, home, block, dispatch, tr)?;
         messages += holder_msgs;
 
         // Reply to the requester.
         let reply = outcome.reply.expect("remote requests always get a reply");
-        let t_reply = self.leg(Leg::Reply, home, node, ready, tr)?;
+        let t_reply = self.leg("net.reply", home, node, ready, tr);
         self.core
             .record(t_reply, &Msg::new(home, node, block, reply).with_trace(tr));
         messages += 1;
@@ -998,20 +490,11 @@ impl Machine {
         );
         self.core.clocks[node.index()] = end;
         self.core.spans.end_trace(tr, end);
-        if self.recovery_actions() > recovery_before {
-            self.core.recovery.recovery_latency_ns.record(end - start);
-        }
         Ok(AccessOutcome {
             hit: false,
             latency_ns: end - start,
             messages,
         })
-    }
-
-    /// Recovery actions (timeouts, retransmissions, NAKs) so far — used
-    /// to attribute an access's latency to the recovery histogram.
-    fn recovery_actions(&self) -> u64 {
-        self.core.recovery.timeouts + self.core.recovery.retries + self.core.recovery.naks_received
     }
 
     /// Sends the plan's invalidations/downgrades (in parallel) and collects
@@ -1029,7 +512,7 @@ impl Machine {
         let mut messages = 0;
         let imsg = outcome.holder_request;
         for target in &outcome.holders {
-            let t_inv = self.leg(Leg::Inval, outcome_home, target, dispatch, tr)?;
+            let t_inv = self.leg("net.inval", outcome_home, target, dispatch, tr);
             self.core.record(
                 t_inv,
                 &Msg::new(outcome_home, target, block, imsg).with_trace(tr),
@@ -1064,7 +547,7 @@ impl Machine {
                 }
                 reply.expect("invalidations and downgrades are acknowledged")
             };
-            let t_resp = self.leg(Leg::Ack, target, outcome_home, handled, tr)?;
+            let t_resp = self.leg("net.ack", target, outcome_home, handled, tr);
             self.core.record(
                 t_resp,
                 &Msg::new(target, outcome_home, block, reply).with_trace(tr),
@@ -1456,7 +939,14 @@ mod tests {
         m.access(n(1), b0(), ProcOp::Read, 0).unwrap();
         // Force a second, bogus exclusive copy: node 2 claims ownership
         // while node 1 legitimately shares the block.
-        m.inject_cache_state(n(2), b0(), CacheState::Exclusive);
+        let t = m.clock(n(2));
+        m.core.ring.get_mut().push(
+            Event::new(t, Severity::Warn, "fault.inject_cache_state")
+                .node(2)
+                .block(b0().number())
+                .msg(CacheState::Exclusive.short_name()),
+        );
+        m.core.set_cache_state(n(2), b0(), CacheState::Exclusive);
         let err = m.verify_block(b0()).unwrap_err();
         assert!(matches!(err, SimError::Invariant(_)));
         assert_eq!(m.tally().invariant_failures(), 1);
@@ -1691,166 +1181,14 @@ mod occupancy_tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
-    use crate::fault::ForcedFault;
-    use stache::RetryPolicy;
-
-    fn machine() -> Machine {
-        Machine::new(ProtocolConfig::paper(), SystemConfig::paper())
-    }
-
-    fn n(i: usize) -> NodeId {
-        NodeId::new(i)
-    }
-
-    #[test]
-    fn quiet_plan_preserves_trace_and_timing() {
-        // Installing an all-off plan must not perturb uncontended
-        // accesses: every leg draws a verdict but nothing fires.
-        let run = |m: &mut Machine| {
-            // Distinct homes, so the NAK path (which *is* a behavioural
-            // change under fault mode) never triggers.
-            m.access(n(1), BlockAddr::new(0), ProcOp::Write, 0).unwrap();
-            m.access(n(2), BlockAddr::new(64), ProcOp::Read, 0).unwrap();
-            m.access(n(3), BlockAddr::new(128), ProcOp::Read, 0)
-                .unwrap();
-        };
-        let mut clean = machine();
-        run(&mut clean);
-        let mut faulted = machine();
-        faulted.set_fault_plan(FaultPlan::default());
-        run(&mut faulted);
-        assert_eq!(clean.trace().records(), faulted.trace().records());
-        assert_eq!(clean.execution_time_ns(), faulted.execution_time_ns());
-        assert!(faulted.recovery_tally().is_quiet());
-        assert_eq!(faulted.fault_tally().unwrap().deliveries, 6);
-    }
-
-    #[test]
-    fn dropped_grant_causes_exactly_one_timeout_and_retry() {
-        let mut clean = machine();
-        clean
-            .access(n(1), BlockAddr::new(0), ProcOp::Read, 0)
-            .unwrap();
-        let clean_reply = clean.trace().records()[1].time_ns;
-
-        let mut m = machine();
-        let mut inj = FaultInjector::new(FaultPlan::default());
-        // Delivery 0 is the request, delivery 1 the grant.
-        inj.force(1, ForcedFault::Drop);
-        m.set_fault_injector(inj);
-        m.access(n(1), BlockAddr::new(0), ProcOp::Read, 0).unwrap();
-
-        let r = m.recovery_tally();
-        assert_eq!(r.timeouts, 1, "exactly one timeout fires");
-        assert_eq!(r.retries, 1, "exactly one retransmission");
-        assert_eq!(r.regrants, 1, "the home re-sends the lost grant");
-        assert_eq!(r.recovery_latency_ns.count(), 1);
-        // The trace still carries exactly one request and one grant.
-        assert_eq!(m.trace().len(), 2);
-        // The re-sent grant arrives a timeout plus the retransmitted
-        // request's trip (hop + handler) later than the clean grant.
-        let sys = SystemConfig::paper();
-        let nodes = ProtocolConfig::paper().nodes;
-        let hop = sys.one_way_between_ns(n(1), n(0), nodes);
-        let expect = clean_reply + RetryPolicy::default().timeout_for(0) + hop + sys.handler_ns;
-        assert_eq!(m.trace().records()[1].time_ns, expect);
-        m.verify_coherence().unwrap();
-    }
-
-    #[test]
-    fn duplicated_ack_is_absorbed_idempotently() {
-        let mut m = machine();
-        let mut inj = FaultInjector::new(FaultPlan::default());
-        // Write by node 1 (deliveries 0-1), then write by node 2: request
-        // (2), invalidation to node 1 (3), its ack (4), grant (5).
-        inj.force(4, ForcedFault::Duplicate);
-        m.set_fault_injector(inj);
-        m.access(n(1), BlockAddr::new(0), ProcOp::Write, 0).unwrap();
-        m.access(n(2), BlockAddr::new(0), ProcOp::Write, 0).unwrap();
-        assert_eq!(m.recovery_tally().dups_absorbed, 1);
-        // The duplicate is not a trace record: same six receptions as a
-        // clean run.
-        assert_eq!(m.trace().len(), 6);
-        m.verify_coherence().unwrap();
-        // And node 2 really owns the block.
-        m.access(n(2), BlockAddr::new(0), ProcOp::Read, 0).unwrap();
-    }
-
-    #[test]
-    fn busy_home_naks_instead_of_queueing() {
-        // Same shape as the occupancy test: two requests race to one
-        // home. Under fault mode the loser is NAKed and re-sends rather
-        // than waiting in an unbounded queue.
-        let mut m = machine();
-        m.set_fault_plan(FaultPlan::default());
-        m.access(n(1), BlockAddr::new(1), ProcOp::Read, 0).unwrap();
-        let first_reply = m.trace().records()[1].time_ns;
-        m.access(n(2), BlockAddr::new(2), ProcOp::Read, 0).unwrap();
-        let second_reply = m.trace().records()[3].time_ns;
-        let r = m.recovery_tally();
-        assert!(r.naks_sent >= 1, "the busy home NAKed the second request");
-        assert_eq!(r.naks_sent, r.naks_received);
-        assert!(
-            second_reply > first_reply,
-            "the NAK round trip still delays the loser"
-        );
-        m.verify_coherence().unwrap();
-    }
-
-    #[test]
-    fn perturbed_run_stays_coherent_under_paranoid_audit() {
-        let plan = FaultPlan::parse("drop=0.05,dup=0.05,reorder=3,spike=0.1")
-            .unwrap()
-            .with_seed(7);
-        let mut m = machine();
-        m.paranoid = true;
-        m.set_fault_plan(plan);
-        for i in 0..300u32 {
-            let node = n(1 + (i as usize % 3));
-            let block = BlockAddr::new(u64::from(i * 7) % 128);
-            let op = if i % 3 == 0 {
-                ProcOp::Write
-            } else {
-                ProcOp::Read
-            };
-            m.access(node, block, op, 0).unwrap();
-        }
-        m.verify_coherence().unwrap();
-        let t = m.fault_tally().unwrap();
-        assert!(t.drops > 0, "the plan injected drops");
-        assert!(t.dups > 0, "the plan injected duplicates");
-        assert!(t.jitter_events > 0, "the plan injected jitter");
-        assert!(!m.recovery_tally().is_quiet());
-        let snap = m.obs_snapshot();
-        assert!(snap.names().iter().any(|k| k.starts_with("simx.fault.")));
-        assert!(snap
-            .names()
-            .iter()
-            .any(|k| k.starts_with("stache.recovery.")));
-    }
-
-    #[test]
-    fn same_seed_same_faults_same_metrics() {
-        let run = || {
-            let plan = FaultPlan::parse("drop=0.1,dup=0.05,reorder=2")
-                .unwrap()
-                .with_seed(42);
-            let mut m = machine();
-            m.set_fault_plan(plan);
-            for i in 0..100u32 {
-                let node = n(1 + (i as usize % 3));
-                m.access(node, BlockAddr::new(u64::from(i) % 32), ProcOp::Write, 0)
-                    .unwrap();
-            }
-            m.obs_snapshot().to_json()
-        };
-        assert_eq!(run(), run(), "same seed, byte-identical metrics");
-    }
 
     #[test]
     fn clean_snapshot_has_no_fault_metrics() {
-        let mut m = machine();
-        m.access(n(1), BlockAddr::new(0), ProcOp::Read, 0).unwrap();
+        // The walk has no fault or recovery layer; sharing the core's
+        // exporter must not leak the event engine's keys for one.
+        let mut m = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
+        m.access(NodeId::new(1), BlockAddr::new(0), ProcOp::Read, 0)
+            .unwrap();
         let snap = m.obs_snapshot();
         assert!(snap
             .names()

@@ -1,4 +1,5 @@
-//! Deterministic speculation policies for model checking.
+//! The §4 speculation hook ([`SpeculationPolicy`]) and the deterministic
+//! policies model checking installs behind it.
 //!
 //! The `accel` crate supplies the *predictive* policies (Cosmos-driven,
 //! history-dependent). Model checking wants the opposite temperament: a
@@ -14,8 +15,81 @@
 //! so a shrunk failing schedule replays under the same speculation
 //! surface that found it.
 
-use crate::machine::{ForwardKind, SpeculationPolicy};
 use stache::{BlockAddr, NodeId};
+use trace::MsgRecord;
+
+/// The flavour of a speculative push: hand the predicted next reader a
+/// shared copy, or the predicted next writer an exclusive one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ForwardKind {
+    /// Push a shared (read-only) copy.
+    Shared,
+    /// Push an exclusive (writable) copy.
+    Exclusive,
+}
+
+/// A speculation policy: the §4 integration hook.
+///
+/// The paper stops at measuring prediction accuracy; its §4 sketches how a
+/// predictor would *drive* the protocol. This trait is that coupling: the
+/// event engine ([`ConcurrentMachine`](crate::ConcurrentMachine)) consults
+/// the policy at the action points §4 highlights, and feeds it every
+/// message reception for training.
+///
+/// All methods have no-op defaults, so a policy can implement only the
+/// speculation it is directed at.
+pub trait SpeculationPolicy: std::fmt::Debug + Send {
+    /// Directory-side read-modify-write speculation: on a
+    /// `get_ro_request` for `block` from `requester`, return `true` to
+    /// answer with an **exclusive** grant instead of a shared one
+    /// (betting on an imminent upgrade). A wrong bet costs the next
+    /// reader an owner-invalidation round.
+    fn grant_exclusive(&mut self, home: NodeId, requester: NodeId, block: BlockAddr) -> bool {
+        let _ = (home, requester, block);
+        false
+    }
+
+    /// Cache-side dynamic self-invalidation: after `node` completes a
+    /// store to `block` (now exclusive), return `true` to replace the
+    /// block to the directory immediately (betting the next access comes
+    /// from elsewhere). A wrong bet costs `node` a fresh miss.
+    fn self_invalidate(&mut self, node: NodeId, block: BlockAddr) -> bool {
+        let _ = (node, block);
+        false
+    }
+
+    /// Cache-side early invalidation acknowledgment: after `node`
+    /// completes a load of `block` (now shared), return `true` to drop
+    /// the copy and acknowledge the *predicted* invalidation before it is
+    /// ever sent (betting the next writer shows up before the next local
+    /// read). A wrong bet costs `node` a fresh read miss; a right one
+    /// takes the invalidation round trip off the writer's critical path.
+    fn early_inval_ack(&mut self, node: NodeId, block: BlockAddr) -> bool {
+        let _ = (node, block);
+        false
+    }
+
+    /// Directory-side speculative forwarding: when `block`'s entry at
+    /// `home` goes idle, return the predicted next requester (and whether
+    /// to push a shared or exclusive copy) to grant it *unsolicited* —
+    /// the push races any demand miss; a target that already re-acquired
+    /// the block rejects it and the directory rolls back. A wrong bet
+    /// costs the pushed-to node nothing and the true next requester an
+    /// owner-recall round.
+    fn forward_candidate(
+        &mut self,
+        home: NodeId,
+        block: BlockAddr,
+    ) -> Option<(NodeId, ForwardKind)> {
+        let _ = (home, block);
+        None
+    }
+
+    /// Sees every message reception, for training.
+    fn observe(&mut self, record: &MsgRecord) {
+        let _ = record;
+    }
+}
 
 /// Which speculative actions a policy is allowed to take.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

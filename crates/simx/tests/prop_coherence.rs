@@ -3,106 +3,102 @@
 //! write (the machine checks this internally), the full-map/SWMR
 //! invariants hold after every transaction, and the message mix stays
 //! request/response balanced.
+//!
+//! Seeded cases on the in-house generator (`simx::rng::check`).
 
-// Property tests need the external `proptest` crate; the feature is a
-// placeholder until it can be vendored (see the workspace manifest).
-#![cfg(feature = "proptest-tests")]
-use proptest::prelude::*;
+use simx::rng::{check, SmallRng};
 use simx::{Machine, SystemConfig};
 use stache::{BlockAddr, NodeId, ProcOp, ProtocolConfig};
-use trace::TraceStats;
+use trace::{TraceBundle, TraceStats};
 
-/// An access in the generated stream: node 0..8, block from a small pool
-/// spanning several homes, read or write.
-fn access_strategy() -> impl Strategy<Value = (usize, u64, bool)> {
-    (0usize..8, 0u64..6, any::<bool>())
+/// A stream of `1..max` accesses: node 0..8, block from a small pool
+/// spread across pages so several homes are hit, read or write.
+fn accesses(rng: &mut SmallRng, max: usize) -> Vec<(NodeId, BlockAddr, ProcOp)> {
+    (0..rng.gen_range(1..max))
+        .map(|_| {
+            let node = NodeId::new(rng.gen_range(0..8));
+            let block = BlockAddr::new(rng.gen_range(0..6) as u64 * 64);
+            let op = if rng.gen_bool(0.5) {
+                ProcOp::Write
+            } else {
+                ProcOp::Read
+            };
+            (node, block, op)
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+fn run(m: &mut Machine, accesses: &[(NodeId, BlockAddr, ProcOp)]) {
+    for &(node, block, op) in accesses {
+        m.access(node, block, op, 0).expect("coherent machine");
+    }
+}
 
-    /// Arbitrary serialized access streams preserve coherence: no protocol
-    /// errors, no stale reads, invariants hold continuously.
-    #[test]
-    fn random_streams_stay_coherent(
-        accesses in prop::collection::vec(access_strategy(), 1..200),
-        half_migratory in any::<bool>(),
-    ) {
-        let proto = ProtocolConfig { half_migratory, ..ProtocolConfig::paper() };
+fn trace_of(sys: SystemConfig, accesses: &[(NodeId, BlockAddr, ProcOp)]) -> TraceBundle {
+    let mut m = Machine::new(ProtocolConfig::paper(), sys);
+    run(&mut m, accesses);
+    m.into_trace()
+}
+
+/// Arbitrary serialized access streams preserve coherence: no protocol
+/// errors, no stale reads, invariants hold continuously.
+#[test]
+fn random_streams_stay_coherent() {
+    check(64, |rng| {
+        let proto = ProtocolConfig {
+            half_migratory: rng.gen_bool(0.5),
+            ..ProtocolConfig::paper()
+        };
         let mut m = Machine::new(proto, SystemConfig::paper());
         m.paranoid = true; // audit invariants after every access
-        for (node, block_slot, write) in accesses {
-            // Spread the block pool across pages so several homes are hit.
-            let block = BlockAddr::new(block_slot * 64);
-            let op = if write { ProcOp::Write } else { ProcOp::Read };
-            m.access(NodeId::new(node), block, op, 0).expect("coherent machine");
-        }
+        run(&mut m, &accesses(rng, 200));
         m.verify_coherence().expect("final audit");
-    }
+    });
+}
 
-    /// At quiescence every request has exactly one response in the trace.
-    #[test]
-    fn requests_pair_with_responses(
-        accesses in prop::collection::vec(access_strategy(), 1..150),
-    ) {
-        let mut m = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-        for (node, block_slot, write) in accesses {
-            let block = BlockAddr::new(block_slot * 64);
-            let op = if write { ProcOp::Write } else { ProcOp::Read };
-            m.access(NodeId::new(node), block, op, 0).unwrap();
-        }
-        let stats = TraceStats::compute(m.trace());
-        prop_assert!(
+/// At quiescence every request has exactly one response in the trace.
+#[test]
+fn requests_pair_with_responses() {
+    check(64, |rng| {
+        let t = trace_of(SystemConfig::paper(), &accesses(rng, 150));
+        let stats = TraceStats::compute(&t);
+        assert!(
             stats.pairing_imbalance().is_empty(),
             "unbalanced: {:?}",
             stats.pairing_imbalance()
         );
-    }
+    });
+}
 
-    /// The machine is deterministic: the same access stream produces the
-    /// same trace, timestamps included.
-    #[test]
-    fn machine_is_deterministic(
-        accesses in prop::collection::vec(access_strategy(), 1..100),
-    ) {
-        let run = |accs: &[(usize, u64, bool)]| {
-            let mut m = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-            for &(node, block_slot, write) in accs {
-                let block = BlockAddr::new(block_slot * 64);
-                let op = if write { ProcOp::Write } else { ProcOp::Read };
-                m.access(NodeId::new(node), block, op, 0).unwrap();
-            }
-            m.into_trace()
-        };
-        prop_assert_eq!(run(&accesses), run(&accesses));
-    }
+/// The machine is deterministic: the same access stream produces the
+/// same trace, timestamps included.
+#[test]
+fn machine_is_deterministic() {
+    check(64, |rng| {
+        let accs = accesses(rng, 100);
+        assert_eq!(
+            trace_of(SystemConfig::paper(), &accs),
+            trace_of(SystemConfig::paper(), &accs)
+        );
+    });
+}
 
-    /// Network latency shifts timestamps but never changes the message
-    /// sequence (the property underlying the paper's §5 insensitivity
-    /// claim).
-    #[test]
-    fn latency_changes_times_not_sequences(
-        accesses in prop::collection::vec(access_strategy(), 1..100),
-        latency in prop::sample::select(vec![10u64, 40, 200, 1000]),
-    ) {
-        let run = |lat: u64| {
-            let sys = SystemConfig::paper().with_network_latency(lat);
-            let mut m = Machine::new(ProtocolConfig::paper(), sys);
-            for &(node, block_slot, write) in &accesses {
-                let block = BlockAddr::new(block_slot * 64);
-                let op = if write { ProcOp::Write } else { ProcOp::Read };
-                m.access(NodeId::new(node), block, op, 0).unwrap();
-            }
-            m.into_trace()
-        };
-        let base = run(40);
-        let other = run(latency);
-        prop_assert_eq!(base.len(), other.len());
+/// Network latency shifts timestamps but never changes the message
+/// sequence (the property underlying the paper's §5 insensitivity
+/// claim).
+#[test]
+fn latency_changes_times_not_sequences() {
+    check(64, |rng| {
+        let accs = accesses(rng, 100);
+        let latency = [10u64, 40, 200, 1000][rng.gen_range(0..4)];
+        let base = trace_of(SystemConfig::paper().with_network_latency(40), &accs);
+        let other = trace_of(SystemConfig::paper().with_network_latency(latency), &accs);
+        assert_eq!(base.len(), other.len());
         for (a, b) in base.records().iter().zip(other.records()) {
-            prop_assert_eq!(a.node, b.node);
-            prop_assert_eq!(a.sender, b.sender);
-            prop_assert_eq!(a.mtype, b.mtype);
-            prop_assert_eq!(a.block, b.block);
+            assert_eq!(
+                (a.node, a.sender, a.mtype, a.block),
+                (b.node, b.sender, b.mtype, b.block)
+            );
         }
-    }
+    });
 }

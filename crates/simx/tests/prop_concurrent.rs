@@ -1,28 +1,27 @@
 //! Property tests for the concurrent engine: arbitrary plans run to
 //! quiescence coherently, and for serialization-forced plans the engine
 //! agrees with the transaction-serialized machine message for message.
+//!
+//! Seeded cases on the in-house generator (`simx::rng::check`); the two
+//! counterexamples proptest once saved for this file are replayed by name
+//! in `regression_seeds.rs`.
 
-// Property tests need the external `proptest` crate; the feature is a
-// placeholder until it can be vendored (see the workspace manifest).
-#![cfg(feature = "proptest-tests")]
-use proptest::prelude::*;
 use simx::concurrent::ConcurrentMachine;
+use simx::rng::{check, SmallRng};
 use simx::{Access, IterationPlan, Machine, Phase, SystemConfig};
-use stache::{BlockAddr, NodeId, ProcOp, ProtocolConfig};
+use stache::{BlockAddr, MsgType, NodeId, ProcOp, ProtocolConfig, Role};
+use std::collections::HashMap;
 
-/// A phase of up to 12 accesses over a small node/block pool.
-fn phase_strategy() -> impl Strategy<Value = Vec<(usize, u64, u8)>> {
-    prop::collection::vec((0usize..8, 0u64..5, 0u8..3), 1..12)
-}
-
-fn build_plan(phases: &[Vec<(usize, u64, u8)>]) -> IterationPlan {
+/// `1..max_phases` phases of up to 11 accesses — read, write or
+/// read-modify-write — over a small node/block pool spread across homes.
+fn plan(rng: &mut SmallRng, max_phases: usize) -> IterationPlan {
     let mut plan = IterationPlan::new();
-    for raw in phases {
+    for _ in 0..rng.gen_range(1..max_phases) {
         let mut phase = Phase::new(16);
-        for &(node, slot, kind) in raw {
-            let block = BlockAddr::new(slot * 64); // spread homes
-            let n = NodeId::new(node);
-            phase.push(match kind {
+        for _ in 0..rng.gen_range(1..12) {
+            let n = NodeId::new(rng.gen_range(0..8));
+            let block = BlockAddr::new(rng.gen_range(0..5) as u64 * 64);
+            phase.push(match rng.gen_range(0..3) {
                 0 => Access::read(n, block),
                 1 => Access::write(n, block),
                 _ => Access::rmw(n, block),
@@ -33,76 +32,76 @@ fn build_plan(phases: &[Vec<(usize, u64, u8)>]) -> IterationPlan {
     plan
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Any plan drains to quiescence with coherent state (the engine
-    /// audits SWMR + full map at every barrier internally).
-    #[test]
-    fn arbitrary_plans_stay_coherent(
-        phases in prop::collection::vec(phase_strategy(), 1..4),
-        half_migratory in any::<bool>(),
-        limited in prop::option::of(1usize..3),
-    ) {
+/// Any plan drains to quiescence with coherent state (the engine audits
+/// SWMR + full map at every barrier internally).
+#[test]
+fn arbitrary_plans_stay_coherent() {
+    check(48, |rng| {
         let proto = ProtocolConfig {
-            half_migratory,
-            limited_pointers: limited,
+            half_migratory: rng.gen_bool(0.5),
+            limited_pointers: rng.gen_bool(0.5).then(|| rng.gen_range(1..3)),
             ..ProtocolConfig::paper()
         };
         let mut m = ConcurrentMachine::new(proto, SystemConfig::paper());
-        let plan = build_plan(&phases);
-        m.run_plan(&plan, 0).expect("coherent concurrent run");
+        m.run_plan(&plan(rng, 4), 0)
+            .expect("coherent concurrent run");
         m.verify_coherence().expect("final audit");
-    }
+    });
+}
 
-    /// The engine is deterministic.
-    #[test]
-    fn concurrent_engine_is_deterministic(
-        phases in prop::collection::vec(phase_strategy(), 1..3),
-    ) {
+/// The engine is deterministic.
+#[test]
+fn concurrent_engine_is_deterministic() {
+    check(48, |rng| {
+        let plan = plan(rng, 3);
         let run = || {
-            let mut m =
-                ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
-            m.run_plan(&build_plan(&phases), 0).unwrap();
+            let mut m = ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
+            m.run_plan(&plan, 0).unwrap();
             m.into_trace()
         };
-        prop_assert_eq!(run(), run());
-    }
+        assert_eq!(run(), run());
+    });
+}
 
-    /// With one access per phase (forced serialization), the concurrent
-    /// engine reproduces the serialized machine's per-agent message-type
-    /// sequences exactly.
-    #[test]
-    fn forced_serialization_matches_the_serialized_engine(
-        accesses in prop::collection::vec((1usize..8, 0u64..3, any::<bool>()), 1..25),
-    ) {
+/// With one access per phase (forced serialization), the concurrent
+/// engine reproduces the serialized machine's per-agent message-type
+/// sequences exactly.
+#[test]
+fn forced_serialization_matches_the_serialized_engine() {
+    check(48, |rng| {
         let mut serial = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-        for &(node, slot, write) in &accesses {
-            let op = if write { ProcOp::Write } else { ProcOp::Read };
-            serial.access(NodeId::new(node), BlockAddr::new(slot * 64), op, 0).unwrap();
+        let mut plan = IterationPlan::new();
+        for _ in 0..rng.gen_range(1..25) {
+            let node = NodeId::new(rng.gen_range(1..8));
+            let block = BlockAddr::new(rng.gen_range(0..3) as u64 * 64);
+            let (op, access) = if rng.gen_bool(0.5) {
+                (ProcOp::Write, Access::write(node, block))
+            } else {
+                (ProcOp::Read, Access::read(node, block))
+            };
+            serial.access(node, block, op, 0).unwrap();
+            let mut phase = Phase::new(16);
+            phase.push(access);
+            plan.push(phase);
         }
         let mut conc = ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
-        let phases: Vec<Vec<(usize, u64, u8)>> = accesses
-            .iter()
-            .map(|&(node, slot, write)| vec![(node, slot, u8::from(write))])
-            .collect();
-        conc.run_plan(&build_plan(&phases), 0).unwrap();
+        conc.run_plan(&plan, 0).unwrap();
 
         // The engines may interleave *independent* records differently
         // (the concurrent engine sends invalidations in parallel), but
         // every agent must observe the same stream.
-        use std::collections::HashMap;
-        type AgentKey = (NodeId, stache::Role);
-        type Observed = (NodeId, BlockAddr, stache::MsgType);
+        type Observed = (NodeId, BlockAddr, MsgType);
         let streams = |t: &trace::TraceBundle| {
-            let mut m: HashMap<AgentKey, Vec<Observed>> = HashMap::new();
+            let mut m: HashMap<(NodeId, Role), Vec<Observed>> = HashMap::new();
             for r in t.records() {
-                m.entry((r.node, r.role)).or_default().push((r.sender, r.block, r.mtype));
+                m.entry((r.node, r.role))
+                    .or_default()
+                    .push((r.sender, r.block, r.mtype));
             }
             m
         };
-        prop_assert_eq!(streams(serial.trace()), streams(conc.trace()));
-    }
+        assert_eq!(streams(serial.trace()), streams(conc.trace()));
+    });
 }
 
 /// A policy that speculates aggressively at random — far harsher than the
@@ -123,34 +122,28 @@ impl ChaosPolicy {
 }
 
 impl simx::SpeculationPolicy for ChaosPolicy {
-    fn grant_exclusive(
-        &mut self,
-        _home: stache::NodeId,
-        _requester: stache::NodeId,
-        _block: BlockAddr,
-    ) -> bool {
+    fn grant_exclusive(&mut self, _home: NodeId, _requester: NodeId, _block: BlockAddr) -> bool {
         self.coin()
     }
 
-    fn self_invalidate(&mut self, _node: stache::NodeId, _block: BlockAddr) -> bool {
+    fn self_invalidate(&mut self, _node: NodeId, _block: BlockAddr) -> bool {
         self.coin()
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random speculation on random plans never breaks coherence: grants
-    /// and voluntary replacements fire blindly, races included, and every
-    /// barrier audit passes.
-    #[test]
-    fn chaotic_speculation_stays_coherent(
-        phases in prop::collection::vec(phase_strategy(), 1..4),
-        seed in 1u64..u64::MAX,
-    ) {
+/// Random speculation on random plans never breaks coherence: grants and
+/// voluntary replacements fire blindly, races included, and every
+/// barrier audit passes.
+#[test]
+fn chaotic_speculation_stays_coherent() {
+    check(48, |rng| {
+        let plan = plan(rng, 4);
         let mut m = ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
-        m.set_policy(Box::new(ChaosPolicy { state: seed }));
-        m.run_plan(&build_plan(&phases), 0).expect("coherent under chaos");
+        // Xorshift's one fixed point is zero.
+        m.set_policy(Box::new(ChaosPolicy {
+            state: rng.gen() | 1,
+        }));
+        m.run_plan(&plan, 0).expect("coherent under chaos");
         m.verify_coherence().expect("final audit");
-    }
+    });
 }

@@ -1,13 +1,10 @@
 //! Proptest regression seeds, promoted to named deterministic tests.
 //!
-//! The property tests in `prop_concurrent.rs` are gated behind the
-//! `proptest-tests` feature (the crate cannot be vendored yet), which
-//! means the saved counterexamples in `prop_concurrent.proptest-regressions`
-//! would only ever re-run in an environment that has proptest. This file
-//! replays each saved seed verbatim as an always-on unit test, so the
-//! minimal counterexamples keep guarding the engine in every build. Each
-//! test carries a `promoted:` marker with the seed hash; CI checks that
-//! every `cc` line in a regressions file has a matching marker.
+//! `prop_concurrent.rs` was a proptest suite until it was ported to
+//! seeded cases on `simx::rng::check`; the counterexamples proptest had
+//! saved for it are replayed here verbatim, each under the `promoted:`
+//! hash it had in the regressions file, so the minimal cases keep
+//! guarding the engine whatever seeds the suite draws.
 
 use simx::concurrent::ConcurrentMachine;
 use simx::{Access, IterationPlan, Machine, Phase, SystemConfig};

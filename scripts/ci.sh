@@ -22,14 +22,30 @@ echo "==> cargo test"
 cargo test -q --offline
 
 # Fault-injection smoke matrix: each fault class alone, small rates, small
-# scale. A run fails (panics) on any invariant violation, so this gates
-# the recovery layer end to end.
-echo "==> fault-injection smoke (drop / dup / reorder)"
+# scale. A run exits 1 on any invariant violation, so this gates the
+# recovery layer end to end. Then the reference plan's depth-1 accuracy
+# pair per benchmark, from the event engine (the only engine with a lossy
+# fabric): a faulty column that stops trailing the clean one means
+# retransmissions stopped reaching the trace. Last, the unhappy path: a
+# plan harsh enough to exhaust the retry budget is one line on stderr
+# naming the benchmark and exit 1, not a panic.
+echo "==> fault-injection smoke (drop / dup / reorder, clean / faulty pair, drop=0.9)"
+REPRO="${CARGO_TARGET_DIR:-target}/release/repro"
 for spec in drop=0.02 dup=0.02 reorder=3; do
   echo "    --faults $spec"
-  cargo run -q --release --offline -p bench-suite --bin repro -- \
-    --small --faults "$spec" --faults-seed 7 > /dev/null
+  "$REPRO" --small --faults "$spec" --faults-seed 7 > /dev/null
 done
+"$REPRO" --small faults 2> /dev/null \
+  | awk '/^Recovery/ { exit } $2 ~ /^[0-9.]+$/ { printf "    %-13s d1 clean %s, faulty %s\n", $1, $2, $3 }'
+FAULT_ERR="$("$REPRO" --small --faults drop=0.9 2>&1 > /dev/null | sed '/^running /d')" && {
+  echo "    --faults drop=0.9 exited 0: the retry budget cannot have held" >&2
+  exit 1
+}
+case "$FAULT_ERR" in
+  *panicked* | *$'\n'*) echo "    --faults drop=0.9 is not one line: $FAULT_ERR" >&2; exit 1 ;;
+  faults:\ *retry\ budget\ exhausted) echo "    --faults drop=0.9 exits 1: $FAULT_ERR" ;;
+  *) echo "    --faults drop=0.9: unexpected error: $FAULT_ERR" >&2; exit 1 ;;
+esac
 
 # Release table smoke: regenerate the small-scale Table 5 and diff its CSV
 # against the golden copy captured before the packed-core optimisation —
@@ -213,23 +229,11 @@ echo "==> profiler smoke (scripts/profile.sh scale1024 3)"
 scripts/profile.sh scale1024 3 > "$SMOKE_DIR/profile.txt"
 grep -E "unavailable here|^ +[0-9.]+% +[0-9]+ " "$SMOKE_DIR/profile.txt" | sed -n '1,4s/^/    /p'
 
-# Surface report: what a simplicity PR is judged on. Printed, not gated.
+# Surface report: what a simplicity PR is judged on. Printed, not gated;
+# the last line is the parent commit's totals, so the delta is read off
+# (a PR that moves the surface updates it).
 echo "==> surface (non-test lines, pub fns, predictor / policy impls per crate)"
 scripts/surface.sh | sed 's/^/    /'
-
-# Proptest seed promotion: every saved counterexample hash in a
-# *.proptest-regressions file (one is left, simx's) must have a matching
-# `promoted: <hash>` marker in a checked-in test, so the seeds keep
-# running even in builds without the (feature-gated) proptest dependency.
-echo "==> proptest-regressions promotion check"
-while read -r file; do
-  while read -r hash; do
-    if ! grep -rq "promoted: $hash" crates/*/tests/*.rs; then
-      echo "    seed $hash in $file has no promoted unit test" >&2
-      exit 1
-    fi
-  done < <(sed -n 's/^cc \([0-9a-f]\{64\}\).*/\1/p' "$file")
-done < <(find crates -name '*.proptest-regressions')
-echo "    every saved seed has a promoted unit test"
+echo "    parent         24196     682         10         2"
 
 echo "CI green."

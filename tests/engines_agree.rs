@@ -1,6 +1,7 @@
 //! Integration: the two execution engines agree on everything Cosmos
 //! cares about, across the real benchmark generators.
 
+use cosmos_repro::accel::run_with_policy;
 use cosmos_repro::cosmos::eval::evaluate_cosmos;
 use cosmos_repro::simx::SystemConfig;
 use cosmos_repro::stache::ProtocolConfig;
@@ -51,6 +52,26 @@ fn message_volumes_are_engine_independent_within_a_few_percent() {
             a.name(),
             serial.len(),
             conc.len()
+        );
+    }
+}
+
+#[test]
+fn the_integration_baseline_counts_the_table_engines_messages_within_a_few_percent() {
+    // `accel::compare` measures savings against a baseline run on the
+    // event engine; Tables 5-8 come from the walk. Tie the study's
+    // denominator to the table engine.
+    for (mut a, mut b) in small_suite().into_iter().zip(small_suite()) {
+        let walk =
+            run_to_trace(a.as_mut(), ProtocolConfig::paper(), SystemConfig::paper()).unwrap();
+        let baseline = run_with_policy(b.as_mut(), None).unwrap();
+        let ratio = baseline.messages as f64 / walk.len().max(1) as f64;
+        assert!(
+            (0.9..=1.1).contains(&ratio),
+            "{}: walk {} vs integration baseline {} messages",
+            a.name(),
+            walk.len(),
+            baseline.messages
         );
     }
 }
