@@ -1,6 +1,7 @@
 #[cfg(test)]
 mod tests {
-    use crate::{CosmosPredictor, EvictingCosmos, MessagePredictor, PredTuple};
+    use crate::packed::pack_key;
+    use crate::{CosmosPredictor, EvictingCosmos, MessagePredictor, Pht, PredTuple};
     use stache::BlockAddr;
     use stache::{MsgType, NodeId};
 
@@ -35,6 +36,22 @@ mod tests {
         assert!(reserved < 1000 * 16);
         let fresh = EvictingCosmos::new(1, 0, 1 << 20).core_stats();
         assert_eq!(fresh.table_capacity_bytes, 0, "nothing pre-sized");
+        // At capacity: a 40-byte slot and two 8-byte index words a block,
+        // and a boxed PHT's map header on top of its buckets.
+        let mut full = EvictingCosmos::new(1, 0, 64);
+        for i in 0..64u64 {
+            full.observe(b(i), t(1, MsgType::GetRoRequest));
+        }
+        assert_eq!(full.core_stats().table_capacity_bytes, 64 * (40 + 2 * 8));
+        full.observe(b(0), t(2, MsgType::GetRoRequest));
+        let mut pht = Pht::new();
+        pht.update(
+            pack_key(&[t(1, MsgType::GetRoRequest)]),
+            t(2, MsgType::GetRoRequest),
+            0,
+        );
+        let pht = std::mem::size_of::<Pht>() + pht.capacity_bytes();
+        assert_eq!(full.core_stats().table_capacity_bytes, 64 * 56 + pht as u64);
     }
 
     #[test]

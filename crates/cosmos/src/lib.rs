@@ -101,7 +101,7 @@ pub struct CoreStats {
     /// lifetime.
     pub pht_probes: u64,
     /// Bytes the predictor's hash tables have *reserved* (capacity, not
-    /// occupancy) — the allocation cost of the FastMap layout.
+    /// occupancy) — the allocation cost of the table layout.
     pub table_capacity_bytes: u64,
 }
 

@@ -26,7 +26,10 @@ use std::collections::hash_map::Entry;
 pub const CONFIDENCE_MAX: u8 = 3;
 
 /// A PHT entry: the prediction, the filter's miss counter and the
-/// confidence counter, side by side in one 16-byte table bucket.
+/// confidence counter, side by side. With its packed-history key it fills
+/// a 16-byte bucket (plus the map's control byte); the map's own 32-byte
+/// header sits behind a box in its block's state, allocated with the
+/// first entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhtEntry {
     /// The predicted next tuple for this history.
@@ -152,8 +155,9 @@ impl Pht {
         self.entries.is_empty()
     }
 
-    /// Bytes of buckets the table has reserved (capacity, not occupancy)
-    /// — feeds [`crate::CoreStats::table_capacity_bytes`].
+    /// Bytes of buckets the table has reserved (capacity, not occupancy),
+    /// its header excluded — feeds
+    /// [`crate::CoreStats::table_capacity_bytes`], which adds the header.
     pub fn capacity_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<(u64, PhtEntry)>()
     }

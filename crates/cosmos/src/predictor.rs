@@ -33,8 +33,10 @@ struct BlockState {
     mhr: Mhr,
     /// Allocated lazily: a block gets a PHT only once its reference count
     /// exceeds the MHR depth (Table 7's accounting rule — blocks with at
-    /// most `depth` references never allocate one).
-    pht: Option<Pht>,
+    /// most `depth` references never allocate one). Boxed, so a block
+    /// without one costs a pointer, not a map header: 24 bytes a block
+    /// instead of 48, for one more hop on a block that has one.
+    pht: Option<Box<Pht>>,
 }
 
 impl BlockState {
@@ -50,7 +52,7 @@ impl BlockState {
     #[inline]
     fn predict(&self, gate: u8, probes: &Cell<u64>) -> Option<PredTuple> {
         let key = self.mhr.key()?;
-        let pht = self.pht.as_ref()?;
+        let pht = self.pht.as_deref()?;
         probes.set(probes.get() + 1);
         pht.entry(key)?.offered(gate)
     }
@@ -73,7 +75,7 @@ impl BlockState {
         if let Some(key) = self.mhr.key() {
             let reached = lookup && self.pht.is_some();
             probes.set(probes.get() + 1 + u64::from(reached));
-            let pht = self.pht.get_or_insert_with(Pht::new);
+            let pht = self.pht.get_or_insert_with(Box::default);
             predicted = pht.predict_then_update(key, tuple, filter_max, gate);
         }
         self.mhr.shift(tuple);
@@ -284,14 +286,14 @@ impl CosmosPredictor {
     }
 
     fn phts(&self) -> impl Iterator<Item = &Pht> {
-        self.store.iter().filter_map(|(_, s)| s.pht.as_ref())
+        self.store.iter().filter_map(|(_, s)| s.pht.as_deref())
     }
 
     /// The stored prediction for `block` regardless of the gate, with its
     /// confidence.
     pub fn predict_with_confidence(&self, block: BlockAddr) -> Option<(PredTuple, u8)> {
         let state = self.store.get(self.slot_of(block))?;
-        let entry = state.pht.as_ref()?.entry(state.mhr.key()?)?;
+        let entry = state.pht.as_deref()?.entry(state.mhr.key()?)?;
         Some((entry.prediction, entry.confidence))
     }
 
@@ -322,7 +324,7 @@ impl CosmosPredictor {
         let Some(state) = self.store.get(self.slot_of(block)) else {
             return chain;
         };
-        let (Some(mut history), Some(pht)) = (state.mhr.key(), state.pht.as_ref()) else {
+        let (Some(mut history), Some(pht)) = (state.mhr.key(), state.pht.as_deref()) else {
             return chain;
         };
         for _ in 0..n {
@@ -342,7 +344,7 @@ impl CosmosPredictor {
         let mut blocks: Vec<_> = self
             .store
             .iter()
-            .map(|(addr, s)| (addr, &s.mhr, s.pht.as_ref()))
+            .map(|(addr, s)| (addr, &s.mhr, s.pht.as_deref()))
             .collect();
         blocks.sort_by_key(|(addr, _, _)| *addr);
         blocks
@@ -356,6 +358,7 @@ impl CosmosPredictor {
     /// Panics if the register's depth differs from the predictor's.
     pub fn restore_block(&mut self, addr: BlockAddr, mhr: Mhr, pht: Option<Pht>) {
         assert_eq!(mhr.depth(), self.depth, "MHR depth mismatch on restore");
+        let pht = pht.map(Box::new);
         *self.store.touch(addr, self.depth) = BlockState { mhr, pht };
     }
 
@@ -363,7 +366,7 @@ impl CosmosPredictor {
     pub fn pht_entry_histogram(&self) -> HashMap<usize, usize> {
         let mut hist = HashMap::new();
         for (_, b) in self.store.iter() {
-            let n = b.pht.as_ref().map_or(0, Pht::len);
+            let n = b.pht.as_deref().map_or(0, Pht::len);
             *hist.entry(n).or_insert(0) += 1;
         }
         hist
@@ -388,9 +391,11 @@ impl CosmosPredictor {
     }
 
     /// Estimated bytes reserved by the predictor's hash tables (capacity,
-    /// not occupancy) — [`crate::CoreStats::table_capacity_bytes`].
+    /// not occupancy) — [`crate::CoreStats::table_capacity_bytes`]. A
+    /// boxed PHT counts its map header as well as its buckets.
     pub fn table_capacity_bytes(&self) -> u64 {
-        (self.store.reserved_bytes() + self.phts().map(Pht::capacity_bytes).sum::<usize>()) as u64
+        let pht = |p: &Pht| std::mem::size_of::<Pht>() + p.capacity_bytes();
+        (self.store.reserved_bytes() + self.phts().map(pht).sum::<usize>()) as u64
     }
 }
 
@@ -646,6 +651,24 @@ mod tests {
             assert_eq!(p.memory().pht_entries, 3, "{name}");
             assert_eq!(p.storage_bits(), (2 + 3 * 3) * 16, "{name}");
         }
+    }
+
+    /// What a tracked block costs the bounded fleet, pinned: the block
+    /// state is an MHR and a pointer, a slab slot adds its key and two
+    /// links, and an index bucket is one word — 56 bytes a block at the
+    /// index's load of one half.
+    #[test]
+    fn fleet_footprints_are_pinned() {
+        use crate::lru::Slot;
+        use std::mem::size_of;
+        assert!(size_of::<BlockState>() <= 24);
+        assert!(size_of::<Slot<BlockAddr, BlockState>>() <= 40);
+        let mut slab = LruSlab::new(64);
+        for i in 0..64 {
+            slab.touch(b(i), || BlockState::new(1));
+        }
+        let index_bytes = slab.reserved_bytes() - 64 * size_of::<Slot<BlockAddr, BlockState>>();
+        assert_eq!(index_bytes, 128 * 8, "two 8-byte index words a block");
     }
 
     #[test]

@@ -178,7 +178,9 @@ echo "    tracepack CSV matches golden"
 # change it updates the value here, on purpose. Each line also prints the
 # pass's wall_s and the process's peak_rss_mb (scale1024: 94-98 MB since the
 # block tables grow a segment at a time; 142 MB means one table doubled
-# whole again). Read-only use: nothing under benchmark/ is edited.
+# whole again. stream64: ~87 MB since a tracked block costs 56 bytes; 129 MB
+# means an evicting slot regrew). Read-only use: nothing under benchmark/
+# is edited.
 echo "==> benchmark smoke (package tests + one pass of suite16, spec16, stream64, scale1024)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 metric() { sed -n "s/.*\"$1\": {\"value\": \([0-9.]*\).*/\1/p" "$SMOKE_DIR/bench_$workload.json"; }
@@ -206,16 +208,23 @@ done
 # per message after warm-up on both event engines (<= 0.05, printed; the
 # window batch and the resolve scratch are reused, not rebuilt), and the
 # pinned sizes of a queue entry, a log entry, a sharer set and a
-# directory entry. Beside them, also in release, the two tests that hold
+# directory entry. The scoring side likewise: allocations per record of
+# a cold bounded fleet (<= 0.05, printed beside a hot fleet's figure), and
+# the pinned sizes of a tracked block's state, slab slot and index word.
+# Beside them, also in release, the two tests that hold
 # the resolve stage invisible: a shard stepped window by window beside a
 # twin that skips it, and the sharded engine against the concurrent one
 # at shards 1, 2 and 4, touched-block sets included. Tier-1 runs all of
 # these in debug already; this is the build the numbers in EXPERIMENTS.md
 # come from.
-echo "==> per-event cost (release): allocations per message, pinned sizes, resolve invisible"
+echo "==> per-event cost (release): allocations per message / record, pinned sizes, resolve invisible"
 cargo test -q --release --offline -p workloads --test alloc_steady_state -- --nocapture \
   | grep -E "per message|test result"
+cargo test -q --release --offline -p cosmos --test alloc_per_record -- --nocapture \
+  | grep -E "per record|test result"
 cargo test -q --release --offline -p simx --lib event_and_block_footprints_are_pinned \
+  | grep -E "test result: ok. 1 passed"
+cargo test -q --release --offline -p cosmos --lib fleet_footprints_are_pinned \
   | grep -E "test result: ok. 1 passed"
 cargo test -q --release --offline -p simx --lib a_resolved_window_leaves_exactly \
   | grep -E "test result: ok. 1 passed"
@@ -234,6 +243,6 @@ grep -E "unavailable here|^ +[0-9.]+% +[0-9]+ " "$SMOKE_DIR/profile.txt" | sed -
 # (a PR that moves the surface updates it).
 echo "==> surface (non-test lines, pub fns, predictor / policy impls per crate)"
 scripts/surface.sh | sed 's/^/    /'
-echo "    parent         24196     682         10         2"
+echo "    parent         23682     675         10         2"
 
 echo "CI green."

@@ -27,16 +27,24 @@ if [ "$(uname -sm)" != "Linux x86_64" ]; then
   exit 0
 fi
 
+# Absolute: LD_PRELOAD needs a path that names the library from anywhere,
+# and CARGO_TARGET_DIR may be relative or absolute.
 dir="${CARGO_TARGET_DIR:-target}/profile"
 mkdir -p "$dir"
+dir="$(cd "$dir" && pwd)"
 cc -O2 -shared -fPIC -o "$dir/sigprof.so" scripts/sigprof.c
 CARGO_PROFILE_RELEASE_DEBUG=1 cargo build --release --offline --quiet \
   --manifest-path benchmark/Cargo.toml --target-dir "$dir"
 exe="$dir/release/pipebench"
 
-SIGPROF_OUT="$dir/samples.txt" LD_PRELOAD="$PWD/$dir/sigprof.so" \
+rm -f "$dir/samples.txt"
+SIGPROF_OUT="$dir/samples.txt" LD_PRELOAD="$dir/sigprof.so" \
   "$exe" --workload "$workload" --seed 0 --seconds "$seconds" --trace 0 > "$dir/run.txt"
 grep -E " (wall_s|passes|digest) " "$dir/run.txt"
+[ -s "$dir/samples.txt" ] || {
+  echo "profile.sh: no samples written ($dir/sigprof.so was not preloaded, or never ticked)"
+  exit 1
+}
 
 # Runtime addresses -> file addresses: the executable is position
 # independent, so subtract where its first segment was mapped. Samples
