@@ -13,10 +13,11 @@
 //! table5 all` never evaluates a table twice.
 //!
 //! `--small` uses the reduced workload sizes (for smoke runs); the default
-//! is the paper-calibrated scale. `--csv DIR` additionally writes
-//! machine-readable CSV files for the plottable artefacts (tables 5-8,
-//! figure 5) into DIR; a DIR that cannot be created, or an artefact that
-//! cannot be written, is exit status 1.
+//! is the paper-calibrated scale. `--csv DIR` additionally writes the
+//! machine-readable artefacts (CSV, and `obs.v1` JSON for some) of the
+//! targets that have one into DIR; beside targets that have none, a DIR
+//! that cannot be created, or an artefact that cannot be written, it is
+//! exit status 1.
 //!
 //! `--obs-json PATH` runs one instrumented benchmark end-to-end (`--obs-app
 //! NAME` selects it; default `appbt`) and writes the workspace-wide metrics
@@ -73,6 +74,8 @@ struct Target {
     needs_traces: bool,
     /// Whether it reads the `--faults` / `--faults-seed` plan.
     reads_faults: bool,
+    /// Whether it writes an artefact into `--csv DIR`.
+    writes_csv: bool,
     run: Run,
 }
 
@@ -83,6 +86,7 @@ impl Target {
             in_all: true,
             needs_traces: false,
             reads_faults: false,
+            writes_csv: false,
             run,
         }
     }
@@ -94,6 +98,11 @@ impl Target {
 
     const fn faulted(mut self) -> Self {
         self.reads_faults = true;
+        self
+    }
+
+    const fn csv(mut self) -> Self {
+        self.writes_csv = true;
         self
     }
 
@@ -113,11 +122,11 @@ const TARGETS: &[Target] = &[
     Target::new("table2", |_| show(tables::table2())),
     Target::new("table3", |_| show(tables::table3(&SystemConfig::paper()))),
     Target::new("table4", |_| show(tables::table4())),
-    Target::new("table5", table5).traced(),
-    Target::new("table6", table6).traced(),
-    Target::new("table7", table7).traced(),
-    Target::new("table8", table8).traced(),
-    Target::new("fig5", fig5),
+    Target::new("table5", table5).traced().csv(),
+    Target::new("table6", table6).traced().csv(),
+    Target::new("table7", table7).traced().csv(),
+    Target::new("table8", table8).traced().csv(),
+    Target::new("fig5", fig5).csv(),
     Target::new("fig6", fig67).traced(),
     Target::new("fig7", fig67).traced(),
     Target::new("fig8", |_| show(figures::render_figure8())),
@@ -130,26 +139,18 @@ const TARGETS: &[Target] = &[
         show(extras::render_comparison(&extras::comparison(c.set())))
     })
     .traced(),
-    Target::new("ablation", ablation).traced(),
     Target::new("integration", integration),
-    Target::new("variants", |c| show(extras::variants(c.set()))).traced(),
-    Target::new("persistence", |c| {
-        show(extras::history_persistence(c.set()))
-    })
-    .traced(),
-    Target::new("limitless", |c| show(extras::limitless(c.scale))),
-    Target::new("scaling", |c| show(extras::scaling(c.scale))),
-    Target::new("topology", |c| show(extras::topology_sensitivity(c.scale))),
     Target::new("engines", |c| show(extras::engines(c.scale))),
-    Target::new("lookahead", |c| show(extras::lookahead(c.set()))).traced(),
     Target::new("seeds", |c| show(extras::seed_robustness(c.scale))),
-    Target::new("faults", fault_sensitivity).faulted(),
-    Target::new("simcheck", simcheck),
-    Target::new("speedup", speedup).faulted(),
-    Target::new("tracespans", tracespans),
-    Target::new("tournament", tournament).traced(),
-    Target::new("scale", scale_sweep).explicit_only(),
-    Target::new("tracepack", tracepack).traced().explicit_only(),
+    Target::new("faults", fault_sensitivity).faulted().csv(),
+    Target::new("simcheck", simcheck).csv(),
+    Target::new("speedup", speedup).faulted().csv(),
+    Target::new("tracespans", tracespans).csv(),
+    Target::new("scale", scale_sweep).csv().explicit_only(),
+    Target::new("tracepack", tracepack)
+        .traced()
+        .csv()
+        .explicit_only(),
 ];
 
 fn table5(c: &Ctx) -> Result<(), String> {
@@ -193,11 +194,6 @@ fn sensitivity(c: &Ctx) -> Result<(), String> {
     let latencies = [40, 200, 1000];
     let rows = extras::latency_sensitivity(c.scale, &latencies);
     show(extras::render_latency_sensitivity(&rows, &latencies))
-}
-
-fn ablation(c: &Ctx) -> Result<(), String> {
-    println!("{}", extras::ablation_half_migratory(c.scale));
-    show(extras::ablation_sender(c.set()))
 }
 
 fn integration(c: &Ctx) -> Result<(), String> {
@@ -269,21 +265,6 @@ fn tracespans(c: &Ctx) -> Result<(), String> {
     Ok(())
 }
 
-fn tournament(c: &Ctx) -> Result<(), String> {
-    use bench_suite::tournament;
-    eprintln!("running predictor tournament ({:?} scale)...", c.scale);
-    let cells = tournament::tournament(c.set());
-    let rows = tournament::frontier(&cells);
-    println!("{}", tournament::render_tournament(&cells));
-    println!("{}", tournament::render_frontier(&rows));
-    c.artefact("tournament.csv", &tournament::csv_tournament(&cells))?;
-    c.artefact("tournament_frontier.csv", &tournament::csv_frontier(&rows))?;
-    c.artefact(
-        "tournament_obs.json",
-        &tournament::export_obs(&cells, &rows).to_json(),
-    )
-}
-
 fn scale_sweep(c: &Ctx) -> Result<(), String> {
     use bench_suite::scale as sc;
     eprintln!("running sharded scale sweep ({:?} scale)...", c.scale);
@@ -310,6 +291,28 @@ fn target_named(name: &str) -> Option<&'static Target> {
 /// The row a flag implies (`--trace-out`, `--faults`).
 fn implied(name: &str) -> &'static Target {
     target_named(name).expect("flags imply targets the table has")
+}
+
+/// A flag only some rows read is an error beside selected targets that
+/// all ignore it, not a silent no-op: one line naming the rows that do.
+fn require_reader(
+    targets: &[&Target],
+    flag: &str,
+    what: &str,
+    reads: fn(&Target) -> bool,
+) -> Result<(), String> {
+    if targets.iter().any(|t| reads(t)) {
+        return Ok(());
+    }
+    let readers: Vec<&str> = TARGETS
+        .iter()
+        .filter(|t| reads(t))
+        .map(|t| t.name)
+        .collect();
+    Err(format!(
+        "{flag}: no selected target {what} (only {} do)",
+        readers.join(", ")
+    ))
 }
 
 fn main() -> ExitCode {
@@ -394,10 +397,6 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         // `--trace-out` alone implies the target that produces the trace.
         targets.push(implied("tracespans"));
     }
-    if let Some(dir) = &csv_dir {
-        // Likewise: no simulating towards artefacts that cannot be written.
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    }
 
     // `--faults SPEC` alone runs the fault-sensitivity report; the
     // `faults` target without a spec uses a small default perturbation.
@@ -408,16 +407,15 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     if targets.is_empty() && obs_json.is_none() {
         targets.extend(all());
     }
-    if (fault_plan.is_some() || faults_seed.is_some()) && !targets.iter().any(|t| t.reads_faults) {
-        let readers: Vec<&str> = TARGETS
-            .iter()
-            .filter(|t| t.reads_faults)
-            .map(|t| t.name)
-            .collect();
-        return Err(format!(
-            "--faults / --faults-seed: no selected target reads a fault plan (only {} do)",
-            readers.join(", ")
-        ));
+    if fault_plan.is_some() || faults_seed.is_some() {
+        let flag = "--faults / --faults-seed";
+        require_reader(&targets, flag, "reads a fault plan", |t| t.reads_faults)?;
+    }
+    if let Some(dir) = &csv_dir {
+        require_reader(&targets, "--csv", "writes an artefact", |t| t.writes_csv)?;
+        // Like `--trace-out`: no simulating towards artefacts that cannot
+        // be written.
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     }
     let mut fault_plan = fault_plan.unwrap_or_else(|| {
         FaultPlan::parse("drop=0.01,dup=0.005,reorder=3").expect("default fault spec")

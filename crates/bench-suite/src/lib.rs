@@ -21,11 +21,9 @@
 //! | §5 latency-insensitivity claim | [`extras::latency_sensitivity`] |
 //! | §6.2 time-to-adapt | [`extras::adaptation`] |
 //! | §7 directed-predictor comparison | [`extras::comparison`] |
-//! | Design-choice ablations | [`extras::ablation_half_migratory`], [`extras::ablation_sender`] |
 //! | §4/§8 live integration | [`integration::integration`] |
 //! | §5 fault-sensitivity (clean vs perturbed traces) | [`faults::fault_report`] |
 //! | Schedule-exploration model check | [`modelcheck::simcheck_report`] |
-//! | Predictor tournament (accuracy-vs-bits frontier) | [`tournament::tournament`] |
 //! | Measured speculation speedup vs Figure 5 | [`speedup::speedup_report`] |
 //! | Packed-trace codec + SimPoint sampling | [`tracepack::tracepack`] |
 //!
@@ -47,7 +45,6 @@ pub mod scale;
 pub mod spans;
 pub mod speedup;
 pub mod tables;
-pub mod tournament;
 pub mod tracepack;
 pub mod traces;
 

@@ -207,10 +207,62 @@ fn dedup_preserves_first_occurrence_order() {
 }
 
 #[test]
-fn help_mentions_the_tournament_target() {
+fn help_mentions_the_comparison_target() {
     let out = repro(&["--help"]);
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("tournament"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("comparison"));
+}
+
+// The one-off studies are retired: their findings and the commands that
+// made them are recorded in EXPERIMENTS.md "Retired studies".
+#[test]
+fn retired_studies_are_unknown_targets() {
+    for name in [
+        "ablation",
+        "variants",
+        "persistence",
+        "limitless",
+        "scaling",
+        "topology",
+        "lookahead",
+        "tournament",
+    ] {
+        let out = repro(&["--small", name]);
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        assert!(out.stdout.is_empty(), "{name} ran something");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown target"), "{name}: {stderr:?}");
+    }
+}
+
+// Regression: `--csv DIR` beside targets that write no artefact created
+// DIR, wrote nothing and exited 0, the flag silently ignored.
+#[test]
+fn csv_is_rejected_when_no_selected_target_writes_an_artefact() {
+    let dir = std::env::temp_dir().join(format!("cli-csv-{}", std::process::id()));
+    let path = dir.to_str().expect("utf-8 temp path");
+    for args in [
+        &["--small", "--csv", path, "comparison"][..],
+        &["--csv", path, "table1", "fig8"],
+        &["--small", "--csv", path, "--obs-json", "/dev/null"],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something first");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.lines().count() == 1
+                && stderr.starts_with("--csv: no selected target writes an artefact")
+                && stderr.contains("table5"),
+            "{args:?}: stderr was {stderr:?}"
+        );
+        assert!(!dir.exists(), "{args:?} created {path}");
+    }
+    // Beside a target that writes one, other targets are fine.
+    let out = repro(&["--csv", path, "table1", "fig5"]);
+    assert!(out.status.success());
+    assert!(dir.join("figure5.csv").is_file());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // Regression: `tracedump gen spice out.trace` used to panic inside

@@ -50,10 +50,6 @@ impl MessagePredictor for Composition {
         self.dsi.observe(block, tuple);
         self.rmw.observe(block, tuple);
     }
-
-    fn storage_bits(&self) -> u64 {
-        self.migratory.storage_bits() + self.dsi.storage_bits() + self.rmw.storage_bits()
-    }
 }
 
 #[cfg(test)]

@@ -32,11 +32,6 @@ impl MessagePredictor for LastTuple {
     fn observe(&mut self, block: BlockAddr, tuple: PredTuple) {
         self.last.insert(block, tuple);
     }
-
-    /// Per tracked block: one 16-bit `<sender, type>` tuple.
-    fn storage_bits(&self) -> u64 {
-        self.last.len() as u64 * 16
-    }
 }
 
 #[cfg(test)]

@@ -133,13 +133,6 @@ impl MessagePredictor for MigratoryPredictor {
             }
         }
     }
-
-    /// Per tracked block: the directory side holds three optional node
-    /// ids (12 + 1 bits each) plus an optional message type (4 + 1); the
-    /// cache side holds two optional types and an optional home node.
-    fn storage_bits(&self) -> u64 {
-        self.dir.len() as u64 * (3 * 13 + 5) + self.cache.len() as u64 * (2 * 5 + 13)
-    }
 }
 
 #[cfg(test)]

@@ -44,12 +44,6 @@ impl MessagePredictor for MostCommon {
             .or_insert((0, self.seq));
         entry.0 += 1;
     }
-
-    /// Per `(block, tuple)` bucket: the 16-bit tuple, a 32-bit count, and
-    /// a 32-bit insertion sequence for the tie-break.
-    fn storage_bits(&self) -> u64 {
-        self.counts.values().map(|c| c.len() as u64).sum::<u64>() * (16 + 32 + 32)
-    }
 }
 
 #[cfg(test)]

@@ -71,11 +71,6 @@ pub struct EvalOptions {
     /// Records from iterations before this are *fed* to the predictors but
     /// not *scored* — the paper's exclusion of the start-up phase (§5).
     pub score_from_iteration: u32,
-    /// Score only the message *type*, ignoring the predicted sender. Used
-    /// by the sender-ablation study (§3.5 footnote 3 argues the sender
-    /// cannot be dropped because actions need it; this option quantifies
-    /// what type-only accuracy would look like).
-    pub type_only: bool,
 }
 
 /// The harness' output: everything the paper's tables need.
@@ -106,10 +101,6 @@ pub struct AccuracyReport {
     /// Predictor-core counters summed over the fleet (probe volume and
     /// resident table capacity) — the perf-engineering view of the run.
     pub core: CoreStats,
-    /// Fleet storage cost in bits after the full replay, summed from each
-    /// agent's [`MessagePredictor::storage_bits`]. Zero when the predictor
-    /// family does not model its storage (unaccounted, not free).
-    pub storage_bits: u64,
 }
 
 impl AccuracyReport {
@@ -457,11 +448,7 @@ where
         let prev = slot.prev_type.replace(seen).map(LastSeen::mtype);
 
         if score && r.iteration >= self.opts.score_from_iteration {
-            let hit = if self.opts.type_only {
-                predicted.is_some_and(|p| p.mtype == observed.mtype)
-            } else {
-                predicted == Some(observed)
-            };
+            let hit = predicted == Some(observed);
             self.overall.add(hit);
             match r.role {
                 Role::Cache => self.cache.add(hit),
@@ -535,12 +522,10 @@ where
             per_arc_by_iteration: self.per_arc_by_iteration.into_iter().collect(),
             memory: MemoryFootprint::default(),
             core: CoreStats::default(),
-            storage_bits: 0,
         };
         for (node, role, slot) in self.fleet.iter() {
             report.memory = report.memory + slot.predictor.memory();
             report.core.merge(slot.predictor.core_stats());
-            report.storage_bits += slot.predictor.storage_bits();
             // Agents that only saw warmup records never scored anything and
             // get no per-agent entry, matching the map-keyed accounting.
             if slot.counts.total > 0 {
@@ -695,7 +680,6 @@ mod tests {
         let bundle = cyclic_bundle(50);
         let opts = EvalOptions {
             score_from_iteration: 2,
-            ..Default::default()
         };
         let report = evaluate(&bundle, &opts, |_, _| Box::new(CosmosPredictor::new(1, 0)));
         assert_eq!(report.overall.total, 96);
@@ -830,7 +814,6 @@ mod tests {
             assert_eq!(chunked.per_arc, whole.per_arc);
             assert_eq!(chunked.per_iteration, whole.per_iteration);
             assert_eq!(chunked.per_agent, whole.per_agent);
-            assert_eq!(chunked.storage_bits, whole.storage_bits);
         }
     }
 

@@ -17,10 +17,10 @@
 //!    whose entry — if present — is the predicted next tuple. PHT entries
 //!    may carry a saturating-counter noise filter (§3.6).
 //!
-//! That structure exists once, as [`CosmosPredictor`]; the paper's own
-//! follow-ons (macroblocks, a dropped sender, a bounded table, confidence
-//! gating) are constructor arguments of it, see [`predictor`]. The crate
-//! also provides:
+//! That structure exists once, as [`CosmosPredictor`]; the paper's
+//! follow-ons still in use (a bounded table, confidence gating) are
+//! constructor arguments of it, see [`predictor`]. The crate also
+//! provides:
 //!
 //! * [`fleet`] — the per-`(node, role)` table every replay and live policy
 //!   keeps its agents in;
@@ -56,31 +56,23 @@ pub mod actions;
 pub mod directed;
 pub mod eval;
 pub mod fleet;
-pub mod hybrid;
-pub mod lookahead;
 mod lru;
 pub mod memory;
 pub mod mhr;
 pub mod packed;
 pub mod pht;
-pub mod prealloc;
 pub mod predictor;
-pub mod shared_pht;
 pub mod snapshot;
 pub mod speedup;
 pub mod tuple;
 
 pub use eval::{AccuracyReport, Counts, EvalOptions, StreamEval, Verdict};
 pub use fleet::Fleet;
-pub use hybrid::HybridCosmos;
-pub use lookahead::{evaluate_lookahead, LookaheadReport};
 pub use memory::MemoryFootprint;
 pub use mhr::Mhr;
 pub use packed::PackedHistory;
 pub use pht::{Pht, PhtEntry, CONFIDENCE_MAX};
-pub use prealloc::PreallocCosmos;
 pub use predictor::{CosmosPredictor, EvictingCosmos};
-pub use shared_pht::SharedPhtCosmos;
 pub use tuple::PredTuple;
 
 // The table hasher lives in `stache`, beside the `BlockAddr` page stride it
@@ -151,27 +143,14 @@ pub trait MessagePredictor {
     fn core_stats(&self) -> CoreStats {
         CoreStats::default()
     }
-
-    /// Modelled storage cost of this predictor instance in **bits** — the
-    /// currency of the `repro tournament` accuracy-vs-bits frontier. Each
-    /// implementation documents its counting rule (Cosmos uses Table 7's
-    /// tuple accounting; the directed predictors their per-block tracking
-    /// state).
-    /// Predictors that do not model storage report 0, which the frontier
-    /// renders as unaccounted rather than free.
-    fn storage_bits(&self) -> u64 {
-        0
-    }
 }
 
-// Tests of the index, store and gate arguments of `CosmosPredictor`, under
-// the module paths they had when each argument was a struct of its own.
+// Tests of the store and gate arguments of `CosmosPredictor`, under the
+// module paths they had when each argument was a struct of its own.
 #[cfg(test)]
 mod confidence;
 #[cfg(test)]
 mod evicting;
-#[cfg(test)]
-mod macroblock;
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,7 @@
 //! A capacity-bounded table with least-recently-used replacement.
 //!
-//! §3.7 bounds the predictor twice — the first-level table merged with
-//! finite cache state, and a "common pool" of overflow PHT entries — and
-//! both are this structure: [`CosmosPredictor`](crate::CosmosPredictor)'s
-//! bounded MHT and [`PreallocCosmos`](crate::PreallocCosmos)'s pool.
+//! §3.7's first-level table merged with finite cache state is this
+//! structure: [`EvictingCosmos`](crate::EvictingCosmos)'s bounded MHT.
 
 use crate::fasthash::FastHash;
 use std::hash::{BuildHasher, Hash};
@@ -75,14 +73,6 @@ impl<K: Copy + Eq + Hash, V> LruSlab<K, V> {
     #[inline]
     pub(crate) fn get(&self, key: &K) -> Option<&V> {
         Some(&self.slots[self.find(key)? as usize].value)
-    }
-
-    /// `key`'s value if it is tracked, made the most recent.
-    #[inline]
-    pub(crate) fn hit(&mut self, key: &K) -> Option<&mut V> {
-        let i = self.find(key)?;
-        self.promote(i);
-        Some(&mut self.slots[i as usize].value)
     }
 
     /// `key`'s value, made the most recent; an untracked key gets
@@ -289,7 +279,7 @@ mod tests {
                 let key = block(rng.gen_range(0..pool));
                 let tracked = recency.iter().position(|&k| k == key);
                 let (before, buckets_before) = (buckets(&slab), slab.index.len());
-                match rng.gen_range(0..3) {
+                match rng.gen_range(0..2) {
                     0 => {
                         let got = slab.touch(key, || step);
                         *got += 1000;
@@ -309,20 +299,6 @@ mod tests {
                         let want = model.get_mut(&key).expect("just touched");
                         *want += 1000;
                         assert_eq!(got, *want, "touch {key:?} at step {step}");
-                    }
-                    1 => {
-                        let got = slab.hit(&key).map(|v| {
-                            *v += 1;
-                            *v
-                        });
-                        let want = tracked.map(|at| {
-                            recency.remove(at);
-                            recency.insert(0, key);
-                            let v = model.get_mut(&key).expect("tracked");
-                            *v += 1;
-                            *v
-                        });
-                        assert_eq!(got, want, "hit {key:?} at step {step}");
                     }
                     _ => assert_eq!(slab.get(&key), model.get(&key), "get {key:?}"),
                 }

@@ -23,9 +23,9 @@ pub const MAX_DEPTH: usize = 4;
 ///
 /// Panics if `depth` is outside `1..=MAX_DEPTH`, in every build profile.
 /// A debug-only guard here let release builds compute `key_mask(0) == 0`,
-/// which silently pinned every [`push_key`] result to zero — a key that
-/// aliases all histories — and saturated out-of-range depths to the full
-/// word. Both are data corruption, not recoverable states.
+/// which silently pinned every pushed key to zero — a key that aliases
+/// all histories — and saturated out-of-range depths to the full word.
+/// Both are data corruption, not recoverable states.
 #[inline]
 pub fn key_mask(depth: usize) -> u64 {
     assert!(
@@ -37,14 +37,6 @@ pub fn key_mask(depth: usize) -> u64 {
     } else {
         (1u64 << (16 * depth)) - 1
     }
-}
-
-/// Advances a full packed key by one tuple: shifts the oldest lane out and
-/// the new tuple in. Used to simulate history evolution without touching
-/// the tables (chain prediction, lookahead).
-#[inline]
-pub fn push_key(key: u64, depth: usize, packed: u16) -> u64 {
-    ((key << 16) | u64::from(packed)) & key_mask(depth)
 }
 
 /// Packs a slice of tuples (oldest first) into a key word.
@@ -224,27 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn push_key_matches_register_evolution() {
-        for depth in 1..=MAX_DEPTH {
-            let mut h = PackedHistory::new(depth);
-            let mut key = None;
-            for i in 0..10 {
-                let tuple = t((i * 7) % 13 + 1, MsgType::GetRoRequest);
-                if let Some(k) = key {
-                    key = Some(push_key(k, depth, tuple.pack()));
-                }
-                h.push(tuple.pack());
-                if key.is_none() {
-                    key = h.key();
-                }
-                if h.is_full() {
-                    assert_eq!(h.key(), key, "depth {depth} step {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn pack_unpack_roundtrip() {
         let ts = vec![
             t(4095, MsgType::GetRoRequest),
@@ -273,7 +244,7 @@ mod tests {
         let _ = PackedHistory::new(5);
     }
 
-    // The next four guard the release-mode regression: these asserts used
+    // The next three guard the release-mode regression: these asserts used
     // to be debug-only, so optimised builds returned mask 0 for depth 0
     // (pinning every pushed key to 0) and u64::MAX for depth > MAX_DEPTH.
     // They must panic in *every* profile.
@@ -288,12 +259,6 @@ mod tests {
     #[should_panic(expected = "outside 1..=4")]
     fn key_mask_depth_five_panics_in_all_profiles() {
         let _ = key_mask(MAX_DEPTH + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside 1..=4")]
-    fn push_key_depth_zero_panics_in_all_profiles() {
-        let _ = push_key(0xABCD, 0, 0x1234);
     }
 
     #[test]

@@ -2,12 +2,9 @@
 //!
 //! The paper's contribution is one structure, block → MHR → PHT with an
 //! optional filter (§3.2–3.6), and its follow-ons are parameter changes of
-//! it. [`CosmosPredictor`] takes them as constructor arguments on three
-//! axes — *index*, what address and tuple the tables see
-//! ([`macroblock`](CosmosPredictor::macroblock), §7;
-//! [`type_only`](CosmosPredictor::type_only), §3.5 fn 3); *store*, where a
-//! block's state lives ([`EvictingCosmos::new`], §3.7);
-//! *gate*, when a stored prediction is offered
+//! it. [`CosmosPredictor`] takes them as constructor arguments on two
+//! axes — *store*, where a block's state lives ([`EvictingCosmos::new`],
+//! §3.7); *gate*, when a stored prediction is offered
 //! ([`confident`](CosmosPredictor::confident), §4.2/§4.3) — and every
 //! combination runs the same `step`.
 
@@ -15,13 +12,11 @@ use crate::fasthash::FastMap;
 use crate::lru::LruSlab;
 use crate::memory::MemoryFootprint;
 use crate::mhr::Mhr;
-use crate::packed;
 use crate::pht::{Pht, CONFIDENCE_MAX};
 use crate::tuple::PredTuple;
 use crate::{CoreStats, MessagePredictor};
-use stache::{BlockAddr, NodeId};
+use stache::BlockAddr;
 use std::cell::Cell;
-use std::collections::HashMap;
 
 /// Per-block predictor state: the MHR and its private PHT.
 ///
@@ -144,17 +139,13 @@ impl Store {
 ///
 /// `depth` is the MHR depth (the paper evaluates 1–4); `filter_max` the
 /// noise filter's maximum count (0 = no filter, matching Table 6's
-/// column 0; the paper's single-bit counter is 1). The builder methods
-/// set the [module's](self) index and gate arguments; call them before
-/// the first observation.
+/// column 0; the paper's single-bit counter is 1). The builder method
+/// sets the [module's](self) gate argument; call it before the first
+/// observation.
 #[derive(Debug, Clone)]
 pub struct CosmosPredictor {
     depth: usize,
     filter_max: u8,
-    /// Index: the tables are keyed by `block >> shift`.
-    shift: u32,
-    /// Index: every sender is recorded as processor 0.
-    drop_sender: bool,
     /// Gate: confirmations in a row an entry needs before it is offered.
     threshold: u8,
     store: Store,
@@ -168,47 +159,16 @@ impl CosmosPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is zero or exceeds [`packed::MAX_DEPTH`].
+    /// Panics if `depth` is zero or exceeds [`crate::packed::MAX_DEPTH`].
     pub fn new(depth: usize, filter_max: u8) -> Self {
         let _ = Mhr::new(depth); // checks `depth` now, not at the first block
         CosmosPredictor {
             depth,
             filter_max,
-            shift: 0,
-            drop_sender: false,
             threshold: 0,
             store: Store::Unbounded(FastMap::default()),
             probes: Cell::new(0),
         }
-    }
-
-    /// §7's macroblocks ("grouping predictions for multiple cache blocks
-    /// together"): `2^shift` adjacent blocks share one MHR and one PHT.
-    /// Neighbours with the same sharing pattern reinforce each other at
-    /// `2^shift`× less memory; neighbours with different patterns corrupt
-    /// each other's history. `shift = 0` is plain Cosmos.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shift` is 64 or more — no address bits would be left.
-    pub fn macroblock(mut self, shift: u32) -> Self {
-        assert!(
-            shift < 64,
-            "macroblock shift {shift} leaves no address bits"
-        );
-        self.shift = shift;
-        self
-    }
-
-    /// The §3.5 footnote-3 ablation: history and predictions collapse
-    /// every sender to processor 0, so only message *types* are tracked.
-    /// Evaluate it with [`EvalOptions::type_only`](crate::EvalOptions) —
-    /// its predictions can never match a full tuple from a nonzero sender,
-    /// which is the paper's point that dropping the sender loses
-    /// actionability.
-    pub fn type_only(mut self) -> Self {
-        self.drop_sender = true;
-        self
     }
 
     /// Confidence gating: a prediction is offered only once its entry has
@@ -245,33 +205,10 @@ impl CosmosPredictor {
         }
     }
 
-    /// Whether the index, store and gate arguments are all at their
-    /// defaults — the predictor a `CPS1` snapshot can describe.
+    /// Whether the store and gate arguments are both at their defaults —
+    /// the predictor a `CPS1` snapshot can describe.
     pub(crate) fn is_plain(&self) -> bool {
-        self.shift == 0
-            && !self.drop_sender
-            && self.threshold == 0
-            && matches!(self.store, Store::Unbounded(_))
-    }
-
-    /// The table key of a block: its macroblock. The identity index is
-    /// *tested*, not computed: a shift by the predictor's own `shift` field
-    /// puts a load on the address path of every table probe, where a
-    /// branch a plain Cosmos never takes costs nothing (hot scoring read
-    /// ≈ 6 % lower with the bare shift). [`macroblock_of`](Self::macroblock_of)
-    /// is out of line because, inlined, the test folds back into the shift.
-    #[inline]
-    fn slot_of(&self, block: BlockAddr) -> BlockAddr {
-        if self.shift == 0 {
-            block
-        } else {
-            self.macroblock_of(block)
-        }
-    }
-
-    #[inline(never)]
-    fn macroblock_of(&self, block: BlockAddr) -> BlockAddr {
-        BlockAddr::new(block.number() >> self.shift)
+        self.threshold == 0 && matches!(self.store, Store::Unbounded(_))
     }
 
     /// Number of MHRs allocated (blocks seen at least once and still
@@ -292,50 +229,9 @@ impl CosmosPredictor {
     /// The stored prediction for `block` regardless of the gate, with its
     /// confidence.
     pub fn predict_with_confidence(&self, block: BlockAddr) -> Option<(PredTuple, u8)> {
-        let state = self.store.get(self.slot_of(block))?;
+        let state = self.store.get(block)?;
         let entry = state.pht.as_deref()?.entry(state.mhr.key()?)?;
         Some((entry.prediction, entry.confidence))
-    }
-
-    /// Predicts a *chain* of up to `n` future messages for `block` by
-    /// repeatedly applying the PHT to a simulated history — the mechanism
-    /// behind §4.1's "executing a sequence of protocol actions, instead of
-    /// executing a single action". The chain stops early at the first
-    /// history with no (offered) successor.
-    ///
-    /// ```
-    /// use cosmos::{CosmosPredictor, MessagePredictor, PredTuple};
-    /// use stache::{BlockAddr, MsgType, NodeId};
-    /// let mut p = CosmosPredictor::new(1, 0);
-    /// let b = BlockAddr::new(1);
-    /// let cycle = [
-    ///     PredTuple::new(NodeId::new(0), MsgType::GetRoResponse),
-    ///     PredTuple::new(NodeId::new(0), MsgType::UpgradeResponse),
-    ///     PredTuple::new(NodeId::new(0), MsgType::InvalRwRequest),
-    /// ];
-    /// for t in cycle.iter().cycle().take(6) {
-    ///     p.observe(b, *t);
-    /// }
-    /// // The whole migratory loop unrolls from the tables.
-    /// assert_eq!(p.predict_chain(b, 3), cycle.to_vec());
-    /// ```
-    pub fn predict_chain(&self, block: BlockAddr, n: usize) -> Vec<PredTuple> {
-        let mut chain = Vec::new();
-        let Some(state) = self.store.get(self.slot_of(block)) else {
-            return chain;
-        };
-        let (Some(mut history), Some(pht)) = (state.mhr.key(), state.pht.as_deref()) else {
-            return chain;
-        };
-        for _ in 0..n {
-            self.probes.set(self.probes.get() + 1);
-            let Some(next) = pht.entry(history).and_then(|e| e.offered(self.threshold)) else {
-                break;
-            };
-            chain.push(next);
-            history = packed::push_key(history, self.depth, next.pack());
-        }
-        chain
     }
 
     /// The per-block table contents in address order, for
@@ -362,25 +258,9 @@ impl CosmosPredictor {
         *self.store.touch(addr, self.depth) = BlockState { mhr, pht };
     }
 
-    /// Per-block PHT entry counts (for the preallocation analysis of §3.7).
-    pub fn pht_entry_histogram(&self) -> HashMap<usize, usize> {
-        let mut hist = HashMap::new();
-        for (_, b) in self.store.iter() {
-            let n = b.pht.as_deref().map_or(0, Pht::len);
-            *hist.entry(n).or_insert(0) += 1;
-        }
-        hist
-    }
-
     /// One MHT probe for both halves of a scoring step.
     #[inline]
     fn step(&mut self, block: BlockAddr, tuple: PredTuple, lookup: bool) -> Option<PredTuple> {
-        let tuple = if self.drop_sender {
-            PredTuple::new(NodeId::new(0), tuple.mtype)
-        } else {
-            tuple
-        };
-        let block = self.slot_of(block);
         self.store.touch(block, self.depth).step(
             tuple,
             self.filter_max,
@@ -410,9 +290,7 @@ impl MessagePredictor for CosmosPredictor {
     /// the PHT's prediction if one exists and passes the gate.
     #[inline]
     fn predict(&self, block: BlockAddr) -> Option<PredTuple> {
-        self.store
-            .get(self.slot_of(block))?
-            .predict(self.threshold, &self.probes)
+        self.store.get(block)?.predict(self.threshold, &self.probes)
     }
 
     /// §3.4: learn the observed tuple, then shift it into the MHR.
@@ -438,13 +316,6 @@ impl MessagePredictor for CosmosPredictor {
             pht_probes: self.probes.get(),
             table_capacity_bytes: self.table_capacity_bytes(),
         }
-    }
-
-    /// Table 7's tuple accounting, in bits: `depth` tuples per MHR plus
-    /// `depth + 1` tuples per PHT entry, at 2 bytes per tuple — whatever
-    /// the index, store and gate arguments.
-    fn storage_bits(&self) -> u64 {
-        self.memory().bytes(self.depth) as u64 * 8
     }
 }
 
@@ -601,22 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_blocks_by_pht_size() {
-        let mut p = CosmosPredictor::new(1, 0);
-        // Block 1: two patterns; block 2: touched once (no PHT).
-        p.observe(b(1), t(1, MsgType::GetRoRequest));
-        p.observe(b(1), t(2, MsgType::GetRoRequest));
-        p.observe(b(1), t(1, MsgType::GetRoRequest));
-        p.observe(b(2), t(1, MsgType::GetRoRequest));
-        let hist = p.pht_entry_histogram();
-        assert_eq!(hist.get(&0), Some(&1));
-        assert_eq!(hist.get(&2), Some(&1));
-        let fp = p.memory();
-        assert_eq!(fp.mhr_entries, 2);
-        assert_eq!(fp.pht_entries, 2);
-    }
-
-    #[test]
     fn core_stats_count_probes_and_capacity() {
         let mut p = CosmosPredictor::new(1, 0);
         assert_eq!(p.core_stats(), CoreStats::default());
@@ -632,13 +487,12 @@ mod tests {
     fn every_argument_reports_table_sevens_storage() {
         let variants = [
             ("plain", CosmosPredictor::new(2, 0)),
-            ("macroblock", CosmosPredictor::new(2, 0).macroblock(1)),
-            ("type-only", CosmosPredictor::new(2, 0).type_only()),
             ("confident", CosmosPredictor::new(2, 0).confident(2)),
             ("bounded", EvictingCosmos::new(2, 0, 4)),
         ];
+        let bits = |p: &CosmosPredictor| p.memory().bytes(p.depth()) * 8;
         for (name, mut p) in variants {
-            assert_eq!(p.storage_bits(), 0, "{name}: empty tables cost nothing");
+            assert_eq!(bits(&p), 0, "{name}: empty tables cost nothing");
             let cycle = [
                 MsgType::GetRoRequest,
                 MsgType::UpgradeRequest,
@@ -649,7 +503,7 @@ mod tests {
             }
             // One MHR of 2 tuples and three PHT entries of 3, 16 bits each.
             assert_eq!(p.memory().pht_entries, 3, "{name}");
-            assert_eq!(p.storage_bits(), (2 + 3 * 3) * 16, "{name}");
+            assert_eq!(bits(&p), (2 + 3 * 3) * 16, "{name}");
         }
     }
 

@@ -62,13 +62,13 @@ impl Error for SnapshotError {}
 ///
 /// # Panics
 ///
-/// Panics if the predictor was built with an index, store or gate
-/// argument: `CPS1` has fields for depth and filter only, so the bytes
-/// would restore as a different predictor.
+/// Panics if the predictor was built with a store or gate argument:
+/// `CPS1` has fields for depth and filter only, so the bytes would restore
+/// as a different predictor.
 pub fn save(predictor: &CosmosPredictor) -> Vec<u8> {
     assert!(
         predictor.is_plain(),
-        "CPS1 cannot describe index, store or gate arguments"
+        "CPS1 cannot describe store or gate arguments"
     );
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);

@@ -1,54 +1,31 @@
-//! Property tests for the predictor's constructor arguments and the
-//! bounded second-level layout: each argument at its neutral value is
-//! plain Cosmos, macroblock grouping is exactly index translation, the
-//! confidence gate never lies about its threshold, a bounded table
-//! respects its capacity, and `PreallocCosmos`' memory bound is hard.
+//! Property tests for the predictor's constructor arguments: each
+//! argument at its neutral value is plain Cosmos, the confidence gate
+//! never lies about its threshold, and a bounded table respects its
+//! capacity.
 //!
 //! Seeded cases on the in-house generator (`simx::rng::check`).
 
 mod seeded;
 
-use cosmos::{CosmosPredictor, EvictingCosmos, MessagePredictor, PreallocCosmos, PredTuple};
-use seeded::{stream, tuple};
+use cosmos::{CosmosPredictor, EvictingCosmos, MessagePredictor, PredTuple};
+use seeded::stream;
 use simx::rng::check;
-use stache::{BlockAddr, NodeId};
+use stache::BlockAddr;
 
-/// Feeds `stream` to `left` and its image under `right_sees` to `right`,
-/// asserting they predict alike before every arrival.
+/// Feeds `stream` to both predictors, asserting they predict alike
+/// before every arrival.
 fn assert_same_predictions(
     mut left: CosmosPredictor,
     mut right: CosmosPredictor,
     stream: &[(u64, PredTuple)],
-    right_sees: impl Fn(u64, PredTuple) -> (u64, PredTuple),
 ) -> (CosmosPredictor, CosmosPredictor) {
     for &(b, t) in stream {
-        let (rb, rt) = right_sees(b, t);
-        let (lb, rb) = (BlockAddr::new(b), BlockAddr::new(rb));
-        assert_eq!(left.predict(lb), right.predict(rb));
-        left.observe(lb, t);
-        right.observe(rb, rt);
+        let b = BlockAddr::new(b);
+        assert_eq!(left.predict(b), right.predict(b));
+        left.observe(b, t);
+        right.observe(b, t);
     }
     (left, right)
-}
-
-/// `PreallocCosmos` never exceeds its static + pool budget, whatever the
-/// stream does.
-#[test]
-fn prealloc_memory_is_hard_bounded() {
-    check(128, |rng| {
-        let static_entries = rng.gen_range(1..5);
-        let pool = rng.gen_range(0..20);
-        let mut p = PreallocCosmos::new(1, 0, static_entries, pool);
-        let mut blocks_seen = std::collections::HashSet::new();
-        for (b, t) in stream(rng, 12, 300) {
-            blocks_seen.insert(b);
-            p.observe(BlockAddr::new(b), t);
-        }
-        let bound = blocks_seen.len() * static_entries + pool;
-        let held = p.memory().pht_entries;
-        assert!(held <= bound, "{held} entries > bound {bound}");
-        assert!(p.pool_used() <= pool);
-    });
 }
 
 /// A confidence threshold of 0 predicts exactly like no gate at all.
@@ -57,7 +34,7 @@ fn confidence_zero_equals_plain() {
     check(128, |rng| {
         let gated = CosmosPredictor::new(2, 0).confident(0);
         let plain = CosmosPredictor::new(2, 0);
-        assert_same_predictions(gated, plain, &stream(rng, 6, 200), |b, t| (b, t));
+        assert_same_predictions(gated, plain, &stream(rng, 6, 200));
     });
 }
 
@@ -97,36 +74,6 @@ fn higher_threshold_means_fewer_answers() {
     });
 }
 
-/// Macroblock shift 0 is bit-identical to plain Cosmos; any shift is
-/// plain Cosmos over translated addresses.
-#[test]
-fn macroblock_is_index_translation() {
-    check(128, |rng| {
-        let shift = rng.gen_range(0..5) as u32;
-        let grouped = CosmosPredictor::new(2, 1).macroblock(shift);
-        let plain = CosmosPredictor::new(2, 1);
-        let (grouped, plain) =
-            assert_same_predictions(grouped, plain, &stream(rng, 40, 200), |b, t| {
-                (b >> shift, t)
-            });
-        assert_eq!(grouped.memory(), plain.memory());
-    });
-}
-
-/// Dropping the sender is plain Cosmos over tuples whose sender is
-/// already processor 0.
-#[test]
-fn type_only_is_tuple_translation() {
-    check(128, |rng| {
-        let typed = CosmosPredictor::new(2, 1).type_only();
-        let plain = CosmosPredictor::new(2, 1);
-        let (typed, plain) = assert_same_predictions(typed, plain, &stream(rng, 6, 200), |b, t| {
-            (b, PredTuple::new(NodeId::new(0), t.mtype))
-        });
-        assert_eq!(typed.memory(), plain.memory());
-    });
-}
-
 /// The bounded MHT never exceeds its capacity, and with capacity at
 /// least the working set it equals plain Cosmos.
 #[test]
@@ -142,42 +89,8 @@ fn evicting_capacity_holds() {
         if capacity >= 8 {
             let roomy = EvictingCosmos::new(1, 0, capacity);
             let plain = CosmosPredictor::new(1, 0);
-            let (roomy, _) = assert_same_predictions(roomy, plain, &stream, |b, t| (b, t));
+            let (roomy, _) = assert_same_predictions(roomy, plain, &stream);
             assert_eq!(roomy.evictions(), 0);
-        }
-    });
-}
-
-/// Lookahead accounting is structurally sound: deeper steps can never
-/// be scored more often than shallower ones (every d+1-step score
-/// implies a d-step score from the same chain).
-#[test]
-fn lookahead_totals_are_monotone() {
-    use trace::{MsgRecord, TraceBundle, TraceMeta};
-    check(64, |rng| {
-        let mut bundle = TraceBundle::new(TraceMeta::new("prop", 4, 1));
-        for i in 0..rng.gen_range(10..150) {
-            let t = tuple(rng);
-            bundle.push(MsgRecord {
-                time_ns: i as u64,
-                node: NodeId::new(0),
-                role: stache::Role::Cache,
-                block: BlockAddr::new(rng.gen_range(0..3) as u64),
-                sender: t.sender,
-                mtype: t.mtype,
-                iteration: 0,
-            });
-        }
-        let by_distance = cosmos::evaluate_lookahead(&bundle, 1, 4).by_distance;
-        for d in 0..3 {
-            assert!(
-                by_distance[d].total >= by_distance[d + 1].total,
-                "distance {} scored {} < distance {} scored {}",
-                d + 1,
-                by_distance[d].total,
-                d + 2,
-                by_distance[d + 1].total
-            );
         }
     });
 }

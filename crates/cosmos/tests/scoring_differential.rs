@@ -7,8 +7,8 @@
 //!   a `Vec` of blocks with last-use timestamps and a min-scan victim
 //!   search;
 //! * [`MessagePredictor::predict_then_observe`] against `predict` then
-//!   `observe`, for every predictor family the tournament and the
-//!   variants study construct;
+//!   `observe`, for every predictor family the contender table and the
+//!   live policies construct;
 //! * [`StreamEval`]'s per-iteration dense accounting against the
 //!   per-record map accounting it replaced.
 
@@ -16,8 +16,8 @@ use cosmos::directed::{
     Composition, DsiPredictor, LastTuple, MigratoryPredictor, MostCommon, RmwPredictor,
 };
 use cosmos::{
-    CosmosPredictor, Counts, EvalOptions, EvictingCosmos, HybridCosmos, MemoryFootprint,
-    MessagePredictor, PreallocCosmos, PredTuple, SharedPhtCosmos, StreamEval,
+    CosmosPredictor, Counts, EvalOptions, EvictingCosmos, MemoryFootprint, MessagePredictor,
+    PredTuple, StreamEval,
 };
 use simx::SystemConfig;
 use stache::{BlockAddr, MsgType, NodeId, ProtocolConfig, Role};
@@ -149,8 +149,8 @@ fn slab_evicting_cosmos_matches_the_timestamp_scan_reference() {
 
 type Family = (&'static str, fn(Role) -> Box<dyn MessagePredictor>);
 
-/// Every `MessagePredictor` the tournament, the variants study and the
-/// streamed replay build, at the parameters they build it with.
+/// Every `MessagePredictor` family the contender table, the live policies
+/// and the streamed replay build.
 fn families() -> Vec<Family> {
     vec![
         ("cosmos-d1", |_| Box::new(CosmosPredictor::new(1, 0))),
@@ -159,18 +159,9 @@ fn families() -> Vec<Family> {
         ("evicting-8192", |_| {
             Box::new(EvictingCosmos::new(2, 0, 8192))
         }),
-        ("type-only", |_| {
-            Box::new(CosmosPredictor::new(2, 0).type_only())
-        }),
-        ("macro-x4", |_| {
-            Box::new(CosmosPredictor::new(2, 0).macroblock(2))
-        }),
         ("conf>=2", |_| {
             Box::new(CosmosPredictor::new(2, 0).confident(2))
         }),
-        ("prealloc", |_| Box::new(PreallocCosmos::paper(2, 256))),
-        ("shared-4k", |_| Box::new(SharedPhtCosmos::new(2, 1, 12))),
-        ("hybrid-1+3", |_| Box::new(HybridCosmos::new(1, 3))),
         ("migratory", |role| Box::new(MigratoryPredictor::new(role))),
         ("dsi", |role| Box::new(DsiPredictor::new(role))),
         ("rmw", |role| Box::new(RmwPredictor::new(role))),
@@ -205,7 +196,6 @@ fn fused_step_equals_predict_then_observe_for_every_family() {
                 let at = format!("{name} on {app}, {agent:?}");
                 assert_eq!(fused.memory(), split.memory(), "{at}");
                 assert_eq!(fused.core_stats(), split.core_stats(), "{at}");
-                assert_eq!(fused.storage_bits(), split.storage_bits(), "{at}");
             }
         }
     }
@@ -240,11 +230,7 @@ fn reference_accounting(steps: &[Step], opts: &EvalOptions) -> RefAccounting {
         let observed = PredTuple::new(r.sender, r.mtype);
         let predicted = predictor.predict(r.block);
         if *score && r.iteration >= opts.score_from_iteration {
-            let hit = if opts.type_only {
-                predicted.is_some_and(|p| p.mtype == observed.mtype)
-            } else {
-                predicted == Some(observed)
-            };
+            let hit = predicted == Some(observed);
             out.overall.add(hit);
             match r.role {
                 Role::Cache => out.cache.add(hit),
@@ -338,14 +324,11 @@ fn dense_accounting_matches_per_record_map_accounting() {
         assert_same_accounting(&format!("{app} shuffled"), &scored(&mixed), &defaults);
 
         // Warm-up exclusion: early iterations train but never open.
-        for type_only in [false, true] {
-            let opts = EvalOptions {
-                score_from_iteration: 2,
-                type_only,
-            };
-            assert_same_accounting(&format!("{app} from 2"), &scored(records), &opts);
-            assert_same_accounting(&format!("{app} shuffled from 2"), &scored(&mixed), &opts);
-        }
+        let opts = EvalOptions {
+            score_from_iteration: 2,
+        };
+        assert_same_accounting(&format!("{app} from 2"), &scored(records), &opts);
+        assert_same_accounting(&format!("{app} shuffled from 2"), &scored(&mixed), &opts);
 
         // SimPoint's shape: runs of records that only train between runs
         // that score, cut at points unrelated to iteration boundaries.

@@ -1,15 +1,15 @@
-//! Introspection: a tour of the predictor's analysis APIs — chain
-//! (multi-step) prediction, confidence, per-agent accuracy breakdowns,
-//! and memory histograms — over a real workload trace.
+//! Introspection: a tour of the predictor's analysis APIs — per-agent
+//! accuracy breakdowns and confidence gating — over a real workload
+//! trace.
 //!
 //! ```text
 //! cargo run --release --example introspection
 //! ```
 
 use cosmos_repro::cosmos::eval::evaluate_cosmos;
-use cosmos_repro::cosmos::{evaluate_lookahead, CosmosPredictor, MessagePredictor, PredTuple};
+use cosmos_repro::cosmos::CosmosPredictor;
 use cosmos_repro::simx::SystemConfig;
-use cosmos_repro::stache::{ProtocolConfig, Role};
+use cosmos_repro::stache::ProtocolConfig;
 use cosmos_repro::workloads::{run_to_trace, Unstructured};
 
 fn main() {
@@ -36,33 +36,8 @@ fn main() {
         );
     }
 
-    // 2. Chain prediction: unroll a block's learned future.
-    println!("== chain prediction ==");
-    let mut p = CosmosPredictor::new(2, 0);
-    let sample_block = trace.blocks()[0];
-    for r in trace.for_block(sample_block).take(60) {
-        if r.role == Role::Directory {
-            p.observe(r.block, PredTuple::new(r.sender, r.mtype));
-        }
-    }
-    let chain = p.predict_chain(sample_block, 5);
-    println!(
-        "block {sample_block}: the directory's next {} predicted messages:",
-        chain.len()
-    );
-    for (i, t) in chain.iter().enumerate() {
-        println!("  +{} {t}", i + 1);
-    }
-
-    // 3. Lookahead accuracy: how trustworthy those chains are in bulk.
-    let look = evaluate_lookahead(&trace, 2, 4);
-    println!("\n== lookahead accuracy (among issued chains) ==");
-    for d in 1..=4 {
-        println!("  {d} step(s) ahead: {:>5.1}%", look.percent_at(d));
-    }
-
-    // 4. Confidence: the precision/coverage dial.
-    println!("\n== confidence gating ==");
+    // 2. Confidence: the precision/coverage dial.
+    println!("== confidence gating ==");
     for threshold in [0u8, 1, 2, 3] {
         let r = cosmos_repro::cosmos::eval::evaluate(&trace, &Default::default(), |_, _| {
             Box::new(CosmosPredictor::new(2, 0).confident(threshold))

@@ -105,22 +105,6 @@ else
 fi
 echo "    tracespans CSV matches golden; trace export valid"
 
-# Tournament smoke: race every predictor family over the small suite and
-# diff the accuracy-vs-bits frontier against its golden — both the
-# accuracies and the storage-bit accounting must stay deterministic and
-# byte-identical across runs and build profiles.
-echo "==> tournament smoke (predictor competition + golden frontier diff)"
-cargo run -q --release --offline -p bench-suite --bin repro -- \
-  --small --csv "$SMOKE_DIR" tournament > /dev/null
-diff -u crates/bench-suite/tests/golden/tournament_frontier_small.csv \
-  "$SMOKE_DIR/tournament_frontier.csv"
-# Cosmos depths 1-4 and the six section-7 predictors: a header and ten rows.
-rows="$(($(wc -l < "$SMOKE_DIR/tournament_frontier.csv") - 1))"
-[ "$rows" -eq 10 ] || { echo "    frontier has $rows contenders, not 10" >&2; exit 1; }
-grep -q '"tournament.cells"' "$SMOKE_DIR/tournament_obs.json"
-grep -q '"tournament.pareto_count"' "$SMOKE_DIR/tournament_obs.json"
-echo "    frontier CSV matches golden (10 contenders); tournament obs JSON emitted"
-
 # Scale smoke: run the sharded-engine sweep at small scale and diff the
 # deterministic CSV against its golden. The CSV carries only
 # simulation-defined columns, and the sharded engine is byte-identical
@@ -243,6 +227,6 @@ grep -E "unavailable here|^ +[0-9.]+% +[0-9]+ " "$SMOKE_DIR/profile.txt" | sed -
 # (a PR that moves the surface updates it).
 echo "==> surface (non-test lines, pub fns, predictor / policy impls per crate)"
 scripts/surface.sh | sed 's/^/    /'
-echo "    parent         23682     675         10         2"
+echo "    parent         23781     675         10         2"
 
 echo "CI green."
