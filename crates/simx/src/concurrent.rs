@@ -50,7 +50,7 @@ use crate::fault::{FaultInjector, FaultPlan, FaultTally};
 use crate::machine::SimError;
 use crate::speculate::{ForwardKind, SpeculationPolicy};
 use crate::stats::MachineStats;
-use crate::store::{with_home_rights, BlockTable, Copies, DirEntry, Holder, NO_TXN};
+use crate::store::{with_home_rights, BlockTable, Copies, DirEntry, Holder, WideSets, NO_TXN};
 use obs::span::{SpanKind, SpanLog, TraceId};
 use obs::{Event as ObsEvent, EventRing, Severity};
 use stache::cache::{self, CacheAction};
@@ -62,6 +62,7 @@ use stache::{
     BlockAddr, CacheState, DedupFilter, DirState, Msg, MsgType, NodeId, NodeSet, ProcOp,
     ProtocolConfig, ProtocolTally, RecoveryTally, RollbackTally,
 };
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use trace::{MsgRecord, TraceBundle, TraceMeta};
@@ -330,6 +331,8 @@ pub struct ConcurrentMachine {
     /// Each block's directory entry — state, overflow flag and open
     /// transaction together, looked up once per handler.
     pub(crate) dir: BlockTable<DirEntry>,
+    /// The sharer sets too wide for a [`DirEntry`]'s word.
+    pub(crate) wide: WideSets,
     /// Every block whose directory entry or a cache state was written
     /// since the last barrier (repeats allowed) — all that can have
     /// *become* incoherent, and what the next barrier audits. Fed by
@@ -404,6 +407,7 @@ impl ConcurrentMachine {
             outbox: Vec::new(),
             copies: BlockTable::new(),
             dir: BlockTable::new(),
+            wide: WideSets::default(),
             dirty: Vec::new(),
             txns: Vec::new(),
             free_txns: Vec::new(),
@@ -642,14 +646,15 @@ impl ConcurrentMachine {
         self.copies.get(block).map_or(&[], Copies::as_slice)
     }
 
-    /// The block's directory state, if its home has ever touched it.
-    pub(crate) fn dir_state(&self, block: BlockAddr) -> Option<&DirState> {
-        self.dir.get(block).map(|e| &e.state)
+    /// The block's directory state (`Idle` if its home never touched it).
+    pub(crate) fn dir_state(&self, block: BlockAddr) -> Cow<'_, DirState> {
+        self.wide
+            .state(self.dir.get(block).copied().unwrap_or_default())
     }
 
     /// Whether the block's sharer set outgrew the limited-pointer budget.
     pub(crate) fn overflowed(&self, block: BlockAddr) -> bool {
-        self.dir.get(block).is_some_and(|e| e.overflowed)
+        self.dir.get(block).is_some_and(|e| e.overflowed())
     }
 
     /// Runs `f` on `block`'s directory entry (created idle on first
@@ -743,18 +748,18 @@ impl ConcurrentMachine {
     /// overflow flag: a shared set larger than the pointer budget loses
     /// precision; leaving the shared state (exclusive or idle) restores it.
     fn write_dir(&mut self, e: &mut DirEntry, block: BlockAddr, next: DirState) {
-        match (&next, self.proto.limited_pointers) {
+        let overflowed = match (&next, self.proto.limited_pointers) {
             (DirState::Shared(s), Some(budget)) if s.len() > budget => {
-                if !e.overflowed {
+                if !e.overflowed() {
                     self.stats.directory_overflows += 1;
                 }
-                e.overflowed = true;
+                true
             }
-            (DirState::Shared(_), _) => {} // an existing overflow persists
-            _ => e.overflowed = false,
-        }
-        self.tally.dir_transition(&e.state, &next);
-        e.state = next;
+            (DirState::Shared(_), _) => e.overflowed(), // an existing overflow persists
+            _ => false,
+        };
+        self.tally.dir_transition(&e.kind(), &next);
+        self.wide.write(e, next, overflowed);
         self.dirty.push(block);
     }
 
@@ -1097,8 +1102,8 @@ impl ConcurrentMachine {
     /// directory entry itself, so they are derived from it here, the same
     /// picture [`verify_coherence`](Self::verify_coherence) audits.
     pub fn cache_states_for(&self, block: BlockAddr) -> Vec<CacheState> {
-        let dir = self.dir_state(block).unwrap_or(&DirState::Idle);
-        dense_states(&self.proto, block, dir, self.holders(block).iter().copied())
+        let (dir, held) = (self.dir_state(block), self.holders(block).iter());
+        dense_states(&self.proto, block, &dir, held.copied())
     }
 
     /// Each node's duplicate-filter low-water mark (all zero on a perfect
@@ -1139,7 +1144,7 @@ impl ConcurrentMachine {
         dirs.sort_unstable_by_key(|(b, _)| *b);
         for (b, e) in &dirs {
             fp.absorb(b);
-            fp.absorb(&e.state);
+            fp.absorb(&*self.wide.state(**e));
         }
         fp.tag(0x03);
         let mut txns: Vec<(BlockAddr, &DirTxn)> = self
@@ -1198,7 +1203,7 @@ impl ConcurrentMachine {
             }
         }
         fp.tag(0x07);
-        for (b, _) in dirs.iter().filter(|(_, e)| e.overflowed) {
+        for (b, _) in dirs.iter().filter(|(_, e)| e.overflowed()) {
             fp.absorb(b);
         }
         fp.tag(0x08);
@@ -1452,10 +1457,7 @@ impl ConcurrentMachine {
         now: u64,
     ) -> Result<bool, SimError> {
         self.scripts[node.index()].pop_front();
-        let sufficient = match op {
-            ProcOp::Read => e.state.node_readable(node),
-            ProcOp::Write => e.state.node_writable(node),
-        } && e.txn == NO_TXN;
+        let sufficient = e.grants(node, op, &self.wide) && e.txn == NO_TXN;
         if sufficient {
             return Ok(true);
         }
@@ -1619,8 +1621,8 @@ impl ConcurrentMachine {
                             self.cache_state(msg.sender, msg.block),
                             CacheState::Invalid | CacheState::IToE
                         ) {
-                            let struck = without_sharer(&e.state, msg.sender);
-                            if let Some(next) = struck.filter(|_| !e.overflowed) {
+                            let struck = without_sharer(&self.wide.state(*e), msg.sender);
+                            if let Some(next) = struck.filter(|_| !e.overflowed()) {
                                 let idle = next == DirState::Idle;
                                 self.write_dir(e, msg.block, next);
                                 if idle {
@@ -1646,7 +1648,7 @@ impl ConcurrentMachine {
                         return Ok(());
                     }
                     debug_assert_eq!(msg.mtype, MsgType::InvalRwResponse, "voluntary writeback");
-                    if e.state.owner() == Some(msg.sender) {
+                    if e.grants(msg.sender, ProcOp::Write, &self.wide) {
                         self.write_dir(e, msg.block, DirState::Idle);
                         self.maybe_spec_push(e, msg.block, t + self.sys.handler_ns);
                     }
@@ -1716,7 +1718,7 @@ impl ConcurrentMachine {
             ));
             return true;
         }
-        let dir = &e.state;
+        let dir = self.wide.state(*e);
         let regrant = match msg.mtype {
             // The re-sent grant must carry the *recorded* rights, not the
             // requested ones: a speculative exclusive grant upgrades a
@@ -1775,10 +1777,11 @@ impl ConcurrentMachine {
             && self.mutation != ProtocolMutation::SpeculateWithoutRollback
             && !local
             && matches!(msg.mtype, MsgType::GetRoRequest | MsgType::GetRwRequest)
-            && !e.overflowed
+            && !e.overflowed()
+            && e.grants(msg.sender, ProcOp::Read, &self.wide)
         {
-            let owned = e.state.owner() == Some(msg.sender);
-            let stripped = without_sharer(&e.state, msg.sender);
+            let owned = e.grants(msg.sender, ProcOp::Write, &self.wide);
+            let stripped = without_sharer(&self.wide.state(*e), msg.sender);
             if let Some(next) = stripped.or(owned.then_some(DirState::Idle)) {
                 self.write_dir(e, block, next);
             }
@@ -1787,7 +1790,7 @@ impl ConcurrentMachine {
         // writer while this request was queued; convert to a write miss.
         let mut effective = msg.mtype;
         let mut reply_override = None;
-        if effective == MsgType::UpgradeRequest && !e.state.node_readable(msg.sender) {
+        if effective == MsgType::UpgradeRequest && !e.grants(msg.sender, ProcOp::Read, &self.wide) {
             effective = MsgType::GetRwRequest;
             reply_override = Some(MsgType::GetRwResponse);
         }
@@ -1817,7 +1820,8 @@ impl ConcurrentMachine {
                 MsgType::GetRwRequest | MsgType::UpgradeRequest => ProcOp::Write,
                 other => unreachable!("local marker {other}"),
             };
-            match directory::handle_local(&e.state, home, op, &self.proto) {
+            let plan = directory::handle_local(&self.wide.state(*e), home, op, &self.proto);
+            match plan {
                 Some(o) => o,
                 None => {
                     // Rights appeared while the request was queued.
@@ -1827,10 +1831,11 @@ impl ConcurrentMachine {
                 }
             }
         } else {
-            directory::handle_request(&e.state, home, msg.sender, effective, &self.proto)
+            let state = self.wide.state(*e);
+            directory::handle_request(&state, home, msg.sender, effective, &self.proto)
                 .map_err(SimError::Protocol)?
         };
-        if e.overflowed && matches!(plan.next, DirState::Exclusive(_)) {
+        if e.overflowed() && matches!(plan.next, DirState::Exclusive(_)) {
             plan.holders = self.broadcast_targets(msg.sender, home);
         }
         if local && plan.holders.is_empty() && e.txn == NO_TXN {
@@ -2310,7 +2315,7 @@ impl ConcurrentMachine {
     /// target's verdict ([`Self::on_spec_push_resp`]) either confirms the
     /// provisional directory entry or rolls it back to idle.
     fn maybe_spec_push(&mut self, e: &mut DirEntry, block: BlockAddr, t: u64) {
-        if self.policy.is_none() || e.txn != NO_TXN || e.state != DirState::Idle {
+        if self.policy.is_none() || e.txn != NO_TXN || e.kind() != DirState::Idle {
             return;
         }
         let home = self.home(block);
@@ -2514,10 +2519,10 @@ impl ConcurrentMachine {
         let now = self.execution_time_ns();
         let mut ring = self.ring.borrow_mut();
         for block in blocks {
-            let dir = self.dir_state(block).unwrap_or(&DirState::Idle);
+            let dir = self.dir_state(block);
             let holders = self.holders(block).iter().copied();
             let home = self.home(block);
-            audit_block(home, block, dir, holders, &self.tally, &mut ring, now)?;
+            audit_block(home, block, &dir, holders, &self.tally, &mut ring, now)?;
         }
         Ok(())
     }
@@ -2762,6 +2767,34 @@ mod tests {
             .filter(|&&i| m.cache_state(n(i), b) == CacheState::Exclusive)
             .count();
         assert_eq!(owners, 1);
+    }
+
+    /// Blocks cycling through wide, inline, wide (spilled) and idle sets,
+    /// staggered so freed slots are taken again: after every write the
+    /// live slots are exactly the wide entries' own.
+    #[test]
+    fn wide_set_slots_follow_the_entries_through_churn() {
+        let mut m = machine();
+        let set = |ids: &[usize]| DirState::Shared(ids.iter().map(|&i| n(i)).collect());
+        let cycle = [
+            set(&[1, 2, 3]),
+            set(&[4, 5]),
+            set(&[1, 2, 3, 4, 5, 6, 7, 8, 9]),
+            DirState::Idle,
+        ];
+        let blocks: Vec<BlockAddr> = (0..12).map(|i| BlockAddr::new(64 * i)).collect();
+        for round in 0..3 * cycle.len() {
+            for (i, &block) in blocks.iter().enumerate() {
+                m.set_dir(block, cycle[(round + i) % cycle.len()].clone());
+                let wide = m.dir.keys().filter(|&b| m.dir_state(b).holders().len() > 2);
+                let entries = m.dir.iter().map(|(_, e)| e);
+                assert_eq!(m.wide.check_slots(entries), wide.count());
+            }
+        }
+        for &block in &blocks {
+            m.set_dir(block, DirState::Idle);
+        }
+        assert_eq!(m.wide.check_slots(m.dir.iter().map(|(_, e)| e)), 0);
     }
 
     /// A handler that sends and *then* fails still has its sends moved
@@ -3009,8 +3042,17 @@ mod tests {
             };
             assert_eq!(agent_seqs(serial), agent_seqs(&conc));
             assert_eq!(serial.touched_blocks(), conc.touched_blocks());
+            // Entry for entry, overflow flags included: the states, not
+            // the wide-set slots the two runs happened to hand out.
+            let entry = |m: &ConcurrentMachine, block| {
+                let e = m.dir.get(block).copied();
+                (
+                    m.dir_state(block).into_owned(),
+                    e.map(|e| (e.overflowed(), e.txn)),
+                )
+            };
             for block in conc.touched_blocks() {
-                assert_eq!(serial.dir.get(block), conc.dir.get(block), "{block}");
+                assert_eq!(entry(serial, block), entry(&conc, block), "{block}");
                 assert_eq!(
                     serial.cache_states_for(block),
                     conc.cache_states_for(block),
@@ -3018,8 +3060,6 @@ mod tests {
                 );
             }
             assert_eq!(serial.copies, conc.copies);
-            // Entry for entry, overflow flags included.
-            assert_eq!(serial.dir, conc.dir);
             assert_eq!(
                 serial.stats().directory_overflows,
                 conc.stats().directory_overflows

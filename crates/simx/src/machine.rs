@@ -363,8 +363,14 @@ impl Machine {
         block: BlockAddr,
         op: ProcOp,
     ) -> Result<AccessOutcome, SimError> {
-        let dir = self.core.dir_state(block).unwrap_or(&DirState::Idle);
-        let Some(mut outcome) = directory::handle_local(dir, node, op, &self.core.proto) else {
+        // The hit test reads the entry's word; only a miss decodes it.
+        let e = self.core.dir.get(block).copied().unwrap_or_default();
+        let outcome = if e.grants(node, op, &self.core.wide) {
+            None
+        } else {
+            directory::handle_local(&self.core.wide.state(e), node, op, &self.core.proto)
+        };
+        let Some(mut outcome) = outcome else {
             // Sufficient rights already: a local hit.
             self.core.clocks[node.index()] += self.core.sys.cache_hit_ns;
             if op == ProcOp::Write {
@@ -445,8 +451,8 @@ impl Machine {
             .record(t_req, &Msg::new(node, home, block, req).with_trace(tr));
         let mut messages = 1;
 
-        let dir = self.core.dir_state(block).unwrap_or(&DirState::Idle);
-        let mut outcome = directory::handle_request(dir, home, node, req, &self.core.proto)
+        let dir = self.core.dir_state(block);
+        let mut outcome = directory::handle_request(&dir, home, node, req, &self.core.proto)
             .map_err(SimError::Protocol)?;
         if self.core.overflowed(block) && matches!(outcome.next, DirState::Exclusive(_)) {
             outcome.holders = self.core.broadcast_targets(node, home);

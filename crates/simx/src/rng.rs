@@ -24,7 +24,7 @@ const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One SplitMix64 step — used both to mix `(seed, iteration, stream)` and
 /// to expand a single u64 seed into the 256-bit xoshiro state.
-fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(GOLDEN);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -590,7 +590,7 @@ impl ShardedMachine {
     pub fn dir_state(&self, block: BlockAddr) -> DirState {
         let home = home_of_block(block, &self.proto);
         let core = &self.shards[self.shard_of(home)].core;
-        core.dir_state(block).cloned().unwrap_or_default()
+        core.dir_state(block).into_owned()
     }
 
     /// Point-in-time export of every machine metric. Byte-identical for
@@ -785,25 +785,43 @@ impl ShardedMachine {
         self.verify_coherence_sampled(usize::MAX)
     }
 
-    /// Audits the coherence invariants for at most `max_blocks` touched
-    /// blocks, stride-sampled deterministically across the sorted touched
-    /// set. The cheap end-of-run check for millions-of-blocks scale runs,
-    /// which the exhaustive [`verify_coherence`](Self::verify_coherence)
-    /// would walk in full.
+    /// Audits the coherence invariants for `min(max_blocks, touched)`
+    /// touched blocks, ascending: those whose numbers hash smallest
+    /// (SplitMix64, a bijection: no ties), kept in a bounded heap over one
+    /// pass of the directories — the same blocks at any shard count. The
+    /// cheap end-of-run check for millions-of-blocks scale runs, which the
+    /// exhaustive [`verify_coherence`](Self::verify_coherence) would walk
+    /// in full; a `max_blocks` of at least the touched count is that walk.
     ///
     /// # Errors
     ///
     /// Returns the first violation found among the sampled blocks.
     pub fn verify_coherence_sampled(&mut self, max_blocks: usize) -> Result<(), SimError> {
-        if max_blocks == 0 {
-            return Ok(());
-        }
+        let blocks = self.sample(max_blocks);
+        self.audit_blocks(blocks)
+    }
+
+    /// The blocks [`verify_coherence_sampled`](Self::verify_coherence_sampled)
+    /// audits, ascending.
+    fn sample(&self, max_blocks: usize) -> Vec<BlockAddr> {
         // At quiescence every cached block has an entry at its home.
-        let cores = self.shards.iter().map(|s| &s.core);
-        let mut blocks: Vec<BlockAddr> = cores.flat_map(|c| c.dir.keys()).collect();
+        let cores = || self.shards.iter().map(|s| &s.core);
+        let mut blocks: Vec<BlockAddr> = if max_blocks >= cores().map(|c| c.dir.len()).sum() {
+            cores().flat_map(|c| c.dir.keys()).collect()
+        } else {
+            let mut kept = BinaryHeap::with_capacity(max_blocks);
+            for block in cores().flat_map(|c| c.dir.keys()) {
+                let ranked = (crate::rng::splitmix64(&mut block.number()), block);
+                if kept.len() < max_blocks {
+                    kept.push(ranked);
+                } else if let Some(mut last) = kept.peek_mut().filter(|last| ranked < **last) {
+                    *last = ranked;
+                }
+            }
+            kept.into_iter().map(|(_, block)| block).collect()
+        };
         blocks.sort_unstable();
-        let stride = blocks.len().div_ceil(max_blocks).max(1);
-        self.audit_blocks(blocks.into_iter().step_by(stride))
+        blocks
     }
 
     fn audit_blocks(
@@ -815,9 +833,9 @@ impl ShardedMachine {
         for block in blocks {
             let home = home_of_block(block, proto);
             let core = &self.shards[home.index() / self.chunk].core;
-            let dir = core.dir_state(block).unwrap_or(&DirState::Idle);
+            let dir = core.dir_state(block);
             let holders = holders(&self.shards, block);
-            audit_block(home, block, dir, holders, tally, &mut self.ring, now)?;
+            audit_block(home, block, &dir, holders, tally, &mut self.ring, now)?;
         }
         Ok(())
     }
@@ -1000,9 +1018,9 @@ mod tests {
 
     /// What an event and a block cost in memory, pinned: the heap entry
     /// and the log entry are fixed-width, a sharer set is two words with
-    /// its spill boxed, and a directory entry — state, overflow flag and
-    /// transaction slot together — is no larger than the `dirs` entry it
-    /// replaced (1.67 M of them in `scale1024`).
+    /// its spill boxed, and a directory entry — state word and
+    /// transaction slot — is one word, 16 bytes with its key (1.67 M of
+    /// them in `scale1024`).
     #[test]
     fn event_and_block_footprints_are_pinned() {
         use std::mem::size_of;
@@ -1010,7 +1028,7 @@ mod tests {
         assert!(size_of::<LogEntry>() <= 40);
         assert!(size_of::<stache::NodeSet>() <= 24);
         assert_eq!(size_of::<DirState>(), size_of::<stache::NodeSet>());
-        assert!(size_of::<(BlockAddr, crate::store::DirEntry)>() <= 32);
+        assert_eq!(size_of::<(BlockAddr, crate::store::DirEntry)>(), 16);
         assert!(size_of::<(BlockAddr, crate::store::Copies)>() <= 32);
     }
 
@@ -1089,6 +1107,69 @@ mod tests {
         );
     }
 
+    /// 40 blocks on 16 pages, read by up to three nodes each, and a
+    /// machine of `shards` shards that ran them.
+    fn sampled_machine(shards: usize) -> ShardedMachine {
+        let block = |i: usize| BlockAddr::new(64 * (i % 16) as u64 + (i / 16) as u64);
+        let reads = (0..40)
+            .flat_map(|i| (0..=i % 3).map(move |r| Access::read(n((i + 5 * r) % 16), block(i))));
+        let plan = plan_of(vec![reads.collect()]);
+        let mut m = ShardedMachine::new(ProtocolConfig::paper(), SystemConfig::paper(), shards);
+        m.run_plan(&plan, 0).unwrap();
+        m
+    }
+
+    /// Runs `audit` and returns how many blocks it checked.
+    fn checked(m: &mut ShardedMachine, audit: impl FnOnce(&mut ShardedMachine)) -> u64 {
+        let before = m.tally().invariant_checks();
+        audit(m);
+        m.tally().invariant_checks() - before
+    }
+
+    #[test]
+    fn the_sampled_audit_checks_min_k_touched_blocks_the_same_at_any_shard_count() {
+        let touched = sampled_machine(1).touched_blocks().len();
+        assert_eq!(touched, 40);
+        let mut exhaustive = sampled_machine(1);
+        let all = checked(&mut exhaustive, |m| m.verify_coherence().unwrap());
+        assert_eq!(all, touched as u64);
+        for k in [0, 1, 7, 39, 40, 41, usize::MAX] {
+            let want = sampled_machine(1).sample(k);
+            assert_eq!(want.len(), k.min(touched), "k {k}");
+            assert!(want.windows(2).all(|w| w[0] < w[1]), "ascending");
+            for shards in [1, 2, 4] {
+                let mut m = sampled_machine(shards);
+                assert_eq!(m.sample(k), want, "k {k}, shards {shards}");
+                let audited = checked(&mut m, |m| m.verify_coherence_sampled(k).unwrap());
+                assert_eq!(audited, k.min(touched) as u64, "k {k}, shards {shards}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_sampled_audit_reports_a_violation_in_a_sampled_block() {
+        for shards in [1, 4] {
+            let mut m = sampled_machine(shards);
+            let sample = m.sample(8);
+            let block = *sample
+                .iter()
+                .find(|&&b| holders(&m.shards, b).next().is_some())
+                .expect("a sampled block cached away from its home");
+            // The home forgets every copy of it.
+            let home = home_of_block(block, &m.proto);
+            let si = m.shard_of(home);
+            let core = &mut m.shards[si].core;
+            let e = core.dir.entry_or_default(block);
+            core.wide.write(e, DirState::Idle, false);
+            let err = m.verify_coherence_sampled(8).unwrap_err();
+            assert!(err.to_string().contains(&block.to_string()), "{err}");
+            assert!(
+                m.verify_coherence_sampled(0).is_ok(),
+                "k = 0 audits nothing"
+            );
+        }
+    }
+
     /// With barrier audits off nothing reads the cores' written-block
     /// lists, so the barrier must still empty them: a scale run's memory
     /// may not grow with the number of writes it has made.
@@ -1129,8 +1210,10 @@ mod tests {
     /// audit can see: directory entries, cached copies, the queue with
     /// its events, and the window log.
     fn picture(s: &Shard) -> String {
-        let mut dir: Vec<_> = s.core.dir.iter().collect();
-        dir.sort_unstable_by_key(|(block, _)| *block);
+        let entry =
+            |(block, &e): (BlockAddr, &crate::store::DirEntry)| (block, s.core.wide.state(e), e);
+        let mut dir: Vec<_> = s.core.dir.iter().map(entry).collect();
+        dir.sort_unstable_by_key(|(block, ..)| *block);
         let touched = s.core.touched_blocks().into_iter();
         let copies: Vec<_> = touched
             .map(|b| (b, s.core.holders(b)))

@@ -4,7 +4,8 @@
 //! a handler looks a block up once and an audit visits a block's holders.
 
 use stache::fasthash::FastMap;
-use stache::{BlockAddr, CacheState, DirState, NodeId};
+use stache::{BlockAddr, CacheState, DirState, NodeId, NodeSet, ProcOp};
+use std::borrow::Cow;
 
 /// How many maps a [`BlockTable`] spreads its blocks over. At 1 024 nodes
 /// a segment is ≈ 270 KB, so growing one copies that much, not the whole
@@ -58,6 +59,10 @@ impl<V: Default> BlockTable<V> {
         self.segments.get_mut(Self::segment(block))?.remove(&block)
     }
 
+    pub(crate) fn len(&self) -> usize {
+        self.segments.iter().map(FastMap::len).sum()
+    }
+
     pub(crate) fn is_empty(&self) -> bool {
         self.segments.iter().all(FastMap::is_empty)
     }
@@ -74,27 +79,141 @@ impl<V: Default> BlockTable<V> {
 /// [`DirEntry::txn`] of a block with no transaction open.
 pub(crate) const NO_TXN: u32 = u32::MAX;
 
-/// Everything a home keeps for one block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The kind of state, a [`DirEntry`] word's two low bits: `PAIR` is
+/// `Shared` of one or two nodes (the same id twice for one), `WIDE` of
+/// three or more, kept in a [`WideSets`] slot.
+const IDLE: u32 = 0;
+const EXCLUSIVE: u32 = 1;
+const PAIR: u32 = 2;
+const WIDE: u32 = 3;
+const KIND: u32 = 0b11;
+const OVERFLOWED: u32 = 0b100;
+/// Where the node ids or the slot start; an id is 12 bits (4 095 tops).
+const SHIFT: u32 = 3;
+const NODE_BITS: u32 = 12;
+const NODE: u32 = (1 << NODE_BITS) - 1;
+
+/// Everything a home keeps for one block, in 8 bytes: at 1 024 nodes the
+/// directory holds 1.67 M of them. The state word packs the kind of
+/// state, the limited-pointer overflow flag (set when the sharer set
+/// outgrew the pointer budget, so that the next write must broadcast) and
+/// the state's nodes — or, for a set of three or more, the slot in the
+/// machine's [`WideSets`] that holds it. Read the state through
+/// [`WideSets::state`]; only [`WideSets::write`] changes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DirEntry {
-    /// The full-map state.
-    pub(crate) state: DirState,
     /// The open transaction's slot in the machine's transaction slab
     /// ([`NO_TXN`] when the block is free). Requests that find the block
     /// busy queue in that slot.
     pub(crate) txn: u32,
-    /// Whether the sharer set outgrew the limited-pointer budget, so that
-    /// the next write must broadcast.
-    pub(crate) overflowed: bool,
+    word: u32,
 }
 
 impl Default for DirEntry {
     fn default() -> Self {
         DirEntry {
-            state: DirState::Idle,
             txn: NO_TXN,
-            overflowed: false,
+            word: IDLE,
         }
+    }
+}
+
+impl DirEntry {
+    fn kind_bits(self) -> u32 {
+        self.word & KIND
+    }
+
+    fn payload(self) -> u32 {
+        self.word >> SHIFT
+    }
+
+    /// The kind of state, its sharers left out (`Shared` of nobody stands
+    /// for every shared set): what a tally counts, with nothing to decode.
+    pub(crate) fn kind(self) -> DirState {
+        match self.kind_bits() {
+            IDLE => DirState::Idle,
+            EXCLUSIVE => DirState::Exclusive(NodeId::new(self.payload() as usize)),
+            _ => DirState::Shared(NodeSet::new()),
+        }
+    }
+
+    /// Whether the sharer set outgrew the limited-pointer budget.
+    pub(crate) fn overflowed(self) -> bool {
+        self.word & OVERFLOWED != 0
+    }
+
+    /// Whether `node` holds the rights `op` needs: the word says, but for
+    /// a read of a wide set.
+    pub(crate) fn grants(self, node: NodeId, op: ProcOp, wide: &WideSets) -> bool {
+        let (id, p) = (u32::from(node.raw()), self.payload());
+        match (self.kind_bits(), op) {
+            (EXCLUSIVE, _) => p == id,
+            (PAIR, ProcOp::Read) => p & NODE == id || p >> NODE_BITS == id,
+            (WIDE, ProcOp::Read) => wide.slots[p as usize].node_readable(node),
+            _ => false,
+        }
+    }
+}
+
+/// The sharer sets of three or more nodes that [`DirEntry`]s point at, one
+/// slot each, and the slots given back. Owned by the machine beside its
+/// directory; [`write`](Self::write), the one writer, takes and returns
+/// the slots.
+#[derive(Debug, Default)]
+pub(crate) struct WideSets {
+    slots: Vec<DirState>,
+    free: Vec<u32>,
+}
+
+impl WideSets {
+    /// `e`'s state: the slot's, borrowed, or built from the word — a set
+    /// of two stays inline, so neither way allocates.
+    pub(crate) fn state(&self, e: DirEntry) -> Cow<'_, DirState> {
+        let p = e.payload();
+        Cow::Owned(match e.kind_bits() {
+            IDLE => DirState::Idle,
+            EXCLUSIVE => DirState::Exclusive(NodeId::new(p as usize)),
+            PAIR => {
+                let mut set = NodeSet::singleton(NodeId::new((p & NODE) as usize));
+                set.insert(NodeId::new((p >> NODE_BITS) as usize));
+                DirState::Shared(set)
+            }
+            _ => return Cow::Borrowed(&self.slots[p as usize]),
+        })
+    }
+
+    /// Makes `next` and `overflowed` `e`'s: a wide set goes into the slot
+    /// `e` already holds, else into a free or new one; a slot `e` no longer
+    /// needs is emptied and freed.
+    pub(crate) fn write(&mut self, e: &mut DirEntry, next: DirState, overflowed: bool) {
+        let mut held = (e.kind_bits() == WIDE).then(|| e.payload());
+        let (kind, payload) = match next {
+            DirState::Idle => (IDLE, 0),
+            DirState::Exclusive(owner) => (EXCLUSIVE, u32::from(owner.raw())),
+            DirState::Shared(ref set) if set.len() <= 2 => {
+                let mut ids = set.iter().map(|n| u32::from(n.raw()));
+                let first = ids.next().expect("a shared set is never empty");
+                (PAIR, first | ids.next().unwrap_or(first) << NODE_BITS)
+            }
+            wide => {
+                let slot = held.take().or_else(|| self.free.pop()).unwrap_or_else(|| {
+                    let slot = self.slots.len();
+                    assert!(
+                        slot < 1 << (u32::BITS - SHIFT),
+                        "wide sets outgrew the word"
+                    );
+                    self.slots.push(DirState::Idle);
+                    slot as u32
+                });
+                self.slots[slot as usize] = wide;
+                (WIDE, slot)
+            }
+        };
+        if let Some(slot) = held {
+            self.slots[slot as usize] = DirState::Idle;
+            self.free.push(slot);
+        }
+        e.word = kind | if overflowed { OVERFLOWED } else { 0 } | payload << SHIFT;
     }
 }
 
@@ -193,6 +312,38 @@ pub(crate) fn with_home_rights<'a>(
     below
         .chain((rights != CacheState::Invalid).then_some((home, rights)))
         .chain(above)
+}
+
+#[cfg(test)]
+impl WideSets {
+    /// Checks the slots against the entries `dir` holds: each wide entry
+    /// has a slot of its own, every other slot is free and empty, and no
+    /// slot is free twice. Returns the number of live slots.
+    pub(crate) fn check_slots<'a>(&self, dir: impl Iterator<Item = &'a DirEntry>) -> usize {
+        let mut owner = vec![false; self.slots.len()];
+        for e in dir.filter(|e| e.kind_bits() == WIDE) {
+            let slot = e.payload() as usize;
+            assert!(
+                !std::mem::replace(&mut owner[slot], true),
+                "slot {slot} shared"
+            );
+            assert!(matches!(&self.slots[slot], DirState::Shared(s) if s.len() > 2));
+        }
+        for &slot in &self.free {
+            let slot = slot as usize;
+            assert!(
+                !std::mem::replace(&mut owner[slot], true),
+                "slot {slot} live and free"
+            );
+            assert_eq!(
+                self.slots[slot],
+                DirState::Idle,
+                "free slot {slot} keeps a set"
+            );
+        }
+        assert!(owner.iter().all(|&o| o), "a slot leaked");
+        self.slots.len() - self.free.len()
+    }
 }
 
 #[cfg(test)]
@@ -315,6 +466,48 @@ mod tests {
             assert!(mean >= 8.0, "{name}: too few blocks to judge");
             assert!(fullest as f64 <= 2.0 * mean, "{name}: {fullest} of {mean}");
         }
+    }
+
+    /// A `Shared` state of `len` distinct nodes drawn from all 4 096 ids.
+    fn shared(rng: &mut crate::rng::SmallRng, len: usize) -> DirState {
+        let mut set = NodeSet::new();
+        while set.len() < len {
+            set.insert(n(rng.gen_range(0..4096)));
+        }
+        DirState::Shared(set)
+    }
+
+    #[test]
+    fn every_state_shape_round_trips_through_the_entry_word() {
+        crate::rng::check(32, |rng| {
+            let mut shapes = vec![
+                DirState::Idle,
+                DirState::Exclusive(n(0)),
+                DirState::Exclusive(n(1)),
+                DirState::Exclusive(n(4095)),
+                DirState::Shared(NodeSet::singleton(n(4095))),
+            ];
+            shapes.extend([1, 2, 3, 7, 8, 1023].map(|len| shared(rng, len)));
+            let mut wide = WideSets::default();
+            let mut e = DirEntry::default();
+            for _ in 0..64 {
+                let state = shapes[rng.gen_range(0..shapes.len())].clone();
+                let overflowed = rng.gen_bool(0.5);
+                let txn = [NO_TXN, 0, 0x7fff_fffe][rng.gen_range(0..3)];
+                e.txn = txn;
+                wide.write(&mut e, state.clone(), overflowed);
+                assert_eq!(*wide.state(e), state);
+                assert_eq!((e.txn, e.overflowed()), (txn, overflowed));
+                assert_eq!(e.kind() == DirState::Idle, state == DirState::Idle);
+                for node in state.holders().iter().chain([n(0), n(4095), n(77)]) {
+                    let read = e.grants(node, ProcOp::Read, &wide);
+                    assert_eq!(read, state.node_readable(node));
+                    let write = e.grants(node, ProcOp::Write, &wide);
+                    assert_eq!(write, state.node_writable(node));
+                }
+                assert!(wide.check_slots([&e].into_iter()) <= 1);
+            }
+        });
     }
 
     #[test]

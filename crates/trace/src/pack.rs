@@ -763,6 +763,9 @@ pub struct PackedTraceWriter<W: Write + Seek> {
     index: Vec<ChunkInfo>,
     stats: PackStats,
     offset: u64,
+    /// The kind of the sink error that spent the writer, if one has: the
+    /// file has a hole where a chunk failed, so nothing more is written.
+    failed: Option<io::ErrorKind>,
 }
 
 impl<W: Write + Seek> PackedTraceWriter<W> {
@@ -796,6 +799,7 @@ impl<W: Write + Seek> PackedTraceWriter<W> {
             index: Vec::new(),
             stats: PackStats::default(),
             offset: header.len() as u64,
+            failed: None,
         })
     }
 
@@ -803,8 +807,9 @@ impl<W: Write + Seek> PackedTraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates sink errors.
+    /// Propagates sink errors; after one, every call fails.
     pub fn push(&mut self, r: MsgRecord) -> Result<(), PackError> {
+        self.live()?;
         self.buf.push(r);
         if self.buf.len() == self.chunk_records as usize {
             self.flush_chunk()?;
@@ -816,7 +821,7 @@ impl<W: Write + Seek> PackedTraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates sink errors.
+    /// Propagates sink errors; after one, every call fails.
     pub fn push_all(&mut self, records: &[MsgRecord]) -> Result<(), PackError> {
         for r in records {
             self.push(*r)?;
@@ -827,6 +832,17 @@ impl<W: Write + Seek> PackedTraceWriter<W> {
     /// Records buffered but not yet flushed (bounded by the chunk size).
     pub fn buffered(&self) -> usize {
         self.buf.len()
+    }
+
+    /// An error if a sink error has spent the writer.
+    fn live(&self) -> Result<(), PackError> {
+        match self.failed {
+            Some(kind) => Err(PackError::Io(io::Error::new(
+                kind,
+                "an earlier write of this packed trace failed",
+            ))),
+            None => Ok(()),
+        }
     }
 
     fn flush_chunk(&mut self) -> Result<(), PackError> {
@@ -848,8 +864,11 @@ impl<W: Write + Seek> PackedTraceWriter<W> {
         head[12] = method;
         head[13..17].copy_from_slice(&(payload.len() as u32).to_be_bytes());
         head[17..21].copy_from_slice(&crc.to_be_bytes());
-        self.sink.write_all(&head)?;
-        self.sink.write_all(payload)?;
+        let written = self.sink.write_all(&head);
+        if let Err(e) = written.and_then(|()| self.sink.write_all(payload)) {
+            self.failed = Some(e.kind());
+            return Err(e.into());
+        }
         self.index.push(ChunkInfo {
             offset: self.offset,
             records: self.buf.len() as u32,
@@ -872,8 +891,10 @@ impl<W: Write + Seek> PackedTraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates sink errors.
+    /// Propagates sink errors, and fails without writing if an earlier
+    /// one spent the writer.
     pub fn finish(mut self) -> Result<(W, PackStats), PackError> {
+        self.live()?;
         self.flush_chunk()?;
         let index_offset = self.offset;
         let mut tail = Vec::with_capacity(8 + self.index.len() * INDEX_ENTRY_BYTES as usize + 20);
@@ -1521,6 +1542,57 @@ mod tests {
         assert_eq!(stats.chunks, 16); // 15 full + 1 partial
         let decoded = unpack_bundle(&cursor.into_inner()).unwrap();
         assert_eq!(decoded.records(), sample(1000).records());
+    }
+
+    /// A sink that fails its `fail_at`-th write and accepts the rest, as
+    /// a full disk that a later delete makes room on would.
+    #[derive(Debug)]
+    struct FailsOnce {
+        inner: std::io::Cursor<Vec<u8>>,
+        writes: usize,
+        fail_at: usize,
+    }
+
+    impl Write for FailsOnce {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            if self.writes == self.fail_at {
+                return Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"));
+            }
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl Seek for FailsOnce {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.inner.seek(pos)
+        }
+    }
+
+    #[test]
+    fn a_failed_chunk_write_spends_the_writer() {
+        let meta = TraceMeta::new("full", 16, 1);
+        // Write 1 is the header, 2 and 3 the first chunk's head and
+        // payload: fail either half of the second chunk.
+        for fail_at in [4, 5] {
+            let mut sink = FailsOnce {
+                inner: std::io::Cursor::new(Vec::new()),
+                writes: 0,
+                fail_at,
+            };
+            let mut w = PackedTraceWriter::new(&mut sink, &meta, 4).unwrap();
+            let pushed: Vec<bool> = (0..10).map(|i| w.push(rec(i)).is_ok()).collect();
+            let mut want = [false; 10];
+            want[..7].fill(true);
+            assert_eq!(pushed, want, "fail at write {fail_at}");
+            assert!(w.push_all(&[rec(10)]).is_err());
+            let err = w.finish().unwrap_err();
+            assert!(matches!(&err, PackError::Io(e) if e.kind() == io::ErrorKind::StorageFull));
+            assert_eq!(sink.writes, fail_at, "nothing written after the failure");
+        }
     }
 
     #[test]

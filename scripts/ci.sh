@@ -160,8 +160,10 @@ echo "    tracepack CSV matches golden"
 # every captured trace record) must equal the value below: the simulated
 # stream at seed 0 has been the same since PR 14, and a PR that means to
 # change it updates the value here, on purpose. Each line also prints the
-# pass's wall_s and the process's peak_rss_mb (scale1024: 94-98 MB since the
-# block tables grow a segment at a time; 142 MB means one table doubled
+# pass's wall_s and the process's peak_rss_mb (scale1024: 46-48 MB since a
+# directory entry is one word and the sampled audit keeps 4 096 keys, not
+# all 1.67 M; ~84 MB means the entry grew back, ~60 MB that the audit
+# collects every key again, ~97 MB both, 142 MB that a block table doubled
 # whole again. stream64: ~87 MB since a tracked block costs 56 bytes; 129 MB
 # means an evicting slot regrew). Read-only use: nothing under benchmark/
 # is edited.
@@ -227,6 +229,6 @@ grep -E "unavailable here|^ +[0-9.]+% +[0-9]+ " "$SMOKE_DIR/profile.txt" | sed -
 # (a PR that moves the surface updates it).
 echo "==> surface (non-test lines, pub fns, predictor / policy impls per crate)"
 scripts/surface.sh | sed 's/^/    /'
-echo "    parent         23781     675         10         2"
+echo "    parent         22468     643          7         2"
 
 echo "CI green."
