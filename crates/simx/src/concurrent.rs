@@ -29,8 +29,8 @@
 //! [`ConcurrentMachine`] is also the crate's protocol *core* — the one
 //! store and its only writers (`set_dir`, `set_cache_state`, `record`) —
 //! which the other two schedulers run on (see the crate docs). The store
-//! is block-major: one table of directory entries (state, overflow flag
-//! and open transaction together) and one of each block's cached copies,
+//! is block-major: one table of directory entries (state and open
+//! transaction together) and one of each block's cached copies,
 //! nothing per node. A handler looks its block up once, in the table of
 //! its side, and hands the entry down — so an event costs the same on 16
 //! nodes and on 1024, and allocates nothing (DESIGN.md §6h).
@@ -328,8 +328,8 @@ pub struct ConcurrentMachine {
     /// Each block's cached copies outside its home, block-major: one
     /// table whatever the node count, holding only blocks somebody caches.
     copies: BlockTable<Copies>,
-    /// Each block's directory entry — state, overflow flag and open
-    /// transaction together, looked up once per handler.
+    /// Each block's directory entry — state and open transaction
+    /// together, looked up once per handler.
     pub(crate) dir: BlockTable<DirEntry>,
     /// The sharer sets too wide for a [`DirEntry`]'s word.
     pub(crate) wide: WideSets,
@@ -614,11 +614,6 @@ impl ConcurrentMachine {
         self.clocks.iter().copied().max().unwrap_or(0)
     }
 
-    /// Topology-aware one-way message latency between two nodes.
-    pub(crate) fn one_way(&self, from: NodeId, to: NodeId) -> u64 {
-        self.sys.one_way_between_ns(from, to, self.proto.nodes)
-    }
-
     /// `block`'s home node: [`home_of_block`]'s round-robin rule on the
     /// page size `new` derived, inline — two divisions where the public
     /// function's checks and calls make four. For handlers, which run per
@@ -650,11 +645,6 @@ impl ConcurrentMachine {
     pub(crate) fn dir_state(&self, block: BlockAddr) -> Cow<'_, DirState> {
         self.wide
             .state(self.dir.get(block).copied().unwrap_or_default())
-    }
-
-    /// Whether the block's sharer set outgrew the limited-pointer budget.
-    pub(crate) fn overflowed(&self, block: BlockAddr) -> bool {
-        self.dir.get(block).is_some_and(|e| e.overflowed())
     }
 
     /// Runs `f` on `block`'s directory entry (created idle on first
@@ -744,30 +734,12 @@ impl ConcurrentMachine {
         self.with_dir(block, |m, e| m.write_dir(e, block, next));
     }
 
-    /// The one writer of directory state. Maintains the limited-pointer
-    /// overflow flag: a shared set larger than the pointer budget loses
-    /// precision; leaving the shared state (exclusive or idle) restores it.
+    /// The one writer of directory state: tallies the transition, writes
+    /// the entry and marks the block for the next barrier audit.
     fn write_dir(&mut self, e: &mut DirEntry, block: BlockAddr, next: DirState) {
-        let overflowed = match (&next, self.proto.limited_pointers) {
-            (DirState::Shared(s), Some(budget)) if s.len() > budget => {
-                if !e.overflowed() {
-                    self.stats.directory_overflows += 1;
-                }
-                true
-            }
-            (DirState::Shared(_), _) => e.overflowed(), // an existing overflow persists
-            _ => false,
-        };
         self.tally.dir_transition(&e.kind(), &next);
-        self.wide.write(e, next, overflowed);
+        self.wide.write(e, next);
         self.dirty.push(block);
-    }
-
-    /// For an overflowed entry, a write must invalidate *every* node —
-    /// the directory no longer knows who shares the block.
-    pub(crate) fn broadcast_targets(&self, requester: NodeId, home: NodeId) -> NodeSet {
-        let everyone = (0..self.proto.nodes).map(NodeId::new);
-        everyone.filter(|&n| n != requester && n != home).collect()
     }
 
     /// The one message recorder: counts the reception, logs it, trains
@@ -791,7 +763,7 @@ impl ConcurrentMachine {
     }
 
     fn send(&mut self, at: u64, msg: Msg) {
-        let hop = self.one_way(msg.sender, msg.receiver);
+        let hop = self.sys.one_way_ns();
         self.stats.net_latency_ns.record(hop);
         if self.fault.is_none() {
             self.spans.child(
@@ -843,7 +815,7 @@ impl ConcurrentMachine {
     /// Used for voluntary writebacks, whose loss the protocol has no
     /// timer to detect (nothing waits on them).
     fn send_reliable(&mut self, at: u64, msg: Msg) {
-        let hop = self.one_way(msg.sender, msg.receiver);
+        let hop = self.sys.one_way_ns();
         self.stats.net_latency_ns.record(hop);
         let seq = if self.fault.is_some() {
             let s = self.next_seq_to[msg.receiver.index()];
@@ -1201,10 +1173,6 @@ impl ConcurrentMachine {
                 fp.absorb(b);
                 fp.absorb(op);
             }
-        }
-        fp.tag(0x07);
-        for (b, _) in dirs.iter().filter(|(_, e)| e.overflowed()) {
-            fp.absorb(b);
         }
         fp.tag(0x08);
         let mut events: Vec<u64> = Vec::with_capacity(self.queue.len());
@@ -1622,7 +1590,7 @@ impl ConcurrentMachine {
                             CacheState::Invalid | CacheState::IToE
                         ) {
                             let struck = without_sharer(&self.wide.state(*e), msg.sender);
-                            if let Some(next) = struck.filter(|_| !e.overflowed()) {
+                            if let Some(next) = struck {
                                 let idle = next == DirState::Idle;
                                 self.write_dir(e, msg.block, next);
                                 if idle {
@@ -1697,7 +1665,7 @@ impl ConcurrentMachine {
     fn fault_request_shortcut(&mut self, e: &DirEntry, msg: &Msg, t: u64) -> bool {
         if e.txn != NO_TXN {
             self.recovery.naks_sent += 1;
-            let hop = self.one_way(msg.receiver, msg.sender);
+            let hop = self.sys.one_way_ns();
             self.stats.net_latency_ns.record(hop);
             // The bounce (home handler + NAK hop) is pure retry overhead
             // on the requester's critical path.
@@ -1777,7 +1745,6 @@ impl ConcurrentMachine {
             && self.mutation != ProtocolMutation::SpeculateWithoutRollback
             && !local
             && matches!(msg.mtype, MsgType::GetRoRequest | MsgType::GetRwRequest)
-            && !e.overflowed()
             && e.grants(msg.sender, ProcOp::Read, &self.wide)
         {
             let owned = e.grants(msg.sender, ProcOp::Write, &self.wide);
@@ -1814,13 +1781,13 @@ impl ConcurrentMachine {
                 self.spans.annotate(msg.trace, "speculative_grant");
             }
         }
-        let mut plan = if local {
+        let plan = if local {
             let op = match effective {
                 MsgType::GetRoRequest => ProcOp::Read,
                 MsgType::GetRwRequest | MsgType::UpgradeRequest => ProcOp::Write,
                 other => unreachable!("local marker {other}"),
             };
-            let plan = directory::handle_local(&self.wide.state(*e), home, op, &self.proto);
+            let plan = directory::handle_local(&self.wide.state(*e), home, op);
             match plan {
                 Some(o) => o,
                 None => {
@@ -1832,12 +1799,9 @@ impl ConcurrentMachine {
             }
         } else {
             let state = self.wide.state(*e);
-            directory::handle_request(&state, home, msg.sender, effective, &self.proto)
+            directory::handle_request(&state, home, msg.sender, effective)
                 .map_err(SimError::Protocol)?
         };
-        if e.overflowed() && matches!(plan.next, DirState::Exclusive(_)) {
-            plan.holders = self.broadcast_targets(msg.sender, home);
-        }
         if local && plan.holders.is_empty() && e.txn == NO_TXN {
             // A quiet local miss — nobody to recall, nobody queued — is
             // over in this handler: no slot to open and read back, only
@@ -2125,11 +2089,15 @@ impl ConcurrentMachine {
             return Ok(());
         }
 
-        // A broadcast invalidation reaching a node without a shared copy —
+        // A sharer-invalidation reaching a node without a shared copy —
         // either truly invalid or mid-fill (its own request for this block
-        // is queued behind the broadcasting write and will be serviced
+        // is queued behind the invalidating write and will be serviced
         // with fresh data afterwards): acknowledge without touching the
-        // line.
+        // line. Races reach it, never a clean serial run: a re-sent
+        // invalidation under faults whose first copy already did its work,
+        // one crossing the sharer's voluntary early ack, or one sent to a
+        // sharer whose early ack the directory left aside because it was
+        // already missing again.
         if msg.mtype == MsgType::InvalRoRequest
             && matches!(
                 state,
@@ -2258,7 +2226,7 @@ impl ConcurrentMachine {
         );
         // The reliable channel always delivers after exactly one hop, so
         // the writeback's arrival — and the trace's end — is known now.
-        self.spans.end_trace(tr, now + self.one_way(node, home));
+        self.spans.end_trace(tr, now + self.sys.one_way_ns());
         self.stats.voluntary_replacements += 1;
     }
 
@@ -2272,12 +2240,7 @@ impl ConcurrentMachine {
             return;
         }
         let home = self.home(block);
-        // Overflowed blocks keep their (imprecise, broadcast-serviced)
-        // sharer sets intact.
-        if node == home
-            || self.cache_state(node, block) != CacheState::Shared
-            || self.overflowed(block)
-        {
+        if node == home || self.cache_state(node, block) != CacheState::Shared {
             return;
         }
         let fire = self
@@ -2303,7 +2266,7 @@ impl ConcurrentMachine {
             now,
             Msg::new(node, home, block, MsgType::InvalRoResponse).with_trace(tr),
         );
-        self.spans.end_trace(tr, now + self.one_way(node, home));
+        self.spans.end_trace(tr, now + self.sys.one_way_ns());
         self.rollback.early_acks += 1;
     }
 
@@ -2374,7 +2337,7 @@ impl ConcurrentMachine {
     /// dropped: the push transaction has no timer, so its loss would
     /// wedge the block).
     fn send_spec_push(&mut self, at: u64, msg: Msg) {
-        let hop = self.one_way(msg.sender, msg.receiver);
+        let hop = self.sys.one_way_ns();
         self.stats.net_latency_ns.record(hop);
         let seq = if self.fault.is_some() {
             let s = self.next_seq_to[msg.receiver.index()];
@@ -2396,7 +2359,7 @@ impl ConcurrentMachine {
 
     /// Sends the target's verdict back to the home, reliably.
     fn send_spec_resp(&mut self, at: u64, msg: Msg, accepted: bool) {
-        let hop = self.one_way(msg.sender, msg.receiver);
+        let hop = self.sys.one_way_ns();
         self.stats.net_latency_ns.record(hop);
         let seq = if self.fault.is_some() {
             let s = self.next_seq_to[msg.receiver.index()];
@@ -2992,8 +2955,8 @@ mod tests {
         // runs it as events; both write one store through `set_dir` /
         // `set_cache_state`. One access per phase removes every race, so
         // the stores must end up equal entry for entry — directory
-        // states, per-node cache states, overflow flags — and so must
-        // every agent's incoming message sequence.
+        // states, per-node cache states — and so must every agent's
+        // incoming message sequence.
         use crate::machine::Machine;
         let accesses = [
             (1usize, 0u64, ProcOp::Write),
@@ -3008,63 +2971,49 @@ mod tests {
             (0, 1, ProcOp::Write), // local write recalls the owner
             (6, 0, ProcOp::Read),
         ];
-        let full = ProtocolConfig::paper();
-        let limited = ProtocolConfig {
-            limited_pointers: Some(1),
-            ..ProtocolConfig::paper()
+        let mut serial = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
+        for &(p, b, op) in &accesses {
+            serial.access(n(p), BlockAddr::new(b), op, 0).unwrap();
+        }
+        let mut conc = ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
+        let phases = accesses
+            .iter()
+            .map(|&(p, b, op)| {
+                vec![match op {
+                    ProcOp::Read => Access::read(n(p), BlockAddr::new(b)),
+                    ProcOp::Write => Access::write(n(p), BlockAddr::new(b)),
+                }]
+            })
+            .collect();
+        conc.run_plan(&plan_of(phases), 0).unwrap();
+        let serial = &serial.core;
+        // What each agent receives, in its own arrival order (the two
+        // schedulers interleave *different* agents' receptions
+        // differently when one write recalls many holders).
+        let agent_seqs = |m: &ConcurrentMachine| -> Vec<Vec<(NodeId, MsgType)>> {
+            let mut per_node = vec![Vec::new(); 16];
+            for r in m.trace().records() {
+                per_node[r.node.index()].push((r.sender, r.mtype));
+            }
+            per_node
         };
-        for proto in [full, limited] {
-            let mut serial = Machine::new(proto.clone(), SystemConfig::paper());
-            for &(p, b, op) in &accesses {
-                serial.access(n(p), BlockAddr::new(b), op, 0).unwrap();
-            }
-            let mut conc = ConcurrentMachine::new(proto, SystemConfig::paper());
-            let phases = accesses
-                .iter()
-                .map(|&(p, b, op)| {
-                    vec![match op {
-                        ProcOp::Read => Access::read(n(p), BlockAddr::new(b)),
-                        ProcOp::Write => Access::write(n(p), BlockAddr::new(b)),
-                    }]
-                })
-                .collect();
-            conc.run_plan(&plan_of(phases), 0).unwrap();
-            let serial = &serial.core;
-            // What each agent receives, in its own arrival order (the two
-            // schedulers interleave *different* agents' receptions
-            // differently when one write recalls many holders).
-            let agent_seqs = |m: &ConcurrentMachine| -> Vec<Vec<(NodeId, MsgType)>> {
-                let mut per_node = vec![Vec::new(); 16];
-                for r in m.trace().records() {
-                    per_node[r.node.index()].push((r.sender, r.mtype));
-                }
-                per_node
-            };
-            assert_eq!(agent_seqs(serial), agent_seqs(&conc));
-            assert_eq!(serial.touched_blocks(), conc.touched_blocks());
-            // Entry for entry, overflow flags included: the states, not
-            // the wide-set slots the two runs happened to hand out.
-            let entry = |m: &ConcurrentMachine, block| {
-                let e = m.dir.get(block).copied();
-                (
-                    m.dir_state(block).into_owned(),
-                    e.map(|e| (e.overflowed(), e.txn)),
-                )
-            };
-            for block in conc.touched_blocks() {
-                assert_eq!(entry(serial, block), entry(&conc, block), "{block}");
-                assert_eq!(
-                    serial.cache_states_for(block),
-                    conc.cache_states_for(block),
-                    "{block}"
-                );
-            }
-            assert_eq!(serial.copies, conc.copies);
+        assert_eq!(agent_seqs(serial), agent_seqs(&conc));
+        assert_eq!(serial.touched_blocks(), conc.touched_blocks());
+        // Entry for entry: the states, not the wide-set slots the two
+        // runs happened to hand out.
+        let entry = |m: &ConcurrentMachine, block| {
+            let e = m.dir.get(block).copied();
+            (m.dir_state(block).into_owned(), e.map(|e| e.txn))
+        };
+        for block in conc.touched_blocks() {
+            assert_eq!(entry(serial, block), entry(&conc, block), "{block}");
             assert_eq!(
-                serial.stats().directory_overflows,
-                conc.stats().directory_overflows
+                serial.cache_states_for(block),
+                conc.cache_states_for(block),
+                "{block}"
             );
         }
+        assert_eq!(serial.copies, conc.copies);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! System (timing) configuration — the paper's Table 3.
 
-use crate::network::Topology;
-
 /// Timing and sizing parameters of the simulated machine.
 ///
-/// Defaults reproduce the paper's Table 3. The paper notes that Cosmos'
-/// prediction accuracy is largely insensitive to network latency (changing
-/// 40 ns to 1 µs "hardly changes" the rates); the sensitivity harness
-/// sweeps [`SystemConfig::network_latency_ns`] to reproduce that claim.
+/// Defaults reproduce the paper's Table 3: a single-latency crossbar, on
+/// which every pair of nodes — and a node to itself — is one hop apart.
+/// The paper notes that Cosmos' prediction accuracy is largely insensitive
+/// to network latency (changing 40 ns to 1 µs "hardly changes" the rates);
+/// the sensitivity harness sweeps [`SystemConfig::network_latency_ns`] to
+/// reproduce that claim.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Processor clock in GHz (Table 3: 1 GHz).
@@ -30,8 +30,6 @@ pub struct SystemConfig {
     pub cache_hit_ns: u64,
     /// Barrier cost in ns added when all processors synchronise.
     pub barrier_ns: u64,
-    /// Network topology; the wire latency is paid once per hop.
-    pub topology: Topology,
 }
 
 impl SystemConfig {
@@ -47,33 +45,13 @@ impl SystemConfig {
             handler_ns: 100,
             cache_hit_ns: 1,
             barrier_ns: 500,
-            topology: Topology::Crossbar,
         }
     }
 
-    /// One-way message time for a single hop: source NI + wire +
-    /// destination NI. For topology-aware distances use
-    /// [`one_way_between_ns`](SystemConfig::one_way_between_ns).
+    /// One-way message time between any two nodes: source NI + wire +
+    /// destination NI.
     pub fn one_way_ns(&self) -> u64 {
         self.ni_access_ns + self.network_latency_ns + self.ni_access_ns
-    }
-
-    /// One-way message time between two nodes under the configured
-    /// topology: the NIs are paid once, the wire once per hop.
-    pub fn one_way_between_ns(
-        &self,
-        from: stache::NodeId,
-        to: stache::NodeId,
-        nodes: usize,
-    ) -> u64 {
-        let hops = self.topology.hops(from, to, nodes).max(1);
-        2 * self.ni_access_ns + hops * self.network_latency_ns
-    }
-
-    /// Variant with a different topology.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
     }
 
     /// Variant with a different wire latency (for the sensitivity sweep).

@@ -5,9 +5,10 @@
 //!
 //! This crate stands in for the Wisconsin Wind Tunnel II (paper §5): it
 //! executes memory-access streams on a simulated *N*-node machine running
-//! the Stache protocol, timestamps every coherence message with a
-//! latency-parameterised network model, and collects the per-node
-//! incoming-message traces that the Cosmos predictor is evaluated on.
+//! the paper's Stache protocol (full-map, half-migratory), timestamps
+//! every coherence message on Table 3's single-latency crossbar, and
+//! collects the per-node incoming-message traces that the Cosmos
+//! predictor is evaluated on.
 //!
 //! The simulator serialises coherence transactions per block (Stache's
 //! software handlers do the same), but interleaves *processors* by their
@@ -60,7 +61,6 @@ pub mod driver;
 pub mod event;
 pub mod fault;
 pub mod machine;
-pub mod network;
 pub mod rng;
 pub mod shard;
 pub mod simcheck;
@@ -75,7 +75,6 @@ pub use driver::{Access, AccessOp, Engine, IterationPlan, Phase};
 pub use event::EventQueue;
 pub use fault::{FaultInjector, FaultPlan};
 pub use machine::{AccessOutcome, Machine, SimError};
-pub use network::Topology;
 pub use shard::ShardedMachine;
 pub use speculate::{EagerPolicy, ForwardKind, SpecActions, SpeculationPolicy};
 pub use stats::MachineStats;

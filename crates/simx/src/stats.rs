@@ -23,9 +23,6 @@ pub struct MachineStats {
     /// Voluntary replacements of exclusive blocks (§4 integration,
     /// dynamic self-invalidation).
     pub voluntary_replacements: u64,
-    /// Limited-pointer directory entries that lost precision (sharer
-    /// count exceeded the pointer budget; the next write broadcasts).
-    pub directory_overflows: u64,
     /// Distribution of per-access latencies in ns (count, sum, and
     /// power-of-two percentiles — p50/p95/max replace the old bare sum).
     pub latency_ns: obs::Histogram,
@@ -72,7 +69,6 @@ impl MachineStats {
         self.barriers += other.barriers;
         self.exclusive_grants += other.exclusive_grants;
         self.voluntary_replacements += other.voluntary_replacements;
-        self.directory_overflows += other.directory_overflows;
         self.latency_ns.merge(&other.latency_ns);
         self.net_latency_ns.merge(&other.net_latency_ns);
         for (t, c) in &other.messages {
@@ -118,7 +114,6 @@ impl MachineStats {
             "simx.speculation.voluntary_replacements",
             self.voluntary_replacements,
         );
-        snap.counter("simx.directory.overflows", self.directory_overflows);
         snap.counter("simx.msg.total", self.messages_total());
         for (t, c) in &self.messages {
             snap.counter(&format!("simx.msg.sent.{}", t.paper_name()), *c);
@@ -170,7 +165,6 @@ mod tests {
         let s = MachineStats::default();
         assert_eq!(s.exclusive_grants, 0);
         assert_eq!(s.voluntary_replacements, 0);
-        assert_eq!(s.directory_overflows, 0);
     }
 
     #[test]

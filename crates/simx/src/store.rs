@@ -87,18 +87,16 @@ const EXCLUSIVE: u32 = 1;
 const PAIR: u32 = 2;
 const WIDE: u32 = 3;
 const KIND: u32 = 0b11;
-const OVERFLOWED: u32 = 0b100;
 /// Where the node ids or the slot start; an id is 12 bits (4 095 tops).
-const SHIFT: u32 = 3;
+const SHIFT: u32 = 2;
 const NODE_BITS: u32 = 12;
 const NODE: u32 = (1 << NODE_BITS) - 1;
 
 /// Everything a home keeps for one block, in 8 bytes: at 1 024 nodes the
 /// directory holds 1.67 M of them. The state word packs the kind of
-/// state, the limited-pointer overflow flag (set when the sharer set
-/// outgrew the pointer budget, so that the next write must broadcast) and
-/// the state's nodes — or, for a set of three or more, the slot in the
-/// machine's [`WideSets`] that holds it. Read the state through
+/// state and the state's nodes — or, for a set of three or more, the slot
+/// in the machine's [`WideSets`] that holds it: the full map, exact for
+/// every sharer set. Read the state through
 /// [`WideSets::state`]; only [`WideSets::write`] changes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DirEntry {
@@ -135,11 +133,6 @@ impl DirEntry {
             EXCLUSIVE => DirState::Exclusive(NodeId::new(self.payload() as usize)),
             _ => DirState::Shared(NodeSet::new()),
         }
-    }
-
-    /// Whether the sharer set outgrew the limited-pointer budget.
-    pub(crate) fn overflowed(self) -> bool {
-        self.word & OVERFLOWED != 0
     }
 
     /// Whether `node` holds the rights `op` needs: the word says, but for
@@ -182,10 +175,10 @@ impl WideSets {
         })
     }
 
-    /// Makes `next` and `overflowed` `e`'s: a wide set goes into the slot
-    /// `e` already holds, else into a free or new one; a slot `e` no longer
-    /// needs is emptied and freed.
-    pub(crate) fn write(&mut self, e: &mut DirEntry, next: DirState, overflowed: bool) {
+    /// Makes `next` `e`'s state: a wide set goes into the slot `e` already
+    /// holds, else into a free or new one; a slot `e` no longer needs is
+    /// emptied and freed.
+    pub(crate) fn write(&mut self, e: &mut DirEntry, next: DirState) {
         let mut held = (e.kind_bits() == WIDE).then(|| e.payload());
         let (kind, payload) = match next {
             DirState::Idle => (IDLE, 0),
@@ -213,7 +206,7 @@ impl WideSets {
             self.slots[slot as usize] = DirState::Idle;
             self.free.push(slot);
         }
-        e.word = kind | if overflowed { OVERFLOWED } else { 0 } | payload << SHIFT;
+        e.word = kind | payload << SHIFT;
     }
 }
 
@@ -492,12 +485,11 @@ mod tests {
             let mut e = DirEntry::default();
             for _ in 0..64 {
                 let state = shapes[rng.gen_range(0..shapes.len())].clone();
-                let overflowed = rng.gen_bool(0.5);
                 let txn = [NO_TXN, 0, 0x7fff_fffe][rng.gen_range(0..3)];
                 e.txn = txn;
-                wide.write(&mut e, state.clone(), overflowed);
+                wide.write(&mut e, state.clone());
                 assert_eq!(*wide.state(e), state);
-                assert_eq!((e.txn, e.overflowed()), (txn, overflowed));
+                assert_eq!(e.txn, txn);
                 assert_eq!(e.kind() == DirState::Idle, state == DirState::Idle);
                 for node in state.holders().iter().chain([n(0), n(4095), n(77)]) {
                     let read = e.grants(node, ProcOp::Read, &wide);

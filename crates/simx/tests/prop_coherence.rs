@@ -45,11 +45,7 @@ fn trace_of(sys: SystemConfig, accesses: &[(NodeId, BlockAddr, ProcOp)]) -> Trac
 #[test]
 fn random_streams_stay_coherent() {
     check(64, |rng| {
-        let proto = ProtocolConfig {
-            half_migratory: rng.gen_bool(0.5),
-            ..ProtocolConfig::paper()
-        };
-        let mut m = Machine::new(proto, SystemConfig::paper());
+        let mut m = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
         m.paranoid = true; // audit invariants after every access
         run(&mut m, &accesses(rng, 200));
         m.verify_coherence().expect("final audit");

@@ -37,12 +37,7 @@ fn plan(rng: &mut SmallRng, max_phases: usize) -> IterationPlan {
 #[test]
 fn arbitrary_plans_stay_coherent() {
     check(48, |rng| {
-        let proto = ProtocolConfig {
-            half_migratory: rng.gen_bool(0.5),
-            limited_pointers: rng.gen_bool(0.5).then(|| rng.gen_range(1..3)),
-            ..ProtocolConfig::paper()
-        };
-        let mut m = ConcurrentMachine::new(proto, SystemConfig::paper());
+        let mut m = ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
         m.run_plan(&plan(rng, 4), 0)
             .expect("coherent concurrent run");
         m.verify_coherence().expect("final audit");

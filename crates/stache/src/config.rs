@@ -2,15 +2,15 @@
 
 /// Static configuration of the Stache protocol instance.
 ///
-/// Defaults follow the paper: 16 nodes (Table 3), 64-byte blocks (Table 3),
-/// 4 KiB pages, and the half-migratory optimisation enabled (§5.1).
+/// Defaults follow the paper: 16 nodes (Table 3), 64-byte blocks (Table 3)
+/// and 4 KiB pages. The directory is always the paper's full-map,
+/// half-migratory one (§5.1); nothing here selects another protocol.
 ///
 /// ```
 /// use stache::ProtocolConfig;
 /// let cfg = ProtocolConfig::default();
 /// assert_eq!(cfg.nodes, 16);
 /// assert_eq!(cfg.blocks_per_page(), 64);
-/// assert!(cfg.half_migratory);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolConfig {
@@ -20,19 +20,6 @@ pub struct ProtocolConfig {
     pub block_size: usize,
     /// Page size in bytes (the unit of home placement).
     pub page_size: usize,
-    /// Whether the directory uses the half-migratory optimisation: on a
-    /// read or write miss to a block held exclusive elsewhere, the owner is
-    /// asked to *invalidate* its copy rather than downgrade it to shared
-    /// (paper §5.1). Disabling it makes the protocol DASH-like: read misses
-    /// downgrade the owner instead.
-    pub half_migratory: bool,
-    /// Limited-pointer directory organisation (Dir_i B, in the vein of the
-    /// LimitLESS work the paper cites in §3.7): `Some(i)` tracks at most
-    /// `i` sharers precisely; once a block's sharer count exceeds `i` the
-    /// entry *overflows*, and the next write must broadcast invalidations
-    /// to every node (each acknowledges, cached copy or not). `None` is
-    /// the paper's full-map directory.
-    pub limited_pointers: Option<usize>,
 }
 
 impl ProtocolConfig {
@@ -42,8 +29,6 @@ impl ProtocolConfig {
             nodes: 16,
             block_size: 64,
             page_size: 4096,
-            half_migratory: true,
-            limited_pointers: None,
         }
     }
 

@@ -2,19 +2,19 @@
 //!
 //! A full-map directory entry records whether a block is idle, shared by a
 //! set of caches, or exclusive in one cache. Requests from caches produce a
-//! [`DirOutcome`]: possibly a set of invalidation/downgrade requests to
-//! current holders, then a reply granting the requested access.
+//! [`DirOutcome`]: possibly a set of invalidations to current holders,
+//! then a reply granting the requested access.
 //!
 //! The home node's own copy is tracked in the entry like any other node's
 //! (which keeps the single-writer invariant uniform); the simulation layer
 //! suppresses *messages* to and from the home, because Stache's directory
 //! pages double as local cache pages (§5.1).
 //!
-//! With the **half-migratory optimisation** (paper §5.1) enabled, a read
-//! miss to an exclusive block *invalidates* the owner rather than
+//! The **half-migratory optimisation** (paper §5.1) is the protocol: a
+//! read miss to an exclusive block *invalidates* the owner rather than
 //! downgrading it, on the bet that the former owner is done with the block.
+//! No directory plan sends a downgrade.
 
-use crate::config::ProtocolConfig;
 use crate::error::ProtocolError;
 use crate::ids::{NodeId, NodeSet};
 use crate::msg::{MsgType, ProcOp, Role};
@@ -89,17 +89,16 @@ impl fmt::Display for DirState {
 /// The directory's plan for servicing one request.
 ///
 /// `holder_request` is sent to every node of `holders` first (invalidations
-/// or a downgrade to current holders); once all their responses have been
+/// to current holders); once all their responses have been
 /// collected, `reply` (if any — local accesses by the home node need no
 /// reply message) is sent to the requester, and the entry moves to `next`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirOutcome {
-    /// The current holders that must first give up or downgrade their
-    /// copy. A set, not a message list: every plan sends one message type,
+    /// The current holders that must first give up their copy. A set, not a message list: every plan sends one message type,
     /// so building it allocates nothing while the set stays inline.
     pub holders: NodeSet,
-    /// What each of `holders` is sent (`inval_ro_request` when there are
-    /// none).
+    /// What each of `holders` is sent: `inval_ro_request` to sharers (and
+    /// when there are none), `inval_rw_request` to an owner.
     pub holder_request: MsgType,
     /// The granting reply to the requester, if the requester is remote.
     pub reply: Option<MsgType>,
@@ -127,18 +126,12 @@ impl DirOutcome {
         plan
     }
 
-    /// Sends `req` to the owner.
-    fn recall(
-        owner: NodeId,
-        req: MsgType,
-        home: NodeId,
-        reply: Option<MsgType>,
-        next: DirState,
-    ) -> Self {
+    /// Invalidates the owner (unless it is the home).
+    fn recall(owner: NodeId, home: NodeId, reply: Option<MsgType>, next: DirState) -> Self {
         let mut plan = DirOutcome::quiet(reply, next);
         plan.holders.insert(owner);
         plan.holders.remove(home);
-        plan.holder_request = req;
+        plan.holder_request = MsgType::InvalRwRequest;
         plan
     }
 }
@@ -160,7 +153,6 @@ pub fn handle_request(
     home: NodeId,
     from: NodeId,
     mtype: MsgType,
-    cfg: &ProtocolConfig,
 ) -> Result<DirOutcome, ProtocolError> {
     if mtype.receiver_role() != Role::Directory {
         return Err(ProtocolError::WrongRole { mtype });
@@ -191,21 +183,11 @@ pub fn handle_request(
                 if *owner == from {
                     return Err(inconsistent());
                 }
-                let (req, next) = if cfg.half_migratory {
-                    // Half-migratory: invalidate the owner outright; only the
-                    // reader keeps a copy.
-                    (
-                        MsgType::InvalRwRequest,
-                        DirState::Shared(NodeSet::singleton(from)),
-                    )
-                } else {
-                    // DASH-like: downgrade the owner; both keep shared copies.
-                    let mut s = NodeSet::singleton(from);
-                    s.insert(*owner);
-                    (MsgType::DowngradeRequest, DirState::Shared(s))
-                };
+                // Half-migratory: invalidate the owner outright; only the
+                // reader keeps a copy.
+                let next = DirState::Shared(NodeSet::singleton(from));
                 let reply = Some(MsgType::GetRoResponse);
-                Ok(DirOutcome::recall(*owner, req, home, reply, next))
+                Ok(DirOutcome::recall(*owner, home, reply, next))
             }
         },
         MsgType::GetRwRequest => match state {
@@ -226,7 +208,6 @@ pub fn handle_request(
                 }
                 Ok(DirOutcome::recall(
                     *owner,
-                    MsgType::InvalRwRequest,
                     home,
                     Some(MsgType::GetRwResponse),
                     DirState::Exclusive(from),
@@ -256,15 +237,7 @@ pub fn handle_request(
 ///
 /// Returns `None` if the access needs no coherence action (the home already
 /// has sufficient rights), otherwise the plan (with `reply: None`).
-pub fn handle_local(
-    state: &DirState,
-    home: NodeId,
-    op: ProcOp,
-    cfg: &ProtocolConfig,
-) -> Option<DirOutcome> {
-    let _ = cfg; // local reads invalidate the owner in both protocol variants:
-                 // Stache's directory pages are also the home's cache pages, and the
-                 // half-migratory policy applies to the remote owner identically.
+pub fn handle_local(state: &DirState, home: NodeId, op: ProcOp) -> Option<DirOutcome> {
     match op {
         ProcOp::Read => {
             if state.node_readable(home) {
@@ -281,17 +254,8 @@ pub fn handle_local(
                     Some(DirOutcome::quiet(None, DirState::Shared(next)))
                 }
                 DirState::Exclusive(owner) => {
-                    let (req, next) = if cfg.half_migratory {
-                        (
-                            MsgType::InvalRwRequest,
-                            DirState::Shared(NodeSet::singleton(home)),
-                        )
-                    } else {
-                        let mut s = NodeSet::singleton(home);
-                        s.insert(*owner);
-                        (MsgType::DowngradeRequest, DirState::Shared(s))
-                    };
-                    Some(DirOutcome::recall(*owner, req, home, None, next))
+                    let next = DirState::Shared(NodeSet::singleton(home));
+                    Some(DirOutcome::recall(*owner, home, None, next))
                 }
             }
         }
@@ -303,9 +267,7 @@ pub fn handle_local(
             Some(match state {
                 DirState::Idle => DirOutcome::quiet(None, next),
                 DirState::Shared(s) => DirOutcome::invalidate(s, home, home, None),
-                DirState::Exclusive(owner) => {
-                    DirOutcome::recall(*owner, MsgType::InvalRwRequest, home, None, next)
-                }
+                DirState::Exclusive(owner) => DirOutcome::recall(*owner, home, None, next),
             })
         }
     }
@@ -314,17 +276,6 @@ pub fn handle_local(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cfg() -> ProtocolConfig {
-        ProtocolConfig::paper()
-    }
-
-    fn no_hm() -> ProtocolConfig {
-        ProtocolConfig {
-            half_migratory: false,
-            ..ProtocolConfig::paper()
-        }
-    }
 
     const H: usize = 0; // home node for tests
 
@@ -342,8 +293,7 @@ mod tests {
 
     #[test]
     fn read_miss_on_idle_grants_shared() {
-        let out =
-            handle_request(&DirState::Idle, n(H), n(1), MsgType::GetRoRequest, &cfg()).unwrap();
+        let out = handle_request(&DirState::Idle, n(H), n(1), MsgType::GetRoRequest).unwrap();
         assert!(out.holders.is_empty());
         assert_eq!(out.reply, Some(MsgType::GetRoResponse));
         assert_eq!(out.next, DirState::Shared(NodeSet::singleton(n(1))));
@@ -352,7 +302,7 @@ mod tests {
     #[test]
     fn read_miss_on_shared_adds_sharer() {
         let s = DirState::Shared(NodeSet::singleton(n(1)));
-        let out = handle_request(&s, n(H), n(2), MsgType::GetRoRequest, &cfg()).unwrap();
+        let out = handle_request(&s, n(H), n(2), MsgType::GetRoRequest).unwrap();
         assert!(out.holders.is_empty());
         let expected: NodeSet = [n(1), n(2)].into_iter().collect();
         assert_eq!(out.next, DirState::Shared(expected));
@@ -361,7 +311,7 @@ mod tests {
     #[test]
     fn half_migratory_read_miss_invalidates_owner() {
         let s = DirState::Exclusive(n(2));
-        let out = handle_request(&s, n(H), n(1), MsgType::GetRoRequest, &cfg()).unwrap();
+        let out = handle_request(&s, n(H), n(1), MsgType::GetRoRequest).unwrap();
         assert_eq!(reqs(&out), vec![(n(2), MsgType::InvalRwRequest)]);
         assert_eq!(out.reply, Some(MsgType::GetRoResponse));
         // Only the reader keeps a copy: the half-migratory bet.
@@ -369,18 +319,9 @@ mod tests {
     }
 
     #[test]
-    fn dash_style_read_miss_downgrades_owner() {
-        let s = DirState::Exclusive(n(2));
-        let out = handle_request(&s, n(H), n(1), MsgType::GetRoRequest, &no_hm()).unwrap();
-        assert_eq!(reqs(&out), vec![(n(2), MsgType::DowngradeRequest)]);
-        let expected: NodeSet = [n(1), n(2)].into_iter().collect();
-        assert_eq!(out.next, DirState::Shared(expected));
-    }
-
-    #[test]
     fn write_miss_invalidates_all_sharers() {
         let s = DirState::Shared([n(1), n(2), n(3)].into_iter().collect());
-        let out = handle_request(&s, n(H), n(4), MsgType::GetRwRequest, &cfg()).unwrap();
+        let out = handle_request(&s, n(H), n(4), MsgType::GetRwRequest).unwrap();
         assert_eq!(
             reqs(&out),
             vec![
@@ -397,7 +338,7 @@ mod tests {
     fn write_miss_skips_home_sharer_message() {
         // The home's own copy is invalidated silently.
         let s = DirState::Shared([n(H), n(2)].into_iter().collect());
-        let out = handle_request(&s, n(H), n(3), MsgType::GetRwRequest, &cfg()).unwrap();
+        let out = handle_request(&s, n(H), n(3), MsgType::GetRwRequest).unwrap();
         assert_eq!(reqs(&out), vec![(n(2), MsgType::InvalRoRequest)]);
         assert_eq!(out.next, DirState::Exclusive(n(3)));
     }
@@ -405,7 +346,7 @@ mod tests {
     #[test]
     fn write_miss_on_exclusive_forwards_invalidation() {
         let s = DirState::Exclusive(n(2));
-        let out = handle_request(&s, n(H), n(1), MsgType::GetRwRequest, &cfg()).unwrap();
+        let out = handle_request(&s, n(H), n(1), MsgType::GetRwRequest).unwrap();
         assert_eq!(reqs(&out), vec![(n(2), MsgType::InvalRwRequest)]);
         assert_eq!(out.next, DirState::Exclusive(n(1)));
     }
@@ -413,7 +354,7 @@ mod tests {
     #[test]
     fn upgrade_invalidates_other_sharers_only() {
         let s = DirState::Shared([n(1), n(2)].into_iter().collect());
-        let out = handle_request(&s, n(H), n(1), MsgType::UpgradeRequest, &cfg()).unwrap();
+        let out = handle_request(&s, n(H), n(1), MsgType::UpgradeRequest).unwrap();
         assert_eq!(reqs(&out), vec![(n(2), MsgType::InvalRoRequest)]);
         assert_eq!(out.reply, Some(MsgType::UpgradeResponse));
         assert_eq!(out.next, DirState::Exclusive(n(1)));
@@ -422,7 +363,7 @@ mod tests {
     #[test]
     fn upgrade_by_sole_sharer_needs_no_invalidations() {
         let s = DirState::Shared(NodeSet::singleton(n(1)));
-        let out = handle_request(&s, n(H), n(1), MsgType::UpgradeRequest, &cfg()).unwrap();
+        let out = handle_request(&s, n(H), n(1), MsgType::UpgradeRequest).unwrap();
         assert!(out.holders.is_empty());
         assert_eq!(out.next, DirState::Exclusive(n(1)));
     }
@@ -431,7 +372,7 @@ mod tests {
     fn upgrade_from_non_sharer_is_inconsistent() {
         let s = DirState::Shared(NodeSet::singleton(n(1)));
         assert!(matches!(
-            handle_request(&s, n(H), n(2), MsgType::UpgradeRequest, &cfg()),
+            handle_request(&s, n(H), n(2), MsgType::UpgradeRequest),
             Err(ProtocolError::InconsistentDirectory { .. })
         ));
     }
@@ -439,16 +380,16 @@ mod tests {
     #[test]
     fn duplicate_requests_are_inconsistent() {
         let s = DirState::Shared(NodeSet::singleton(n(1)));
-        assert!(handle_request(&s, n(H), n(1), MsgType::GetRoRequest, &cfg()).is_err());
+        assert!(handle_request(&s, n(H), n(1), MsgType::GetRoRequest).is_err());
         let e = DirState::Exclusive(n(1));
-        assert!(handle_request(&e, n(H), n(1), MsgType::GetRoRequest, &cfg()).is_err());
-        assert!(handle_request(&e, n(H), n(1), MsgType::GetRwRequest, &cfg()).is_err());
+        assert!(handle_request(&e, n(H), n(1), MsgType::GetRoRequest).is_err());
+        assert!(handle_request(&e, n(H), n(1), MsgType::GetRwRequest).is_err());
     }
 
     #[test]
     fn cache_bound_types_rejected_by_role() {
         assert_eq!(
-            handle_request(&DirState::Idle, n(H), n(1), MsgType::GetRoResponse, &cfg()),
+            handle_request(&DirState::Idle, n(H), n(1), MsgType::GetRoResponse),
             Err(ProtocolError::WrongRole {
                 mtype: MsgType::GetRoResponse
             })
@@ -458,34 +399,25 @@ mod tests {
     #[test]
     fn local_read_hit_needs_no_action() {
         let s = DirState::Shared(NodeSet::singleton(n(H)));
-        assert_eq!(handle_local(&s, n(H), ProcOp::Read, &cfg()), None);
+        assert_eq!(handle_local(&s, n(H), ProcOp::Read), None);
         let e = DirState::Exclusive(n(H));
-        assert_eq!(handle_local(&e, n(H), ProcOp::Read, &cfg()), None);
-        assert_eq!(handle_local(&e, n(H), ProcOp::Write, &cfg()), None);
+        assert_eq!(handle_local(&e, n(H), ProcOp::Read), None);
+        assert_eq!(handle_local(&e, n(H), ProcOp::Write), None);
     }
 
     #[test]
     fn local_read_of_remote_exclusive_invalidates_owner() {
         let s = DirState::Exclusive(n(2));
-        let out = handle_local(&s, n(H), ProcOp::Read, &cfg()).unwrap();
+        let out = handle_local(&s, n(H), ProcOp::Read).unwrap();
         assert_eq!(reqs(&out), vec![(n(2), MsgType::InvalRwRequest)]);
         assert_eq!(out.reply, None);
         assert_eq!(out.next, DirState::Shared(NodeSet::singleton(n(H))));
     }
 
     #[test]
-    fn local_read_without_half_migratory_downgrades() {
-        let s = DirState::Exclusive(n(2));
-        let out = handle_local(&s, n(H), ProcOp::Read, &no_hm()).unwrap();
-        assert_eq!(reqs(&out), vec![(n(2), MsgType::DowngradeRequest)]);
-        let expected: NodeSet = [n(H), n(2)].into_iter().collect();
-        assert_eq!(out.next, DirState::Shared(expected));
-    }
-
-    #[test]
     fn local_write_invalidates_remote_sharers() {
         let s = DirState::Shared([n(H), n(2), n(5)].into_iter().collect());
-        let out = handle_local(&s, n(H), ProcOp::Write, &cfg()).unwrap();
+        let out = handle_local(&s, n(H), ProcOp::Write).unwrap();
         assert_eq!(
             reqs(&out),
             vec![
@@ -498,7 +430,7 @@ mod tests {
 
     #[test]
     fn local_write_on_idle_is_silent() {
-        let out = handle_local(&DirState::Idle, n(H), ProcOp::Write, &cfg()).unwrap();
+        let out = handle_local(&DirState::Idle, n(H), ProcOp::Write).unwrap();
         assert!(out.holders.is_empty());
         assert_eq!(out.next, DirState::Exclusive(n(H)));
     }

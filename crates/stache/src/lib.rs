@@ -6,13 +6,12 @@
 //! reproduction: the message vocabulary of the paper's Table 1 (plus the
 //! `downgrade` pair described in Figure 8's caption), the cache-side and
 //! directory-side finite state machines of a full-map, write-invalidate
-//! directory protocol, and the Stache-specific policies the paper lists in
-//! §5.1:
+//! directory protocol — the paper's, and the only one here — and the
+//! Stache-specific policies the paper lists in §5.1:
 //!
 //! * the **half-migratory optimisation** — a directory asks an exclusive
 //!   owner to *invalidate* (not downgrade) its copy when another cache
-//!   read- or write-misses on the block (configurable, see
-//!   [`ProtocolConfig::half_migratory`]);
+//!   read- or write-misses on the block;
 //! * **round-robin page allocation** — page *X* is homed on node
 //!   `X mod N`, and the home node doubles as the directory for the page
 //!   (see [`placement`]);

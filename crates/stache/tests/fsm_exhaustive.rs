@@ -6,9 +6,7 @@
 use stache::cache::{on_message, on_processor_op, CacheAction};
 use stache::directory::handle_request;
 use stache::msg::ALL_MSG_TYPES;
-use stache::{
-    CacheState, DirState, MsgType, NodeId, NodeSet, ProcOp, ProtocolConfig, ProtocolError, Role,
-};
+use stache::{CacheState, DirState, MsgType, NodeId, NodeSet, ProcOp, ProtocolError, Role};
 
 const CACHE_STATES: [CacheState; 6] = [
     CacheState::Invalid,
@@ -76,7 +74,6 @@ fn cache_message_table_is_exactly_as_documented() {
 
 #[test]
 fn directory_accepts_exactly_the_request_vocabulary() {
-    let cfg = ProtocolConfig::paper();
     let home = NodeId::new(0);
     let from = NodeId::new(5);
     let states = [
@@ -86,7 +83,7 @@ fn directory_accepts_exactly_the_request_vocabulary() {
     ];
     for state in &states {
         for mtype in ALL_MSG_TYPES {
-            let got = handle_request(state, home, from, mtype, &cfg);
+            let got = handle_request(state, home, from, mtype);
             match mtype {
                 // The three requests are serviceable (upgrade only from a
                 // sharer, which `from` is not).

@@ -6,7 +6,7 @@
 
 use simx::rng::{check, SmallRng};
 use stache::directory::{handle_local, handle_request, DirOutcome};
-use stache::{BlockAddr, DirState, MsgType, NodeId, NodeSet, ProcOp, ProtocolConfig};
+use stache::{BlockAddr, DirState, MsgType, NodeId, NodeSet, ProcOp};
 use std::collections::BTreeSet;
 
 /// A directory entry held by up to three of nodes 0..8: idle when nobody
@@ -77,10 +77,6 @@ fn msg_codes_roundtrip() {
 fn directory_outcomes_are_consistent() {
     check(256, |rng| {
         let state = dir_state(rng);
-        let cfg = ProtocolConfig {
-            half_migratory: rng.gen_bool(0.5),
-            ..ProtocolConfig::paper()
-        };
         let home = NodeId::new(15);
         let from = NodeId::new(rng.gen_range(8..12));
         let req = [
@@ -90,7 +86,7 @@ fn directory_outcomes_are_consistent() {
         ][rng.gen_range(0..3)];
         // Upgrades from a non-sharer are inconsistent by construction
         // (the requester pool 8..12 is disjoint from holders 0..8).
-        let result = handle_request(&state, home, from, req, &cfg);
+        let result = handle_request(&state, home, from, req);
         if req == MsgType::UpgradeRequest {
             assert!(result.is_err());
             return;
@@ -109,7 +105,7 @@ fn directory_outcomes_are_consistent() {
         }
         assert!(matches!(
             holder_request,
-            MsgType::InvalRoRequest | MsgType::InvalRwRequest | MsgType::DowngradeRequest
+            MsgType::InvalRoRequest | MsgType::InvalRwRequest
         ));
         assert!(reply.is_some(), "remote requests are always answered");
         match req {
@@ -127,7 +123,6 @@ fn local_accesses_grant_home_rights() {
     check(256, |rng| {
         let state = dir_state(rng);
         let write = rng.gen_bool(0.5);
-        let cfg = ProtocolConfig::paper();
         let home = NodeId::new(15);
         let op = if write { ProcOp::Write } else { ProcOp::Read };
         let has_rights = |s: &DirState| {
@@ -137,7 +132,7 @@ fn local_accesses_grant_home_rights() {
                 s.node_readable(home)
             }
         };
-        match handle_local(&state, home, op, &cfg) {
+        match handle_local(&state, home, op) {
             // Already had rights.
             None => assert!(has_rights(&state)),
             Some(out) => {

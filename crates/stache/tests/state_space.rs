@@ -11,7 +11,7 @@
 use stache::cache::{on_message, on_processor_op, CacheAction};
 use stache::directory::{handle_local, handle_request};
 use stache::invariants::check_block;
-use stache::{BlockAddr, CacheState, DirState, NodeId, ProcOp, ProtocolConfig};
+use stache::{BlockAddr, CacheState, DirState, NodeId, ProcOp};
 use std::collections::{BTreeSet, VecDeque};
 
 /// One global configuration: the directory entry plus every cache's state.
@@ -47,7 +47,6 @@ fn step(
     caches: &[CacheState],
     p: usize,
     op: ProcOp,
-    cfg: &ProtocolConfig,
 ) -> (DirState, Vec<CacheState>) {
     let home = NodeId::new(0);
     let node = NodeId::new(p);
@@ -55,7 +54,7 @@ fn step(
 
     if p == 0 {
         // Home access: handle_local; remote holders transition via FSM.
-        match handle_local(dir, home, op, cfg) {
+        match handle_local(dir, home, op) {
             None => (dir.clone(), caches),
             Some(out) => {
                 for target in &out.holders {
@@ -72,7 +71,7 @@ fn step(
         match action {
             CacheAction::Hit => (dir.clone(), caches),
             CacheAction::Send(req) => {
-                let out = handle_request(dir, home, node, req, cfg)
+                let out = handle_request(dir, home, node, req)
                     .expect("serialized requests are consistent");
                 for target in &out.holders {
                     let (next, reply) = on_message(caches[target.index()], out.holder_request)
@@ -109,12 +108,7 @@ fn canonical(dir: &DirState, caches: &[CacheState]) -> Config {
     }
 }
 
-fn explore(nodes: usize, half_migratory: bool) -> usize {
-    let cfg = ProtocolConfig {
-        nodes,
-        half_migratory,
-        ..ProtocolConfig::paper()
-    };
+fn explore(nodes: usize) -> usize {
     let block = BlockAddr::new(0);
     let initial_dir = DirState::Idle;
     let initial_caches = vec![CacheState::Invalid; nodes];
@@ -134,7 +128,7 @@ fn explore(nodes: usize, half_migratory: bool) -> usize {
 
         for p in 0..nodes {
             for op in [ProcOp::Read, ProcOp::Write] {
-                let (ndir, ncaches) = step(&dir, &caches, p, op, &cfg);
+                let (ndir, ncaches) = step(&dir, &caches, p, op);
                 let key = canonical(&ndir, &ncaches);
                 if seen.insert(key) {
                     frontier.push_back((ndir, ncaches));
@@ -147,22 +141,15 @@ fn explore(nodes: usize, half_migratory: bool) -> usize {
 
 #[test]
 fn every_reachable_state_is_coherent_half_migratory() {
-    let states = explore(4, true);
+    let states = explore(4);
     // Sanity: the space is neither trivial nor unbounded.
     assert!(states > 10, "only {states} states explored");
     assert!(states < 1000, "state space exploded: {states}");
 }
 
 #[test]
-fn every_reachable_state_is_coherent_dash_style() {
-    let states = explore(4, false);
-    assert!(states > 10);
-    assert!(states < 1000);
-}
-
-#[test]
 fn five_node_space_is_also_clean() {
-    let states = explore(5, true);
+    let states = explore(5);
     assert!(states > 20, "only {states} states");
 }
 
@@ -171,12 +158,5 @@ fn five_node_space_is_also_clean() {
 /// configurations shows up here.
 #[test]
 fn state_counts_are_stable() {
-    // 3 nodes (home + 2 remotes), half-migratory. States: dir entry and
-    // remote-cache combinations consistent with it.
-    let hm = explore(3, true);
-    let dash = explore(3, false);
-    // DASH-style downgrades add owner+reader sharing configurations that
-    // half-migratory can never reach... via local reads it can; the two
-    // variants reach the same *stable* configurations for this size.
-    assert_eq!(hm, dash, "hm {hm} vs dash {dash}");
+    assert_eq!([3, 4, 5].map(explore), [11, 20, 37]);
 }

@@ -16,16 +16,12 @@
 //!    with the same final cache/directory states, and an obs snapshot
 //!    that agrees on every metric the concurrent engine exports (the
 //!    sharded snapshot adds only its own `simx.shard.*` keys). Checked on
-//!    the paper's configuration at shards 1, 2 and 4 and on every variant
-//!    both engines advertise: the
-//!    limited-pointer directory (overflow broadcast), the DASH-style
-//!    downgrade, the mesh and ring fabrics (unequal hop latencies, so
-//!    sends land a varying number of windows out), and the flight
+//!    the paper's configuration at shards 1, 2 and 4, and with the flight
 //!    recorder switched off.
 
 use simx::ConcurrentMachine;
 use simx::IterationPlan;
-use simx::{ShardedMachine, SystemConfig, Topology};
+use simx::{ShardedMachine, SystemConfig};
 use stache::ProtocolConfig;
 use workloads::{drive, run_sharded, small_suite, Workload};
 
@@ -136,37 +132,19 @@ fn sharded_matches_concurrent_engine() {
     }
 }
 
-/// The same identity on every protocol and fabric variant the engines
-/// accept, and with the flight recorder off on both (`recorder`), at
+/// The same identity with the flight recorder off on both engines, at
 /// shards 1 and 3.
 #[test]
 fn variants_match_across_engines() {
-    let paper = ProtocolConfig::paper;
-    let crossbar = SystemConfig::paper;
-    let limited = ProtocolConfig {
-        limited_pointers: Some(2),
-        ..paper()
-    };
-    let dash = ProtocolConfig {
-        half_migratory: false,
-        ..paper()
-    };
-    let mesh = crossbar().with_topology(Topology::Mesh2D { cols: 4 });
-    let ring = crossbar().with_topology(Topology::Ring);
-    let variants = [
-        ("limited_pointers", limited, crossbar(), true),
-        ("dash_downgrade", dash, crossbar(), true),
-        ("mesh", paper(), mesh, true),
-        ("ring", paper(), ring, true),
-        ("recorder_off", paper(), crossbar(), false),
-    ];
+    let (proto, sys) = (ProtocolConfig::paper(), SystemConfig::paper());
+    let variants = [("recorder_off", false)];
     /// Feeds every iteration plan of `w` to `run_plan`.
     fn drive(w: &mut dyn Workload, mut run_plan: impl FnMut(&IterationPlan, u32)) {
         for it in 0..w.iterations() {
             run_plan(&w.plan(it), it);
         }
     }
-    for (variant, proto, sys, recorder) in variants {
+    for (variant, recorder) in variants {
         let suites = small_suite()
             .into_iter()
             .zip(small_suite())

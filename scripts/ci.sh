@@ -225,10 +225,11 @@ scripts/profile.sh scale1024 3 > "$SMOKE_DIR/profile.txt"
 grep -E "unavailable here|^ +[0-9.]+% +[0-9]+ " "$SMOKE_DIR/profile.txt" | sed -n '1,4s/^/    /p'
 
 # Surface report: what a simplicity PR is judged on. Printed, not gated;
-# the last line is the parent commit's totals, so the delta is read off
-# (a PR that moves the surface updates it).
-echo "==> surface (non-test lines, pub fns, predictor / policy impls per crate)"
+# the last two lines are the parent commit's totals and knobs, so the
+# delta is read off (a PR that moves the surface updates them).
+echo "==> surface (non-test lines, pub fns, predictor / policy impls per crate; knobs)"
 scripts/surface.sh | sed 's/^/    /'
-echo "    parent         22468     643          7         2"
+echo "    parent         22637     643          7         2"
+echo "    parent knobs      15"
 
 echo "CI green."
