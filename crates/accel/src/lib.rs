@@ -76,8 +76,3 @@ pub use runner::{
     ActionAuditor, Comparison, RunSummary,
 };
 pub use speculate::SpeculatePolicy;
-
-// Tests of confidence-gated speculation, under the module path they had
-// when that pairing was a policy of its own.
-#[cfg(test)]
-mod confident_policy;

@@ -48,9 +48,13 @@ impl SpeculatePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::compare;
+    use crate::CosmosPolicy;
     use simx::{ForwardKind, SpeculationPolicy};
     use stache::{BlockAddr, MsgType, NodeId, Role};
     use trace::MsgRecord;
+    use workloads::micro::ProducerConsumer;
+    use workloads::Appbt;
 
     fn rec(node: usize, role: Role, block: u64, sender: usize, mtype: MsgType) -> MsgRecord {
         MsgRecord {
@@ -145,5 +149,61 @@ mod tests {
         assert!(!p.early_inval_ack(NodeId::new(2), BlockAddr::new(0)));
         assert!(!p.self_invalidate(NodeId::new(2), BlockAddr::new(0)));
         assert_eq!(p.forward_candidate(NodeId::new(0), BlockAddr::new(0)), None);
+    }
+
+    #[test]
+    fn needs_confirmations_before_granting() {
+        let mut p = SpeculatePolicy::new(1, Some(2));
+        let rec = |mtype| rec(0, Role::Directory, 5, 1, mtype);
+        // One sighting of the read->upgrade pattern: not confident yet.
+        p.observe(&rec(MsgType::GetRoRequest));
+        p.observe(&rec(MsgType::UpgradeRequest));
+        p.observe(&rec(MsgType::GetRoRequest));
+        assert!(!p.grant_exclusive(NodeId::new(0), NodeId::new(1), BlockAddr::new(5)));
+        // Two confirmations later it fires.
+        p.observe(&rec(MsgType::UpgradeRequest));
+        p.observe(&rec(MsgType::GetRoRequest));
+        p.observe(&rec(MsgType::UpgradeRequest));
+        p.observe(&rec(MsgType::GetRoRequest));
+        assert!(p.grant_exclusive(NodeId::new(0), NodeId::new(1), BlockAddr::new(5)));
+    }
+
+    #[test]
+    fn gated_policy_still_accelerates_stable_patterns() {
+        let make = || ProducerConsumer {
+            blocks: 2,
+            iterations: 25,
+            ..Default::default()
+        };
+        let c = compare(&mut make(), &mut make(), || {
+            Box::new(SpeculatePolicy::new(1, Some(2)))
+        })
+        .unwrap();
+        assert!(c.accelerated.messages < c.baseline.messages, "{c}");
+    }
+
+    #[test]
+    fn gating_reduces_speculation_volume_on_noisy_workloads() {
+        // appbt's false sharing misleads an ungated policy; the gated one
+        // fires less (and never blindly).
+        let make = || Appbt::small();
+        let eager = compare(&mut make(), &mut make(), || Box::new(CosmosPolicy::new(1))).unwrap();
+        let gated = compare(&mut make(), &mut make(), || {
+            Box::new(SpeculatePolicy::new(1, Some(2)))
+        })
+        .unwrap();
+        let eager_fires =
+            eager.accelerated.exclusive_grants + eager.accelerated.voluntary_replacements;
+        let gated_fires =
+            gated.accelerated.exclusive_grants + gated.accelerated.voluntary_replacements;
+        assert!(
+            gated_fires < eager_fires,
+            "gated {gated_fires} vs eager {eager_fires}"
+        );
+        // And it still helps.
+        assert!(
+            gated.accelerated.messages <= gated.baseline.messages,
+            "{gated}"
+        );
     }
 }

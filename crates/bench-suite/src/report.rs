@@ -3,8 +3,7 @@
 //! One call to [`obs_report`] runs a benchmark end-to-end and condenses
 //! every layer's metrics into a single [`obs::Snapshot`]:
 //!
-//! * `simx.*` — machine access/message counters, latency histograms, the
-//!   flight-recorder volume;
+//! * `simx.*` — machine access/message counters and latency histograms;
 //! * `stache.*` — per-transition protocol tallies and invariant-check
 //!   counts;
 //! * `trace.*` — captured message-mix statistics and the packed-codec

@@ -93,8 +93,8 @@ pub fn default_shards(nodes: usize) -> usize {
 }
 
 /// Runs one cell on the sharded engine in streaming mode: each
-/// iteration's records drained and dropped, no flight recorder, barrier
-/// audits off, one sampled coherence audit at the end.
+/// iteration's records drained and dropped, barrier audits off, one
+/// sampled coherence audit at the end.
 pub fn run_cell(cell: ScaleCell, shards: usize) -> ScaleRow {
     let mut w = ScaleWorkload::new(cell.nodes, cell.private_per_node, cell.iterations);
     let proto = w.proto();
@@ -104,10 +104,7 @@ pub fn run_cell(cell: ScaleCell, shards: usize) -> ScaleRow {
         SystemConfig::paper(),
         shards,
         Some(4096),
-        |m| {
-            m.set_ring_enabled(false);
-            m.set_audit_barriers(false);
-        },
+        |m| m.set_audit_barriers(false),
         |_records| Ok::<(), std::convert::Infallible>(()),
     )
     .unwrap_or_else(|e| panic!("scale cell {cell:?} failed: {e}"));

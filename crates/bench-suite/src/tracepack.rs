@@ -356,10 +356,7 @@ fn stream_through(path: &Path, scale: RunScale) -> Result<StreamRow, StreamCellE
         SystemConfig::paper(),
         shards,
         Some(4096),
-        |m| {
-            m.set_ring_enabled(false);
-            m.set_audit_barriers(false);
-        },
+        |m| m.set_audit_barriers(false),
         |batch| {
             max_drain = max_drain.max(batch.len());
             writer.push_all(&batch)

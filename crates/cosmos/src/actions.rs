@@ -9,7 +9,6 @@
 
 use crate::eval::Counts;
 use crate::fleet::Fleet;
-use crate::speedup::{speedup, SpeedupParams};
 use crate::tuple::PredTuple;
 use crate::MessagePredictor;
 use stache::{MsgType, NodeId, Role};
@@ -116,17 +115,6 @@ impl SpeculationReport {
         1.0 / (accelerated * f + wasted * (1.0 + r) + unaffected)
     }
 
-    /// The §4.4 formula applied directly with `p` = this report's
-    /// acceleration rate — the paper's simpler model, which assumes every
-    /// message is either correctly predicted or penalised.
-    pub fn paper_model_speedup(&self, f: f64, r: f64) -> f64 {
-        speedup(SpeedupParams {
-            p: self.acceleration_rate(),
-            f,
-            r,
-        })
-    }
-
     fn action_label(a: SpeculativeAction) -> &'static str {
         match a {
             SpeculativeAction::GrantExclusive { .. } => "grant-exclusive",
@@ -174,8 +162,21 @@ where
 mod tests {
     use super::*;
     use crate::predictor::CosmosPredictor;
+    use crate::speedup::{speedup, SpeedupParams};
     use stache::BlockAddr;
     use trace::{MsgRecord, TraceMeta};
+
+    /// The §4.4 formula applied directly with `p` = the report's
+    /// acceleration rate, `f` = 0.3 and `r` = 1 — the paper's simpler
+    /// model, which assumes every message is either correctly predicted
+    /// or penalised.
+    fn paper_model(report: &SpeculationReport) -> f64 {
+        speedup(SpeedupParams {
+            p: report.acceleration_rate(),
+            f: 0.3,
+            r: 1.0,
+        })
+    }
 
     #[test]
     fn mapping_covers_the_table_two_pairs() {
@@ -249,7 +250,7 @@ mod tests {
         // Every message was either accelerated or wasted: the refined
         // estimator reduces exactly to the paper's formula.
         let refined = report.estimated_speedup(0.3, 1.0);
-        let paper = report.paper_model_speedup(0.3, 1.0);
+        let paper = paper_model(&report);
         assert!((refined - paper).abs() < 1e-12);
         // With unaffected traffic present they diverge (the paper's model
         // penalises what speculation never touched).
@@ -259,7 +260,7 @@ mod tests {
             wasted_speculations: 10,
             total_messages: 100,
         };
-        assert!(partial.estimated_speedup(0.3, 1.0) > partial.paper_model_speedup(0.3, 1.0));
+        assert!(partial.estimated_speedup(0.3, 1.0) > paper_model(&partial));
     }
 
     #[test]

@@ -104,11 +104,6 @@ pub struct AccuracyReport {
 }
 
 impl AccuracyReport {
-    /// Accuracy on one arc, in [0, 1].
-    pub fn arc_rate(&self, key: ArcKey) -> f64 {
-        self.per_arc.get(&key).map_or(0.0, Counts::rate)
-    }
-
     /// Share of a role's scored arc references on this arc (Figures 6/7's
     /// Y labels).
     pub fn arc_share(&self, key: ArcKey) -> f64 {
@@ -493,13 +488,6 @@ where
         self.feed(r, false);
     }
 
-    /// Feeds a batch without scoring.
-    pub fn observe_only_all(&mut self, records: &[trace::MsgRecord]) {
-        for r in records {
-            self.feed(r, false);
-        }
-    }
-
     /// The running overall hit/total counters. A sampling driver diffs
     /// this at interval boundaries to attribute scores per interval in
     /// a single streaming pass — no second replay, no fleet cloning.
@@ -708,7 +696,7 @@ mod tests {
         };
         let c = report.per_arc.get(&key).expect("arc present");
         assert_eq!(c.total, 10);
-        assert!(report.arc_rate(key) > 0.8);
+        assert!(c.rate() > 0.8);
         // The two arcs split the share evenly (19 arcs total: 10 + 9).
         assert!((report.arc_share(key) - 10.0 / 19.0).abs() < 1e-9);
         let dom = report.dominant_arcs(Role::Cache, 5);
@@ -826,7 +814,7 @@ mod tests {
         let mut eval = StreamEval::new(EvalOptions::default(), |_, _| {
             Box::new(CosmosPredictor::new(1, 0)) as Box<dyn MessagePredictor>
         });
-        eval.observe_only_all(&records[..split]);
+        records[..split].iter().for_each(|r| eval.observe_only(r));
         eval.push_all(&records[split..]);
         let warmed = eval.finish();
         assert_eq!(warmed.overall.total, (records.len() - split) as u64);

@@ -62,7 +62,6 @@ pub mod mhr;
 pub mod packed;
 pub mod pht;
 pub mod predictor;
-pub mod snapshot;
 pub mod speedup;
 pub mod tuple;
 

@@ -51,23 +51,6 @@ pub fn pack_key(tuples: &[PredTuple]) -> u64 {
         .fold(0u64, |k, t| (k << 16) | u64::from(t.pack()))
 }
 
-/// Unpacks a key word of `depth` lanes back into tuples (oldest first).
-/// Returns `None` if any lane holds an invalid tuple encoding.
-///
-/// # Panics
-///
-/// Panics if `depth` is outside `1..=MAX_DEPTH`, in every build profile.
-pub fn unpack_key(key: u64, depth: usize) -> Option<Vec<PredTuple>> {
-    assert!(
-        (1..=MAX_DEPTH).contains(&depth),
-        "packed-key depth {depth} outside 1..={MAX_DEPTH}"
-    );
-    (0..depth)
-        .rev()
-        .map(|lane| PredTuple::unpack((key >> (16 * lane)) as u16))
-        .collect()
-}
-
 /// A fixed-depth shift register of packed prediction tuples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PackedHistory {
@@ -133,12 +116,6 @@ impl PackedHistory {
     #[inline]
     pub fn key(&self) -> Option<u64> {
         self.is_full().then_some(self.bits)
-    }
-
-    /// The raw packed word regardless of fill level (low lanes occupied).
-    #[inline]
-    pub fn raw_bits(&self) -> u64 {
-        self.bits
     }
 
     /// The `i`-th occupied lane, oldest first.
@@ -222,14 +199,10 @@ mod tests {
             t(0, MsgType::GetRwRequest),
             t(17, MsgType::UpgradeRequest),
         ];
-        let key = pack_key(&ts);
-        assert_eq!(unpack_key(key, 3), Some(ts));
-    }
-
-    #[test]
-    fn unpack_rejects_invalid_lanes() {
-        // Type code 13 is out of range.
-        assert_eq!(unpack_key(13, 1), None);
+        let mut h = PackedHistory::new(3);
+        ts.iter().for_each(|x| h.push(x.pack()));
+        assert_eq!(h.key(), Some(pack_key(&ts)));
+        assert_eq!(h.tuples(), ts);
     }
 
     #[test]
@@ -244,7 +217,7 @@ mod tests {
         let _ = PackedHistory::new(5);
     }
 
-    // The next three guard the release-mode regression: these asserts used
+    // The next two guard the release-mode regression: these asserts used
     // to be debug-only, so optimised builds returned mask 0 for depth 0
     // (pinning every pushed key to 0) and u64::MAX for depth > MAX_DEPTH.
     // They must panic in *every* profile.
@@ -259,11 +232,5 @@ mod tests {
     #[should_panic(expected = "outside 1..=4")]
     fn key_mask_depth_five_panics_in_all_profiles() {
         let _ = key_mask(MAX_DEPTH + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside 1..=4")]
-    fn unpack_key_depth_zero_panics_in_all_profiles() {
-        let _ = unpack_key(0, 0);
     }
 }

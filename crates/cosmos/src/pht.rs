@@ -135,16 +135,6 @@ impl Pht {
         }
     }
 
-    /// Installs an entry verbatim (the restore half of
-    /// [`crate::snapshot`]): no filter logic applies.
-    pub fn restore_entry(&mut self, key: u64, prediction: PredTuple, misses: u8) {
-        let entry = PhtEntry {
-            misses,
-            ..PhtEntry::new(prediction)
-        };
-        self.entries.insert(key, entry);
-    }
-
     /// Number of learned patterns (Table 7's per-block PHT entry count).
     pub fn len(&self) -> usize {
         self.entries.len()

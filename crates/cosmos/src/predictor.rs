@@ -205,12 +205,6 @@ impl CosmosPredictor {
         }
     }
 
-    /// Whether the store and gate arguments are both at their defaults —
-    /// the predictor a `CPS1` snapshot can describe.
-    pub(crate) fn is_plain(&self) -> bool {
-        self.threshold == 0 && matches!(self.store, Store::Unbounded(_))
-    }
-
     /// Number of MHRs allocated (blocks seen at least once and still
     /// tracked).
     pub fn mhr_entries(&self) -> usize {
@@ -232,30 +226,6 @@ impl CosmosPredictor {
         let state = self.store.get(block)?;
         let entry = state.pht.as_deref()?.entry(state.mhr.key()?)?;
         Some((entry.prediction, entry.confidence))
-    }
-
-    /// The per-block table contents in address order, for
-    /// [`snapshot::save`](crate::snapshot::save).
-    pub fn snapshot_blocks(&self) -> Vec<(BlockAddr, &Mhr, Option<&Pht>)> {
-        let mut blocks: Vec<_> = self
-            .store
-            .iter()
-            .map(|(addr, s)| (addr, &s.mhr, s.pht.as_deref()))
-            .collect();
-        blocks.sort_by_key(|(addr, _, _)| *addr);
-        blocks
-    }
-
-    /// Installs one block's state, replacing any existing entry — the
-    /// restore half of [`crate::snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the register's depth differs from the predictor's.
-    pub fn restore_block(&mut self, addr: BlockAddr, mhr: Mhr, pht: Option<Pht>) {
-        assert_eq!(mhr.depth(), self.depth, "MHR depth mismatch on restore");
-        let pht = pht.map(Box::new);
-        *self.store.touch(addr, self.depth) = BlockState { mhr, pht };
     }
 
     /// One MHT probe for both halves of a scoring step.

@@ -92,11 +92,6 @@ pub fn speedup(params: SpeedupParams) -> f64 {
     }
 }
 
-/// Percentage speedup, `(speedup − 1) · 100`.
-pub fn speedup_percent(params: SpeedupParams) -> f64 {
-    (speedup(params) - 1.0) * 100.0
-}
-
 /// One point of a Figure 5 sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
@@ -134,12 +129,13 @@ mod tests {
     #[test]
     fn paper_headline_number() {
         // §4.4: p = 0.8, r = 1, f = 0.3 ⇒ speedup "as high as 56%".
-        let s = speedup_percent(SpeedupParams {
+        let s = speedup(SpeedupParams {
             p: 0.8,
             f: 0.3,
             r: 1.0,
         });
-        assert!((s - 56.25).abs() < 0.01, "got {s}%");
+        let percent = (s - 1.0) * 100.0;
+        assert!((percent - 56.25).abs() < 0.01, "got {percent}%");
     }
 
     #[test]

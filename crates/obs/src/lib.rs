@@ -11,10 +11,6 @@
 //!   integer tallies and power-of-two-bucket latency [`Histogram`]s on its
 //!   hot path and writes them into a snapshot under its own names at
 //!   export time — there is no shared registry to go through;
-//! * a **bounded ring-buffer event trace** ([`EventRing`]) — message
-//!   sends/receives, state transitions, predictor and policy actions —
-//!   with severity levels, dumpable on invariant failure so protocol bugs
-//!   come with a flight recorder;
 //! * a **causal tracing layer** ([`SpanLog`]) — per-transaction span
 //!   trees over simulated time with latency-attribution categories and a
 //!   Chrome trace-event / Perfetto exporter ([`span::chrome_trace_json`]),
@@ -45,13 +41,11 @@
 
 pub mod hist;
 pub mod json;
-pub mod ring;
 pub mod snapshot;
 pub mod span;
 pub mod table;
 
 pub use hist::Histogram;
-pub use ring::{Event, EventRing, Severity};
 pub use snapshot::{MetricValue, Snapshot};
 pub use span::{Span, SpanId, SpanKind, SpanLog, TraceId};
 pub use table::{Align, Table};

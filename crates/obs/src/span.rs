@@ -294,8 +294,7 @@ impl SpanLog {
 
     /// Closes every still-open span at `at_ns`, marking it `"orphaned"`.
     /// A quiescent machine should have none; a non-zero return is a
-    /// protocol bug worth a flight-recorder dump. Returns how many were
-    /// flagged this call.
+    /// protocol bug. Returns how many were flagged this call.
     pub fn flag_orphans(&mut self, at_ns: u64) -> u64 {
         let mut flagged = 0;
         for s in &mut self.spans {

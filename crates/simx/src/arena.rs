@@ -7,18 +7,15 @@
 //! allocator round-trip and scatters them across the address space;
 //! this arena keeps them in one contiguous `Vec`, recycles slots
 //! through a free list, and brands every handle with a *generation* so
-//! a stale handle held across a recycle is a caught bug, not a silent
-//! read of unrelated data.
+//! a stale handle held past a free is a caught bug, not a silent read
+//! of unrelated data.
 //!
 //! Handles are 8 bytes (`u32` slot + `u32` generation) — `Copy`,
-//! comparable, and safe to stash in queues and logs. Typical use is
-//! window-scoped: allocate freely during a window, [`Arena::recycle`]
-//! at the window boundary, which frees every live slot in one sweep
-//! while keeping the backing storage for the next window.
+//! comparable, and safe to stash in queues and logs.
 
 /// A handle into an [`Arena`]: slot index plus the generation the slot
-/// had when allocated. Stale handles (outlived by a [`Arena::free`] or
-/// [`Arena::recycle`]) no longer resolve.
+/// had when allocated. Stale handles (outlived by a [`Arena::free`]) no
+/// longer resolve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArenaId {
     slot: u32,
@@ -46,7 +43,7 @@ enum Slot<T> {
 }
 
 /// A generational slab: O(1) alloc/free/lookup, slot reuse through a
-/// free list, bulk recycle per simulation window.
+/// free list.
 #[derive(Debug)]
 pub struct Arena<T> {
     slots: Vec<Slot<T>>,
@@ -119,7 +116,7 @@ impl<T> Arena<T> {
         }
     }
 
-    /// The value behind `id`, or `None` if it was freed or recycled.
+    /// The value behind `id`, or `None` if it was freed.
     pub fn get(&self, id: ArenaId) -> Option<&T> {
         match self.slots.get(id.slot as usize) {
             Some(Slot::Full { generation, value }) if *generation == id.generation => Some(value),
@@ -162,26 +159,6 @@ impl<T> Arena<T> {
                 }
             }
             _ => None,
-        }
-    }
-
-    /// Frees every live allocation in one sweep, keeping the backing
-    /// storage. All outstanding handles go stale. This is the
-    /// window-boundary reset: the next window allocates into the same
-    /// memory instead of growing the heap.
-    pub fn recycle(&mut self) {
-        self.free_head = None;
-        self.live = 0;
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            let generation = match slot {
-                Slot::Full { generation, .. } => generation.wrapping_add(1),
-                Slot::Empty { generation, .. } => *generation,
-            };
-            *slot = Slot::Empty {
-                generation,
-                next_free: self.free_head,
-            };
-            self.free_head = Some(i as u32);
         }
     }
 
@@ -235,24 +212,6 @@ mod tests {
         assert_eq!(a.get(x), None);
         assert_eq!(a.get(y), Some(&2));
         assert_eq!(a.capacity_slots(), 1, "no growth past the high-water mark");
-    }
-
-    #[test]
-    fn recycle_invalidates_everything_but_keeps_storage() {
-        let mut a = Arena::with_capacity(8);
-        let ids: Vec<_> = (0..8).map(|i| a.alloc(i)).collect();
-        a.recycle();
-        assert!(a.is_empty());
-        for id in &ids {
-            assert_eq!(a.get(*id), None);
-        }
-        assert_eq!(a.capacity_slots(), 8);
-        // A full window's worth of fresh allocations fits in the old slots.
-        let fresh: Vec<_> = (0..8).map(|i| a.alloc(i * 10)).collect();
-        assert_eq!(a.capacity_slots(), 8);
-        for (i, id) in fresh.iter().enumerate() {
-            assert_eq!(a.get(*id), Some(&(i as i32 * 10)));
-        }
     }
 
     #[test]

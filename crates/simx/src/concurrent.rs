@@ -52,7 +52,6 @@ use crate::speculate::{ForwardKind, SpeculationPolicy};
 use crate::stats::MachineStats;
 use crate::store::{with_home_rights, BlockTable, Copies, DirEntry, Holder, WideSets, NO_TXN};
 use obs::span::{SpanKind, SpanLog, TraceId};
-use obs::{Event as ObsEvent, EventRing, Severity};
 use stache::cache::{self, CacheAction};
 use stache::directory::{self};
 use stache::fingerprint::Fp;
@@ -63,7 +62,6 @@ use stache::{
     ProtocolConfig, ProtocolTally, RecoveryTally, RollbackTally,
 };
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use trace::{MsgRecord, TraceBundle, TraceMeta};
 
@@ -358,9 +356,6 @@ pub struct ConcurrentMachine {
     /// Per-transition and invariant-check tallies, exported by
     /// [`ConcurrentMachine::obs_snapshot`].
     tally: ProtocolTally,
-    /// Bounded flight recorder (`RefCell` so the `&self` audit path can
-    /// log violations).
-    pub(crate) ring: RefCell<EventRing>,
     /// Network fault injection, if installed. `None` (the default) means
     /// a perfect fabric and the original code paths.
     fault: Option<FaultInjector>,
@@ -421,7 +416,6 @@ impl ConcurrentMachine {
             iteration: 0,
             policy: None,
             tally: ProtocolTally::new(),
-            ring: RefCell::new(EventRing::default()),
             fault: None,
             dedup: vec![DedupFilter::new(); nodes],
             next_seq_to: vec![0; nodes],
@@ -512,16 +506,6 @@ impl ConcurrentMachine {
         &self.tally
     }
 
-    /// Enables or disables the flight recorder (enabled by default).
-    pub fn set_ring_enabled(&mut self, enabled: bool) {
-        self.ring.get_mut().set_enabled(enabled);
-    }
-
-    /// Sets the minimum severity the flight recorder retains.
-    pub fn set_ring_min_severity(&mut self, min: Severity) {
-        self.ring.get_mut().set_min_severity(min);
-    }
-
     /// Turns causal span tracing on. Off (the default), every span call
     /// is an early-return no-op; on, every coherence transaction records
     /// a span tree stamped with the exact simulated times the event queue
@@ -544,33 +528,10 @@ impl ConcurrentMachine {
     /// Closes any spans still open, marking them `"orphaned"`, and
     /// returns how many were flagged. Called at every barrier (the
     /// machine is quiescent there, so every transaction should have
-    /// closed its root); a non-zero count is a protocol bug and lands in
-    /// the flight recorder as a warning.
+    /// closed its root); a non-zero count is a protocol bug.
     pub fn flag_orphaned_spans(&mut self) -> u64 {
         let at = self.execution_time_ns();
-        let flagged = self.spans.flag_orphans(at);
-        if flagged > 0 {
-            self.ring
-                .get_mut()
-                .push(ObsEvent::new(at, Severity::Warn, "span.orphaned").value(flagged));
-        }
-        flagged
-    }
-
-    /// The flight recorder's retained events, oldest first.
-    pub fn flight_events(&self) -> Vec<ObsEvent> {
-        self.ring.borrow().events()
-    }
-
-    /// Visits the flight recorder's retained events, oldest first,
-    /// without copying them out.
-    pub fn for_each_flight_event(&self, f: impl FnMut(&ObsEvent)) {
-        self.ring.borrow().for_each(f);
-    }
-
-    /// Renders the flight recorder for post-mortem inspection.
-    pub fn dump_flight_recorder(&self) -> String {
-        self.ring.borrow().dump()
+        self.spans.flag_orphans(at)
     }
 
     /// Point-in-time export of every machine metric, including the
@@ -589,7 +550,6 @@ impl ConcurrentMachine {
         self.stats.export_obs(&mut snap);
         self.tally.export_obs(&mut snap);
         snap.counter("simx.trace.records", self.trace.len() as u64);
-        snap.counter("simx.ring.events_total", self.ring.borrow().total_pushed());
         // Fault/recovery metrics appear only when an injector is
         // installed, so clean runs keep their exact metric set.
         if let Some(inj) = &self.fault {
@@ -706,8 +666,8 @@ impl ConcurrentMachine {
         }
     }
 
-    /// The one writer of cache state: tallies the transition, marks the
-    /// block for the next barrier audit and logs it to the recorder.
+    /// The one writer of cache state: tallies the transition and marks
+    /// the block for the next barrier audit.
     pub(crate) fn set_cache_state(&mut self, node: NodeId, block: BlockAddr, s: CacheState) {
         let held = self.copies.entry_or_default(block);
         self.tally.cache_transition(held.state(node), s);
@@ -716,16 +676,6 @@ impl ConcurrentMachine {
             self.copies.remove(block); // only blocks somebody caches
         }
         self.dirty.push(block);
-        self.ring.get_mut().push(
-            ObsEvent::new(
-                self.clocks[node.index()],
-                Severity::Debug,
-                "cache.transition",
-            )
-            .node(node.raw())
-            .block(block.number())
-            .msg(s.short_name()),
-        );
     }
 
     /// Sets a block's directory state, through
@@ -742,18 +692,11 @@ impl ConcurrentMachine {
         self.dirty.push(block);
     }
 
-    /// The one message recorder: counts the reception, logs it, trains
-    /// the policy, links the span tree and appends the trace record
-    /// (stamped with the current `iteration`).
+    /// The one message recorder: counts the reception, trains the
+    /// policy, links the span tree and appends the trace record (stamped
+    /// with the current `iteration`).
     pub(crate) fn record(&mut self, time: u64, msg: &Msg) {
         self.stats.count_message(msg.mtype);
-        self.ring.get_mut().push(
-            ObsEvent::new(time, Severity::Info, "msg.recv")
-                .node(msg.receiver.raw())
-                .block(msg.block.number())
-                .msg(msg.mtype.paper_name())
-                .value(msg.sender.raw() as u64),
-        );
         let rec = MsgRecord::from_msg(msg, time, self.iteration);
         if let Some(policy) = self.policy.as_mut() {
             policy.observe(&rec);
@@ -1773,11 +1716,6 @@ impl ConcurrentMachine {
                 effective = MsgType::GetRwRequest;
                 reply_override = Some(MsgType::GetRwResponse);
                 self.stats.exclusive_grants += 1;
-                self.ring.get_mut().push(
-                    ObsEvent::new(dispatch, Severity::Info, "policy.grant_exclusive")
-                        .node(msg.sender.raw())
-                        .block(block.number()),
-                );
                 self.spans.annotate(msg.trace, "speculative_grant");
             }
         }
@@ -2209,11 +2147,6 @@ impl ConcurrentMachine {
             return;
         }
         self.set_cache_state(node, block, CacheState::Invalid);
-        self.ring.get_mut().push(
-            ObsEvent::new(now, Severity::Info, "policy.self_invalidate")
-                .node(node.raw())
-                .block(block.number()),
-        );
         // Over the reliable channel: nothing times out waiting for a
         // voluntary writeback, so the protocol could not recover its loss.
         let tr = self
@@ -2251,11 +2184,6 @@ impl ConcurrentMachine {
             return;
         }
         self.set_cache_state(node, block, CacheState::Invalid);
-        self.ring.get_mut().push(
-            ObsEvent::new(now, Severity::Info, "policy.early_inval_ack")
-                .node(node.raw())
-                .block(block.number()),
-        );
         // Over the reliable channel, like the voluntary writeback:
         // nothing times out waiting for an unsolicited ack.
         let tr = self
@@ -2324,11 +2252,6 @@ impl ConcurrentMachine {
             },
         );
         self.rollback.pushes += 1;
-        self.ring.get_mut().push(
-            ObsEvent::new(t, Severity::Info, "policy.forward")
-                .node(target.raw())
-                .block(block.number()),
-        );
         self.send_spec_push(t, Msg::new(home, target, block, mtype).with_trace(tr));
     }
 
@@ -2479,13 +2402,11 @@ impl ConcurrentMachine {
         &self,
         blocks: impl IntoIterator<Item = BlockAddr>,
     ) -> Result<(), SimError> {
-        let now = self.execution_time_ns();
-        let mut ring = self.ring.borrow_mut();
         for block in blocks {
             let dir = self.dir_state(block);
             let holders = self.holders(block).iter().copied();
             let home = self.home(block);
-            audit_block(home, block, &dir, holders, &self.tally, &mut ring, now)?;
+            audit_block(home, block, &dir, holders, &self.tally)?;
         }
         Ok(())
     }
@@ -2541,27 +2462,18 @@ pub(crate) fn dense_states(
 
 /// Audits one block's full-map/SWMR invariants over its cached copies
 /// `holders` (ascending) and the rights of its home `home`, counting the
-/// check in `tally` and logging a violation (stamped `now`) to `ring`.
+/// check — and any violation — in `tally`.
 pub(crate) fn audit_block(
     home: NodeId,
     block: BlockAddr,
     dir: &DirState,
     holders: impl Iterator<Item = Holder> + Clone,
     tally: &ProtocolTally,
-    ring: &mut EventRing,
-    now: u64,
 ) -> Result<(), SimError> {
     tally.count_invariant_check();
     let picture = with_home_rights(holders, home, dir);
     if let Err(v) = check_block_sparse(block, dir, picture) {
         tally.count_invariant_failure();
-        let mut ev = ObsEvent::new(now, Severity::Error, "invariant.failure")
-            .block(block.number())
-            .msg(v.kind_name());
-        if let Some(n) = v.node() {
-            ev = ev.node(n.raw());
-        }
-        ring.push(ev);
         return Err(SimError::from(v));
     }
     Ok(())
@@ -3058,7 +2970,6 @@ mod tests {
             Some(obs::MetricValue::Histogram(h)) if h.count() == 2
         ));
         assert!(snap.get("stache.cache.transition.invalid.i_to_s").is_some());
-        assert!(m.flight_events().iter().any(|e| e.kind == "msg.recv"));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!
 //! [`ConcurrentMachine`] owns the protocol store — cache and directory
 //! state, clocks, handler horizons — and its instruments (trace, stats,
-//! tallies, flight recorder, fault injector, span log, policy); every
+//! tallies, fault injector, span log, policy); every
 //! state write and every recorded message in this crate goes through its
 //! `set_dir`, `set_cache_state` and `record`. Three schedulers drive it:
 //! its own event loop (one message, one event); [`shard`]'s conservative

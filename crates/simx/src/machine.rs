@@ -10,7 +10,6 @@ use crate::concurrent::ConcurrentMachine;
 use crate::config::SystemConfig;
 use crate::stats::MachineStats;
 use obs::span::{SpanKind, SpanLog, TraceId};
-use obs::{Event, Severity};
 use stache::cache::{self, CacheAction};
 use stache::directory::{self, DirOutcome};
 use stache::fasthash::FastMap;
@@ -133,8 +132,8 @@ pub struct AccessOutcome {
 /// A `Machine` is a *scheduler* over a [`ConcurrentMachine`] core, like a
 /// [`shard`](crate::shard): the core owns the protocol store (cache and
 /// directory state, clocks, handler horizons) and its instruments (trace,
-/// stats, tallies, flight recorder, span log), and every state write and recorded message goes through the core's
-/// own writers. What is kept here is what makes this a different
+/// stats, tallies, span log), and every state write and recorded message
+/// goes through the core's own writers. What is kept here is what makes this a different
 /// scheduler — each transaction walked to completion in closed form
 /// instead of as queued events — and the data-value oracle.
 #[derive(Debug)]
@@ -198,18 +197,6 @@ impl Machine {
         self.core.tally()
     }
 
-    /// Enables or disables the flight recorder (on by default).
-    pub fn set_ring_enabled(&mut self, enabled: bool) {
-        self.core.set_ring_enabled(enabled);
-    }
-
-    /// Sets the minimum severity the flight recorder keeps. The default
-    /// is [`Severity::Info`]; lower it to [`Severity::Debug`] to also
-    /// capture every state transition.
-    pub fn set_ring_min_severity(&mut self, min: Severity) {
-        self.core.set_ring_min_severity(min);
-    }
-
     /// Turns causal span tracing on. Off (the default), every span call
     /// is an early-return no-op and the machine's outputs are
     /// byte-identical to a build without the tracing layer; on, every
@@ -232,28 +219,9 @@ impl Machine {
     /// Closes any spans still open, marking them `"orphaned"`, and
     /// returns how many were flagged. The serialized engine completes
     /// every transaction inline, so a quiescent machine should report 0;
-    /// anything else is a protocol bug and lands in the flight recorder.
+    /// anything else is a protocol bug.
     pub fn flag_orphaned_spans(&mut self) -> u64 {
         self.core.flag_orphaned_spans()
-    }
-
-    /// A copy of the flight recorder's held events, oldest first.
-    pub fn flight_events(&self) -> Vec<Event> {
-        self.core.flight_events()
-    }
-
-    /// Visits the flight recorder's held events, oldest first, without
-    /// copying them out — the allocation-free form of
-    /// [`flight_events`](Self::flight_events).
-    pub fn for_each_flight_event(&self, f: impl FnMut(&Event)) {
-        self.core.for_each_flight_event(f);
-    }
-
-    /// Renders the flight recorder's recent events — call this when a
-    /// verification fails to see the message/transition history that led
-    /// up to the violation.
-    pub fn dump_flight_recorder(&self) -> String {
-        self.core.dump_flight_recorder()
     }
 
     /// Point-in-time export of every machine metric: access and message
@@ -877,7 +845,6 @@ mod tests {
             "simx.msg.sent.inval_rw_response",
             "simx.msg.total",
             "simx.net.one_way_ns",
-            "simx.ring.events_total",
             "simx.speculation.exclusive_grants",
             "simx.speculation.voluntary_replacements",
             "simx.trace.records",
@@ -901,42 +868,19 @@ mod tests {
     }
 
     #[test]
-    fn invariant_failure_dumps_flight_recorder_context() {
+    fn an_audited_violation_is_counted_and_typed() {
         let mut m = machine();
         m.access(n(1), b0(), ProcOp::Read, 0).unwrap();
         // Force a second, bogus exclusive copy: node 2 claims ownership
         // while node 1 legitimately shares the block.
-        let t = m.clock(n(2));
-        m.core.ring.get_mut().push(
-            Event::new(t, Severity::Warn, "fault.inject_cache_state")
-                .node(2)
-                .block(b0().number())
-                .msg(CacheState::Exclusive.short_name()),
-        );
         m.core.set_cache_state(n(2), b0(), CacheState::Exclusive);
         let err = m.verify_block(b0()).unwrap_err();
-        assert!(matches!(err, SimError::Invariant(_)));
+        assert!(matches!(
+            err,
+            SimError::Invariant(InvariantViolation::WriterWithReaders { writer, .. })
+                if writer == n(2)
+        ));
         assert_eq!(m.tally().invariant_failures(), 1);
-        let dump = m.dump_flight_recorder();
-        // The dump carries the message history plus the injection and the
-        // failure itself, each with node/block/message context.
-        assert!(dump.contains("msg.recv"));
-        assert!(dump.contains("get_ro_request"));
-        assert!(dump.contains("fault.inject_cache_state"));
-        assert!(dump.contains("invariant.failure"));
-        assert!(dump.contains("writer_with_readers"));
-        assert!(dump.contains("node=2"));
-        assert!(dump.contains("block=0x0"));
-    }
-
-    #[test]
-    fn disabled_ring_records_nothing() {
-        let mut m = machine();
-        m.set_ring_enabled(false);
-        m.access(n(1), b0(), ProcOp::Write, 0).unwrap();
-        assert!(m.flight_events().is_empty());
-        // Metrics still accumulate regardless of the recorder.
-        assert_eq!(m.stats().messages_total(), 2);
     }
 }
 

@@ -26,10 +26,9 @@
 //! sequential coordinator then merges the logs in the global rank order
 //! — the exact order the sequential engine would have popped those events
 //! — and replays them: assigning queue sequence numbers, appending trace
-//! records, feeding the flight recorder, and reconstructing the
-//! queue-depth histogram. The result: traces, statistics, tallies, and
-//! obs snapshots are byte-identical for every shard count, including the
-//! `shards = 1` sequential fallback (see
+//! records and reconstructing the queue-depth histogram. The result:
+//! traces, statistics, tallies, and obs snapshots are byte-identical for
+//! every shard count, including the `shards = 1` sequential fallback (see
 //! `crates/workloads/tests/shard_identity.rs`).
 //!
 //! ## Ranks are one word
@@ -68,12 +67,11 @@
 //! A shard holds no protocol code. Each one wraps a
 //! [`ConcurrentMachine`] — the *core* — and only schedules it: pop an
 //! event, call the core's `dispatch`, and collect that event's side
-//! effects from the three buffers the core fills (its outbox of
-//! scheduled events, its trace, its flight recorder). So the handlers
-//! that run here are the concurrent engine's own, fault, speculation and
-//! span arms included. Those three are absent from this engine because
-//! the window scheduler never *installs* a fault plan, a policy or a
-//! span log on a core. A fault plan and a policy make the receiver's
+//! effects from the two buffers the core fills (its outbox of scheduled
+//! events and its trace). So the handlers that run here are the
+//! concurrent engine's own, fault, speculation and span arms included.
+//! Those three are absent from this engine because the window scheduler
+//! never *installs* a fault plan, a policy or a span log on a core. A fault plan and a policy make the receiver's
 //! handler peek at another node's live state (the sender's cache at the
 //! home, the requester's wait slot), and a span log is one machine-wide
 //! structure; a shard owns neither. Giving the sharded engine faults or
@@ -96,7 +94,6 @@ use crate::driver::{IterationPlan, Phase};
 use crate::machine::SimError;
 use crate::stats::MachineStats;
 use crate::store::Holder;
-use obs::{Event as ObsEvent, EventRing, Severity};
 use stache::placement::home_of_block;
 use stache::{BlockAddr, CacheState, DirState, NodeId, ProtocolConfig, ProtocolTally};
 use std::cmp::{Ordering, Reverse};
@@ -150,7 +147,6 @@ struct LogEntry {
     sibling: u32,
     push_end: u32,
     rec_end: u32,
-    ring_end: u32,
 }
 
 /// A shard's per-window side-effect log, buffers reused across windows.
@@ -159,7 +155,6 @@ struct WindowLog {
     entries: Vec<LogEntry>,
     pushes: Vec<PushRec>,
     recs: Vec<MsgRecord>,
-    rings: Vec<ObsEvent>,
     /// `(parent, sibling)` of each in-window event, by creation counter,
     /// kept from its creation until it executes and logs them.
     spawned: Vec<(u32, u32)>,
@@ -170,7 +165,6 @@ impl WindowLog {
         self.entries.clear();
         self.pushes.clear();
         self.recs.clear();
-        self.rings.clear();
         self.spawned.clear();
     }
 }
@@ -200,7 +194,7 @@ struct Shard {
     /// Executes every event. Full-width (sized for all `proto.nodes`),
     /// but only the state of the owned `nodes`, and of blocks homed on
     /// them, is ever touched. Its own event queue stays empty; its trace
-    /// and flight recorder are per-event scratch.
+    /// is per-event scratch.
     core: ConcurrentMachine,
     /// The owned node indices.
     nodes: Range<usize>,
@@ -223,12 +217,8 @@ struct Shard {
 
 impl Shard {
     fn new(proto: ProtocolConfig, sys: SystemConfig, nodes: Range<usize>) -> Self {
-        let mut core = ConcurrentMachine::new(proto, sys);
-        // Keep everything the handlers offer: severity filtering is the
-        // coordinator ring's job, exactly once, at replay.
-        core.set_ring_min_severity(Severity::Debug);
         Shard {
-            core,
+            core: ConcurrentMachine::new(proto, sys),
             nodes,
             queue: Vec::new(),
             batch: Vec::new(),
@@ -349,13 +339,6 @@ impl Shard {
             }
             self.log.recs.extend_from_slice(self.core.trace.records());
             self.core.trace.clear_records();
-            let ring = self.core.ring.get_mut();
-            debug_assert!(
-                ring.len() < ring.capacity(),
-                "one event's offers fit the scratch ring"
-            );
-            ring.events_into(&mut self.log.rings);
-            ring.clear();
             self.log.entries.push(LogEntry {
                 time: t,
                 rank,
@@ -363,7 +346,6 @@ impl Shard {
                 sibling,
                 push_end: self.log.pushes.len() as u32,
                 rec_end: self.log.recs.len() as u32,
-                ring_end: self.log.rings.len() as u32,
             });
         }
         self.batch.clear();
@@ -391,7 +373,6 @@ pub struct ShardedMachine {
     vlen: u64,
     depth: obs::Histogram,
     trace: TraceBundle,
-    ring: EventRing,
     coord_stats: MachineStats,
     coord_tally: ProtocolTally,
     audit_barriers: bool,
@@ -405,13 +386,12 @@ pub struct ShardedMachine {
 }
 
 /// The replay's position in one shard's [`WindowLog`]: the next entry,
-/// and the pushes, trace records and ring events consumed so far.
+/// and the pushes and trace records consumed so far.
 #[derive(Debug, Clone, Copy, Default)]
 struct Cursor {
     entry: usize,
     push: usize,
     rec: usize,
-    ring: usize,
 }
 
 impl ShardedMachine {
@@ -449,7 +429,6 @@ impl ShardedMachine {
             seq: 0,
             vlen: 0,
             depth: obs::Histogram::new(),
-            ring: EventRing::default(),
             coord_stats: MachineStats::default(),
             coord_tally: ProtocolTally::new(),
             audit_barriers: true,
@@ -480,18 +459,11 @@ impl ShardedMachine {
         self.audit_barriers = audit;
     }
 
-    /// Enables or disables the flight recorder (enabled by default).
-    pub fn set_ring_enabled(&mut self, enabled: bool) {
-        self.ring.set_enabled(enabled);
-        for s in &mut self.shards {
-            s.core.set_ring_enabled(enabled);
-        }
-    }
-
-    /// Number of shards actually created.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
+    /// A no-op kept for one caller, `benchmark/src/pipeline.rs:608`,
+    /// which predates the removal of the flight recorder. Goes when that
+    /// call does.
+    #[doc(hidden)]
+    pub fn set_ring_enabled(&mut self, _enabled: bool) {}
 
     /// The conservative lookahead `L` in ns (window width).
     pub fn lookahead_ns(&self) -> u64 {
@@ -539,17 +511,6 @@ impl ShardedMachine {
             t.merge(sh.core.tally());
         }
         t
-    }
-
-    /// The flight recorder's retained events, oldest first.
-    pub fn flight_events(&self) -> Vec<ObsEvent> {
-        self.ring.events()
-    }
-
-    /// Visits the flight recorder's retained events, oldest first,
-    /// without copying them out.
-    pub fn for_each_flight_event(&self, f: impl FnMut(&ObsEvent)) {
-        self.ring.for_each(f);
     }
 
     /// Execution time so far (latest node clock).
@@ -602,18 +563,6 @@ impl ShardedMachine {
         self.tally().export_obs(&mut snap);
         // Every delivered message is one record, drained or still held.
         snap.counter("simx.trace.records", stats.messages_total());
-        // Events *offered*, recorder on or off, as the concurrent engine
-        // counts them: each core counts its handlers' offers, and the
-        // coordinator's own are the audit failures.
-        let offered: u64 = self
-            .shards
-            .iter()
-            .map(|s| s.core.ring.borrow().total_pushed())
-            .sum();
-        snap.counter(
-            "simx.ring.events_total",
-            offered + self.coord_tally.invariant_failures(),
-        );
         snap.histogram("simx.queue.depth", &self.depth);
         snap.counter("simx.shard.windows", self.windows);
         snap.gauge("simx.shard.lookahead_ns", self.lookahead as f64);
@@ -697,8 +646,8 @@ impl ShardedMachine {
 
     /// Merges the shards' window logs in global rank order and replays
     /// their side effects: sequence-number assignment (which fixes the
-    /// rank of every event entering the next window), trace records,
-    /// flight-recorder events, and the queue-depth histogram.
+    /// rank of every event entering the next window), trace records and
+    /// the queue-depth histogram.
     fn replay_windows(&mut self) {
         for (mine, shard) in self.logs.iter_mut().zip(&mut self.shards) {
             std::mem::swap(mine, &mut shard.log);
@@ -714,9 +663,6 @@ impl ShardedMachine {
             let (log, at) = (&logs[s], &mut self.cursors[s]);
             let e = &log.entries[at.entry];
             self.vlen -= 1; // the executed event itself popped
-            for &offer in &log.rings[at.ring..e.ring_end as usize] {
-                self.ring.push(offer);
-            }
             let recs = &log.recs[at.rec..e.rec_end as usize];
             self.trace.extend_records(recs.iter().copied());
             for push in &log.pushes[at.push..e.push_end as usize] {
@@ -733,7 +679,6 @@ impl ShardedMachine {
                 entry: at.entry + 1,
                 push: e.push_end as usize,
                 rec: e.rec_end as usize,
-                ring: e.ring_end as usize,
             };
         }
         self.logs.iter_mut().for_each(WindowLog::clear);
@@ -780,7 +725,7 @@ impl ShardedMachine {
     /// # Errors
     ///
     /// Returns the first violation found.
-    pub fn verify_coherence(&mut self) -> Result<(), SimError> {
+    pub fn verify_coherence(&self) -> Result<(), SimError> {
         self.verify_coherence_sampled(usize::MAX)
     }
 
@@ -795,7 +740,7 @@ impl ShardedMachine {
     /// # Errors
     ///
     /// Returns the first violation found among the sampled blocks.
-    pub fn verify_coherence_sampled(&mut self, max_blocks: usize) -> Result<(), SimError> {
+    pub fn verify_coherence_sampled(&self, max_blocks: usize) -> Result<(), SimError> {
         let blocks = self.sample(max_blocks);
         self.audit_blocks(blocks)
     }
@@ -823,18 +768,14 @@ impl ShardedMachine {
         blocks
     }
 
-    fn audit_blocks(
-        &mut self,
-        blocks: impl IntoIterator<Item = BlockAddr>,
-    ) -> Result<(), SimError> {
-        let now = self.execution_time_ns();
+    fn audit_blocks(&self, blocks: impl IntoIterator<Item = BlockAddr>) -> Result<(), SimError> {
         let (proto, tally) = (&self.proto, &self.coord_tally);
         for block in blocks {
             let home = home_of_block(block, proto);
             let core = &self.shards[home.index() / self.chunk].core;
             let dir = core.dir_state(block);
             let holders = holders(&self.shards, block);
-            audit_block(home, block, &dir, holders, tally, &mut self.ring, now)?;
+            audit_block(home, block, &dir, holders, tally)?;
         }
         Ok(())
     }
@@ -916,7 +857,6 @@ mod tests {
             sibling,
             push_end: 0,
             rec_end: 0,
-            ring_end: 0,
         };
         for seq in 0..rng.gen_range(2..10) as u64 {
             let (shard, time) = (
@@ -1024,7 +964,7 @@ mod tests {
     fn event_and_block_footprints_are_pinned() {
         use std::mem::size_of;
         assert_eq!(size_of::<Queued>(), 24);
-        assert!(size_of::<LogEntry>() <= 40);
+        assert_eq!(size_of::<LogEntry>(), 32);
         assert!(size_of::<stache::NodeSet>() <= 24);
         assert_eq!(size_of::<DirState>(), size_of::<stache::NodeSet>());
         assert_eq!(size_of::<(BlockAddr, crate::store::DirEntry)>(), 16);
@@ -1057,7 +997,7 @@ mod tests {
     #[test]
     fn shard_count_clamps_to_nodes() {
         let m = ShardedMachine::new(ProtocolConfig::paper(), SystemConfig::paper(), 64);
-        assert_eq!(m.shard_count(), 16);
+        assert_eq!(m.shards.len(), 16);
     }
 
     /// Named for the capture switch it first covered; what it pins now is

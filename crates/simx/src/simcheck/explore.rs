@@ -112,7 +112,6 @@ pub(crate) fn run_schedule(
 ) -> RunOutcome {
     stats.schedules += 1;
     let mut m = ConcurrentMachine::new(cfg.proto.clone(), cfg.sys.clone());
-    m.set_ring_enabled(false);
     m.set_mutation(cfg.mutation);
     if let Some(actions) = cfg.speculation {
         m.set_policy(Box::new(EagerPolicy::new(actions, cfg.proto.nodes)));

@@ -89,11 +89,6 @@ impl MachineStats {
         self.hits as f64 / self.accesses() as f64
     }
 
-    /// Sum of access latencies in ns.
-    pub fn total_latency_ns(&self) -> u64 {
-        self.latency_ns.sum()
-    }
-
     /// Mean access latency in ns; 0 for an idle machine.
     pub fn mean_latency_ns(&self) -> f64 {
         self.latency_ns.mean()
@@ -177,7 +172,7 @@ mod tests {
         assert_eq!(s.accesses(), 2);
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
-        assert_eq!(s.total_latency_ns(), 1000);
+        assert_eq!(s.latency_ns.sum(), 1000);
         assert_eq!(s.mean_latency_ns(), 500.0);
         assert_eq!(s.latency_ns.max(), 999);
         assert_eq!(s.messages[&MsgType::GetRwRequest], 2);

@@ -41,16 +41,6 @@ impl CacheState {
         )
     }
 
-    /// Whether a load can be satisfied without coherence action.
-    pub fn readable(self) -> bool {
-        matches!(self, CacheState::Shared | CacheState::Exclusive)
-    }
-
-    /// Whether a store can be satisfied without coherence action.
-    pub fn writable(self) -> bool {
-        matches!(self, CacheState::Exclusive)
-    }
-
     fn name(self) -> &'static str {
         match self {
             CacheState::Invalid => "Invalid",
@@ -62,7 +52,7 @@ impl CacheState {
         }
     }
 
-    /// Lowercase snake-case name, for metric paths and trace events.
+    /// Lowercase snake-case name, as the tally's metric paths spell it.
     pub fn short_name(self) -> &'static str {
         match self {
             CacheState::Invalid => "invalid",
@@ -280,15 +270,6 @@ mod tests {
             on_message(CacheState::Invalid, MsgType::DowngradeRequest),
             Err(ProtocolError::UnexpectedCacheMessage { .. })
         ));
-    }
-
-    #[test]
-    fn readable_writable_predicates() {
-        assert!(CacheState::Shared.readable());
-        assert!(CacheState::Exclusive.readable());
-        assert!(!CacheState::Invalid.readable());
-        assert!(CacheState::Exclusive.writable());
-        assert!(!CacheState::Shared.writable());
     }
 
     /// Paper Figure 1(b): processor one's store to a block exclusive in

@@ -243,13 +243,6 @@ impl NodeSet {
     pub fn iter(&self) -> Iter<'_> {
         Iter(self.members().iter())
     }
-
-    /// The sole member, if the set is a singleton.
-    pub fn sole_member(&self) -> Option<NodeId> {
-        let mut it = self.iter();
-        let first = it.next()?;
-        it.next().is_none().then_some(first)
-    }
 }
 
 impl PartialEq for NodeSet {
@@ -364,17 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn node_set_sole_member() {
-        let mut s = NodeSet::singleton(NodeId::new(7));
-        assert_eq!(s.sole_member(), Some(NodeId::new(7)));
-        s.insert(NodeId::new(8));
-        assert_eq!(s.sole_member(), None);
-        s.remove(NodeId::new(7));
-        s.remove(NodeId::new(8));
-        assert_eq!(s.sole_member(), None);
-    }
-
-    #[test]
     fn node_set_display() {
         let s: NodeSet = [NodeId::new(1), NodeId::new(4)].into_iter().collect();
         assert_eq!(s.to_string(), "{P1,P4}");
@@ -444,7 +426,6 @@ mod tests {
         }
         assert!(grown.is_empty());
         assert_eq!(grown, NodeSet::new());
-        assert_eq!(grown.sole_member(), None);
     }
 
     #[test]

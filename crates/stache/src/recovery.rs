@@ -69,14 +69,6 @@ impl RetryPolicy {
     pub fn can_retry(&self, attempt: u32) -> bool {
         attempt < self.max_retries
     }
-
-    /// Total worst-case wait across every allowed attempt, in ns — the
-    /// bound after which a requester declares the fabric broken.
-    pub fn total_budget_ns(&self) -> u64 {
-        (0..=self.max_retries)
-            .map(|a| self.timeout_for(a))
-            .fold(0u64, u64::saturating_add)
-    }
 }
 
 /// A receiver-side duplicate filter over transmission sequence numbers.
@@ -301,10 +293,6 @@ mod tests {
         assert_eq!(p.timeout_for(200), 8_000, "huge attempts stay capped");
         assert!(p.can_retry(4));
         assert!(!p.can_retry(5));
-        assert_eq!(
-            p.total_budget_ns(),
-            1_000 + 2_000 + 4_000 + 8_000 + 8_000 + 8_000
-        );
     }
 
     #[test]
@@ -360,9 +348,6 @@ mod tests {
             ..p.clone()
         };
         assert!(!zero.can_retry(0), "a zero budget permits no retries");
-        // total_budget covers max_retries + 1 armed timers (one per
-        // transmission, including the original).
-        assert_eq!(p.total_budget_ns(), 100 + 200 + 400 + 400);
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl TraceBundle {
             .filter(move |r| r.node == node && r.role == role)
     }
 
-    /// Records received by agents of a role, at any node.
-    pub fn for_role(&self, role: Role) -> impl Iterator<Item = &MsgRecord> {
-        self.records.iter().filter(move |r| r.role == role)
-    }
-
     /// Records for a particular block, at any agent.
     pub fn for_block(&self, block: BlockAddr) -> impl Iterator<Item = &MsgRecord> {
         self.records.iter().filter(move |r| r.block == block)
@@ -115,24 +110,6 @@ impl TraceBundle {
     pub fn blocks(&self) -> Vec<BlockAddr> {
         let set: BTreeSet<BlockAddr> = self.records.iter().map(|r| r.block).collect();
         set.into_iter().collect()
-    }
-
-    /// Drops all records from iterations before `first_kept`, mirroring the
-    /// paper's exclusion of start-up-phase messages (§5).
-    pub fn drop_warmup(&mut self, first_kept: u32) {
-        self.records.retain(|r| r.iteration >= first_kept);
-    }
-
-    /// Splits the record stream at an iteration boundary; records with
-    /// `iteration < at` go left.
-    pub fn split_at_iteration(&self, at: u32) -> (Vec<MsgRecord>, Vec<MsgRecord>) {
-        self.records.iter().partition(|r| r.iteration < at)
-    }
-
-    /// Counts of records received at caches and directories respectively.
-    pub fn role_counts(&self) -> (usize, usize) {
-        let cache = self.for_role(Role::Cache).count();
-        (cache, self.len() - cache)
     }
 }
 
@@ -181,8 +158,6 @@ mod tests {
         let b = sample();
         assert_eq!(b.for_receiver(NodeId::new(0), Role::Directory).count(), 2);
         assert_eq!(b.for_receiver(NodeId::new(0), Role::Cache).count(), 0);
-        assert_eq!(b.for_role(Role::Cache).count(), 2);
-        assert_eq!(b.role_counts(), (2, 2));
     }
 
     #[test]
@@ -193,26 +168,9 @@ mod tests {
     }
 
     #[test]
-    fn warmup_drop() {
-        let mut b = sample();
-        b.drop_warmup(1);
-        assert_eq!(b.len(), 2);
-        assert!(b.records().iter().all(|r| r.iteration >= 1));
-    }
-
-    #[test]
-    fn split_at_iteration() {
-        let b = sample();
-        let (early, late) = b.split_at_iteration(2);
-        assert_eq!(early.len(), 3);
-        assert_eq!(late.len(), 1);
-    }
-
-    #[test]
     fn empty_bundle() {
         let b = TraceBundle::new(TraceMeta::new("empty", 1, 0));
         assert!(b.is_empty());
         assert!(b.blocks().is_empty());
-        assert_eq!(b.role_counts(), (0, 0));
     }
 }

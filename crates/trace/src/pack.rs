@@ -829,11 +829,6 @@ impl<W: Write + Seek> PackedTraceWriter<W> {
         Ok(())
     }
 
-    /// Records buffered but not yet flushed (bounded by the chunk size).
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
     /// An error if a sink error has spent the writer.
     fn live(&self) -> Result<(), PackError> {
         match self.failed {
@@ -1535,7 +1530,7 @@ mod tests {
         let mut w = PackedTraceWriter::new(std::io::Cursor::new(Vec::new()), &meta, 64).unwrap();
         for i in 0..1000u64 {
             w.push(rec(i)).unwrap();
-            assert!(w.buffered() < 64, "buffer must flush at the chunk size");
+            assert!(w.buf.len() < 64, "buffer must flush at the chunk size");
         }
         let (cursor, stats) = w.finish().unwrap();
         assert_eq!(stats.records, 1000);

@@ -273,7 +273,7 @@ impl<E: std::error::Error + 'static> std::error::Error for StreamingRunError<E> 
 /// [`run_sharded`]'s accumulated bundle would hold.
 ///
 /// `configure` runs once on the fresh machine before iteration 0 — scale
-/// runs use it to disable the event ring and per-barrier audits.
+/// runs use it to disable per-barrier audits.
 /// `verify_sample` bounds the end-of-run coherence audit (`None` = walk
 /// every block, `Some(n)` = sample `n`), since a full walk at scale
 /// costs more than the run.

@@ -48,15 +48,6 @@ impl Default for ProducerConsumer {
 }
 
 impl ProducerConsumer {
-    /// A two-consumer variant (the paper's §3.1 extension, where the
-    /// consumers' `get_ro_request`s can arrive in either order).
-    pub fn two_consumers() -> Self {
-        ProducerConsumer {
-            consumers: vec![NodeId::new(2), NodeId::new(3)],
-            ..ProducerConsumer::default()
-        }
-    }
-
     fn block(&self, i: usize) -> BlockAddr {
         let cfg = ProtocolConfig {
             nodes: self.nodes,
@@ -425,7 +416,12 @@ mod tests {
 
     #[test]
     fn two_consumer_variant_runs() {
-        let mut w = ProducerConsumer::two_consumers();
+        // The paper's §3.1 extension, where the consumers'
+        // `get_ro_request`s can arrive in either order.
+        let mut w = ProducerConsumer {
+            consumers: vec![NodeId::new(2), NodeId::new(3)],
+            ..ProducerConsumer::default()
+        };
         let t = run_to_trace(&mut w, ProtocolConfig::paper(), SystemConfig::paper()).unwrap();
         // Both consumers' requests reach the directory each iteration.
         let dir_reqs = t

@@ -3,25 +3,23 @@
 //! Two pinned properties:
 //!
 //! 1. **Shard-count invariance** — for every workload and every shard
-//!    count `k`, `ShardedMachine` output (trace, stats, tallies, flight
-//!    recorder, full obs snapshot JSON) is byte-identical to the
-//!    `shards = 1` sequential fallback. Partitioning is an execution
-//!    strategy, never a semantics change.
+//!    count `k`, `ShardedMachine` output (trace, stats, tallies, full obs
+//!    snapshot JSON) is byte-identical to the `shards = 1` sequential
+//!    fallback. Partitioning is an execution strategy, never a semantics
+//!    change.
 //!
 //! 2. **Engine equivalence** — on the clean fabric the sharded engine
 //!    reproduces the `ConcurrentMachine` exactly: same trace records,
-//!    same statistics, same flight-recorder stream, the same set of
-//!    touched blocks (so the resolve stage, which creates directory
-//!    entries ahead of their handlers, created none a handler did not)
-//!    with the same final cache/directory states, and an obs snapshot
-//!    that agrees on every metric the concurrent engine exports (the
-//!    sharded snapshot adds only its own `simx.shard.*` keys). Checked on
-//!    the paper's configuration at shards 1, 2 and 4, and with the flight
-//!    recorder switched off.
+//!    same statistics, the same set of touched blocks (so the resolve
+//!    stage, which creates directory entries ahead of their handlers,
+//!    created none a handler did not) with the same final cache/directory
+//!    states, and an obs snapshot that agrees on every metric the
+//!    concurrent engine exports (the sharded snapshot adds only its own
+//!    `simx.shard.*` keys). Checked on the paper's configuration at shards
+//!    1, 2 and 4, and on two non-paper timing configurations at shards 1
+//!    and 3.
 
-use simx::ConcurrentMachine;
-use simx::IterationPlan;
-use simx::{ShardedMachine, SystemConfig};
+use simx::{ConcurrentMachine, ShardedMachine, SystemConfig};
 use stache::ProtocolConfig;
 use workloads::{drive, run_sharded, small_suite, Workload};
 
@@ -56,11 +54,6 @@ fn shard_count_never_changes_output() {
                 "{name}: trace diverges at {k} shards"
             );
             assert_eq!(
-                one.flight_events(),
-                many.flight_events(),
-                "{name}: flight recorder diverges at {k} shards"
-            );
-            assert_eq!(
                 one.execution_time_ns(),
                 many.execution_time_ns(),
                 "{name}: execution time diverges at {k} shards"
@@ -77,11 +70,6 @@ fn assert_same_run(name: &str, conc: &ConcurrentMachine, shar: &ShardedMachine) 
         "{name}: trace records differ"
     );
     assert_eq!(conc.stats(), &shar.stats(), "{name}: stats differ");
-    assert_eq!(
-        conc.flight_events(),
-        shar.flight_events(),
-        "{name}: flight recorder differs"
-    );
     assert_eq!(
         conc.execution_time_ns(),
         shar.execution_time_ns(),
@@ -132,19 +120,25 @@ fn sharded_matches_concurrent_engine() {
     }
 }
 
-/// The same identity with the flight recorder off on both engines, at
-/// shards 1 and 3.
+/// The same identity off the paper's timing, at shards 1 and 3: a slow
+/// network with heavy handlers (a wide lookahead window) and a fast one
+/// with free barriers (a narrow window, barriers at the same instant).
 #[test]
 fn variants_match_across_engines() {
-    let (proto, sys) = (ProtocolConfig::paper(), SystemConfig::paper());
-    let variants = [("recorder_off", false)];
-    /// Feeds every iteration plan of `w` to `run_plan`.
-    fn drive(w: &mut dyn Workload, mut run_plan: impl FnMut(&IterationPlan, u32)) {
-        for it in 0..w.iterations() {
-            run_plan(&w.plan(it), it);
-        }
-    }
-    for (variant, recorder) in variants {
+    let proto = ProtocolConfig::paper();
+    let slow = SystemConfig {
+        network_latency_ns: 400,
+        handler_ns: 300,
+        ..SystemConfig::paper()
+    };
+    let fast = SystemConfig {
+        network_latency_ns: 5,
+        ni_access_ns: 5,
+        handler_ns: 10,
+        barrier_ns: 0,
+        ..SystemConfig::paper()
+    };
+    for (variant, sys) in [("slow_network", slow), ("fast_network", fast)] {
         let suites = small_suite()
             .into_iter()
             .zip(small_suite())
@@ -152,14 +146,10 @@ fn variants_match_across_engines() {
         for ((mut cw, w1), w3) in suites {
             let name = format!("{variant}/{}", cw.name());
             let mut conc = ConcurrentMachine::new(proto.clone(), sys.clone());
-            conc.set_ring_enabled(recorder);
-            drive(cw.as_mut(), |plan, it| conc.run_plan(plan, it).unwrap());
-            conc.verify_coherence().unwrap();
+            drive(&mut conc, cw.as_mut()).unwrap_or_else(|e| panic!("{name} concurrent: {e}"));
             for (shards, mut w) in [(1, w1), (3, w3)] {
-                let mut shar = ShardedMachine::new(proto.clone(), sys.clone(), shards);
-                shar.set_ring_enabled(recorder);
-                drive(w.as_mut(), |plan, it| shar.run_plan(plan, it).unwrap());
-                shar.verify_coherence().unwrap();
+                let shar = run_sharded(w.as_mut(), proto.clone(), sys.clone(), shards)
+                    .unwrap_or_else(|e| panic!("{name} sharded({shards}): {e}"));
                 assert_same_run(&format!("{name}@{shards}"), &conc, &shar);
             }
         }
@@ -204,7 +194,6 @@ fn barrier_audit_cost_at_64_and_1024_nodes() {
         for audit in [false, true] {
             let mut w = Scale::new(nodes, private, iterations);
             let mut m = ShardedMachine::new(w.proto(), SystemConfig::paper(), 1);
-            m.set_ring_enabled(false);
             m.set_audit_barriers(audit);
             let started = std::time::Instant::now();
             let mut records = 0;
