@@ -25,7 +25,7 @@
 //! | §5 fault-sensitivity (clean vs perturbed traces) | [`faults::fault_report`] |
 //! | Schedule-exploration model check | [`modelcheck::simcheck_report`] |
 //! | Measured speculation speedup vs Figure 5 | [`speedup::speedup_report`] |
-//! | Packed-trace codec + SimPoint sampling | [`tracepack::tracepack`] |
+//! | Packed-trace codec + streaming cell | [`tracepack::tracepack`] |
 //!
 //! The `repro` binary drives them from the command line (wall-clock
 //! measurement is the pipeline benchmark's job, under `benchmark/`). The

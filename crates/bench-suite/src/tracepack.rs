@@ -1,25 +1,13 @@
-//! The `repro tracepack` target: packed-trace codec throughput and
-//! SimPoint-style sampled evaluation (DESIGN.md §6j).
+//! The `repro tracepack` target: packed-trace codec compression and the
+//! streaming cell (DESIGN.md §6j).
 //!
-//! Three questions, one report:
+//! Two questions, one report:
 //!
 //! 1. **How small** — each benchmark's trace is packed with the chunked
 //!    columnar codec ([`trace::pack`]) and the byte totals are compared
 //!    against the flat 26-byte record codec. The compression ratio is a
 //!    pure function of the record stream, so it is CSV-golden material.
-//! 2. **How accurate when sampled** — each packed trace is fingerprinted
-//!    per fixed interval, clustered with seeded k-means
-//!    ([`trace::simpoint`]), and turned into a variance-budgeted scoring
-//!    plan: tight clusters contribute one representative, high-spread
-//!    clusters are scored exactly. One streaming pass replays the whole
-//!    trace through the Cosmos fleet — every record trains (functional
-//!    warming), only records in planned intervals score — so a scored
-//!    interval's accuracy is *identical* to the full replay restricted
-//!    to it, and the only estimator error is cluster representativeness.
-//!    The report pins the sampled-vs-full accuracy error per benchmark ×
-//!    MHR depth — the evidence that phase sampling is safe for
-//!    billion-message runs where full replay is not an option.
-//! 3. **How bounded** — a streaming [`workloads::Scale`] cell runs on the
+//! 2. **How bounded** — a streaming [`workloads::Scale`] cell runs on the
 //!    sharded engine with its per-iteration trace drained straight into a
 //!    [`trace::pack::PackedTraceWriter`] (the full record set is never
 //!    materialised), then decoded chunk-parallel over [`crate::par::sweep`]
@@ -33,54 +21,21 @@
 use crate::contenders::by_label;
 use crate::traces::Scale as RunScale;
 use crate::TraceSet;
-use cosmos::eval::{evaluate_cosmos, Counts};
-use cosmos::{CosmosPredictor, MessagePredictor, StreamEval};
+use cosmos::StreamEval;
 use simx::{SimError, SystemConfig};
 use std::fmt;
 use std::io::{Cursor, Read, Seek};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use trace::pack::{PackError, PackStats, PackedTraceReader, PackedTraceWriter};
-use trace::simpoint::{self, SamplePlan};
 use trace::MsgRecord;
 use workloads::{run_sharded_streaming, Scale as ScaleWorkload, StreamingRunError, Workload};
 
-/// MHR depths the sampled-vs-full comparison covers.
-pub const SAMPLE_DEPTHS: [usize; 4] = [1, 2, 3, 4];
-
-/// k-means cluster count. High on purpose: with the position guide
-/// dimension in the fingerprints, many clusters stratify the run into
-/// fine phase × position cells, which is what keeps the estimator's
-/// within-cluster dispersion under the 1 pp acceptance bar.
-pub const SIMPOINT_K: usize = 64;
-
-/// Target ceiling on the fraction of records the scoring plan replays
-/// scored — [`trace::simpoint::plan`] spends it on exhaustively scoring
-/// the highest-spread clusters.
-pub const SAMPLE_BUDGET: f64 = 0.55;
-
-/// Fixed k-means seed: the sampled rows are deterministic by
-/// construction, not by luck.
-pub const SIMPOINT_SEED: u64 = 0x51_3b_0a_7d;
-
-/// Records per packed chunk. Sized for codec efficiency (dictionary and
-/// LZ context amortise over the chunk), not for sampling granularity —
-/// that is [`sample_interval`]'s job.
+/// Records per packed chunk. Sized for codec efficiency: dictionary and
+/// LZ context amortise over the chunk.
 pub fn chunk_records(scale: RunScale) -> u32 {
     match scale {
         RunScale::Small => 256,
-        RunScale::Paper => 4096,
-    }
-}
-
-/// Records per SimPoint fingerprint interval. Finer than the packed
-/// chunk at small scale: estimator error shrinks with interval size
-/// (each cluster cell gets more homogeneous), and since the sampled
-/// pass streams records — not chunks — the interval does not need to
-/// match the chunk boundary.
-pub fn sample_interval(scale: RunScale) -> u64 {
-    match scale {
-        RunScale::Small => 32,
         RunScale::Paper => 4096,
     }
 }
@@ -92,33 +47,6 @@ pub struct PackRow {
     pub app: String,
     /// Codec byte totals (records, chunks, flat vs packed bytes).
     pub stats: PackStats,
-}
-
-/// One benchmark × depth sampled-accuracy outcome. All columns are
-/// deterministic: the traces, the fingerprints, the seeded clustering,
-/// and both replays are pure functions of the workload parameters.
-#[derive(Debug, Clone)]
-pub struct SampleRow {
-    /// Benchmark name.
-    pub app: String,
-    /// Cosmos MHR depth.
-    pub depth: usize,
-    /// Full-replay accuracy (percent).
-    pub full_pct: f64,
-    /// Weighted representative-chunk accuracy (percent).
-    pub sampled_pct: f64,
-    /// Intervals the scoring plan replays scored.
-    pub picks: usize,
-    /// Fraction of the trace the scored intervals cover.
-    pub sampled_fraction: f64,
-}
-
-impl SampleRow {
-    /// Absolute sampled-vs-full error in percentage points — the
-    /// headline number phase sampling must keep small.
-    pub fn error_pp(&self) -> f64 {
-        (self.full_pct - self.sampled_pct).abs()
-    }
 }
 
 /// The streaming cell's outcome: stream and codec totals.
@@ -145,8 +73,6 @@ pub struct StreamRow {
 pub struct TracepackReport {
     /// Per-benchmark packing rows, Table 4 order.
     pub pack: Vec<PackRow>,
-    /// Per-benchmark × depth sampled-accuracy rows.
-    pub samples: Vec<SampleRow>,
     /// The streaming scale cell.
     pub stream: StreamRow,
 }
@@ -186,63 +112,6 @@ fn decode_chunks<R: Read + Seek>(
     })
     .into_iter()
     .collect()
-}
-
-/// Sampled evaluation in one streaming pass: every record trains the
-/// fleet (functional warming — predictor state at any point equals the
-/// full replay's), records inside planned intervals also score, and the
-/// running counters are diffed at interval boundaries to attribute
-/// scores per interval. Per-cluster scored hit rates combine by the
-/// plan's record-share weights into the full-trace estimate.
-pub fn sampled_pct(
-    chunks: &[Vec<MsgRecord>],
-    plan: &SamplePlan,
-    interval: u64,
-    depth: usize,
-) -> f64 {
-    let scored = plan.scored_flags();
-    let mut ev = StreamEval::new(Default::default(), |_, _| {
-        Box::new(CosmosPredictor::new(depth, 0)) as Box<dyn MessagePredictor>
-    });
-    let mut per_interval = vec![Counts::default(); plan.intervals];
-    let mut prev = Counts::default();
-    let mut cur = 0usize;
-    let mut idx = 0u64;
-    for chunk in chunks {
-        for r in chunk {
-            let iv = (idx / interval) as usize;
-            if iv != cur {
-                let now = ev.counts_so_far();
-                per_interval[cur] = Counts {
-                    hits: now.hits - prev.hits,
-                    total: now.total - prev.total,
-                };
-                prev = now;
-                cur = iv;
-            }
-            if scored[iv] {
-                ev.push(r);
-            } else {
-                ev.observe_only(r);
-            }
-            idx += 1;
-        }
-    }
-    let now = ev.counts_so_far();
-    per_interval[cur] = Counts {
-        hits: now.hits - prev.hits,
-        total: now.total - prev.total,
-    };
-    plan.groups
-        .iter()
-        .map(|g| {
-            let mut c = Counts::default();
-            for &i in &g.scored {
-                c.merge(per_interval[i]);
-            }
-            g.weight * c.percent()
-        })
-        .sum()
 }
 
 /// The streaming cell per scale: small is the CI smoke (deterministic
@@ -405,7 +274,6 @@ fn stream_through(path: &Path, scale: RunScale) -> Result<StreamRow, StreamCellE
 pub fn tracepack(set: &TraceSet, scale: RunScale) -> Result<TracepackReport, StreamCellError> {
     let chunk = chunk_records(scale);
     let mut pack = Vec::new();
-    let mut samples = Vec::new();
     for bundle in set.traces() {
         let app = bundle.meta().app.clone();
         eprintln!("  tracepack: packing {app}...");
@@ -414,26 +282,6 @@ pub fn tracepack(set: &TraceSet, scale: RunScale) -> Result<TracepackReport, Str
         let chunks = decode_parallel(&bytes);
         let decoded: usize = chunks.iter().map(Vec::len).sum();
         assert_eq!(decoded as u64, stats.records, "{app}: decode lost records");
-        let interval = sample_interval(scale);
-        let plan = simpoint::sample_plan(
-            chunks.iter().map(Vec::as_slice),
-            interval,
-            SIMPOINT_K,
-            SIMPOINT_SEED,
-            SAMPLE_BUDGET,
-        );
-        for depth in SAMPLE_DEPTHS {
-            let full = evaluate_cosmos(bundle, depth, 0).overall.percent();
-            let sampled = sampled_pct(&chunks, &plan, interval, depth);
-            samples.push(SampleRow {
-                app: app.clone(),
-                depth,
-                full_pct: full,
-                sampled_pct: sampled,
-                picks: plan.scored_intervals(),
-                sampled_fraction: plan.sampled_fraction(),
-            });
-        }
         pack.push(PackRow { app, stats });
     }
     eprintln!(
@@ -441,11 +289,7 @@ pub fn tracepack(set: &TraceSet, scale: RunScale) -> Result<TracepackReport, Str
         stream_cell(scale).0
     );
     let stream = run_stream_cell(scale)?;
-    Ok(TracepackReport {
-        pack,
-        samples,
-        stream,
-    })
+    Ok(TracepackReport { pack, stream })
 }
 
 /// Renders the report for humans.
@@ -462,20 +306,6 @@ pub fn render_tracepack(r: &TracepackReport) -> String {
             p.stats.flat_bytes,
             p.stats.packed_bytes,
             p.stats.ratio(),
-        ));
-    }
-    out.push_str("\nSimPoint-sampled vs full Cosmos accuracy\n");
-    out.push_str("  app           depth  full_%  sampled_%  err_pp  picks  sampled_frac\n");
-    for s in &r.samples {
-        out.push_str(&format!(
-            "  {:<12}  {:>5}  {:>6.2}  {:>9.2}  {:>6.2}  {:>5}  {:>12.3}\n",
-            s.app,
-            s.depth,
-            s.full_pct,
-            s.sampled_pct,
-            s.error_pp(),
-            s.picks,
-            s.sampled_fraction,
         ));
     }
     let st = &r.stream;
@@ -502,13 +332,10 @@ pub fn render_tracepack(r: &TracepackReport) -> String {
 /// The CSV artefact (`tracepack.csv`): every column is a
 /// pure function of workload parameters, so the small run golden-diffs.
 pub fn csv_tracepack(r: &TracepackReport) -> String {
-    let mut out = String::from(
-        "section,app,depth,records,chunks,flat_bytes,packed_bytes,ratio,\
-         full_pct,sampled_pct,error_pp,picks,sampled_frac\n",
-    );
+    let mut out = String::from("section,app,records,chunks,flat_bytes,packed_bytes,ratio\n");
     for p in &r.pack {
         out.push_str(&format!(
-            "pack,{},,{},{},{},{},{:.4},,,,,\n",
+            "pack,{},{},{},{},{},{:.4}\n",
             p.app,
             p.stats.records,
             p.stats.chunks,
@@ -517,21 +344,9 @@ pub fn csv_tracepack(r: &TracepackReport) -> String {
             p.stats.ratio(),
         ));
     }
-    for s in &r.samples {
-        out.push_str(&format!(
-            "sample,{},{},,,,,,{:.4},{:.4},{:.4},{},{:.4}\n",
-            s.app,
-            s.depth,
-            s.full_pct,
-            s.sampled_pct,
-            s.error_pp(),
-            s.picks,
-            s.sampled_fraction,
-        ));
-    }
     let st = &r.stream;
     out.push_str(&format!(
-        "stream,scale_n{},,{},{},{},{},{:.4},,,,,\n",
+        "stream,scale_n{},{},{},{},{},{:.4}\n",
         st.nodes,
         st.stats.records,
         st.stats.chunks,
@@ -557,30 +372,12 @@ mod tests {
             "CSV columns must be machine-deterministic"
         );
         assert_eq!(a.pack.len(), 5);
-        assert_eq!(a.samples.len(), 5 * SAMPLE_DEPTHS.len());
         for p in &a.pack {
             assert!(
                 p.stats.ratio() >= 2.0,
                 "{}: ratio {:.2} below the 2x floor",
                 p.app,
                 p.stats.ratio()
-            );
-        }
-        for s in &a.samples {
-            assert!(
-                s.error_pp() <= 1.0,
-                "{} depth {}: sampled {:.2}% vs full {:.2}% ({}pp)",
-                s.app,
-                s.depth,
-                s.sampled_pct,
-                s.full_pct,
-                s.error_pp()
-            );
-            assert!(
-                s.sampled_fraction < 1.0,
-                "{} depth {}: sampling replayed the whole trace",
-                s.app,
-                s.depth
             );
         }
     }

@@ -1,13 +1,11 @@
 //! Golden regression test for the packed-trace pipeline: the
 //! small-scale `tracepack.csv` must stay byte-identical to the committed
 //! copy (the exact bytes `repro --small tracepack --csv DIR` writes).
-//! The CSV pins the codec byte totals and compression ratios, the
-//! SimPoint-sampled vs full accuracy per benchmark × depth, and the
-//! streamed cell's totals — so any drift means the packed format, the
-//! fingerprint/clustering recipe, or the estimator changed. On top of
-//! byte identity, the acceptance bars are asserted explicitly: every
-//! sampled row within 1 pp of full replay, every packed trace at least
-//! 2× smaller than the flat codec.
+//! The CSV pins the codec byte totals and compression ratios per
+//! benchmark and the streamed cell's totals — so any drift means the
+//! packed format or the streamed workload changed. On top of byte
+//! identity, the acceptance bar is asserted explicitly: every packed
+//! trace at least 2× smaller than the flat codec.
 
 use bench_suite::tracepack;
 use bench_suite::{Scale, TraceSet};
@@ -21,23 +19,14 @@ fn small_tracepack_csv_is_byte_identical_to_the_golden() {
     let csv = tracepack::csv_tracepack(&report);
     assert_eq!(csv, GOLDEN, "tracepack report drifted from the golden");
 
-    // The acceptance bars, restated on the live report so a deliberate
-    // golden update cannot silently regress them.
+    // The acceptance bar, restated on the live report so a deliberate
+    // golden update cannot silently regress it.
     for p in &report.pack {
         assert!(
             p.stats.ratio() >= 2.0,
             "{}: compression ratio {:.2} under the 2x floor",
             p.app,
             p.stats.ratio()
-        );
-    }
-    for s in &report.samples {
-        assert!(
-            s.error_pp() <= 1.0,
-            "{} depth {}: sampled error {:.2}pp over the 1pp bar",
-            s.app,
-            s.depth,
-            s.error_pp()
         );
     }
 }

@@ -359,9 +359,7 @@ impl OpenIteration {
 /// chunk at a time) and [`finish`](StreamEval::finish) into the same
 /// [`AccuracyReport`] the one-shot [`evaluate`] produces. This is the
 /// engine behind the packed-trace replay path — a billion-message trace
-/// streams through chunk by chunk without a bundle ever existing — and
-/// behind SimPoint sampling, which warms a fleet on one interval
-/// ([`observe_only`](StreamEval::observe_only)) and scores the next.
+/// streams through chunk by chunk without a bundle ever existing.
 pub struct StreamEval<F>
 where
     F: FnMut(NodeId, Role) -> Box<dyn MessagePredictor>,
@@ -427,7 +425,8 @@ where
         }
     }
 
-    fn feed(&mut self, r: &trace::MsgRecord, score: bool) {
+    /// Feeds and scores one record (subject to the warmup option).
+    pub fn push(&mut self, r: &trace::MsgRecord) {
         let factory = &mut self.factory;
         let slot = self.fleet.agent(r.node, r.role, || AgentSlot {
             predictor: factory(r.node, r.role),
@@ -442,7 +441,7 @@ where
         let seen = LastSeen::new(r.block, r.mtype);
         let prev = slot.prev_type.replace(seen).map(LastSeen::mtype);
 
-        if score && r.iteration >= self.opts.score_from_iteration {
+        if r.iteration >= self.opts.score_from_iteration {
             let hit = predicted == Some(observed);
             self.overall.add(hit);
             match r.role {
@@ -469,30 +468,11 @@ where
         }
     }
 
-    /// Feeds and scores one record (subject to the warmup option).
-    pub fn push(&mut self, r: &trace::MsgRecord) {
-        self.feed(r, true);
-    }
-
     /// Feeds and scores a batch (typically one decoded chunk).
     pub fn push_all(&mut self, records: &[trace::MsgRecord]) {
         for r in records {
-            self.feed(r, true);
+            self.push(r);
         }
-    }
-
-    /// Feeds one record without scoring it — predictors train and arc
-    /// state advances, but no counter moves. SimPoint warmup uses this to
-    /// warm a cold fleet on the interval preceding a representative.
-    pub fn observe_only(&mut self, r: &trace::MsgRecord) {
-        self.feed(r, false);
-    }
-
-    /// The running overall hit/total counters. A sampling driver diffs
-    /// this at interval boundaries to attribute scores per interval in
-    /// a single streaming pass — no second replay, no fleet cloning.
-    pub fn counts_so_far(&self) -> Counts {
-        self.overall
     }
 
     /// Closes the evaluation and builds the report.
@@ -803,26 +783,6 @@ mod tests {
             assert_eq!(chunked.per_iteration, whole.per_iteration);
             assert_eq!(chunked.per_agent, whole.per_agent);
         }
-    }
-
-    #[test]
-    fn observe_only_trains_without_scoring() {
-        let bundle = cyclic_bundle(30);
-        let records = bundle.records();
-        let split = records.len() / 2;
-        // Warm on the first half unscored, score the second half.
-        let mut eval = StreamEval::new(EvalOptions::default(), |_, _| {
-            Box::new(CosmosPredictor::new(1, 0)) as Box<dyn MessagePredictor>
-        });
-        records[..split].iter().for_each(|r| eval.observe_only(r));
-        eval.push_all(&records[split..]);
-        let warmed = eval.finish();
-        assert_eq!(warmed.overall.total, (records.len() - split) as u64);
-        // The warmed fleet is perfect on the steady-state cycle; a cold
-        // fleet scoring everything pays the cold-start misses.
-        assert_eq!(warmed.overall.hits, warmed.overall.total);
-        let cold = evaluate_cosmos(&bundle, 1, 0);
-        assert!(cold.overall.rate() < warmed.overall.rate());
     }
 
     #[test]

@@ -215,21 +215,17 @@ struct RefAccounting {
     per_arc_by_iteration: HashMap<ArcKey, BTreeMap<u32, Counts>>,
 }
 
-/// One step of a replay: the record and whether the driver scores it
-/// (`push`) or only trains on it (`observe_only`).
-type Step = (MsgRecord, bool);
-
-fn reference_accounting(steps: &[Step], opts: &EvalOptions) -> RefAccounting {
+fn reference_accounting(records: &[MsgRecord], opts: &EvalOptions) -> RefAccounting {
     type Agent = (CosmosPredictor, HashMap<BlockAddr, MsgType>);
     let mut fleet: HashMap<(NodeId, Role), Agent> = HashMap::new();
     let mut out = RefAccounting::default();
-    for (r, score) in steps {
+    for r in records {
         let (predictor, prev_type) = fleet
             .entry((r.node, r.role))
             .or_insert_with(|| (CosmosPredictor::new(2, 0), HashMap::new()));
         let observed = PredTuple::new(r.sender, r.mtype);
         let predicted = predictor.predict(r.block);
-        if *score && r.iteration >= opts.score_from_iteration {
+        if r.iteration >= opts.score_from_iteration {
             let hit = predicted == Some(observed);
             out.overall.add(hit);
             match r.role {
@@ -260,23 +256,13 @@ fn reference_accounting(steps: &[Step], opts: &EvalOptions) -> RefAccounting {
     out
 }
 
-fn assert_same_accounting(what: &str, steps: &[Step], opts: &EvalOptions) {
-    let expected = reference_accounting(steps, opts);
+fn assert_same_accounting(what: &str, records: &[MsgRecord], opts: &EvalOptions) {
+    let expected = reference_accounting(records, opts);
     let mut eval = StreamEval::new(opts.clone(), |_, _| {
         Box::new(CosmosPredictor::new(2, 0)) as Box<dyn MessagePredictor>
     });
-    for (n, (r, score)) in steps.iter().enumerate() {
-        if *score {
-            eval.push(r);
-        } else {
-            eval.observe_only(r);
-        }
-        // The SimPoint driver reads `counts_so_far` mid-stream, while an
-        // iteration is still open.
-        if n == steps.len() / 2 {
-            let so_far = reference_accounting(&steps[..=n], opts).overall;
-            assert_eq!(eval.counts_so_far(), so_far, "{what}: mid-stream");
-        }
+    for r in records {
+        eval.push(r);
     }
     let report = eval.finish();
     assert!(expected.overall.total > 0, "{what}: nothing was scored");
@@ -310,31 +296,22 @@ fn shuffled(mut records: Vec<MsgRecord>) -> Vec<MsgRecord> {
 
 #[test]
 fn dense_accounting_matches_per_record_map_accounting() {
-    let scored =
-        |records: &[MsgRecord]| -> Vec<Step> { records.iter().map(|r| (*r, true)).collect() };
     for trace in small_traces() {
         let app = &trace.meta().app;
         let records = trace.records();
         let defaults = EvalOptions::default();
-        assert_same_accounting(&format!("{app} in order"), &scored(records), &defaults);
+        assert_same_accounting(&format!("{app} in order"), records, &defaults);
 
         // Iterations interleaved at random: the open iteration changes on
         // nearly every record and every one of them is reopened many times.
         let mixed = shuffled(records.to_vec());
-        assert_same_accounting(&format!("{app} shuffled"), &scored(&mixed), &defaults);
+        assert_same_accounting(&format!("{app} shuffled"), &mixed, &defaults);
 
         // Warm-up exclusion: early iterations train but never open.
         let opts = EvalOptions {
             score_from_iteration: 2,
         };
-        assert_same_accounting(&format!("{app} from 2"), &scored(records), &opts);
-        assert_same_accounting(&format!("{app} shuffled from 2"), &scored(&mixed), &opts);
-
-        // SimPoint's shape: runs of records that only train between runs
-        // that score, cut at points unrelated to iteration boundaries.
-        let interleaved: Vec<Step> = (records.iter().enumerate())
-            .map(|(n, r)| (*r, n / 37 % 3 != 1))
-            .collect();
-        assert_same_accounting(&format!("{app} observe_only"), &interleaved, &defaults);
+        assert_same_accounting(&format!("{app} from 2"), records, &opts);
+        assert_same_accounting(&format!("{app} shuffled from 2"), &mixed, &opts);
     }
 }

@@ -90,16 +90,6 @@ pub enum SpanKind {
     Speculation,
 }
 
-/// All attribution categories, in display order.
-pub const ALL_SPAN_KINDS: [SpanKind; 6] = [
-    SpanKind::Txn,
-    SpanKind::Queue,
-    SpanKind::Network,
-    SpanKind::Directory,
-    SpanKind::Retry,
-    SpanKind::Speculation,
-];
-
 impl SpanKind {
     /// Short lowercase label (Chrome trace `cat`, CSV column stem).
     pub fn label(self) -> &'static str {

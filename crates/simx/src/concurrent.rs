@@ -315,8 +315,6 @@ fn net_span_name(mtype: MsgType) -> &'static str {
 #[derive(Debug)]
 pub struct ConcurrentMachine {
     pub(crate) proto: ProtocolConfig,
-    /// `proto.blocks_per_page()`, derived (and its asserts fired) once.
-    blocks_per_page: u64,
     pub(crate) sys: SystemConfig,
     queue: EventQueue<Event>,
     /// What the running handler has scheduled, in push order. The
@@ -395,7 +393,6 @@ impl ConcurrentMachine {
     pub fn new(proto: ProtocolConfig, sys: SystemConfig) -> Self {
         let nodes = proto.nodes;
         ConcurrentMachine {
-            blocks_per_page: proto.blocks_per_page(),
             proto,
             sys,
             queue: EventQueue::new(),
@@ -574,13 +571,12 @@ impl ConcurrentMachine {
         self.clocks.iter().copied().max().unwrap_or(0)
     }
 
-    /// `block`'s home node: [`home_of_block`]'s round-robin rule on the
-    /// page size `new` derived, inline — two divisions where the public
-    /// function's checks and calls make four. For handlers, which run per
-    /// event; one that already holds the home hands it down instead.
+    /// `block`'s home node: [`home_of_block`]'s round-robin rule, inline
+    /// and without its checks. For handlers, which run per event; one that
+    /// already holds the home hands it down instead.
     #[inline]
     fn home(&self, block: BlockAddr) -> NodeId {
-        let page = block.number() / self.blocks_per_page;
+        let page = block.number() / self.proto.blocks_per_page();
         let home = NodeId::new((page % self.proto.nodes as u64) as usize);
         debug_assert_eq!(home, home_of_block(block, &self.proto));
         home

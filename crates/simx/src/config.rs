@@ -1,6 +1,6 @@
 //! System (timing) configuration — the paper's Table 3.
 
-/// Timing and sizing parameters of the simulated machine.
+/// Timing parameters of the simulated machine.
 ///
 /// Defaults reproduce the paper's Table 3: a single-latency crossbar, on
 /// which every pair of nodes — and a node to itself — is one hop apart.
@@ -10,14 +10,8 @@
 /// reproduce that claim.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
-    /// Processor clock in GHz (Table 3: 1 GHz).
-    pub processor_ghz: f64,
-    /// Cache size in bytes (Table 3: 1 MiB).
-    pub cache_size: usize,
     /// Main memory access time in ns (Table 3: 120 ns).
     pub mem_access_ns: u64,
-    /// Network message size in bytes (Table 3: 256 B).
-    pub network_msg_bytes: usize,
     /// One-way network wire latency in ns (Table 3: 40 ns).
     pub network_latency_ns: u64,
     /// Network-interface access time in ns (Table 3: 60 ns).
@@ -36,10 +30,7 @@ impl SystemConfig {
     /// The paper's Table 3 machine.
     pub fn paper() -> Self {
         SystemConfig {
-            processor_ghz: 1.0,
-            cache_size: 1 << 20,
             mem_access_ns: 120,
-            network_msg_bytes: 256,
             network_latency_ns: 40,
             ni_access_ns: 60,
             handler_ns: 100,
@@ -77,8 +68,6 @@ mod tests {
         assert_eq!(c.mem_access_ns, 120);
         assert_eq!(c.network_latency_ns, 40);
         assert_eq!(c.ni_access_ns, 60);
-        assert_eq!(c.network_msg_bytes, 256);
-        assert_eq!(c.cache_size, 1048576);
     }
 
     #[test]

@@ -249,10 +249,7 @@ impl ScheduleArtifact {
     /// The check configuration this artifact replays under.
     pub fn check_config(&self) -> CheckConfig {
         CheckConfig {
-            proto: ProtocolConfig {
-                nodes: self.nodes,
-                ..ProtocolConfig::paper()
-            },
+            proto: ProtocolConfig { nodes: self.nodes },
             sys: SystemConfig::paper(),
             plan: self.plan.clone(),
             mutation: self.mutation,

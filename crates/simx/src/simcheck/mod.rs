@@ -84,10 +84,7 @@ impl CheckConfig {
     /// them.
     pub fn small(nodes: usize, blocks: usize) -> Self {
         CheckConfig {
-            proto: ProtocolConfig {
-                nodes,
-                ..ProtocolConfig::paper()
-            },
+            proto: ProtocolConfig { nodes },
             sys: SystemConfig::paper(),
             plan: contention_plan(nodes, blocks),
             mutation: ProtocolMutation::None,

@@ -292,10 +292,7 @@ fn speculating_small_suite_agrees_at_every_barrier() {
 }
 
 fn four_nodes() -> ProtocolConfig {
-    ProtocolConfig {
-        nodes: 4,
-        ..ProtocolConfig::paper()
-    }
+    ProtocolConfig { nodes: 4 }
 }
 
 /// A shared copy survives its invalidation: the first barrier after the

@@ -11,10 +11,7 @@ use stache::ProtocolConfig;
 /// Runs the 4-node, 2-block contention plan a few iterations under the
 /// given fault spec and returns the machine for inspection.
 fn run_under(spec: &str, seed: u64) -> ConcurrentMachine {
-    let proto = ProtocolConfig {
-        nodes: 4,
-        ..ProtocolConfig::paper()
-    };
+    let proto = ProtocolConfig { nodes: 4 };
     let mut m = ConcurrentMachine::new(proto, SystemConfig::paper());
     let plan = FaultPlan::parse(spec).expect("fault spec").with_seed(seed);
     m.set_fault_plan(plan);

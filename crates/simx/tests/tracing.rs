@@ -10,10 +10,7 @@ use simx::{driver, FaultPlan, Machine, SystemConfig};
 use stache::ProtocolConfig;
 
 fn four_nodes() -> ProtocolConfig {
-    ProtocolConfig {
-        nodes: 4,
-        ..ProtocolConfig::paper()
-    }
+    ProtocolConfig { nodes: 4 }
 }
 
 /// Runs the contention plan on a serialized machine, optionally traced.

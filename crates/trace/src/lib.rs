@@ -16,9 +16,6 @@
 //!   streaming writers, indexed readers, and independent per-chunk decode
 //!   for parallel replay with bounded memory — the format for traces too
 //!   large to hold;
-//! * [`simpoint`] — SimPoint-style phase sampling: interval fingerprints
-//!   over message-signature arcs, deterministic k-means clustering, and
-//!   weighted representative selection;
 //! * [`stats`] — message mix and volume statistics;
 //! * [`signature`] — extraction of *message signatures*: the arcs
 //!   (consecutive incoming-message pairs per block) whose reference shares
@@ -49,7 +46,6 @@ pub mod codec;
 pub mod pack;
 pub mod record;
 pub mod signature;
-pub mod simpoint;
 pub mod stats;
 
 pub use bundle::{TraceBundle, TraceMeta};

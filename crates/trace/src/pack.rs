@@ -31,8 +31,7 @@
 //! is [`METHOD_STORE`] or [`METHOD_LZ`]; a chunk whose compressed form
 //! would be larger than its raw form is stored verbatim. Each chunk
 //! carries its own column dictionaries, so chunks decode independently —
-//! the property both the parallel decode path and SimPoint random access
-//! rely on.
+//! the property the parallel decode path relies on.
 //!
 //! ## Chunk payload (columnar)
 //!
@@ -1054,7 +1053,7 @@ impl<R: Read + Seek> PackedTraceReader<R> {
         &self.meta
     }
 
-    /// Records per full chunk (the interval size SimPoint aligns to).
+    /// Records per full chunk.
     pub fn chunk_records(&self) -> u32 {
         self.chunk_records
     }

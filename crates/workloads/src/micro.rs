@@ -49,10 +49,7 @@ impl Default for ProducerConsumer {
 
 impl ProducerConsumer {
     fn block(&self, i: usize) -> BlockAddr {
-        let cfg = ProtocolConfig {
-            nodes: self.nodes,
-            ..ProtocolConfig::paper()
-        };
+        let cfg = ProtocolConfig { nodes: self.nodes };
         block_homed_at(self.home, 0, i as u64, &cfg)
     }
 }
@@ -120,10 +117,7 @@ impl Default for Migratory {
 
 impl Migratory {
     fn block(&self, i: usize) -> BlockAddr {
-        let cfg = ProtocolConfig {
-            nodes: self.nodes,
-            ..ProtocolConfig::paper()
-        };
+        let cfg = ProtocolConfig { nodes: self.nodes };
         block_homed_at(self.home, 0, i as u64, &cfg)
     }
 }
@@ -191,10 +185,7 @@ impl Default for PingPong {
 
 impl PingPong {
     fn block(&self, i: usize) -> BlockAddr {
-        let cfg = ProtocolConfig {
-            nodes: self.nodes,
-            ..ProtocolConfig::paper()
-        };
+        let cfg = ProtocolConfig { nodes: self.nodes };
         block_homed_at(self.home, 1, i as u64, &cfg)
     }
 }

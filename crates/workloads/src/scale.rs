@@ -46,10 +46,7 @@ impl Scale {
     /// parameters widened to `nodes`.
     pub fn new(nodes: usize, private_per_node: usize, iterations: u32) -> Self {
         assert!(nodes >= 2, "the ring patterns need at least two nodes");
-        let proto = ProtocolConfig {
-            nodes,
-            ..ProtocolConfig::paper()
-        };
+        let proto = ProtocolConfig { nodes };
         Scale {
             nodes,
             private_per_node,

@@ -137,10 +137,10 @@ grep -q '"stache.rollback.early_acks"' "$SMOKE_DIR/speedup_obs.json"
 echo "    speedup CSV matches golden; rollback obs JSON emitted"
 echo "    repro --small speedup wall: $((SPEEDUP_NS / 1000000)) ms"
 
-# Packed-trace smoke: run the streaming pack/sample pipeline at small
-# scale and diff the deterministic CSV against its golden. The CSV pins
-# the codec byte totals, compression ratios, SimPoint-sampled vs full
-# accuracy, and the streamed cell's record totals.
+# Packed-trace smoke: run the pack pipeline and the streaming cell at
+# small scale and diff the deterministic CSV against its golden. The CSV
+# pins the codec byte totals, compression ratios, and the streamed
+# cell's record totals.
 echo "==> tracepack smoke (packed pipeline + golden CSV diff)"
 cargo run -q --release --offline -p bench-suite --bin repro -- \
   --small --csv "$SMOKE_DIR" tracepack > /dev/null
@@ -230,8 +230,8 @@ grep -E "unavailable here|^ +[0-9.]+% +[0-9]+ " "$SMOKE_DIR/profile.txt" | sed -
 # updates them).
 echo "==> surface (non-test lines, pub fns, predictor / policy impls per crate; knobs; unreached)"
 scripts/surface.sh | sed 's/^/    /'
-echo "    parent         22374     638          7         2"
+echo "    parent         21517     581          7         2"
 echo "    parent knobs      12"
-echo "    parent unreached  43"
+echo "    parent unreached  26"
 
 echo "CI green."

@@ -3,13 +3,15 @@
 # (everything above each file's first `#[cfg(test)]`), the `pub fn`s among
 # them, and the predictor / policy implementations; then `knobs`, the
 # `pub` fields of `ProtocolConfig` and `SystemConfig` (every setting a
-# machine is built from); then `unreached`, the `pub fn`s whose name
-# appears nowhere in the non-test code of crates/*/src or benchmark/src
-# (comments aside) but in their own definition. The numbers a simplicity
-# PR is judged on; printed by ci.sh as a report, not a gate.
+# machine is built from); then `unreached`, the `pub` items (fn, struct,
+# enum, trait, type, const, static) whose name appears nowhere in the
+# non-test code of crates/*/src or benchmark/src (comments aside) but in
+# their own definition. Private items need no report: rustc's `dead_code`
+# lint fails clippy -D warnings on them. The numbers a simplicity PR is
+# judged on; printed by ci.sh as a report, not a gate.
 #
 # Usage: scripts/surface.sh [--unreached]   (the flag lists the unreached
-# `pub fn`s, one `file:line name` a line, instead of the report)
+# `pub` items, one `file:line name` a line, instead of the report)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,10 +32,10 @@ list=0
   }
   !ours { next }
   { lines[crate]++ }
-  /pub fn / {
-    fns[crate]++
+  /pub fn / { fns[crate]++ }
+  /pub (fn|struct|enum|trait|type|const|static) / {
     name = $0
-    sub(/.*pub fn /, "", name)
+    sub(/.*pub (fn|struct|enum|trait|type|const|static) /, "", name)
     sub(/[^A-Za-z0-9_].*/, "", name)
     defs[name]++
     where[name] = where[name] " " FILENAME ":" FNR
