@@ -1,6 +1,6 @@
 //! Running workloads with and without speculation and comparing outcomes.
 
-use crate::policy::{CosmosPolicy, PredictorPolicy};
+use crate::policy::CosmosPolicy;
 use simx::{ConcurrentMachine, FaultPlan, SimError, SpeculationPolicy, SystemConfig};
 use stache::{BlockAddr, MsgType, NodeId, ProtocolConfig, Role};
 use std::collections::HashSet;
@@ -219,82 +219,37 @@ pub struct ActionAudit {
 /// regression tests pin the clean-run equality so any such drift in the
 /// runner is caught.
 pub fn audit_actions(bundle: &TraceBundle, depth: usize) -> ActionAudit {
-    audit_actions_chunks([bundle.records()], depth)
-}
-
-/// [`audit_actions`], fed a chunked record stream — the packed-trace
-/// replay form. Identical counts to auditing the concatenated chunks;
-/// only one chunk need be in memory at a time.
-pub fn audit_actions_chunks<'a>(
-    chunks: impl IntoIterator<Item = &'a [trace::MsgRecord]>,
-    depth: usize,
-) -> ActionAudit {
-    let mut auditor = ActionAuditor::new(depth);
-    for chunk in chunks {
-        auditor.push_all(chunk);
-    }
-    auditor.finish()
-}
-
-/// The push-based core of [`audit_actions`]: feed records in trace order,
-/// then [`finish`](ActionAuditor::finish). Lets the streaming replay path
-/// audit a trace it never holds whole.
-#[derive(Debug)]
-pub struct ActionAuditor {
-    /// The policy the run is replayed under; it applies the two action
-    /// rules and counts what fires.
-    policy: PredictorPolicy,
-    /// Exclusive fills in flight, keyed (block, holder): genuine write
-    /// requests plus reads the audit granted exclusively. Each one's
-    /// arrival is a self-invalidation consult point.
-    fills: HashSet<(BlockAddr, NodeId)>,
-}
-
-impl ActionAuditor {
-    /// Starts an audit of a run under `CosmosPolicy::new(depth)`.
-    pub fn new(depth: usize) -> Self {
-        ActionAuditor {
-            policy: CosmosPolicy::new(depth),
-            fills: HashSet::new(),
-        }
-    }
-
-    /// Feeds one record in trace order.
-    pub fn push(&mut self, r: &trace::MsgRecord) {
+    // The policy the run is replayed under; it applies the two action
+    // rules and counts what fires.
+    let mut policy = CosmosPolicy::new(depth);
+    // Exclusive fills in flight, keyed (block, holder): genuine write
+    // requests plus reads the audit granted exclusively. Each one's
+    // arrival is a self-invalidation consult point.
+    let mut fills: HashSet<(BlockAddr, NodeId)> = HashSet::new();
+    for r in bundle.records() {
         // The machine records a reception (training the policy) before it
         // consults any action for it, so observe first.
-        self.policy.observe(r);
+        policy.observe(r);
         match (r.role, r.mtype) {
             (Role::Directory, MsgType::GetRoRequest)
-                if self.policy.grant_exclusive(r.node, r.sender, r.block) =>
+                if policy.grant_exclusive(r.node, r.sender, r.block) =>
             {
-                self.fills.insert((r.block, r.sender));
+                fills.insert((r.block, r.sender));
             }
             (Role::Directory, MsgType::GetRwRequest | MsgType::UpgradeRequest) => {
-                self.fills.insert((r.block, r.sender));
+                fills.insert((r.block, r.sender));
             }
             (Role::Cache, MsgType::GetRwResponse | MsgType::UpgradeResponse)
-                if self.fills.remove(&(r.block, r.node)) =>
+                if fills.remove(&(r.block, r.node)) =>
             {
-                self.policy.self_invalidate(r.node, r.block);
+                policy.self_invalidate(r.node, r.block);
             }
             _ => {}
         }
     }
-
-    /// Feeds a batch (typically one decoded chunk).
-    pub fn push_all(&mut self, records: &[trace::MsgRecord]) {
-        for r in records {
-            self.push(r);
-        }
-    }
-
-    /// Returns the recovered action counts.
-    pub fn finish(self) -> ActionAudit {
-        ActionAudit {
-            exclusive_grants: self.policy.grants,
-            voluntary_replacements: self.policy.replacements,
-        }
+    ActionAudit {
+        exclusive_grants: policy.grants,
+        voluntary_replacements: policy.replacements,
     }
 }
 

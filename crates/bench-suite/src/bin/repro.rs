@@ -247,10 +247,7 @@ fn speedup(c: &Ctx) -> Result<(), String> {
 
 fn tracespans(c: &Ctx) -> Result<(), String> {
     use bench_suite::spans;
-    eprintln!(
-        "running traced benchmarks ({:?} scale, both engines)...",
-        c.scale
-    );
+    eprintln!("running traced benchmarks ({:?} scale)...", c.scale);
     let runs = spans::traced_runs(c.scale);
     let rows = spans::attribution(&runs);
     println!("{}", spans::render_attribution(&rows));

@@ -1,13 +1,13 @@
 //! The `tracespans` target: per-transaction latency attribution from the
-//! causal span trees both engines record (see `obs::span`).
+//! causal span trees the event engine (`ConcurrentMachine`) records (see
+//! `obs::span`).
 //!
 //! The paper's §4.4 model argues prediction pays off by shortening the
 //! *critical path* of coherence transactions; aggregate accuracy cannot
-//! show that. This module runs the five benchmarks through both engines
-//! with tracing enabled and reduces the span logs three ways:
+//! show that. This module runs the five benchmarks through the event
+//! engine with tracing enabled and reduces the span logs three ways:
 //!
-//! 1. an **attribution table** — per engine, benchmark, and transaction
-//!    type: p50/p95/p99 end-to-end latency ([`obs::Histogram`] upper
+//! 1. an **attribution table** — per benchmark and transaction type: p50/p95/p99 end-to-end latency ([`obs::Histogram`] upper
 //!    bounds) and the mean nanoseconds per transaction spent in each
 //!    category (queue / network / directory / retry / speculation);
 //! 2. a **critical-path report** — the slowest k transactions, each
@@ -15,7 +15,7 @@
 //!    Cosmos verdicts (`cosmos::record_verdicts`) so "this GETX was slow
 //!    *and* mispredicted" is finally one line of output;
 //! 3. a **Chrome trace-event export** ([`write_chrome_trace`]) loadable
-//!    in Perfetto / `chrome://tracing`, one process per run.
+//!    in Perfetto / `chrome://tracing`, one process per benchmark.
 //!
 //! Everything is simulated time, so all three outputs are deterministic.
 
@@ -35,8 +35,6 @@ pub const BENCHES: [&str; 5] = ["appbt", "barnes", "dsmc", "moldyn", "unstructur
 
 /// One benchmark run with tracing on: its message trace and span log.
 pub struct TracedRun {
-    /// Which engine produced the run.
-    pub engine: &'static str,
     /// Benchmark name.
     pub app: &'static str,
     /// The coherence-message trace (for prediction verdicts).
@@ -45,32 +43,20 @@ pub struct TracedRun {
     pub spans: SpanLog,
 }
 
-/// Runs every benchmark through both engines with tracing enabled.
-/// Cells fan out over the bounded sweep pool; output order is fixed:
-/// serialized runs first, each in [`BENCHES`] order, then concurrent.
+/// Runs every benchmark through the event engine with tracing enabled.
+/// Cells fan out over the bounded sweep pool; output is in [`BENCHES`]
+/// order.
 pub fn traced_runs(scale: Scale) -> Vec<TracedRun> {
-    crate::par::sweep(2 * BENCHES.len(), move |i| {
-        let (engine, name) = (
-            if i < BENCHES.len() {
-                "serial"
-            } else {
-                "concurrent"
-            },
-            BENCHES[i % BENCHES.len()],
-        );
+    crate::par::sweep(BENCHES.len(), move |i| {
+        let name = BENCHES[i];
         let mut w = scale.workload(name).expect("known benchmark");
-        let (bundle, spans) = if engine == "serial" {
-            workloads::run_traced(&mut *w, ProtocolConfig::paper(), SystemConfig::paper())
-        } else {
-            workloads::run_traced_concurrent(
-                &mut *w,
-                ProtocolConfig::paper(),
-                SystemConfig::paper(),
-            )
-        }
-        .unwrap_or_else(|e| panic!("{engine} {name}: {e}"));
+        let (bundle, spans) = workloads::run_traced_concurrent(
+            &mut *w,
+            ProtocolConfig::paper(),
+            SystemConfig::paper(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
         TracedRun {
-            engine,
             app: name,
             bundle,
             spans,
@@ -78,12 +64,10 @@ pub fn traced_runs(scale: Scale) -> Vec<TracedRun> {
     })
 }
 
-/// Latency attribution for one `(engine, benchmark, transaction type)`
-/// group: end-to-end percentiles plus the summed nanoseconds per
-/// attribution category across all of the group's transactions.
+/// Latency attribution for one `(benchmark, transaction type)` group:
+/// end-to-end percentiles plus the summed nanoseconds per attribution
+/// category across all of the group's transactions.
 pub struct AttributionRow {
-    /// Engine name (`"serial"` / `"concurrent"`).
-    pub engine: &'static str,
     /// Benchmark name.
     pub app: &'static str,
     /// Root span name: the requesting message type, `local_read`/`_write`,
@@ -116,7 +100,7 @@ fn kind_index(kind: SpanKind) -> usize {
 }
 
 /// Reduces the runs' span logs to attribution rows, ordered by
-/// `(engine, benchmark)` as in [`traced_runs`] and alphabetically by
+/// benchmark as in [`traced_runs`] and alphabetically by
 /// transaction type within a run.
 pub fn attribution(runs: &[TracedRun]) -> Vec<AttributionRow> {
     let mut out = Vec::new();
@@ -129,7 +113,6 @@ pub fn attribution(runs: &[TracedRun]) -> Vec<AttributionRow> {
                 row_of.insert(s.trace.raw(), s.name);
                 rows.entry(s.name)
                     .or_insert_with(|| AttributionRow {
-                        engine: run.engine,
                         app: run.app,
                         txn: s.name,
                         total: Histogram::new(),
@@ -156,25 +139,13 @@ pub fn render_attribution(rows: &[AttributionRow]) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<11} {:<14} {:<18} {:>8} {:>7} {:>7} {:>7} {:>6} {:>6} {:>6} {:>6} {:>6}",
-        "engine",
-        "benchmark",
-        "txn",
-        "count",
-        "p50",
-        "p95",
-        "p99",
-        "queue",
-        "net",
-        "dir",
-        "retry",
-        "spec"
+        "{:<14} {:<18} {:>8} {:>7} {:>7} {:>7} {:>6} {:>6} {:>6} {:>6} {:>6}",
+        "benchmark", "txn", "count", "p50", "p95", "p99", "queue", "net", "dir", "retry", "spec"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<11} {:<14} {:<18} {:>8} {:>7} {:>7} {:>7} {:>6} {:>6} {:>6} {:>6} {:>6}",
-            r.engine,
+            "{:<14} {:<18} {:>8} {:>7} {:>7} {:>7} {:>6} {:>6} {:>6} {:>6} {:>6}",
             r.app,
             r.txn,
             r.total.count(),
@@ -194,14 +165,13 @@ pub fn render_attribution(rows: &[AttributionRow]) -> String {
 /// The attribution table as CSV (the committed golden artefact).
 pub fn csv_attribution(rows: &[AttributionRow]) -> String {
     let mut out = String::from(
-        "engine,benchmark,txn,count,p50_ns,p95_ns,p99_ns,\
+        "benchmark,txn,count,p50_ns,p95_ns,p99_ns,\
          queue_ns,network_ns,directory_ns,retry_ns,speculation_ns\n",
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{},{},{},{},{},{},{}",
-            r.engine,
+            "{},{},{},{},{},{},{},{},{},{},{}",
             r.app,
             r.txn,
             r.total.count(),
@@ -220,11 +190,11 @@ pub fn csv_attribution(rows: &[AttributionRow]) -> String {
 
 /// Per-phase latency: percentiles of each child-span name within a run.
 pub fn render_phases(runs: &[TracedRun]) -> String {
-    let mut out = String::from("Per-phase span latency (ns), both engines pooled per benchmark:\n");
+    let mut out = String::from("Per-phase span latency (ns) per benchmark:\n");
     let _ = writeln!(
         out,
-        "{:<11} {:<14} {:<14} {:<12} {:>9} {:>7} {:>7} {:>7}",
-        "engine", "benchmark", "phase", "category", "count", "p50", "p95", "p99"
+        "{:<14} {:<14} {:<12} {:>9} {:>7} {:>7} {:>7}",
+        "benchmark", "phase", "category", "count", "p50", "p95", "p99"
     );
     for run in runs {
         let mut phases: BTreeMap<(&'static str, &'static str), Histogram> = BTreeMap::new();
@@ -239,8 +209,7 @@ pub fn render_phases(runs: &[TracedRun]) -> String {
         for ((name, kind), h) in phases {
             let _ = writeln!(
                 out,
-                "{:<11} {:<14} {:<14} {:<12} {:>9} {:>7} {:>7} {:>7}",
-                run.engine,
+                "{:<14} {:<14} {:<12} {:>9} {:>7} {:>7} {:>7}",
                 run.app,
                 name,
                 kind,
@@ -282,92 +251,78 @@ fn verdicts_by_trace(run: &TracedRun) -> HashMap<u32, VerdictTally> {
     by_trace
 }
 
-/// Renders the critical-path report: the `k` slowest transactions per
-/// engine across all benchmarks, each span-tree edge attributed and the
-/// root annotated with its messages' prediction verdicts.
+/// Renders the critical-path report: the `k` slowest transactions across
+/// all benchmarks, each span-tree edge attributed and the root annotated
+/// with its messages' prediction verdicts.
 pub fn render_critical_paths(runs: &[TracedRun], k: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Critical paths: the {k} slowest transactions per engine, edges\n\
-         attributed; `pred h/m/c` counts the transaction's messages a\n\
-         depth-1 Cosmos predicted (hit / mispredicted / no prediction)."
+        "Critical paths: the {k} slowest transactions, edges attributed;\n\
+         `pred h/m/c` counts the transaction's messages a depth-1 Cosmos\n\
+         predicted (hit / mispredicted / no prediction)."
     );
-    for engine in ["serial", "concurrent"] {
-        // Collect (duration, run index, root span) over this engine's runs.
-        let mut slow: Vec<(u64, usize, &Span)> = Vec::new();
-        for (ri, run) in runs.iter().enumerate() {
-            if run.engine != engine {
-                continue;
-            }
-            for s in run.spans.spans() {
-                if s.kind == SpanKind::Txn {
-                    slow.push((s.duration_ns(), ri, s));
-                }
+    // Collect (duration, run index, root span) over every run.
+    let mut slow: Vec<(u64, usize, &Span)> = Vec::new();
+    for (ri, run) in runs.iter().enumerate() {
+        for s in run.spans.spans() {
+            if s.kind == SpanKind::Txn {
+                slow.push((s.duration_ns(), ri, s));
             }
         }
-        // Slowest first; ties broken by run order then allocation order,
-        // so the report is deterministic.
-        slow.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.id.cmp(&b.2.id)));
-        slow.truncate(k);
-        for (total, ri, root) in slow {
-            let run = &runs[ri];
-            let tally = verdicts_by_trace(run)
-                .get(&root.trace.raw())
-                .copied()
-                .unwrap_or_default();
+    }
+    // Slowest first; ties broken by run order then allocation order, so
+    // the report is deterministic.
+    slow.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.id.cmp(&b.2.id)));
+    slow.truncate(k);
+    for (total, ri, root) in slow {
+        let run = &runs[ri];
+        let tally = verdicts_by_trace(run)
+            .get(&root.trace.raw())
+            .copied()
+            .unwrap_or_default();
+        let _ = writeln!(
+            out,
+            "{} {} block={:#x} node=P{} total={total}ns pred {}/{}/{}{}",
+            run.app,
+            root.name,
+            root.block,
+            root.node,
+            tally.predicted,
+            tally.mispredicted,
+            tally.cold,
+            root.note.map(|n| format!(" [{n}]")).unwrap_or_default(),
+        );
+        let mut edges: Vec<&Span> = run
+            .spans
+            .spans()
+            .iter()
+            .filter(|s| s.trace == root.trace && s.kind != SpanKind::Txn)
+            .collect();
+        edges.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then(a.id.cmp(&b.id)));
+        const MAX_EDGES: usize = 8;
+        let shown = edges.len().min(MAX_EDGES);
+        for s in &edges[..shown] {
             let _ = writeln!(
                 out,
-                "{} {} {} block={:#x} node=P{} total={total}ns pred {}/{}/{}{}",
-                engine,
-                run.app,
-                root.name,
-                root.block,
-                root.node,
-                tally.predicted,
-                tally.mispredicted,
-                tally.cold,
-                root.note.map(|n| format!(" [{n}]")).unwrap_or_default(),
+                "  +{:<8} {:<14} {:<12} {}ns",
+                s.start_ns.saturating_sub(root.start_ns),
+                s.name,
+                s.kind.label(),
+                s.duration_ns()
             );
-            let mut edges: Vec<&Span> = run
-                .spans
-                .spans()
-                .iter()
-                .filter(|s| s.trace == root.trace && s.kind != SpanKind::Txn)
-                .collect();
-            edges.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then(a.id.cmp(&b.id)));
-            const MAX_EDGES: usize = 8;
-            let shown = edges.len().min(MAX_EDGES);
-            for s in &edges[..shown] {
-                let _ = writeln!(
-                    out,
-                    "  +{:<8} {:<14} {:<12} {}ns",
-                    s.start_ns.saturating_sub(root.start_ns),
-                    s.name,
-                    s.kind.label(),
-                    s.duration_ns()
-                );
-            }
-            if edges.len() > shown {
-                let _ = writeln!(out, "  ... {} more edges", edges.len() - shown);
-            }
+        }
+        if edges.len() > shown {
+            let _ = writeln!(out, "  ... {} more edges", edges.len() - shown);
         }
     }
     out
 }
 
 /// Renders every run as one Chrome trace-event JSON document, one
-/// "process" per `(engine, benchmark)` pair.
+/// "process" per benchmark.
 pub fn chrome_trace(runs: &[TracedRun]) -> String {
-    let labels: Vec<String> = runs
-        .iter()
-        .map(|r| format!("{} {}", r.engine, r.app))
-        .collect();
-    let parts: Vec<(&str, &SpanLog)> = labels
-        .iter()
-        .map(String::as_str)
-        .zip(runs.iter().map(|r| &r.spans))
-        .collect();
+    let parts: Vec<(&str, &SpanLog)> = runs.iter().map(|r| (r.app, &r.spans)).collect();
     chrome_trace_json(&parts)
 }
 
@@ -389,15 +344,14 @@ mod tests {
     }
 
     #[test]
-    fn traced_runs_cover_both_engines_and_all_benchmarks() {
+    fn traced_runs_cover_all_benchmarks() {
         let runs = small_runs();
-        assert_eq!(runs.len(), 10);
-        assert!(runs[..5].iter().all(|r| r.engine == "serial"));
-        assert!(runs[5..].iter().all(|r| r.engine == "concurrent"));
+        let apps: Vec<&str> = runs.iter().map(|r| r.app).collect();
+        assert_eq!(apps, BENCHES);
         for r in &runs {
-            assert!(!r.spans.spans().is_empty(), "{} {}", r.engine, r.app);
-            assert_eq!(r.spans.open_traces(), 0, "{} {}", r.engine, r.app);
-            assert_eq!(r.spans.orphans(), 0, "{} {}", r.engine, r.app);
+            assert!(!r.spans.spans().is_empty(), "{}", r.app);
+            assert_eq!(r.spans.open_traces(), 0, "{}", r.app);
+            assert_eq!(r.spans.orphans(), 0, "{}", r.app);
             assert!(!r.bundle.is_empty());
         }
     }
@@ -411,13 +365,7 @@ mod tests {
             assert!(r.total.count() > 0);
             // Remote transactions must spend time on the network.
             if r.txn.ends_with("_request") {
-                assert!(
-                    r.mean_ns(SpanKind::Network) > 0,
-                    "{} {} {}",
-                    r.engine,
-                    r.app,
-                    r.txn
-                );
+                assert!(r.mean_ns(SpanKind::Network) > 0, "{} {}", r.app, r.txn);
             }
         }
         // Clean runs never retry.
@@ -425,7 +373,7 @@ mod tests {
         let table = render_attribution(&rows);
         assert!(table.contains("get_rw_request"));
         let csv = csv_attribution(&rows);
-        assert!(csv.starts_with("engine,benchmark,txn,"));
+        assert!(csv.starts_with("benchmark,txn,"));
         assert_eq!(csv.lines().count(), rows.len() + 1);
     }
 
@@ -444,8 +392,8 @@ mod tests {
         let runs = small_runs();
         let json = chrome_trace(&runs);
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"serial appbt\""));
-        assert!(json.contains("\"concurrent unstructured\""));
+        assert!(json.contains("\"appbt\""));
+        assert!(json.contains("\"unstructured\""));
         assert!(json.contains("\"ph\":\"X\""));
     }
 }

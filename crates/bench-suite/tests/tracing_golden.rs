@@ -30,7 +30,7 @@ fn chrome_export_contains_complete_span_trees() {
     // every event carries a duration, and each root ("txn" category) has
     // at least one child edge in the same trace.
     for run in &runs {
-        assert_eq!(run.spans.open_traces(), 0, "{} {}", run.engine, run.app);
+        assert_eq!(run.spans.open_traces(), 0, "{}", run.app);
         for root in run.spans.spans().iter().filter(|s| s.kind == SpanKind::Txn) {
             let children = run
                 .spans
@@ -40,8 +40,7 @@ fn chrome_export_contains_complete_span_trees() {
                 .count();
             assert!(
                 children > 0,
-                "{} {}: trace {} has a bare root",
-                run.engine,
+                "{}: trace {} has a bare root",
                 run.app,
                 root.trace.raw()
             );

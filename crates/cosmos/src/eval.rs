@@ -17,12 +17,12 @@
 //! A message for which the predictor offers no prediction counts as a miss
 //! (the conservative convention); coverage is reported separately.
 
-use crate::fasthash::{FastMap, FastSet};
 use crate::fleet::{role_index, Fleet, ROLES};
 use crate::memory::MemoryFootprint;
 use crate::predictor::CosmosPredictor;
 use crate::tuple::PredTuple;
 use crate::{CoreStats, MessagePredictor};
+use stache::fasthash::{FastMap, FastSet};
 use stache::msg::ALL_MSG_TYPES;
 use stache::{BlockAddr, MsgType, NodeId, Role};
 use std::collections::{BTreeMap, HashMap};

@@ -31,8 +31,7 @@
 //!   per-arc / per-iteration accuracies (Tables 5, 6, 8; Figures 6, 7);
 //! * [`memory`] — Table 7's PHT/MHR ratio and per-block overhead formula;
 //! * [`speedup`] — §4.4's analytic speedup model (Figure 5);
-//! * [`actions`] — §4.1's prediction→action mapping and a speculative
-//!   message-saving estimator.
+//! * [`actions`] — §4.1's prediction→action mapping (Table 2).
 //!
 //! ## Example
 //!
@@ -69,16 +68,9 @@ pub use eval::{AccuracyReport, Counts, EvalOptions, StreamEval, Verdict};
 pub use fleet::Fleet;
 pub use memory::MemoryFootprint;
 pub use mhr::Mhr;
-pub use packed::PackedHistory;
 pub use pht::{Pht, PhtEntry, CONFIDENCE_MAX};
 pub use predictor::{CosmosPredictor, EvictingCosmos};
 pub use tuple::PredTuple;
-
-// The table hasher lives in `stache`, beside the `BlockAddr` page stride it
-// was tuned for, so the engines key their tables with it too; this path is
-// kept for the predictor core and its callers.
-pub use stache::fasthash;
-pub use stache::fasthash::{FastMap, FastSet, FxHasher};
 
 use stache::BlockAddr;
 
@@ -169,16 +161,5 @@ mod tests {
         p.observe(block, t2);
         p.observe(block, t1);
         assert_eq!(p.predict(block), Some(t2));
-    }
-
-    /// `cosmos::fasthash` is `stache`'s module, not a copy: a map built
-    /// under one path is the other path's type.
-    #[test]
-    fn fasthash_is_the_stache_module_re_exported() {
-        let mut m: FastMap<BlockAddr, u8> = stache::fasthash::FastMap::default();
-        m.insert(BlockAddr::new(7), 1);
-        let same: &stache::fasthash::FastMap<BlockAddr, u8> = &m;
-        assert_eq!(same.get(&BlockAddr::new(7)), Some(&1));
-        let _: stache::fasthash::FxHasher = fasthash::FxHasher::default();
     }
 }

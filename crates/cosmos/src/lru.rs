@@ -3,7 +3,7 @@
 //! §3.7's first-level table merged with finite cache state is this
 //! structure: [`EvictingCosmos`](crate::EvictingCosmos)'s bounded MHT.
 
-use crate::fasthash::FastHash;
+use stache::fasthash::FastHash;
 use std::hash::{BuildHasher, Hash};
 
 /// "No slot": the end of the recency list.

@@ -16,8 +16,8 @@
 //! updates take a single `entry` probe instead of a `get_mut`-then-`insert`
 //! pair.
 
-use crate::fasthash::FastMap;
 use crate::tuple::PredTuple;
+use stache::fasthash::FastMap;
 use std::collections::hash_map::Entry;
 
 /// Saturation point of [`PhtEntry::confidence`] (2 bits, like branch

@@ -8,13 +8,13 @@
 //! ([`confident`](CosmosPredictor::confident), §4.2/§4.3) — and every
 //! combination runs the same `step`.
 
-use crate::fasthash::FastMap;
 use crate::lru::LruSlab;
 use crate::memory::MemoryFootprint;
 use crate::mhr::Mhr;
 use crate::pht::{Pht, CONFIDENCE_MAX};
 use crate::tuple::PredTuple;
 use crate::{CoreStats, MessagePredictor};
+use stache::fasthash::FastMap;
 use stache::BlockAddr;
 use std::cell::Cell;
 

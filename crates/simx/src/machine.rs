@@ -9,7 +9,7 @@
 use crate::concurrent::ConcurrentMachine;
 use crate::config::SystemConfig;
 use crate::stats::MachineStats;
-use obs::span::{SpanKind, SpanLog, TraceId};
+use obs::span::TraceId;
 use stache::cache::{self, CacheAction};
 use stache::directory::{self, DirOutcome};
 use stache::fasthash::FastMap;
@@ -132,7 +132,7 @@ pub struct AccessOutcome {
 /// A `Machine` is a *scheduler* over a [`ConcurrentMachine`] core, like a
 /// [`shard`](crate::shard): the core owns the protocol store (cache and
 /// directory state, clocks, handler horizons) and its instruments (trace,
-/// stats, tallies, span log), and every state write and recorded message
+/// stats, tallies), and every state write and recorded message
 /// goes through the core's own writers. What is kept here is what makes this a different
 /// scheduler — each transaction walked to completion in closed form
 /// instead of as queued events — and the data-value oracle.
@@ -197,33 +197,6 @@ impl Machine {
         self.core.tally()
     }
 
-    /// Turns causal span tracing on. Off (the default), every span call
-    /// is an early-return no-op and the machine's outputs are
-    /// byte-identical to a build without the tracing layer; on, every
-    /// coherence transaction records a span tree stamped with the exact
-    /// simulated times the engine already computes.
-    pub fn enable_tracing(&mut self) {
-        self.core.enable_tracing();
-    }
-
-    /// The span log recorded so far.
-    pub fn spans(&self) -> &SpanLog {
-        self.core.spans()
-    }
-
-    /// Takes the span log, leaving a fresh disabled one.
-    pub fn take_spans(&mut self) -> SpanLog {
-        self.core.take_spans()
-    }
-
-    /// Closes any spans still open, marking them `"orphaned"`, and
-    /// returns how many were flagged. The serialized engine completes
-    /// every transaction inline, so a quiescent machine should report 0;
-    /// anything else is a protocol bug.
-    pub fn flag_orphaned_spans(&mut self) -> u64 {
-        self.core.flag_orphaned_spans()
-    }
-
     /// Point-in-time export of every machine metric: access and message
     /// counters, latency histograms, per-transition tallies, and
     /// invariant-check counts. (No `simx.queue.depth`: this scheduler
@@ -264,17 +237,12 @@ impl Machine {
         self.core.sync_clocks();
     }
 
-    /// One protocol leg sent by `from` at `send_at`: one hop, a sample in
-    /// the network-latency histogram and a network span. Returns the
-    /// arrival time.
-    fn leg(&mut self, name: &'static str, from: NodeId, send_at: u64, tr: TraceId) -> u64 {
+    /// One protocol leg sent at `send_at`: one hop and a sample in the
+    /// network-latency histogram. Returns the arrival time.
+    fn leg(&mut self, send_at: u64) -> u64 {
         let hop = self.core.sys.one_way_ns();
         self.core.stats.net_latency_ns.record(hop);
-        let t = send_at + hop;
-        self.core
-            .spans
-            .child(tr, name, SpanKind::Network, send_at, t, from.raw());
-        t
+        send_at + hop
     }
 
     /// Executes one memory access by `node` at `block` and advances the
@@ -344,25 +312,12 @@ impl Machine {
             });
         };
         let start = self.core.clocks[node.index()];
-        let tr = self.core.spans.begin_trace(
-            match op {
-                ProcOp::Read => "local_read",
-                ProcOp::Write => "local_write",
-            },
-            start,
-            node.raw(),
-            block.number(),
-        );
         // The local access still occupies the node's own software handler.
-        let (_, dispatch) = self.core.occupy_dir_handler(node, start, tr);
-        let (done, messages) = self.collect_holders(&outcome, node, block, dispatch, tr)?;
+        let (_, dispatch) = self.core.occupy_dir_handler(node, start, TraceId::NONE);
+        let (done, messages) = self.collect_holders(&outcome, node, block, dispatch)?;
         self.core.set_dir(block, outcome.next.clone());
         let end = done + self.core.sys.mem_access_ns;
-        self.core
-            .spans
-            .child(tr, "mem.access", SpanKind::Directory, done, end, node.raw());
         self.core.clocks[node.index()] = end;
-        self.core.spans.end_trace(tr, end);
         if op == ProcOp::Write {
             self.commit_local_write(block);
         }
@@ -399,29 +354,24 @@ impl Machine {
         self.core.set_cache_state(node, block, transient);
 
         let start = self.core.clocks[node.index()];
-        let tr = self
-            .core
-            .spans
-            .begin_trace(req.paper_name(), start, node.raw(), block.number());
         // Request travels to the directory.
-        let t_req = self.leg("net.request", node, start, tr);
-        self.core
-            .record(t_req, &Msg::new(node, home, block, req).with_trace(tr));
+        let t_req = self.leg(start);
+        self.core.record(t_req, &Msg::new(node, home, block, req));
         let mut messages = 1;
 
         let dir = self.core.dir_state(block);
         let outcome =
             directory::handle_request(&dir, home, node, req).map_err(SimError::Protocol)?;
         // The software handler serialises requests at the home.
-        let (_, dispatch) = self.core.occupy_dir_handler(home, t_req, tr);
-        let (ready, holder_msgs) = self.collect_holders(&outcome, home, block, dispatch, tr)?;
+        let (_, dispatch) = self.core.occupy_dir_handler(home, t_req, TraceId::NONE);
+        let (ready, holder_msgs) = self.collect_holders(&outcome, home, block, dispatch)?;
         messages += holder_msgs;
 
         // Reply to the requester.
         let reply = outcome.reply.expect("remote requests always get a reply");
-        let t_reply = self.leg("net.reply", home, ready, tr);
+        let t_reply = self.leg(ready);
         self.core
-            .record(t_reply, &Msg::new(home, node, block, reply).with_trace(tr));
+            .record(t_reply, &Msg::new(home, node, block, reply));
         messages += 1;
 
         let (stable, extra) = cache::on_message(transient, reply)?;
@@ -441,16 +391,7 @@ impl Machine {
         }
 
         let end = t_reply + self.core.sys.handler_ns;
-        self.core.spans.child(
-            tr,
-            "cache.fill",
-            SpanKind::Directory,
-            t_reply,
-            end,
-            node.raw(),
-        );
         self.core.clocks[node.index()] = end;
-        self.core.spans.end_trace(tr, end);
         Ok(AccessOutcome {
             hit: false,
             latency_ns: end - start,
@@ -467,26 +408,15 @@ impl Machine {
         outcome_home: NodeId,
         block: BlockAddr,
         dispatch: u64,
-        tr: TraceId,
     ) -> Result<(u64, usize), SimError> {
         let mut ready = dispatch;
         let mut messages = 0;
         let imsg = outcome.holder_request;
         for target in &outcome.holders {
-            let t_inv = self.leg("net.inval", outcome_home, dispatch, tr);
-            self.core.record(
-                t_inv,
-                &Msg::new(outcome_home, target, block, imsg).with_trace(tr),
-            );
+            let t_inv = self.leg(dispatch);
+            self.core
+                .record(t_inv, &Msg::new(outcome_home, target, block, imsg));
             let handled = t_inv + self.core.sys.handler_ns;
-            self.core.spans.child(
-                tr,
-                "holder.service",
-                SpanKind::Directory,
-                t_inv,
-                handled,
-                target.raw(),
-            );
 
             let state = self.core.cache_state(target, block);
             let (next, reply) = cache::on_message(state, imsg)?;
@@ -501,21 +431,11 @@ impl Machine {
                 self.cache_values[target.index()].remove(&block);
             }
             let reply = reply.expect("invalidations and downgrades are acknowledged");
-            let t_resp = self.leg("net.ack", target, handled, tr);
-            self.core.record(
-                t_resp,
-                &Msg::new(target, outcome_home, block, reply).with_trace(tr),
-            );
+            let t_resp = self.leg(handled);
+            self.core
+                .record(t_resp, &Msg::new(target, outcome_home, block, reply));
             messages += 2;
             let gathered = t_resp + self.core.sys.handler_ns;
-            self.core.spans.child(
-                tr,
-                "dir.gather",
-                SpanKind::Directory,
-                t_resp,
-                gathered,
-                outcome_home.raw(),
-            );
             ready = ready.max(gathered);
         }
         Ok((ready, messages))

@@ -6,25 +6,11 @@
 use obs::span::SpanKind;
 use simx::concurrent::ConcurrentMachine;
 use simx::simcheck::contention_plan;
-use simx::{driver, FaultPlan, Machine, SystemConfig};
+use simx::{FaultPlan, SystemConfig};
 use stache::ProtocolConfig;
 
 fn four_nodes() -> ProtocolConfig {
     ProtocolConfig { nodes: 4 }
-}
-
-/// Runs the contention plan on a serialized machine, optionally traced.
-fn run_serialized(traced: bool) -> Machine {
-    let mut m = Machine::new(four_nodes(), SystemConfig::paper());
-    if traced {
-        m.enable_tracing();
-    }
-    let plan = contention_plan(4, 2);
-    for it in 0..6 {
-        driver::run_iteration(&mut m, &plan, it).expect("clean run");
-    }
-    m.verify_coherence().expect("coherent");
-    m
 }
 
 /// Runs the contention plan on a concurrent machine, optionally traced
@@ -46,9 +32,9 @@ fn run_concurrent(traced: bool, faults: Option<&str>) -> ConcurrentMachine {
 }
 
 #[test]
-fn tracing_is_purely_observational_on_the_serialized_engine() {
-    let plain = run_serialized(false);
-    let traced = run_serialized(true);
+fn tracing_is_purely_observational_on_the_concurrent_engine() {
+    let plain = run_concurrent(false, None);
+    let traced = run_concurrent(true, None);
     assert_eq!(
         plain.trace().records(),
         traced.trace().records(),
@@ -69,21 +55,7 @@ fn tracing_is_purely_observational_on_the_serialized_engine() {
 }
 
 #[test]
-fn tracing_is_purely_observational_on_the_concurrent_engine() {
-    let plain = run_concurrent(false, None);
-    let traced = run_concurrent(true, None);
-    assert_eq!(plain.trace().records(), traced.trace().records());
-    assert_eq!(plain.execution_time_ns(), traced.execution_time_ns());
-    let snap = plain.obs_snapshot();
-    assert!(snap.names().iter().all(|n| !n.contains("span")));
-}
-
-#[test]
 fn quiescent_machines_leave_no_open_spans() {
-    let mut ser = run_serialized(true);
-    assert_eq!(ser.spans().open_traces(), 0, "serialized closes every root");
-    assert_eq!(ser.flag_orphaned_spans(), 0);
-
     let mut con = run_concurrent(true, None);
     assert_eq!(con.spans().open_traces(), 0, "barrier flagged nothing");
     assert_eq!(con.spans().orphans(), 0);

@@ -303,30 +303,11 @@ pub fn run_sharded_streaming<W: Workload + ?Sized, E>(
     Ok(machine)
 }
 
-/// Like [`run_to_trace`] but with causal span tracing enabled: returns
-/// the trace bundle *and* the run's [`obs::SpanLog`] — one span tree per
-/// coherence transaction, stamped with the serialized engine's exact
+/// Like [`run_to_trace_concurrent`] but with causal span tracing enabled:
+/// returns the trace bundle *and* the run's [`obs::SpanLog`] — one span
+/// tree per coherence transaction, stamped with the event engine's
 /// simulated times. Any span still open after the final barrier is
 /// flagged `"orphaned"` rather than dropped.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`].
-pub fn run_traced<W: Workload + ?Sized>(
-    workload: &mut W,
-    proto: ProtocolConfig,
-    sys: SystemConfig,
-) -> Result<(TraceBundle, obs::SpanLog), SimError> {
-    let mut machine = Machine::new(proto, sys);
-    machine.enable_tracing();
-    drive(&mut machine, workload)?;
-    machine.flag_orphaned_spans();
-    let spans = machine.take_spans();
-    Ok((machine.into_trace(), spans))
-}
-
-/// Like [`run_to_trace_concurrent`] but with causal span tracing enabled;
-/// see [`run_traced`].
 ///
 /// # Errors
 ///

@@ -5,9 +5,9 @@
 # `pub` fields of `ProtocolConfig` and `SystemConfig` (every setting a
 # machine is built from); then `unreached`, the `pub` items (fn, struct,
 # enum, trait, type, const, static) whose name appears nowhere in the
-# non-test code of crates/*/src or benchmark/src (comments aside) but in
-# their own definition. Private items need no report: rustc's `dead_code`
-# lint fails clippy -D warnings on them. The numbers a simplicity PR is
+# non-test code of crates/*/src or benchmark/src (comments and `pub use`
+# re-exports aside) but in their own definition. Private items need no
+# report: rustc's `dead_code` lint fails clippy -D warnings on them. The numbers a simplicity PR is
 # judged on; printed by ci.sh as a report, not a gate.
 #
 # Usage: scripts/surface.sh [--unreached]   (the flag lists the unreached
@@ -19,10 +19,13 @@ list=0
 [[ "${1:-}" == "--unreached" ]] && list=1
 
 { find crates/*/src -name '*.rs'; find benchmark/src -name '*.rs'; } | sort | xargs awk -v list="$list" '
-  FNR == 1 { live = 1; split(FILENAME, path, "/"); crate = path[2]; ours = path[1] == "crates" }
+  FNR == 1 { live = 1; reexport = 0; split(FILENAME, path, "/"); crate = path[2]; ours = path[1] == "crates" }
   /#\[cfg\(test\)\]/ { live = 0 }
   !live { next }
-  {
+  # A re-export (`pub use ...;`, one line or a `{...}` block) names an
+  # item without using it.
+  /^[ \t]*pub use / { reexport = 1 }
+  !reexport {
     # Every identifier on the line, comments aside, counts as a use.
     code = $0
     sub(/\/\/.*/, "", code)
@@ -30,6 +33,7 @@ list=0
     n = split(code, words, " ")
     for (i = 1; i <= n; i++) uses[words[i]]++
   }
+  reexport && /;/ { reexport = 0 }
   !ours { next }
   { lines[crate]++ }
   /pub fn / { fns[crate]++ }
