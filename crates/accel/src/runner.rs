@@ -2,7 +2,7 @@
 
 use crate::policy::CosmosPolicy;
 use simx::{ConcurrentMachine, FaultPlan, SimError, SpeculationPolicy, SystemConfig};
-use stache::{BlockAddr, MsgType, NodeId, ProtocolConfig, Role};
+use stache::{BlockAddr, MsgType, NodeId, ProtocolConfig, Role, RollbackTally};
 use std::collections::HashSet;
 use std::fmt;
 use trace::TraceBundle;
@@ -23,6 +23,8 @@ pub struct RunSummary {
     pub exclusive_grants: u64,
     /// Voluntary replacements the caches issued.
     pub voluntary_replacements: u64,
+    /// Speculative pushes, their outcomes, and early acks.
+    pub rollback: RollbackTally,
 }
 
 impl RunSummary {
@@ -36,6 +38,7 @@ impl RunSummary {
             accesses: stats.accesses(),
             exclusive_grants: stats.exclusive_grants,
             voluntary_replacements: stats.voluntary_replacements,
+            rollback: *machine.rollback_tally(),
         }
     }
 }

@@ -139,12 +139,11 @@ const TARGETS: &[Target] = &[
         show(extras::render_comparison(&extras::comparison(c.set())))
     })
     .traced(),
-    Target::new("integration", integration),
     Target::new("engines", |c| show(extras::engines(c.scale))),
     Target::new("seeds", |c| show(extras::seed_robustness(c.scale))),
     Target::new("faults", fault_sensitivity).faulted().csv(),
     Target::new("simcheck", simcheck).csv(),
-    Target::new("speedup", speedup).faulted().csv(),
+    Target::new("accel", acceleration).faulted().csv(),
     Target::new("tracespans", tracespans).csv(),
     Target::new("scale", scale_sweep).csv().explicit_only(),
     Target::new("tracepack", tracepack)
@@ -196,12 +195,6 @@ fn sensitivity(c: &Ctx) -> Result<(), String> {
     show(extras::render_latency_sensitivity(&rows, &latencies))
 }
 
-fn integration(c: &Ctx) -> Result<(), String> {
-    let rows = bench_suite::integration::integration(c.scale, 2)
-        .map_err(|e| format!("integration: {e}"))?;
-    show(bench_suite::integration::render_integration(&rows, 2))
-}
-
 fn fault_sensitivity(c: &Ctx) -> Result<(), String> {
     eprintln!(
         "running fault-sensitivity report ({:?} scale, seed {})...",
@@ -232,17 +225,16 @@ fn simcheck(c: &Ctx) -> Result<(), String> {
     Ok(())
 }
 
-fn speedup(c: &Ctx) -> Result<(), String> {
-    use bench_suite::speedup;
+fn acceleration(c: &Ctx) -> Result<(), String> {
+    use bench_suite::accel;
     eprintln!(
-        "running speculative speedup report ({:?} scale, seed {})...",
+        "running acceleration table ({:?} scale, seed {})...",
         c.scale, c.fault_plan.seed
     );
-    let report =
-        speedup::speedup_report(c.scale, c.fault_plan).map_err(|e| format!("speedup: {e}"))?;
-    println!("{}", speedup::render_speedup_report(&report));
-    c.artefact("speedup.csv", &speedup::csv_speedup_report(&report))?;
-    c.artefact("speedup_obs.json", &report.export_obs().to_json())
+    let rows = accel::accel(c.scale, c.fault_plan).map_err(|e| format!("accel: {e}"))?;
+    println!("{}", accel::render_accel(&rows, c.fault_plan));
+    c.artefact("accel.csv", &accel::csv_accel(&rows))?;
+    c.artefact("accel_obs.json", &accel::export_obs(&rows).to_json())
 }
 
 fn tracespans(c: &Ctx) -> Result<(), String> {
@@ -335,7 +327,7 @@ fn print_help() {
          as Chrome trace-event JSON (Perfetto-loadable) to PATH"
     );
     println!(
-        "  --faults SPEC   fault plan for the `faults` and `speedup` targets, e.g. \
+        "  --faults SPEC   fault plan for the `faults` and `accel` targets, e.g. \
          drop=0.01,dup=0.005,reorder=3 (keys: drop, dup, spike, reorder, spike_ns)"
     );
 }

@@ -21,10 +21,9 @@
 //! | §5 latency-insensitivity claim | [`extras::latency_sensitivity`] |
 //! | §6.2 time-to-adapt | [`extras::adaptation`] |
 //! | §7 directed-predictor comparison | [`extras::comparison`] |
-//! | §4/§8 live integration | [`integration::integration`] |
-//! | §5 fault-sensitivity (clean vs perturbed traces) | [`faults::fault_report`] |
+//! //! | §5 fault-sensitivity (clean vs perturbed traces) | [`faults::fault_report`] |
 //! | Schedule-exploration model check | [`modelcheck::simcheck_report`] |
-//! | Measured speculation speedup vs Figure 5 | [`speedup::speedup_report`] |
+//! | §4/§8 acceleration: message reduction and speedup per action set | [`accel::accel`] |
 //! | Packed-trace codec + streaming cell | [`tracepack::tracepack`] |
 //!
 //! The `repro` binary drives them from the command line (wall-clock
@@ -33,17 +32,16 @@
 //! protocol, predictor, and speculation metrics — into a single
 //! machine-readable [`obs::Snapshot`] (`repro --obs-json`).
 
+pub mod accel;
 pub mod contenders;
 pub mod extras;
 pub mod faults;
 pub mod figures;
-pub mod integration;
 pub mod modelcheck;
 pub mod par;
 pub mod report;
 pub mod scale;
 pub mod spans;
-pub mod speedup;
 pub mod tables;
 pub mod tracepack;
 pub mod traces;

@@ -121,8 +121,8 @@ impl std::error::Error for TraceError {
 }
 
 /// [`accel::run_machine`] with a failure tagged by the benchmark it
-/// happened in — the one run function behind the fault, speedup and
-/// integration studies.
+/// happened in — the one run function behind the fault and acceleration
+/// studies.
 pub(crate) fn run_machine(
     w: &mut dyn Workload,
     policy: Option<Box<dyn simx::SpeculationPolicy>>,

@@ -126,7 +126,7 @@ fn bad_faults_seed_exits_nonzero() {
 }
 
 // Regression: a fault plan harsh enough to exhaust the retry budget
-// panicked in a worker thread (`faults.rs`, `speedup.rs`, the `join`); it
+// panicked in a worker thread (`faults.rs`, `accel.rs`, the `join`); it
 // is one line naming the target and the benchmark, and exit status 1.
 
 fn assert_exhausted_plan_is_a_one_line_error(target: &str) {
@@ -148,8 +148,8 @@ fn a_fault_plan_that_exhausts_retries_fails_the_faults_target_in_one_line() {
 }
 
 #[test]
-fn a_fault_plan_that_exhausts_retries_fails_the_speedup_target_in_one_line() {
-    assert_exhausted_plan_is_a_one_line_error("speedup");
+fn a_fault_plan_that_exhausts_retries_fails_the_accel_target_in_one_line() {
+    assert_exhausted_plan_is_a_one_line_error("accel");
 }
 
 // Regression: `--faults` / `--faults-seed` beside targets that never read
@@ -166,7 +166,7 @@ fn fault_flags_are_rejected_when_no_selected_target_reads_them() {
         assert!(out.stdout.is_empty(), "{args:?} ran something first");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.lines().count() == 1 && stderr.contains("only faults, speedup do"),
+            stderr.lines().count() == 1 && stderr.contains("only faults, accel do"),
             "{args:?}: stderr was {stderr:?}"
         );
     }
@@ -226,6 +226,8 @@ fn retired_studies_are_unknown_targets() {
         "topology",
         "lookahead",
         "tournament",
+        "integration",
+        "speedup",
     ] {
         let out = repro(&["--small", name]);
         assert_eq!(out.status.code(), Some(1), "{name}");

@@ -4,8 +4,7 @@
 //! * `golden/contenders_small.csv` — every contender row × the five small
 //!   traces, as exact integer counts (hits, scored, offered, MHR and PHT
 //!   entries), so a predictor that drifts by one message fails;
-//! * `golden/extras_small.txt` — the rendered `comparison` and
-//!   `integration` sections.
+//! * `golden/extras_small.txt` — the rendered `comparison` section.
 //!
 //! Both files were generated by the code *before* the variants became
 //! arguments of one predictor struct and the policies one policy; the
@@ -13,7 +12,7 @@
 //! studies were deleted with them.
 
 use bench_suite::contenders::CONTENDERS;
-use bench_suite::{extras, integration, Scale, TraceSet};
+use bench_suite::{extras, Scale, TraceSet};
 use cosmos::eval::{evaluate, EvalOptions};
 use std::fmt::Write as _;
 
@@ -46,15 +45,11 @@ fn every_contender_scores_the_golden_counts_on_the_small_traces() {
 }
 
 #[test]
-fn the_comparison_and_integration_sections_render_the_golden_text() {
+fn the_comparison_section_renders_the_golden_text() {
     let set = TraceSet::generate(Scale::Small);
-    let text = [
-        extras::render_comparison(&extras::comparison(&set)),
-        integration::render_integration(&integration::integration(Scale::Small, 2).unwrap(), 2),
-    ]
-    .join("\n");
     assert_eq!(
-        text, EXTRAS_GOLDEN,
-        "a study section drifted from the golden"
+        extras::render_comparison(&extras::comparison(&set)),
+        EXTRAS_GOLDEN,
+        "the comparison section drifted from the golden"
     );
 }

@@ -26,11 +26,11 @@ fn chrome_export_contains_complete_span_trees() {
     assert!(json.ends_with("]}"));
     assert_eq!(json.matches("\"ph\":\"M\"").count(), runs.len());
     assert!(json.matches("\"ph\":\"X\"").count() > runs.len());
-    // Every transaction's tree is complete: no span is still open, so
-    // every event carries a duration, and each root ("txn" category) has
-    // at least one child edge in the same trace.
+    // Every transaction's tree is complete: no span was left open for the
+    // barrier to flag, so every event carries its own duration, and each
+    // root ("txn" category) has at least one child edge in the same trace.
     for run in &runs {
-        assert_eq!(run.spans.open_traces(), 0, "{}", run.app);
+        assert_eq!(run.spans.orphans(), 0, "{}", run.app);
         for root in run.spans.spans().iter().filter(|s| s.kind == SpanKind::Txn) {
             let children = run
                 .spans

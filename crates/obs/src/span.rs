@@ -157,6 +157,10 @@ pub struct SpanLog {
     /// onto the `MsgRecord` stream without widening the codec'd record.
     links: Vec<(TraceId, u64)>,
     orphans: u64,
+    /// Every span below this index is closed: the last sweep closed the
+    /// open ones, children are born closed and [`SpanLog::end_trace`]
+    /// only closes, so the next sweep starts here.
+    swept: usize,
 }
 
 impl SpanLog {
@@ -277,17 +281,15 @@ impl SpanLog {
         &self.links
     }
 
-    /// Number of root spans still open.
-    pub fn open_traces(&self) -> usize {
-        self.spans.iter().filter(|s| s.open).count()
-    }
-
     /// Closes every still-open span at `at_ns`, marking it `"orphaned"`.
     /// A quiescent machine should have none; a non-zero return is a
     /// protocol bug. Returns how many were flagged this call.
+    ///
+    /// Visits only the spans recorded since the previous sweep, so the
+    /// sweeps of a run cost one pass over its spans in all.
     pub fn flag_orphans(&mut self, at_ns: u64) -> u64 {
         let mut flagged = 0;
-        for s in &mut self.spans {
+        for s in &mut self.spans[self.swept..] {
             if s.open {
                 s.open = false;
                 s.end_ns = at_ns.max(s.start_ns);
@@ -295,6 +297,7 @@ impl SpanLog {
                 flagged += 1;
             }
         }
+        self.swept = self.spans.len();
         self.orphans += flagged;
         flagged
     }
@@ -429,7 +432,7 @@ mod tests {
         assert!(!root_a.open);
         let child_a = spans.iter().find(|s| s.trace == a && s.parent.is_some());
         assert_eq!(child_a.unwrap().parent, root_a.id);
-        assert_eq!(log.open_traces(), 0);
+        assert!(spans.iter().all(|s| !s.open));
     }
 
     #[test]
@@ -439,16 +442,37 @@ mod tests {
         let t = log.begin_trace("get_ro_request", 10, 0, 0x1);
         let _done = log.begin_trace("get_rw_request", 10, 1, 0x2);
         log.end_trace(_done, 50);
-        assert_eq!(log.open_traces(), 1);
+        assert!(log.root_of(t).unwrap().open);
         assert_eq!(log.flag_orphans(90), 1);
         assert_eq!(log.orphans(), 1);
-        assert_eq!(log.open_traces(), 0);
         let root = log.root_of(t).unwrap();
+        assert!(!root.open);
         assert_eq!(root.note, Some("orphaned"));
         assert_eq!(root.end_ns, 90);
         // Idempotent: nothing left to flag.
         assert_eq!(log.flag_orphans(95), 0);
         assert_eq!(log.orphans(), 1);
+    }
+
+    #[test]
+    fn a_sweep_visits_only_the_spans_recorded_since_the_last() {
+        let mut log = SpanLog::new();
+        log.enable();
+        let first = log.begin_trace("get_ro_request", 0, 0, 0x1);
+        log.child(first, "net.request", SpanKind::Network, 0, 10, 0);
+        assert_eq!(log.flag_orphans(20), 1);
+        assert_eq!(log.swept, 2);
+        // Reopen the swept root behind the watermark: the next sweep must
+        // not reach it, only the two spans appended since.
+        log.spans[0].open = true;
+        let second = log.begin_trace("get_rw_request", 30, 1, 0x2);
+        log.child(second, "net.request", SpanKind::Network, 30, 40, 1);
+        assert_eq!(log.flag_orphans(50), 1);
+        assert_eq!(log.swept, 4);
+        assert!(log.spans[0].open, "a span below the watermark was visited");
+        assert_eq!(log.root_of(second).unwrap().note, Some("orphaned"));
+        assert_eq!(log.orphans(), 2);
+        assert_eq!(log.flag_orphans(60), 0);
     }
 
     #[test]

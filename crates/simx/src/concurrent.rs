@@ -522,15 +522,6 @@ impl ConcurrentMachine {
         std::mem::take(&mut self.spans)
     }
 
-    /// Closes any spans still open, marking them `"orphaned"`, and
-    /// returns how many were flagged. Called at every barrier (the
-    /// machine is quiescent there, so every transaction should have
-    /// closed its root); a non-zero count is a protocol bug.
-    pub fn flag_orphaned_spans(&mut self) -> u64 {
-        let at = self.execution_time_ns();
-        self.spans.flag_orphans(at)
-    }
-
     /// Point-in-time export of every machine metric, including the
     /// event-queue depth distribution this engine uniquely sustains.
     pub fn obs_snapshot(&self) -> obs::Snapshot {
@@ -1275,7 +1266,8 @@ impl ConcurrentMachine {
     /// # Errors
     ///
     /// `StuckMessage` if a processor is still blocked or a transaction
-    /// still open; otherwise the audit's first violation.
+    /// still open; otherwise the audit's first violation; otherwise, on
+    /// a traced run, [`SimError::OrphanedSpans`] if a span is still open.
     pub fn run_barrier(&mut self) -> Result<(), SimError> {
         check_drained(
             &self.proto,
@@ -1288,9 +1280,13 @@ impl ConcurrentMachine {
         self.dirty.clear();
         audited?;
         // Quiescent: every transaction's root span must have closed. A
-        // leftover open span is a bug — flag it rather than losing it.
+        // leftover open span is a protocol path that never closed its
+        // root: flag it in the log, and fail the run like the audit.
         if self.spans.is_enabled() {
-            self.flag_orphaned_spans();
+            let count = self.spans.flag_orphans(self.execution_time_ns());
+            if count > 0 {
+                return Err(SimError::OrphanedSpans { count });
+            }
         }
         self.sync_clocks();
         Ok(())
@@ -2812,6 +2808,25 @@ mod tests {
             }))
         );
         assert_eq!(check_drained(&proto, None, None), Ok(()));
+    }
+
+    /// A root span no protocol path closed is a bug the barrier reports,
+    /// once: the span is flagged and closed, and the next barrier passes.
+    #[test]
+    fn a_barrier_fails_on_a_span_left_open() {
+        let mut m = machine();
+        m.enable_tracing();
+        m.run_plan(
+            &plan_of(vec![vec![Access::write(n(1), BlockAddr::new(0))]]),
+            0,
+        )
+        .unwrap();
+        assert_eq!(m.spans().orphans(), 0);
+        let t = m.spans.begin_trace("get_ro_request", 0, 2, 64);
+        assert_eq!(m.run_barrier(), Err(SimError::OrphanedSpans { count: 1 }));
+        assert_eq!(m.spans().root_of(t).unwrap().note, Some("orphaned"));
+        assert_eq!(m.run_barrier(), Ok(()));
+        assert_eq!(m.spans().orphans(), 1);
     }
 
     #[test]

@@ -59,6 +59,13 @@ pub enum SimError {
         /// Transmission attempts made (original plus retries).
         attempts: u32,
     },
+    /// A barrier found transaction spans still open although every
+    /// transaction had completed: a root span a protocol path never
+    /// closed. Only a traced run can report it.
+    OrphanedSpans {
+        /// Spans the barrier closed and flagged `"orphaned"`.
+        count: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -85,6 +92,9 @@ impl fmt::Display for SimError {
                     f,
                     "message {from} -> {to} lost {attempts} times; retry budget exhausted"
                 )
+            }
+            SimError::OrphanedSpans { count } => {
+                write!(f, "{count} span(s) still open at a quiescent barrier")
             }
         }
     }

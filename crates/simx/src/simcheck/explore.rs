@@ -58,6 +58,7 @@ fn error_kind(e: &SimError) -> &'static str {
         SimError::StaleRead { .. } => "stale_read",
         SimError::NodeOutOfRange { .. } => "node_out_of_range",
         SimError::RetryExhausted { .. } => "retry_exhausted",
+        SimError::OrphanedSpans { .. } => "orphaned_spans",
     }
 }
 

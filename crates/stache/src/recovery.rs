@@ -28,7 +28,7 @@
 //! ([`crate::invariants`]) — recovery must converge to the same stable
 //! states the perfect fabric reaches.
 
-use std::collections::BTreeSet;
+use crate::fasthash::FastSet;
 
 /// Sender-side retransmission policy: capped exponential backoff.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,15 +73,17 @@ impl RetryPolicy {
 
 /// A receiver-side duplicate filter over transmission sequence numbers.
 ///
-/// Senders number every transmission from a monotone per-machine counter;
+/// Senders number every transmission from a monotone counter per receiver;
 /// a receiver observes each arriving sequence and absorbs any it has seen
-/// before. The seen-set is compacted to a low-water mark so memory stays
-/// bounded no matter how long the run is: sequences below `low` are, by
-/// construction, already seen.
+/// before. The seen-set is compacted to a low-water mark: sequences below
+/// `low` are, by construction, already seen. A dropped transmission's
+/// sequence never arrives (its retry takes a fresh one), so under loss the
+/// mark stops at the first drop and the set keeps every later arrival; a
+/// hash set keeps each observation O(1) however large it grows.
 #[derive(Debug, Clone, Default)]
 pub struct DedupFilter {
     low: u64,
-    seen: BTreeSet<u64>,
+    seen: FastSet<u64>,
 }
 
 impl DedupFilter {
@@ -203,7 +205,7 @@ impl RecoveryTally {
 /// `pushes == confirmed + rolled_back` once the fabric is quiescent.
 /// Early acks and self-invalidations are always safe — a wrong bet only
 /// costs the speculating cache a fresh miss.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RollbackTally {
     /// Speculative pushes (unsolicited grants) sent by a directory to a
     /// predicted next reader or writer.

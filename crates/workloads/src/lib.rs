@@ -306,8 +306,7 @@ pub fn run_sharded_streaming<W: Workload + ?Sized, E>(
 /// Like [`run_to_trace_concurrent`] but with causal span tracing enabled:
 /// returns the trace bundle *and* the run's [`obs::SpanLog`] — one span
 /// tree per coherence transaction, stamped with the event engine's
-/// simulated times. Any span still open after the final barrier is
-/// flagged `"orphaned"` rather than dropped.
+/// simulated times. Every barrier checks that no span is left open.
 ///
 /// # Errors
 ///
@@ -320,7 +319,6 @@ pub fn run_traced_concurrent<W: Workload + ?Sized>(
     let mut machine = ConcurrentMachine::new(proto, sys);
     machine.enable_tracing();
     drive(&mut machine, workload)?;
-    machine.flag_orphaned_spans();
     let spans = machine.take_spans();
     Ok((machine.into_trace(), spans))
 }

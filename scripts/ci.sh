@@ -115,27 +115,28 @@ cargo run -q --release --offline -p bench-suite --bin repro -- \
 diff -u crates/bench-suite/tests/golden/scale_small.csv "$SMOKE_DIR/scale.csv"
 echo "    scale CSV matches golden"
 
-# Speculation smoke: regenerate the measured-speedup report — every cell
-# runs the speculative machine clean *and* under the default fault plan
-# (drop=0.01,dup=0.005,reorder=3), so this exercises prediction-actioned
-# grants, self-invalidations, early acks, forwarding pushes, and the
-# rollback/recovery paths end to end — and diff the CSV against its
-# golden byte for byte. The target is all ConcurrentMachine runs, and the
-# wall of the binary (built above; run directly so cargo is not in the
-# figure) is printed so that a barrier audit gone back to walking every
-# touched block shows in the log — faintly at this scale (≈ 80 ms today;
-# the exhaustive audit made it about a third longer); the paper-scale
-# tripwire is the spec16 pass below, ≈ 11 s against ≈ 1 s.
-echo "==> speculation smoke (speedup report + golden CSV diff, timed)"
-SPEEDUP_T0="$(date +%s%N)"
+# Speculation smoke: regenerate the acceleration table — every benchmark
+# runs bare and under nine action sets (directed, two-action Cosmos and
+# the gated four-action fleet), each clean *and* under the default fault
+# plan (drop=0.01,dup=0.005,reorder=3), so this exercises
+# prediction-actioned grants, self-invalidations, early acks, forwarding
+# pushes, and the rollback/recovery paths end to end — and diff the CSV
+# against its golden byte for byte. The target is all ConcurrentMachine
+# runs, and the wall of the binary (built above; run directly so cargo
+# is not in the figure) is printed so that a barrier audit gone back to
+# walking every touched block shows in the log — faintly at this scale
+# (≈ 250 ms on two cores); the paper-scale tripwire is the spec16 pass
+# below, ≈ 11 s against ≈ 1 s.
+echo "==> speculation smoke (acceleration table + golden CSV diff, timed)"
+ACCEL_T0="$(date +%s%N)"
 "${CARGO_TARGET_DIR:-target}/release/repro" \
-  --small --csv "$SMOKE_DIR" speedup > /dev/null
-SPEEDUP_NS="$(($(date +%s%N) - SPEEDUP_T0))"
-diff -u crates/bench-suite/tests/golden/speedup_small.csv "$SMOKE_DIR/speedup.csv"
-grep -q '"stache.rollback.pushes"' "$SMOKE_DIR/speedup_obs.json"
-grep -q '"stache.rollback.early_acks"' "$SMOKE_DIR/speedup_obs.json"
-echo "    speedup CSV matches golden; rollback obs JSON emitted"
-echo "    repro --small speedup wall: $((SPEEDUP_NS / 1000000)) ms"
+  --small --csv "$SMOKE_DIR" accel > /dev/null
+ACCEL_NS="$(($(date +%s%N) - ACCEL_T0))"
+diff -u crates/bench-suite/tests/golden/accel_small.csv "$SMOKE_DIR/accel.csv"
+grep -q '"stache.rollback.pushes"' "$SMOKE_DIR/accel_obs.json"
+grep -q '"stache.rollback.early_acks"' "$SMOKE_DIR/accel_obs.json"
+echo "    accel CSV matches golden; rollback obs JSON emitted"
+echo "    repro --small accel wall: $((ACCEL_NS / 1000000)) ms"
 
 # Packed-trace smoke: run the pack pipeline and the streaming cell at
 # small scale and diff the deterministic CSV against its golden. The CSV
@@ -230,8 +231,8 @@ grep -E "unavailable here|^ +[0-9.]+% +[0-9]+ " "$SMOKE_DIR/profile.txt" | sed -
 # updates them).
 echo "==> surface (non-test lines, pub fns, predictor / policy impls per crate; knobs; unreached)"
 scripts/surface.sh | sed 's/^/    /'
-echo "    parent         20640     563          7         2"
+echo "    parent         20278     540          7         2"
 echo "    parent knobs       7"
-echo "    parent unreached  25"
+echo "    parent unreached  22"
 
 echo "CI green."
