@@ -1,9 +1,14 @@
-//! Golden regression test for the table pipeline: the small-scale Table 5
-//! CSV must stay byte-identical to the copy captured before the
-//! packed-history predictor core and parallel sweeps landed. Any drift
-//! means the optimisation changed results, not just speed.
+//! Golden regression tests for the accuracy views on the small traces.
+//!
+//! * `golden/table5_small.csv` was captured before the packed-history
+//!   predictor core and parallel sweeps landed;
+//! * the Table 6, 7 and 8 CSVs and the `repro --small fig6` and
+//!   `repro --small adaptation` stdout were captured while each view still
+//!   replayed its own traces, before they became views of one race.
+//!
+//! Any drift means a change moved results, not just speed or structure.
 
-use bench_suite::{tables, Scale, TraceSet};
+use bench_suite::{extras, figures, tables, Scale, TraceSet};
 
 const GOLDEN: &str = include_str!("golden/table5_small.csv");
 
@@ -12,4 +17,50 @@ fn small_table5_csv_is_byte_identical_to_the_pre_optimization_golden() {
     let set = TraceSet::generate(Scale::Small);
     let csv = tables::csv_table5(&tables::table5(&set));
     assert_eq!(csv, GOLDEN, "table5 CSV drifted from the golden copy");
+}
+
+#[test]
+fn small_table6_to_8_csvs_are_byte_identical_to_the_goldens() {
+    let set = TraceSet::generate(Scale::Small);
+    let cases = [
+        (
+            "table6",
+            tables::csv_table6(&tables::table6(&set)),
+            include_str!("golden/table6_small.csv"),
+        ),
+        (
+            "table7",
+            tables::csv_table7(&tables::table7(&set)),
+            include_str!("golden/table7_small.csv"),
+        ),
+        (
+            "table8",
+            tables::csv_table8(&tables::table8_from_set(&set)),
+            include_str!("golden/table8_small.csv"),
+        ),
+    ];
+    for (name, csv, golden) in cases {
+        assert_eq!(csv, golden, "{name} CSV drifted from the golden copy");
+    }
+}
+
+#[test]
+fn small_fig6_and_adaptation_stdout_is_byte_identical_to_the_goldens() {
+    let set = TraceSet::generate(Scale::Small);
+    // `repro` prints each rendering with `println!`: one more newline.
+    let cases = [
+        (
+            "fig6",
+            figures::render_figures_6_7(&set),
+            include_str!("golden/fig6_small.txt"),
+        ),
+        (
+            "adaptation",
+            extras::render_adaptation(&extras::adaptation(&set)),
+            include_str!("golden/adaptation_small.txt"),
+        ),
+    ];
+    for (name, text, golden) in cases {
+        assert_eq!(text + "\n", golden, "{name} drifted from the golden copy");
+    }
 }

@@ -47,16 +47,19 @@ case "$FAULT_ERR" in
   *) echo "    --faults drop=0.9: unexpected error: $FAULT_ERR" >&2; exit 1 ;;
 esac
 
-# Release table smoke: regenerate the small-scale Table 5 and diff its CSV
-# against the golden copy captured before the packed-core optimisation —
-# speed work must never move a result.
-echo "==> table smoke (golden Table 5 diff)"
+# Release table smoke: regenerate the small-scale Tables 5-8 and diff
+# their CSVs against the golden copies (Table 5's captured before the
+# packed-core optimisation, Tables 6-8's before the tables became views of
+# one race) — speed and structure work must never move a result.
+echo "==> table smoke (golden Tables 5-8 diff)"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 cargo run -q --release --offline -p bench-suite --bin repro -- \
-  --small --csv "$SMOKE_DIR" table5 > /dev/null
-diff -u crates/bench-suite/tests/golden/table5_small.csv "$SMOKE_DIR/table5.csv"
-echo "    table5 CSV matches golden"
+  --small --csv "$SMOKE_DIR" table5 table6 table7 table8 > /dev/null
+for table in table5 table6 table7 table8; do
+  diff -u "crates/bench-suite/tests/golden/${table}_small.csv" "$SMOKE_DIR/$table.csv"
+done
+echo "    table5-8 CSVs match golden"
 
 # Model-checker smoke: exhaustively explore the 2-node configurations and
 # require the simcheck.* obs artefact. The repro target exits non-zero if
