@@ -26,6 +26,7 @@
 //!
 //! Host time is not measured here: `benchmark/run.sh` times the pipeline.
 
+use bench_suite::contenders::{race, Race};
 use bench_suite::{extras, faults, figures, obs_report, tables, Scale, TraceSet};
 use simx::{FaultPlan, SystemConfig};
 use std::cell::Cell;
@@ -37,6 +38,8 @@ struct Ctx<'a> {
     scale: Scale,
     /// The shared trace set; present when any requested target needs it.
     set: Option<&'a TraceSet>,
+    /// The union of the requested targets' fields, raced once over `set`.
+    race: &'a Race,
     csv_dir: Option<&'a Path>,
     trace_out: Option<&'a Path>,
     fault_plan: &'a FaultPlan,
@@ -46,10 +49,6 @@ struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    fn set(&self) -> &TraceSet {
-        self.set.expect("row is marked `traced`")
-    }
-
     /// Writes one artefact when `--csv DIR` was given.
     fn artefact(&self, name: &str, contents: &str) -> Result<(), String> {
         let Some(dir) = self.csv_dir else {
@@ -64,13 +63,16 @@ impl Ctx<'_> {
 
 type Run = fn(&Ctx) -> Result<(), String>;
 
-/// One `repro` target. The usage line, `all`, the shared-trace decision
-/// and the dispatch all read this one declaration.
+/// One `repro` target. The usage line, `all`, the shared-trace decision,
+/// the race and the dispatch all read this one declaration.
 struct Target {
     name: &'static str,
     /// Whether `all` includes it.
     in_all: bool,
-    /// Whether it reads the shared five-benchmark trace set.
+    /// The contenders whose reports over the shared trace set it reads
+    /// (labels of `bench_suite::contenders::CONTENDERS`).
+    field: &'static [&'static str],
+    /// Whether it reads the shared five-benchmark trace set itself.
     needs_traces: bool,
     /// Whether it reads the `--faults` / `--faults-seed` plan.
     reads_faults: bool,
@@ -84,11 +86,17 @@ impl Target {
         Target {
             name,
             in_all: true,
+            field: &[],
             needs_traces: false,
             reads_faults: false,
             writes_csv: false,
             run,
         }
+    }
+
+    const fn races(mut self, field: &'static [&'static str]) -> Self {
+        self.field = field;
+        self
     }
 
     const fn traced(mut self) -> Self {
@@ -122,23 +130,25 @@ const TARGETS: &[Target] = &[
     Target::new("table2", |_| show(tables::table2())),
     Target::new("table3", |_| show(tables::table3(&SystemConfig::paper()))),
     Target::new("table4", |_| show(tables::table4())),
-    Target::new("table5", table5).traced().csv(),
-    Target::new("table6", table6).traced().csv(),
-    Target::new("table7", table7).traced().csv(),
-    Target::new("table8", table8).traced().csv(),
+    Target::new("table5", table5).races(&tables::BY_DEPTH).csv(),
+    Target::new("table6", table6)
+        .races(tables::TABLE6_FIELD.as_flattened())
+        .csv(),
+    Target::new("table7", table7).races(&tables::BY_DEPTH).csv(),
+    Target::new("table8", table8).races(&[tables::DEPTH1]).csv(),
     Target::new("fig5", fig5).csv(),
-    Target::new("fig6", fig67).traced(),
-    Target::new("fig7", fig67).traced(),
+    Target::new("fig6", fig67).races(&[tables::DEPTH1]),
+    Target::new("fig7", fig67).races(&[tables::DEPTH1]),
     Target::new("fig8", |_| show(figures::render_figure8())),
     Target::new("sensitivity", sensitivity),
     Target::new("adaptation", |c| {
-        show(extras::render_adaptation(&extras::adaptation(c.set())))
+        show(extras::render_adaptation(&extras::adaptation(c.race)))
     })
-    .traced(),
+    .races(&[tables::DEPTH1]),
     Target::new("comparison", |c| {
-        show(extras::render_comparison(&extras::comparison(c.set())))
+        show(extras::render_comparison(&extras::comparison(c.race)))
     })
-    .traced(),
+    .races(&extras::COMPARISON),
     Target::new("engines", |c| show(extras::engines(c.scale))),
     Target::new("seeds", |c| show(extras::seed_robustness(c.scale))),
     Target::new("faults", fault_sensitivity).faulted().csv(),
@@ -153,25 +163,25 @@ const TARGETS: &[Target] = &[
 ];
 
 fn table5(c: &Ctx) -> Result<(), String> {
-    let rows = tables::table5(c.set());
+    let rows = tables::table5(c.race);
     println!("{}", tables::render_table5(&rows));
     c.artefact("table5.csv", &tables::csv_table5(&rows))
 }
 
 fn table6(c: &Ctx) -> Result<(), String> {
-    let rows = tables::table6(c.set());
+    let rows = tables::table6(c.race);
     println!("{}", tables::render_table6(&rows));
     c.artefact("table6.csv", &tables::csv_table6(&rows))
 }
 
 fn table7(c: &Ctx) -> Result<(), String> {
-    let rows = tables::table7(c.set());
+    let rows = tables::table7(c.race);
     println!("{}", tables::render_table7(&rows));
     c.artefact("table7.csv", &tables::csv_table7(&rows))
 }
 
 fn table8(c: &Ctx) -> Result<(), String> {
-    let rows = tables::table8_from_set(c.set());
+    let rows = tables::table8(c.race);
     println!("{}", tables::render_table8(&rows));
     c.artefact("table8.csv", &tables::csv_table8(&rows))
 }
@@ -184,7 +194,7 @@ fn fig5(c: &Ctx) -> Result<(), String> {
 
 fn fig67(c: &Ctx) -> Result<(), String> {
     if !c.fig67_done.replace(true) {
-        println!("{}", figures::render_figures_6_7(c.set()));
+        println!("{}", figures::render_figures_6_7(c.race));
     }
     Ok(())
 }
@@ -268,9 +278,20 @@ fn tracepack(c: &Ctx) -> Result<(), String> {
         "running packed-trace pipeline report ({:?} scale)...",
         c.scale
     );
-    let report = tp::tracepack(c.set(), c.scale).map_err(|e| e.to_string())?;
+    let set = c.set.expect("row is marked `traced`");
+    let report = tp::tracepack(set, c.scale).map_err(|e| e.to_string())?;
     println!("{}", tp::render_tracepack(&report));
     c.artefact("tracepack.csv", &tp::csv_tracepack(&report))
+}
+
+/// The union of the targets' fields, each label once: what `repro`
+/// races, so a (label, trace) pair is replayed once however many
+/// selected targets read it.
+fn field(targets: &[&Target]) -> Vec<&'static str> {
+    let mut labels: Vec<_> = targets.iter().flat_map(|t| t.field).copied().collect();
+    labels.sort_unstable();
+    labels.dedup();
+    labels
 }
 
 fn target_named(name: &str) -> Option<&'static Target> {
@@ -438,18 +459,50 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let mut seen = std::collections::HashSet::new();
     targets.retain(|t| seen.insert(t.name));
 
-    // Figures 6/7 share the same trace set as the tables; generate once.
-    let set = targets.iter().any(|t| t.needs_traces).then(|| {
+    // Every accuracy view reads one race over one trace set; generate and
+    // race once.
+    let labels = field(&targets);
+    let set = (!labels.is_empty() || targets.iter().any(|t| t.needs_traces)).then(|| {
         eprintln!("generating traces ({scale:?} scale)...");
         TraceSet::generate(scale)
     });
+    let raced = set.as_ref().map(|set| race(set, &labels));
     let ctx = Ctx {
         scale,
         set: set.as_ref(),
+        race: &raced.unwrap_or_default(),
         csv_dir: csv_dir.as_deref(),
         trace_out: trace_out.as_deref(),
         fault_plan: &fault_plan,
         fig67_done: Cell::new(false),
     };
     targets.into_iter().try_for_each(|t| (t.run)(&ctx))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn field_of(names: &[&str]) -> Vec<&'static str> {
+        let targets: Vec<&Target> = names.iter().map(|n| target_named(n).unwrap()).collect();
+        field(&targets)
+    }
+
+    #[test]
+    fn each_contender_is_raced_once_however_many_targets_read_it() {
+        // Over the five traces: `all` is 70 replays, Table 5 alone 20.
+        let all: Vec<&str> = TARGETS
+            .iter()
+            .filter(|t| t.in_all)
+            .map(|t| t.name)
+            .collect();
+        assert_eq!(field_of(&all).len() * 5, 70);
+        assert_eq!(field_of(&["table5"]), tables::BY_DEPTH);
+        assert_eq!(field_of(&["table5", "table7", "fig6", "fig7"]).len(), 4);
+        assert_eq!(field_of(&["table6", "comparison"]).len(), 13);
+        // Only the streamed replay needs the traces without a race.
+        for t in TARGETS.iter().filter(|t| t.needs_traces) {
+            assert_eq!((t.name, t.field.len()), ("tracepack", 0));
+        }
+    }
 }

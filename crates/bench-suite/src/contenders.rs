@@ -1,12 +1,12 @@
 //! The contender table: every predictor configuration a study races,
-//! declared once as `(label, factory)`.
+//! declared once as `(label, factory)`, and the [`race`] that replays a
+//! field of them over the shared traces.
 //!
-//! The §7 [`comparison`](crate::extras::comparison) and the streamed
-//! [`tracepack`](crate::tracepack) replay each pick their field from this
-//! table *by label*, so a label means one configuration everywhere and a
-//! new contender is one line here plus its label in the study that wants
-//! it. A study that replays the shared trace set does it through
-//! [`race`]: a label list and a projection of the reports that come back.
+//! Tables 5–8, Figures 6–7, the §6.2 time-to-adapt and the §7 comparison
+//! are views of one [`Race`], and the streamed [`tracepack`](crate::tracepack)
+//! replay picks its fleet here too: a label means one configuration
+//! everywhere, and a new contender is one line here plus its label in the
+//! study that wants it.
 
 use crate::par;
 use crate::traces::TraceSet;
@@ -24,9 +24,16 @@ pub type Factory = fn(NodeId, Role) -> Box<dyn MessagePredictor>;
 
 /// Every contender, by label. Filterless unless the label says otherwise.
 pub const CONTENDERS: &[(&str, Factory)] = &[
-    // Cosmos at MHR depths 1 and 3.
+    // Cosmos at MHR depths 1–4.
     ("cosmos-d1", |_, _| Box::new(Cosmos::new(1, 0))),
+    ("cosmos-d2", |_, _| Box::new(Cosmos::new(2, 0))),
     ("cosmos-d3", |_, _| Box::new(Cosmos::new(3, 0))),
+    ("cosmos-d4", |_, _| Box::new(Cosmos::new(4, 0))),
+    // Table 6: depths 1 and 2 behind a noise filter of max-count 1 or 2.
+    ("cosmos-d1-f1", |_, _| Box::new(Cosmos::new(1, 1))),
+    ("cosmos-d1-f2", |_, _| Box::new(Cosmos::new(1, 2))),
+    ("cosmos-d2-f1", |_, _| Box::new(Cosmos::new(2, 1))),
+    ("cosmos-d2-f2", |_, _| Box::new(Cosmos::new(2, 2))),
     // The §7 directed predictors and the two baselines.
     ("migratory", |_, role| {
         Box::new(MigratoryPredictor::new(role))
@@ -54,48 +61,73 @@ pub fn by_label(label: &str) -> Factory {
         .1
 }
 
-/// Races a field over every trace of the set: each label replays each
-/// trace through [`evaluate`] (default options) with the fleet
-/// [`by_label`] builds. One sweep cell per evaluation; the reports come
-/// back label-major — label `l` on trace `t` is element
-/// `l * set.traces().len() + t` — whatever the worker count.
-pub fn race(set: &TraceSet, field: &[&str]) -> Vec<AccuracyReport> {
-    let traces = set.traces();
-    par::sweep(field.len() * traces.len(), |i| {
-        let label = field[i / traces.len()];
-        evaluate(
-            &traces[i % traces.len()],
-            &EvalOptions::default(),
-            by_label(label),
-        )
-    })
+/// A field raced over a trace set: one [`AccuracyReport`] per (label,
+/// trace), looked up by label and app name.
+#[derive(Debug, Clone, Default)]
+pub struct Race {
+    labels: Vec<&'static str>,
+    apps: Vec<String>,
+    /// Label-major: label `l` on trace `t` is `l * apps.len() + t`.
+    reports: Vec<AccuracyReport>,
 }
 
-/// [`race`]'s reports regrouped for a benchmark-per-row table: each
-/// trace's app name with its reports in field order.
-pub(crate) fn by_app<'a>(
-    set: &'a TraceSet,
-    reports: &'a [AccuracyReport],
-) -> impl Iterator<Item = (&'a str, impl Iterator<Item = &'a AccuracyReport>)> {
+impl Race {
+    /// The raced traces' app names, in Table 4 row order.
+    pub fn apps(&self) -> impl Iterator<Item = &str> {
+        self.apps.iter().map(String::as_str)
+    }
+
+    /// Contender `label`'s report on the trace of `app`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the race did not replay that pair: a view read a label
+    /// its target does not name.
+    pub fn report(&self, label: &str, app: &str) -> &AccuracyReport {
+        let l = self.labels.iter().position(|l| *l == label);
+        let t = self.apps.iter().position(|a| a == app);
+        match (l, t) {
+            (Some(l), Some(t)) => &self.reports[l * self.apps.len() + t],
+            _ => panic!("{label} on {app} was not raced"),
+        }
+    }
+}
+
+/// Races a field over every trace of the set: each label replays each
+/// trace once through [`evaluate`] (default options) with the fleet
+/// [`by_label`] builds, one sweep cell per replay; the reports do not
+/// depend on the worker count.
+pub fn race(set: &TraceSet, field: &[&'static str]) -> Race {
     let traces = set.traces();
-    traces.iter().enumerate().map(move |(t, trace)| {
-        let row = reports.iter().skip(t).step_by(traces.len());
-        (trace.meta().app.as_str(), row)
-    })
+    let reports = par::sweep(field.len() * traces.len(), |i| {
+        let factory = by_label(field[i / traces.len()]);
+        evaluate(&traces[i % traces.len()], &EvalOptions::default(), factory)
+    });
+    Race {
+        labels: field.to_vec(),
+        apps: traces.iter().map(|t| t.meta().app.clone()).collect(),
+        reports,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::traces::Scale;
-    use crate::{extras, tracepack};
+    use crate::{extras, tables, tracepack};
 
     #[test]
     fn every_study_label_is_in_the_table() {
         // `by_label` panics only when a study runs; this catches a typo in
         // a field nobody raced today. And a row no surviving field races
         // is an orphan, kept alive by nothing but this table.
-        let fields: [&[&str]; 2] = [&extras::COMPARISON, &[tracepack::REPLAY_FLEET]];
+        let fields: [&[&str]; 5] = [
+            &tables::BY_DEPTH,
+            tables::TABLE6_FIELD.as_flattened(),
+            &[tables::DEPTH1],
+            &extras::COMPARISON,
+            &[tracepack::REPLAY_FLEET],
+        ];
         let raced: Vec<&str> = fields.into_iter().flatten().copied().collect();
         for label in &raced {
             assert!(
@@ -109,34 +141,40 @@ mod tests {
     }
 
     #[test]
-    fn race_returns_its_field_label_major() {
+    fn race_looks_up_each_report_by_label_and_app() {
         // Two labels over the five traces.
         let set = TraceSet::generate(Scale::Small);
-        let traces = set.traces();
         let field = ["cosmos-d1", "cosmos-d3"];
-        let reports = race(&set, &field);
-        assert_eq!(reports.len(), 2 * traces.len());
-        for (l, label) in field.iter().enumerate() {
-            for (t, trace) in traces.iter().enumerate() {
+        let raced = race(&set, &field);
+        assert!(raced
+            .apps()
+            .eq(set.traces().iter().map(|t| t.meta().app.as_str())));
+        let mut cells = Vec::new();
+        for label in field {
+            for trace in set.traces() {
                 let alone = evaluate(trace, &EvalOptions::default(), by_label(label));
-                let raced = &reports[l * traces.len() + t];
-                assert_eq!(raced.overall, alone.overall, "{label} on trace {t}");
-                assert_eq!(raced.memory, alone.memory, "{label} on trace {t}");
+                let r = raced.report(label, &trace.meta().app);
+                assert_eq!(r.overall, alone.overall, "{label} on {}", trace.meta().app);
+                assert_eq!(r.memory, alone.memory, "{label} on {}", trace.meta().app);
+                cells.push((r.overall, r.memory));
             }
         }
-        // The cells differ pairwise, so a transposed or shuffled result
+        // The cells differ pairwise, so a transposed or shuffled lookup
         // could not have passed the loop above.
-        for (i, a) in reports.iter().enumerate() {
-            for b in &reports[..i] {
-                assert_ne!((a.overall, a.memory), (b.overall, b.memory));
-            }
+        for (i, a) in cells.iter().enumerate() {
+            assert!(!cells[..i].contains(a));
         }
-        // `by_app` is the transpose: one row per trace, in field order.
-        for (t, (app, row)) in by_app(&set, &reports).enumerate() {
-            assert_eq!(app, traces[t].meta().app);
-            let row: Vec<_> = row.map(|r| r.overall).collect();
-            assert_eq!(row, [reports[t].overall, reports[traces.len() + t].overall]);
-        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cosmos-d2 on appbt was not raced")]
+    fn reading_an_unraced_label_is_a_loud_bug() {
+        let raced = Race {
+            labels: vec!["cosmos-d1"],
+            apps: vec!["appbt".into()],
+            reports: Vec::new(),
+        };
+        raced.report("cosmos-d2", "appbt");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! tables ([`engines`]) and how far a number moves with the workload seed
 //! ([`seed_robustness`]).
 
-use crate::contenders::{by_app, race};
-use crate::traces::{single_trace, Scale, TraceSet};
+use crate::contenders::Race;
+use crate::tables::DEPTH1;
+use crate::traces::{single_trace, Scale};
 use cosmos::eval::evaluate_cosmos;
 use simx::SystemConfig;
 use stache::ProtocolConfig;
@@ -53,13 +54,13 @@ pub fn render_latency_sensitivity(rows: &[(String, Vec<f64>)], latencies_ns: &[u
 }
 
 /// §6.2's time-to-adapt: iterations until the trailing-window accuracy
-/// reaches 95% of steady state (depth 1, no filter).
-pub fn adaptation(set: &TraceSet) -> Vec<(String, Option<u32>)> {
-    set.traces()
-        .iter()
-        .map(|t| {
-            let report = evaluate_cosmos(t, 1, 0);
-            (t.meta().app.clone(), report.time_to_adapt(4, 0.95))
+/// reaches 95% of steady state, from a race of [`DEPTH1`] (depth 1, no
+/// filter).
+pub fn adaptation(race: &Race) -> Vec<(String, Option<u32>)> {
+    race.apps()
+        .map(|app| {
+            let report = race.report(DEPTH1, app);
+            (app.to_string(), report.time_to_adapt(4, 0.95))
         })
         .collect()
 }
@@ -80,7 +81,7 @@ pub fn render_adaptation(rows: &[(String, Option<u32>)]) -> String {
 
 /// [`comparison`]'s field (labels of
 /// [`CONTENDERS`](crate::contenders::CONTENDERS)).
-pub(crate) const COMPARISON: [&str; 8] = [
+pub const COMPARISON: [&str; 8] = [
     "cosmos-d1",
     "cosmos-d3",
     "migratory",
@@ -92,15 +93,17 @@ pub(crate) const COMPARISON: [&str; 8] = [
 ];
 
 /// §7's comparison: Cosmos (depths 1 and 3) against every directed
-/// predictor and the baselines, overall accuracy per benchmark.
-pub fn comparison(set: &TraceSet) -> Vec<(String, Vec<(String, f64)>)> {
-    let reports = race(set, &COMPARISON);
-    by_app(set, &reports)
-        .map(|(app, row)| {
+/// predictor and the baselines, overall accuracy per benchmark, from a
+/// race of [`COMPARISON`].
+pub fn comparison(race: &Race) -> Vec<(String, Vec<(String, f64)>)> {
+    race.apps()
+        .map(|app| {
             let cells = COMPARISON
                 .iter()
-                .zip(row)
-                .map(|(label, r)| (label.to_string(), r.overall.percent()))
+                .map(|label| {
+                    let r = race.report(label, app);
+                    (label.to_string(), r.overall.percent())
+                })
                 .collect();
             (app.to_string(), cells)
         })
@@ -192,51 +195,17 @@ pub fn engines(scale: Scale) -> String {
 /// seeds.
 pub fn seed_robustness(scale: Scale) -> String {
     use workloads::{Appbt, Barnes, Dsmc, Moldyn, Unstructured, Workload};
-    let suite_with_seed = |seed: u64| -> Vec<Box<dyn Workload>> {
-        let small = matches!(scale, Scale::Small);
-        vec![
-            Box::new(Appbt {
-                seed,
-                ..if small {
-                    Appbt::small()
-                } else {
-                    Appbt::default()
-                }
-            }),
-            Box::new(Barnes {
-                seed,
-                ..if small {
-                    Barnes::small()
-                } else {
-                    Barnes::default()
-                }
-            }),
-            Box::new(Dsmc {
-                seed,
-                ..if small {
-                    Dsmc::small()
-                } else {
-                    Dsmc::default()
-                }
-            }),
-            Box::new(Moldyn {
-                seed,
-                ..if small {
-                    Moldyn::small()
-                } else {
-                    Moldyn::default()
-                }
-            }),
-            Box::new(Unstructured {
-                seed,
-                ..if small {
-                    Unstructured::small()
-                } else {
-                    Unstructured::default()
-                }
-            }),
-        ]
-    };
+    let small = matches!(scale, Scale::Small);
+    // The five benchmarks at this scale, in Table 4 row order, reseeded.
+    macro_rules! reseeded {
+        ($seed:expr; $($w:ident),*) => {
+            vec![$(Box::new($w {
+                seed: $seed,
+                ..if small { $w::small() } else { $w::default() }
+            }) as Box<dyn Workload>),*]
+        };
+    }
+    let suite_with_seed = |seed: u64| reseeded!(seed; Appbt, Barnes, Dsmc, Moldyn, Unstructured);
     let seeds = [0xC05D05u64, 1, 424242];
     let mut out = String::from(
         "Seed robustness: Table 5's overall accuracy (%) at depths 1 and 3\n\
@@ -280,6 +249,8 @@ pub fn seed_robustness(scale: Scale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contenders::race;
+    use crate::traces::TraceSet;
 
     #[test]
     fn latency_sweep_is_insensitive_at_small_scale() {
@@ -299,7 +270,7 @@ mod tests {
     #[test]
     fn adaptation_reports_every_benchmark() {
         let set = TraceSet::generate(Scale::Small);
-        let rows = adaptation(&set);
+        let rows = adaptation(&race(&set, &[DEPTH1]));
         assert_eq!(rows.len(), 5);
         assert!(render_adaptation(&rows).contains("dsmc"));
     }
@@ -307,7 +278,7 @@ mod tests {
     #[test]
     fn comparison_ranks_cosmos_above_baselines_overall() {
         let set = TraceSet::generate(Scale::Small);
-        let rows = comparison(&set);
+        let rows = comparison(&race(&set, &COMPARISON));
         let mean = |idx: usize| -> f64 {
             rows.iter().map(|(_, cells)| cells[idx].1).sum::<f64>() / rows.len() as f64
         };

@@ -1,8 +1,8 @@
 //! The paper's figures, regenerated as text artefacts.
 
-use crate::traces::TraceSet;
+use crate::contenders::Race;
+use crate::tables::DEPTH1;
 use cosmos::directed::{DsiPredictor, MigratoryPredictor};
-use cosmos::eval::evaluate_cosmos;
 use cosmos::speedup::{figure5_sweep, SweepPoint};
 use cosmos::MessagePredictor;
 use cosmos::PredTuple;
@@ -53,17 +53,17 @@ pub fn csv_figure5(series: &[Vec<SweepPoint>]) -> String {
 
 /// Renders Figures 6 and 7: each benchmark's dominant incoming-message
 /// signatures at the cache and the directory, labelled `X/Y` (X = arc
-/// prediction accuracy %, Y = arc reference share %), measured with a
-/// depth-1 filterless Cosmos exactly as the paper's caption states.
-pub fn render_figures_6_7(set: &TraceSet) -> String {
+/// prediction accuracy %, Y = arc reference share %), read from a race of
+/// [`DEPTH1`] — a depth-1 filterless Cosmos, as the paper's caption
+/// states.
+pub fn render_figures_6_7(race: &Race) -> String {
     let mut out = String::from(
         "FIGURES 6 & 7. Dominant incoming message signatures (depth-1 Cosmos)\n\
          Arc label X/Y: X = % predicted correctly, Y = % of references\n",
     );
-    let traces = set.traces();
-    let reports = crate::par::sweep(traces.len(), |i| evaluate_cosmos(&traces[i], 1, 0));
-    for (t, report) in traces.iter().zip(reports) {
-        let _ = writeln!(out, "\n== {} ==", t.meta().app);
+    for app in race.apps() {
+        let report = race.report(DEPTH1, app);
+        let _ = writeln!(out, "\n== {app} ==");
         for role in [Role::Cache, Role::Directory] {
             let _ = writeln!(out, "  at the {role}:");
             for (arc, acc, share) in report.dominant_arcs(role, 6) {
@@ -130,7 +130,7 @@ pub fn render_figure8() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traces::Scale;
+    use crate::traces::{Scale, TraceSet};
 
     #[test]
     fn figure5_matches_the_paper_headline() {
@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn figures_6_7_show_each_benchmark() {
         let set = TraceSet::generate(Scale::Small);
-        let s = render_figures_6_7(&set);
+        let s = render_figures_6_7(&crate::contenders::race(&set, &[DEPTH1]));
         for app in ["appbt", "barnes", "dsmc", "moldyn", "unstructured"] {
             assert!(s.contains(app));
         }

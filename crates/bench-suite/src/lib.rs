@@ -9,23 +9,26 @@
 //! | Artefact | Generator |
 //! |---|---|
 //! | Table 1 (message vocabulary) | [`tables::table1`] |
+//! | Table 2 (prediction-action pairs) | [`tables::table2`] |
 //! | Table 3 (system parameters) | [`tables::table3`] |
 //! | Table 4 (benchmarks) | [`tables::table4`] |
-//! | Table 5 (accuracy vs MHR depth) | [`tables::table5`] |
-//! | Table 6 (noise filters) | [`tables::table6`] |
-//! | Table 7 (memory overhead) | [`tables::table7`] |
-//! | Table 8 (dsmc adaptation) | [`tables::table8`] |
+//! | Table 5 (accuracy vs MHR depth) | [`tables::table5`] of a [`contenders::Race`] |
+//! | Table 6 (noise filters) | [`tables::table6`] of a [`contenders::Race`] |
+//! | Table 7 (memory overhead) | [`tables::table7`] of a [`contenders::Race`] |
+//! | Table 8 (dsmc adaptation) | [`tables::table8`] of a [`contenders::Race`] |
 //! | Figure 5 (speedup model) | [`figures::figure5`] |
-//! | Figures 6/7 (dominant signatures) | [`figures::render_figures_6_7`] |
+//! | Figures 6/7 (dominant signatures) | [`figures::render_figures_6_7`] of a [`contenders::Race`] |
 //! | Figure 8 (directed trigger signatures) | [`figures::render_figure8`] |
 //! | §5 latency-insensitivity claim | [`extras::latency_sensitivity`] |
-//! | §6.2 time-to-adapt | [`extras::adaptation`] |
-//! | §7 directed-predictor comparison | [`extras::comparison`] |
-//! //! | §5 fault-sensitivity (clean vs perturbed traces) | [`faults::fault_report`] |
+//! | §6.2 time-to-adapt | [`extras::adaptation`] of a [`contenders::Race`] |
+//! | §7 directed-predictor comparison | [`extras::comparison`] of a [`contenders::Race`] |
+//! | §5 fault-sensitivity (clean vs perturbed traces) | [`faults::fault_report`] |
 //! | Schedule-exploration model check | [`modelcheck::simcheck_report`] |
 //! | §4/§8 acceleration: message reduction and speedup per action set | [`accel::accel`] |
 //! | Packed-trace codec + streaming cell | [`tracepack::tracepack`] |
 //!
+//! Every accuracy view over the shared traces reads one
+//! [`contenders::race`], which replays each (contender, trace) pair once.
 //! The `repro` binary drives them from the command line (wall-clock
 //! measurement is the pipeline benchmark's job, under `benchmark/`). The
 //! [`report::obs_report`] pipeline condenses one full run — machine,

@@ -1,17 +1,18 @@
 //! Bounded parallel sweeps for table and figure generation.
 //!
-//! Every table evaluates many independent `(benchmark, depth, filter)`
-//! cells; this module fans them out over a scoped worker pool (bounded by
-//! [`std::thread::available_parallelism`], like the trace and fault
-//! generators) while reassembling results in deterministic input order,
-//! so rendered tables are byte-identical to the serial sweeps.
+//! The race replays many independent `(contender, trace)` cells, and the
+//! trace, fault and acceleration generators run many independent
+//! simulations; this module fans them out over a scoped worker pool
+//! (bounded by [`std::thread::available_parallelism`]) while reassembling
+//! results in deterministic input order, so rendered tables are
+//! byte-identical to serial sweeps.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Number of worker threads a sweep over `n` items uses.
-pub fn worker_count(n: usize) -> usize {
+fn worker_count(n: usize) -> usize {
     let cores = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1);

@@ -1,7 +1,6 @@
 //! The paper's tables, regenerated.
 
-use crate::traces::TraceSet;
-use cosmos::eval::{evaluate_cosmos, AccuracyReport};
+use crate::contenders::Race;
 use cosmos::memory::overhead_percent;
 use cosmos::MemoryFootprint;
 use simx::SystemConfig;
@@ -12,6 +11,14 @@ use trace::ArcKey;
 
 /// The MHR depths the paper evaluates.
 pub const DEPTHS: [usize; 4] = [1, 2, 3, 4];
+
+/// Tables 5 and 7 read filterless Cosmos at each of [`DEPTHS`] (labels of
+/// [`CONTENDERS`](crate::contenders::CONTENDERS)).
+pub const BY_DEPTH: [&str; 4] = ["cosmos-d1", "cosmos-d2", "cosmos-d3", "cosmos-d4"];
+
+/// Table 8, Figures 6–7 and §6.2's time-to-adapt read the depth-1
+/// filterless Cosmos fleet their captions name.
+pub const DEPTH1: &str = "cosmos-d1";
 
 /// Table 1: the coherence message vocabulary.
 pub fn table1() -> String {
@@ -113,25 +120,23 @@ pub struct Table5Row {
     pub by_depth: Vec<(f64, f64, f64)>,
 }
 
-/// Computes Table 5 (prediction rate vs MHR depth, no filter). The
-/// `benchmark x depth` cells are independent evaluations, swept in
-/// parallel and reassembled in row order.
-pub fn table5(set: &TraceSet) -> Vec<Table5Row> {
-    let traces = set.traces();
-    let cells = crate::par::sweep(traces.len() * DEPTHS.len(), |i| {
-        let r = evaluate_cosmos(&traces[i / DEPTHS.len()], DEPTHS[i % DEPTHS.len()], 0);
-        (
-            r.cache.percent(),
-            r.directory.percent(),
-            r.overall.percent(),
-        )
-    });
-    traces
-        .iter()
-        .enumerate()
-        .map(|(ti, t)| Table5Row {
-            app: t.meta().app.clone(),
-            by_depth: cells[ti * DEPTHS.len()..(ti + 1) * DEPTHS.len()].to_vec(),
+/// Table 5 (prediction rate vs MHR depth, no filter) from a race of
+/// [`BY_DEPTH`].
+pub fn table5(race: &Race) -> Vec<Table5Row> {
+    race.apps()
+        .map(|app| Table5Row {
+            app: app.to_string(),
+            by_depth: BY_DEPTH
+                .iter()
+                .map(|label| {
+                    let r = race.report(label, app);
+                    (
+                        r.cache.percent(),
+                        r.directory.percent(),
+                        r.overall.percent(),
+                    )
+                })
+                .collect(),
         })
         .collect()
 }
@@ -174,29 +179,22 @@ pub struct Table6Row {
 /// The depths Table 6 evaluates (the paper shows 1 and 2).
 pub const TABLE6_DEPTHS: [usize; 2] = [1, 2];
 
-/// Computes Table 6 (noise-filter maximum count 0/1/2). Every
-/// `benchmark x depth x filter` cell is swept in parallel.
-pub fn table6(set: &TraceSet) -> Vec<Table6Row> {
-    let traces = set.traces();
-    let per_trace = TABLE6_DEPTHS.len() * 3;
-    let cells = crate::par::sweep(traces.len() * per_trace, |i| {
-        let t = &traces[i / per_trace];
-        let d = TABLE6_DEPTHS[(i % per_trace) / 3];
-        let fmax = (i % 3) as u8;
-        evaluate_cosmos(t, d, fmax).overall.percent()
-    });
-    traces
-        .iter()
-        .enumerate()
-        .map(|(ti, t)| Table6Row {
-            app: t.meta().app.clone(),
-            by_depth: TABLE6_DEPTHS
+/// Table 6's field: each of [`TABLE6_DEPTHS`] at filter max-count 0, 1
+/// and 2.
+pub const TABLE6_FIELD: [[&str; 3]; 2] = [
+    ["cosmos-d1", "cosmos-d1-f1", "cosmos-d1-f2"],
+    ["cosmos-d2", "cosmos-d2-f1", "cosmos-d2-f2"],
+];
+
+/// Table 6 (noise-filter maximum count 0/1/2) from a race of
+/// [`TABLE6_FIELD`].
+pub fn table6(race: &Race) -> Vec<Table6Row> {
+    race.apps()
+        .map(|app| Table6Row {
+            app: app.to_string(),
+            by_depth: TABLE6_FIELD
                 .iter()
-                .enumerate()
-                .map(|(di, _)| {
-                    let base = ti * per_trace + di * 3;
-                    [cells[base], cells[base + 1], cells[base + 2]]
-                })
+                .map(|row| row.map(|label| race.report(label, app).overall.percent()))
                 .collect(),
         })
         .collect()
@@ -237,21 +235,17 @@ pub struct Table7Row {
     pub footprints: Vec<MemoryFootprint>,
 }
 
-/// Computes Table 7 (memory overhead of filterless Cosmos predictors),
-/// sweeping the `benchmark x depth` cells in parallel.
-pub fn table7(set: &TraceSet) -> Vec<Table7Row> {
-    let traces = set.traces();
-    let cells = crate::par::sweep(traces.len() * DEPTHS.len(), |i| {
-        evaluate_cosmos(&traces[i / DEPTHS.len()], DEPTHS[i % DEPTHS.len()], 0).memory
-    });
-    traces
-        .iter()
-        .enumerate()
-        .map(|(ti, t)| {
-            let footprints: Vec<MemoryFootprint> =
-                cells[ti * DEPTHS.len()..(ti + 1) * DEPTHS.len()].to_vec();
+/// Table 7 (memory overhead of filterless Cosmos predictors) from a race
+/// of [`BY_DEPTH`].
+pub fn table7(race: &Race) -> Vec<Table7Row> {
+    race.apps()
+        .map(|app| {
+            let footprints: Vec<MemoryFootprint> = BY_DEPTH
+                .iter()
+                .map(|label| race.report(label, app).memory)
+                .collect();
             Table7Row {
-                app: t.meta().app.clone(),
+                app: app.to_string(),
                 by_depth: DEPTHS
                     .iter()
                     .zip(&footprints)
@@ -291,25 +285,23 @@ pub fn render_table7(rows: &[Table7Row]) -> String {
 }
 
 /// The transitions Table 8 follows (dsmc, depth 1, filterless).
-pub fn table8_transitions() -> Vec<ArcKey> {
-    vec![
-        ArcKey {
-            role: Role::Cache,
-            prev: MsgType::GetRoResponse,
-            next: MsgType::UpgradeResponse,
-        },
-        ArcKey {
-            role: Role::Directory,
-            prev: MsgType::GetRoRequest,
-            next: MsgType::InvalRwResponse,
-        },
-        ArcKey {
-            role: Role::Directory,
-            prev: MsgType::InvalRwResponse,
-            next: MsgType::UpgradeRequest,
-        },
-    ]
-}
+pub const TABLE8_TRANSITIONS: [ArcKey; 3] = [
+    ArcKey {
+        role: Role::Cache,
+        prev: MsgType::GetRoResponse,
+        next: MsgType::UpgradeResponse,
+    },
+    ArcKey {
+        role: Role::Directory,
+        prev: MsgType::GetRoRequest,
+        next: MsgType::InvalRwResponse,
+    },
+    ArcKey {
+        role: Role::Directory,
+        prev: MsgType::InvalRwResponse,
+        next: MsgType::UpgradeRequest,
+    },
+];
 
 /// The iteration checkpoints Table 8 reports.
 pub const TABLE8_CHECKPOINTS: [u32; 3] = [4, 80, 320];
@@ -323,9 +315,10 @@ pub struct Table8Row {
     pub at_checkpoints: Vec<(f64, f64)>,
 }
 
-/// Computes Table 8 from a dsmc accuracy report (depth 1, no filter).
-pub fn table8(report: &AccuracyReport) -> Vec<Table8Row> {
-    table8_transitions()
+/// Table 8 from dsmc's report in a race of [`DEPTH1`].
+pub fn table8(race: &Race) -> Vec<Table8Row> {
+    let report = race.report(DEPTH1, "dsmc");
+    TABLE8_TRANSITIONS
         .into_iter()
         .map(|arc| {
             let at_checkpoints = TABLE8_CHECKPOINTS
@@ -347,13 +340,6 @@ pub fn table8(report: &AccuracyReport) -> Vec<Table8Row> {
             }
         })
         .collect()
-}
-
-/// Computes Table 8 end-to-end from a trace set.
-pub fn table8_from_set(set: &TraceSet) -> Vec<Table8Row> {
-    let dsmc = set.by_name("dsmc").expect("dsmc trace present");
-    let report = evaluate_cosmos(dsmc, 1, 0);
-    table8(&report)
 }
 
 /// Renders Table 8 in the paper's layout.
@@ -475,10 +461,16 @@ pub fn csv_table8(rows: &[Table8Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traces::Scale;
+    use crate::contenders::race;
+    use crate::traces::{Scale, TraceSet};
 
-    fn small_set() -> TraceSet {
-        TraceSet::generate(Scale::Small)
+    /// Every table's field raced over the small traces.
+    fn small_race() -> Race {
+        let set = TraceSet::generate(Scale::Small);
+        race(
+            &set,
+            &[TABLE6_FIELD.as_flattened(), &BY_DEPTH[2..]].concat(),
+        )
     }
 
     #[test]
@@ -508,8 +500,7 @@ mod tests {
 
     #[test]
     fn table5_small_scale_sanity() {
-        let set = small_set();
-        let rows = table5(&set);
+        let rows = table5(&small_race());
         assert_eq!(rows.len(), 5);
         for row in &rows {
             assert_eq!(row.by_depth.len(), 4);
@@ -527,8 +518,7 @@ mod tests {
 
     #[test]
     fn table6_filters_never_panic_and_render() {
-        let set = small_set();
-        let rows = table6(&set);
+        let rows = table6(&small_race());
         assert_eq!(rows.len(), 5);
         let rendered = render_table6(&rows);
         assert!(rendered.contains("dsmc"));
@@ -536,8 +526,7 @@ mod tests {
 
     #[test]
     fn table7_ratios_are_finite_and_positive() {
-        let set = small_set();
-        let rows = table7(&set);
+        let rows = table7(&small_race());
         for row in &rows {
             for (i, &(ratio, ovhd)) in row.by_depth.iter().enumerate() {
                 assert!(ratio.is_finite());
@@ -552,25 +541,25 @@ mod tests {
 
     #[test]
     fn csv_tables_keep_headers_and_row_counts() {
-        let set = small_set();
+        let race = small_race();
         let cases = [
             (
-                csv_table5(&table5(&set)),
+                csv_table5(&table5(&race)),
                 "app,depth,cache,directory,overall",
                 5 * DEPTHS.len(),
             ),
             (
-                csv_table6(&table6(&set)),
+                csv_table6(&table6(&race)),
                 "app,depth,filter_max,overall",
                 5 * TABLE6_DEPTHS.len() * 3,
             ),
             (
-                csv_table7(&table7(&set)),
+                csv_table7(&table7(&race)),
                 "app,depth,ratio,overhead_percent,mhr_entries,pht_entries",
                 5 * DEPTHS.len(),
             ),
             (
-                csv_table8(&table8_from_set(&set)),
+                csv_table8(&table8(&race)),
                 "role,prev,next,checkpoint,hits_percent,refs_percent",
                 3 * TABLE8_CHECKPOINTS.len(),
             ),
@@ -584,8 +573,7 @@ mod tests {
 
     #[test]
     fn table8_checkpoints_monotone_refs() {
-        let set = small_set();
-        let rows = table8_from_set(&set);
+        let rows = table8(&small_race());
         assert_eq!(rows.len(), 3);
         let rendered = render_table8(&rows);
         assert!(rendered.contains("get_ro"));

@@ -440,7 +440,7 @@ mod tests {
     #[test]
     fn parallel_decode_matches_sequential() {
         let set = TraceSet::generate(RunScale::Small);
-        let bundle = set.by_name("dsmc").unwrap();
+        let bundle = &set.traces()[2]; // dsmc
         let (bytes, stats) = trace::pack::pack_bundle_with_stats(bundle, 128).unwrap();
         assert_eq!(stats.records, bundle.records().len() as u64);
         let chunks = decode_parallel(&bytes);

@@ -1,8 +1,8 @@
 //! Trace generation and caching for the evaluation runs.
 //!
-//! Most tables evaluate several predictor configurations over the *same*
-//! traces, so the suite generates each benchmark's trace once (in
-//! parallel, one thread per benchmark) and shares it.
+//! The accuracy views read several predictor configurations over the
+//! *same* traces, so the suite generates each benchmark's trace once (in
+//! parallel, one thread per benchmark) and races them all over it.
 
 use simx::{SimError, SystemConfig};
 use stache::ProtocolConfig;
@@ -43,15 +43,10 @@ pub struct TraceSet {
 }
 
 impl TraceSet {
-    /// Generates all five traces on the paper's machine (Table 3).
-    pub fn generate(scale: Scale) -> Self {
-        TraceSet::generate_with(scale, ProtocolConfig::paper(), SystemConfig::paper())
-    }
-
-    /// Generates all five traces on a custom machine configuration,
+    /// Generates all five traces on the paper's machine (Table 3),
     /// running the benchmarks on the shared bounded worker pool
     /// ([`crate::par::sweep`]).
-    pub fn generate_with(scale: Scale, proto: ProtocolConfig, sys: SystemConfig) -> Self {
+    pub fn generate(scale: Scale) -> Self {
         let suite: Vec<std::sync::Mutex<Box<dyn Workload>>> = scale
             .suite()
             .into_iter()
@@ -59,7 +54,7 @@ impl TraceSet {
             .collect();
         let traces = crate::par::sweep(suite.len(), |i| {
             let mut w = suite[i].lock().expect("workload lock poisoned");
-            run_to_trace(w.as_mut(), proto.clone(), sys.clone())
+            run_to_trace(w.as_mut(), ProtocolConfig::paper(), SystemConfig::paper())
                 .unwrap_or_else(|e| panic!("{} failed: {e}", w.name()))
         });
         TraceSet { traces }
@@ -68,16 +63,6 @@ impl TraceSet {
     /// The traces, in Table 4 row order.
     pub fn traces(&self) -> &[TraceBundle] {
         &self.traces
-    }
-
-    /// The trace for a named benchmark.
-    pub fn by_name(&self, name: &str) -> Option<&TraceBundle> {
-        self.traces.iter().find(|t| t.meta().app == name)
-    }
-
-    /// Benchmark names in order.
-    pub fn names(&self) -> Vec<&str> {
-        self.traces.iter().map(|t| t.meta().app.as_str()).collect()
     }
 }
 
@@ -166,12 +151,8 @@ mod tests {
     #[test]
     fn small_set_has_all_five() {
         let set = TraceSet::generate(Scale::Small);
-        assert_eq!(
-            set.names(),
-            vec!["appbt", "barnes", "dsmc", "moldyn", "unstructured"]
-        );
-        assert!(set.by_name("dsmc").is_some());
-        assert!(set.by_name("spice").is_none());
+        let names: Vec<&str> = set.traces().iter().map(|t| t.meta().app.as_str()).collect();
+        assert_eq!(names, ["appbt", "barnes", "dsmc", "moldyn", "unstructured"]);
         for t in set.traces() {
             assert!(!t.is_empty());
         }
@@ -187,7 +168,7 @@ mod tests {
             SystemConfig::paper(),
         )
         .expect("appbt is in the suite");
-        assert_eq!(set.by_name("appbt").unwrap(), &solo);
+        assert_eq!(&set.traces()[0], &solo);
     }
 
     #[test]
