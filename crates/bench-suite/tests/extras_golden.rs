@@ -4,7 +4,9 @@
 //! * `golden/contenders_small.csv` — every contender row × the five small
 //!   traces, as exact integer counts (hits, scored, offered, MHR and PHT
 //!   entries), so a predictor that drifts by one message fails;
-//! * `golden/extras_small.txt` — the rendered `comparison` section.
+//! * `golden/extras_small.txt` — the rendered `comparison` section;
+//! * `golden/engines_small.txt` — `repro --small engines` stdout, captured
+//!   while `engines` still ran both engines itself.
 //!
 //! Both files were generated by the code *before* the variants became
 //! arguments of one predictor struct and the policies one policy; the
@@ -54,5 +56,15 @@ fn the_comparison_section_renders_the_golden_text() {
         extras::render_comparison(&extras::comparison(&race(&set, &extras::COMPARISON))),
         EXTRAS_GOLDEN,
         "the comparison section drifted from the golden"
+    );
+}
+
+#[test]
+fn the_engines_section_renders_the_golden_text() {
+    // `repro` prints the rendering with `println!`: one more newline.
+    assert_eq!(
+        extras::engines(Scale::Small) + "\n",
+        include_str!("golden/engines_small.txt"),
+        "the engines section drifted from the golden"
     );
 }

@@ -12,8 +12,12 @@
 //!    sensitivity report under the ISSUE's reference plan completes with
 //!    zero invariant violations and exports identical obs JSON for
 //!    identical seeds.
+//!
+//! Beside them, `golden/faults_small.csv` pins the report itself: the
+//! bytes `repro --small faults --csv DIR` wrote (default plan, seed 0)
+//! while `faults` still ran its own clean and perturbed simulations.
 
-use bench_suite::faults::{fault_report, FAULT_DEPTHS};
+use bench_suite::faults::{csv_fault_report, fault_report, FAULT_DEPTHS};
 use bench_suite::{obs_report, Scale};
 use simx::FaultPlan;
 
@@ -63,5 +67,17 @@ fn reference_fault_plan_is_coherent_and_seed_reproducible() {
         a.export_obs().to_json(),
         c.export_obs().to_json(),
         "a different seed must perturb differently"
+    );
+}
+
+#[test]
+fn small_faults_csv_is_byte_identical_to_the_golden() {
+    // The `repro` default plan, seed untouched.
+    let plan = FaultPlan::parse("drop=0.01,dup=0.005,reorder=3").unwrap();
+    let csv = csv_fault_report(&fault_report(Scale::Small, &plan).unwrap());
+    assert_eq!(
+        csv,
+        include_str!("golden/faults_small.csv"),
+        "the fault report drifted from the golden"
     );
 }

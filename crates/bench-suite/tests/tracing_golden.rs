@@ -1,6 +1,9 @@
 //! Golden and structural regression tests for the causal-tracing layer:
 //! the small-scale `tracespans` attribution CSV must stay byte-identical
-//! to the committed copy, and the Chrome trace export must remain
+//! to the committed copy, as must the per-phase and critical-path
+//! renderings (`repro --small tracespans` stdout after the attribution
+//! table, captured while each listed transaction still replayed its own
+//! depth-1 fleet), and the Chrome trace export must remain
 //! structurally valid (metadata + complete events forming whole span
 //! trees) without pulling in a JSON parser dependency.
 
@@ -14,6 +17,22 @@ fn small_tracespans_csv_is_byte_identical_to_the_golden() {
     let runs = spans::traced_runs(Scale::Small);
     let csv = spans::csv_attribution(&spans::attribution(&runs));
     assert_eq!(csv, GOLDEN, "tracespans CSV drifted from the golden copy");
+}
+
+#[test]
+fn small_phases_and_critical_paths_are_byte_identical_to_the_golden() {
+    let runs = spans::traced_runs(Scale::Small);
+    // `repro` prints each rendering with `println!`: one more newline.
+    let text = format!(
+        "{}\n{}\n",
+        spans::render_phases(&runs),
+        spans::render_critical_paths(&runs, 5)
+    );
+    assert_eq!(
+        text,
+        include_str!("golden/tracespans_small.txt"),
+        "the phase or critical-path rendering drifted from the golden"
+    );
 }
 
 #[test]
