@@ -71,5 +71,5 @@ pub mod speculate;
 
 pub use directed_policy::DirectedPolicy;
 pub use policy::{CosmosPolicy, PredictorPolicy};
-pub use runner::{compare, run_machine, run_with_policy, Comparison, RunSummary};
+pub use runner::{compare, run_machine, Comparison, RunSummary};
 pub use speculate::SpeculatePolicy;

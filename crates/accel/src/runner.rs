@@ -126,9 +126,11 @@ impl fmt::Display for Comparison {
 
 /// Runs a workload to completion on the event engine — the paper's
 /// machine (Table 3) — optionally speculating under `policy`, optionally
-/// over the faulty fabric `plan` describes, audits coherence, and returns
-/// the finished machine: its trace, statistics and tallies are the
-/// caller's to read. Every speculation and fault study runs through here.
+/// over the faulty fabric `plan` describes, recording causal spans when
+/// `spans` is set (they are observational: the run is the same either
+/// way), audits coherence, and returns the finished machine: its trace,
+/// span log, statistics and tallies are the caller's to read. Every
+/// event-engine run of a workload goes through here.
 ///
 /// # Errors
 ///
@@ -138,8 +140,12 @@ pub fn run_machine<W: Workload + ?Sized>(
     workload: &mut W,
     policy: Option<Box<dyn SpeculationPolicy>>,
     plan: Option<FaultPlan>,
+    spans: bool,
 ) -> Result<ConcurrentMachine, SimError> {
     let mut machine = ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
+    if spans {
+        machine.enable_tracing();
+    }
     if let Some(p) = plan {
         machine.set_fault_plan(p);
     }
@@ -148,19 +154,6 @@ pub fn run_machine<W: Workload + ?Sized>(
     }
     drive(&mut machine, workload)?;
     Ok(machine)
-}
-
-/// [`run_machine`] on a perfect fabric, condensed to a [`RunSummary`].
-///
-/// # Errors
-///
-/// Propagates any [`SimError`]; with a policy installed this additionally
-/// verifies that speculation preserved coherence.
-pub fn run_with_policy<W: Workload + ?Sized>(
-    workload: &mut W,
-    policy: Option<Box<dyn SpeculationPolicy>>,
-) -> Result<RunSummary, SimError> {
-    run_machine(workload, policy, None).map(|m| RunSummary::of(&m))
 }
 
 /// Runs the same workload twice — bare, then with `make_policy()` — and
@@ -176,11 +169,11 @@ pub fn compare<W: Workload + ?Sized>(
     accelerated_workload: &mut W,
     make_policy: impl FnOnce() -> Box<dyn SpeculationPolicy>,
 ) -> Result<Comparison, SimError> {
-    let baseline = run_with_policy(baseline_workload, None)?;
-    let accelerated = run_with_policy(accelerated_workload, Some(make_policy()))?;
+    let baseline = run_machine(baseline_workload, None, None, false)?;
+    let accelerated = run_machine(accelerated_workload, Some(make_policy()), None, false)?;
     Ok(Comparison {
-        baseline,
-        accelerated,
+        baseline: RunSummary::of(&baseline),
+        accelerated: RunSummary::of(&accelerated),
     })
 }
 
@@ -307,8 +300,14 @@ mod tests {
             iterations: 20,
             ..Default::default()
         };
-        let base = run_machine(&mut make(), None, None).unwrap();
-        let spec = run_machine(&mut make(), Some(Box::new(CosmosPolicy::new(2))), None).unwrap();
+        let base = run_machine(&mut make(), None, None, false).unwrap();
+        let spec = run_machine(
+            &mut make(),
+            Some(Box::new(CosmosPolicy::new(2))),
+            None,
+            false,
+        )
+        .unwrap();
         spec.verify_coherence().unwrap();
         assert!(spec.stats().voluntary_replacements > 0);
         assert!(spec.stats().messages_total() < base.stats().messages_total());
@@ -328,7 +327,7 @@ mod tests {
         for plan in [None, Some(plan.with_seed(7))] {
             let faulted = plan.is_some();
             let policy: Box<dyn SpeculationPolicy> = Box::new(CosmosPolicy::new(2));
-            let m = run_machine(&mut make(), Some(policy), plan).unwrap();
+            let m = run_machine(&mut make(), Some(policy), plan, false).unwrap();
             assert!(m.stats().exclusive_grants > 0);
             assert_eq!(m.fault_tally().is_some(), faulted);
         }
@@ -361,7 +360,7 @@ mod tests {
         workload: &mut W,
         policy: Box<dyn SpeculationPolicy>,
     ) -> (u64, u64, trace::TraceBundle) {
-        let machine = run_machine(workload, Some(policy), None).unwrap();
+        let machine = run_machine(workload, Some(policy), None, false).unwrap();
         let stats = machine.stats();
         let (grants, repls) = (stats.exclusive_grants, stats.voluntary_replacements);
         (grants, repls, machine.into_trace())
@@ -408,7 +407,7 @@ mod tests {
             iterations: 20,
             ..Default::default()
         };
-        let bundle = run_machine(&mut w, None, None).unwrap().into_trace();
+        let bundle = run_machine(&mut w, None, None, false).unwrap().into_trace();
         let audit = audit_actions(&bundle, 2);
         assert!(audit.voluntary_replacements > 0);
         let verdicts = cosmos::eval::record_verdicts(&bundle, 2, 1);
@@ -437,8 +436,8 @@ mod tests {
             iterations: 5,
             ..Default::default()
         };
-        let ra = run_with_policy(&mut a, None).unwrap();
-        let rb = run_with_policy(&mut b, None).unwrap();
+        let ra = RunSummary::of(&run_machine(&mut a, None, None, false).unwrap());
+        let rb = RunSummary::of(&run_machine(&mut b, None, None, false).unwrap());
         assert_eq!(ra, rb);
         assert_eq!(ra.exclusive_grants, 0);
     }

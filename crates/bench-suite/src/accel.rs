@@ -1,11 +1,12 @@
 //! The acceleration table (`repro accel`): how much live prediction
 //! moves the bottom line, the question the paper's §8 leaves open.
 //!
-//! Every benchmark runs on the event engine bare and under nine action
-//! sets: the §7 directed pairing, two-action Cosmos at MHR depths 1–4 and
-//! the confidence-gated four-action fleet at depths 1–4. Each runs on a
+//! Every benchmark runs on the event engine under nine action sets: the
+//! §7 directed pairing, two-action Cosmos at MHR depths 1–4 and the
+//! confidence-gated four-action fleet at depths 1–4. Each runs on a
 //! perfect fabric and under one seeded [`FaultPlan`], and is compared with
-//! the bare run on the same fabric. Every run is coherence-audited; every
+//! the bare run on the same fabric, read from the baseline set
+//! ([`crate::baseline`]). Every run is coherence-audited; every
 //! cell is one [`Comparison`], whose accelerated [`RunSummary`] carries
 //! the run's grants, replacements and [`RollbackTally`].
 
@@ -13,6 +14,7 @@ use accel::{Comparison, CosmosPolicy, DirectedPolicy, RunSummary, SpeculatePolic
 use simx::{FaultPlan, SpeculationPolicy};
 use stache::RollbackTally;
 
+use crate::baseline::BareRun;
 use crate::traces::{run_machine, TraceError};
 use crate::Scale;
 
@@ -86,49 +88,50 @@ pub struct AccelRow {
     pub faulted: Comparison,
 }
 
-/// Runs every benchmark bare and under every [`ACTION_SETS`] entry, clean
-/// and under `plan`. One sweep cell per `(benchmark, configuration)`, the
-/// bare run being configuration 0, so the 20 runs of a benchmark spread
-/// over the worker pool.
+/// Runs every benchmark under every [`ACTION_SETS`] entry, clean and under
+/// `plan`, and compares each run with the benchmark's bare run on the same
+/// fabric: `clean` and `faulted` are the two halves of the baseline set
+/// ([`bare_runs`](crate::baseline::bare_runs)), the faulted one run under
+/// `plan`. One sweep cell per `(benchmark, action set)`, so the 18 runs of
+/// a benchmark spread over the worker pool.
 ///
 /// # Errors
 ///
 /// The first benchmark whose run fails, named: short of a plan that
 /// exhausts the retry budget, a protocol bug, since speculation must
 /// never trade correctness for speed.
-pub fn accel(scale: Scale, plan: &FaultPlan) -> Result<Vec<AccelRow>, TraceError> {
-    let configs = 1 + ACTION_SETS.len();
-    let cells = crate::par::sweep(scale.suite().len() * configs, |cell| {
-        let (i, k) = (cell / configs, cell % configs);
+pub fn accel(
+    scale: Scale,
+    plan: &FaultPlan,
+    clean: &[BareRun],
+    faulted: &[BareRun],
+) -> Result<Vec<AccelRow>, TraceError> {
+    let sets = ACTION_SETS.len();
+    let cells = crate::par::sweep(clean.len() * sets, |cell| {
         let run = |plan| {
-            let mut w = scale.suite().swap_remove(i);
-            let policy = k.checked_sub(1).map(|k| ACTION_SETS[k].policy());
-            let m = run_machine(w.as_mut(), policy, plan)?;
-            Ok((w.name().to_string(), RunSummary::of(&m)))
+            let mut w = scale.suite().swap_remove(cell / sets);
+            let policy = ACTION_SETS[cell % sets].policy();
+            let m = run_machine(w.as_mut(), Some(policy), plan, false)?;
+            Ok(RunSummary::of(&m))
         };
-        let (app, clean) = run(None)?;
-        let (_, faulted) = run(Some(plan.clone()))?;
-        Ok((app, clean, faulted))
+        Ok((run(None)?, run(Some(plan.clone()))?))
     })
     .into_iter()
     .collect::<Result<Vec<_>, TraceError>>()?;
-    let rows = cells.chunks(configs).flat_map(|runs| {
-        let (app, base, fbase) = &runs[0];
-        runs[1..]
-            .iter()
-            .zip(ACTION_SETS)
-            .map(|((_, clean, faulted), actions)| AccelRow {
-                app: app.clone(),
-                actions,
-                clean: Comparison {
-                    baseline: *base,
-                    accelerated: *clean,
-                },
-                faulted: Comparison {
-                    baseline: *fbase,
-                    accelerated: *faulted,
-                },
-            })
+    let rows = cells.into_iter().enumerate().map(|(cell, (c, f))| {
+        let (base, fbase) = (&clean[cell / sets], &faulted[cell / sets]);
+        AccelRow {
+            app: base.app.clone(),
+            actions: ACTION_SETS[cell % sets],
+            clean: Comparison {
+                baseline: base.summary,
+                accelerated: c,
+            },
+            faulted: Comparison {
+                baseline: fbase.summary,
+                accelerated: f,
+            },
+        }
     });
     Ok(rows.collect())
 }
@@ -247,6 +250,7 @@ pub fn export_obs(rows: &[AccelRow]) -> obs::Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::bare_runs;
     use std::sync::OnceLock;
 
     fn plan() -> FaultPlan {
@@ -255,10 +259,17 @@ mod tests {
             .with_seed(7)
     }
 
+    /// The small-scale table under `plan`, its baselines run fresh.
+    fn small_table(plan: &FaultPlan) -> Vec<AccelRow> {
+        let clean = bare_runs(Scale::Small, None).unwrap();
+        let faulted = bare_runs(Scale::Small, Some(plan)).unwrap();
+        accel(Scale::Small, plan, &clean, &faulted).unwrap()
+    }
+
     /// The small-scale table, computed once for the tests that read it.
     fn rows() -> &'static [AccelRow] {
         static ROWS: OnceLock<Vec<AccelRow>> = OnceLock::new();
-        ROWS.get_or_init(|| accel(Scale::Small, &plan()).unwrap())
+        ROWS.get_or_init(|| small_table(&plan()))
     }
 
     /// Checks the row count and the benchmark order every test relies on.
@@ -333,7 +344,7 @@ mod tests {
 
     #[test]
     fn same_plan_is_deterministic() {
-        let again = export_obs(&accel(Scale::Small, &plan()).unwrap());
+        let again = export_obs(&small_table(&plan()));
         assert_eq!(export_obs(rows()).to_json(), again.to_json());
         assert!(again.get("stache.rollback.pushes").is_some());
     }

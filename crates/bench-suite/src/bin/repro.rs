@@ -26,20 +26,28 @@
 //!
 //! Host time is not measured here: `benchmark/run.sh` times the pipeline.
 
+use bench_suite::baseline::{bare_runs, BareRun};
 use bench_suite::contenders::{race, Race};
+use bench_suite::traces::TraceError;
 use bench_suite::{extras, faults, figures, obs_report, tables, Scale, TraceSet};
 use simx::{FaultPlan, SystemConfig};
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// What a target's `run` sees of the command line.
+/// What a target's `run` sees of the command line, and the shared runs
+/// it reads. Each shared artefact is dropped once no selected target left
+/// to run reads it ([`Ctx::release`]).
 struct Ctx<'a> {
     scale: Scale,
-    /// The shared trace set; present when any requested target needs it.
-    set: Option<&'a TraceSet>,
-    /// The union of the requested targets' fields, raced once over `set`.
-    race: &'a Race,
+    /// The shared trace set, while a `traced` target is left to run.
+    set: Option<TraceSet>,
+    /// The union of the requested targets' fields, raced once over the
+    /// trace set.
+    race: Race,
+    /// The baseline set's clean half (spans recorded) and its half under
+    /// `fault_plan`, each simulated by the first row that reads it.
+    bare: [OnceCell<Result<Vec<BareRun>, TraceError>>; 2],
     csv_dir: Option<&'a Path>,
     trace_out: Option<&'a Path>,
     fault_plan: &'a FaultPlan,
@@ -49,6 +57,29 @@ struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
+    /// The baseline set's clean half, or its half under the fault plan.
+    fn bare(&self, faulted: bool) -> Result<&[BareRun], TraceError> {
+        let plan = faulted.then_some(self.fault_plan);
+        let runs = self.bare[usize::from(faulted)].get_or_init(|| bare_runs(self.scale, plan));
+        runs.as_deref().map_err(Clone::clone)
+    }
+
+    /// Drops each shared artefact no target in `rest` reads.
+    fn release(&mut self, rest: &[&Target]) {
+        if !rest.iter().any(|t| t.needs_traces) {
+            self.set = None;
+        }
+        if rest.iter().all(|t| t.field.is_empty()) {
+            self.race = Race::default();
+        }
+        if !rest.iter().any(|t| t.reads_baseline) {
+            self.bare[0].take();
+        }
+        if !rest.iter().any(|t| t.reads_faults) {
+            self.bare[1].take();
+        }
+    }
+
     /// Writes one artefact when `--csv DIR` was given.
     fn artefact(&self, name: &str, contents: &str) -> Result<(), String> {
         let Some(dir) = self.csv_dir else {
@@ -64,7 +95,8 @@ impl Ctx<'_> {
 type Run = fn(&Ctx) -> Result<(), String>;
 
 /// One `repro` target. The usage line, `all`, the shared-trace decision,
-/// the race and the dispatch all read this one declaration.
+/// the race, the baseline set, when each is dropped, and the dispatch all
+/// read this one declaration.
 struct Target {
     name: &'static str,
     /// Whether `all` includes it.
@@ -74,7 +106,10 @@ struct Target {
     field: &'static [&'static str],
     /// Whether it reads the shared five-benchmark trace set itself.
     needs_traces: bool,
-    /// Whether it reads the `--faults` / `--faults-seed` plan.
+    /// Whether it reads the baseline set's clean half.
+    reads_baseline: bool,
+    /// Whether it reads the `--faults` / `--faults-seed` plan, and with it
+    /// the baseline set's half run under the plan.
     reads_faults: bool,
     /// Whether it writes an artefact into `--csv DIR`.
     writes_csv: bool,
@@ -88,6 +123,7 @@ impl Target {
             in_all: true,
             field: &[],
             needs_traces: false,
+            reads_baseline: false,
             reads_faults: false,
             writes_csv: false,
             run,
@@ -101,6 +137,11 @@ impl Target {
 
     const fn traced(mut self) -> Self {
         self.needs_traces = true;
+        self
+    }
+
+    const fn baseline(mut self) -> Self {
+        self.reads_baseline = true;
         self
     }
 
@@ -142,19 +183,32 @@ const TARGETS: &[Target] = &[
     Target::new("fig8", |_| show(figures::render_figure8())),
     Target::new("sensitivity", sensitivity),
     Target::new("adaptation", |c| {
-        show(extras::render_adaptation(&extras::adaptation(c.race)))
+        show(extras::render_adaptation(&extras::adaptation(&c.race)))
     })
     .races(&[tables::DEPTH1]),
     Target::new("comparison", |c| {
-        show(extras::render_comparison(&extras::comparison(c.race)))
+        show(extras::render_comparison(&extras::comparison(&c.race)))
     })
     .races(&extras::COMPARISON),
-    Target::new("engines", |c| show(extras::engines(c.scale))),
+    Target::new("engines", |c| {
+        let set = c.set.as_ref().expect("row is marked `traced`");
+        let bare = c.bare(false).map_err(|e| format!("engines: {e}"))?;
+        show(extras::engines(set, &c.race, bare))
+    })
+    .races(&[tables::DEPTH1])
+    .traced()
+    .baseline(),
     Target::new("seeds", |c| show(extras::seed_robustness(c.scale))),
-    Target::new("faults", fault_sensitivity).faulted().csv(),
+    Target::new("faults", fault_sensitivity)
+        .baseline()
+        .faulted()
+        .csv(),
     Target::new("simcheck", simcheck).csv(),
-    Target::new("accel", acceleration).faulted().csv(),
-    Target::new("tracespans", tracespans).csv(),
+    Target::new("accel", acceleration)
+        .baseline()
+        .faulted()
+        .csv(),
+    Target::new("tracespans", tracespans).baseline().csv(),
     Target::new("scale", scale_sweep).csv().explicit_only(),
     Target::new("tracepack", tracepack)
         .traced()
@@ -163,25 +217,25 @@ const TARGETS: &[Target] = &[
 ];
 
 fn table5(c: &Ctx) -> Result<(), String> {
-    let rows = tables::table5(c.race);
+    let rows = tables::table5(&c.race);
     println!("{}", tables::render_table5(&rows));
     c.artefact("table5.csv", &tables::csv_table5(&rows))
 }
 
 fn table6(c: &Ctx) -> Result<(), String> {
-    let rows = tables::table6(c.race);
+    let rows = tables::table6(&c.race);
     println!("{}", tables::render_table6(&rows));
     c.artefact("table6.csv", &tables::csv_table6(&rows))
 }
 
 fn table7(c: &Ctx) -> Result<(), String> {
-    let rows = tables::table7(c.race);
+    let rows = tables::table7(&c.race);
     println!("{}", tables::render_table7(&rows));
     c.artefact("table7.csv", &tables::csv_table7(&rows))
 }
 
 fn table8(c: &Ctx) -> Result<(), String> {
-    let rows = tables::table8(c.race);
+    let rows = tables::table8(&c.race);
     println!("{}", tables::render_table8(&rows));
     c.artefact("table8.csv", &tables::csv_table8(&rows))
 }
@@ -194,7 +248,7 @@ fn fig5(c: &Ctx) -> Result<(), String> {
 
 fn fig67(c: &Ctx) -> Result<(), String> {
     if !c.fig67_done.replace(true) {
-        println!("{}", figures::render_figures_6_7(c.race));
+        println!("{}", figures::render_figures_6_7(&c.race));
     }
     Ok(())
 }
@@ -210,7 +264,9 @@ fn fault_sensitivity(c: &Ctx) -> Result<(), String> {
         "running fault-sensitivity report ({:?} scale, seed {})...",
         c.scale, c.fault_plan.seed
     );
-    let report = faults::fault_report(c.scale, c.fault_plan).map_err(|e| format!("faults: {e}"))?;
+    let err = |e| format!("faults: {e}");
+    let (bare, faulted) = (c.bare(false).map_err(err)?, c.bare(true).map_err(err)?);
+    let report = faults::fault_report(bare, faulted, c.fault_plan);
     println!("{}", faults::render_fault_report(&report));
     c.artefact("faults.csv", &faults::csv_fault_report(&report))?;
     c.artefact("faults_obs.json", &report.export_obs().to_json())
@@ -241,7 +297,9 @@ fn acceleration(c: &Ctx) -> Result<(), String> {
         "running acceleration table ({:?} scale, seed {})...",
         c.scale, c.fault_plan.seed
     );
-    let rows = accel::accel(c.scale, c.fault_plan).map_err(|e| format!("accel: {e}"))?;
+    let err = |e| format!("accel: {e}");
+    let (bare, faulted) = (c.bare(false).map_err(err)?, c.bare(true).map_err(err)?);
+    let rows = accel::accel(c.scale, c.fault_plan, bare, faulted).map_err(err)?;
     println!("{}", accel::render_accel(&rows, c.fault_plan));
     c.artefact("accel.csv", &accel::csv_accel(&rows))?;
     c.artefact("accel_obs.json", &accel::export_obs(&rows).to_json())
@@ -249,15 +307,14 @@ fn acceleration(c: &Ctx) -> Result<(), String> {
 
 fn tracespans(c: &Ctx) -> Result<(), String> {
     use bench_suite::spans;
-    eprintln!("running traced benchmarks ({:?} scale)...", c.scale);
-    let runs = spans::traced_runs(c.scale);
-    let rows = spans::attribution(&runs);
+    let runs = c.bare(false).map_err(|e| format!("tracespans: {e}"))?;
+    let rows = spans::attribution(runs);
     println!("{}", spans::render_attribution(&rows));
-    println!("{}", spans::render_phases(&runs));
-    println!("{}", spans::render_critical_paths(&runs, 5));
+    println!("{}", spans::render_phases(runs));
+    println!("{}", spans::render_critical_paths(runs, 5));
     c.artefact("tracespans.csv", &spans::csv_attribution(&rows))?;
     if let Some(path) = c.trace_out {
-        spans::write_chrome_trace(&runs, path)
+        std::fs::write(path, spans::chrome_trace(runs))
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         eprintln!("wrote {}", path.display());
     }
@@ -278,7 +335,7 @@ fn tracepack(c: &Ctx) -> Result<(), String> {
         "running packed-trace pipeline report ({:?} scale)...",
         c.scale
     );
-    let set = c.set.expect("row is marked `traced`");
+    let set = c.set.as_ref().expect("row is marked `traced`");
     let report = tp::tracepack(set, c.scale).map_err(|e| e.to_string())?;
     println!("{}", tp::render_tracepack(&report));
     c.artefact("tracepack.csv", &tp::csv_tracepack(&report))
@@ -467,16 +524,22 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         TraceSet::generate(scale)
     });
     let raced = set.as_ref().map(|set| race(set, &labels));
-    let ctx = Ctx {
+    let mut ctx = Ctx {
         scale,
-        set: set.as_ref(),
-        race: &raced.unwrap_or_default(),
+        set,
+        race: raced.unwrap_or_default(),
+        bare: Default::default(),
         csv_dir: csv_dir.as_deref(),
         trace_out: trace_out.as_deref(),
         fault_plan: &fault_plan,
         fig67_done: Cell::new(false),
     };
-    targets.into_iter().try_for_each(|t| (t.run)(&ctx))
+    ctx.release(&targets);
+    for (i, t) in targets.iter().enumerate() {
+        (t.run)(&ctx)?;
+        ctx.release(&targets[i + 1..]);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -500,9 +563,58 @@ mod tests {
         assert_eq!(field_of(&["table5"]), tables::BY_DEPTH);
         assert_eq!(field_of(&["table5", "table7", "fig6", "fig7"]).len(), 4);
         assert_eq!(field_of(&["table6", "comparison"]).len(), 13);
-        // Only the streamed replay needs the traces without a race.
-        for t in TARGETS.iter().filter(|t| t.needs_traces) {
-            assert_eq!((t.name, t.field.len()), ("tracepack", 0));
+        // Only the streamed replay reads the traces without a race.
+        for t in TARGETS
+            .iter()
+            .filter(|t| t.needs_traces && t.field.is_empty())
+        {
+            assert_eq!(t.name, "tracepack");
+        }
+    }
+
+    /// What the named targets simulate over the five benchmarks, as
+    /// (event-engine runs, walks): the trace set and each baseline half
+    /// once however many rows read them, plus each row's own runs.
+    fn simulations(names: &[&str]) -> (usize, usize) {
+        let targets: Vec<&Target> = names.iter().map(|n| target_named(n).unwrap()).collect();
+        let reads = |f: fn(&Target) -> bool| usize::from(targets.iter().any(|t| f(t)));
+        let set = usize::from(!field(&targets).is_empty()) | reads(|t| t.needs_traces);
+        let halves = reads(|t| t.reads_baseline) + reads(|t| t.reads_faults);
+        // Per benchmark: accel's action sets, clean and faulted; the
+        // latency and seed sweeps' three walks each.
+        let own = |t: &&Target| match t.name {
+            "accel" => (2 * bench_suite::accel::ACTION_SETS.len(), 0),
+            "sensitivity" | "seeds" => (0, 3),
+            _ => (0, 0),
+        };
+        targets
+            .iter()
+            .map(own)
+            .fold((5 * halves, 5 * set), |(e, w), (oe, ow)| {
+                (e + 5 * oe, w + 5 * ow)
+            })
+    }
+
+    #[test]
+    fn each_bare_run_is_simulated_once_however_many_targets_read_it() {
+        let all: Vec<&str> = TARGETS
+            .iter()
+            .filter(|t| t.in_all)
+            .map(|t| t.name)
+            .collect();
+        // 160 (120 event-engine, 40 walk) when `faults`, `accel`,
+        // `tracespans` and `engines` each ran their own bare runs.
+        assert_eq!(simulations(&all), (100, 35));
+        // No target alone simulates more than it did then.
+        let then = [
+            ("engines", (5, 5)),
+            ("faults", (10, 0)),
+            ("accel", (100, 0)),
+            ("tracespans", (5, 0)),
+        ];
+        for (name, (event, walk)) in then {
+            let (e, w) = simulations(&[name]);
+            assert!(e <= event && w <= walk, "{name}: {e} + {w} runs");
         }
     }
 }

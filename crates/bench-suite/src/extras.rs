@@ -3,9 +3,10 @@
 //! tables ([`engines`]) and how far a number moves with the workload seed
 //! ([`seed_robustness`]).
 
+use crate::baseline::BareRun;
 use crate::contenders::Race;
 use crate::tables::DEPTH1;
-use crate::traces::{single_trace, Scale};
+use crate::traces::{single_trace, Scale, TraceSet};
 use cosmos::eval::evaluate_cosmos;
 use simx::SystemConfig;
 use stache::ProtocolConfig;
@@ -15,7 +16,8 @@ use std::fmt::Write as _;
 /// vs 1 µs "hardly changes" the rates). Returns, per benchmark, the
 /// overall depth-1 accuracy at each latency.
 pub fn latency_sensitivity(scale: Scale, latencies_ns: &[u64]) -> Vec<(String, Vec<f64>)> {
-    let names = ["appbt", "barnes", "dsmc", "moldyn", "unstructured"];
+    let suite = scale.suite();
+    let names: Vec<&str> = suite.iter().map(|w| w.name()).collect();
     // One sweep cell per (benchmark, latency) — each is an independent
     // simulation, so the whole grid parallelises instead of one thread
     // crawling the 15 runs.
@@ -131,13 +133,15 @@ pub fn render_comparison(rows: &[(String, Vec<(String, f64)>)]) -> String {
     out
 }
 
-/// Serialized vs concurrent engine: the five benchmarks run on both
-/// execution models; per-benchmark messages, depth-1 accuracy, and
-/// execution time. The serialized engine is the calibrated default; the
-/// concurrent engine overlaps independent transactions, queues requests
-/// at busy blocks, and exhibits the upgrade race — this study shows how
-/// much any of that moves the paper\'s numbers.
-pub fn engines(scale: Scale) -> String {
+/// Serialized vs concurrent engine: per-benchmark messages, depth-1
+/// accuracy and execution time of the five benchmarks on both execution
+/// models — the walk's from the shared trace `set` and its race of
+/// [`DEPTH1`], the event engine's from the clean half of the baseline set
+/// (`bare`, [`crate::baseline`]). The serialized engine is the calibrated
+/// default; the concurrent engine overlaps independent transactions,
+/// queues requests at busy blocks, and exhibits the upgrade race — this
+/// study shows how much any of that moves the paper's numbers.
+pub fn engines(set: &TraceSet, race: &Race, bare: &[BareRun]) -> String {
     let mut out = String::from(
         "Engines: serialized (calibrated default) vs concurrent\n\
          (message-level DES with request queueing and races)\n",
@@ -147,39 +151,20 @@ pub fn engines(scale: Scale) -> String {
         "{:<14} {:>10} {:>8} {:>12} | {:>10} {:>8} {:>12}",
         "benchmark", "ser msgs", "ser d1", "ser time", "con msgs", "con d1", "con time"
     );
-    // Each (benchmark, engine) pair is an independent run: 10 sweep
-    // cells, each returning (messages, depth-1 accuracy, time in us).
-    let names = ["appbt", "barnes", "dsmc", "moldyn", "unstructured"];
-    let cells = crate::par::sweep(names.len() * 2, |i| {
-        let name = names[i / 2];
-        let mut w = scale.workload(name).expect("known");
-        if i % 2 == 0 {
-            let serial =
-                workloads::run_to_trace(&mut *w, ProtocolConfig::paper(), SystemConfig::paper())
-                    .expect("clean serialized run");
-            let acc = evaluate_cosmos(&serial, 1, 0).overall.percent();
-            let time = serial
-                .records()
-                .iter()
-                .map(|r| r.time_ns)
-                .max()
-                .unwrap_or(0);
-            (serial.len(), acc, time / 1000)
-        } else {
-            let mut conc =
-                simx::ConcurrentMachine::new(ProtocolConfig::paper(), SystemConfig::paper());
-            workloads::drive(&mut conc, &mut *w).expect("clean concurrent run");
-            let acc = evaluate_cosmos(conc.trace(), 1, 0).overall.percent();
-            (conc.trace().len(), acc, conc.execution_time_ns() / 1000)
-        }
-    });
-    for (r, name) in names.iter().enumerate() {
-        let (ser_msgs, ser_acc, ser_us) = cells[r * 2];
-        let (con_msgs, con_acc, con_us) = cells[r * 2 + 1];
+    for (serial, conc) in set.traces().iter().zip(bare) {
+        let app = &serial.meta().app;
+        let ser_acc = race.report(DEPTH1, app).overall.percent();
+        let ser_ns = serial.records().iter().map(|r| r.time_ns).max();
         let _ = writeln!(
             out,
             "{:<14} {:>10} {:>7.1}% {:>10}us | {:>10} {:>7.1}% {:>10}us",
-            name, ser_msgs, ser_acc, ser_us, con_msgs, con_acc, con_us,
+            app,
+            serial.len(),
+            ser_acc,
+            ser_ns.unwrap_or(0) / 1000,
+            conc.summary.messages,
+            conc.accuracy[0],
+            conc.summary.execution_time_ns / 1000,
         );
     }
     out.push_str(
@@ -221,7 +206,8 @@ pub fn seed_robustness(scale: Scale) -> String {
         let _ = write!(out, " | {:>6} {:>6} ", "d1", "d3");
     }
     out.push('\n');
-    let names = ["appbt", "barnes", "dsmc", "moldyn", "unstructured"];
+    let suite = scale.suite();
+    let names: Vec<&str> = suite.iter().map(|w| w.name()).collect();
     // (benchmark, seed) grid on the shared worker pool — 15 full
     // simulations, all independent.
     let cols = seeds.len();
@@ -250,7 +236,6 @@ pub fn seed_robustness(scale: Scale) -> String {
 mod tests {
     use super::*;
     use crate::contenders::race;
-    use crate::traces::TraceSet;
 
     #[test]
     fn latency_sweep_is_insensitive_at_small_scale() {

@@ -22,13 +22,14 @@
 //! | §5 latency-insensitivity claim | [`extras::latency_sensitivity`] |
 //! | §6.2 time-to-adapt | [`extras::adaptation`] of a [`contenders::Race`] |
 //! | §7 directed-predictor comparison | [`extras::comparison`] of a [`contenders::Race`] |
-//! | §5 fault-sensitivity (clean vs perturbed traces) | [`faults::fault_report`] |
+//! | §5 fault-sensitivity (clean vs perturbed traces) | [`faults::fault_report`] of the baseline set |
 //! | Schedule-exploration model check | [`modelcheck::simcheck_report`] |
-//! | §4/§8 acceleration: message reduction and speedup per action set | [`accel::accel`] |
+//! | §4/§8 acceleration: message reduction and speedup per action set | [`accel::accel`] against the baseline set |
 //! | Packed-trace codec + streaming cell | [`tracepack::tracepack`] |
 //!
 //! Every accuracy view over the shared traces reads one
-//! [`contenders::race`], which replays each (contender, trace) pair once.
+//! [`contenders::race`], which replays each (contender, trace) pair once;
+//! every view of a bare event-engine run reads [`baseline::bare_runs`].
 //! The `repro` binary drives them from the command line (wall-clock
 //! measurement is the pipeline benchmark's job, under `benchmark/`). The
 //! [`report::obs_report`] pipeline condenses one full run — machine,
@@ -36,6 +37,7 @@
 //! machine-readable [`obs::Snapshot`] (`repro --obs-json`).
 
 pub mod accel;
+pub mod baseline;
 pub mod contenders;
 pub mod extras;
 pub mod faults;

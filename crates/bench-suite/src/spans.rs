@@ -1,75 +1,37 @@
 //! The `tracespans` target: per-transaction latency attribution from the
 //! causal span trees the event engine (`ConcurrentMachine`) records (see
-//! `obs::span`).
+//! `obs::span`) in the clean half of the baseline set ([`crate::baseline`]).
 //!
 //! The paper's §4.4 model argues prediction pays off by shortening the
 //! *critical path* of coherence transactions; aggregate accuracy cannot
-//! show that. This module runs the five benchmarks through the event
-//! engine with tracing enabled and reduces the span logs three ways:
+//! show that. This module reduces the five benchmarks' span logs three
+//! ways:
 //!
 //! 1. an **attribution table** — per benchmark and transaction type: p50/p95/p99 end-to-end latency ([`obs::Histogram`] upper
 //!    bounds) and the mean nanoseconds per transaction spent in each
 //!    category (queue / network / directory / retry / speculation);
 //! 2. a **critical-path report** — the slowest k transactions, each
-//!    edge of their span tree attributed, annotated with the per-message
-//!    Cosmos verdicts (`cosmos::record_verdicts`) so "this GETX was slow
-//!    *and* mispredicted" is finally one line of output;
-//! 3. a **Chrome trace-event export** ([`write_chrome_trace`]) loadable
+//!    edge of their span tree attributed, annotated with the run's
+//!    per-message depth-1 Cosmos verdicts ([`BareRun::verdicts`]) so
+//!    "this GETX was slow *and* mispredicted" is one line of output;
+//! 3. a **Chrome trace-event export** ([`chrome_trace`]) loadable
 //!    in Perfetto / `chrome://tracing`, one process per benchmark.
 //!
 //! Everything is simulated time, so all three outputs are deterministic.
 
-use crate::traces::Scale;
-use cosmos::eval::record_verdicts;
+use crate::baseline::BareRun;
 use cosmos::Verdict;
-use obs::span::{chrome_trace_json, Span, SpanKind, SpanLog};
+use obs::span::{chrome_trace_json, Span, SpanKind, SpanLog, TraceId};
 use obs::Histogram;
-use simx::SystemConfig;
-use stache::ProtocolConfig;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use trace::TraceBundle;
-
-/// The five paper benchmarks, in report order.
-pub const BENCHES: [&str; 5] = ["appbt", "barnes", "dsmc", "moldyn", "unstructured"];
-
-/// One benchmark run with tracing on: its message trace and span log.
-pub struct TracedRun {
-    /// Benchmark name.
-    pub app: &'static str,
-    /// The coherence-message trace (for prediction verdicts).
-    pub bundle: TraceBundle,
-    /// The recorded span trees.
-    pub spans: SpanLog,
-}
-
-/// Runs every benchmark through the event engine with tracing enabled.
-/// Cells fan out over the bounded sweep pool; output is in [`BENCHES`]
-/// order.
-pub fn traced_runs(scale: Scale) -> Vec<TracedRun> {
-    crate::par::sweep(BENCHES.len(), move |i| {
-        let name = BENCHES[i];
-        let mut w = scale.workload(name).expect("known benchmark");
-        let (bundle, spans) = workloads::run_traced_concurrent(
-            &mut *w,
-            ProtocolConfig::paper(),
-            SystemConfig::paper(),
-        )
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-        TracedRun {
-            app: name,
-            bundle,
-            spans,
-        }
-    })
-}
 
 /// Latency attribution for one `(benchmark, transaction type)` group:
 /// end-to-end percentiles plus the summed nanoseconds per attribution
 /// category across all of the group's transactions.
 pub struct AttributionRow {
     /// Benchmark name.
-    pub app: &'static str,
+    pub app: String,
     /// Root span name: the requesting message type, `local_read`/`_write`,
     /// or `self_invalidate`.
     pub txn: &'static str,
@@ -100,9 +62,9 @@ fn kind_index(kind: SpanKind) -> usize {
 }
 
 /// Reduces the runs' span logs to attribution rows, ordered by
-/// benchmark as in [`traced_runs`] and alphabetically by
-/// transaction type within a run.
-pub fn attribution(runs: &[TracedRun]) -> Vec<AttributionRow> {
+/// benchmark as in `runs` and alphabetically by transaction type within
+/// a run.
+pub fn attribution(runs: &[BareRun]) -> Vec<AttributionRow> {
     let mut out = Vec::new();
     for run in runs {
         // Trace id -> row key, filled from roots (allocation order).
@@ -113,7 +75,7 @@ pub fn attribution(runs: &[TracedRun]) -> Vec<AttributionRow> {
                 row_of.insert(s.trace.raw(), s.name);
                 rows.entry(s.name)
                     .or_insert_with(|| AttributionRow {
-                        app: run.app,
+                        app: run.app.clone(),
                         txn: s.name,
                         total: Histogram::new(),
                         by_kind: [0; 6],
@@ -189,7 +151,7 @@ pub fn csv_attribution(rows: &[AttributionRow]) -> String {
 }
 
 /// Per-phase latency: percentiles of each child-span name within a run.
-pub fn render_phases(runs: &[TracedRun]) -> String {
+pub fn render_phases(runs: &[BareRun]) -> String {
     let mut out = String::from("Per-phase span latency (ns) per benchmark:\n");
     let _ = writeln!(
         out,
@@ -231,30 +193,25 @@ struct VerdictTally {
     cold: u32,
 }
 
-/// Per-trace verdict tallies for one run: replays a depth-1 Cosmos fleet
-/// over the run's message trace and folds each record's verdict into the
-/// transaction that sent or received it (via `SpanLog::links`).
-fn verdicts_by_trace(run: &TracedRun) -> HashMap<u32, VerdictTally> {
-    let verdicts = record_verdicts(&run.bundle, 1, 0);
-    let mut by_trace: HashMap<u32, VerdictTally> = HashMap::new();
-    for &(trace, idx) in run.spans.links() {
-        let Some(v) = verdicts.get(idx as usize) else {
-            continue;
-        };
-        let t = by_trace.entry(trace.raw()).or_default();
-        match v {
-            Verdict::Hit => t.predicted += 1,
-            Verdict::Miss => t.mispredicted += 1,
-            Verdict::NoPrediction => t.cold += 1,
+/// The verdicts of the messages transaction `trace` sent or received
+/// (via `SpanLog::links`), from the run's depth-1 fleet.
+fn verdict_tally(run: &BareRun, trace: TraceId) -> VerdictTally {
+    let mut t = VerdictTally::default();
+    for &(_, idx) in run.spans.links().iter().filter(|(tr, _)| *tr == trace) {
+        match run.verdicts.get(idx as usize) {
+            Some(Verdict::Hit) => t.predicted += 1,
+            Some(Verdict::Miss) => t.mispredicted += 1,
+            Some(Verdict::NoPrediction) => t.cold += 1,
+            None => {}
         }
     }
-    by_trace
+    t
 }
 
 /// Renders the critical-path report: the `k` slowest transactions across
 /// all benchmarks, each span-tree edge attributed and the root annotated
 /// with its messages' prediction verdicts.
-pub fn render_critical_paths(runs: &[TracedRun], k: usize) -> String {
+pub fn render_critical_paths(runs: &[BareRun], k: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -277,10 +234,7 @@ pub fn render_critical_paths(runs: &[TracedRun], k: usize) -> String {
     slow.truncate(k);
     for (total, ri, root) in slow {
         let run = &runs[ri];
-        let tally = verdicts_by_trace(run)
-            .get(&root.trace.raw())
-            .copied()
-            .unwrap_or_default();
+        let tally = verdict_tally(run, root.trace);
         let _ = writeln!(
             out,
             "{} {} block={:#x} node=P{} total={total}ns pred {}/{}/{}{}",
@@ -321,37 +275,30 @@ pub fn render_critical_paths(runs: &[TracedRun], k: usize) -> String {
 
 /// Renders every run as one Chrome trace-event JSON document, one
 /// "process" per benchmark.
-pub fn chrome_trace(runs: &[TracedRun]) -> String {
-    let parts: Vec<(&str, &SpanLog)> = runs.iter().map(|r| (r.app, &r.spans)).collect();
+pub fn chrome_trace(runs: &[BareRun]) -> String {
+    let parts: Vec<(&str, &SpanLog)> = runs.iter().map(|r| (r.app.as_str(), &r.spans)).collect();
     chrome_trace_json(&parts)
-}
-
-/// Writes the Chrome trace JSON to `path`.
-///
-/// # Errors
-///
-/// Propagates the I/O error (bad directory, unwritable file, ...).
-pub fn write_chrome_trace(runs: &[TracedRun], path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, chrome_trace(runs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::bare_runs;
+    use crate::Scale;
 
-    fn small_runs() -> Vec<TracedRun> {
-        traced_runs(Scale::Small)
+    fn small_runs() -> Vec<BareRun> {
+        bare_runs(Scale::Small, None).unwrap()
     }
 
     #[test]
     fn traced_runs_cover_all_benchmarks() {
         let runs = small_runs();
-        let apps: Vec<&str> = runs.iter().map(|r| r.app).collect();
-        assert_eq!(apps, BENCHES);
+        let apps: Vec<&str> = runs.iter().map(|r| r.app.as_str()).collect();
+        assert_eq!(apps, ["appbt", "barnes", "dsmc", "moldyn", "unstructured"]);
         for r in &runs {
             assert!(!r.spans.spans().is_empty(), "{}", r.app);
             assert_eq!(r.spans.orphans(), 0, "{}", r.app);
-            assert!(!r.bundle.is_empty());
+            assert_eq!(r.verdicts.len() as u64, r.summary.messages, "{}", r.app);
         }
     }
 

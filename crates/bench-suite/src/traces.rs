@@ -106,14 +106,15 @@ impl std::error::Error for TraceError {
 }
 
 /// [`accel::run_machine`] with a failure tagged by the benchmark it
-/// happened in — the one run function behind the fault and acceleration
-/// studies.
+/// happened in — the one run function behind the baseline set and the
+/// acceleration table.
 pub(crate) fn run_machine(
     w: &mut dyn Workload,
     policy: Option<Box<dyn simx::SpeculationPolicy>>,
     plan: Option<simx::FaultPlan>,
+    spans: bool,
 ) -> Result<simx::ConcurrentMachine, TraceError> {
-    accel::run_machine(w, policy, plan).map_err(|source| TraceError::Run {
+    accel::run_machine(w, policy, plan, spans).map_err(|source| TraceError::Run {
         name: w.name().to_string(),
         source,
     })

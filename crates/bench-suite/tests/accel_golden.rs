@@ -6,6 +6,7 @@
 //! deliberately) or a lost determinism guarantee (a bug).
 
 use bench_suite::accel;
+use bench_suite::baseline::bare_runs;
 use bench_suite::Scale;
 use simx::FaultPlan;
 
@@ -15,6 +16,9 @@ const GOLDEN: &str = include_str!("golden/accel_small.csv");
 fn small_accel_csv_is_byte_identical_to_the_golden() {
     // The `repro` default plan, seed untouched.
     let plan = FaultPlan::parse("drop=0.01,dup=0.005,reorder=3").unwrap();
-    let csv = accel::csv_accel(&accel::accel(Scale::Small, &plan).unwrap());
+    let clean = bare_runs(Scale::Small, None).unwrap();
+    let faulted = bare_runs(Scale::Small, Some(&plan)).unwrap();
+    let rows = accel::accel(Scale::Small, &plan, &clean, &faulted).unwrap();
+    let csv = accel::csv_accel(&rows);
     assert_eq!(csv, GOLDEN, "acceleration table drifted from the golden");
 }

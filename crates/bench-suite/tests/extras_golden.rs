@@ -16,8 +16,9 @@
 //! the tables became views of the race; their counts agree with the
 //! table goldens.
 
+use bench_suite::baseline::bare_runs;
 use bench_suite::contenders::{race, CONTENDERS};
-use bench_suite::{extras, Scale, TraceSet};
+use bench_suite::{extras, tables, Scale, TraceSet};
 use cosmos::eval::{evaluate, EvalOptions};
 use std::fmt::Write as _;
 
@@ -61,9 +62,12 @@ fn the_comparison_section_renders_the_golden_text() {
 
 #[test]
 fn the_engines_section_renders_the_golden_text() {
+    let set = TraceSet::generate(Scale::Small);
+    let race = race(&set, &[tables::DEPTH1]);
+    let bare = bare_runs(Scale::Small, None).unwrap();
     // `repro` prints the rendering with `println!`: one more newline.
     assert_eq!(
-        extras::engines(Scale::Small) + "\n",
+        extras::engines(&set, &race, &bare) + "\n",
         include_str!("golden/engines_small.txt"),
         "the engines section drifted from the golden"
     );

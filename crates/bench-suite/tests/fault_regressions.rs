@@ -17,9 +17,24 @@
 //! bytes `repro --small faults --csv DIR` wrote (default plan, seed 0)
 //! while `faults` still ran its own clean and perturbed simulations.
 
+use bench_suite::baseline::{bare_runs, BareRun};
 use bench_suite::faults::{csv_fault_report, fault_report, FAULT_DEPTHS};
 use bench_suite::{obs_report, Scale};
 use simx::FaultPlan;
+
+/// Both halves of the small-scale baseline set, the second under `plan`;
+/// every run is invariant-audited and errs on a violation.
+fn small_halves(plan: &FaultPlan) -> [Vec<BareRun>; 2] {
+    [None, Some(plan)].map(|plan| bare_runs(Scale::Small, plan).unwrap())
+}
+
+/// The report's obs JSON under `plan`, both halves run fresh.
+fn small_obs_json(plan: &FaultPlan) -> String {
+    let [clean, perturbed] = small_halves(plan);
+    fault_report(&clean, &perturbed, plan)
+        .export_obs()
+        .to_json()
+}
 
 /// The golden `obs.v1` snapshot of `repro --small --obs-json --obs-app
 /// appbt`, captured before the fault-injection layer was introduced.
@@ -40,32 +55,29 @@ fn reference_fault_plan_is_coherent_and_seed_reproducible() {
     let plan = FaultPlan::parse("drop=0.01,dup=0.005,reorder=3")
         .unwrap()
         .with_seed(7);
-    // fault_report invariant-audits every run and errs on violation.
-    let a = fault_report(Scale::Small, &plan).unwrap();
-    assert_eq!(a.rows.len(), 5);
+    let [clean, perturbed] = small_halves(&plan);
+    let a = fault_report(&clean, &perturbed, &plan);
+    assert_eq!((a.clean.len(), a.perturbed.len()), (5, 5));
     let (faults, recovery) = a.totals();
     assert!(faults.drops > 0);
     assert!(recovery.retries > 0, "drops force retransmissions");
     assert!(recovery.naks_sent > 0, "contention forces NAKs");
-    for row in &a.rows {
+    for run in a.clean.iter().chain(a.perturbed) {
         for i in 0..FAULT_DEPTHS.len() {
-            assert!(row.clean_pct[i].is_finite());
-            assert!(row.perturbed_pct[i].is_finite());
+            assert!(run.accuracy[i].is_finite());
         }
     }
 
-    let b = fault_report(Scale::Small, &plan).unwrap();
     assert_eq!(
         a.export_obs().to_json(),
-        b.export_obs().to_json(),
+        small_obs_json(&plan),
         "same seed must export identical bytes"
     );
 
     // A different seed draws a different schedule.
-    let c = fault_report(Scale::Small, &plan.clone().with_seed(8)).unwrap();
     assert_ne!(
         a.export_obs().to_json(),
-        c.export_obs().to_json(),
+        small_obs_json(&plan.clone().with_seed(8)),
         "a different seed must perturb differently"
     );
 }
@@ -74,7 +86,8 @@ fn reference_fault_plan_is_coherent_and_seed_reproducible() {
 fn small_faults_csv_is_byte_identical_to_the_golden() {
     // The `repro` default plan, seed untouched.
     let plan = FaultPlan::parse("drop=0.01,dup=0.005,reorder=3").unwrap();
-    let csv = csv_fault_report(&fault_report(Scale::Small, &plan).unwrap());
+    let [clean, perturbed] = small_halves(&plan);
+    let csv = csv_fault_report(&fault_report(&clean, &perturbed, &plan));
     assert_eq!(
         csv,
         include_str!("golden/faults_small.csv"),

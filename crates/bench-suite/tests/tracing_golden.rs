@@ -7,21 +7,27 @@
 //! structurally valid (metadata + complete events forming whole span
 //! trees) without pulling in a JSON parser dependency.
 
+use bench_suite::baseline::{bare_runs, BareRun};
 use bench_suite::{spans, Scale};
 use obs::span::SpanKind;
 
 const GOLDEN: &str = include_str!("golden/tracespans_small.csv");
 
+/// The baseline set's clean half on the small suite: the traced runs.
+fn small_runs() -> Vec<BareRun> {
+    bare_runs(Scale::Small, None).unwrap()
+}
+
 #[test]
 fn small_tracespans_csv_is_byte_identical_to_the_golden() {
-    let runs = spans::traced_runs(Scale::Small);
+    let runs = small_runs();
     let csv = spans::csv_attribution(&spans::attribution(&runs));
     assert_eq!(csv, GOLDEN, "tracespans CSV drifted from the golden copy");
 }
 
 #[test]
 fn small_phases_and_critical_paths_are_byte_identical_to_the_golden() {
-    let runs = spans::traced_runs(Scale::Small);
+    let runs = small_runs();
     // `repro` prints each rendering with `println!`: one more newline.
     let text = format!(
         "{}\n{}\n",
@@ -37,7 +43,7 @@ fn small_phases_and_critical_paths_are_byte_identical_to_the_golden() {
 
 #[test]
 fn chrome_export_contains_complete_span_trees() {
-    let runs = spans::traced_runs(Scale::Small);
+    let runs = small_runs();
     let json = spans::chrome_trace(&runs);
     // Structural validity: one JSON object, a traceEvents array, one
     // process-name metadata record per run, and complete ("X") events.

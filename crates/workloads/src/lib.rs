@@ -48,9 +48,7 @@ pub mod rng;
 pub mod scale;
 pub mod unstructured;
 
-use simx::{
-    ConcurrentMachine, Engine, IterationPlan, Machine, ShardedMachine, SimError, SystemConfig,
-};
+use simx::{Engine, IterationPlan, Machine, ShardedMachine, SimError, SystemConfig};
 use stache::ProtocolConfig;
 use trace::TraceBundle;
 
@@ -191,24 +189,6 @@ pub fn run_to_trace_with_stats<W: Workload + ?Sized>(
     Ok((machine.into_trace(), stats))
 }
 
-/// Runs a workload on the *concurrent* message-level engine
-/// ([`simx::concurrent`]) and returns its trace. Per-block message orders
-/// match the serialized [`run_to_trace`]; timestamps reflect genuine
-/// overlap of independent transactions.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`].
-pub fn run_to_trace_concurrent<W: Workload + ?Sized>(
-    workload: &mut W,
-    proto: ProtocolConfig,
-    sys: SystemConfig,
-) -> Result<TraceBundle, SimError> {
-    let mut machine = ConcurrentMachine::new(proto, sys);
-    drive(&mut machine, workload)?;
-    Ok(machine.into_trace())
-}
-
 /// Runs a workload on the *sharded* parallel engine ([`simx::shard`])
 /// and returns the finished machine. Output — trace, statistics,
 /// tallies, obs snapshot — is byte-identical to a `shards = 1` run for
@@ -301,26 +281,6 @@ pub fn run_sharded_streaming<W: Workload + ?Sized, E>(
     })?;
     machine.verify_coherence_sampled(verify_sample.unwrap_or(usize::MAX))?;
     Ok(machine)
-}
-
-/// Like [`run_to_trace_concurrent`] but with causal span tracing enabled:
-/// returns the trace bundle *and* the run's [`obs::SpanLog`] — one span
-/// tree per coherence transaction, stamped with the event engine's
-/// simulated times. Every barrier checks that no span is left open.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`].
-pub fn run_traced_concurrent<W: Workload + ?Sized>(
-    workload: &mut W,
-    proto: ProtocolConfig,
-    sys: SystemConfig,
-) -> Result<(TraceBundle, obs::SpanLog), SimError> {
-    let mut machine = ConcurrentMachine::new(proto, sys);
-    machine.enable_tracing();
-    drive(&mut machine, workload)?;
-    let spans = machine.take_spans();
-    Ok((machine.into_trace(), spans))
 }
 
 /// The five paper benchmarks at evaluation scale, boxed behind the trait.

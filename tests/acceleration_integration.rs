@@ -2,9 +2,18 @@
 //! the paper says it should.
 
 use cosmos_repro::accel::directed_policy::DirectedPolicy;
-use cosmos_repro::accel::{compare, run_with_policy, CosmosPolicy};
+use cosmos_repro::accel::{compare, run_machine, CosmosPolicy, RunSummary};
+use cosmos_repro::simx::{SimError, SpeculationPolicy};
 use cosmos_repro::workloads::micro::{Migratory, ProducerConsumer};
 use cosmos_repro::workloads::{small_suite, Workload};
+
+/// A coherence-audited run on a perfect fabric under `policy`.
+fn run_with_policy(
+    w: &mut dyn Workload,
+    policy: Option<Box<dyn SpeculationPolicy>>,
+) -> Result<RunSummary, SimError> {
+    run_machine(w, policy, None, false).map(|m| RunSummary::of(&m))
+}
 
 fn fresh(name: &str) -> Box<dyn Workload> {
     small_suite()
