@@ -261,8 +261,8 @@ mod tests {
 
     /// The small-scale table under `plan`, its baselines run fresh.
     fn small_table(plan: &FaultPlan) -> Vec<AccelRow> {
-        let clean = bare_runs(Scale::Small, None).unwrap();
-        let faulted = bare_runs(Scale::Small, Some(plan)).unwrap();
+        let clean = bare_runs(Scale::Small, None, false).unwrap();
+        let faulted = bare_runs(Scale::Small, Some(plan), false).unwrap();
         accel(Scale::Small, plan, &clean, &faulted).unwrap()
     }
 

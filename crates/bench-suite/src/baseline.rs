@@ -1,8 +1,9 @@
 //! The baseline set: every benchmark run bare (no speculation policy) on
 //! the event engine, on a perfect fabric and under a fault plan. `faults`
 //! compares the two halves, `accel` measures its runs against them, and
-//! `tracespans` and `engines` read the clean half. Each run is reduced to
-//! what those views read and its trace dropped in its sweep cell.
+//! `engines` and `tracespans` read the clean half, which records spans
+//! when `tracespans` is to read it. Each run is reduced to what those
+//! views read and its trace dropped in its sweep cell.
 
 use accel::RunSummary;
 use cosmos::eval::{evaluate_cosmos, record_verdicts, Verdict};
@@ -29,31 +30,35 @@ pub struct BareRun {
     pub faults: FaultTally,
     /// Recovery actions the run needed (quiet on a perfect fabric).
     pub recovery: RecoveryTally,
-    /// The run's span trees; empty in the faulted half, which records
-    /// none.
+    /// The run's span trees; empty unless spans were recorded.
     pub spans: SpanLog,
     /// A depth-1 Cosmos fleet's verdict on each trace record, indexed as
-    /// [`SpanLog::links`] indexes the trace; empty in the faulted half.
+    /// [`SpanLog::links`] indexes the trace; empty unless spans were
+    /// recorded.
     pub verdicts: Vec<Verdict>,
 }
 
 /// Runs every benchmark bare, under `plan` or — with `None` — on a
-/// perfect fabric with spans recorded, one sweep cell per benchmark.
-/// Every run is invariant-audited.
+/// perfect fabric, recording spans (and the verdicts they link to) if
+/// `spans` is set; one sweep cell per benchmark. Every run is
+/// invariant-audited.
 ///
 /// # Errors
 ///
 /// The first benchmark whose run fails, named: a plan harsh enough to
 /// exhaust the retry budget, or (a protocol bug) an incoherent end state.
-pub fn bare_runs(scale: Scale, plan: Option<&FaultPlan>) -> Result<Vec<BareRun>, TraceError> {
-    let clean = plan.is_none();
+pub fn bare_runs(
+    scale: Scale,
+    plan: Option<&FaultPlan>,
+    spans: bool,
+) -> Result<Vec<BareRun>, TraceError> {
     crate::par::sweep(scale.suite().len(), |i| {
         let mut w = scale.suite().swap_remove(i);
-        let mut machine = run_machine(w.as_mut(), None, plan.cloned(), clean)?;
+        let mut machine = run_machine(w.as_mut(), None, plan.cloned(), spans)?;
         let summary = RunSummary::of(&machine);
         let faults = machine.fault_tally().cloned().unwrap_or_default();
         let recovery = machine.recovery_tally().clone();
-        let spans = machine.take_spans();
+        let span_log = machine.take_spans();
         let trace = machine.into_trace();
         Ok(BareRun {
             app: w.name().to_string(),
@@ -61,8 +66,8 @@ pub fn bare_runs(scale: Scale, plan: Option<&FaultPlan>) -> Result<Vec<BareRun>,
             accuracy: FAULT_DEPTHS.map(|d| evaluate_cosmos(&trace, d, 0).overall.percent()),
             faults,
             recovery,
-            spans,
-            verdicts: if clean {
+            spans: span_log,
+            verdicts: if spans {
                 record_verdicts(&trace, 1, 0)
             } else {
                 Vec::new()

@@ -35,19 +35,19 @@ use std::cell::{Cell, OnceCell};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// What a target's `run` sees of the command line, and the shared runs
-/// it reads. Each shared artefact is dropped once no selected target left
-/// to run reads it ([`Ctx::release`]).
+/// What a target's `run` sees of the command line and of the shared runs,
+/// each dropped once no target left to run reads it ([`Ctx::release`]).
 struct Ctx<'a> {
     scale: Scale,
     /// The shared trace set, while a `traced` target is left to run.
     set: Option<TraceSet>,
-    /// The union of the requested targets' fields, raced once over the
-    /// trace set.
+    /// The union of the selected targets' fields, raced once.
     race: Race,
-    /// The baseline set's clean half (spans recorded) and its half under
-    /// `fault_plan`, each simulated by the first row that reads it.
+    /// The baseline set's clean half and its half under `fault_plan`,
+    /// each simulated by the first row that reads it.
     bare: [OnceCell<Result<Vec<BareRun>, TraceError>>; 2],
+    /// Whether the clean half records spans: a selected row reads them.
+    spans: bool,
     csv_dir: Option<&'a Path>,
     trace_out: Option<&'a Path>,
     fault_plan: &'a FaultPlan,
@@ -59,8 +59,9 @@ struct Ctx<'a> {
 impl Ctx<'_> {
     /// The baseline set's clean half, or its half under the fault plan.
     fn bare(&self, faulted: bool) -> Result<&[BareRun], TraceError> {
-        let plan = faulted.then_some(self.fault_plan);
-        let runs = self.bare[usize::from(faulted)].get_or_init(|| bare_runs(self.scale, plan));
+        let (plan, spans) = (faulted.then_some(self.fault_plan), self.spans && !faulted);
+        let runs =
+            self.bare[usize::from(faulted)].get_or_init(|| bare_runs(self.scale, plan, spans));
         runs.as_deref().map_err(Clone::clone)
     }
 
@@ -108,6 +109,8 @@ struct Target {
     needs_traces: bool,
     /// Whether it reads the baseline set's clean half.
     reads_baseline: bool,
+    /// Whether it reads that half's spans.
+    reads_spans: bool,
     /// Whether it reads the `--faults` / `--faults-seed` plan, and with it
     /// the baseline set's half run under the plan.
     reads_faults: bool,
@@ -124,6 +127,7 @@ impl Target {
             field: &[],
             needs_traces: false,
             reads_baseline: false,
+            reads_spans: false,
             reads_faults: false,
             writes_csv: false,
             run,
@@ -143,6 +147,11 @@ impl Target {
     const fn baseline(mut self) -> Self {
         self.reads_baseline = true;
         self
+    }
+
+    const fn spans(mut self) -> Self {
+        self.reads_spans = true;
+        self.baseline()
     }
 
     const fn faulted(mut self) -> Self {
@@ -208,7 +217,7 @@ const TARGETS: &[Target] = &[
         .baseline()
         .faulted()
         .csv(),
-    Target::new("tracespans", tracespans).baseline().csv(),
+    Target::new("tracespans", tracespans).spans().csv(),
     Target::new("scale", scale_sweep).csv().explicit_only(),
     Target::new("tracepack", tracepack)
         .traced()
@@ -529,6 +538,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         set,
         race: raced.unwrap_or_default(),
         bare: Default::default(),
+        spans: targets.iter().any(|t| t.reads_spans),
         csv_dir: csv_dir.as_deref(),
         trace_out: trace_out.as_deref(),
         fault_plan: &fault_plan,

@@ -227,7 +227,7 @@ mod tests {
     /// Both halves of the small-scale baseline set, the second under
     /// `plan`.
     fn small_halves(plan: &FaultPlan) -> [Vec<BareRun>; 2] {
-        [None, Some(plan)].map(|plan| bare_runs(Scale::Small, plan).unwrap())
+        [None, Some(plan)].map(|plan| bare_runs(Scale::Small, plan, false).unwrap())
     }
 
     #[test]

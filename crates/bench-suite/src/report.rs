@@ -44,9 +44,8 @@ pub fn report_apps() -> Vec<String> {
 }
 
 fn workload_named(scale: Scale, app: &str) -> Box<dyn Workload> {
-    scale
-        .workload(app)
-        .unwrap_or_else(|| panic!("unknown benchmark {app}"))
+    let found = scale.suite().into_iter().find(|w| w.name() == app);
+    found.unwrap_or_else(|| panic!("unknown benchmark {app}"))
 }
 
 /// Runs `app` at `scale` and exports a workspace-wide metrics snapshot.

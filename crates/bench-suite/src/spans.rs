@@ -287,7 +287,7 @@ mod tests {
     use crate::Scale;
 
     fn small_runs() -> Vec<BareRun> {
-        bare_runs(Scale::Small, None).unwrap()
+        bare_runs(Scale::Small, None, true).unwrap()
     }
 
     #[test]

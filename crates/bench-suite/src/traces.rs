@@ -29,11 +29,6 @@ impl Scale {
             Scale::Small => small_suite(),
         }
     }
-
-    /// A fresh instance of the benchmark called `name`, if there is one.
-    pub fn workload(self, name: &str) -> Option<Box<dyn Workload>> {
-        self.suite().into_iter().find(|w| w.name() == name)
-    }
 }
 
 /// The five benchmarks' traces for one machine configuration.
@@ -47,13 +42,8 @@ impl TraceSet {
     /// running the benchmarks on the shared bounded worker pool
     /// ([`crate::par::sweep`]).
     pub fn generate(scale: Scale) -> Self {
-        let suite: Vec<std::sync::Mutex<Box<dyn Workload>>> = scale
-            .suite()
-            .into_iter()
-            .map(std::sync::Mutex::new)
-            .collect();
-        let traces = crate::par::sweep(suite.len(), |i| {
-            let mut w = suite[i].lock().expect("workload lock poisoned");
+        let traces = crate::par::sweep(scale.suite().len(), |i| {
+            let mut w = scale.suite().swap_remove(i);
             run_to_trace(w.as_mut(), ProtocolConfig::paper(), SystemConfig::paper())
                 .unwrap_or_else(|e| panic!("{} failed: {e}", w.name()))
         });

@@ -16,8 +16,8 @@ const GOLDEN: &str = include_str!("golden/accel_small.csv");
 fn small_accel_csv_is_byte_identical_to_the_golden() {
     // The `repro` default plan, seed untouched.
     let plan = FaultPlan::parse("drop=0.01,dup=0.005,reorder=3").unwrap();
-    let clean = bare_runs(Scale::Small, None).unwrap();
-    let faulted = bare_runs(Scale::Small, Some(&plan)).unwrap();
+    let clean = bare_runs(Scale::Small, None, false).unwrap();
+    let faulted = bare_runs(Scale::Small, Some(&plan), false).unwrap();
     let rows = accel::accel(Scale::Small, &plan, &clean, &faulted).unwrap();
     let csv = accel::csv_accel(&rows);
     assert_eq!(csv, GOLDEN, "acceleration table drifted from the golden");

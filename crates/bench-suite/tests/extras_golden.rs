@@ -64,7 +64,7 @@ fn the_comparison_section_renders_the_golden_text() {
 fn the_engines_section_renders_the_golden_text() {
     let set = TraceSet::generate(Scale::Small);
     let race = race(&set, &[tables::DEPTH1]);
-    let bare = bare_runs(Scale::Small, None).unwrap();
+    let bare = bare_runs(Scale::Small, None, false).unwrap();
     // `repro` prints the rendering with `println!`: one more newline.
     assert_eq!(
         extras::engines(&set, &race, &bare) + "\n",

@@ -25,7 +25,7 @@ use simx::FaultPlan;
 /// Both halves of the small-scale baseline set, the second under `plan`;
 /// every run is invariant-audited and errs on a violation.
 fn small_halves(plan: &FaultPlan) -> [Vec<BareRun>; 2] {
-    [None, Some(plan)].map(|plan| bare_runs(Scale::Small, plan).unwrap())
+    [None, Some(plan)].map(|plan| bare_runs(Scale::Small, plan, false).unwrap())
 }
 
 /// The report's obs JSON under `plan`, both halves run fresh.

@@ -15,7 +15,7 @@ const GOLDEN: &str = include_str!("golden/tracespans_small.csv");
 
 /// The baseline set's clean half on the small suite: the traced runs.
 fn small_runs() -> Vec<BareRun> {
-    bare_runs(Scale::Small, None).unwrap()
+    bare_runs(Scale::Small, None, true).unwrap()
 }
 
 #[test]

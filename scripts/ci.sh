@@ -26,17 +26,23 @@ cargo test -q --offline
 # recovery layer end to end. Then the reference plan's depth-1 accuracy
 # pair per benchmark, from the event engine (the only engine with a lossy
 # fabric): a faulty column that stops trailing the clean one means
-# retransmissions stopped reaching the trace. Last, the unhappy path: a
-# plan harsh enough to exhaust the retry budget is one line on stderr
-# naming the benchmark and exit 1, not a panic.
-echo "==> fault-injection smoke (drop / dup / reorder, clean / faulty pair, drop=0.9)"
+# retransmissions stopped reaching the trace; the report's CSV is diffed
+# against its golden (captured while `faults` still ran its own
+# simulations, before it became a view of the baseline set). Last, the
+# unhappy path: a plan harsh enough to exhaust the retry budget is one
+# line on stderr naming the benchmark and exit 1, not a panic.
+echo "==> fault-injection smoke (drop / dup / reorder, clean / faulty pair + golden CSV diff, drop=0.9)"
 REPRO="${CARGO_TARGET_DIR:-target}/release/repro"
+SMOKE_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR"' EXIT
 for spec in drop=0.02 dup=0.02 reorder=3; do
   echo "    --faults $spec"
   "$REPRO" --small --faults "$spec" --faults-seed 7 > /dev/null
 done
-"$REPRO" --small faults 2> /dev/null \
+"$REPRO" --small --csv "$SMOKE_DIR" faults 2> /dev/null \
   | awk '/^Recovery/ { exit } $2 ~ /^[0-9.]+$/ { printf "    %-13s d1 clean %s, faulty %s\n", $1, $2, $3 }'
+diff -u crates/bench-suite/tests/golden/faults_small.csv "$SMOKE_DIR/faults.csv"
+echo "    faults CSV matches golden"
 FAULT_ERR="$("$REPRO" --small --faults drop=0.9 2>&1 > /dev/null | sed '/^running /d')" && {
   echo "    --faults drop=0.9 exited 0: the retry budget cannot have held" >&2
   exit 1
@@ -52,8 +58,6 @@ esac
 # packed-core optimisation, Tables 6-8's before the tables became views of
 # one race) — speed and structure work must never move a result.
 echo "==> table smoke (golden Tables 5-8 diff)"
-SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR"' EXIT
 cargo run -q --release --offline -p bench-suite --bin repro -- \
   --small --csv "$SMOKE_DIR" table5 table6 table7 table8 > /dev/null
 for table in table5 table6 table7 table8; do
@@ -234,7 +238,7 @@ grep -E "unavailable here|^ +[0-9.]+% +[0-9]+ " "$SMOKE_DIR/profile.txt" | sed -
 # updates them).
 echo "==> surface (non-test lines, pub fns, predictor / policy impls per crate; knobs; unreached)"
 scripts/surface.sh | sed 's/^/    /'
-echo "    parent         20163     535          7         2"
+echo "    parent         20159     531          7         2"
 echo "    parent knobs       7"
 echo "    parent unreached  21"
 
