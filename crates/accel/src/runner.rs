@@ -188,8 +188,8 @@ pub struct ActionAudit {
 }
 
 /// Replays [`CosmosPolicy::new`]`(depth)` over a finished run's trace — the
-/// same per-`(node, role)` agent layout [`cosmos::eval::record_verdicts`]
-/// uses — and counts the actions the live policy fired, from the recorded
+/// same per-`(node, role)` agent layout [`cosmos::StreamEval`] replays
+/// — and counts the actions the live policy fired, from the recorded
 /// messages alone.
 ///
 /// The live policy trains on exactly the receptions the trace records, in
@@ -398,10 +398,10 @@ mod tests {
     fn audit_agrees_with_record_verdicts_on_a_baseline_trace() {
         // On a run with no policy installed, every replacement opportunity
         // the audit counts is a prediction the *actual* next message at
-        // that cache confirms or refutes — exactly what record_verdicts
-        // tags. Producer-consumer recalls the producer after every write,
-        // so each audited opportunity is the recall record tagged Hit, and
-        // the two counts must agree exactly.
+        // that cache confirms or refutes — exactly the verdict a replay
+        // returns for that record. Producer-consumer recalls the producer
+        // after every write, so each audited opportunity is the recall
+        // record tagged Hit, and the two counts must agree exactly.
         let mut w = ProducerConsumer {
             blocks: 2,
             iterations: 20,
@@ -410,7 +410,10 @@ mod tests {
         let bundle = run_machine(&mut w, None, None, false).unwrap().into_trace();
         let audit = audit_actions(&bundle, 2);
         assert!(audit.voluntary_replacements > 0);
-        let verdicts = cosmos::eval::record_verdicts(&bundle, 2, 1);
+        let mut eval = cosmos::StreamEval::new(cosmos::EvalOptions::default(), |_, _| {
+            Box::new(cosmos::CosmosPredictor::new(2, 1))
+        });
+        let verdicts: Vec<_> = bundle.records().iter().map(|r| eval.push(r)).collect();
         let recall_hits = bundle
             .records()
             .iter()

@@ -6,7 +6,7 @@
 //! views read and its trace dropped in its sweep cell.
 
 use accel::RunSummary;
-use cosmos::eval::{evaluate_cosmos, record_verdicts, Verdict};
+use cosmos::{CosmosPredictor, EvalOptions, StreamEval, Verdict};
 use obs::span::SpanLog;
 use simx::fault::FaultTally;
 use simx::FaultPlan;
@@ -60,18 +60,28 @@ pub fn bare_runs(
         let recovery = machine.recovery_tally().clone();
         let span_log = machine.take_spans();
         let trace = machine.into_trace();
+        // One replay per depth; depth 1's also yields the verdicts.
+        let mut verdicts = Vec::new();
+        let accuracy = FAULT_DEPTHS.map(|depth| {
+            let mut eval = StreamEval::new(EvalOptions::default(), |_, _| {
+                Box::new(CosmosPredictor::new(depth, 0))
+            });
+            for r in trace.records() {
+                let verdict = eval.push(r);
+                if spans && depth == 1 {
+                    verdicts.push(verdict);
+                }
+            }
+            eval.finish().overall.percent()
+        });
         Ok(BareRun {
             app: w.name().to_string(),
             summary,
-            accuracy: FAULT_DEPTHS.map(|d| evaluate_cosmos(&trace, d, 0).overall.percent()),
+            accuracy,
             faults,
             recovery,
             spans: span_log,
-            verdicts: if spans {
-                record_verdicts(&trace, 1, 0)
-            } else {
-                Vec::new()
-            },
+            verdicts,
         })
     })
     .into_iter()

@@ -190,7 +190,12 @@ const TARGETS: &[Target] = &[
     Target::new("fig6", fig67).races(&[tables::DEPTH1]),
     Target::new("fig7", fig67).races(&[tables::DEPTH1]),
     Target::new("fig8", |_| show(figures::render_figure8())),
-    Target::new("sensitivity", sensitivity),
+    Target::new("sensitivity", |c| {
+        show(extras::render_latency_sensitivity(
+            &extras::latency_sensitivity(&c.race, c.scale),
+        ))
+    })
+    .races(&[tables::DEPTH1]),
     Target::new("adaptation", |c| {
         show(extras::render_adaptation(&extras::adaptation(&c.race)))
     })
@@ -260,12 +265,6 @@ fn fig67(c: &Ctx) -> Result<(), String> {
         println!("{}", figures::render_figures_6_7(&c.race));
     }
     Ok(())
-}
-
-fn sensitivity(c: &Ctx) -> Result<(), String> {
-    let latencies = [40, 200, 1000];
-    let rows = extras::latency_sensitivity(c.scale, &latencies);
-    show(extras::render_latency_sensitivity(&rows, &latencies))
 }
 
 fn fault_sensitivity(c: &Ctx) -> Result<(), String> {
@@ -591,10 +590,12 @@ mod tests {
         let set = usize::from(!field(&targets).is_empty()) | reads(|t| t.needs_traces);
         let halves = reads(|t| t.reads_baseline) + reads(|t| t.reads_faults);
         // Per benchmark: accel's action sets, clean and faulted; the
-        // latency and seed sweeps' three walks each.
+        // latency sweep's two walks beside the race's; the seed sweep's
+        // three.
         let own = |t: &&Target| match t.name {
             "accel" => (2 * bench_suite::accel::ACTION_SETS.len(), 0),
-            "sensitivity" | "seeds" => (0, 3),
+            "sensitivity" => (0, 2),
+            "seeds" => (0, 3),
             _ => (0, 0),
         };
         targets
@@ -613,14 +614,16 @@ mod tests {
             .map(|t| t.name)
             .collect();
         // 160 (120 event-engine, 40 walk) when `faults`, `accel`,
-        // `tracespans` and `engines` each ran their own bare runs.
-        assert_eq!(simulations(&all), (100, 35));
+        // `tracespans` and `engines` each ran their own bare runs, and 135
+        // (100, 35) while `sensitivity` walked its 40 ns column again.
+        assert_eq!(simulations(&all), (100, 30));
         // No target alone simulates more than it did then.
         let then = [
             ("engines", (5, 5)),
             ("faults", (10, 0)),
             ("accel", (100, 0)),
             ("tracespans", (5, 0)),
+            ("sensitivity", (0, 15)),
         ];
         for (name, (event, walk)) in then {
             let (e, w) = simulations(&[name]);

@@ -24,7 +24,7 @@ use simx::SystemConfig;
 use stache::{ProtocolConfig, Role};
 use std::io::{self, Write};
 use std::process::ExitCode;
-use trace::{codec, ArcTable, TraceBundle, TraceStats};
+use trace::{codec, TraceBundle, TraceStats};
 
 const USAGE: &str = "usage:\n  tracedump gen <benchmark> <out.trace> [--small]\n  \
      tracedump info <file.trace>\n  tracedump arcs <file.trace>\n  \
@@ -112,17 +112,17 @@ fn run(args: &[String], out: &mut impl Write) -> io::Result<()> {
             write!(out, "{}", TraceStats::compute(&bundle))?;
         }
         ("arcs", 2) => {
-            let arcs = ArcTable::from_bundle(&load(&args[1])?);
+            let report = evaluate_cosmos(&load(&args[1])?, 1, 0);
             for role in [Role::Cache, Role::Directory] {
                 writeln!(out, "dominant arcs at the {role}:")?;
-                for (key, count) in arcs.dominant(role).into_iter().take(8) {
+                for (key, _, share) in report.dominant_arcs(role, 8) {
                     writeln!(
                         out,
                         "  {:<22} -> {:<22} {:>8} refs ({:>4.1}%)",
                         key.prev.paper_name(),
                         key.next.paper_name(),
-                        count,
-                        100.0 * arcs.share(key)
+                        report.per_arc[&key].total,
+                        share
                     )?;
                 }
             }

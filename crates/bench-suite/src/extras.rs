@@ -12,36 +12,43 @@ use simx::SystemConfig;
 use stache::ProtocolConfig;
 use std::fmt::Write as _;
 
+/// The network latencies §5's sweep simulates beside the paper's own
+/// (Table 3's 40 ns), whose column is the trace set's.
+const OTHER_LATENCIES_NS: [u64; 2] = [200, 1000];
+
 /// §5's claim: accuracy is largely insensitive to network latency (40 ns
 /// vs 1 µs "hardly changes" the rates). Returns, per benchmark, the
-/// overall depth-1 accuracy at each latency.
-pub fn latency_sensitivity(scale: Scale, latencies_ns: &[u64]) -> Vec<(String, Vec<f64>)> {
-    let suite = scale.suite();
-    let names: Vec<&str> = suite.iter().map(|w| w.name()).collect();
+/// overall depth-1 accuracy at the paper's latency, from a race of
+/// [`DEPTH1`], then at each of the other latencies, one walk each.
+pub fn latency_sensitivity(race: &Race, scale: Scale) -> Vec<(String, Vec<f64>)> {
+    let names: Vec<&str> = race.apps().collect();
     // One sweep cell per (benchmark, latency) — each is an independent
-    // simulation, so the whole grid parallelises instead of one thread
-    // crawling the 15 runs.
-    let cols = latencies_ns.len();
+    // simulation, so the whole grid parallelises.
+    let cols = OTHER_LATENCIES_NS.len();
     let cells = crate::par::sweep(names.len() * cols, |i| {
-        let name = names[i / cols];
-        let lat = latencies_ns[i % cols];
-        let sys = SystemConfig::paper().with_network_latency(lat);
-        let t = single_trace(name, scale, ProtocolConfig::paper(), sys).expect("suite benchmark");
+        let sys = SystemConfig::paper().with_network_latency(OTHER_LATENCIES_NS[i % cols]);
+        let t = single_trace(names[i / cols], scale, ProtocolConfig::paper(), sys)
+            .expect("suite benchmark");
         evaluate_cosmos(&t, 1, 0).overall.percent()
     });
     names
         .iter()
-        .enumerate()
-        .map(|(r, name)| (name.to_string(), cells[r * cols..(r + 1) * cols].to_vec()))
+        .zip(cells.chunks(cols))
+        .map(|(app, walked)| {
+            let paper = race.report(DEPTH1, app).overall.percent();
+            let rates = std::iter::once(paper).chain(walked.iter().copied());
+            (app.to_string(), rates.collect())
+        })
         .collect()
 }
 
 /// Renders the latency sweep.
-pub fn render_latency_sensitivity(rows: &[(String, Vec<f64>)], latencies_ns: &[u64]) -> String {
+pub fn render_latency_sensitivity(rows: &[(String, Vec<f64>)]) -> String {
     let mut out =
         String::from("Sensitivity: overall depth-1 accuracy (%) vs network latency (§5)\n");
     let _ = write!(out, "{:<14}", "benchmark");
-    for lat in latencies_ns {
+    let paper = SystemConfig::paper().network_latency_ns;
+    for lat in std::iter::once(paper).chain(OTHER_LATENCIES_NS) {
         let _ = write!(out, " {:>9}", format!("{lat} ns"));
     }
     out.push('\n');
@@ -239,17 +246,18 @@ mod tests {
 
     #[test]
     fn latency_sweep_is_insensitive_at_small_scale() {
-        let rows = latency_sensitivity(Scale::Small, &[40, 1000]);
+        let set = TraceSet::generate(Scale::Small);
+        let rows = latency_sensitivity(&race(&set, &[DEPTH1]), Scale::Small);
         assert_eq!(rows.len(), 5);
         for (app, rates) in &rows {
             // "hardly changes": allow a few points of drift.
             assert!(
-                (rates[0] - rates[1]).abs() < 6.0,
+                rates[1..].iter().all(|r| (rates[0] - r).abs() < 6.0),
                 "{app} drifted: {rates:?}"
             );
         }
-        let s = render_latency_sensitivity(&rows, &[40, 1000]);
-        assert!(s.contains("1000 ns"));
+        let s = render_latency_sensitivity(&rows);
+        assert!(s.contains("   40 ns") && s.contains("1000 ns"));
     }
 
     #[test]

@@ -219,21 +219,22 @@ pub fn render_critical_paths(runs: &[BareRun], k: usize) -> String {
          `pred h/m/c` counts the transaction's messages a depth-1 Cosmos\n\
          predicted (hit / mispredicted / no prediction)."
     );
-    // Collect (duration, run index, root span) over every run.
-    let mut slow: Vec<(u64, usize, &Span)> = Vec::new();
+    // Collect (duration, run index, span index) of every root.
+    let mut slow: Vec<(u64, usize, usize)> = Vec::new();
     for (ri, run) in runs.iter().enumerate() {
-        for s in run.spans.spans() {
+        for (si, s) in run.spans.spans().iter().enumerate() {
             if s.kind == SpanKind::Txn {
-                slow.push((s.duration_ns(), ri, s));
+                slow.push((s.duration_ns(), ri, si));
             }
         }
     }
     // Slowest first; ties broken by run order then allocation order, so
     // the report is deterministic.
-    slow.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.id.cmp(&b.2.id)));
+    slow.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
     slow.truncate(k);
-    for (total, ri, root) in slow {
+    for (total, ri, si) in slow {
         let run = &runs[ri];
+        let root = &run.spans.spans()[si];
         let tally = verdict_tally(run, root.trace);
         let _ = writeln!(
             out,
@@ -247,13 +248,14 @@ pub fn render_critical_paths(runs: &[BareRun], k: usize) -> String {
             tally.cold,
             root.note.map(|n| format!(" [{n}]")).unwrap_or_default(),
         );
+        // In start order, ties in allocation order (a stable sort).
         let mut edges: Vec<&Span> = run
             .spans
             .spans()
             .iter()
             .filter(|s| s.trace == root.trace && s.kind != SpanKind::Txn)
             .collect();
-        edges.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then(a.id.cmp(&b.id)));
+        edges.sort_by_key(|s| s.start_ns);
         const MAX_EDGES: usize = 8;
         let shown = edges.len().min(MAX_EDGES);
         for s in &edges[..shown] {

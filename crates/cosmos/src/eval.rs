@@ -12,7 +12,9 @@
 //!   Figures 6 and 7);
 //! * **per-iteration** accuracy (the §6.2 time-to-adapt analysis);
 //! * **per-arc cumulative accuracy at iteration checkpoints** (Table 8);
-//! * the fleet's **memory footprint** (Table 7).
+//! * the fleet's **memory footprint** (Table 7);
+//! * each record's [`Verdict`], which [`StreamEval::push`] returns (the
+//!   critical-path report's annotation).
 //!
 //! A message for which the predictor offers no prediction counts as a miss
 //! (the conservative convention); coverage is reported separately.
@@ -262,6 +264,28 @@ impl AccuracyReport {
     }
 }
 
+/// One record's prediction outcome, as [`StreamEval::push`] returns it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The agent's predictor offered the observed `(sender, type)` tuple.
+    Hit,
+    /// The predictor offered something else.
+    Miss,
+    /// The predictor offered nothing (cold history or filtered arc).
+    NoPrediction,
+}
+
+impl Verdict {
+    /// Short human label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Verdict::Hit => "predicted",
+            Verdict::Miss => "mispredicted",
+            Verdict::NoPrediction => "no_prediction",
+        }
+    }
+}
+
 /// A block and the type of the last message an agent saw for it, in one
 /// word — `block << 4 | type code`; a block number is a byte address over
 /// the block size, so its top four bits are free — hashed and compared by
@@ -425,8 +449,12 @@ where
         }
     }
 
-    /// Feeds and scores one record (subject to the warmup option).
-    pub fn push(&mut self, r: &trace::MsgRecord) {
+    /// Feeds one record to its agent's predictor, scores it (subject to
+    /// the warmup option) and returns the predictor's verdict on it,
+    /// scored or not — the per-record view the report cannot give: a
+    /// span tree looks up the verdict of the exact message it recorded
+    /// (by trace-record index) to annotate its critical path.
+    pub fn push(&mut self, r: &trace::MsgRecord) -> Verdict {
         let factory = &mut self.factory;
         let slot = self.fleet.agent(r.node, r.role, || AgentSlot {
             predictor: factory(r.node, r.role),
@@ -437,18 +465,22 @@ where
             self.predictor = slot.predictor.name().to_string();
         }
         let observed = PredTuple::new(r.sender, r.mtype);
-        let predicted = slot.predictor.predict_then_observe(r.block, observed);
+        let verdict = match slot.predictor.predict_then_observe(r.block, observed) {
+            Some(p) if p == observed => Verdict::Hit,
+            Some(_) => Verdict::Miss,
+            None => Verdict::NoPrediction,
+        };
         let seen = LastSeen::new(r.block, r.mtype);
         let prev = slot.prev_type.replace(seen).map(LastSeen::mtype);
 
         if r.iteration >= self.opts.score_from_iteration {
-            let hit = predicted == Some(observed);
+            let hit = verdict == Verdict::Hit;
             self.overall.add(hit);
             match r.role {
                 Role::Cache => self.cache.add(hit),
                 Role::Directory => self.directory.add(hit),
             }
-            self.coverage.add(predicted.is_some());
+            self.coverage.add(verdict != Verdict::NoPrediction);
             slot.counts.add(hit);
             if self.open.iteration != Some(r.iteration) {
                 self.fold_open();
@@ -466,6 +498,7 @@ where
                 );
             }
         }
+        verdict
     }
 
     /// Feeds and scores a batch (typically one decoded chunk).
@@ -510,83 +543,16 @@ pub fn evaluate<F>(bundle: &TraceBundle, opts: &EvalOptions, factory: F) -> Accu
 where
     F: FnMut(NodeId, Role) -> Box<dyn MessagePredictor>,
 {
-    evaluate_chunks([bundle.records()], opts, factory)
-}
-
-/// Replays a chunked record stream — the packed-trace form — through a
-/// fleet. Identical accounting to [`evaluate`] on the concatenated
-/// chunks; only one chunk need be in memory at a time.
-pub fn evaluate_chunks<'a, F>(
-    chunks: impl IntoIterator<Item = &'a [trace::MsgRecord]>,
-    opts: &EvalOptions,
-    factory: F,
-) -> AccuracyReport
-where
-    F: FnMut(NodeId, Role) -> Box<dyn MessagePredictor>,
-{
     let mut eval = StreamEval::new(opts.clone(), factory);
-    for chunk in chunks {
-        eval.push_all(chunk);
-    }
+    eval.push_all(bundle.records());
     eval.finish()
 }
 
 /// Evaluates a Cosmos fleet of the given depth and filter over a trace.
 pub fn evaluate_cosmos(bundle: &TraceBundle, depth: usize, filter_max: u8) -> AccuracyReport {
-    evaluate_cosmos_chunks([bundle.records()], depth, filter_max)
-}
-
-/// Evaluates a Cosmos fleet over a chunked record stream.
-pub fn evaluate_cosmos_chunks<'a>(
-    chunks: impl IntoIterator<Item = &'a [trace::MsgRecord]>,
-    depth: usize,
-    filter_max: u8,
-) -> AccuracyReport {
-    evaluate_chunks(chunks, &EvalOptions::default(), |_, _| {
+    evaluate(bundle, &EvalOptions::default(), |_, _| {
         Box::new(CosmosPredictor::new(depth, filter_max))
     })
-}
-
-/// One record's prediction outcome in a [`record_verdicts`] replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// The agent's predictor offered the observed `(sender, type)` tuple.
-    Hit,
-    /// The predictor offered something else.
-    Miss,
-    /// The predictor offered nothing (cold history or filtered arc).
-    NoPrediction,
-}
-
-impl Verdict {
-    /// Short human label, used by the critical-path report.
-    pub fn label(self) -> &'static str {
-        match self {
-            Verdict::Hit => "predicted",
-            Verdict::Miss => "mispredicted",
-            Verdict::NoPrediction => "no_prediction",
-        }
-    }
-}
-
-/// Replays a Cosmos fleet over the trace and returns one [`Verdict`] per
-/// record, aligned with `bundle.records()` order. This is the per-message
-/// view the aggregate [`AccuracyReport`] cannot give: a span tree can look
-/// up the verdict of the exact message it recorded (by trace-record index)
-/// and annotate its critical path with "predicted / mispredicted".
-pub fn record_verdicts(bundle: &TraceBundle, depth: usize, filter_max: u8) -> Vec<Verdict> {
-    let mut fleet = Fleet::default();
-    let mut out = Vec::with_capacity(bundle.records().len());
-    for r in bundle.records() {
-        let predictor = fleet.agent(r.node, r.role, || CosmosPredictor::new(depth, filter_max));
-        let observed = PredTuple::new(r.sender, r.mtype);
-        out.push(match predictor.predict_then_observe(r.block, observed) {
-            Some(p) if p == observed => Verdict::Hit,
-            Some(_) => Verdict::Miss,
-            None => Verdict::NoPrediction,
-        });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -684,6 +650,91 @@ mod tests {
         assert_eq!(dom[0].0, key);
     }
 
+    /// Arc references of a role, summed over its arcs.
+    fn role_refs(report: &AccuracyReport, role: Role) -> u64 {
+        report
+            .per_arc
+            .iter()
+            .filter(|(k, _)| k.role == role)
+            .map(|(_, c)| c.total)
+            .sum()
+    }
+
+    #[test]
+    fn consecutive_pairs_per_block_stream() {
+        let mut b = TraceBundle::new(TraceMeta::new("t", 16, 1));
+        // Cache stream for block 1: get_ro_response -> inval_ro_request -> get_ro_response.
+        b.push(rec(0, 0, Role::Cache, 1, 15, MsgType::GetRoResponse, 0));
+        b.push(rec(1, 0, Role::Cache, 1, 15, MsgType::InvalRoRequest, 0));
+        b.push(rec(2, 0, Role::Cache, 1, 15, MsgType::GetRoResponse, 0));
+        // Unrelated block 2 must not contribute to block 1's arcs.
+        b.push(rec(3, 0, Role::Cache, 2, 15, MsgType::GetRwResponse, 0));
+        let report = evaluate_cosmos(&b, 1, 0);
+        assert_eq!(role_refs(&report, Role::Cache), 2);
+        for (prev, next) in [
+            (MsgType::GetRoResponse, MsgType::InvalRoRequest),
+            (MsgType::InvalRoRequest, MsgType::GetRoResponse),
+        ] {
+            let key = ArcKey {
+                role: Role::Cache,
+                prev,
+                next,
+            };
+            assert_eq!(report.per_arc[&key].total, 1, "{key}");
+        }
+        assert_eq!(role_refs(&report, Role::Directory), 0);
+    }
+
+    #[test]
+    fn streams_are_separated_by_node_and_role() {
+        let mut b = TraceBundle::new(TraceMeta::new("t", 16, 1));
+        b.push(rec(0, 0, Role::Cache, 1, 15, MsgType::GetRoResponse, 0));
+        b.push(rec(1, 1, Role::Cache, 1, 15, MsgType::InvalRoRequest, 0));
+        b.push(rec(
+            2,
+            0,
+            Role::Directory,
+            1,
+            15,
+            MsgType::InvalRoRequest,
+            0,
+        ));
+        // Different nodes, different roles: no arc.
+        assert!(evaluate_cosmos(&b, 1, 0).per_arc.is_empty());
+    }
+
+    #[test]
+    fn dominant_sorting_and_share() {
+        let mut b = TraceBundle::new(TraceMeta::new("t", 16, 1));
+        for i in 0..3 {
+            b.push(rec(
+                i * 10,
+                0,
+                Role::Cache,
+                1,
+                15,
+                MsgType::GetRoResponse,
+                0,
+            ));
+            b.push(rec(
+                i * 10 + 1,
+                0,
+                Role::Cache,
+                1,
+                15,
+                MsgType::InvalRoRequest,
+                0,
+            ));
+        }
+        let report = evaluate_cosmos(&b, 1, 0);
+        let dom = report.dominant_arcs(Role::Cache, usize::MAX);
+        assert_eq!(dom[0].0.prev, MsgType::GetRoResponse);
+        assert_eq!(report.per_arc[&dom[0].0].total, 3);
+        // 5 total arcs: 3 of RO->INV, 2 of INV->RO.
+        assert!((report.arc_share(dom[0].0) - 3.0 / 5.0).abs() < 1e-12);
+        assert!((dom[0].2 - 60.0).abs() < 1e-9);
+    }
+
     #[test]
     fn cumulative_arc_counts_grow() {
         let bundle = cyclic_bundle(20);
@@ -751,11 +802,14 @@ mod tests {
     }
 
     #[test]
-    fn record_verdicts_align_with_the_aggregate_report() {
+    fn push_verdicts_align_with_the_aggregate_report() {
         let bundle = cyclic_bundle(20);
-        let verdicts = record_verdicts(&bundle, 1, 0);
+        let mut eval = StreamEval::new(EvalOptions::default(), |_, _| {
+            Box::new(CosmosPredictor::new(1, 0))
+        });
+        let verdicts: Vec<Verdict> = bundle.records().iter().map(|r| eval.push(r)).collect();
+        let report = eval.finish();
         assert_eq!(verdicts.len(), bundle.records().len());
-        let report = evaluate_cosmos(&bundle, 1, 0);
         let hits = verdicts.iter().filter(|v| **v == Verdict::Hit).count() as u64;
         let offered = verdicts
             .iter()
@@ -774,8 +828,13 @@ mod tests {
         let bundle = cyclic_bundle(40);
         let whole = evaluate_cosmos(&bundle, 2, 0);
         for chunk_len in [1usize, 3, 7, 80] {
-            let chunks = bundle.records().chunks(chunk_len);
-            let chunked = evaluate_cosmos_chunks(chunks, 2, 0);
+            let mut eval = StreamEval::new(EvalOptions::default(), |_, _| {
+                Box::new(CosmosPredictor::new(2, 0))
+            });
+            for chunk in bundle.records().chunks(chunk_len) {
+                eval.push_all(chunk);
+            }
+            let chunked = eval.finish();
             assert_eq!(chunked.overall, whole.overall, "chunk_len {chunk_len}");
             assert_eq!(chunked.cache, whole.cache);
             assert_eq!(chunked.coverage, whole.coverage);

@@ -1,16 +1,18 @@
 //! Property tests for the Cosmos predictor: shift-register laws, filter
-//! semantics against a reference model, determinism, and convergence on
-//! periodic streams.
+//! semantics against a reference model, determinism, convergence on
+//! periodic streams, and the replay's arc accounting.
 //!
 //! Seeded cases on the in-house generator (`simx::rng::check`).
 
 mod seeded;
 
+use cosmos::eval::evaluate_cosmos;
 use cosmos::{CosmosPredictor, MessagePredictor, Mhr, PredTuple};
 use seeded::{stream, tuple};
 use simx::rng::check;
-use stache::BlockAddr;
+use stache::{BlockAddr, NodeId, Role};
 use std::collections::HashMap;
+use trace::{MsgRecord, TraceBundle, TraceMeta};
 
 /// The MHR behaves like a bounded FIFO of the last `depth` tuples.
 #[test]
@@ -160,6 +162,51 @@ fn memory_accounting_bounds() {
         // Blocks with <= depth observations allocate no PHT (Table 7 rule):
         if per_block.values().all(|&n| n <= depth) {
             assert_eq!(p.pht_entries(), 0);
+        }
+    });
+}
+
+/// Arc counts: a replay's arc references per role equal (records per
+/// `(node, role, block)` stream - 1) summed over that role's streams.
+#[test]
+fn arc_totals_match_stream_lengths() {
+    check(128, |rng| {
+        // Few nodes and blocks, so streams are longer than one record.
+        let mut b = TraceBundle::new(TraceMeta::new("arcs", 3, 1));
+        b.extend_records((0..rng.gen_range(0..=100)).map(|_| {
+            let t = tuple(rng);
+            MsgRecord {
+                time_ns: rng.gen(),
+                node: NodeId::new(rng.gen_range(0..3)),
+                role: if rng.gen_bool(0.5) {
+                    Role::Directory
+                } else {
+                    Role::Cache
+                },
+                block: BlockAddr::new(rng.gen_range(0..4) as u64),
+                sender: t.sender,
+                mtype: t.mtype,
+                iteration: rng.gen() as u32,
+            }
+        }));
+        let report = evaluate_cosmos(&b, 1, 0);
+        let mut streams: HashMap<(NodeId, Role, BlockAddr), u64> = HashMap::new();
+        for r in b.records() {
+            *streams.entry((r.node, r.role, r.block)).or_insert(0) += 1;
+        }
+        for role in [Role::Cache, Role::Directory] {
+            let expected: u64 = streams
+                .iter()
+                .filter(|((_, r, _), _)| *r == role)
+                .map(|(_, &n)| n - 1)
+                .sum();
+            let arcs: u64 = report
+                .per_arc
+                .iter()
+                .filter(|(k, _)| k.role == role)
+                .map(|(_, c)| c.total)
+                .sum();
+            assert_eq!(arcs, expected);
         }
     });
 }

@@ -47,5 +47,5 @@ pub mod table;
 
 pub use hist::Histogram;
 pub use snapshot::{MetricValue, Snapshot};
-pub use span::{Span, SpanId, SpanKind, SpanLog, TraceId};
+pub use span::{Span, SpanKind, SpanLog, TraceId};
 pub use table::{Align, Table};

@@ -18,16 +18,15 @@
 //! * **Purely observational.** Spans are derived from timestamps the
 //!   engines already computed; recording one never changes timing,
 //!   message order, or protocol state.
-//! * **Deterministic.** Span ids are allocation order, times are simulated
-//!   nanoseconds, and all strings are static, so two runs of the same
-//!   workload produce identical logs and identical exports.
+//! * **Deterministic.** Spans are kept in allocation order, times are
+//!   simulated nanoseconds, and all strings are static, so two runs of the
+//!   same workload produce identical logs and identical exports.
 //!
 //! [`chrome_trace_json`] renders one or more logs as Chrome trace-event
 //! JSON (the `about:tracing` / Perfetto format) for interactive
 //! inspection.
 
 use crate::json::push_str_literal;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Identifies one transaction's span tree. Carried on every message the
@@ -50,24 +49,6 @@ impl TraceId {
     /// The raw id (0 = none). Stable within one log.
     pub fn raw(self) -> u32 {
         self.0
-    }
-}
-
-/// Identifies one span within a [`SpanLog`]. `0` is reserved for "none".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SpanId(u32);
-
-impl SpanId {
-    /// The null span id.
-    pub const NONE: SpanId = SpanId(0);
-
-    /// Whether this id names a real span.
-    pub fn is_some(self) -> bool {
-        self.0 != 0
-    }
-
-    fn index(self) -> usize {
-        self.0 as usize - 1
     }
 }
 
@@ -105,14 +86,12 @@ impl SpanKind {
 }
 
 /// One recorded span: a named interval of simulated time within a trace.
+/// A trace's one [`SpanKind::Txn`] span is its root; every other span of
+/// the trace is a child of that root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
-    /// This span's id.
-    pub id: SpanId,
     /// The trace (transaction) this span belongs to.
     pub trace: TraceId,
-    /// The enclosing span, or [`SpanId::NONE`] for a root.
-    pub parent: SpanId,
     /// Attribution category.
     pub kind: SpanKind,
     /// Static phase name, e.g. `"net.request"`, `"dir.service"`.
@@ -150,9 +129,9 @@ impl Span {
 pub struct SpanLog {
     enabled: bool,
     spans: Vec<Span>,
-    /// trace raw id -> root span, for attaching children by trace alone.
-    roots: HashMap<u32, SpanId>,
-    next_trace: u32,
+    /// Each trace's root span, as an index into `spans`: trace ids are
+    /// handed out densely from 1, so trace `t`'s root is `roots[t - 1]`.
+    roots: Vec<u32>,
     /// `(trace, trace-record index)` links, in record order — maps spans
     /// onto the `MsgRecord` stream without widening the codec'd record.
     links: Vec<(TraceId, u64)>,
@@ -192,12 +171,10 @@ impl SpanLog {
         if !self.enabled {
             return TraceId::NONE;
         }
-        self.next_trace += 1;
-        let trace = TraceId(self.next_trace);
-        let id = self.push(Span {
-            id: SpanId::NONE,
+        let trace = TraceId(self.roots.len() as u32 + 1);
+        self.roots.push(self.spans.len() as u32);
+        self.spans.push(Span {
             trace,
-            parent: SpanId::NONE,
             kind: SpanKind::Txn,
             name,
             start_ns,
@@ -207,7 +184,6 @@ impl SpanLog {
             block,
             note: None,
         });
-        self.roots.insert(trace.0, id);
         trace
     }
 
@@ -217,8 +193,7 @@ impl SpanLog {
         if !self.enabled || !trace.is_some() {
             return;
         }
-        if let Some(&root) = self.roots.get(&trace.0) {
-            let s = &mut self.spans[root.index()];
+        if let Some(s) = self.root_mut(trace) {
             s.end_ns = end_ns;
             s.open = false;
         }
@@ -240,11 +215,8 @@ impl SpanLog {
         if !self.enabled || !trace.is_some() {
             return;
         }
-        let parent = self.roots.get(&trace.0).copied().unwrap_or(SpanId::NONE);
-        self.push(Span {
-            id: SpanId::NONE,
+        self.spans.push(Span {
             trace,
-            parent,
             kind,
             name,
             start_ns,
@@ -261,8 +233,8 @@ impl SpanLog {
         if !self.enabled || !trace.is_some() {
             return;
         }
-        if let Some(&root) = self.roots.get(&trace.0) {
-            self.spans[root.index()].note = Some(note);
+        if let Some(s) = self.root_mut(trace) {
+            s.note = Some(note);
         }
     }
 
@@ -314,21 +286,23 @@ impl SpanLog {
 
     /// The root span of `trace`, if any.
     pub fn root_of(&self, trace: TraceId) -> Option<&Span> {
-        self.roots.get(&trace.0).map(|id| &self.spans[id.index()])
+        self.root_index(trace).map(|i| &self.spans[i])
+    }
+
+    fn root_mut(&mut self, trace: TraceId) -> Option<&mut Span> {
+        self.root_index(trace).map(|i| &mut self.spans[i])
+    }
+
+    fn root_index(&self, trace: TraceId) -> Option<usize> {
+        let root = self.roots.get(trace.0.checked_sub(1)? as usize)?;
+        Some(*root as usize)
     }
 
     /// Exports summary gauges into a snapshot under `prefix`.
     pub fn export_obs(&self, prefix: &str, snap: &mut crate::Snapshot) {
         snap.counter(&format!("{prefix}.spans"), self.spans.len() as u64);
-        snap.counter(&format!("{prefix}.traces"), u64::from(self.next_trace));
+        snap.counter(&format!("{prefix}.traces"), self.roots.len() as u64);
         snap.counter(&format!("{prefix}.orphans"), self.orphans);
-    }
-
-    fn push(&mut self, mut span: Span) -> SpanId {
-        let id = SpanId(self.spans.len() as u32 + 1);
-        span.id = id;
-        self.spans.push(span);
-        id
     }
 }
 
@@ -430,8 +404,10 @@ mod tests {
         let root_a = log.root_of(a).unwrap();
         assert_eq!(root_a.duration_ns(), 400);
         assert!(!root_a.open);
-        let child_a = spans.iter().find(|s| s.trace == a && s.parent.is_some());
-        assert_eq!(child_a.unwrap().parent, root_a.id);
+        let child_a: Vec<&Span> = spans.iter().filter(|s| s.trace == a).collect();
+        assert_eq!(child_a.len(), 2, "a root and its one child");
+        assert_eq!(child_a[0], root_a);
+        assert_eq!(child_a[1].kind, SpanKind::Network);
         assert!(spans.iter().all(|s| !s.open));
     }
 

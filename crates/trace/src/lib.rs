@@ -17,9 +17,9 @@
 //!   for parallel replay with bounded memory — the format for traces too
 //!   large to hold;
 //! * [`stats`] — message mix and volume statistics;
-//! * [`signature`] — extraction of *message signatures*: the arcs
-//!   (consecutive incoming-message pairs per block) whose reference shares
-//!   the paper reports in Figures 6 and 7.
+//! * [`signature`] — the key of a *message signature* arc (consecutive
+//!   incoming-message pairs per block at one role), which the replay in
+//!   `cosmos::eval` counts for Figures 6 and 7.
 //!
 //! ## Example
 //!
@@ -50,5 +50,5 @@ pub mod stats;
 
 pub use bundle::{TraceBundle, TraceMeta};
 pub use record::MsgRecord;
-pub use signature::{ArcKey, ArcTable};
+pub use signature::ArcKey;
 pub use stats::TraceStats;

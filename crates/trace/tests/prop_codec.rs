@@ -1,13 +1,12 @@
-//! Property tests for the flat trace codec and arc extraction.
+//! Property tests for the flat trace codec.
 //!
 //! Seeded cases on the in-house generator (`simx::rng::check`).
 
 mod seeded;
 
-use seeded::{bundle, noise, record};
+use seeded::{bundle, noise};
 use simx::rng::check;
 use stache::{BlockAddr, MsgType, NodeId, Role};
-use std::collections::HashMap;
 use trace::{codec, MsgRecord, TraceBundle, TraceMeta};
 
 /// Binary encode/decode is the identity.
@@ -82,34 +81,6 @@ fn truncation_detected() {
         let cut = rng.gen_range(0..encoded.len());
         if let Ok(decoded) = codec::decode(&encoded[..cut]) {
             assert!(decoded.len() < b.len(), "cut at {cut} kept every record");
-        }
-    });
-}
-
-/// Arc counts: total arcs per role equals (records per key - 1) summed
-/// over keys of that role.
-#[test]
-fn arc_totals_match_stream_lengths() {
-    check(128, |rng| {
-        // Few nodes and blocks, so streams are longer than one record.
-        let mut b = TraceBundle::new(TraceMeta::new("arcs", 3, 1));
-        b.extend_records((0..rng.gen_range(0..=100)).map(|_| MsgRecord {
-            node: NodeId::new(rng.gen_range(0..3)),
-            block: BlockAddr::new(rng.gen_range(0..4) as u64),
-            ..record(rng)
-        }));
-        let arcs = trace::ArcTable::from_bundle(&b);
-        let mut streams: HashMap<(NodeId, Role, BlockAddr), usize> = HashMap::new();
-        for r in b.records() {
-            *streams.entry((r.node, r.role, r.block)).or_insert(0) += 1;
-        }
-        for role in [Role::Cache, Role::Directory] {
-            let expected: usize = streams
-                .iter()
-                .filter(|((_, r, _), _)| *r == role)
-                .map(|(_, &n)| n - 1)
-                .sum();
-            assert_eq!(arcs.total(role), expected);
         }
     });
 }

@@ -215,9 +215,10 @@ impl Workload for Appbt {
 mod tests {
     use super::*;
     use crate::run_to_trace;
+    use cosmos::eval::evaluate_cosmos;
     use simx::SystemConfig;
     use stache::{MsgType, ProtocolConfig, Role};
-    use trace::{ArcKey, ArcTable};
+    use trace::ArcKey;
 
     #[test]
     fn consumers_are_grid_neighbours() {
@@ -236,7 +237,7 @@ mod tests {
     fn trace_shows_producer_consumer_signature() {
         let mut w = Appbt::small();
         let t = run_to_trace(&mut w, ProtocolConfig::paper(), SystemConfig::paper()).unwrap();
-        let arcs = ArcTable::from_bundle(&t);
+        let arcs = evaluate_cosmos(&t, 1, 0);
         // The dominant cache arcs of Figure 6: get_ro_response ->
         // upgrade_response (producer read-then-write) must be prominent.
         let key = ArcKey {
@@ -244,21 +245,25 @@ mod tests {
             prev: MsgType::GetRoResponse,
             next: MsgType::UpgradeResponse,
         };
-        assert!(arcs.share(key) > 0.1, "share was {}", arcs.share(key));
+        assert!(
+            arcs.arc_share(key) > 0.1,
+            "share was {}",
+            arcs.arc_share(key)
+        );
     }
 
     #[test]
     fn false_sharing_generates_upgrade_inval_noise() {
         let mut w = Appbt::small();
         let t = run_to_trace(&mut w, ProtocolConfig::paper(), SystemConfig::paper()).unwrap();
-        let arcs = ArcTable::from_bundle(&t);
+        let arcs = evaluate_cosmos(&t, 1, 0);
         let key = ArcKey {
             role: Role::Directory,
             prev: MsgType::UpgradeRequest,
             next: MsgType::InvalRoResponse,
         };
         assert!(
-            arcs.count(key) > 0,
+            arcs.arc_share(key) > 0.0,
             "expected the Figure 6 false-sharing arc"
         );
     }

@@ -253,9 +253,10 @@ impl Workload for Dsmc {
 mod tests {
     use super::*;
     use crate::run_to_trace;
+    use cosmos::eval::evaluate_cosmos;
     use simx::SystemConfig;
     use stache::{MsgType, ProtocolConfig, Role};
-    use trace::{ArcKey, ArcTable};
+    use trace::ArcKey;
 
     #[test]
     fn rotation_and_stabilisation_are_deterministic() {
@@ -274,7 +275,7 @@ mod tests {
     fn handoff_signature_dominates() {
         let mut w = Dsmc::small();
         let t = run_to_trace(&mut w, ProtocolConfig::paper(), SystemConfig::paper()).unwrap();
-        let arcs = ArcTable::from_bundle(&t);
+        let arcs = evaluate_cosmos(&t, 1, 0);
         // Figure 6's dsmc cache-side handoff: the producer's
         // get_rw_response is followed by the consumer-read-induced
         // inval_rw_request.
@@ -283,7 +284,11 @@ mod tests {
             prev: MsgType::GetRwResponse,
             next: MsgType::InvalRwRequest,
         };
-        assert!(arcs.share(key) > 0.05, "share was {}", arcs.share(key));
+        assert!(
+            arcs.arc_share(key) > 0.05,
+            "share was {}",
+            arcs.arc_share(key)
+        );
     }
 
     #[test]

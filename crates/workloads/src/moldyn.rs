@@ -213,9 +213,10 @@ impl Workload for Moldyn {
 mod tests {
     use super::*;
     use crate::run_to_trace;
+    use cosmos::eval::evaluate_cosmos;
     use simx::SystemConfig;
     use stache::{MsgType, ProtocolConfig, Role};
-    use trace::{ArcKey, ArcTable};
+    use trace::ArcKey;
 
     #[test]
     fn interaction_list_is_stable_within_an_epoch() {
@@ -241,7 +242,7 @@ mod tests {
     fn migratory_signature_present() {
         let mut w = Moldyn::small();
         let t = run_to_trace(&mut w, ProtocolConfig::paper(), SystemConfig::paper()).unwrap();
-        let arcs = ArcTable::from_bundle(&t);
+        let arcs = evaluate_cosmos(&t, 1, 0);
         // Figure 7's migratory cache signature: get_ro_response followed
         // by upgrade_response.
         let a = ArcKey {
@@ -255,14 +256,14 @@ mod tests {
             next: MsgType::InvalRwRequest,
         };
         assert!(
-            arcs.share(a) > 0.05,
+            arcs.arc_share(a) > 0.05,
             "get_ro->upgrade share {}",
-            arcs.share(a)
+            arcs.arc_share(a)
         );
         assert!(
-            arcs.share(b) > 0.05,
+            arcs.arc_share(b) > 0.05,
             "upgrade->inval_rw share {}",
-            arcs.share(b)
+            arcs.arc_share(b)
         );
     }
 

@@ -188,9 +188,10 @@ impl Workload for Unstructured {
 mod tests {
     use super::*;
     use crate::run_to_trace;
+    use cosmos::eval::evaluate_cosmos;
     use simx::SystemConfig;
     use stache::{MsgType, ProtocolConfig, Role};
-    use trace::{ArcKey, ArcTable};
+    use trace::ArcKey;
 
     #[test]
     fn mesh_structure_is_static() {
@@ -215,7 +216,7 @@ mod tests {
     fn both_patterns_appear_in_one_trace() {
         let mut w = Unstructured::small();
         let t = run_to_trace(&mut w, ProtocolConfig::paper(), SystemConfig::paper()).unwrap();
-        let arcs = ArcTable::from_bundle(&t);
+        let arcs = evaluate_cosmos(&t, 1, 0);
         // Migratory: get_ro_response -> upgrade_response at caches.
         let migratory = ArcKey {
             role: Role::Cache,
@@ -228,8 +229,8 @@ mod tests {
             prev: MsgType::GetRoResponse,
             next: MsgType::InvalRoRequest,
         };
-        assert!(arcs.count(migratory) > 0, "no migratory arcs");
-        assert!(arcs.count(pc) > 0, "no producer-consumer arcs");
+        assert!(arcs.arc_share(migratory) > 0.0, "no migratory arcs");
+        assert!(arcs.arc_share(pc) > 0.0, "no producer-consumer arcs");
     }
 
     #[test]
