@@ -6,8 +6,10 @@
 use obs::span::SpanKind;
 use simx::concurrent::ConcurrentMachine;
 use simx::simcheck::contention_plan;
+use simx::speculate::{EagerPolicy, SpecActions};
 use simx::{FaultPlan, SystemConfig};
 use stache::ProtocolConfig;
+use std::collections::BTreeMap;
 
 fn four_nodes() -> ProtocolConfig {
     ProtocolConfig { nodes: 4 }
@@ -127,4 +129,108 @@ fn traced_faulted_runs_match_untraced_faulted_runs() {
         "same seed, same faults: tracing must not perturb recovery"
     );
     assert_eq!(plain.execution_time_ns(), traced.execution_time_ns());
+}
+
+/// Runs the contention plan traced under an eager policy arming every §4
+/// action, optionally under a fault plan, and summarises its spans as one
+/// `name kind count summed_ns` line per (name, kind), sorted.
+fn speculating_span_summary(faults: Option<&str>) -> (Vec<String>, String, u64) {
+    let mut m = ConcurrentMachine::new(four_nodes(), SystemConfig::paper());
+    m.enable_tracing();
+    m.set_policy(Box::new(EagerPolicy::new(SpecActions::all(), 4)));
+    if let Some(spec) = faults {
+        m.set_fault_plan(FaultPlan::parse(spec).expect("fault spec").with_seed(7));
+    }
+    let plan = contention_plan(4, 2);
+    for it in 0..8 {
+        m.run_plan(&plan, it).expect("run terminates");
+    }
+    m.verify_coherence().expect("coherent");
+    let mut sums: BTreeMap<(&str, &str), (u64, u64)> = BTreeMap::new();
+    for s in m.spans().spans() {
+        let e = sums.entry((s.name, s.kind.label())).or_default();
+        e.0 += 1;
+        e.1 += s.duration_ns();
+    }
+    let lines = sums
+        .iter()
+        .map(|((name, kind), (n, ns))| format!("{name} {kind} {n} {ns}"))
+        .collect();
+    let r = m.rollback_tally();
+    let tally = format!(
+        "pushes {} confirmed {} rolled_back {} early_acks {}",
+        r.pushes, r.confirmed, r.rolled_back, r.early_acks
+    );
+    (lines, tally, m.stats().voluntary_replacements)
+}
+
+/// Every (span name, kind) of a speculating run, clean and faulted,
+/// with its count and summed duration, the rollback tally and the
+/// voluntary writebacks: the §4 arms (`net.push`, `net.push_ack`,
+/// `self_invalidate`, `early_inval_ack`) appear in no committed golden,
+/// so this pins what they record.
+#[test]
+fn speculative_arms_record_pinned_spans_clean_and_faulted() {
+    let (lines, tally, replacements) = speculating_span_summary(None);
+    assert_eq!(
+        lines,
+        [
+            "cache.queue queue 8 800",
+            "cache.service directory 97 9700",
+            "dir.pending queue 16 5107",
+            "dir.queue queue 1 100",
+            "dir.service directory 74 7400",
+            "early_inval_ack txn 7 1120",
+            "get_ro_request txn 41 35334",
+            "get_rw_request txn 8 7840",
+            "local_read txn 9 2500",
+            "local_write txn 16 8968",
+            "mem.access directory 25 3000",
+            "net.ack network 63 10080",
+            "net.inval network 48 7680",
+            "net.push speculation 8 1280",
+            "net.push_ack speculation 8 1280",
+            "net.reply network 49 7840",
+            "net.request network 49 7840",
+            "push.fill speculation 8 800",
+            "self_invalidate txn 16 2560",
+            "spec_push txn 8 4160",
+        ]
+    );
+    assert_eq!(tally, "pushes 8 confirmed 8 rolled_back 0 early_acks 7");
+    assert_eq!(replacements, 16);
+
+    let (lines, tally, replacements) = speculating_span_summary(Some("drop=0.05,dup=0.05"));
+    assert_eq!(
+        lines,
+        [
+            "cache.queue queue 7 700",
+            "cache.service directory 109 10900",
+            "dir.pending queue 2 522",
+            "dir.queue queue 3 300",
+            "dir.service directory 80 8000",
+            "early_inval_ack txn 5 800",
+            "get_ro_request txn 43 99464",
+            "get_rw_request txn 9 19800",
+            "local_read txn 10 4802",
+            "local_write txn 16 9527",
+            "mem.access directory 26 3120",
+            "nak retry 55 14300",
+            "nak.turnaround retry 55 5500",
+            "net.ack network 73 11680",
+            "net.inval network 56 8960",
+            "net.lost retry 17 2720",
+            "net.push speculation 9 1440",
+            "net.push_ack speculation 9 1440",
+            "net.reply network 53 8480",
+            "net.request network 114 18240",
+            "push.fill speculation 9 900",
+            "retry retry 13 60000",
+            "retry.ack retry 7 36000",
+            "self_invalidate txn 16 2560",
+            "spec_push txn 9 4680",
+        ]
+    );
+    assert_eq!(tally, "pushes 9 confirmed 9 rolled_back 0 early_acks 5");
+    assert_eq!(replacements, 16);
 }
