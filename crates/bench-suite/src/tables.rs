@@ -3,6 +3,7 @@
 use crate::contenders::Race;
 use cosmos::memory::overhead_percent;
 use cosmos::MemoryFootprint;
+use simx::config::{HANDLER_NS, MEM_ACCESS_NS, NI_ACCESS_NS};
 use simx::SystemConfig;
 use stache::msg::ALL_MSG_TYPES;
 use stache::{MsgType, Role};
@@ -76,20 +77,14 @@ pub fn table3(sys: &SystemConfig) -> String {
         ("Processor speed", "1 GHz".to_string()),
         ("Cache block size", "64 bytes".to_string()),
         ("Cache size", "1 MiB".to_string()),
-        (
-            "Main memory access time",
-            format!("{} ns", sys.mem_access_ns),
-        ),
+        ("Main memory access time", format!("{MEM_ACCESS_NS} ns")),
         ("Network message size", "256 bytes".to_string()),
         ("Network latency", format!("{} ns", sys.network_latency_ns)),
         (
             "Network interface access time",
-            format!("{} ns", sys.ni_access_ns),
+            format!("{NI_ACCESS_NS} ns"),
         ),
-        (
-            "Protocol handler occupancy",
-            format!("{} ns", sys.handler_ns),
-        ),
+        ("Protocol handler occupancy", format!("{HANDLER_NS} ns")),
     ];
     for (k, v) in rows {
         let _ = writeln!(out, "{k:<36} {v}");

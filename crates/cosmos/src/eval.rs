@@ -275,17 +275,6 @@ pub enum Verdict {
     NoPrediction,
 }
 
-impl Verdict {
-    /// Short human label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Verdict::Hit => "predicted",
-            Verdict::Miss => "mispredicted",
-            Verdict::NoPrediction => "no_prediction",
-        }
-    }
-}
-
 /// A block and the type of the last message an agent saw for it, in one
 /// word — `block << 4 | type code`; a block number is a byte address over
 /// the block size, so its top four bits are free — hashed and compared by
@@ -819,8 +808,6 @@ mod tests {
         assert_eq!(offered, report.coverage.hits);
         // The first record is always cold.
         assert_eq!(verdicts[0], Verdict::NoPrediction);
-        assert_eq!(Verdict::Hit.label(), "predicted");
-        assert_eq!(Verdict::Miss.label(), "mispredicted");
     }
 
     #[test]

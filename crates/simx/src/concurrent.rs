@@ -43,7 +43,7 @@
 //! ([`shard`](crate::shard) runs these same handlers under conservative
 //! time windows).
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, BARRIER_NS, CACHE_HIT_NS, HANDLER_NS, MEM_ACCESS_NS};
 use crate::driver::{AccessOp, IterationPlan, Phase};
 use crate::event::EventQueue;
 use crate::fault::{FaultInjector, FaultPlan, FaultTally};
@@ -119,6 +119,17 @@ pub(crate) enum Event {
 }
 
 impl Event {
+    /// A message delivery's message and transmission sequence number;
+    /// `None` for the other events.
+    fn on_wire(&self) -> Option<(Msg, u64)> {
+        match *self {
+            Event::Deliver(msg, seq)
+            | Event::SpecPush(msg, seq)
+            | Event::SpecPushResp { msg, seq, .. } => Some((msg, seq)),
+            _ => None,
+        }
+    }
+
     /// Human-readable label, used in simcheck schedule artifacts.
     fn label(&self) -> String {
         match self {
@@ -308,6 +319,48 @@ fn net_span_name(mtype: MsgType) -> &'static str {
         GetRoResponse | GetRwResponse | UpgradeResponse => "net.reply",
         InvalRoRequest | InvalRwRequest | DowngradeRequest => "net.inval",
         InvalRoResponse | InvalRwResponse | DowngradeResponse => "net.ack",
+    }
+}
+
+/// One of §4's two voluntary drops ([`ConcurrentMachine::maybe_drop`]),
+/// each over the reliable channel, since nothing times out waiting for
+/// an unsolicited message.
+struct VoluntaryDrop {
+    /// The state the access must have left the copy in.
+    held: CacheState,
+    /// The policy's question: is this the copy's last use?
+    ask: fn(&mut dyn SpeculationPolicy, NodeId, BlockAddr) -> bool,
+    /// What the cache sends home unsolicited.
+    mtype: MsgType,
+    /// The name of the drop's span tree.
+    span: &'static str,
+    /// The tally the drop bumps.
+    tally: fn(&mut ConcurrentMachine) -> &mut u64,
+}
+
+impl VoluntaryDrop {
+    /// The drop an access of kind `op` may trigger: after a store, §4.1
+    /// dynamic self-invalidation writes the exclusive copy back; after a
+    /// load, the early invalidation-ack drops the shared copy ahead of a
+    /// predicted invalidation (a wrong guess costs a re-fetch, never
+    /// coherence).
+    fn after(op: ProcOp) -> &'static VoluntaryDrop {
+        match op {
+            ProcOp::Write => &VoluntaryDrop {
+                held: CacheState::Exclusive,
+                ask: |p, node, block| p.self_invalidate(node, block),
+                mtype: MsgType::InvalRwResponse,
+                span: "self_invalidate",
+                tally: |m| &mut m.stats.voluntary_replacements,
+            },
+            ProcOp::Read => &VoluntaryDrop {
+                held: CacheState::Shared,
+                ask: |p, node, block| p.early_inval_ack(node, block),
+                mtype: MsgType::InvalRoResponse,
+                span: "early_inval_ack",
+                tally: |m| &mut m.rollback.early_acks,
+            },
+        }
     }
 }
 
@@ -693,23 +746,15 @@ impl ConcurrentMachine {
     }
 
     fn send(&mut self, at: u64, msg: Msg) {
+        let Some(inj) = self.fault.as_mut() else {
+            // A perfect fabric is the reliable channel.
+            let name = net_span_name(msg.mtype);
+            return self.send_reliable(at, msg, name, SpanKind::Network, Event::Deliver);
+        };
         let hop = self.sys.one_way_ns();
+        let d = inj.next_delivery(hop);
         self.stats.net_latency_ns.record(hop);
-        if self.fault.is_none() {
-            self.spans.child(
-                msg.trace,
-                net_span_name(msg.mtype),
-                SpanKind::Network,
-                at,
-                at + hop,
-                msg.sender.raw(),
-            );
-            self.outbox.push((at + hop, Event::Deliver(msg, 0)));
-            return;
-        }
-        let seq = self.next_seq_to[msg.receiver.index()];
-        self.next_seq_to[msg.receiver.index()] += 1;
-        let d = self.fault.as_mut().unwrap().next_delivery(hop);
+        let seq = self.next_seq(msg.receiver);
         if d.dropped {
             // The wire ate it; whoever is responsible will time out.
             self.spans.child(
@@ -741,28 +786,39 @@ impl ConcurrentMachine {
         }
     }
 
-    /// Sends over the reliable control channel: never fault-injected.
-    /// Used for voluntary writebacks, whose loss the protocol has no
-    /// timer to detect (nothing waits on them).
-    fn send_reliable(&mut self, at: u64, msg: Msg) {
+    /// Sends over the reliable control channel, never fault-injected:
+    /// schedules `event(msg, seq)` exactly one hop after `at`, under a
+    /// `name` span of `kind`. The channel of a perfect fabric, and of
+    /// every message nothing times out on: voluntary writebacks and early
+    /// acks (nothing waits on them) and a push and its verdict (the push
+    /// transaction has no timer, so a loss would wedge the block). Under
+    /// faults it still draws a sequence number, so the receiver's
+    /// watermark stays dense.
+    fn send_reliable(
+        &mut self,
+        at: u64,
+        msg: Msg,
+        name: &'static str,
+        kind: SpanKind,
+        event: impl FnOnce(Msg, u64) -> Event,
+    ) {
         let hop = self.sys.one_way_ns();
         self.stats.net_latency_ns.record(hop);
-        let seq = if self.fault.is_some() {
-            let s = self.next_seq_to[msg.receiver.index()];
-            self.next_seq_to[msg.receiver.index()] += 1;
-            s
-        } else {
-            0
-        };
-        self.spans.child(
-            msg.trace,
-            net_span_name(msg.mtype),
-            SpanKind::Network,
-            at,
-            at + hop,
-            msg.sender.raw(),
-        );
-        self.outbox.push((at + hop, Event::Deliver(msg, seq)));
+        let seq = self.next_seq(msg.receiver);
+        self.spans
+            .child(msg.trace, name, kind, at, at + hop, msg.sender.raw());
+        self.outbox.push((at + hop, event(msg, seq)));
+    }
+
+    /// The next transmission sequence number to `receiver`: 0, and
+    /// unchecked, on a perfect fabric.
+    fn next_seq(&mut self, receiver: NodeId) -> u64 {
+        if self.fault.is_none() {
+            return 0;
+        }
+        let next = &mut self.next_seq_to[receiver.index()];
+        *next += 1;
+        *next - 1
     }
 
     /// Arms a requester-side retransmission timer for the node's current
@@ -775,6 +831,21 @@ impl ConcurrentMachine {
             Event::RetryCheck {
                 node,
                 epoch: self.miss_epoch[node.index()],
+                attempt,
+            },
+        ));
+    }
+
+    /// Arms a directory-side acknowledgment timer for `block`'s
+    /// transaction `epoch` (no-op on a perfect fabric).
+    fn arm_ack_check(&mut self, block: BlockAddr, epoch: u64, now: u64, attempt: u32) {
+        let Some(inj) = &self.fault else { return };
+        let timeout = inj.retry().timeout_for(attempt);
+        self.outbox.push((
+            now + timeout,
+            Event::AckCheck {
+                block,
+                epoch,
                 attempt,
             },
         ));
@@ -874,17 +945,19 @@ impl ConcurrentMachine {
     }
 
     pub(crate) fn dispatch(&mut self, t: u64, ev: Event) -> Result<(), SimError> {
-        match ev {
-            Event::Issue(node) => self.on_issue(node, t)?,
-            Event::Deliver(msg, seq) => {
-                if self.fault.is_some() && !self.dedup[msg.receiver.index()].observe(seq) {
-                    // A duplicated transmission: absorbed before it
-                    // can re-run a handler or pollute the trace.
+        if self.fault.is_some() {
+            if let Some((msg, seq)) = ev.on_wire() {
+                if !self.dedup[msg.receiver.index()].observe(seq) {
+                    // A duplicated transmission: absorbed before it can
+                    // re-run a handler or pollute the trace.
                     self.recovery.dups_absorbed += 1;
                     return Ok(());
                 }
-                self.on_deliver(&msg, seq, t)?;
             }
+        }
+        match ev {
+            Event::Issue(node) => self.on_issue(node, t)?,
+            Event::Deliver(msg, seq) => self.on_deliver(&msg, seq, t)?,
             Event::Nak { node, block } => self.on_nak(node, block, t),
             Event::RetryCheck {
                 node,
@@ -896,18 +969,8 @@ impl ConcurrentMachine {
                 epoch,
                 attempt,
             } => self.on_ack_check(block, epoch, attempt, t)?,
-            Event::SpecPush(msg, seq) => {
-                if self.fault.is_some() && !self.dedup[msg.receiver.index()].observe(seq) {
-                    self.recovery.dups_absorbed += 1;
-                    return Ok(());
-                }
-                self.on_spec_push(&msg, t);
-            }
-            Event::SpecPushResp { msg, accepted, seq } => {
-                if self.fault.is_some() && !self.dedup[msg.receiver.index()].observe(seq) {
-                    self.recovery.dups_absorbed += 1;
-                    return Ok(());
-                }
+            Event::SpecPush(msg, _) => self.on_spec_push(&msg, t),
+            Event::SpecPushResp { msg, accepted, .. } => {
                 self.with_dir(msg.block, |m, e| m.on_spec_push_resp(e, &msg, accepted, t))?;
             }
         }
@@ -938,13 +1001,7 @@ impl ConcurrentMachine {
     pub fn pending_channels(&self) -> Vec<Option<(NodeId, NodeId)>> {
         let mut out = Vec::with_capacity(self.queue.len());
         self.queue.for_each_ranked(|_, ev| {
-            out.push(match ev {
-                Event::Deliver(msg, _) | Event::SpecPush(msg, _) => {
-                    Some((msg.sender, msg.receiver))
-                }
-                Event::SpecPushResp { msg, .. } => Some((msg.sender, msg.receiver)),
-                _ => None,
-            })
+            out.push(ev.on_wire().map(|(msg, _)| (msg.sender, msg.receiver)));
         });
         out
     }
@@ -1142,10 +1199,10 @@ impl ConcurrentMachine {
                 "nak.turnaround",
                 SpanKind::Retry,
                 t,
-                t + self.sys.handler_ns,
+                t + HANDLER_NS,
                 node.raw(),
             );
-            self.resend_request(node, t + self.sys.handler_ns);
+            self.resend_request(node, t + HANDLER_NS);
         }
     }
 
@@ -1242,14 +1299,7 @@ impl ConcurrentMachine {
             self.recovery.retries += 1;
             self.send(t, Msg::new(home, target, block, imsg).with_trace(tr));
         }
-        self.outbox.push((
-            t + retry.timeout_for(attempt + 1),
-            Event::AckCheck {
-                block,
-                epoch,
-                attempt: attempt + 1,
-            },
-        ));
+        self.arm_ack_check(block, epoch, t, attempt + 1);
         Ok(())
     }
 
@@ -1297,7 +1347,7 @@ impl ConcurrentMachine {
     pub(crate) fn sync_clocks(&mut self) {
         let max = self.execution_time_ns();
         for c in &mut self.clocks {
-            *c = max + self.sys.barrier_ns;
+            *c = max + BARRIER_NS;
         }
         self.stats.barriers += 1;
     }
@@ -1311,8 +1361,8 @@ impl ConcurrentMachine {
                 if !self.with_dir(block, |m, e| m.issue_at_home(e, home, block, op, now))? {
                     return Ok(());
                 }
-                self.stats.count_access(op, true, self.sys.cache_hit_ns);
-                now += self.sys.cache_hit_ns;
+                self.stats.count_access(op, true, CACHE_HIT_NS);
+                now += CACHE_HIT_NS;
                 continue;
             }
             let state = self.cache_state(node, block);
@@ -1320,13 +1370,9 @@ impl ConcurrentMachine {
             match action {
                 CacheAction::Hit => {
                     self.scripts[node.index()].pop_front();
-                    self.stats.count_access(op, true, self.sys.cache_hit_ns);
-                    now += self.sys.cache_hit_ns;
-                    if op == ProcOp::Write {
-                        self.maybe_self_invalidate(node, block, now);
-                    } else {
-                        self.maybe_early_ack(node, block, now);
-                    }
+                    self.stats.count_access(op, true, CACHE_HIT_NS);
+                    now += CACHE_HIT_NS;
+                    self.maybe_drop(VoluntaryDrop::after(op), node, block, now);
                 }
                 CacheAction::Send(req) => {
                     self.scripts[node.index()].pop_front();
@@ -1501,7 +1547,7 @@ impl ConcurrentMachine {
                     }
                     txn.outstanding -= 1;
                     if txn.outstanding == 0 {
-                        let service = t + self.sys.handler_ns;
+                        let service = t + HANDLER_NS;
                         self.finish_txn(e, msg.receiver, msg.block, service)?;
                     }
                 }
@@ -1529,7 +1575,7 @@ impl ConcurrentMachine {
                                 let idle = next == DirState::Idle;
                                 self.write_dir(e, msg.block, next);
                                 if idle {
-                                    self.maybe_spec_push(e, msg.block, t + self.sys.handler_ns);
+                                    self.maybe_spec_push(e, msg.block, t + HANDLER_NS);
                                 }
                                 return Ok(());
                             }
@@ -1553,7 +1599,7 @@ impl ConcurrentMachine {
                     debug_assert_eq!(msg.mtype, MsgType::InvalRwResponse, "voluntary writeback");
                     if e.grants(msg.sender, ProcOp::Write, &self.wide) {
                         self.write_dir(e, msg.block, DirState::Idle);
-                        self.maybe_spec_push(e, msg.block, t + self.sys.handler_ns);
+                        self.maybe_spec_push(e, msg.block, t + HANDLER_NS);
                     }
                     // Otherwise stale: a later transaction already moved
                     // the entry on; nothing to do.
@@ -1609,11 +1655,11 @@ impl ConcurrentMachine {
                 "nak",
                 SpanKind::Retry,
                 t,
-                t + self.sys.handler_ns + hop,
+                t + HANDLER_NS + hop,
                 msg.receiver.raw(),
             );
             self.outbox.push((
-                t + self.sys.handler_ns + hop,
+                t + HANDLER_NS + hop,
                 Event::Nak {
                     node: msg.sender,
                     block: msg.block,
@@ -1642,7 +1688,7 @@ impl ConcurrentMachine {
             Some(resp) => {
                 self.recovery.regrants += 1;
                 self.send(
-                    t + self.sys.handler_ns,
+                    t + HANDLER_NS,
                     Msg::new(msg.receiver, msg.sender, msg.block, resp).with_trace(msg.trace),
                 );
                 true
@@ -1770,18 +1816,10 @@ impl ConcurrentMachine {
         );
         if outstanding == 0 {
             self.finish_txn(e, home, block, dispatch)?;
-        } else if let Some(inj) = &self.fault {
+        } else {
             // The directory waits for acknowledgments that a faulty
             // fabric may eat: arm its re-send timer.
-            let timeout = inj.retry().timeout_for(0);
-            self.outbox.push((
-                dispatch + timeout,
-                Event::AckCheck {
-                    block,
-                    epoch,
-                    attempt: 0,
-                },
-            ));
+            self.arm_ack_check(block, epoch, dispatch, 0);
         }
         Ok(())
     }
@@ -1810,7 +1848,7 @@ impl ConcurrentMachine {
     /// time. Returns when service starts and when the handler is done.
     pub(crate) fn occupy_dir_handler(&mut self, home: NodeId, t: u64, tr: TraceId) -> (u64, u64) {
         let service = t.max(self.dir_busy[home.index()]);
-        let dispatch = service + self.sys.handler_ns;
+        let dispatch = service + HANDLER_NS;
         self.dir_busy[home.index()] = dispatch;
         if service > t {
             self.spans
@@ -1886,7 +1924,7 @@ impl ConcurrentMachine {
         debug_assert_eq!(wblock, block);
         self.miss_epoch[home.index()] += 1;
         self.miss_recovered[home.index()] = false;
-        let done = t + self.sys.mem_access_ns;
+        let done = t + MEM_ACCESS_NS;
         self.clocks[home.index()] = self.clocks[home.index()].max(done);
         self.stats
             .count_access(op, false, done.saturating_sub(issued));
@@ -1906,7 +1944,7 @@ impl ConcurrentMachine {
         let state = self.cache_state(node, block);
         // The cache's software handler serialises incoming messages.
         let service = t.max(self.cache_busy[node.index()]);
-        let handled = service + self.sys.handler_ns;
+        let handled = service + HANDLER_NS;
         self.cache_busy[node.index()] = handled;
         if service > t {
             self.spans.child(
@@ -2106,88 +2144,46 @@ impl ConcurrentMachine {
                 let tr = self.miss_trace[node.index()];
                 self.spans.end_trace(tr, done);
                 self.miss_trace[node.index()] = TraceId::NONE;
-                if op == ProcOp::Write {
-                    self.maybe_self_invalidate(node, block, done);
-                } else {
-                    self.maybe_early_ack(node, block, done);
-                }
+                self.maybe_drop(VoluntaryDrop::after(op), node, block, done);
                 self.outbox.push((done, Event::Issue(node)));
             }
         }
         Ok(())
     }
 
-    /// §4.1 dynamic self-invalidation: after a store, consult the policy
-    /// and, if it fires, push the exclusive copy back to the directory as
-    /// an unsolicited `inval_rw_response`. The cache empties immediately;
-    /// the race with a concurrent recall is resolved by the writeback
+    /// §4's voluntary drop: after an access left `node` holding `rule`'s
+    /// state, ask the policy `rule`'s question and, if it fires, give the
+    /// copy back unsolicited. The cache empties immediately; the race
+    /// with a concurrent recall is resolved by the unsolicited message
     /// doubling as the acknowledgment (see `on_directory_receive`).
-    fn maybe_self_invalidate(&mut self, node: NodeId, block: BlockAddr, now: u64) {
-        // Policy first: without one this is every store's fast exit.
+    fn maybe_drop(&mut self, rule: &VoluntaryDrop, node: NodeId, block: BlockAddr, now: u64) {
+        // Policy first: without one this is every access's fast exit.
         if self.policy.is_none() {
             return;
         }
         let home = self.home(block);
-        if node == home || self.cache_state(node, block) != CacheState::Exclusive {
+        if node == home || self.cache_state(node, block) != rule.held {
             return;
         }
         let fire = self
             .policy
             .as_mut()
-            .is_some_and(|p| p.self_invalidate(node, block));
+            .is_some_and(|p| (rule.ask)(p.as_mut(), node, block));
         if !fire {
             return;
         }
         self.set_cache_state(node, block, CacheState::Invalid);
-        // Over the reliable channel: nothing times out waiting for a
-        // voluntary writeback, so the protocol could not recover its loss.
         let tr = self
             .spans
-            .begin_trace("self_invalidate", now, node.raw(), block.number());
+            .begin_trace(rule.span, now, node.raw(), block.number());
         self.spans.annotate(tr, "speculative");
-        self.send_reliable(
-            now,
-            Msg::new(node, home, block, MsgType::InvalRwResponse).with_trace(tr),
-        );
+        let msg = Msg::new(node, home, block, rule.mtype).with_trace(tr);
+        let name = net_span_name(rule.mtype);
+        self.send_reliable(now, msg, name, SpanKind::Network, Event::Deliver);
         // The reliable channel always delivers after exactly one hop, so
-        // the writeback's arrival — and the trace's end — is known now.
+        // the message's arrival — and the trace's end — is known now.
         self.spans.end_trace(tr, now + self.sys.one_way_ns());
-        self.stats.voluntary_replacements += 1;
-    }
-
-    /// Early invalidation-ack: after a load, consult the policy and, if
-    /// it predicts this was the reader's last use before an invalidation,
-    /// drop the shared copy and acknowledge unsolicited. A correct
-    /// prediction removes the sharer from the next writer's critical
-    /// path; a wrong one costs this reader a re-fetch — never coherence.
-    fn maybe_early_ack(&mut self, node: NodeId, block: BlockAddr, now: u64) {
-        if self.policy.is_none() {
-            return;
-        }
-        let home = self.home(block);
-        if node == home || self.cache_state(node, block) != CacheState::Shared {
-            return;
-        }
-        let fire = self
-            .policy
-            .as_mut()
-            .is_some_and(|p| p.early_inval_ack(node, block));
-        if !fire {
-            return;
-        }
-        self.set_cache_state(node, block, CacheState::Invalid);
-        // Over the reliable channel, like the voluntary writeback:
-        // nothing times out waiting for an unsolicited ack.
-        let tr = self
-            .spans
-            .begin_trace("early_inval_ack", now, node.raw(), block.number());
-        self.spans.annotate(tr, "speculative");
-        self.send_reliable(
-            now,
-            Msg::new(node, home, block, MsgType::InvalRoResponse).with_trace(tr),
-        );
-        self.spans.end_trace(tr, now + self.sys.one_way_ns());
-        self.rollback.early_acks += 1;
+        *(rule.tally)(self) += 1;
     }
 
     /// Speculative push: when a block goes idle at its home, consult the
@@ -2244,55 +2240,8 @@ impl ConcurrentMachine {
             },
         );
         self.rollback.pushes += 1;
-        self.send_spec_push(t, Msg::new(home, target, block, mtype).with_trace(tr));
-    }
-
-    /// Sends a push over the reliable control channel (sequence-numbered
-    /// under faults so the receiver's watermark stays dense, but never
-    /// dropped: the push transaction has no timer, so its loss would
-    /// wedge the block).
-    fn send_spec_push(&mut self, at: u64, msg: Msg) {
-        let hop = self.sys.one_way_ns();
-        self.stats.net_latency_ns.record(hop);
-        let seq = if self.fault.is_some() {
-            let s = self.next_seq_to[msg.receiver.index()];
-            self.next_seq_to[msg.receiver.index()] += 1;
-            s
-        } else {
-            0
-        };
-        self.spans.child(
-            msg.trace,
-            "net.push",
-            SpanKind::Speculation,
-            at,
-            at + hop,
-            msg.sender.raw(),
-        );
-        self.outbox.push((at + hop, Event::SpecPush(msg, seq)));
-    }
-
-    /// Sends the target's verdict back to the home, reliably.
-    fn send_spec_resp(&mut self, at: u64, msg: Msg, accepted: bool) {
-        let hop = self.sys.one_way_ns();
-        self.stats.net_latency_ns.record(hop);
-        let seq = if self.fault.is_some() {
-            let s = self.next_seq_to[msg.receiver.index()];
-            self.next_seq_to[msg.receiver.index()] += 1;
-            s
-        } else {
-            0
-        };
-        self.spans.child(
-            msg.trace,
-            "net.push_ack",
-            SpanKind::Speculation,
-            at,
-            at + hop,
-            msg.sender.raw(),
-        );
-        self.outbox
-            .push((at + hop, Event::SpecPushResp { msg, accepted, seq }));
+        let push = Msg::new(home, target, block, mtype).with_trace(tr);
+        self.send_reliable(t, push, "net.push", SpanKind::Speculation, Event::SpecPush);
     }
 
     /// A pushed copy arrived at its target. Accept only into an `Invalid`
@@ -2306,7 +2255,7 @@ impl ConcurrentMachine {
         // The cache's software handler serialises pushes like any
         // other incoming message.
         let service = t.max(self.cache_busy[node.index()]);
-        let handled = service + self.sys.handler_ns;
+        let handled = service + HANDLER_NS;
         self.cache_busy[node.index()] = handled;
         let accepted = self.cache_state(node, block) == CacheState::Invalid;
         if accepted {
@@ -2334,10 +2283,13 @@ impl ConcurrentMachine {
                 node.raw(),
             );
         }
-        self.send_spec_resp(
+        let verdict = Msg::new(node, msg.sender, block, msg.mtype).with_trace(msg.trace);
+        self.send_reliable(
             handled,
-            Msg::new(node, msg.sender, block, msg.mtype).with_trace(msg.trace),
-            accepted,
+            verdict,
+            "net.push_ack",
+            SpanKind::Speculation,
+            |msg, seq| Event::SpecPushResp { msg, accepted, seq },
         );
     }
 
@@ -2372,7 +2324,7 @@ impl ConcurrentMachine {
             txn.next = DirState::Idle;
             self.rollback.rolled_back += 1;
         }
-        let service = t + self.sys.handler_ns;
+        let service = t + HANDLER_NS;
         self.finish_txn(e, msg.receiver, block, service)?;
         self.spans.end_trace(tr, service);
         Ok(())

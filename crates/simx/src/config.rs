@@ -1,4 +1,21 @@
 //! System (timing) configuration — the paper's Table 3.
+//!
+//! §5 fixes every Table 3 timing and varies only the network latency
+//! (40 ns against 1 µs), so the fixed timings are constants and
+//! [`SystemConfig`] holds the one that varies.
+
+/// Main memory access time in ns (Table 3: 120 ns).
+pub const MEM_ACCESS_NS: u64 = 120;
+/// Network-interface access time in ns (Table 3: 60 ns).
+pub const NI_ACCESS_NS: u64 = 60;
+/// Protocol-handler occupancy in ns per message handled. Stache runs its
+/// handlers in software (§2.1/§5.1), so this dominates remote-miss
+/// latency; 100 ns ≈ a hundred 1 GHz instructions.
+pub const HANDLER_NS: u64 = 100;
+/// Cache hit time in ns.
+pub const CACHE_HIT_NS: u64 = 1;
+/// Barrier cost in ns added when all processors synchronise.
+pub const BARRIER_NS: u64 = 500;
 
 /// Timing parameters of the simulated machine.
 ///
@@ -10,39 +27,22 @@
 /// reproduce that claim.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
-    /// Main memory access time in ns (Table 3: 120 ns).
-    pub mem_access_ns: u64,
     /// One-way network wire latency in ns (Table 3: 40 ns).
     pub network_latency_ns: u64,
-    /// Network-interface access time in ns (Table 3: 60 ns).
-    pub ni_access_ns: u64,
-    /// Protocol-handler occupancy in ns per message handled. Stache runs
-    /// its handlers in software (§2.1/§5.1), so this dominates remote-miss
-    /// latency; 100 ns ≈ a hundred 1 GHz instructions.
-    pub handler_ns: u64,
-    /// Cache hit time in ns.
-    pub cache_hit_ns: u64,
-    /// Barrier cost in ns added when all processors synchronise.
-    pub barrier_ns: u64,
 }
 
 impl SystemConfig {
     /// The paper's Table 3 machine.
     pub fn paper() -> Self {
         SystemConfig {
-            mem_access_ns: 120,
             network_latency_ns: 40,
-            ni_access_ns: 60,
-            handler_ns: 100,
-            cache_hit_ns: 1,
-            barrier_ns: 500,
         }
     }
 
     /// One-way message time between any two nodes: source NI + wire +
     /// destination NI.
     pub fn one_way_ns(&self) -> u64 {
-        self.ni_access_ns + self.network_latency_ns + self.ni_access_ns
+        NI_ACCESS_NS + self.network_latency_ns + NI_ACCESS_NS
     }
 
     /// Variant with a different wire latency (for the sensitivity sweep).
@@ -52,22 +52,15 @@ impl SystemConfig {
     }
 }
 
-impl Default for SystemConfig {
-    fn default() -> Self {
-        SystemConfig::paper()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn paper_defaults_match_table_three() {
-        let c = SystemConfig::paper();
-        assert_eq!(c.mem_access_ns, 120);
-        assert_eq!(c.network_latency_ns, 40);
-        assert_eq!(c.ni_access_ns, 60);
+        assert_eq!(MEM_ACCESS_NS, 120);
+        assert_eq!(SystemConfig::paper().network_latency_ns, 40);
+        assert_eq!(NI_ACCESS_NS, 60);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! event-engine capabilities — see [`ConcurrentMachine`].
 
 use crate::concurrent::ConcurrentMachine;
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, CACHE_HIT_NS, HANDLER_NS, MEM_ACCESS_NS};
 use crate::stats::MachineStats;
 use obs::span::TraceId;
 use stache::cache::{self, CacheAction};
@@ -164,7 +164,7 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Creates a machine with the given protocol and timing configuration.
+    /// Creates a machine with the given protocol configuration and network latency.
     pub fn new(proto: ProtocolConfig, sys: SystemConfig) -> Self {
         let nodes = proto.nodes;
         Machine {
@@ -180,11 +180,6 @@ impl Machine {
     /// Names the trace (workload name recorded in the bundle metadata).
     pub fn set_app(&mut self, app: &str, iterations: u32) {
         self.core.set_app(app, iterations);
-    }
-
-    /// The timing configuration.
-    pub fn system_config(&self) -> &SystemConfig {
-        &self.core.sys
     }
 
     /// The trace captured so far.
@@ -311,13 +306,13 @@ impl Machine {
         };
         let Some(outcome) = outcome else {
             // Sufficient rights already: a local hit.
-            self.core.clocks[node.index()] += self.core.sys.cache_hit_ns;
+            self.core.clocks[node.index()] += CACHE_HIT_NS;
             if op == ProcOp::Write {
                 self.commit_local_write(block);
             }
             return Ok(AccessOutcome {
                 hit: true,
-                latency_ns: self.core.sys.cache_hit_ns,
+                latency_ns: CACHE_HIT_NS,
                 messages: 0,
             });
         };
@@ -326,7 +321,7 @@ impl Machine {
         let (_, dispatch) = self.core.occupy_dir_handler(node, start, TraceId::NONE);
         let (done, messages) = self.collect_holders(&outcome, node, block, dispatch)?;
         self.core.set_dir(block, outcome.next.clone());
-        let end = done + self.core.sys.mem_access_ns;
+        let end = done + MEM_ACCESS_NS;
         self.core.clocks[node.index()] = end;
         if op == ProcOp::Write {
             self.commit_local_write(block);
@@ -351,13 +346,13 @@ impl Machine {
         let (transient, action) = cache::on_processor_op(state, op)?;
         let CacheAction::Send(req) = action else {
             // A cache hit on a remote page.
-            self.core.clocks[node.index()] += self.core.sys.cache_hit_ns;
+            self.core.clocks[node.index()] += CACHE_HIT_NS;
             if op == ProcOp::Write {
                 self.commit_remote_write(node, block);
             }
             return Ok(AccessOutcome {
                 hit: true,
-                latency_ns: self.core.sys.cache_hit_ns,
+                latency_ns: CACHE_HIT_NS,
                 messages: 0,
             });
         };
@@ -400,7 +395,7 @@ impl Machine {
             }
         }
 
-        let end = t_reply + self.core.sys.handler_ns;
+        let end = t_reply + HANDLER_NS;
         self.core.clocks[node.index()] = end;
         Ok(AccessOutcome {
             hit: false,
@@ -426,7 +421,7 @@ impl Machine {
             let t_inv = self.leg(dispatch);
             self.core
                 .record(t_inv, &Msg::new(outcome_home, target, block, imsg));
-            let handled = t_inv + self.core.sys.handler_ns;
+            let handled = t_inv + HANDLER_NS;
 
             let state = self.core.cache_state(target, block);
             let (next, reply) = cache::on_message(state, imsg)?;
@@ -445,7 +440,7 @@ impl Machine {
             self.core
                 .record(t_resp, &Msg::new(target, outcome_home, block, reply));
             messages += 2;
-            let gathered = t_resp + self.core.sys.handler_ns;
+            let gathered = t_resp + HANDLER_NS;
             ready = ready.max(gathered);
         }
         Ok((ready, messages))
@@ -821,7 +816,6 @@ mod occupancy_tests {
     #[test]
     fn back_to_back_requests_queue_at_the_home_handler() {
         let mut m = Machine::new(ProtocolConfig::paper(), SystemConfig::paper());
-        let sys = SystemConfig::paper();
         // Two different blocks, same home (node 0), requested by two
         // processors whose clocks are both zero: the requests arrive at
         // the same instant, and the second must wait for the handler.
@@ -834,7 +828,7 @@ mod occupancy_tests {
         let second_reply = m.trace().records()[3].time_ns;
         assert_eq!(
             second_reply,
-            first_reply + sys.handler_ns,
+            first_reply + HANDLER_NS,
             "the second request waits out the first's handler occupancy"
         );
     }

@@ -89,7 +89,7 @@ use crate::arena::{Arena, ArenaId};
 use crate::concurrent::{
     audit_block, check_drained, dense_states, ConcurrentMachine, Event, Touch,
 };
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, BARRIER_NS, NI_ACCESS_NS};
 use crate::driver::{IterationPlan, Phase};
 use crate::machine::SimError;
 use crate::stats::MachineStats;
@@ -353,13 +353,16 @@ impl Shard {
     }
 }
 
+// A hop is never free: the lookahead of two or more nodes is at least
+// their two NI accesses, so a window is never empty.
+const _: () = assert!(NI_ACCESS_NS > 0);
+
 /// The sharded machine: a coordinator plus `shards` node-range
 /// partitions executed in parallel per window. See the module docs for
 /// the synchronisation and determinism arguments.
 #[derive(Debug)]
 pub struct ShardedMachine {
     pub(crate) proto: ProtocolConfig,
-    sys: SystemConfig,
     shards: Vec<Shard>,
     /// Nodes per shard (the last shard may own fewer).
     chunk: usize,
@@ -411,15 +414,10 @@ impl ShardedMachine {
         }
         // On the crossbar every message between two nodes takes one hop's
         // time, so that is the minimum over pairs; a window is never empty.
-        let lookahead = if nodes < 2 {
-            1
-        } else {
-            sys.one_way_ns().max(1)
-        };
+        let lookahead = if nodes < 2 { 1 } else { sys.one_way_ns() };
         ShardedMachine {
             trace: TraceBundle::new(TraceMeta::new("unnamed", nodes, 0)),
             proto,
-            sys,
             logs: parts.iter().map(|_| WindowLog::default()).collect(),
             cursors: vec![Cursor::default(); parts.len()],
             written: Vec::new(),
@@ -713,7 +711,7 @@ impl ShardedMachine {
         audited?;
         let max = self.execution_time_ns();
         for s in &mut self.shards {
-            s.core.clocks.fill(max + self.sys.barrier_ns);
+            s.core.clocks.fill(max + BARRIER_NS);
         }
         self.coord_stats.barriers += 1;
         Ok(())
@@ -986,12 +984,9 @@ mod tests {
         let m = ShardedMachine::new(ProtocolConfig::paper(), SystemConfig::paper(), 2);
         // Crossbar: 2 * ni + 1 hop * wire = 2*60 + 40.
         assert_eq!(m.lookahead_ns(), 160);
-        let free = SystemConfig {
-            ni_access_ns: 0,
-            ..SystemConfig::paper().with_network_latency(0)
-        };
+        let free = SystemConfig::paper().with_network_latency(0);
         let m = ShardedMachine::new(ProtocolConfig::paper(), free, 2);
-        assert_eq!(m.lookahead_ns(), 1, "a window is never empty");
+        assert_eq!(m.lookahead_ns(), 120, "the two NI accesses remain");
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use super::explore::{run_schedule, Mode, RunOutcome, Violation};
 use super::CheckConfig;
 use crate::concurrent::ProtocolMutation;
-use crate::config::SystemConfig;
 use crate::driver::{Access, AccessOp, IterationPlan, Phase};
 use crate::speculate::SpecActions;
 use stache::ids::MAX_NODES;
@@ -250,7 +249,6 @@ impl ScheduleArtifact {
     pub fn check_config(&self) -> CheckConfig {
         CheckConfig {
             proto: ProtocolConfig { nodes: self.nodes },
-            sys: SystemConfig::paper(),
             plan: self.plan.clone(),
             mutation: self.mutation,
             speculation: self.speculation,

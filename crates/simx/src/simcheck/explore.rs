@@ -3,6 +3,7 @@
 
 use super::{CheckConfig, CheckReport, CheckStats};
 use crate::concurrent::ConcurrentMachine;
+use crate::config::SystemConfig;
 use crate::machine::SimError;
 use crate::speculate::EagerPolicy;
 use stache::invariants::{check_swmr, check_watermark, InvariantViolation};
@@ -112,7 +113,7 @@ pub(crate) fn run_schedule(
     stats: &mut CheckStats,
 ) -> RunOutcome {
     stats.schedules += 1;
-    let mut m = ConcurrentMachine::new(cfg.proto.clone(), cfg.sys.clone());
+    let mut m = ConcurrentMachine::new(cfg.proto.clone(), SystemConfig::paper());
     m.set_mutation(cfg.mutation);
     if let Some(actions) = cfg.speculation {
         m.set_policy(Box::new(EagerPolicy::new(actions, cfg.proto.nodes)));

@@ -49,7 +49,6 @@ pub use explore::{explore, Violation};
 pub use shrink::shrink;
 
 use crate::concurrent::ProtocolMutation;
-use crate::config::SystemConfig;
 use crate::driver::{Access, IterationPlan, Phase};
 use crate::speculate::SpecActions;
 use stache::{BlockAddr, NodeId, ProtocolConfig};
@@ -57,11 +56,10 @@ use stache::{BlockAddr, NodeId, ProtocolConfig};
 /// What to explore and how hard to try.
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
-    /// Protocol parameters (node count, half-migratory, pointer limit).
+    /// Protocol parameters (the node count). The machine runs the
+    /// paper's Table 3 timing: forced stepping abstracts timing away, so
+    /// it only shapes timestamps, never the state graph.
     pub proto: ProtocolConfig,
-    /// Timing parameters. Timing is abstracted away by forced stepping,
-    /// so this only shapes the labels/timestamps, never the state graph.
-    pub sys: SystemConfig,
     /// The access plan whose delivery interleavings are explored.
     pub plan: IterationPlan,
     /// Seeded protocol bug, for checker self-validation.
@@ -85,7 +83,6 @@ impl CheckConfig {
     pub fn small(nodes: usize, blocks: usize) -> Self {
         CheckConfig {
             proto: ProtocolConfig { nodes },
-            sys: SystemConfig::paper(),
             plan: contention_plan(nodes, blocks),
             mutation: ProtocolMutation::None,
             speculation: None,

@@ -16,7 +16,7 @@
 //!    states, and an obs snapshot that agrees on every metric the
 //!    concurrent engine exports (the sharded snapshot adds only its own
 //!    `simx.shard.*` keys). Checked on the paper's configuration at shards
-//!    1, 2 and 4, and on two non-paper timing configurations at shards 1
+//!    1, 2 and 4, and at two non-paper network latencies at shards 1
 //!    and 3.
 
 use simx::{ConcurrentMachine, ShardedMachine, SystemConfig};
@@ -120,24 +120,14 @@ fn sharded_matches_concurrent_engine() {
     }
 }
 
-/// The same identity off the paper's timing, at shards 1 and 3: a slow
-/// network with heavy handlers (a wide lookahead window) and a fast one
-/// with free barriers (a narrow window, barriers at the same instant).
+/// The same identity off the paper's network latency, at shards 1 and 3:
+/// a slow network (a wide lookahead window) and a fast one (a narrow
+/// window).
 #[test]
 fn variants_match_across_engines() {
     let proto = ProtocolConfig::paper();
-    let slow = SystemConfig {
-        network_latency_ns: 400,
-        handler_ns: 300,
-        ..SystemConfig::paper()
-    };
-    let fast = SystemConfig {
-        network_latency_ns: 5,
-        ni_access_ns: 5,
-        handler_ns: 10,
-        barrier_ns: 0,
-        ..SystemConfig::paper()
-    };
+    let slow = SystemConfig::paper().with_network_latency(400);
+    let fast = SystemConfig::paper().with_network_latency(5);
     for (variant, sys) in [("slow_network", slow), ("fast_network", fast)] {
         let suites = small_suite()
             .into_iter()

@@ -25,7 +25,7 @@
 //!
 //! ```text
 //! cargo run --example quickstart
-//! cargo run -p bench-suite --bin repro -- --table 5
+//! cargo run -p bench-suite --bin repro -- table5
 //! ```
 
 pub use accel;

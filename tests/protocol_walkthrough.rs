@@ -40,7 +40,7 @@ fn figure_one_message_exchange() {
 
     // Timing: each hop adds network + handler latency; the whole store
     // took at least four one-way hops.
-    assert!(outcome.latency_ns >= 4 * m.system_config().one_way_ns());
+    assert!(outcome.latency_ns >= 4 * SystemConfig::paper().one_way_ns());
 
     // Post-state: a read by processor two misses (its copy is gone).
     let reread = m.access(p2, block, ProcOp::Read, 0).unwrap();
