@@ -1,11 +1,8 @@
 //! Running workloads with and without speculation and comparing outcomes.
 
-use crate::policy::CosmosPolicy;
 use simx::{ConcurrentMachine, FaultPlan, SimError, SpeculationPolicy, SystemConfig};
-use stache::{BlockAddr, MsgType, NodeId, ProtocolConfig, Role, RollbackTally};
-use std::collections::HashSet;
+use stache::{ProtocolConfig, RollbackTally};
 use std::fmt;
-use trace::TraceBundle;
 use workloads::{drive, Workload};
 
 /// The outcome of one run.
@@ -177,82 +174,13 @@ pub fn compare<W: Workload + ?Sized>(
     })
 }
 
-/// The speculative-action counts recovered by replaying a finished run's
-/// trace (see [`audit_actions`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ActionAudit {
-    /// Exclusive grants the live policy must have fired.
-    pub exclusive_grants: u64,
-    /// Voluntary (self-invalidation) replacements it must have fired.
-    pub voluntary_replacements: u64,
-}
-
-/// Replays [`CosmosPolicy::new`]`(depth)` over a finished run's trace — the
-/// same per-`(node, role)` agent layout [`cosmos::StreamEval`] replays
-/// — and counts the actions the live policy fired, from the recorded
-/// messages alone.
-///
-/// The live policy trains on exactly the receptions the trace records, in
-/// record order, so a replayed fleet reaches the same table state at every
-/// consult point and reproduces every decision:
-///
-/// * an **exclusive grant** fired at each directory `get_ro_request`
-///   record after which the home's predictor names `(sender,
-///   upgrade_request)`;
-/// * a **voluntary replacement** fired at each exclusive fill — a
-///   `get_rw_response`/`upgrade_response` answering a genuine write, *or*
-///   answering a read the audit itself granted exclusively — after which
-///   the holder's predictor names an `inval_rw_request`. (A granted read
-///   consults self-invalidation at the predicted write, which *hits* in
-///   cache and leaves no record; no message reaches that cache while it
-///   stays exclusive, so the predictor state at the hit is the fill-time
-///   state the audit checks. This assumes the read-modify-write idiom the
-///   grant bet on — the write the predictor foresaw does arrive.)
-///
-/// This only holds on *clean* runs: under fault injection a retry
-/// re-delivers a message the dedup layer may absorb after it was already
-/// recorded, so the live observe stream and the trace diverge. The
-/// regression tests pin the clean-run equality so any such drift in the
-/// runner is caught.
-pub fn audit_actions(bundle: &TraceBundle, depth: usize) -> ActionAudit {
-    // The policy the run is replayed under; it applies the two action
-    // rules and counts what fires.
-    let mut policy = CosmosPolicy::new(depth);
-    // Exclusive fills in flight, keyed (block, holder): genuine write
-    // requests plus reads the audit granted exclusively. Each one's
-    // arrival is a self-invalidation consult point.
-    let mut fills: HashSet<(BlockAddr, NodeId)> = HashSet::new();
-    for r in bundle.records() {
-        // The machine records a reception (training the policy) before it
-        // consults any action for it, so observe first.
-        policy.observe(r);
-        match (r.role, r.mtype) {
-            (Role::Directory, MsgType::GetRoRequest)
-                if policy.grant_exclusive(r.node, r.sender, r.block) =>
-            {
-                fills.insert((r.block, r.sender));
-            }
-            (Role::Directory, MsgType::GetRwRequest | MsgType::UpgradeRequest) => {
-                fills.insert((r.block, r.sender));
-            }
-            (Role::Cache, MsgType::GetRwResponse | MsgType::UpgradeResponse)
-                if fills.remove(&(r.block, r.node)) =>
-            {
-                policy.self_invalidate(r.node, r.block);
-            }
-            _ => {}
-        }
-    }
-    ActionAudit {
-        exclusive_grants: policy.grants,
-        voluntary_replacements: policy.replacements,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DirectedPolicy;
+    use crate::{CosmosPolicy, DirectedPolicy, PredictorPolicy};
+    use stache::{BlockAddr, NodeId};
+    use std::sync::{Arc, Mutex};
+    use trace::MsgRecord;
     use workloads::micro::{Migratory, ProducerConsumer};
 
     #[test]
@@ -354,77 +282,60 @@ mod tests {
         ));
     }
 
-    /// Runs `workload` with a policy installed and returns the live
-    /// action counts plus the trace they came from.
-    fn traced_run<W: workloads::Workload>(
-        workload: &mut W,
-        policy: Box<dyn SpeculationPolicy>,
-    ) -> (u64, u64, trace::TraceBundle) {
-        let machine = run_machine(workload, Some(policy), None, false).unwrap();
-        let stats = machine.stats();
-        let (grants, repls) = (stats.exclusive_grants, stats.voluntary_replacements);
-        (grants, repls, machine.into_trace())
+    /// A [`CosmosPolicy`] that also logs every record the engine has it
+    /// `observe`.
+    #[derive(Debug)]
+    struct Logged {
+        inner: PredictorPolicy,
+        seen: Arc<Mutex<Vec<MsgRecord>>>,
+    }
+
+    impl SpeculationPolicy for Logged {
+        fn grant_exclusive(&mut self, home: NodeId, requester: NodeId, block: BlockAddr) -> bool {
+            self.inner.grant_exclusive(home, requester, block)
+        }
+
+        fn self_invalidate(&mut self, node: NodeId, block: BlockAddr) -> bool {
+            self.inner.self_invalidate(node, block)
+        }
+
+        fn observe(&mut self, record: &MsgRecord) {
+            self.seen.lock().unwrap().push(*record);
+            self.inner.observe(record);
+        }
     }
 
     #[test]
-    fn audit_reproduces_live_grant_counts() {
-        let mut w = Migratory {
+    fn a_clean_speculating_run_observes_exactly_its_trace() {
+        // The policy trains on the receptions the trace records, in record
+        // order, so replaying the trace reaches the policy's table state at
+        // every consult point. The grant and replacement counts themselves
+        // are pinned by `accel_small.csv`.
+        let migratory = Migratory {
             blocks: 2,
             iterations: 20,
             ..Default::default()
         };
-        let (grants, repls, bundle) = traced_run(&mut w, Box::new(CosmosPolicy::new(2)));
-        assert!(grants > 0, "migratory must drive grants");
-        let audit = audit_actions(&bundle, 2);
-        assert_eq!(audit.exclusive_grants, grants);
-        assert_eq!(audit.voluntary_replacements, repls);
-    }
-
-    #[test]
-    fn audit_reproduces_live_replacement_counts() {
-        let mut w = ProducerConsumer {
+        let producer_consumer = ProducerConsumer {
             blocks: 2,
             iterations: 20,
             ..Default::default()
         };
-        let (grants, repls, bundle) = traced_run(&mut w, Box::new(CosmosPolicy::new(2)));
-        assert!(repls > 0, "producer-consumer must drive replacements");
-        let audit = audit_actions(&bundle, 2);
-        assert_eq!(audit.voluntary_replacements, repls);
-        assert_eq!(audit.exclusive_grants, grants);
-    }
-
-    #[test]
-    fn audit_agrees_with_record_verdicts_on_a_baseline_trace() {
-        // On a run with no policy installed, every replacement opportunity
-        // the audit counts is a prediction the *actual* next message at
-        // that cache confirms or refutes — exactly the verdict a replay
-        // returns for that record. Producer-consumer recalls the producer
-        // after every write, so each audited opportunity is the recall
-        // record tagged Hit, and the two counts must agree exactly.
-        let mut w = ProducerConsumer {
-            blocks: 2,
-            iterations: 20,
-            ..Default::default()
-        };
-        let bundle = run_machine(&mut w, None, None, false).unwrap().into_trace();
-        let audit = audit_actions(&bundle, 2);
-        assert!(audit.voluntary_replacements > 0);
-        let mut eval = cosmos::StreamEval::new(cosmos::EvalOptions::default(), |_, _| {
-            Box::new(cosmos::CosmosPredictor::new(2, 1))
-        });
-        let verdicts: Vec<_> = bundle.records().iter().map(|r| eval.push(r)).collect();
-        let recall_hits = bundle
-            .records()
-            .iter()
-            .zip(&verdicts)
-            .filter(|(r, v)| {
-                r.role == Role::Cache
-                    && r.mtype == MsgType::InvalRwRequest
-                    && **v == cosmos::eval::Verdict::Hit
-            })
-            .count() as u64;
-        assert_eq!(audit.voluntary_replacements, recall_hits);
+        let workloads: [Box<dyn Workload>; 2] = [Box::new(migratory), Box::new(producer_consumer)];
+        // Migratory drives the grants, producer-consumer the replacements.
+        let (mut grants, mut replacements) = (0, 0);
+        for mut w in workloads {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let policy = Logged {
+                inner: CosmosPolicy::new(2),
+                seen: Arc::clone(&seen),
+            };
+            let m = run_machine(w.as_mut(), Some(Box::new(policy)), None, false).unwrap();
+            assert_eq!(*seen.lock().unwrap(), m.trace().records());
+            grants += m.stats().exclusive_grants;
+            replacements += m.stats().voluntary_replacements;
+        }
+        assert!(grants > 0 && replacements > 0);
     }
 
     #[test]

@@ -25,6 +25,9 @@
 //! as `obs.v1` JSON to PATH. Given alone, it runs only the report.
 //!
 //! Host time is not measured here: `benchmark/run.sh` times the pipeline.
+//! The one host clock read, simcheck's exploration wall, goes to stderr,
+//! so stdout depends only on the arguments and `scripts/experiments.sh`
+//! can diff EXPERIMENTS.md's generated blocks against it.
 
 use bench_suite::baseline::{bare_runs, BareRun};
 use bench_suite::contenders::{race, Race};
@@ -287,6 +290,10 @@ fn simcheck(c: &Ctx) -> Result<(), String> {
         c.scale
     );
     let rows = modelcheck::simcheck_report(c.scale);
+    for r in &rows {
+        let ms = r.stats.wall_ns as f64 / 1e6;
+        eprintln!("simcheck {}n/{}b: {ms:.1} wall ms", r.nodes, r.blocks);
+    }
     println!("{}", modelcheck::render_simcheck(&rows));
     c.artefact("simcheck.csv", &modelcheck::csv_simcheck(&rows))?;
     c.artefact(

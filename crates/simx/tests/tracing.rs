@@ -4,8 +4,8 @@
 //! dedup), and a quiescent machine must never leave spans open.
 
 use obs::span::SpanKind;
-use simx::concurrent::ConcurrentMachine;
-use simx::simcheck::contention_plan;
+use simx::concurrent::{ConcurrentMachine, ProtocolMutation};
+use simx::simcheck::{contention_plan, ScheduleArtifact};
 use simx::speculate::{EagerPolicy, SpecActions};
 use simx::{FaultPlan, SystemConfig};
 use stache::ProtocolConfig;
@@ -132,8 +132,7 @@ fn traced_faulted_runs_match_untraced_faulted_runs() {
 }
 
 /// Runs the contention plan traced under an eager policy arming every §4
-/// action, optionally under a fault plan, and summarises its spans as one
-/// `name kind count summed_ns` line per (name, kind), sorted.
+/// action, optionally under a fault plan, and summarises it.
 fn speculating_span_summary(faults: Option<&str>) -> (Vec<String>, String, u64) {
     let mut m = ConcurrentMachine::new(four_nodes(), SystemConfig::paper());
     m.enable_tracing();
@@ -146,6 +145,12 @@ fn speculating_span_summary(faults: Option<&str>) -> (Vec<String>, String, u64) 
         m.run_plan(&plan, it).expect("run terminates");
     }
     m.verify_coherence().expect("coherent");
+    span_summary(&m)
+}
+
+/// A finished run's spans as one `name kind count summed_ns` line per
+/// (name, kind), sorted; its rollback tally; its voluntary writebacks.
+fn span_summary(m: &ConcurrentMachine) -> (Vec<String>, String, u64) {
     let mut sums: BTreeMap<(&str, &str), (u64, u64)> = BTreeMap::new();
     for s in m.spans().spans() {
         let e = sums.entry((s.name, s.kind.label())).or_default();
@@ -233,4 +238,60 @@ fn speculative_arms_record_pinned_spans_clean_and_faulted() {
     );
     assert_eq!(tally, "pushes 9 confirmed 9 rolled_back 0 early_acks 5");
     assert_eq!(replacements, 16);
+}
+
+/// The committed speculation schedule replayed traced with its rollback
+/// restored: the forced steps up to the rejected push, then the rest of
+/// each phase in timestamp order. `speculating_span_summary`'s runs never
+/// reject a push, so this is the run that records `push.reject` and the
+/// rollback branch of the push verdict.
+#[test]
+fn a_rejected_push_records_pinned_spans_and_rolls_back() {
+    let text = include_str!("schedules/speculate_without_rollback.sched");
+    let artifact = ScheduleArtifact::parse(text).expect("committed artifact parses");
+    let proto = ProtocolConfig {
+        nodes: artifact.nodes,
+    };
+    let mut m = ConcurrentMachine::new(proto, SystemConfig::paper());
+    m.enable_tracing();
+    m.set_mutation(ProtocolMutation::None);
+    let actions = artifact.speculation.expect("speculation line present");
+    m.set_policy(Box::new(EagerPolicy::new(actions, artifact.nodes)));
+    let mut forced = artifact.schedule.iter().copied();
+    for phase in &artifact.plan.phases {
+        m.begin_phase(phase);
+        while m.pending_events() > 0 {
+            m.step_rank(forced.next().unwrap_or(0)).expect("step");
+        }
+        m.run_barrier()
+            .expect("coherent with the rollback restored");
+    }
+    assert_eq!(forced.next(), None, "every forced step was taken");
+    let (lines, tally, replacements) = span_summary(&m);
+    assert_eq!(
+        lines,
+        [
+            "cache.service directory 6 600",
+            "dir.pending queue 2 2060",
+            "dir.queue queue 1 100",
+            "dir.service directory 6 600",
+            "get_ro_request txn 2 1660",
+            "get_rw_request txn 2 3100",
+            "local_read txn 1 220",
+            "local_write txn 1 740",
+            "mem.access directory 2 240",
+            "net.ack network 4 640",
+            "net.inval network 2 320",
+            "net.push speculation 2 320",
+            "net.push_ack speculation 2 320",
+            "net.reply network 4 640",
+            "net.request network 4 640",
+            "push.fill speculation 1 100",
+            "push.reject speculation 1 100",
+            "self_invalidate txn 2 320",
+            "spec_push txn 2 1040",
+        ]
+    );
+    assert_eq!(tally, "pushes 2 confirmed 1 rolled_back 1 early_acks 0");
+    assert_eq!(replacements, 2);
 }

@@ -65,6 +65,13 @@ for table in table5 table6 table7 table8; do
 done
 echo "    table5-8 CSVs match golden"
 
+# EXPERIMENTS.md's measured tables are generated blocks, each the exact
+# stdout of the `repro` command it names: rerun every one at its own
+# scale (paper scale but for `--small scale` and `--small tracepack`) and
+# diff, so no reported number drifts from the code that produces it.
+echo "==> EXPERIMENTS.md (every generated block against repro's stdout)"
+scripts/experiments.sh --check
+
 # Model-checker smoke: exhaustively explore the 2-node configurations and
 # require the simcheck.* obs artefact. The repro target exits non-zero if
 # any exploration finds an invariant violation.
@@ -238,8 +245,8 @@ grep -E "unavailable here|^ +[0-9.]+% +[0-9]+ " "$SMOKE_DIR/profile.txt" | sed -
 # updates them).
 echo "==> surface (non-test lines, pub fns, predictor / policy impls per crate; knobs; unreached)"
 scripts/surface.sh | sed 's/^/    /'
-echo "    parent         20021     514          7         2"
-echo "    parent knobs       7"
-echo "    parent unreached  20"
+echo "    parent         19940     512          7         2"
+echo "    parent knobs       2"
+echo "    parent unreached  19"
 
 echo "CI green."
