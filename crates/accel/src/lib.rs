@@ -9,9 +9,9 @@
 //! This crate is that next step, on the simulated machine:
 //!
 //! * [`PredictorPolicy`] is the one [`simx::SpeculationPolicy`]: a fleet
-//!   of per-agent predictors, the prediction→action rules, and the set of
-//!   [`simx::SpecActions`] those rules may fire. The three names below
-//!   are constructors of it.
+//!   of per-agent predictors, the one prediction→action table
+//!   ([`action`], §4.1's Table 2), and the set of [`simx::SpecActions`]
+//!   it may fire. The three names below are constructors of it.
 //! * [`CosmosPolicy`] installs one Cosmos predictor per directory and per
 //!   cache and arms the two speculative actions of the paper's Table 2
 //!   that fit a trace-level protocol:
@@ -70,6 +70,6 @@ pub mod runner;
 pub mod speculate;
 
 pub use directed_policy::DirectedPolicy;
-pub use policy::{CosmosPolicy, PredictorPolicy};
+pub use policy::{action, Action, CosmosPolicy, PredictorPolicy};
 pub use runner::{compare, run_machine, Comparison, RunSummary};
 pub use speculate::SpeculatePolicy;

@@ -4,14 +4,50 @@
 //! and the set of [`SpecActions`] its predictions are allowed to fire.
 //! [`CosmosPolicy`], [`DirectedPolicy`](crate::DirectedPolicy) and
 //! [`SpeculatePolicy`](crate::SpeculatePolicy) are constructors that pick
-//! those two arguments; the prediction→action rules below are written
-//! once.
+//! those two arguments. What a prediction fires is [`action`], §4.1's
+//! Table 2 as the engine acts on it: each [`SpeculationPolicy`] hook
+//! looks its action up there, and `repro table2` prints it.
 
 use cosmos::{CosmosPredictor, Fleet, MessagePredictor, PredTuple};
 use simx::{ForwardKind, SpecActions, SpeculationPolicy};
 use stache::{BlockAddr, MsgType, NodeId, Role};
 use std::fmt;
 use trace::MsgRecord;
+
+/// A speculative action the engine takes on a prediction: one per
+/// [`SpeculationPolicy`] hook.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Action {
+    /// Directory: answer the predicted upgrader's `get_ro_request` with an
+    /// exclusive grant ([`SpeculationPolicy::grant_exclusive`]).
+    GrantExclusive,
+    /// Directory: push the predicted requester a copy of this kind when
+    /// the block goes idle, never to the home itself
+    /// ([`SpeculationPolicy::forward_candidate`]).
+    Forward(ForwardKind),
+    /// Cache: replace a freshly written block before the predicted recall
+    /// ([`SpeculationPolicy::self_invalidate`]).
+    SelfInvalidate,
+    /// Cache: drop a shared copy and acknowledge the predicted
+    /// invalidation before it is sent
+    /// ([`SpeculationPolicy::early_inval_ack`]).
+    EarlyInvalAck,
+}
+
+/// §4.1's Table 2 as the engine fires it: the action an agent of `role`
+/// takes when it predicts an `mtype` next, or `None`. The paper's other
+/// suggestions (prefetching at a cache, early recall at a directory) are
+/// not implemented.
+pub fn action(role: Role, mtype: MsgType) -> Option<Action> {
+    match (role, mtype) {
+        (Role::Directory, MsgType::UpgradeRequest) => Some(Action::GrantExclusive),
+        (Role::Directory, MsgType::GetRoRequest) => Some(Action::Forward(ForwardKind::Shared)),
+        (Role::Directory, MsgType::GetRwRequest) => Some(Action::Forward(ForwardKind::Exclusive)),
+        (Role::Cache, MsgType::InvalRwRequest) => Some(Action::SelfInvalidate),
+        (Role::Cache, MsgType::InvalRoRequest) => Some(Action::EarlyInvalAck),
+        _ => None,
+    }
+}
 
 /// One agent's predictor, as a policy holds it.
 pub type Agent = Box<dyn MessagePredictor + Send>;
@@ -59,17 +95,20 @@ impl PredictorPolicy {
         self.fleet.get(node, role)?.predict(block)
     }
 
-    /// Whom the agent expects an `mtype` from next, if that is what it
-    /// expects.
-    fn expects(
+    /// The action the agent's prediction fires, and whom it names, if the
+    /// hook asking is `armed`.
+    fn fires(
         &self,
+        armed: bool,
         node: NodeId,
         role: Role,
         block: BlockAddr,
-        mtype: MsgType,
-    ) -> Option<NodeId> {
+    ) -> Option<(NodeId, Action)> {
+        if !armed {
+            return None;
+        }
         let p = self.predicted(node, role, block)?;
-        (p.mtype == mtype).then_some(p.sender)
+        Some((p.sender, action(role, p.mtype)?))
     }
 }
 
@@ -86,29 +125,27 @@ impl fmt::Debug for PredictorPolicy {
 impl SpeculationPolicy for PredictorPolicy {
     fn grant_exclusive(&mut self, home: NodeId, requester: NodeId, block: BlockAddr) -> bool {
         // The directory predictor has already observed the get_ro_request
-        // (observe runs on every reception). If it now expects an
-        // upgrade_request from the same requester, grant exclusive.
-        let fire = self.armed.grant_exclusive
-            && self.expects(home, Role::Directory, block, MsgType::UpgradeRequest)
-                == Some(requester);
+        // (observe runs on every reception).
+        let fire = self.fires(self.armed.grant_exclusive, home, Role::Directory, block)
+            == Some((requester, Action::GrantExclusive));
         self.grants += u64::from(fire);
         fire
     }
 
     fn self_invalidate(&mut self, node: NodeId, block: BlockAddr) -> bool {
-        // After the store, does this cache expect its copy to be recalled?
-        let recall = self.expects(node, Role::Cache, block, MsgType::InvalRwRequest);
-        let fire = self.armed.self_invalidate && recall.is_some();
+        let fire = matches!(
+            self.fires(self.armed.self_invalidate, node, Role::Cache, block),
+            Some((_, Action::SelfInvalidate))
+        );
         self.replacements += u64::from(fire);
         fire
     }
 
     fn early_inval_ack(&mut self, node: NodeId, block: BlockAddr) -> bool {
-        // The cache's incoming-message predictor says the next thing this
-        // node hears about the block is a (read-sharer) invalidation:
-        // acknowledge it before it is sent.
-        let inval = self.expects(node, Role::Cache, block, MsgType::InvalRoRequest);
-        self.armed.early_ack && inval.is_some()
+        matches!(
+            self.fires(self.armed.early_ack, node, Role::Cache, block),
+            Some((_, Action::EarlyInvalAck))
+        )
     }
 
     fn forward_candidate(
@@ -116,19 +153,10 @@ impl SpeculationPolicy for PredictorPolicy {
         home: NodeId,
         block: BlockAddr,
     ) -> Option<(NodeId, ForwardKind)> {
-        // The directory's predictor names the next requester; push it the
-        // matching copy. A predicted local re-acquisition is not worth a
-        // push (the home's own stache refills without the network).
-        if !self.armed.forward {
-            return None;
-        }
-        let p = self.predicted(home, Role::Directory, block)?;
-        if p.sender == home {
-            return None;
-        }
-        match p.mtype {
-            MsgType::GetRoRequest => Some((p.sender, ForwardKind::Shared)),
-            MsgType::GetRwRequest => Some((p.sender, ForwardKind::Exclusive)),
+        // A predicted local re-acquisition is not worth a push: the home's
+        // own stache refills without the network.
+        match self.fires(self.armed.forward, home, Role::Directory, block)? {
+            (to, Action::Forward(kind)) if to != home => Some((to, kind)),
             _ => None,
         }
     }

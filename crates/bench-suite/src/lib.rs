@@ -9,7 +9,7 @@
 //! | Artefact | Generator |
 //! |---|---|
 //! | Table 1 (message vocabulary) | [`tables::table1`] |
-//! | Table 2 (prediction-action pairs) | [`tables::table2`] |
+//! | Table 2 (prediction-action pairs) | [`tables::table2`] of [`::accel::action`], the table the policy fires |
 //! | Table 3 (system parameters) | [`tables::table3`] |
 //! | Table 4 (benchmarks) | [`tables::table4`] |
 //! | Table 5 (accuracy vs MHR depth) | [`tables::table5`] of a [`contenders::Race`] |

@@ -139,7 +139,7 @@ pub fn render_scale(rows: &[ScaleRow]) -> String {
     let mut out = String::new();
     out.push_str("Sharded-engine scale sweep (streaming workload)\n");
     out.push_str(
-        "  nodes  blk/nd/it  iters     blocks   accesses       msgs  windows      sim_ms\n",
+        "  nodes  blk/nd/it  iters     blocks   accesses       msgs  windows      sim_us\n",
     );
     for r in rows {
         out.push_str(&format!(
@@ -151,7 +151,7 @@ pub fn render_scale(rows: &[ScaleRow]) -> String {
             r.accesses,
             r.msgs,
             r.windows,
-            r.exec_ns as f64 / 1e6,
+            r.exec_ns as f64 / 1e3,
         ));
     }
     out

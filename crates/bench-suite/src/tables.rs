@@ -42,25 +42,20 @@ pub fn table1() -> String {
     out
 }
 
-/// Table 2: the prediction-action pairs of §4.1, generated from the
-/// actual [`cosmos::actions::map_prediction`] mapping so the table can
-/// never drift from the code.
+/// Table 2: the prediction-action pairs of §4.1, rendered from
+/// [`accel::action`], the table the speculation policy fires.
 pub fn table2() -> String {
-    use cosmos::actions::map_prediction;
-    use cosmos::PredTuple;
-    use stache::NodeId;
     let mut out = String::from(
         "TABLE 2. Prediction-action pairs (predicted next incoming message\n\
          at an agent -> speculative action)\n",
     );
-    let p = NodeId::new(1);
     for role in [Role::Directory, Role::Cache] {
         let _ = writeln!(out, "at the {role}:");
         for &mtype in &ALL_MSG_TYPES {
             if mtype.receiver_role() != role {
                 continue;
             }
-            let action = map_prediction(role, PredTuple::new(p, mtype))
+            let action = accel::action(role, mtype)
                 .map(|a| format!("{a:?}"))
                 .unwrap_or_else(|| "(no speculation)".to_string());
             let _ = writeln!(out, "  predict {:<22} -> {}", mtype.paper_name(), action);

@@ -4,7 +4,9 @@
 //!   predictor core and parallel sweeps landed;
 //! * the Table 6, 7 and 8 CSVs and the `repro --small fig6` and
 //!   `repro --small adaptation` stdout were captured while each view still
-//!   replayed its own traces, before they became views of one race.
+//!   replayed its own traces, before they became views of one race;
+//! * `golden/table2.txt` is `repro table2` once Table 2 became the table
+//!   the speculation policy fires (`accel::action`).
 //!
 //! Any drift means a change moved results, not just speed or structure.
 
@@ -14,6 +16,16 @@ use bench_suite::{extras, figures, tables, Scale, TraceSet};
 /// The small traces raced over `field`.
 fn small_race(field: &[&'static str]) -> Race {
     race(&TraceSet::generate(Scale::Small), field)
+}
+
+#[test]
+fn table2_stdout_is_byte_identical_to_the_golden() {
+    // `repro` prints the rendering with `println!`: one more newline.
+    assert_eq!(
+        tables::table2() + "\n",
+        include_str!("golden/table2.txt"),
+        "table2 drifted from the golden copy"
+    );
 }
 
 const GOLDEN: &str = include_str!("golden/table5_small.csv");

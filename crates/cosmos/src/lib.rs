@@ -30,8 +30,10 @@
 //! * [`eval`] — the evaluation harness producing overall / per-role /
 //!   per-arc / per-iteration accuracies (Tables 5, 6, 8; Figures 6, 7);
 //! * [`memory`] — Table 7's PHT/MHR ratio and per-block overhead formula;
-//! * [`speedup`] — §4.4's analytic speedup model (Figure 5);
-//! * [`actions`] — §4.1's prediction→action mapping (Table 2).
+//! * [`speedup`] — §4.4's analytic speedup model (Figure 5).
+//!
+//! What a prediction fires (§4.1's Table 2) is `accel`'s, beside the
+//! policy that fires it.
 //!
 //! ## Example
 //!
@@ -51,7 +53,6 @@
 //! assert_eq!(p.predict(block), Some(from_p2));
 //! ```
 
-pub mod actions;
 pub mod directed;
 pub mod eval;
 pub mod fleet;

@@ -25,71 +25,31 @@ pub struct SpeedupParams {
     pub r: f64,
 }
 
-/// A parameter outside the model's documented domain.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SpeedupError {
-    /// `p` outside `[0, 1]` (or NaN).
-    AccuracyOutOfRange(f64),
-    /// `f` outside `[0, 1]` (or NaN).
-    DelayFractionOutOfRange(f64),
-    /// `r` negative (or NaN).
-    PenaltyNegative(f64),
-}
-
-impl std::fmt::Display for SpeedupError {
-    fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpeedupError::AccuracyOutOfRange(p) => {
-                write!(out, "accuracy p = {p} outside [0, 1]")
-            }
-            SpeedupError::DelayFractionOutOfRange(f) => {
-                write!(out, "delay fraction f = {f} outside [0, 1]")
-            }
-            SpeedupError::PenaltyNegative(r) => write!(out, "penalty r = {r} negative"),
-        }
-    }
-}
-
-impl std::error::Error for SpeedupError {}
-
-/// The speedup ratio `time(without) / time(with)`, or an error if any
-/// parameter is outside its documented range — the checked entry point for
-/// callers fed by untrusted input (CLI flags, config files).
-pub fn try_speedup(params: SpeedupParams) -> Result<f64, SpeedupError> {
-    let SpeedupParams { p, f, r } = params;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(SpeedupError::AccuracyOutOfRange(p));
-    }
-    if !(0.0..=1.0).contains(&f) {
-        return Err(SpeedupError::DelayFractionOutOfRange(f));
-    }
-    if r < 0.0 || r.is_nan() {
-        return Err(SpeedupError::PenaltyNegative(r));
-    }
-    let denom = p * f + (1.0 - p) * (1.0 + r);
-    if denom <= 0.0 {
-        return Ok(f64::INFINITY);
-    }
-    Ok(1.0 / denom)
-}
-
 /// The speedup ratio `time(without) / time(with)`.
 ///
 /// # Panics
 ///
 /// Panics — in every build profile — on parameters outside their
-/// documented ranges. (These checks were previously `debug_assert!`s, so
-/// release builds silently produced garbage ratios for out-of-range
-/// inputs, e.g. a *negative* "speedup" for `p > 1`.) A non-positive
-/// denominator requires `p = 1` and `f = 0`; infinite speedup is out of
-/// the model's scope, so the function returns `f64::INFINITY` there
-/// instead of panicking. Use [`try_speedup`] to handle bad parameters
-/// without panicking.
+/// documented ranges (`p > 1` would give a *negative* "speedup"). A
+/// non-positive denominator requires `p = 1` and `f = 0`; infinite
+/// speedup is out of the model's scope, so the function returns
+/// `f64::INFINITY` there instead of panicking.
 pub fn speedup(params: SpeedupParams) -> f64 {
-    match try_speedup(params) {
-        Ok(s) => s,
-        Err(e) => panic!("speedup model: {e}"),
+    let SpeedupParams { p, f, r } = params;
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "speedup model: accuracy p = {p} outside [0, 1]"
+    );
+    assert!(
+        (0.0..=1.0).contains(&f),
+        "speedup model: delay fraction f = {f} outside [0, 1]"
+    );
+    assert!(r >= 0.0, "speedup model: penalty r = {r} negative");
+    let denom = p * f + (1.0 - p) * (1.0 + r);
+    if denom <= 0.0 {
+        return f64::INFINITY;
     }
+    1.0 / denom
 }
 
 /// One point of a Figure 5 sweep.
@@ -239,27 +199,22 @@ mod tests {
     }
 
     #[test]
-    fn try_speedup_reports_each_violation() {
-        let ok = SpeedupParams {
-            p: 0.8,
+    #[should_panic(expected = "speedup model: accuracy p = NaN outside [0, 1]")]
+    fn nan_accuracy_panics() {
+        let _ = speedup(SpeedupParams {
+            p: f64::NAN,
             f: 0.3,
             r: 1.0,
-        };
-        assert_eq!(try_speedup(ok), Ok(speedup(ok)));
-        assert_eq!(
-            try_speedup(SpeedupParams { p: -0.1, ..ok }),
-            Err(SpeedupError::AccuracyOutOfRange(-0.1))
-        );
-        assert_eq!(
-            try_speedup(SpeedupParams { f: 1.5, ..ok }),
-            Err(SpeedupError::DelayFractionOutOfRange(1.5))
-        );
-        assert_eq!(
-            try_speedup(SpeedupParams { r: -0.5, ..ok }),
-            Err(SpeedupError::PenaltyNegative(-0.5))
-        );
-        assert!(try_speedup(SpeedupParams { p: f64::NAN, ..ok }).is_err());
-        let msg = SpeedupError::PenaltyNegative(-0.5).to_string();
-        assert!(msg.contains("penalty"), "{msg}");
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "speedup model: penalty r = NaN negative")]
+    fn nan_penalty_panics() {
+        let _ = speedup(SpeedupParams {
+            p: 0.8,
+            f: 0.3,
+            r: f64::NAN,
+        });
     }
 }
